@@ -1,3 +1,3 @@
-//! Benchmark-hosting package; see the `benches/` directory. Each bench
-//! target regenerates one experiment table from `EXPERIMENTS.md` (printed
-//! once at startup) and then times its measurement kernel with Criterion.
+//! Benchmark-hosting package; see the `benches/` directory. Experiment
+//! tables come from `cargo run --release -p vsgm-harness --bin experiments`;
+//! the targets here time kernels that need a wall clock.

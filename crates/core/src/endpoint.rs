@@ -193,24 +193,6 @@ pub struct EndpointStats {
     pub blocks: u64,
 }
 
-impl EndpointStats {
-    /// Rebuilds the counters from an observability registry filled by the
-    /// instrumented end-point hooks ([`Endpoint::handle_rec`] /
-    /// [`Endpoint::poll_rec`]). The registry aggregates across every
-    /// end-point that reported into it, so this is the *group-wide* view;
-    /// per-end-point numbers remain available via [`Endpoint::stats`].
-    pub fn from_registry(reg: &vsgm_obs::Registry) -> EndpointStats {
-        EndpointStats {
-            views_installed: reg.counter(names::EP_VIEWS_INSTALLED),
-            msgs_sent: reg.counter(names::EP_MSGS_SENT),
-            msgs_delivered: reg.counter(names::EP_MSGS_DELIVERED),
-            syncs_sent: reg.counter(names::EP_SYNCS_SENT),
-            forwards_sent: reg.counter(names::EP_FORWARDS_SENT),
-            blocks: reg.counter(names::EP_BLOCKS),
-        }
-    }
-}
-
 /// A GCS end-point: the executable `GCS_p` automaton (or a configured
 /// prefix of its inheritance chain — see [`Config::stack`]).
 ///
@@ -1299,7 +1281,7 @@ mod tests {
     #[test]
     fn audit_tick_reconciles_a_corrupted_endpoint() {
         use crate::corrupt::CorruptionKind;
-        use vsgm_obs::{ObsRecorder, Recorder};
+        use vsgm_obs::ObsRecorder;
         let cfg = Config { audit: true, ..Config::default() };
         let mut net = Net::new(&[1, 2], cfg);
         net.reconfigure(&[1, 2], 1, 1);

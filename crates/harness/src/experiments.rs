@@ -8,7 +8,7 @@
 //! minimization, slim sync messages, client-server scalability, two-tier
 //! aggregation — each as a small parameter sweep producing a printable
 //! table. `cargo run -p vsgm-harness --bin experiments` regenerates all
-//! of them; the Criterion benches in `vsgm-bench` time the same kernels.
+//! of them (`-- <id>…` for some) and is the only entry point for a table.
 
 use crate::metrics::{self, Summary};
 use crate::server_sim::ServerSim;
@@ -727,42 +727,34 @@ pub fn ablation_layers() -> Table {
     }
 }
 
+/// Every id [`run_by_id`] knows, in `EXPERIMENTS.md` order (`E2` shares
+/// `E1`'s table).
+pub const IDS: [&str; 12] =
+    ["E1", "E3", "E4", "E5", "E6", "E7", "E8", "E9", "E10", "E11", "E12", "ABL"];
+
 /// Runs every experiment with its default parameters.
 pub fn all() -> Vec<Table> {
-    vec![
-        e1_view_change(&[2, 4, 8, 16, 32]),
-        e3_obsolete_views(&[1, 2, 4, 8]),
-        e4_reconfig_delivery(),
-        e5_throughput(&[2, 4, 8, 16], 20),
-        e6_forwarding(&[4, 8, 16]),
-        e7_sync_overhead(&[4, 8, 16]),
-        e8_crash_recovery(&[1, 2, 3]),
-        e9_scalability(&[8, 32, 64], &[2, 4]),
-        e10_aggregation(&[4, 8, 16, 32]),
-        e11_total_order(6, 5),
-        e12_latency_profiles(8),
-        ablation_layers(),
-    ]
+    IDS.iter().filter_map(|id| run_by_id(id)).collect()
 }
 
-/// Runs the experiment with the given id (`"E1"`, `"e10"`, `"abl"`, or
-/// `"all"`).
-pub fn run_by_id(id: &str) -> Vec<Table> {
-    match id.to_ascii_uppercase().as_str() {
-        "E1" | "E2" => vec![e1_view_change(&[2, 4, 8, 16, 32])],
-        "E3" => vec![e3_obsolete_views(&[1, 2, 4, 8])],
-        "E4" => vec![e4_reconfig_delivery()],
-        "E5" => vec![e5_throughput(&[2, 4, 8, 16], 20)],
-        "E6" => vec![e6_forwarding(&[4, 8, 16])],
-        "E7" => vec![e7_sync_overhead(&[4, 8, 16])],
-        "E8" => vec![e8_crash_recovery(&[1, 2, 3])],
-        "E9" => vec![e9_scalability(&[8, 32, 64], &[2, 4])],
-        "E10" => vec![e10_aggregation(&[4, 8, 16, 32])],
-        "E11" => vec![e11_total_order(6, 5)],
-        "E12" => vec![e12_latency_profiles(8)],
-        "ABL" | "ABLATION" => vec![ablation_layers()],
-        _ => all(),
-    }
+/// Runs the experiment with the given id (`"E1"`, `"e10"`, `"abl"`) with
+/// its default parameters; `None` for an id that names no experiment.
+pub fn run_by_id(id: &str) -> Option<Table> {
+    Some(match id.to_ascii_uppercase().as_str() {
+        "E1" | "E2" => e1_view_change(&[2, 4, 8, 16, 32]),
+        "E3" => e3_obsolete_views(&[1, 2, 4, 8]),
+        "E4" => e4_reconfig_delivery(),
+        "E5" => e5_throughput(&[2, 4, 8, 16], 20),
+        "E6" => e6_forwarding(&[4, 8, 16]),
+        "E7" => e7_sync_overhead(&[4, 8, 16]),
+        "E8" => e8_crash_recovery(&[1, 2, 3]),
+        "E9" => e9_scalability(&[8, 32, 64], &[2, 4]),
+        "E10" => e10_aggregation(&[4, 8, 16, 32]),
+        "E11" => e11_total_order(6, 5),
+        "E12" => e12_latency_profiles(8),
+        "ABL" | "ABLATION" => ablation_layers(),
+        _ => return None,
+    })
 }
 
 #[cfg(test)]
@@ -873,6 +865,23 @@ mod tests {
         assert_ne!(t.rows[1][1], "0");
         assert_eq!(t.rows[1][2], "0");
         assert_ne!(t.rows[2][2], "0");
+    }
+
+    #[test]
+    fn every_id_resolves_to_one_table_and_unknown_ids_to_none() {
+        // `all()` is `IDS` through `run_by_id`, so one pass checks both:
+        // every known id yields the table carrying that id, no two alike.
+        let ids: Vec<&str> = all().iter().map(|t| t.id).collect();
+        assert_eq!(ids, IDS);
+        let distinct: std::collections::BTreeSet<&str> = ids.iter().copied().collect();
+        assert_eq!(distinct.len(), ids.len(), "{ids:?}");
+        // The tables that used to have a bench shim of their own.
+        for id in ["E3", "E4", "E6", "E7", "E8", "E9", "E10", "E11", "E12", "ABL"] {
+            assert!(ids.contains(&id), "{id} not reachable through run_by_id");
+        }
+        for unknown in ["E13", "E0", "all", ""] {
+            assert!(run_by_id(unknown).is_none(), "{unknown:?} must not resolve");
+        }
     }
 
     #[test]

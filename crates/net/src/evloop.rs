@@ -52,6 +52,12 @@ const MAX_READS_PER_ROUND: usize = 8;
 /// How long a shutting-down loop keeps trying to flush unwritten
 /// outbound frames before declaring them dropped and exiting.
 const SHUTDOWN_GRACE: Duration = Duration::from_millis(500);
+/// Byte ceiling for one coalesced flush buffer (a single oversized
+/// frame still flushes alone).
+const MAX_FLUSH_BYTES: usize = 1 << 20;
+/// Size of each pooled per-connection buffer. Read buffers grow
+/// transiently for larger frames and are not retained once they have.
+const POOL_BUF_BYTES: usize = 64 << 10;
 
 /// Transport-level counters owned by the loop threads; mirrored into
 /// `NetStats` / `vsgm-obs` by the transport.
@@ -101,8 +107,6 @@ pub(crate) struct LoopCtx {
 pub(crate) struct LoopConfig {
     /// Most frames coalesced into one socket write.
     pub max_coalesce_frames: u64,
-    /// Byte ceiling for one coalesce buffer.
-    pub max_flush_bytes: usize,
     /// Reject frames claiming more than this many bytes.
     pub max_frame_len: usize,
     /// Evict connections stalled mid-handshake/mid-frame this long
@@ -110,8 +114,6 @@ pub(crate) struct LoopConfig {
     pub read_idle_timeout: Duration,
     /// Whether non-binary (JSON) frame bodies are still decoded.
     pub accept_json: bool,
-    /// Initial size of each pooled per-connection read buffer.
-    pub read_buf_bytes: usize,
 }
 
 /// A connection handed to the pool.
@@ -231,36 +233,32 @@ impl LoopPool {
 /// A tiny free-list of read/coalesce buffers, loop-thread-local so it
 /// needs no lock. Buffers that grew past the standard size (oversized
 /// frames) are not retained.
+#[derive(Default)]
 struct BufPool {
     free: Vec<Vec<u8>>,
-    size: usize,
 }
 
 impl BufPool {
-    fn new(size: usize) -> BufPool {
-        BufPool { free: Vec::new(), size: size.max(4096) }
-    }
-
-    /// A read buffer: `size` addressable (zeroed-or-recycled) bytes.
+    /// A read buffer: [`POOL_BUF_BYTES`] addressable (zeroed-or-recycled)
+    /// bytes.
     fn take_read(&mut self) -> Vec<u8> {
         let mut buf = self.free.pop().unwrap_or_default();
-        buf.resize(self.size, 0);
+        buf.resize(POOL_BUF_BYTES, 0);
         buf
     }
 
-    /// A write coalesce buffer: empty, with `size` bytes of capacity.
+    /// A write coalesce buffer: empty, with [`POOL_BUF_BYTES`] of capacity.
     /// (Length matters: stale pooled bytes must never be mistaken for
     /// pending write data.)
     fn take_write(&mut self) -> Vec<u8> {
-        let mut buf = self.free.pop().unwrap_or_else(|| Vec::with_capacity(self.size));
+        let mut buf = self.free.pop().unwrap_or_else(|| Vec::with_capacity(POOL_BUF_BYTES));
         buf.clear();
         buf
     }
 
     fn put(&mut self, mut buf: Vec<u8>) {
         buf.clear();
-        if buf.capacity() >= self.size && buf.capacity() <= self.size * 2 && self.free.len() < 64
-        {
+        if (POOL_BUF_BYTES..=POOL_BUF_BYTES * 2).contains(&buf.capacity()) && self.free.len() < 64 {
             self.free.push(buf);
         }
     }
@@ -545,7 +543,7 @@ impl Conn {
                 self.wbuf.clear();
                 self.wpos = 0;
                 let taken =
-                    queue.take_batch(&mut self.wbuf, cfg.max_coalesce_frames, cfg.max_flush_bytes);
+                    queue.take_batch(&mut self.wbuf, cfg.max_coalesce_frames, MAX_FLUSH_BYTES);
                 if taken.frames == 0 {
                     if queue.is_closed() {
                         // Graceful retirement: everything flushed.
@@ -579,7 +577,7 @@ impl Conn {
 
 fn loop_main(shared: &Arc<LoopShared>, ctx: &Arc<LoopCtx>, cfg: &LoopConfig) {
     let mut conns: Vec<Conn> = Vec::new();
-    let mut pool = BufPool::new(cfg.read_buf_bytes);
+    let mut pool = BufPool::default();
     let mut idle_rounds: u32 = 0;
     let mut grace_until: Option<Instant> = None;
     loop {

@@ -332,14 +332,6 @@ impl<M: Wire> SimNet<M> {
         out
     }
 
-    /// Iterates every in-flight message as `(from, to, msg)` (for
-    /// invariant checking over global states).
-    pub fn iter_in_transit(&self) -> impl Iterator<Item = (ProcessId, ProcessId, &M)> + '_ {
-        self.channels
-            .iter()
-            .flat_map(|((from, to), chan)| chan.iter().map(move |m| (*from, *to, &m.msg)))
-    }
-
     /// Number of messages currently queued from `p` to `q`.
     pub fn in_transit(&self, p: ProcessId, q: ProcessId) -> usize {
         self.channels.get(&(p, q)).map_or(0, VecDeque::len)

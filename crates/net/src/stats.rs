@@ -62,37 +62,6 @@ impl NetStats {
         NetStats::default()
     }
 
-    /// Rebuilds a `NetStats` view from an observability registry filled
-    /// by [`crate::SimNet::send_rec`] / [`crate::SimNet::pop_ready_rec`].
-    ///
-    /// `dropped` only reflects send-time losses mirrored into the
-    /// registry; losses from channel teardown (partitions, crashes) are
-    /// accounted in the network's own [`crate::SimNet::stats`].
-    pub fn from_registry(reg: &vsgm_obs::Registry) -> NetStats {
-        NetStats {
-            per_tag: reg.traffic_rows().map(|(tag, t)| (tag, (t.count, t.bytes))).collect(),
-            dropped: reg.counter(vsgm_obs::names::NET_DROPPED),
-            delivered: reg.counter(vsgm_obs::names::NET_DELIVERED),
-            // Transport-level counters: the simulated network neither
-            // reconnects nor heartbeats.
-            retries: 0,
-            heartbeats: 0,
-            // Writer-path counters, exported by
-            // `TcpTransport::export_obs` on live transports.
-            flushes: reg.counter(vsgm_obs::names::NET_FLUSHES),
-            frames_flushed: reg.counter(vsgm_obs::names::NET_FRAMES_FLUSHED),
-            coalesce_max: reg.gauge(vsgm_obs::names::NET_COALESCE_MAX).unwrap_or(0),
-            queue_depth_max: reg.gauge(vsgm_obs::names::NET_QUEUE_DEPTH_MAX).unwrap_or(0),
-            backpressure_hits: reg.counter(vsgm_obs::names::NET_BACKPRESSURE),
-            frames_enqueued: reg.counter(vsgm_obs::names::NET_FRAMES_ENQUEUED),
-            frames_dropped: reg.counter(vsgm_obs::names::NET_FRAMES_DROPPED),
-            oversize_rejected: reg.counter(vsgm_obs::names::NET_OVERSIZE_REJECTED),
-            idle_evictions: reg.counter(vsgm_obs::names::NET_IDLE_EVICTIONS),
-            conns_open: reg.gauge(vsgm_obs::names::NET_CONNS_OPEN).unwrap_or(0),
-            loop_threads: reg.gauge(vsgm_obs::names::NET_LOOP_THREADS).unwrap_or(0),
-        }
-    }
-
     /// Records one point-to-point enqueue of `msg`.
     pub fn record_send<M: Wire>(&mut self, msg: &M) {
         let e = self.per_tag.entry(msg.tag()).or_insert((0, 0));
@@ -183,23 +152,5 @@ mod tests {
         assert_eq!(s.delivered, 1);
         // Drops are not sends: the per-tag tally is unaffected.
         assert_eq!(s.total_msgs(), 1);
-    }
-
-    #[test]
-    fn view_over_registry_matches_direct_accounting() {
-        use vsgm_obs::{Recorder, Registry};
-        let mut reg = Registry::new();
-        let msg = NetMsg::App(AppMsg::from("hello"));
-        // Mirror what SimNet::send_rec / pop_ready_rec record.
-        let rec: &mut dyn Recorder = &mut reg;
-        rec.traffic(msg.tag(), msg.wire_size() as u64);
-        rec.traffic(msg.tag(), msg.wire_size() as u64);
-        rec.counter(vsgm_obs::names::NET_DROPPED, 1);
-        rec.counter(vsgm_obs::names::NET_DELIVERED, 2);
-        let s = NetStats::from_registry(&reg);
-        assert_eq!(s.count("app_msg"), 2);
-        assert_eq!(s.bytes("app_msg"), 2 * msg.wire_size() as u64);
-        assert_eq!(s.dropped, 1);
-        assert_eq!(s.delivered, 2);
     }
 }

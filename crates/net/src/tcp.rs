@@ -27,7 +27,7 @@
 //! * **Coalesced flushes** — the loop drains every frame already
 //!   queued into one buffered socket write, so a burst of N multicasts
 //!   costs one syscall instead of N
-//!   ([`TcpConfig::max_coalesce_frames`] / [`TcpConfig::max_flush_bytes`]).
+//!   ([`TcpConfig::max_coalesce_frames`], at most 1 MiB per flush).
 //! * **Independent fan-out** — [`Transport::send`] attempts *every*
 //!   destination, drops only the connections that actually failed, and
 //!   returns one aggregated error; a single broken peer no longer censors
@@ -133,8 +133,6 @@ pub struct TcpConfig {
     pub backoff_base: Duration,
     /// Ceiling for the reconnect delay.
     pub backoff_cap: Duration,
-    /// Seed for the deterministic backoff jitter (up to half the delay).
-    pub jitter_seed: u64,
     /// Zero-length heartbeat frames are enqueued on every outgoing
     /// connection at this interval; `Duration::ZERO` disables them.
     pub heartbeat_interval: Duration,
@@ -148,9 +146,6 @@ pub struct TcpConfig {
     /// Most frames a writer coalesces into one flush (1 = flush every
     /// frame individually, i.e. per-send writes).
     pub max_coalesce_frames: u64,
-    /// Byte ceiling for one coalesced flush buffer (a single oversized
-    /// frame still flushes alone).
-    pub max_flush_bytes: usize,
     /// How long a sender waits for space on a full per-connection queue
     /// before declaring the peer stalled and dropping the connection.
     pub enqueue_timeout: Duration,
@@ -178,10 +173,6 @@ pub struct TcpConfig {
     /// Defaults to `true` for rolling-transition interop; binary-only
     /// deployments can turn it off to make framing strict.
     pub accept_json: bool,
-    /// Initial size of each pooled per-connection read buffer. Buffers
-    /// grow transiently for frames larger than this and shrink back to
-    /// the pool size when recycled.
-    pub read_buf_bytes: usize,
 }
 
 impl Default for TcpConfig {
@@ -190,20 +181,17 @@ impl Default for TcpConfig {
             max_reconnect_attempts: 4,
             backoff_base: Duration::from_millis(1),
             backoff_cap: Duration::from_millis(100),
-            jitter_seed: 0x7C9,
             heartbeat_interval: Duration::from_millis(200),
             suspect_after: Duration::from_secs(1),
             wire_format: WireFormat::Binary,
             writer_queue: 1024,
             max_coalesce_frames: 256,
-            max_flush_bytes: 1 << 20,
             enqueue_timeout: Duration::from_secs(2),
             queue_watermark: 512,
             loop_threads: 2,
             max_frame_len: 1 << 26, // 64 MiB
             read_idle_timeout: Duration::from_secs(30),
             accept_json: true,
-            read_buf_bytes: 64 << 10,
         }
     }
 }
@@ -270,11 +258,9 @@ impl TcpTransport {
         });
         let loop_cfg = LoopConfig {
             max_coalesce_frames: config.max_coalesce_frames,
-            max_flush_bytes: config.max_flush_bytes,
             max_frame_len: config.max_frame_len,
             read_idle_timeout: config.read_idle_timeout,
             accept_json: config.accept_json,
-            read_buf_bytes: config.read_buf_bytes,
         };
         let pool = LoopPool::spawn(config.loop_threads, &ctx, &loop_cfg);
         let shared = Arc::new(TcpShared {
@@ -295,7 +281,9 @@ impl TcpTransport {
         if config.heartbeat_interval > Duration::ZERO {
             spawn_heartbeat_loop(Arc::clone(&shared), config.heartbeat_interval);
         }
-        let jitter = Mutex::new(SimRng::new(config.jitter_seed ^ me.raw()));
+        // Seed for the deterministic backoff jitter (up to half the delay).
+        const JITTER_SEED: u64 = 0x7C9;
+        let jitter = Mutex::new(SimRng::new(JITTER_SEED ^ me.raw()));
         Ok(TcpTransport { shared, local_addr, incoming: rx, config, jitter })
     }
 
@@ -369,18 +357,6 @@ impl TcpTransport {
     /// Heartbeat frames received from peers (liveness evidence).
     pub fn heartbeats_received(&self) -> u64 {
         self.shared.counters.heartbeats_heard.load(Ordering::Relaxed)
-    }
-
-    /// Event-loop threads serving every socket of this transport —
-    /// fixed at [`TcpConfig::loop_threads`] no matter how many
-    /// connections are open.
-    pub fn loop_thread_count(&self) -> usize {
-        self.shared.pool.threads()
-    }
-
-    /// Connections (inbound + outbound) currently owned by the loops.
-    pub fn open_connections(&self) -> u64 {
-        self.shared.counters.conns_open()
     }
 
     /// Inbound connections accepted by the listener. With race-free
@@ -831,8 +807,7 @@ mod tests {
         // Exported counters round-trip through a registry.
         let mut reg = vsgm_obs::Registry::new();
         a.export_obs(&mut reg);
-        let via_reg = crate::NetStats::from_registry(&reg);
-        assert_eq!(via_reg.backpressure_hits, s.backpressure_hits);
+        assert_eq!(reg.counter(vsgm_obs::names::NET_BACKPRESSURE), s.backpressure_hits);
         // An idle receiver with the default watermark sees no pressure.
         assert_eq!(b.stats().backpressure_hits, 0, "{:?}", b.stats());
     }

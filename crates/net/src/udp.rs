@@ -60,8 +60,6 @@ struct Shared {
     recv_state: Mutex<HashMap<ProcessId, PeerRecv>>,
     // vsgm-lock-tier(4): leaf — loss-injection knob, read per datagram.
     loss: Mutex<Option<(f64, SimRng)>>,
-    // vsgm-lock-tier(5): leaf — codec selection, read per encode.
-    wire_format: Mutex<WireFormat>,
     shutdown: AtomicBool,
 }
 
@@ -122,7 +120,6 @@ impl UdpTransport {
             send_state: Mutex::new(HashMap::new()),
             recv_state: Mutex::new(HashMap::new()),
             loss: Mutex::new(None),
-            wire_format: Mutex::new(WireFormat::default()),
             shutdown: AtomicBool::new(false),
         });
         let (tx, rx) = unbounded();
@@ -148,12 +145,6 @@ impl UdpTransport {
             if p > 0.0 { Some((p, SimRng::new(seed))) } else { None };
     }
 
-    /// Selects the encoding for outgoing message bodies. Receivers always
-    /// accept both formats, so peers can switch independently.
-    pub fn set_wire_format(&self, format: WireFormat) {
-        *self.shared.wire_format.lock() = format;
-    }
-
     /// Number of frames awaiting acknowledgment (for tests).
     pub fn unacked(&self) -> usize {
         self.shared.send_state.lock().values().map(|s| s.unacked.len()).sum()
@@ -166,7 +157,7 @@ impl Transport for UdpTransport {
     }
 
     fn send(&self, to: &ProcSet, msg: &NetMsg) -> io::Result<()> {
-        let body = codec::encode_body(msg, *self.shared.wire_format.lock())?;
+        let body = codec::encode_body(msg, WireFormat::default())?;
         if body.len() > MAX_PAYLOAD {
             return Err(io::Error::new(
                 ErrorKind::InvalidInput,

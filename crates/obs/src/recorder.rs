@@ -106,11 +106,6 @@ impl ObsRecorder {
         &self.registry
     }
 
-    /// Mutable registry access (for host-side gauges).
-    pub fn registry_mut(&mut self) -> &mut Registry {
-        &mut self.registry
-    }
-
     /// The recorder's current simulated time.
     pub fn now(&self) -> SimTime {
         self.now

@@ -4,7 +4,7 @@
 //! layering of §4.1.1.
 //!
 //! ```text
-//! cargo run -p vsgm-examples --example causal_chat
+//! cargo run --example causal_chat
 //! ```
 
 use std::collections::BTreeMap;

@@ -2,7 +2,7 @@
 //! forwarding — the paper's partitionable semantics in action.
 //!
 //! ```text
-//! cargo run -p vsgm-examples --example partition_heal
+//! cargo run --example partition_heal
 //! ```
 //!
 //! Two acts:

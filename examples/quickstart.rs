@@ -1,7 +1,7 @@
 //! Quickstart: three processes form a group, multicast, and reconfigure.
 //!
 //! ```text
-//! cargo run -p vsgm-examples --example quickstart
+//! cargo run --example quickstart
 //! ```
 //!
 //! Everything runs inside the deterministic simulator with all of the

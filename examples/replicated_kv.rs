@@ -4,7 +4,7 @@
 //! state exchange, and transitional sets identify who does.
 //!
 //! ```text
-//! cargo run -p vsgm-examples --example replicated_kv
+//! cargo run --example replicated_kv
 //! ```
 //!
 //! Each replica applies `set k=v` commands in the total order produced by

@@ -1,7 +1,7 @@
 //! Three GCS end-points over real TCP sockets on localhost.
 //!
 //! ```text
-//! cargo run -p vsgm-examples --example tcp_cluster
+//! cargo run --example tcp_cluster
 //! ```
 //!
 //! This is the "production" shape of the stack: each process wraps an

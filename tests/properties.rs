@@ -210,7 +210,7 @@ proptest! {
 }
 
 /// Long soak: a large randomized scenario, run explicitly with
-/// `cargo test -p vsgm-integration --test properties -- --ignored`.
+/// `cargo test -p vsgm --test properties -- --ignored`.
 #[test]
 #[ignore = "long-running soak; run explicitly"]
 fn soak_500_ops_many_seeds() {
