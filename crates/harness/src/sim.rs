@@ -2,7 +2,7 @@
 
 use std::collections::BTreeMap;
 use vsgm_core::{BlockingClient, Config, Effect, Endpoint, GroupEndpoint, Input};
-use vsgm_ioa::{CheckSet, SimRng, SimTime, Trace, Violation};
+use vsgm_ioa::{CheckSet, SimRng, SimTime, Trace, TraceEntry, Violation};
 use vsgm_membership::MembershipOracle;
 use vsgm_net::{FaultPlan, FaultStats, LatencyModel, SimNet};
 use vsgm_obs::{names as obs_names, NoopRecorder, ObsEvent, ObsRecorder, Recorder};
@@ -140,7 +140,7 @@ impl Sim<Endpoint> {
         rec.counter(obs_names::CHAOS_CORRUPTIONS, 1);
         rec.event(p, None, ObsEvent::CorruptionInjected);
         if self.corruption_mark.is_none() {
-            self.corruption_mark = Some((self.trace.entries().len(), self.time));
+            self.corruption_mark = Some((self.trace.len(), self.time));
         }
         self.last_corruption = Some(self.time);
     }
@@ -244,6 +244,15 @@ impl<E: GroupEndpoint> Sim<E> {
         &self.trace
     }
 
+    /// Hands the recorded entries over and keeps recording ([`Trace::drain`]):
+    /// a long-lived host consumes the trace instead of accumulating it. The
+    /// online checkers have already seen every drained entry; a checker
+    /// attached later ([`Sim::add_checker`]) is replayed only what is
+    /// still retained.
+    pub fn drain_trace(&mut self) -> std::vec::Drain<'_, TraceEntry> {
+        self.trace.drain()
+    }
+
     /// Writes the trace as JSON lines (viewable with the `trace_view`
     /// binary, reloadable with [`Trace::from_json_lines`]).
     ///
@@ -274,10 +283,11 @@ impl<E: GroupEndpoint> Sim<E> {
     }
 
     fn record(&mut self, event: Event) {
-        let step = self.trace.record(self.time, event);
+        self.trace.record(self.time, event);
         if self.opts.check {
-            let entry = self.trace.entries()[step as usize].clone();
-            self.checks.observe(&entry);
+            if let Some(entry) = self.trace.entries().last() {
+                self.checks.observe(entry);
+            }
         }
     }
 
@@ -720,8 +730,9 @@ impl<E: GroupEndpoint> Sim<E> {
     }
 
     /// Adds an extra checker (e.g. a liveness expectation). The trace
-    /// recorded so far is replayed into it first, so the checker judges
-    /// the whole run no matter when it attaches — in particular, a
+    /// recorded so far (since the last [`Sim::drain_trace`], if any) is
+    /// replayed into it first, so the checker judges the whole run no
+    /// matter when it attaches — in particular, a
     /// `LivenessSpec` added right after `reconfigure` still sees the
     /// membership notifications (and any synchronous view installs) that
     /// happened inside that call.

@@ -29,9 +29,19 @@ pub struct TraceEntry {
 /// assert_eq!(t.len(), 1);
 /// assert_eq!(t.entries()[0].step, 0);
 /// ```
+///
+/// A long-lived host can hand the recorded entries over with
+/// [`Trace::drain`] and keep recording: step numbers and [`Trace::len`]
+/// stay absolute, while [`Trace::entries`] and everything derived from it
+/// cover the entries since the last drain — the whole run for a trace
+/// nobody drains.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct Trace {
+    /// Entries recorded since the last drain.
     entries: Vec<TraceEntry>,
+    /// Entries handed over by [`Trace::drain`] so far: the step of
+    /// `entries[0]`.
+    base: u64,
 }
 
 impl Trace {
@@ -43,24 +53,34 @@ impl Trace {
     /// Appends an event at the given simulated time, assigning the next
     /// step number, and returns the entry's step.
     pub fn record(&mut self, time: SimTime, event: Event) -> u64 {
-        let step = self.entries.len() as u64;
+        let step = self.len() as u64;
         self.entries.push(TraceEntry { step, time, event });
         step
     }
 
-    /// All entries, in order.
+    /// The entries recorded since the last [`Trace::drain`], in order
+    /// (all of them if the trace was never drained).
     pub fn entries(&self) -> &[TraceEntry] {
         &self.entries
     }
 
-    /// Number of recorded events.
+    /// Number of events recorded over the whole run, drained ones
+    /// included: the step the next entry gets.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.base as usize + self.entries.len()
     }
 
-    /// Whether nothing has been recorded.
+    /// Whether nothing has ever been recorded.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.len() == 0
+    }
+
+    /// Hands the retained entries over, oldest first, and keeps counting:
+    /// the next recorded entry continues the step numbering. The buffer's
+    /// allocation is kept for the next burst.
+    pub fn drain(&mut self) -> std::vec::Drain<'_, TraceEntry> {
+        self.base += self.entries.len() as u64;
+        self.entries.drain(..)
     }
 
     /// Projection onto the actions of a single process (the per-process
@@ -75,7 +95,7 @@ impl Trace {
         self.entries.iter().filter(|e| e.event.is_application_facing())
     }
 
-    /// Counts events per [`Event::kind`] name.
+    /// Counts retained events per [`Event::kind`] name.
     pub fn kind_counts(&self) -> std::collections::BTreeMap<&'static str, usize> {
         let mut out = std::collections::BTreeMap::new();
         for e in &self.entries {
@@ -84,8 +104,8 @@ impl Trace {
         out
     }
 
-    /// Serializes the trace as JSON lines (one entry per line), suitable
-    /// for archiving failing runs.
+    /// Serializes the retained entries as JSON lines (one entry per
+    /// line), suitable for archiving failing runs.
     pub fn to_json_lines(&self) -> String {
         let mut out = String::new();
         for e in &self.entries {
@@ -95,17 +115,20 @@ impl Trace {
         out
     }
 
-    /// Parses a trace back from [`Trace::to_json_lines`] output.
+    /// Parses a trace back from [`Trace::to_json_lines`] output. Step
+    /// numbering continues from the first parsed entry, so a piece of a
+    /// drained trace reloads with its absolute positions.
     ///
     /// # Errors
     ///
     /// Returns a `serde_json::Error` if any line fails to parse.
     pub fn from_json_lines(s: &str) -> Result<Trace, serde_json::Error> {
-        let mut entries = Vec::new();
+        let mut entries: Vec<TraceEntry> = Vec::new();
         for line in s.lines().filter(|l| !l.trim().is_empty()) {
             entries.push(serde_json::from_str(line)?);
         }
-        Ok(Trace { entries })
+        let base = entries.first().map_or(0, |e| e.step);
+        Ok(Trace { entries, base })
     }
 }
 
@@ -136,6 +159,21 @@ mod tests {
         assert_eq!(steps, vec![0, 1, 2]);
         assert_eq!(t.len(), 3);
         assert!(!t.is_empty());
+    }
+
+    #[test]
+    fn drain_hands_entries_over_and_steps_continue() {
+        let mut t = sample_trace();
+        let drained: Vec<TraceEntry> = t.drain().collect();
+        assert_eq!(drained.iter().map(|e| e.step).collect::<Vec<_>>(), vec![0, 1, 2]);
+        assert!(t.entries().is_empty());
+        assert_eq!(t.len(), 3, "len stays absolute");
+        let step = t.record(SimTime::from_micros(7), Event::Crash { p: p(2) });
+        assert_eq!(step, 3);
+        assert_eq!(t.entries()[0].step, 3);
+        // A drained piece reloads at its absolute position.
+        let piece = Trace::from_json_lines(&t.to_json_lines()).unwrap();
+        assert_eq!((piece.len(), piece.entries().len()), (4, 1));
     }
 
     #[test]

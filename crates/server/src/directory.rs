@@ -130,6 +130,17 @@ impl Directory {
         DirOutcome::Created(gid)
     }
 
+    /// Resolves `name` for a client joining an existing group (the
+    /// `join <name>` verb); an unknown name joins nothing and counts as no
+    /// join.
+    pub fn join(&self, name: &str) -> Option<GroupId> {
+        let gid = self.inner.lock().by_name.get(name).copied();
+        if gid.is_some() {
+            self.joins.fetch_add(1, Ordering::Relaxed);
+        }
+        gid
+    }
+
     /// Resolves `name` without creating or joining.
     pub fn lookup(&self, name: &str) -> Option<GroupId> {
         self.lookups.fetch_add(1, Ordering::Relaxed);
@@ -200,14 +211,16 @@ mod tests {
         assert_eq!(d.create_or_join("alpha"), DirOutcome::Joined(g1));
         assert_eq!(d.lookup("alpha"), Some(g1));
         assert_eq!(d.lookup("beta"), None);
+        assert_eq!(d.join("beta"), None, "joining an unknown name joins nothing");
         let DirOutcome::Created(g2) = d.create_or_join("beta") else {
             panic!("fresh name must create")
         };
         assert!(g2 > g1, "ids are fresh and increasing");
+        assert_eq!(d.join("beta"), Some(g2));
         assert_eq!(d.len(), 2);
         let (creates, joins, lookups, _) = d.counters();
-        assert_eq!((creates, joins), (2, 1));
-        assert_eq!(lookups, 2);
+        assert_eq!((creates, joins), (2, 2));
+        assert_eq!(lookups, 2, "a join is not a lookup");
     }
 
     /// Pinned regression for the concurrent-create race: many threads

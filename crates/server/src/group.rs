@@ -80,7 +80,7 @@ pub struct GroupReport {
     pub gid: GroupId,
     /// Currently joined members.
     pub members: ProcSet,
-    /// Trace length so far (events recorded).
+    /// Events recorded so far, drained ones included.
     pub trace_len: usize,
     /// Application messages delivered so far.
     pub delivered: u64,
@@ -109,8 +109,10 @@ pub struct GroupInstance {
     capacity: u64,
     members: ProcSet,
     corruptions: u64,
-    /// Trace index up to which outputs were already drained.
-    out_cursor: usize,
+    /// `Deliver` events consumed by [`GroupInstance::drain_outputs`].
+    delivered: u64,
+    /// `GcsView` events consumed by [`GroupInstance::drain_outputs`].
+    views_installed: u64,
     /// Per-member latest installed view observed while draining (stamps
     /// outgoing `Fwd` frames).
     last_view: BTreeMap<ProcessId, View>,
@@ -131,7 +133,8 @@ impl GroupInstance {
             capacity: capacity.max(1),
             members: ProcSet::new(),
             corruptions: 0,
-            out_cursor: 0,
+            delivered: 0,
+            views_installed: 0,
             last_view: BTreeMap::new(),
             fwd_index: BTreeMap::new(),
         }
@@ -204,60 +207,67 @@ impl GroupInstance {
         self.sim.run_to_quiescence();
     }
 
-    /// Drains application-facing events recorded since the previous
-    /// drain into wire frames owed to clients: `Deliver` becomes a
-    /// [`NetMsg::Fwd`] (origin, receiver's latest installed view,
-    /// running per-channel index), `GcsView` becomes a
-    /// [`NetMsg::ViewMsg`].
+    /// Consumes the trace recorded since the previous drain, translating
+    /// its application-facing events into wire frames owed to clients:
+    /// `Deliver` becomes a [`NetMsg::Fwd`] (origin, receiver's latest
+    /// installed view, running per-channel index), `GcsView` becomes a
+    /// [`NetMsg::ViewMsg`]. Nothing drained is retained: the checkers
+    /// judged every event online as it was recorded.
     pub fn drain_outputs(&mut self) -> Vec<GroupOutput> {
-        let entries = self.sim.trace().entries();
         let mut out = Vec::new();
-        for entry in entries.iter().skip(self.out_cursor) {
-            match &entry.event {
+        for entry in self.sim.drain_trace() {
+            match entry.event {
                 Event::GcsView { p, view, .. } => {
-                    self.last_view.insert(*p, view.clone());
-                    out.push(GroupOutput { to: *p, msg: NetMsg::ViewMsg(view.clone()) });
+                    self.views_installed += 1;
+                    self.last_view.insert(p, view.clone());
+                    out.push(GroupOutput { to: p, msg: NetMsg::ViewMsg(view) });
                 }
                 Event::Deliver { p, q, msg } => {
-                    let view = self
-                        .last_view
-                        .get(p)
-                        .cloned()
-                        .unwrap_or_else(|| View::initial(*p));
-                    let index = self.fwd_index.entry((*p, *q)).or_insert(0);
+                    self.delivered += 1;
+                    let view =
+                        self.last_view.get(&p).cloned().unwrap_or_else(|| View::initial(p));
+                    let index = self.fwd_index.entry((p, q)).or_insert(0);
                     *index += 1;
                     out.push(GroupOutput {
-                        to: *p,
+                        to: p,
                         msg: NetMsg::Fwd(vsgm_types::FwdPayload {
-                            origin: *q,
+                            origin: q,
                             view,
                             index: *index,
-                            msg: msg.clone(),
+                            msg,
                         }),
                     });
                 }
                 _ => {}
             }
         }
-        self.out_cursor = entries.len();
         out
     }
 
-    /// The group's full trace as JSON lines (the differential suite's
-    /// byte-comparison surface).
+    /// The trace entries since the last [`GroupInstance::drain_outputs`]
+    /// as JSON lines — the whole run for the schedule-driven suites, which
+    /// never drain (the differential suite's byte-comparison surface).
     pub fn trace_json(&self) -> String {
         self.sim.trace().to_json_lines()
     }
 
-    /// Cheap health snapshot.
+    /// Cheap health snapshot: running counters plus whatever is not
+    /// drained yet (nothing, in daemon mode).
     pub fn report(&self) -> GroupReport {
-        let counts = self.sim.trace().kind_counts();
+        let (mut delivered, mut views_installed) = (self.delivered, self.views_installed);
+        for entry in self.sim.trace().entries() {
+            match entry.event {
+                Event::Deliver { .. } => delivered += 1,
+                Event::GcsView { .. } => views_installed += 1,
+                _ => {}
+            }
+        }
         GroupReport {
             gid: self.gid,
             members: self.members.clone(),
             trace_len: self.sim.trace().len(),
-            delivered: counts.get("deliver").copied().unwrap_or(0) as u64,
-            views_installed: counts.get("view").copied().unwrap_or(0) as u64,
+            delivered,
+            views_installed,
             fault_injections: self.fault_stats().injected_drops
                 + self.fault_stats().injected_dups,
             corruptions: self.corruptions,
@@ -358,6 +368,30 @@ mod tests {
         );
         // A second drain with no new events is empty.
         assert!(g.drain_outputs().is_empty());
+    }
+
+    #[test]
+    fn drain_outputs_retains_nothing_and_the_report_keeps_counting() {
+        let mut g = GroupInstance::new(GroupId::new(3), 2, 11);
+        joined(&mut g, &[1, 2]);
+        g.apply(GroupCmd::Send { from: p(1), msg: AppMsg::from("one") });
+        g.apply(GroupCmd::Run);
+        let undrained = g.report();
+        assert!(undrained.trace_len > 0 && undrained.delivered == 2, "{undrained:?}");
+        assert_eq!(g.trace_json().lines().count(), undrained.trace_len);
+        let out = g.drain_outputs();
+        assert_eq!(out.len() as u64, undrained.delivered + undrained.views_installed);
+        assert_eq!(g.trace_json(), "", "nothing retained past the drain");
+        assert_eq!(g.report(), undrained, "the report does not depend on who drained what");
+        g.apply(GroupCmd::Send { from: p(2), msg: AppMsg::from("two") });
+        g.apply(GroupCmd::Run);
+        let later = g.report();
+        assert!(later.trace_len > undrained.trace_len, "{later:?}");
+        assert_eq!(later.delivered, 4);
+        // Steps continue where the drained entries left off.
+        let first = g.trace_json().lines().next().map(str::to_owned).unwrap_or_default();
+        assert!(first.contains(&format!("\"step\":{}", undrained.trace_len)), "{first}");
+        assert!(g.finish().is_empty());
     }
 
     #[test]

@@ -71,7 +71,8 @@ pub struct ServerStats {
     pub frames_unroutable: u64,
     /// Directory creates / joins / lookups / leaves.
     pub dir_creates: u64,
-    /// Directory joins (create-or-join losers included).
+    /// Directory joins: `join` requests that resolved, and `create`
+    /// requests that lost the race for the name.
     pub dir_joins: u64,
     /// Directory lookups.
     pub dir_lookups: u64,
@@ -273,7 +274,7 @@ fn handle_directory(
             };
             ok_response(verb, &name, gid)
         }
-        DirRequest::Join(name) => match directory.lookup(&name) {
+        DirRequest::Join(name) => match directory.join(&name) {
             Some(gid) => {
                 pool.apply(gid, GroupCmd::Join(peer));
                 ok_response("join", &name, gid)
@@ -429,7 +430,10 @@ mod tests {
         a.send(GroupId::new(2), "blue-msg");
         b.await_delivery(GroupId::new(1), p(1), "red-msg");
         b.await_delivery(GroupId::new(2), p(1), "blue-msg");
-        assert_eq!(server.stats().groups_hosted, 2);
+        let stats = server.stats();
+        assert_eq!(stats.groups_hosted, 2);
+        // Two `create` winners, two `join`s, and nobody looked anything up.
+        assert_eq!((stats.dir_creates, stats.dir_joins, stats.dir_lookups), (2, 2, 0), "{stats:?}");
         assert_eq!(server.shards().finish(GroupId::new(1)), Some(vec![]));
         assert_eq!(server.shards().finish(GroupId::new(2)), Some(vec![]));
     }

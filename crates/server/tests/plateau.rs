@@ -1,0 +1,143 @@
+//! A hosted group's footprint is a function of its membership, not of its
+//! history: resident memory must plateau under a long multicast stream
+//! with membership churn, and under a long run of view changes alone.
+//!
+//! Both soaks drive one 4-member [`GroupInstance`] the way a daemon shard
+//! worker does (`apply` → `run_to_quiescence` → `drain_outputs`) with every
+//! spec checker online, and read the process's resident set from
+//! `/proc/self/statm` — the `/proc/self` technique of the transport's
+//! connection-churn soak. They are release-mode tests (ignored in debug
+//! builds; `scripts/check.sh` runs them by name) and take turns, since
+//! they share the process whose memory they measure.
+
+use std::sync::Mutex;
+use vsgm_server::{group_seed, GroupCmd, GroupInstance};
+use vsgm_types::{AppMsg, GroupId, ProcessId};
+
+/// Serializes the soaks: the resident set is per process.
+static ONE_AT_A_TIME: Mutex<()> = Mutex::new(());
+
+fn p(i: u64) -> ProcessId {
+    ProcessId::new(i)
+}
+
+fn rss_bytes() -> u64 {
+    let statm = std::fs::read_to_string("/proc/self/statm").expect("procfs");
+    let pages: u64 = statm
+        .split_whitespace()
+        .nth(1)
+        .and_then(|f| f.parse().ok())
+        .expect("rss field");
+    pages * 4096
+}
+
+/// One shard-worker step; returns how many frames it forwarded.
+fn step(g: &mut GroupInstance, cmd: GroupCmd) -> usize {
+    g.apply(cmd);
+    g.run_to_quiescence();
+    g.drain_outputs().len()
+}
+
+fn group_of_four() -> GroupInstance {
+    let gid = GroupId::new(1);
+    let mut g = GroupInstance::new(gid, 4, group_seed(13, gid));
+    for i in 1..=4 {
+        step(&mut g, GroupCmd::Join(p(i)));
+    }
+    g
+}
+
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "release-mode soak; scripts/check.sh runs it by name"
+)]
+fn resident_memory_plateaus_under_multicast_with_churn() {
+    const MULTICASTS: u64 = 200_000;
+    const CHURN_EVERY: u64 = 1_000;
+    const BYTES_PER_MULTICAST: u64 = 16;
+    let _turn = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
+    let mut g = group_of_four();
+    let payload = AppMsg::new(vec![0xA5u8; 64]);
+    let mut frames = 0usize;
+    let mut rss_halfway = 0;
+    for i in 0..MULTICASTS {
+        if i % CHURN_EVERY == 0 {
+            step(&mut g, GroupCmd::Leave(p(4)));
+            step(&mut g, GroupCmd::Join(p(4)));
+        }
+        if i == MULTICASTS / 2 {
+            rss_halfway = rss_bytes();
+        }
+        frames += step(
+            &mut g,
+            GroupCmd::Send {
+                from: p(1 + i % 4),
+                msg: payload.clone(),
+            },
+        );
+    }
+    let grown = rss_bytes().saturating_sub(rss_halfway);
+    println!(
+        "second {} multicasts: resident set +{grown} B",
+        MULTICASTS / 2
+    );
+    assert_eq!(
+        frames as u64,
+        MULTICASTS * 4,
+        "every member got every multicast"
+    );
+    let report = g.report();
+    assert_eq!(report.delivered, MULTICASTS * 4);
+    assert!(report.trace_len as u64 > MULTICASTS * 9, "{report:?}");
+    assert!(
+        g.finish().is_empty(),
+        "spec checkers clean after {MULTICASTS} multicasts"
+    );
+    assert!(
+        grown < BYTES_PER_MULTICAST * MULTICASTS / 2,
+        "resident set grew {grown} B over the second {} multicasts ({} B each)",
+        MULTICASTS / 2,
+        grown / (MULTICASTS / 2)
+    );
+}
+
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "release-mode soak; scripts/check.sh runs it by name"
+)]
+fn resident_memory_plateaus_under_view_changes() {
+    const CHANGES: u64 = 40_000;
+    const BYTES_PER_CHANGE: u64 = 64;
+    let _turn = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
+    let mut g = group_of_four();
+    let mut rss_halfway = 0;
+    for i in 0..CHANGES / 2 {
+        if i == CHANGES / 4 {
+            rss_halfway = rss_bytes();
+        }
+        step(&mut g, GroupCmd::Leave(p(4)));
+        step(&mut g, GroupCmd::Join(p(4)));
+    }
+    let grown = rss_bytes().saturating_sub(rss_halfway);
+    println!(
+        "second {} view changes: resident set +{grown} B",
+        CHANGES / 2
+    );
+    assert!(
+        g.report().views_installed >= CHANGES / 2 * 7,
+        "{:?}",
+        g.report()
+    );
+    assert!(
+        g.finish().is_empty(),
+        "spec checkers clean after {CHANGES} view changes"
+    );
+    assert!(
+        grown < BYTES_PER_CHANGE * CHANGES / 2,
+        "resident set grew {grown} B over the second {} view changes ({} B each)",
+        CHANGES / 2,
+        grown / (CHANGES / 2)
+    );
+}

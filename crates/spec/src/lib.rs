@@ -100,3 +100,7 @@ pub fn judge_trace(entries: &[TraceEntry], final_view: Option<View>) -> Vec<Viol
     let mut set = full_checks(final_view);
     set.run(entries).to_vec()
 }
+
+// Declared down here so the doc-tests above keep the line numbers cargo
+// names them by.
+mod forgetting;

@@ -2,7 +2,7 @@
 
 use std::collections::BTreeMap;
 use vsgm_ioa::{Checker, TraceEntry, Violation};
-use vsgm_types::{Event, ProcSet, ProcessId, View};
+use vsgm_types::{Event, ProcSet, ProcessId, View, ViewId};
 
 /// Checker for the Transitional Set property (Property 4.1):
 ///
@@ -13,22 +13,67 @@ use vsgm_types::{Event, ProcSet, ProcessId, View};
 /// > moves to `v'` from any view other than `v`.
 ///
 /// The subset and self-membership clauses are checked at each `view`
-/// event; the cross-process clauses need the whole trace (another process
-/// may install `v'` later), so they run in [`Checker::finish`].
+/// event. The cross-process clauses need every transition into `v'`
+/// (another process may install `v'` later), so they run when the last
+/// member of `v'` that could still install it has moved — into `v'` or
+/// past it — and in [`Checker::finish`] for the views some member can
+/// still install. The transitions of a judged view are dropped: nothing
+/// can join them any more.
+///
+/// `TRANS_SET:SPEC` is a child of `WV_RFIFO:SPEC` (Fig. 6 modifies Fig. 4),
+/// so `view_p(v)` keeps the parent's Local Monotonicity precondition: a
+/// `view` whose identifier does not exceed every one `p` was given before
+/// is not a transition of this automaton either, and is rejected without
+/// moving `p`. That is what makes "could still install" decidable.
 #[derive(Debug, Default)]
 pub struct TransSetSpec {
     current_view: BTreeMap<ProcessId, View>,
-    /// Every observed transition: (process, previous view, new view, T).
-    transitions: Vec<Transition>,
+    /// Largest view id ever delivered to `p` (survives crashes).
+    floor: BTreeMap<ProcessId, ViewId>,
+    /// The observed transitions into each view some member can still
+    /// install.
+    open: BTreeMap<View, Vec<Transition>>,
+    /// Judge nothing before `finish`: the reference the pruning
+    /// differential test compares against.
+    retain_all: bool,
 }
 
+/// One observed `view_p(next, T)`: the process, the view it moved from,
+/// and its transitional set.
 #[derive(Debug, Clone)]
 struct Transition {
     p: ProcessId,
     prev: View,
-    next: View,
     t_set: ProcSet,
     step: u64,
+}
+
+/// The cross-process clauses of Property 4.1 over the transitions into
+/// `next`.
+fn judge(next: &View, group: &[Transition]) -> Result<(), String> {
+    for a in group {
+        for b in group {
+            if a.p == b.p {
+                continue;
+            }
+            // b moved to `next` from b.prev.
+            if a.t_set.contains(&b.p) && b.prev != a.prev {
+                return Err(format!(
+                    "step {}: {}'s transitional set for {next} contains {} \
+                     which moved from {} (not {})",
+                    a.step, a.p, b.p, b.prev, a.prev
+                ));
+            }
+            if b.prev == a.prev && !a.t_set.contains(&b.p) {
+                return Err(format!(
+                    "step {}: {} moved {} -> {next} together with {} but is \
+                     missing from {}'s transitional set",
+                    a.step, b.p, a.prev, a.p, a.p
+                ));
+            }
+        }
+    }
+    Ok(())
 }
 
 impl TransSetSpec {
@@ -37,8 +82,39 @@ impl TransSetSpec {
         TransSetSpec::default()
     }
 
+    /// The checker that judges every view at `finish`.
+    #[cfg(test)]
+    pub(crate) fn retaining() -> Self {
+        TransSetSpec { retain_all: true, ..TransSetSpec::default() }
+    }
+
     fn view_of(&self, p: ProcessId) -> View {
         self.current_view.get(&p).cloned().unwrap_or_else(|| View::initial(p))
+    }
+
+    fn floor_of(&self, p: ProcessId) -> ViewId {
+        self.floor.get(&p).copied().unwrap_or(ViewId::ZERO)
+    }
+
+    /// Judges and drops every view whose last possible mover has moved;
+    /// run after each `view`.
+    fn judge_settled(&mut self) -> Result<(), String> {
+        if self.retain_all {
+            return Ok(());
+        }
+        let mut verdict = Ok(());
+        let mut open = std::mem::take(&mut self.open);
+        open.retain(|next, group| {
+            if next.members().iter().any(|r| self.floor_of(*r) < next.id()) {
+                return true;
+            }
+            if verdict.is_ok() {
+                verdict = judge(next, group);
+            }
+            false
+        });
+        self.open = open;
+        verdict
     }
 }
 
@@ -51,6 +127,18 @@ impl Checker for TransSetSpec {
         let step = entry.step;
         match &entry.event {
             Event::GcsView { p, view: next, transitional } => {
+                let floor = self.floor_of(*p);
+                if next.id() <= floor {
+                    return Err(Violation::at_step(
+                        "TRANS_SET:SPEC",
+                        step,
+                        format!(
+                            "view_{p}: {} not greater than {floor} (Local Monotonicity, \
+                             inherited from WV_RFIFO:SPEC)",
+                            next.id()
+                        ),
+                    ));
+                }
                 let prev = self.view_of(*p);
                 // T ⊆ v.set ∩ v'.set
                 for q in transitional {
@@ -73,15 +161,15 @@ impl Checker for TransSetSpec {
                         format!("view_{p}: {p} missing from its own transitional set"),
                     ));
                 }
-                self.transitions.push(Transition {
+                self.open.entry(next.clone()).or_default().push(Transition {
                     p: *p,
                     prev,
-                    next: next.clone(),
                     t_set: transitional.clone(),
                     step,
                 });
                 self.current_view.insert(*p, next.clone());
-                Ok(())
+                self.floor.insert(*p, next.id());
+                self.judge_settled().map_err(|m| Violation::at_step("TRANS_SET:SPEC", step, m))
             }
             Event::Recover { p } => {
                 self.current_view.insert(*p, View::initial(*p));
@@ -92,40 +180,8 @@ impl Checker for TransSetSpec {
     }
 
     fn finish(&mut self) -> Result<(), Violation> {
-        // Group transitions by target view (full-triple identity).
-        let mut by_next: BTreeMap<&View, Vec<&Transition>> = BTreeMap::new();
-        for t in &self.transitions {
-            by_next.entry(&t.next).or_default().push(t);
-        }
-        for (next, group) in by_next {
-            for a in &group {
-                for b in &group {
-                    if a.p == b.p {
-                        continue;
-                    }
-                    // b moved to `next` from b.prev.
-                    if a.t_set.contains(&b.p) && b.prev != a.prev {
-                        return Err(Violation::at_end(
-                            "TRANS_SET:SPEC",
-                            format!(
-                                "step {}: {}'s transitional set for {next} contains {} \
-                                 which moved from {} (not {})",
-                                a.step, a.p, b.p, b.prev, a.prev
-                            ),
-                        ));
-                    }
-                    if b.prev == a.prev && !a.t_set.contains(&b.p) {
-                        return Err(Violation::at_end(
-                            "TRANS_SET:SPEC",
-                            format!(
-                                "step {}: {} moved {} -> {next} together with {} but is \
-                                 missing from {}'s transitional set",
-                                a.step, b.p, a.prev, a.p, a.p
-                            ),
-                        ));
-                    }
-                }
-            }
+        for (next, group) in &self.open {
+            judge(next, group).map_err(|m| Violation::at_end("TRANS_SET:SPEC", m))?;
         }
         Ok(())
     }
@@ -267,5 +323,59 @@ mod tests {
             install(2, &v2, &[2]),
         ]);
         assert!(violations.is_empty(), "{violations:?}");
+    }
+
+    #[test]
+    fn settled_view_is_judged_when_its_last_mover_moves() {
+        // Same violation as `joint_mover_must_be_included`, but found by
+        // `observe` at p2's install — the last member that could still
+        // install v2 — with nothing left for `finish`.
+        let v1 = view(1, &[1, 2]);
+        let v2 = view(2, &[1, 2]);
+        let mut trace = Trace::new();
+        for e in [
+            install(1, &v1, &[1]),
+            install(2, &v1, &[2]),
+            install(1, &v2, &[1]),
+            install(2, &v2, &[1, 2]),
+        ] {
+            trace.record(SimTime::ZERO, e);
+        }
+        let mut spec = TransSetSpec::new();
+        let found: Vec<Violation> =
+            trace.entries().iter().filter_map(|e| spec.observe(e).err()).collect();
+        assert_eq!(found.len(), 1, "{found:?}");
+        assert_eq!(found[0].step, Some(3));
+        assert!(found[0].message.contains("missing from"), "{found:?}");
+        assert!(spec.open.is_empty(), "{:?}", spec.open);
+        assert!(spec.finish().is_ok());
+    }
+
+    #[test]
+    fn view_a_member_can_still_install_stays_open_until_it_moves_past() {
+        let v1 = view(1, &[1, 2]);
+        let v2 = view(2, &[1, 2]);
+        let mut trace = Trace::new();
+        let mut spec = TransSetSpec::new();
+        let mut feed = |spec: &mut TransSetSpec, e: Event| {
+            let step = trace.record(SimTime::ZERO, e);
+            spec.observe(&trace.entries()[step as usize]).unwrap();
+        };
+        feed(&mut spec, install(1, &v1, &[1]));
+        assert_eq!(spec.open.len(), 1, "p2 can still install v1");
+        // p2 skips v1: it can install neither v1 nor (again) v2 after this.
+        feed(&mut spec, install(2, &v2, &[2]));
+        assert_eq!(spec.open.keys().collect::<Vec<_>>(), vec![&v2], "p1 can still install v2");
+        feed(&mut spec, install(1, &v2, &[1]));
+        assert!(spec.open.is_empty(), "{:?}", spec.open);
+    }
+
+    #[test]
+    fn view_regression_is_not_a_transition() {
+        let v1 = view(1, &[1, 2]);
+        let v2 = view(2, &[1, 2]);
+        let violations = run(vec![install(1, &v2, &[1]), install(1, &v1, &[1])]);
+        assert_eq!(violations.len(), 1, "{violations:?}");
+        assert!(violations[0].message.contains("Local Monotonicity"), "{violations:?}");
     }
 }

@@ -1,6 +1,6 @@
 //! `WV_RFIFO:SPEC` — within-view reliable FIFO multicast (Fig. 4).
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use vsgm_ioa::{Checker, TraceEntry, Violation};
 use vsgm_types::{AppMsg, Event, ProcessId, View, ViewId};
 
@@ -27,6 +27,18 @@ use vsgm_types::{AppMsg, Event, ProcessId, View, ViewId};
 /// preserved across the crash (the spec keeps the pre-crash
 /// `current_view`). Messages a fresh incarnation sends in its initial
 /// singleton view are tracked separately from pre-crash ones.
+///
+/// # What is forgotten
+///
+/// `msgs[q][v]` is read only by a `deliver` at a live process whose
+/// current view is `v`, from index `last_dlvrd[q][p]` on, and Local
+/// Monotonicity lets `p` enter `v` only while `v.id` exceeds every view
+/// identifier `p` was ever given. So the checker drops the prefix of
+/// `msgs[q][v]` below the least `last_dlvrd[q][p]` over the live processes
+/// in `v` once no member of `v` can still install it, and the whole
+/// sequence once no process is in `v` either. No event, legal or
+/// violating, can tell: what it keeps is a function of the group's
+/// membership and its undelivered messages, not of the run's length.
 #[derive(Debug, Default)]
 pub struct WvRfifoSpec {
     crashed: BTreeSet<ProcessId>,
@@ -35,18 +47,53 @@ pub struct WvRfifoSpec {
     /// Largest view id ever delivered to `p` (survives crashes).
     floor: BTreeMap<ProcessId, ViewId>,
     current_view: BTreeMap<ProcessId, View>,
-    /// `msgs[(sender, incarnation, view)]`.
-    msgs: BTreeMap<(ProcessId, u64, View), Vec<AppMsg>>,
-    /// Which incarnation of a sender sent in a given (non-initial) view.
-    sender_inc: BTreeMap<(ProcessId, View), u64>,
+    /// `msgs[view][sender]`.
+    msgs: BTreeMap<View, BTreeMap<ProcessId, Sent>>,
     /// `last_dlvrd[(sender, receiver)]`.
     last_dlvrd: BTreeMap<(ProcessId, ProcessId), u64>,
+    /// Never forget anything: the reference the pruning differential
+    /// test compares against.
+    retain_all: bool,
+}
+
+/// What one incarnation of a sender sent in one view.
+#[derive(Debug, Default)]
+struct Sent {
+    /// The sending incarnation. A shared view has one (a second
+    /// incarnation sending in it is a violation); an initial view is
+    /// re-entered by each fresh incarnation, which starts over.
+    inc: u64,
+    /// Messages forgotten from the front: the index of `msgs[0]`.
+    base: u64,
+    msgs: VecDeque<AppMsg>,
+}
+
+impl Sent {
+    fn len(&self) -> usize {
+        self.base as usize + self.msgs.len()
+    }
+
+    fn get(&self, idx: u64) -> Option<&AppMsg> {
+        self.msgs.get(idx.checked_sub(self.base)? as usize)
+    }
+
+    fn forget_below(&mut self, idx: u64) {
+        while self.base < idx && self.msgs.pop_front().is_some() {
+            self.base += 1;
+        }
+    }
 }
 
 impl WvRfifoSpec {
     /// Creates the checker in the spec's initial state.
     pub fn new() -> Self {
         WvRfifoSpec::default()
+    }
+
+    /// The checker that never forgets.
+    #[cfg(test)]
+    pub(crate) fn retaining() -> Self {
+        WvRfifoSpec { retain_all: true, ..WvRfifoSpec::default() }
     }
 
     fn incarnation(&self, p: ProcessId) -> u64 {
@@ -71,15 +118,50 @@ impl WvRfifoSpec {
     /// Number of messages `sender` has sent in `view` (for other checkers'
     /// tests and the harness's metrics).
     pub fn sent_in_view(&self, sender: ProcessId, view: &View) -> usize {
-        let inc = if view.is_initial() && view.contains(sender) {
-            self.incarnation(sender)
-        } else {
-            match self.sender_inc.get(&(sender, view.clone())) {
-                Some(i) => *i,
-                None => return 0,
+        let sent = self.msgs.get(view).and_then(|senders| senders.get(&sender));
+        let current = |s: &&Sent| !view.is_initial() || s.inc == self.incarnation(sender);
+        sent.filter(current).map_or(0, Sent::len)
+    }
+
+    /// The first index of `msgs[sender][v]` a future `deliver` can still
+    /// read: 0 while some member of `v` can still install it (it would
+    /// start from the beginning), else the least `last_dlvrd[sender][r]`
+    /// over the live processes `r` in `v` — `None` when there is none, so
+    /// nothing sent in `v` will ever be read again.
+    fn horizon(&self, v: &View, sender: ProcessId) -> Option<u64> {
+        let mut least: Option<u64> = None;
+        for r in v.members() {
+            if self.floor.get(r).copied().unwrap_or(ViewId::ZERO) < v.id() {
+                return Some(0);
             }
-        };
-        self.msgs.get(&(sender, inc, view.clone())).map_or(0, Vec::len)
+            let in_v = self.current_view.get(r).map_or(v.is_initial(), |cv| cv == v);
+            if in_v && !self.crashed.contains(r) {
+                let next = self.last_dlvrd.get(&(sender, *r)).copied().unwrap_or(0);
+                least = Some(least.map_or(next, |l| l.min(next)));
+            }
+        }
+        least
+    }
+
+    /// Drops what [`WvRfifoSpec::horizon`] says no `deliver` can read any
+    /// more; run whenever a process leaves a view or gives up the right
+    /// to install one (`view`, `crash`, `recover`).
+    fn forget_unreadable(&mut self) {
+        if self.retain_all {
+            return;
+        }
+        let mut msgs = std::mem::take(&mut self.msgs);
+        msgs.retain(|v, senders| {
+            senders.retain(|sender, sent| match self.horizon(v, *sender) {
+                Some(idx) => {
+                    sent.forget_below(idx);
+                    true
+                }
+                None => false,
+            });
+            !senders.is_empty()
+        });
+        self.msgs = msgs;
     }
 }
 
@@ -95,53 +177,65 @@ impl Checker for WvRfifoSpec {
                 self.guard_alive(*p, "send", step)?;
                 let v = self.view_of(*p);
                 let i = self.incarnation(*p);
-                // Initial singleton views are private to their owner and may
-                // be re-entered by a fresh incarnation after recovery; only
-                // shared (non-initial) views need the uniqueness tracking.
-                if !v.is_initial() {
-                    if let Some(prev) = self.sender_inc.insert((*p, v.clone()), i) {
-                        if prev != i {
-                            return Err(Violation::at_step(
-                                "WV_RFIFO:SPEC",
-                                step,
-                                format!(
-                                    "send_{p}: two incarnations of {p} sent in the same view {v}"
-                                ),
-                            ));
-                        }
+                let shared = !v.is_initial();
+                let sent = self.msgs.entry(v.clone()).or_default().entry(*p).or_insert_with(|| {
+                    Sent { inc: i, ..Sent::default() }
+                });
+                if sent.inc != i {
+                    // Whatever the earlier incarnation sent here is out of
+                    // every reader's reach from now on.
+                    *sent = Sent { inc: i, ..Sent::default() };
+                    // Initial singleton views are private to their owner and
+                    // may be re-entered by a fresh incarnation after
+                    // recovery; only shared (non-initial) views need the
+                    // uniqueness tracking.
+                    if shared {
+                        return Err(Violation::at_step(
+                            "WV_RFIFO:SPEC",
+                            step,
+                            format!("send_{p}: two incarnations of {p} sent in the same view {v}"),
+                        ));
                     }
                 }
-                self.msgs.entry((*p, i, v)).or_default().push(msg.clone());
+                sent.msgs.push_back(msg.clone());
                 Ok(())
             }
             Event::Deliver { p: q, q: sender, msg } => {
                 self.guard_alive(*q, "deliver", step)?;
                 let v = self.view_of(*q);
-                let sender_inc = if sender == q {
-                    self.incarnation(*q)
-                } else {
-                    match self.sender_inc.get(&(*sender, v.clone())) {
-                        Some(i) => *i,
-                        None => {
-                            return Err(Violation::at_step(
-                                "WV_RFIFO:SPEC",
-                                step,
-                                format!(
-                                    "deliver_{q}({sender}, ..): {sender} sent no messages \
-                                     in {q}'s current view {v}"
-                                ),
-                            ))
-                        }
-                    }
-                };
-                let idx = self.last_dlvrd.get(&(*sender, *q)).copied().unwrap_or(0);
-                let expected = self
+                let inc = self.incarnation(*q);
+                let sent = self
                     .msgs
-                    .get(&(*sender, sender_inc, v.clone()))
-                    .and_then(|seq| seq.get(idx as usize));
-                match expected {
+                    .get(&v)
+                    .and_then(|senders| senders.get(sender))
+                    // A process reads back only what its own current
+                    // incarnation sent.
+                    .filter(|sent| sender != q || sent.inc == inc);
+                if sent.is_none() && sender != q {
+                    return Err(Violation::at_step(
+                        "WV_RFIFO:SPEC",
+                        step,
+                        format!(
+                            "deliver_{q}({sender}, ..): {sender} sent no messages \
+                             in {q}'s current view {v}"
+                        ),
+                    ));
+                }
+                let idx = self.last_dlvrd.get(&(*sender, *q)).copied().unwrap_or(0);
+                match sent.and_then(|s| s.get(idx)) {
                     Some(m) if m == msg => {
+                        let oldest = sent.is_some_and(|s| s.base == idx);
                         self.last_dlvrd.insert((*sender, *q), idx + 1);
+                        // Only the reader of the oldest retained message
+                        // can have been the last one holding it.
+                        if oldest && !self.retain_all {
+                            let horizon = self.horizon(&v, *sender).unwrap_or(0);
+                            if let Some(sent) =
+                                self.msgs.get_mut(&v).and_then(|senders| senders.get_mut(sender))
+                            {
+                                sent.forget_below(horizon);
+                            }
+                        }
                         Ok(())
                     }
                     Some(m) => Err(Violation::at_step(
@@ -159,9 +253,7 @@ impl Checker for WvRfifoSpec {
                         format!(
                             "deliver_{q}({sender}, {msg:?}): {sender} sent only {} messages \
                              in view {v}, cannot deliver #{}",
-                            self.msgs
-                                .get(&(*sender, sender_inc, v.clone()))
-                                .map_or(0, Vec::len),
+                            sent.map_or(0, Sent::len),
                             idx + 1
                         ),
                     )),
@@ -191,10 +283,12 @@ impl Checker for WvRfifoSpec {
                 self.current_view.insert(*p, view.clone());
                 self.floor.insert(*p, view.id());
                 self.last_dlvrd.retain(|(_, receiver), _| receiver != p);
+                self.forget_unreadable();
                 Ok(())
             }
             Event::Crash { p } => {
                 self.crashed.insert(*p);
+                self.forget_unreadable();
                 Ok(())
             }
             Event::Recover { p } => {
@@ -202,6 +296,7 @@ impl Checker for WvRfifoSpec {
                 *self.inc.entry(*p).or_insert(0) += 1;
                 self.current_view.insert(*p, View::initial(*p));
                 self.last_dlvrd.retain(|(_, receiver), _| receiver != p);
+                self.forget_unreadable();
                 Ok(())
             }
             _ => Ok(()),
@@ -398,5 +493,60 @@ mod tests {
         }
         assert_eq!(spec.sent_in_view(p(1), &v), 2);
         assert_eq!(spec.sent_in_view(p(2), &v), 0);
+    }
+
+    #[test]
+    fn delivered_prefix_is_forgotten_once_nobody_can_install_the_view() {
+        let v = view12(1);
+        let mut trace = Trace::new();
+        let mut spec = WvRfifoSpec::new();
+        let mut feed = |spec: &mut WvRfifoSpec, e: Event| {
+            let step = trace.record(SimTime::ZERO, e);
+            spec.observe(&trace.entries()[step as usize]).unwrap();
+        };
+        let install = |at: u64| Event::GcsView {
+            p: p(at),
+            view: v.clone(),
+            transitional: Default::default(),
+        };
+        let held = |spec: &WvRfifoSpec| spec.msgs[&v][&p(1)].msgs.len();
+        feed(&mut spec, install(1));
+        feed(&mut spec, Event::Send { p: p(1), msg: m("a") });
+        feed(&mut spec, Event::Send { p: p(1), msg: m("b") });
+        feed(&mut spec, Event::Deliver { p: p(1), q: p(1), msg: m("a") });
+        // p2 can still install v and would then read "a" first.
+        assert_eq!(held(&spec), 2);
+        feed(&mut spec, install(2));
+        feed(&mut spec, Event::Deliver { p: p(2), q: p(1), msg: m("a") });
+        assert_eq!(held(&spec), 1, "both readers are past \"a\"");
+        assert_eq!(spec.sent_in_view(p(1), &v), 2, "the count stays absolute");
+        feed(&mut spec, Event::Deliver { p: p(2), q: p(1), msg: m("b") });
+        assert_eq!(held(&spec), 1, "p1 has not delivered \"b\" yet");
+        // Once both have moved on nothing sent in v is kept.
+        let v2 = view12(2);
+        for at in [1, 2] {
+            feed(
+                &mut spec,
+                Event::GcsView { p: p(at), view: v2.clone(), transitional: Default::default() },
+            );
+        }
+        assert!(spec.msgs.is_empty(), "{:?}", spec.msgs);
+    }
+
+    #[test]
+    fn crashed_member_does_not_hold_messages_back() {
+        let v = view12(1);
+        let violations = run(vec![
+            Event::GcsView { p: p(1), view: v.clone(), transitional: Default::default() },
+            Event::GcsView { p: p(2), view: v, transitional: Default::default() },
+            Event::Crash { p: p(2) },
+            Event::Send { p: p(1), msg: m("a") },
+            Event::Deliver { p: p(1), q: p(1), msg: m("a") },
+            // "a" is forgotten (p2 cannot read it any more): a duplicate
+            // delivery is still the gap it always was.
+            Event::Deliver { p: p(1), q: p(1), msg: m("a") },
+        ]);
+        assert_eq!(violations.len(), 1, "{violations:?}");
+        assert!(violations[0].message.contains("sent only 1 messages"), "{violations:?}");
     }
 }

@@ -104,6 +104,15 @@ echo "==> multi-group differential + isolation suites"
 cargo test -q -p vsgm --test multigroup_differential "${CARGO_FLAGS[@]}" >/dev/null
 cargo test -q -p vsgm --test multigroup_chaos "${CARGO_FLAGS[@]}" >/dev/null
 
+# Plateau soak (DESIGN.md §17): one hosted 4-member group, every spec
+# checker online, through 200,000 multicasts with a leave/re-join every
+# 1,000 and then 40,000 view changes. Resident memory must stop growing
+# (< 16 B per multicast, < 64 B per view change over the second half) —
+# a hosted group that hoards trace or checker history again fails here.
+# Release-only (the test is ignored in debug builds); about a minute.
+echo "==> hosted-group memory plateau soak"
+timeout 600 cargo test -q --release -p vsgm-server --test plateau "${CARGO_FLAGS[@]}" >/dev/null
+
 # Group-scaling smoke (EXPERIMENTS.md E15): a reduced groups×clients
 # sweep through the real vsgm-server daemon on loopback. The bench
 # itself judges the run — every expected delivery observed, every
@@ -125,13 +134,17 @@ test -s BENCH_groups.json
 # four workloads through the real daemon in under 30 s, every received
 # frame checked. A non-zero exit (void, broken or incorrect run) or any
 # run line reporting "correct":false fails the gate; timings are not
-# judged here.
+# judged here, but the four rss_paced_mb values are printed so a memory
+# regression shows in this log (smoke scale: compare with earlier logs,
+# not with the committed 20 s medians).
 echo "==> repo benchmark smoke (benchmark/ --smoke)"
 smoke_out="$(cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- --smoke)"
 if grep -q '"correct":false' <<<"$smoke_out"; then
     echo "$smoke_out" >&2
     exit 1
 fi
+awk '/^vsgm benchmark: workload/ { w = $4 }
+     /^  rss_paced_mb/ { printf "    %-12s rss_paced_mb %s %s\n", w, $2, $3 }' <<<"$smoke_out"
 
 # Chaos smoke: randomized fault-injection search over a fixed seed batch.
 # Every generated scenario must pass the full checker suite (exit 0); the

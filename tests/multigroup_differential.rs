@@ -19,12 +19,23 @@
 //! leaked between groups (shared RNG draws, cross-group routing, state
 //! bleed between shard-mates) shows up as a byte diverge.
 //!
+//! A third arm proves that *consuming* the trace loses nothing:
+//!
+//! * **drained arm** — the isolated group again, but drained after every
+//!   command the way the daemon's shard worker drains it. Its
+//!   `trace_json()` pieces, concatenated, are the never-drained trace byte
+//!   for byte (step numbers continue across drains); its outputs,
+//!   concatenated, are the never-drained arm's one final drain; `finish()`
+//!   and `report()` agree.
+//!
 //! ≥ 50 randomized schedules, plus one pinned worst-case interleaving:
 //! three groups forced onto the *same* shard worker, commands dispatched
 //! strictly round-robin one at a time.
 
 use std::collections::BTreeMap;
-use vsgm_server::{group_seed, GroupCmd, GroupInstance, ShardConfig, ShardPool};
+use vsgm_server::{
+    group_seed, GroupCmd, GroupInstance, GroupOutput, GroupReport, ShardConfig, ShardPool,
+};
 use vsgm_types::{AppMsg, GroupId, ProcessId};
 
 const BASE_SEED: u64 = 0x9E1D_A212;
@@ -102,16 +113,39 @@ fn interleave(
     order
 }
 
-/// The isolated arm: one group, alone, fed its own subsequence.
-fn isolated_trace(gid: GroupId, capacity: u64, cmds: &[GroupCmd]) -> String {
+/// What one isolated group produced, by the end of its schedule.
+#[derive(Debug, PartialEq)]
+struct Isolated {
+    /// Every `trace_json()` piece, in order.
+    trace: String,
+    /// Every drained output, in order.
+    outputs: Vec<GroupOutput>,
+    report: GroupReport,
+}
+
+/// The isolated arms: one group, alone, fed its own subsequence — drained
+/// once at the very end, or (the daemon's cadence) after every command.
+fn isolated_run(gid: GroupId, capacity: u64, cmds: &[GroupCmd], drain_each: bool) -> Isolated {
     let mut g = GroupInstance::new(gid, capacity, group_seed(BASE_SEED, gid));
+    let (mut trace, mut outputs) = (String::new(), Vec::new());
+    let mut drain = |g: &mut GroupInstance| {
+        trace.push_str(&g.trace_json());
+        outputs.extend(g.drain_outputs());
+    };
     for cmd in cmds {
         g.apply(cmd.clone());
+        if drain_each {
+            drain(&mut g);
+        }
     }
     g.run_to_quiescence();
     let violations = g.finish();
     assert!(violations.is_empty(), "isolated {gid}: {violations:?}");
-    g.trace_json()
+    let undrained = g.report();
+    drain(&mut g);
+    assert_eq!(g.trace_json(), "", "{gid}: a drain retains nothing");
+    assert_eq!(g.report(), undrained, "{gid}: the report must not depend on the drain");
+    Isolated { trace, outputs, report: undrained }
 }
 
 /// The hosted arm: every group through one shard pool, commands
@@ -156,11 +190,17 @@ fn assert_schedule_conforms(seed: u64, n_groups: u64, shards: usize, capacity: u
         // The isolated run also ends with the hosted arm's trailing Run.
         let mut cmds = cmds.clone();
         cmds.push(GroupCmd::Run);
-        let isolated = isolated_trace(*gid, capacity, &cmds);
+        let isolated = isolated_run(*gid, capacity, &cmds, false);
         let hosted_trace = &hosted[gid];
         assert_eq!(
-            hosted_trace, &isolated,
+            hosted_trace, &isolated.trace,
             "seed {seed} {gid}: hosted trace diverged from the isolated run"
+        );
+        assert!(!isolated.outputs.is_empty(), "seed {seed} {gid}: nothing to compare");
+        assert_eq!(
+            isolated_run(*gid, capacity, &cmds, true),
+            isolated,
+            "seed {seed} {gid}: draining after every command lost or changed something"
         );
     }
 }
@@ -224,7 +264,7 @@ fn pinned_same_shard_round_robin_interleaving_is_conformant() {
         let hosted = pool.trace_json(*gid).expect("hosted trace");
         let mut cmds = streams[gid].clone();
         cmds.push(GroupCmd::Run);
-        let isolated = isolated_trace(*gid, capacity, &cmds);
+        let isolated = isolated_run(*gid, capacity, &cmds, false).trace;
         assert_eq!(hosted, isolated, "{gid}: same-shard interleaving leaked between groups");
     }
     pool.shutdown();
