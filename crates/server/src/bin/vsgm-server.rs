@@ -1,7 +1,7 @@
 //! The `vsgm-server` daemon entry point.
 //!
 //! ```text
-//! vsgm-server [--addr 127.0.0.1:7400] [--pid 0] [--shards 4] [--capacity 16] [--seed N]
+//! vsgm-server [--addr 127.0.0.1:7400] [--pid 0] [--shards 4] [--capacity 16]
 //! ```
 //!
 //! Binds the multi-group server and serves until interrupted, printing
@@ -29,7 +29,6 @@ fn main() -> std::io::Result<()> {
     let cfg = ServerConfig {
         shards: parse_flag(&args, "--shards", 4),
         group_capacity: parse_flag(&args, "--capacity", 16),
-        seed: parse_flag(&args, "--seed", 0xD0_5E11),
         ..ServerConfig::default()
     };
     let shards = cfg.shards;

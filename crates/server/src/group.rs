@@ -1,33 +1,47 @@
 //! One hosted group instance: the paper's full single-group protocol
-//! stack (views, cuts, FIFO buffers, batch stage, audit cadence) owned
-//! by exactly one shard worker.
+//! stack (views, cuts, FIFO buffers) owned by exactly one shard worker.
 //!
-//! A `GroupInstance` wraps a deterministic [`Sim`] over `capacity`
-//! pre-provisioned end-points. Clients join and leave a *subset* of
-//! those end-points; each membership change is one paper reconfiguration
-//! (`start_change` + view formation). Commands arrive as [`GroupCmd`]
-//! values through the owning shard's channel, so per-group execution is
-//! totally ordered and byte-for-byte reproducible: a group driven
-//! through a shared server produces the identical trace to the same
-//! command sequence applied to an isolated instance — the property the
-//! multi-group differential suite pins.
+//! A `GroupInstance` hosts the GCS end-points of its clients directly
+//! (§3: the server runs the end-points, the clients stay lightweight).
+//! It owns one [`Endpoint`] and one [`BlockingClient`] per process that
+//! ever joined, the scripted [`MembershipOracle`] that turns each join
+//! or leave into one paper reconfiguration (`start_change` + view), and
+//! a FIFO queue standing in for `CO_RFIFO` between co-hosted end-points.
+//! Nothing is simulated: no latency model, no clock, no randomness, no
+//! recorded trace. Every external action the host performs is emitted
+//! once, as the same [`Event`] a trace would hold, to the full
+//! [`vsgm_spec::full_checks`] battery, which judges it online and keeps
+//! only what it needs to judge the next one.
+//!
+//! Commands arrive as [`GroupCmd`] values through the owning shard's
+//! channel, so per-group execution is totally ordered and reproducible:
+//! a group driven through a shared server produces the identical output
+//! frames to the same command sequence applied to an isolated instance —
+//! the property the multi-group differential suite pins, together with
+//! frame-for-frame equality against the `harness::Sim`-backed oracle in
+//! `tests/support/`.
 //!
 //! Determinism discipline (analyzer rule D1 pins this file): only
-//! ordered containers, no ambient clocks, no ambient randomness — every
-//! random draw comes from the seeded `Sim` itself.
+//! ordered containers, no ambient clocks, no ambient randomness.
 
-use std::collections::BTreeMap;
-use vsgm_core::{Config, CorruptionKind};
-use vsgm_harness::{Sim, SimOptions};
-use vsgm_ioa::{SimTime, Violation};
-use vsgm_net::{FaultPlan, FaultStats};
-use vsgm_types::{AppMsg, Event, GroupId, NetMsg, ProcSet, ProcessId, View};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use vsgm_core::{BlockingClient, Config, Effect, Endpoint, Input};
+use vsgm_ioa::{CheckSet, SimTime, TraceEntry, Violation};
+use vsgm_membership::MembershipOracle;
+use vsgm_types::{AppMsg, Event, FwdPayload, GroupId, NetMsg, ProcSet, ProcessId, View};
 
-/// Derives the per-group simulation seed from a server-wide base seed.
-/// Isolated reference runs must use the same derivation to reproduce a
-/// hosted group's trace exactly.
+/// Derives a per-group seed from a server-wide base seed. The direct
+/// host draws no randomness, so nothing in this crate consumes the
+/// result; the function stays because the frozen `benchmark/` calls it
+/// (ROADMAP item 1(c)), and the `Sim`-backed test oracle seeds its
+/// simulated network with it.
 pub fn group_seed(base: u64, gid: GroupId) -> u64 {
     base ^ gid.raw().wrapping_mul(0x9E37_79B9_7F4A_7C15)
+}
+
+/// Whether a group of `capacity` admits process `p`: ids `1..=capacity`.
+pub(crate) fn admits(capacity: u64, p: ProcessId) -> bool {
+    (1..=capacity).contains(&p.raw())
 }
 
 /// A command applied to one group instance. Every mutation of group
@@ -48,28 +62,8 @@ pub enum GroupCmd {
         /// The payload.
         msg: AppMsg,
     },
-    /// Advances the group's simulated clock by `ms` milliseconds.
-    RunForMs(u64),
     /// Runs the group to quiescence.
     Run,
-    /// Crashes member `p` (§8 fault).
-    Crash(ProcessId),
-    /// Recovers member `p` (§8 recovery).
-    Recover(ProcessId),
-    /// Partitions the group's network into the given components.
-    Partition(Vec<Vec<ProcessId>>),
-    /// Heals all partitions.
-    Heal,
-    /// Injects a state corruption at member `p` (self-stabilization
-    /// tier).
-    Corrupt {
-        /// The corrupted member.
-        p: ProcessId,
-        /// The corruption class.
-        kind: CorruptionKind,
-    },
-    /// Installs a message-fault plan on the group's network.
-    Faults(FaultPlan),
 }
 
 /// A snapshot of one group's externally observable health, cheap enough
@@ -80,16 +74,12 @@ pub struct GroupReport {
     pub gid: GroupId,
     /// Currently joined members.
     pub members: ProcSet,
-    /// Events recorded so far, drained ones included.
+    /// External actions performed (and judged) so far.
     pub trace_len: usize,
     /// Application messages delivered so far.
     pub delivered: u64,
     /// Views installed so far (GCS `view` events).
     pub views_installed: u64,
-    /// Message faults injected into this group's network.
-    pub fault_injections: u64,
-    /// State corruptions injected into this group.
-    pub corruptions: u64,
 }
 
 /// An output frame a hosted group owes one of its clients: a delivery
@@ -102,40 +92,60 @@ pub struct GroupOutput {
     pub msg: NetMsg,
 }
 
+/// One client's end of the group: its GCS end-point and the
+/// `CLIENT:SPEC` automaton that acknowledges blocks and holds sends
+/// back while blocked.
+struct Hosted {
+    ep: Endpoint,
+    client: BlockingClient,
+}
+
 /// One group's full protocol instance. See the module docs.
 pub struct GroupInstance {
     gid: GroupId,
-    sim: Sim,
     capacity: u64,
     members: ProcSet,
-    corruptions: u64,
-    /// `Deliver` events consumed by [`GroupInstance::drain_outputs`].
+    /// Created on a process's first join and kept when it leaves.
+    hosted: BTreeMap<ProcessId, Hosted>,
+    oracle: MembershipOracle,
+    proposer_seq: u64,
+    /// `CO_RFIFO` between co-hosted end-points: `(from, to, msg)` in send
+    /// order, which keeps every channel FIFO.
+    net: VecDeque<(ProcessId, ProcessId, NetMsg)>,
+    /// End-points that took an input since they were last polled.
+    dirty: BTreeSet<ProcessId>,
+    checks: CheckSet,
+    /// External actions emitted so far (the next event's step number).
+    emitted: u64,
+    /// Frames owed to clients since the last [`GroupInstance::drain_outputs`].
+    outputs: Vec<GroupOutput>,
     delivered: u64,
-    /// `GcsView` events consumed by [`GroupInstance::drain_outputs`].
     views_installed: u64,
-    /// Per-member latest installed view observed while draining (stamps
-    /// outgoing `Fwd` frames).
-    last_view: BTreeMap<ProcessId, View>,
     /// Per-(receiver, origin) running delivery index for `Fwd` frames.
     fwd_index: BTreeMap<(ProcessId, ProcessId), u64>,
 }
 
 impl GroupInstance {
-    /// Creates a dormant instance with `capacity` pre-provisioned
-    /// end-points and no members. `seed` should come from
-    /// [`group_seed`] so isolated reruns can reproduce it.
-    pub fn new(gid: GroupId, capacity: u64, seed: u64) -> GroupInstance {
-        let opts = SimOptions { seed, ..SimOptions::default() };
-        let sim = Sim::new_paper(capacity.max(1) as usize, Config::default(), opts);
+    /// Creates a dormant instance with no members and no end-points;
+    /// `capacity` bounds the process ids it admits
+    /// ([`GroupInstance::in_capacity`]) and costs nothing until they
+    /// join. `_seed` is accepted for the frozen `benchmark/`'s call sites
+    /// and unused (see [`group_seed`]).
+    pub fn new(gid: GroupId, capacity: u64, _seed: u64) -> GroupInstance {
         GroupInstance {
             gid,
-            sim,
-            capacity: capacity.max(1),
+            capacity,
             members: ProcSet::new(),
-            corruptions: 0,
+            hosted: BTreeMap::new(),
+            oracle: MembershipOracle::new(),
+            proposer_seq: 0,
+            net: VecDeque::new(),
+            dirty: BTreeSet::new(),
+            checks: vsgm_spec::full_checks(None),
+            emitted: 0,
+            outputs: Vec::new(),
             delivered: 0,
             views_installed: 0,
-            last_view: BTreeMap::new(),
             fwd_index: BTreeMap::new(),
         }
     }
@@ -150,139 +160,207 @@ impl GroupInstance {
         &self.members
     }
 
-    /// Whether `p` names one of the pre-provisioned end-points.
+    /// Whether `p` may join: process ids `1..=capacity` are admitted.
     pub fn in_capacity(&self, p: ProcessId) -> bool {
-        (1..=self.capacity).contains(&p.raw())
+        admits(self.capacity, p)
     }
 
-    /// Applies one command. Commands referencing processes outside the
-    /// instance's capacity (or non-members, where membership is
-    /// required) are ignored rather than corrupting group state.
+    /// Applies one command: feeds its inputs to the end-points concerned
+    /// and lets them react locally; messages between end-points wait for
+    /// [`GroupInstance::run_to_quiescence`]. Commands referencing
+    /// processes outside the instance's capacity (or non-members, where
+    /// membership is required) are ignored rather than corrupting group
+    /// state.
     pub fn apply(&mut self, cmd: GroupCmd) {
         match cmd {
             GroupCmd::Join(p) => {
                 if self.in_capacity(p) && self.members.insert(p) {
-                    let members = self.members.clone();
-                    self.sim.reconfigure(&members);
+                    self.hosted.entry(p).or_insert_with(|| Hosted {
+                        ep: Endpoint::new(p, Config::default()),
+                        client: BlockingClient::new(),
+                    });
+                    self.reconfigure();
                 }
             }
             GroupCmd::Leave(p) => {
                 if self.members.remove(&p) && !self.members.is_empty() {
-                    let members = self.members.clone();
-                    self.sim.reconfigure(&members);
+                    self.reconfigure();
                 }
             }
             GroupCmd::Send { from, msg } => {
-                if self.members.contains(&from) {
-                    self.sim.send(from, msg);
+                if !self.members.contains(&from) {
+                    return;
+                }
+                let Some(h) = self.hosted.get_mut(&from) else { return };
+                // A blocked client holds the send back until its next view.
+                if let Some(msg) = h.client.want_send(msg) {
+                    self.emit(Event::Send { p: from, msg: msg.clone() });
+                    self.feed(from, Input::AppSend(msg));
                 }
             }
-            GroupCmd::RunForMs(ms) => self.sim.run_for(SimTime::from_millis(ms)),
-            GroupCmd::Run => self.sim.run_to_quiescence(),
-            GroupCmd::Crash(p) => {
-                if self.in_capacity(p) {
-                    self.sim.crash(p);
-                }
-            }
-            GroupCmd::Recover(p) => {
-                if self.in_capacity(p) {
-                    self.sim.recover(p);
-                }
-            }
-            GroupCmd::Partition(components) => self.sim.partition(&components),
-            GroupCmd::Heal => self.sim.heal(),
-            GroupCmd::Corrupt { p, kind } => {
-                if self.in_capacity(p) {
-                    self.corruptions += 1;
-                    self.sim.corrupt(p, kind);
-                }
-            }
-            GroupCmd::Faults(plan) => self.sim.set_fault_plan(plan),
+            GroupCmd::Run => self.run_to_quiescence(),
         }
     }
 
-    /// Runs the instance to quiescence (daemon mode runs this after
-    /// every command so outputs are promptly drainable).
+    /// Runs the instance to quiescence: polls every end-point that took
+    /// an input, once, then hands each queued message to its addressee,
+    /// until nothing is enabled and nothing is in flight. (Daemon mode
+    /// runs this after every command so outputs are promptly drainable.)
     pub fn run_to_quiescence(&mut self) {
-        self.sim.run_to_quiescence();
+        loop {
+            self.poll_dirty();
+            if self.net.is_empty() {
+                // A view change queues ~n² messages at once; an idle group
+                // should not keep a buffer sized for its last one.
+                self.net.shrink_to_fit();
+                return;
+            }
+            while let Some((from, to, msg)) = self.net.pop_front() {
+                self.emit(Event::NetDeliver { p: from, q: to, msg: msg.clone() });
+                self.feed(to, Input::Net { from, msg });
+            }
+        }
     }
 
-    /// Consumes the trace recorded since the previous drain, translating
-    /// its application-facing events into wire frames owed to clients:
-    /// `Deliver` becomes a [`NetMsg::Fwd`] (origin, receiver's latest
-    /// installed view, running per-channel index), `GcsView` becomes a
-    /// [`NetMsg::ViewMsg`]. Nothing drained is retained: the checkers
-    /// judged every event online as it was recorded.
+    /// Hands over the frames owed to clients since the previous drain:
+    /// a [`NetMsg::Fwd`] per delivery (origin, the receiver's view at the
+    /// delivery, running per-channel index) and a [`NetMsg::ViewMsg`] per
+    /// installed view, in the order the end-points produced them.
     pub fn drain_outputs(&mut self) -> Vec<GroupOutput> {
-        let mut out = Vec::new();
-        for entry in self.sim.drain_trace() {
-            match entry.event {
-                Event::GcsView { p, view, .. } => {
-                    self.views_installed += 1;
-                    self.last_view.insert(p, view.clone());
-                    out.push(GroupOutput { to: p, msg: NetMsg::ViewMsg(view) });
-                }
-                Event::Deliver { p, q, msg } => {
-                    self.delivered += 1;
-                    let view =
-                        self.last_view.get(&p).cloned().unwrap_or_else(|| View::initial(p));
-                    let index = self.fwd_index.entry((p, q)).or_insert(0);
-                    *index += 1;
-                    out.push(GroupOutput {
-                        to: p,
-                        msg: NetMsg::Fwd(vsgm_types::FwdPayload {
-                            origin: q,
-                            view,
-                            index: *index,
-                            msg,
-                        }),
-                    });
-                }
-                _ => {}
-            }
-        }
-        out
+        std::mem::take(&mut self.outputs)
     }
 
-    /// The trace entries since the last [`GroupInstance::drain_outputs`]
-    /// as JSON lines — the whole run for the schedule-driven suites, which
-    /// never drain (the differential suite's byte-comparison surface).
-    pub fn trace_json(&self) -> String {
-        self.sim.trace().to_json_lines()
-    }
-
-    /// Cheap health snapshot: running counters plus whatever is not
-    /// drained yet (nothing, in daemon mode).
+    /// Cheap health snapshot of running counters; it does not depend on
+    /// what has been drained.
     pub fn report(&self) -> GroupReport {
-        let (mut delivered, mut views_installed) = (self.delivered, self.views_installed);
-        for entry in self.sim.trace().entries() {
-            match entry.event {
-                Event::Deliver { .. } => delivered += 1,
-                Event::GcsView { .. } => views_installed += 1,
-                _ => {}
-            }
-        }
         GroupReport {
             gid: self.gid,
             members: self.members.clone(),
-            trace_len: self.sim.trace().len(),
-            delivered,
-            views_installed,
-            fault_injections: self.fault_stats().injected_drops
-                + self.fault_stats().injected_dups,
-            corruptions: self.corruptions,
+            trace_len: self.emitted as usize,
+            delivered: self.delivered,
+            views_installed: self.views_installed,
         }
-    }
-
-    /// Message-fault accounting for this group's private network.
-    pub fn fault_stats(&self) -> FaultStats {
-        self.sim.fault_stats()
     }
 
     /// Finalizes the spec checkers and returns every violation. The
     /// instance remains usable (checkers keep running online).
     pub fn finish(&mut self) -> Vec<Violation> {
-        self.sim.finish()
+        self.checks.finish();
+        self.checks.violations().to_vec()
+    }
+
+    /// One paper reconfiguration to the current member set:
+    /// `start_change` to every member, then the membership view, each
+    /// followed by the members' local reactions.
+    fn reconfigure(&mut self) {
+        let members = self.members.clone();
+        // Co-hosted end-points neither crash nor partition: all are live.
+        let live: ProcSet = self.hosted.keys().copied().collect();
+        for n in self.oracle.start_change(&members) {
+            self.emit(Event::MbrshpStartChange { p: n.p, cid: n.cid, set: n.set.clone() });
+            self.emit(Event::Live { p: n.p, set: live.clone() });
+            self.feed(n.p, Input::StartChange { cid: n.cid, set: n.set });
+        }
+        self.poll_dirty();
+        self.proposer_seq += 1;
+        let view = self.oracle.form_view(&members, self.proposer_seq);
+        for p in &members {
+            self.emit(Event::MbrshpView { p: *p, view: view.clone() });
+            self.emit(Event::Live { p: *p, set: live.clone() });
+            self.feed(*p, Input::MbrshpView(view.clone()));
+        }
+        self.poll_dirty();
+    }
+
+    /// Shows one external action to every checker. Checkers read the
+    /// event and its step number only; there is no clock to stamp it with.
+    fn emit(&mut self, event: Event) {
+        let entry = TraceEntry { step: self.emitted, time: SimTime::ZERO, event };
+        self.emitted += 1;
+        self.checks.observe(&entry);
+    }
+
+    /// Feeds one input to `p`'s end-point and marks it for polling.
+    fn feed(&mut self, p: ProcessId, input: Input) {
+        let Some(h) = self.hosted.get_mut(&p) else { return };
+        let effects = h.ep.handle(input);
+        let view = h.ep.current_view().clone();
+        self.dirty.insert(p);
+        self.route(p, view, effects);
+    }
+
+    /// Polls every marked end-point once, in process order.
+    /// [`Endpoint::poll`] runs to local quiescence, and routing its
+    /// effects can only re-mark the end-point polled (its own block
+    /// acknowledgement, its own released sends).
+    fn poll_dirty(&mut self) {
+        while let Some(p) = self.dirty.pop_first() {
+            let Some(h) = self.hosted.get_mut(&p) else { continue };
+            let view = h.ep.current_view().clone();
+            let effects = h.ep.poll();
+            self.route(p, view, effects);
+        }
+    }
+
+    /// Carries out `from`'s effects in order. `view` is the view `from`'s
+    /// application held before the first of them — a single poll can
+    /// deliver messages and then install the next view, and each `Fwd`
+    /// frame is stamped with the view it was delivered in.
+    fn route(&mut self, from: ProcessId, mut view: View, effects: Vec<Effect>) {
+        for effect in effects {
+            match effect {
+                Effect::NetSend { to, msg } => {
+                    // End-points never multicast to themselves.
+                    for q in to.iter().filter(|q| **q != from) {
+                        self.net.push_back((from, *q, msg.clone()));
+                    }
+                    self.emit(Event::NetSend { p: from, set: to, msg });
+                }
+                Effect::SetReliable(set) => self.emit(Event::Reliable { p: from, set }),
+                Effect::DeliverApp { from: origin, msg } => {
+                    self.delivered += 1;
+                    self.emit(Event::Deliver { p: from, q: origin, msg: msg.clone() });
+                    let index = self.fwd_index.entry((from, origin)).or_insert(0);
+                    *index += 1;
+                    self.outputs.push(GroupOutput {
+                        to: from,
+                        msg: NetMsg::Fwd(FwdPayload {
+                            origin,
+                            view: view.clone(),
+                            index: *index,
+                            msg,
+                        }),
+                    });
+                }
+                Effect::InstallView { view: installed, transitional } => {
+                    self.views_installed += 1;
+                    self.emit(Event::GcsView { p: from, view: installed.clone(), transitional });
+                    self.outputs
+                        .push(GroupOutput { to: from, msg: NetMsg::ViewMsg(installed.clone()) });
+                    view = installed;
+                    let released =
+                        self.hosted.get_mut(&from).map(|h| h.client.on_view()).unwrap_or_default();
+                    for msg in released {
+                        self.emit(Event::Send { p: from, msg: msg.clone() });
+                        self.feed(from, Input::AppSend(msg));
+                    }
+                }
+                Effect::Block => {
+                    self.emit(Event::Block { p: from });
+                    let acked = self.hosted.get_mut(&from).is_some_and(|h| {
+                        h.client.on_block();
+                        h.client.ack_block()
+                    });
+                    if acked {
+                        self.emit(Event::BlockOk { p: from });
+                        self.feed(from, Input::BlockOk);
+                    }
+                }
+                // Only the audit pass resets an end-point, and
+                // `Config::default()` leaves the audit off.
+                Effect::Reconciled => {}
+            }
+        }
     }
 }
 
@@ -300,97 +378,148 @@ mod tests {
         }
     }
 
+    /// What a shard worker does with one command.
+    fn step(g: &mut GroupInstance, cmd: GroupCmd) -> Vec<GroupOutput> {
+        g.apply(cmd);
+        g.run_to_quiescence();
+        g.drain_outputs()
+    }
+
+    fn send(from: u64, text: &str) -> GroupCmd {
+        GroupCmd::Send { from: p(from), msg: AppMsg::from(text) }
+    }
+
+    fn views_to(out: &[GroupOutput], to: u64) -> Vec<View> {
+        out.iter()
+            .filter_map(|o| match &o.msg {
+                NetMsg::ViewMsg(v) if o.to == p(to) => Some(v.clone()),
+                _ => None,
+            })
+            .collect()
+    }
+
     #[test]
     fn join_send_deliver_roundtrip() {
         let mut g = GroupInstance::new(GroupId::new(1), 3, 7);
         joined(&mut g, &[1, 2, 3]);
-        g.apply(GroupCmd::Send { from: p(1), msg: AppMsg::from("hello") });
+        g.apply(send(1, "hello"));
         g.apply(GroupCmd::Run);
         let r = g.report();
         assert_eq!(r.members, [p(1), p(2), p(3)].into_iter().collect::<ProcSet>());
-        // p2 and p3 each deliver the message (self-delivery is not part
-        // of the paper's deliver action).
-        assert!(r.delivered >= 2, "{r:?}");
+        // Every member, the sender included, delivers the message.
+        assert_eq!(r.delivered, 3, "{r:?}");
         assert!(r.views_installed >= 3, "{r:?}");
         assert!(g.finish().is_empty(), "spec checkers clean");
     }
 
     #[test]
-    fn same_seed_same_commands_same_trace() {
+    fn same_commands_same_outputs() {
         let run = || {
             let mut g = GroupInstance::new(GroupId::new(4), 3, group_seed(99, GroupId::new(4)));
             joined(&mut g, &[1, 2, 3]);
-            g.apply(GroupCmd::Send { from: p(2), msg: AppMsg::from("m1") });
-            g.apply(GroupCmd::RunForMs(5));
+            g.apply(send(2, "m1"));
             g.apply(GroupCmd::Leave(p(3)));
-            g.apply(GroupCmd::Send { from: p(1), msg: AppMsg::from("m2") });
+            g.apply(send(1, "m2"));
             g.apply(GroupCmd::Run);
-            g.trace_json()
+            assert!(g.finish().is_empty());
+            g.drain_outputs()
         };
-        assert_eq!(run(), run(), "byte-identical reruns");
+        assert_eq!(run(), run(), "identical reruns");
     }
 
     #[test]
     fn out_of_capacity_and_non_member_commands_are_ignored() {
         let mut g = GroupInstance::new(GroupId::new(2), 2, 3);
         joined(&mut g, &[1, 2]);
-        let before = g.trace_json();
+        assert_eq!(step(&mut g, GroupCmd::Run).len(), 3, "p1's two views and p2's one");
+        let before = g.report();
         g.apply(GroupCmd::Join(p(9))); // beyond capacity
-        g.apply(GroupCmd::Send { from: p(9), msg: AppMsg::from("x") });
-        g.apply(GroupCmd::Send { from: p(2), msg: AppMsg::from("") }); // member: fine
-        g.apply(GroupCmd::Crash(p(40)));
-        assert!(g.members().len() == 2);
-        // Only the legal member send changed the trace.
-        assert!(g.trace_json().len() >= before.len());
+        g.apply(GroupCmd::Join(p(0))); // below it
+        g.apply(send(9, "x"));
+        g.apply(GroupCmd::Leave(p(9)));
+        assert!(step(&mut g, GroupCmd::Run).is_empty());
+        assert_eq!(g.report(), before, "ignored commands perform no action");
+        assert_eq!(step(&mut g, send(2, "")).len(), 2, "a member's send still goes through");
+        assert!(g.finish().is_empty());
     }
 
     #[test]
-    fn drain_outputs_translates_deliveries_and_views() {
+    fn outputs_are_fwd_frames_stamped_with_the_delivery_view_and_view_frames() {
         let mut g = GroupInstance::new(GroupId::new(3), 2, 11);
         joined(&mut g, &[1, 2]);
-        g.apply(GroupCmd::Send { from: p(1), msg: AppMsg::from("payload") });
-        g.apply(GroupCmd::Run);
-        let out = g.drain_outputs();
-        assert!(
-            out.iter().any(|o| matches!(&o.msg, NetMsg::ViewMsg(v) if v.contains(p(1)))),
-            "view frames drained: {out:?}"
-        );
-        let fwd: Vec<_> = out
-            .iter()
-            .filter_map(|o| match &o.msg {
-                NetMsg::Fwd(f) if o.to == p(2) => Some(f),
-                _ => None,
-            })
-            .collect();
-        assert!(
-            fwd.iter().any(|f| f.origin == p(1) && f.msg == AppMsg::from("payload")),
-            "delivery drained as Fwd: {out:?}"
-        );
+        let out = step(&mut g, send(1, "payload"));
+        let full = views_to(&out, 2).pop().expect("p2 installed the pair view");
+        assert!(full.contains(p(1)) && full.contains(p(2)), "{out:?}");
+        for to in [1, 2] {
+            let fwd: Vec<_> = out
+                .iter()
+                .filter_map(|o| match &o.msg {
+                    NetMsg::Fwd(f) if o.to == p(to) => Some(f),
+                    _ => None,
+                })
+                .collect();
+            assert_eq!(fwd.len(), 1, "{out:?}");
+            assert_eq!(
+                (fwd[0].origin, fwd[0].index, &fwd[0].view, &fwd[0].msg),
+                (p(1), 1, &full, &AppMsg::from("payload"))
+            );
+        }
         // A second drain with no new events is empty.
         assert!(g.drain_outputs().is_empty());
+        // The per-channel index keeps running across views.
+        step(&mut g, GroupCmd::Leave(p(2)));
+        let alone = step(&mut g, send(1, "solo"));
+        assert!(
+            matches!(&alone[..], [GroupOutput { to, msg: NetMsg::Fwd(f) }]
+                if *to == p(1) && f.index == 2 && f.view.len() == 1),
+            "{alone:?}"
+        );
+        assert!(g.finish().is_empty());
     }
 
     #[test]
-    fn drain_outputs_retains_nothing_and_the_report_keeps_counting() {
+    fn the_report_does_not_depend_on_who_drained_what() {
         let mut g = GroupInstance::new(GroupId::new(3), 2, 11);
         joined(&mut g, &[1, 2]);
-        g.apply(GroupCmd::Send { from: p(1), msg: AppMsg::from("one") });
+        g.apply(send(1, "one"));
         g.apply(GroupCmd::Run);
         let undrained = g.report();
         assert!(undrained.trace_len > 0 && undrained.delivered == 2, "{undrained:?}");
-        assert_eq!(g.trace_json().lines().count(), undrained.trace_len);
         let out = g.drain_outputs();
         assert_eq!(out.len() as u64, undrained.delivered + undrained.views_installed);
-        assert_eq!(g.trace_json(), "", "nothing retained past the drain");
-        assert_eq!(g.report(), undrained, "the report does not depend on who drained what");
-        g.apply(GroupCmd::Send { from: p(2), msg: AppMsg::from("two") });
-        g.apply(GroupCmd::Run);
+        assert_eq!(g.report(), undrained);
+        assert_eq!(step(&mut g, send(2, "two")).len(), 2);
         let later = g.report();
-        assert!(later.trace_len > undrained.trace_len, "{later:?}");
+        // Send, NetSend, the sender's Deliver, then NetDeliver + Deliver.
+        assert_eq!(later.trace_len, undrained.trace_len + 5);
         assert_eq!(later.delivered, 4);
-        // Steps continue where the drained entries left off.
-        let first = g.trace_json().lines().next().map(str::to_owned).unwrap_or_default();
-        assert!(first.contains(&format!("\"step\":{}", undrained.trace_len)), "{first}");
+        assert!(g.finish().is_empty());
+    }
+
+    #[test]
+    fn unsettled_joins_in_a_row_end_in_one_full_view() {
+        let mut g = GroupInstance::new(GroupId::new(7), 4, 0);
+        joined(&mut g, &[1, 2, 3, 4]);
+        let out = step(&mut g, GroupCmd::Run);
+        let last: Vec<View> =
+            (1..=4).map(|i| views_to(&out, i).pop().expect("every member got a view")).collect();
+        assert!(last.iter().all(|v| v == &last[0] && v.len() == 4), "{last:?}");
+        assert_eq!(step(&mut g, send(3, "after")).len(), 4);
+        assert!(g.finish().is_empty());
+    }
+
+    #[test]
+    fn a_left_member_keeps_its_end_point_and_rejoins_in_a_fresh_view() {
+        let mut g = GroupInstance::new(GroupId::new(8), 4, 0);
+        for i in 1..=4 {
+            step(&mut g, GroupCmd::Join(p(i)));
+        }
+        step(&mut g, GroupCmd::Leave(p(4)));
+        assert_eq!(step(&mut g, send(1, "without p4")).len(), 3);
+        assert!(step(&mut g, send(4, "ghost")).is_empty(), "a non-member cannot send");
+        let back = step(&mut g, GroupCmd::Join(p(4)));
+        assert_eq!(views_to(&back, 4).pop().map(|v| v.len()), Some(4), "{back:?}");
+        assert_eq!(step(&mut g, send(4, "back")).len(), 4);
         assert!(g.finish().is_empty());
     }
 
@@ -400,7 +529,7 @@ mod tests {
         joined(&mut g, &[1, 2]);
         g.apply(GroupCmd::Leave(p(1)));
         g.apply(GroupCmd::Leave(p(2)));
-        g.apply(GroupCmd::Send { from: p(1), msg: AppMsg::from("ghost") });
+        g.apply(send(1, "ghost"));
         g.apply(GroupCmd::Run);
         assert!(g.members().is_empty());
         assert!(g.finish().is_empty());

@@ -1,13 +1,14 @@
 //! **vsgm-server** — the multi-group server of the paper's client-server
 //! architecture (§3): many independent group instances, each running the
-//! full virtually-synchronous protocol (views, cuts, FIFO buffers, batch
-//! stage, audit cadence), multiplexed over one event-loop TCP transport.
+//! full virtually-synchronous protocol (views, cuts, FIFO buffers),
+//! multiplexed over one event-loop TCP transport.
 //!
 //! Layering (DESIGN.md §17):
 //!
-//! * [`group`] — one hosted [`GroupInstance`]: a deterministic
-//!   single-group simulation driven by a totally ordered [`GroupCmd`]
-//!   stream; byte-identical to an isolated run of the same commands.
+//! * [`group`] — one hosted [`GroupInstance`]: the group's GCS
+//!   end-points run directly, every spec checker online, driven by a
+//!   totally ordered [`GroupCmd`] stream; frame-identical to an isolated
+//!   run of the same commands.
 //! * [`shard`] — [`ShardPool`]: `gid → shard` arithmetic routing onto
 //!   worker threads that each *own* their groups outright, so the hot
 //!   path takes no cross-shard locks.

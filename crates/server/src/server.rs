@@ -26,7 +26,7 @@
 //! [`GroupServer::register_client`].
 
 use crate::directory::{err_response, ok_response, DirOutcome, DirRequest, Directory};
-use crate::group::{group_seed, GroupCmd};
+use crate::group::{admits, GroupCmd};
 use crate::shard::{ShardConfig, ShardPool};
 use crossbeam::channel::{unbounded, Receiver};
 use std::io;
@@ -42,18 +42,17 @@ use vsgm_types::{AppMsg, GroupId, NetMsg, ProcessId};
 pub struct ServerConfig {
     /// Shard worker threads (`gid % shards` routing).
     pub shards: usize,
-    /// End-points pre-provisioned per group — the highest client
-    /// process id that can join any group.
+    /// The highest client process id that can join a group: ids
+    /// `1..=group_capacity` are admitted, the rest are refused with
+    /// `err over-capacity`.
     pub group_capacity: u64,
-    /// Base seed; each group derives its own via [`group_seed`].
-    pub seed: u64,
     /// Transport knobs for the daemon's socket.
     pub tcp: TcpConfig,
 }
 
 impl Default for ServerConfig {
     fn default() -> Self {
-        ServerConfig { shards: 4, group_capacity: 16, seed: 0xD0_5E11, tcp: TcpConfig::default() }
+        ServerConfig { shards: 4, group_capacity: 16, tcp: TcpConfig::default() }
     }
 }
 
@@ -258,6 +257,13 @@ fn handle_directory(
     let Some(req) = DirRequest::parse(line) else {
         return err_response("bad-request", line.trim());
     };
+    // A group admits process ids 1..=group_capacity only; an `ok` to
+    // anyone else would leave them waiting for a view that never comes.
+    if let DirRequest::Create(name) | DirRequest::Join(name) = &req {
+        if !admits(cfg.group_capacity, peer) {
+            return err_response("over-capacity", name);
+        }
+    }
     match req {
         DirRequest::Create(name) => {
             // Atomic create-or-join: exactly one concurrent creator
@@ -265,7 +271,7 @@ fn handle_directory(
             let outcome = directory.create_or_join(&name);
             let gid = outcome.gid();
             if let DirOutcome::Created(gid) = outcome {
-                pool.create_group(gid, cfg.group_capacity, group_seed(cfg.seed, gid));
+                pool.create_group(gid, cfg.group_capacity, 0);
             }
             pool.apply(gid, GroupCmd::Join(peer));
             let verb = match outcome {
@@ -387,6 +393,35 @@ mod tests {
                     if *g == Some(gid) && f.origin == from && f.msg == AppMsg::from(payload))
             });
         }
+    }
+
+    #[test]
+    fn over_capacity_create_and_join_are_refused_before_anything_is_touched() {
+        let directory = Directory::new();
+        let pool = ShardPool::spawn(ShardConfig::default());
+        let cfg = ServerConfig { group_capacity: 2, ..ServerConfig::default() };
+        let ask = |peer: u64, line: &str| {
+            handle_directory(&directory, &pool, &cfg, p(peer), line.as_bytes())
+        };
+        // Nobody outside 1..=2 (pid 0 included) may create a group...
+        assert_eq!(ask(3, "create room"), "err over-capacity room");
+        assert_eq!(ask(0, "create room"), "err over-capacity room");
+        assert!(directory.is_empty(), "a refused create must not register the name");
+        assert_eq!(pool.counters().groups_hosted.load(Ordering::Relaxed), 0);
+        // ...or join one that exists.
+        assert_eq!(ask(1, "create room"), "ok create room 1");
+        assert_eq!(ask(3, "join room"), "err over-capacity room");
+        assert_eq!(ask(0, "join room"), "err over-capacity room");
+        assert_eq!(ask(3, "create room"), "err over-capacity room");
+        assert_eq!(directory.counters(), (1, 0, 0, 0), "refusals touch no counter");
+        let report = pool.report(GroupId::new(1)).expect("hosted");
+        assert_eq!(report.members, [p(1)].into_iter().collect());
+        // A malformed verb from the same client is a bad request, not a
+        // capacity matter; verbs that join nobody are still answered.
+        assert_eq!(ask(3, "crate room"), "err bad-request crate room");
+        assert_eq!(ask(3, "join"), "err bad-request join");
+        assert_eq!(ask(3, "lookup room"), "ok lookup room 1");
+        assert_eq!(ask(2, "join room"), "ok join room 1");
     }
 
     #[test]

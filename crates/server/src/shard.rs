@@ -12,8 +12,7 @@
 //!
 //! Determinism discipline (analyzer rule D1 pins this file): ordered
 //! containers only, no ambient clocks or randomness. Wall-clock pacing
-//! and sockets live in `server.rs`; per-group virtual time lives inside
-//! each instance's simulation.
+//! and sockets live in `server.rs`; a hosted group has no notion of time.
 
 use crate::group::{GroupCmd, GroupInstance, GroupOutput, GroupReport};
 use crossbeam::channel::{unbounded, Receiver, Sender};
@@ -27,11 +26,7 @@ use vsgm_types::{GroupId, NetMsg, ProcessId};
 enum ShardCmd {
     /// Instantiate a group (idempotent: re-creating an existing gid is
     /// ignored — the directory already guarantees one winner).
-    Create {
-        gid: GroupId,
-        capacity: u64,
-        seed: u64,
-    },
+    Create { gid: GroupId, capacity: u64 },
     /// Apply a [`GroupCmd`] to a hosted group.
     Apply { gid: GroupId, cmd: GroupCmd },
     /// Snapshot one group's report.
@@ -40,8 +35,6 @@ enum ShardCmd {
     ReportAll { reply: Sender<Vec<GroupReport>> },
     /// Finalize one group's checkers and return its violations.
     Finish { gid: GroupId, reply: Sender<Option<Vec<Violation>>> },
-    /// One group's trace as JSON lines.
-    TraceJson { gid: GroupId, reply: Sender<Option<String>> },
     /// Drain and exit.
     Shutdown,
 }
@@ -73,9 +66,9 @@ pub struct ShardConfig {
     /// Worker threads; also the shard count for `gid % shards` routing.
     pub shards: usize,
     /// Daemon mode: after every applied command, run the group to
-    /// quiescence and forward drained outputs to `outputs`. Schedule-
-    /// driven harnesses (the differential suite) turn this off and
-    /// advance groups with explicit [`GroupCmd::Run`] commands instead.
+    /// quiescence and forward drained outputs to `outputs`. Off, groups
+    /// advance only on explicit [`GroupCmd::Run`] commands and their
+    /// outputs stay undrained.
     pub auto_run: bool,
     /// Where drained `(gid, member, frame)` outputs go in daemon mode.
     pub outputs: Option<Sender<(GroupId, ProcessId, NetMsg)>>,
@@ -136,8 +129,9 @@ impl ShardPool {
     }
 
     /// Instantiates a group on its owning shard (idempotent per gid).
-    pub fn create_group(&self, gid: GroupId, capacity: u64, seed: u64) {
-        self.send_to(gid, ShardCmd::Create { gid, capacity, seed });
+    /// `_seed` is unused, as in [`GroupInstance::new`].
+    pub fn create_group(&self, gid: GroupId, capacity: u64, _seed: u64) {
+        self.send_to(gid, ShardCmd::Create { gid, capacity });
     }
 
     /// Routes one command to `gid`'s instance.
@@ -171,13 +165,6 @@ impl ShardPool {
     pub fn finish(&self, gid: GroupId) -> Option<Vec<Violation>> {
         let (reply, rx) = unbounded();
         self.send_to(gid, ShardCmd::Finish { gid, reply });
-        rx.recv().ok().flatten()
-    }
-
-    /// Blocking trace snapshot for one group (`None` if unhosted).
-    pub fn trace_json(&self, gid: GroupId) -> Option<String> {
-        let (reply, rx) = unbounded();
-        self.send_to(gid, ShardCmd::TraceJson { gid, reply });
         rx.recv().ok().flatten()
     }
 
@@ -221,9 +208,9 @@ fn shard_main(
     let mut groups: BTreeMap<GroupId, GroupInstance> = BTreeMap::new();
     while let Ok(cmd) = rx.recv() {
         match cmd {
-            ShardCmd::Create { gid, capacity, seed } => {
+            ShardCmd::Create { gid, capacity } => {
                 if let std::collections::btree_map::Entry::Vacant(slot) = groups.entry(gid) {
-                    slot.insert(GroupInstance::new(gid, capacity, seed));
+                    slot.insert(GroupInstance::new(gid, capacity, 0));
                     counters.groups_hosted.fetch_add(1, Ordering::Relaxed);
                 }
             }
@@ -248,9 +235,6 @@ fn shard_main(
             }
             ShardCmd::Finish { gid, reply } => {
                 let _ = reply.send(groups.get_mut(&gid).map(GroupInstance::finish));
-            }
-            ShardCmd::TraceJson { gid, reply } => {
-                let _ = reply.send(groups.get(&gid).map(GroupInstance::trace_json));
             }
             ShardCmd::Shutdown => break,
         }
@@ -308,7 +292,6 @@ mod tests {
         pool.apply(GroupId::new(77), GroupCmd::Run);
         assert_eq!(pool.report(GroupId::new(77)), None);
         assert!(pool.counters().frames_unroutable.load(Ordering::Relaxed) >= 1);
-        assert_eq!(pool.trace_json(GroupId::new(77)), None);
         assert_eq!(pool.finish(GroupId::new(77)), None);
     }
 
@@ -327,24 +310,37 @@ mod tests {
     }
 
     #[test]
-    fn hosted_group_trace_matches_isolated_instance() {
+    fn hosted_group_outputs_match_isolated_instance() {
         let gid = GroupId::new(6);
-        let seed = group_seed(42, gid);
-        let pool = ShardPool::spawn(ShardConfig { shards: 3, ..ShardConfig::default() });
-        pool.create_group(gid, 3, seed);
+        let (tx, rx) = unbounded();
+        let pool = ShardPool::spawn(ShardConfig { shards: 3, auto_run: true, outputs: Some(tx) });
+        pool.create_group(gid, 3, 0);
         let cmds = |apply: &mut dyn FnMut(GroupCmd)| {
             for m in 1..=3 {
                 apply(GroupCmd::Join(p(m)));
             }
             apply(GroupCmd::Send { from: p(1), msg: AppMsg::from("a") });
-            apply(GroupCmd::RunForMs(3));
+            apply(GroupCmd::Leave(p(2)));
             apply(GroupCmd::Send { from: p(3), msg: AppMsg::from("b") });
-            apply(GroupCmd::Run);
         };
         cmds(&mut |c| pool.apply(gid, c));
-        let hosted = pool.trace_json(gid).expect("hosted trace");
-        let mut isolated = GroupInstance::new(gid, 3, seed);
-        cmds(&mut |c| isolated.apply(c));
-        assert_eq!(hosted, isolated.trace_json(), "hosted == isolated, byte for byte");
+        assert_eq!(pool.finish(gid), Some(vec![]));
+        pool.shutdown(); // every command has been stepped and drained
+        let hosted: Vec<GroupOutput> = rx
+            .try_iter()
+            .map(|(g, to, msg)| {
+                assert_eq!(g, gid);
+                GroupOutput { to, msg }
+            })
+            .collect();
+        let mut isolated = GroupInstance::new(gid, 3, 0);
+        let mut expected = Vec::new();
+        cmds(&mut |c| {
+            isolated.apply(c);
+            isolated.run_to_quiescence();
+            expected.extend(isolated.drain_outputs());
+        });
+        assert!(expected.len() > 8, "{expected:?}");
+        assert_eq!(hosted, expected, "hosted == isolated, frame for frame");
     }
 }

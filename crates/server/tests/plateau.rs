@@ -1,8 +1,10 @@
 //! A hosted group's footprint is a function of its membership, not of its
 //! history: resident memory must plateau under a long multicast stream
-//! with membership churn, and under a long run of view changes alone.
+//! with membership churn, and under a long run of view changes alone —
+//! and not of its capacity either: a third soak holds 1000 groups of four
+//! to a per-group budget that unused capacity must not move.
 //!
-//! Both soaks drive one 4-member [`GroupInstance`] the way a daemon shard
+//! The soaks drive 4-member [`GroupInstance`]s the way a daemon shard
 //! worker does (`apply` → `run_to_quiescence` → `drain_outputs`) with every
 //! spec checker online, and read the process's resident set from
 //! `/proc/self/statm` — the `/proc/self` technique of the transport's
@@ -38,13 +40,16 @@ fn step(g: &mut GroupInstance, cmd: GroupCmd) -> usize {
     g.drain_outputs().len()
 }
 
-fn group_of_four() -> GroupInstance {
-    let gid = GroupId::new(1);
-    let mut g = GroupInstance::new(gid, 4, group_seed(13, gid));
+fn group_of_four_in(gid: GroupId, capacity: u64) -> GroupInstance {
+    let mut g = GroupInstance::new(gid, capacity, group_seed(13, gid));
     for i in 1..=4 {
         step(&mut g, GroupCmd::Join(p(i)));
     }
     g
+}
+
+fn group_of_four() -> GroupInstance {
+    group_of_four_in(GroupId::new(1), 4)
 }
 
 #[test]
@@ -139,5 +144,57 @@ fn resident_memory_plateaus_under_view_changes() {
         "resident set grew {grown} B over the second {} view changes ({} B each)",
         CHANGES / 2,
         grown / (CHANGES / 2)
+    );
+}
+
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "release-mode soak; scripts/check.sh runs it by name"
+)]
+fn a_thousand_groups_of_four_fit_their_budget_and_unused_capacity_costs_nothing() {
+    const GROUPS: u64 = 1000;
+    const BYTES_PER_GROUP: u64 = 48 * 1024;
+    const CAPACITY_SLACK: u64 = 1024;
+    let _turn = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
+    // What `wide_1000g` holds per group once it is set up: four joins,
+    // each settled and drained, then one multicast from every member. The
+    // groups are handed back so the first thousand stay resident while the
+    // second thousand are measured (freed memory would be reused, not
+    // returned).
+    let per_group = |capacity: u64| {
+        let payload = AppMsg::new(vec![0x5Au8; 64]);
+        let before = rss_bytes();
+        let mut groups = Vec::with_capacity(GROUPS as usize);
+        for gid in 1..=GROUPS {
+            let mut g = group_of_four_in(GroupId::new(gid), capacity);
+            for i in 1..=4 {
+                let frames = step(
+                    &mut g,
+                    GroupCmd::Send {
+                        from: p(i),
+                        msg: payload.clone(),
+                    },
+                );
+                assert_eq!(frames, 4);
+            }
+            groups.push(g);
+        }
+        let each = rss_bytes().saturating_sub(before) / GROUPS;
+        for g in &mut groups {
+            assert!(g.finish().is_empty(), "{:?}", g.report());
+        }
+        (each, groups)
+    };
+    let (snug, _held) = per_group(4);
+    let (roomy, _) = per_group(16);
+    println!("per group of four: {snug} B in capacity 4, {roomy} B in capacity 16");
+    assert!(
+        snug < BYTES_PER_GROUP,
+        "{snug} B resident per 4-member group"
+    );
+    assert!(
+        roomy.abs_diff(snug) < CAPACITY_SLACK,
+        "four members cost {snug} B in capacity 4 but {roomy} B in capacity 16"
     );
 }
