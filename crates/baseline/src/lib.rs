@@ -367,7 +367,9 @@ impl GroupEndpoint for BaselineEndpoint {
                         wv::on_app_msg(&mut self.st, from, m);
                     }
                 }
-                NetMsg::Fwd(f) => wv::on_fwd_msg(&mut self.st, f),
+                NetMsg::Fwd(f) => {
+                    wv::on_fwd_msg(&mut self.st, f);
+                }
                 NetMsg::Baseline(BaselineMsg::Propose { participants, seq }) => {
                     let r = self.rounds.entry(participants).or_default();
                     let e = r.proposals.entry(from).or_insert(0);
@@ -378,12 +380,14 @@ impl GroupEndpoint for BaselineEndpoint {
                     r.syncs.insert((from, tag), (view, cut));
                 }
                 // The paper's protocol messages are not ours.
-                NetMsg::Sync(_) | NetMsg::SyncAgg(_) => {}
+                NetMsg::Sync(_) | NetMsg::SyncAgg(_) | NetMsg::Ack(_) => {}
             },
             Input::Crash => self.st.crashed = true,
             Input::Recover => {}
             // The baseline has no batching stage; its clock is unused.
             Input::Tick(_) => {}
+            // Nor a stability rule: it retains every message.
+            Input::AckDue => {}
         }
         Vec::new()
     }

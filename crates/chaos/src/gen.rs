@@ -120,6 +120,9 @@ pub fn generate(seed: u64, cfg: &ChaosConfig) -> Scenario {
                     let p = *rng.choose(&alive).unwrap_or(&1);
                     Some(Step::Corrupt { p, kind })
                 }
+                // An eighth of it is a round of stability
+                // acknowledgements, racing whatever is in flight.
+                None if roll < 4 => Some(Step::AckRound),
                 None => None, // plain send (the shared fallback below)
             }
         } else if roll < 42 {
@@ -253,6 +256,7 @@ mod tests {
                     Step::RunFor { .. } => "run_for",
                     Step::Faults { .. } => "faults",
                     Step::CrashDuringSync { .. } => "crash_during_sync",
+                    Step::AckRound => "ack_round",
                     Step::Corrupt { .. } => "corrupt",
                 });
             }
@@ -270,6 +274,7 @@ mod tests {
             "run_for",
             "faults",
             "crash_during_sync",
+            "ack_round",
         ] {
             assert!(kinds.contains(kind), "generator never produced {kind}");
         }

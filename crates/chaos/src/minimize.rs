@@ -58,7 +58,11 @@ fn max_proc_referenced(s: &Scenario) -> u64 {
                     }
                 }
             }
-            Step::Heal | Step::Run | Step::RunFor { .. } | Step::Faults { .. } => {}
+            Step::Heal
+            | Step::Run
+            | Step::RunFor { .. }
+            | Step::Faults { .. }
+            | Step::AckRound => {}
         }
     }
     hi

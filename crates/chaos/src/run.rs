@@ -207,7 +207,11 @@ pub fn validate(scenario: &Scenario) -> Result<(), String> {
             // Corruption of a crashed process is a harness no-op, so any
             // in-range target is legal.
             Step::Corrupt { p, .. } => check_p(i, *p)?,
-            Step::Heal | Step::Run | Step::RunFor { .. } | Step::Faults { .. } => {}
+            Step::Heal
+            | Step::Run
+            | Step::RunFor { .. }
+            | Step::Faults { .. }
+            | Step::AckRound => {}
         }
     }
     Ok(())

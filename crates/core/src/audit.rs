@@ -18,9 +18,14 @@
 //! Soundness notes (why these hold in every legal state):
 //!
 //! * Delivery advances contiguously from index 1 over
-//!   `msgs[q][current_view]` and messages are never removed from a live
-//!   buffer (`gc` only prunes generations older than the previous view),
-//!   so `last_dlvrd[q]` never exceeds the buffered gap-free prefix.
+//!   `msgs[q][current_view]`, and a live buffer loses messages only from
+//!   the front, at or below the stability floor (`gc` only prunes
+//!   generations older than the previous view); a buffer's gap-free
+//!   prefix counts what it dropped, so `last_dlvrd[q]` never exceeds it.
+//! * The stability floor ([`crate::stability`]) is a minimum that
+//!   includes the own `last_dlvrd[q]`, the announced vector is a copy of
+//!   an earlier `last_dlvrd`, and a peer can have delivered no more own
+//!   messages than were multicast — all three reset with the view.
 //! * The own current-view buffer is filled only by `push`, so it has no
 //!   gaps, and `last_sent` only advances over existing entries.
 //! * `last_rcvd[q]` is reset when a `view_msg` from `q` arrives and then
@@ -70,6 +75,10 @@ pub fn check(cfg: &Config, st: &State) -> Result<(), AuditFailure> {
     sent_within_buffer(st)?;
     delivered_within_prefix(st)?;
     received_within_stream(st)?;
+    windows_consistent(st)?;
+    window_behind_delivery(st)?;
+    announced_within_delivered(st)?;
+    acked_within_sent(st)?;
     delivery_within_bound(cfg, st)?;
     reliable_covers_view(st)?;
     own_sync_in_current_view(st)?;
@@ -216,6 +225,88 @@ fn received_within_stream(st: &State) -> Result<(), AuditFailure> {
     Ok(())
 }
 
+/// Every buffer's bookkeeping (dropped count, gap-free prefix) agrees
+/// with the slots it retains.
+fn windows_consistent(st: &State) -> Result<(), AuditFailure> {
+    for ((q, v), buf) in &st.msgs {
+        if !buf.is_consistent() {
+            return fail(
+                "windows_consistent",
+                format!(
+                    "msgs[{q}][{v}] records prefix {} over {} dropped and {} retained slots",
+                    buf.longest_prefix(),
+                    buf.freed(),
+                    buf.retained()
+                ),
+            );
+        }
+    }
+    Ok(())
+}
+
+/// A current-view buffer has dropped nothing this end-point has yet to
+/// deliver: the stability floor never passes the own `last_dlvrd`.
+fn window_behind_delivery(st: &State) -> Result<(), AuditFailure> {
+    for q in st.current_view.members() {
+        let freed = st.buf(*q, &st.current_view).map_or(0, |b| b.freed());
+        if freed > st.dlvrd(*q) {
+            return fail(
+                "window_behind_delivery",
+                format!("dropped {freed} messages from {q} but delivered {}", st.dlvrd(*q)),
+            );
+        }
+    }
+    Ok(())
+}
+
+/// The vector last announced is an earlier `last_dlvrd` of the current
+/// view, and both it and a pending acknowledgement request exist only
+/// once that view has been announced.
+fn announced_within_delivered(st: &State) -> Result<(), AuditFailure> {
+    let Some(s) = &st.stability else { return Ok(()) };
+    for (q, announced) in &s.announced {
+        if *announced > st.dlvrd(*q) {
+            return fail(
+                "announced_within_delivered",
+                format!("announced {announced} from {q} but delivered {}", st.dlvrd(*q)),
+            );
+        }
+    }
+    if (s.armed || !s.announced.is_empty()) && !st.in_current_view_stream(st.pid) {
+        return fail(
+            "announced_within_delivered",
+            format!(
+                "acknowledgement state (armed = {}, {} announced) before {} was announced",
+                s.armed,
+                s.announced.len(),
+                st.current_view
+            ),
+        );
+    }
+    Ok(())
+}
+
+/// Acknowledgements are recorded from the other members of the current
+/// view only, and none claims more own messages than were multicast.
+fn acked_within_sent(st: &State) -> Result<(), AuditFailure> {
+    let Some(s) = &st.stability else { return Ok(()) };
+    for (r, cut) in &s.acked {
+        if *r == st.pid || !st.current_view.contains(*r) {
+            return fail(
+                "acked_within_sent",
+                format!("acknowledgement recorded from {r}, no peer in {}", st.current_view),
+            );
+        }
+        if cut.get(st.pid) > st.last_sent {
+            return fail(
+                "acked_within_sent",
+                format!("{r} acknowledged {} own messages but sent {}", cut.get(st.pid), st.last_sent),
+            );
+        }
+    }
+    Ok(())
+}
+
 /// Invariant 7.1 with the configured optimization profile: deliveries
 /// never exceed the committed bound.
 fn delivery_within_bound(cfg: &Config, st: &State) -> Result<(), AuditFailure> {
@@ -322,12 +413,15 @@ fn sync_cids_tracked(st: &State) -> Result<(), AuditFailure> {
     Ok(())
 }
 
-/// Every `forwarded` record points at a message still present in the
-/// buffer it was copied from (buffers and forwarding records are
-/// garbage-collected under the same view floor).
+/// Every `forwarded` record points at a message the buffer it was
+/// copied from still holds, or has dropped since as stable (buffers and
+/// forwarding records are garbage-collected under the same view floor).
 fn forwarded_backed_by_buffer(st: &State) -> Result<(), AuditFailure> {
     for (dest, origin, v, idx) in &st.forwarded {
-        let present = st.msgs.get(&(*origin, v.clone())).is_some_and(|b| b.get(*idx).is_some());
+        let present = st
+            .msgs
+            .get(&(*origin, v.clone()))
+            .is_some_and(|b| b.get(*idx).is_some() || (1..=b.freed()).contains(idx));
         if !present {
             return fail(
                 "forwarded_backed_by_buffer",
@@ -483,6 +577,8 @@ mod tests {
             (CorruptionKind::ScrambleMembership, "self_inclusion"),
             (CorruptionKind::TruncateMsgs, "delivered_within_prefix"),
             (CorruptionKind::OverrunLastDlvrd, "delivered_within_prefix"),
+            (CorruptionKind::ForgedAck, "acked_within_sent"),
+            (CorruptionKind::BaseAhead, "window_behind_delivery"),
         ];
         for (kind, check_name) in expect {
             let mut st = busy_state();
@@ -499,7 +595,9 @@ mod tests {
         // of thin air (the convergence judge counts these runs as
         // trivially converged).
         let cfg = Config::default();
-        for kind in [CorruptionKind::ScrambleCut, CorruptionKind::TruncateMsgs] {
+        for kind in
+            [CorruptionKind::ScrambleCut, CorruptionKind::TruncateMsgs, CorruptionKind::ForgedAck]
+        {
             let mut st = State::new(p(1));
             corrupt::apply(&mut st, kind, 0);
             check(&cfg, &st).unwrap();

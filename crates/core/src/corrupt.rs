@@ -19,7 +19,7 @@
 
 use crate::state::State;
 use serde::{Deserialize, Serialize};
-use vsgm_types::{AppMsg, View, ViewId};
+use vsgm_types::{AppMsg, Cut, View, ViewId};
 
 /// One class of state corruption. Serialized (snake_case) inside chaos
 /// scenarios, so minimized counterexamples replay byte-for-byte.
@@ -52,12 +52,18 @@ pub enum CorruptionKind {
     /// Overrun a `last_dlvrd` counter past the gap-free prefix actually
     /// buffered.
     OverrunLastDlvrd,
+    /// Forge a stability acknowledgement: record that a peer of the
+    /// current view delivered more own messages than were ever multicast.
+    ForgedAck,
+    /// Push a buffer's retained window ahead of the own deliveries: drop
+    /// a message of the own current-view stream before delivering it.
+    BaseAhead,
 }
 
 impl CorruptionKind {
     /// Every corruption class, in a fixed order (the E11 sweep and the
     /// chaos generator index into this).
-    pub const ALL: [CorruptionKind; 8] = [
+    pub const ALL: [CorruptionKind; 10] = [
         CorruptionKind::ForgeMsgId,
         CorruptionKind::DupMsgId,
         CorruptionKind::StaleViewId,
@@ -66,6 +72,8 @@ impl CorruptionKind {
         CorruptionKind::ScrambleMembership,
         CorruptionKind::TruncateMsgs,
         CorruptionKind::OverrunLastDlvrd,
+        CorruptionKind::ForgedAck,
+        CorruptionKind::BaseAhead,
     ];
 
     /// Stable snake_case name (report keys in `BENCH_stabilize.json`).
@@ -79,6 +87,8 @@ impl CorruptionKind {
             CorruptionKind::ScrambleMembership => "scramble_membership",
             CorruptionKind::TruncateMsgs => "truncate_msgs",
             CorruptionKind::OverrunLastDlvrd => "overrun_last_dlvrd",
+            CorruptionKind::ForgedAck => "forged_ack",
+            CorruptionKind::BaseAhead => "base_ahead",
         }
     }
 }
@@ -159,6 +169,23 @@ pub fn apply(st: &mut State, kind: CorruptionKind, salt: u64) {
             };
             let prefix = st.buf(q, &st.current_view).map_or(0, |b| b.longest_prefix());
             st.last_dlvrd.insert(q, prefix + 3);
+        }
+        CorruptionKind::ForgedAck => {
+            // A peer to forge from; alone in a view there is none.
+            let peers: Vec<_> =
+                st.current_view.members().iter().copied().filter(|q| *q != st.pid).collect();
+            let Some(&r) = peers.get((salt as usize) % peers.len().max(1)) else {
+                return;
+            };
+            let forged = Cut::from_iter([(st.pid, st.last_sent + 1 + salt % 3)]);
+            st.stability.get_or_insert_with(Box::default).acked.insert(r, forged);
+        }
+        CorruptionKind::BaseAhead => {
+            let view = st.current_view.clone();
+            let pid = st.pid;
+            let buf = st.buf_mut(pid, &view);
+            buf.push(AppMsg::from("<forged>"));
+            buf.free_through(buf.last_index());
         }
     }
 }

@@ -3,7 +3,7 @@
 use crate::config::Config;
 use crate::forward::ForwardCmd;
 use crate::state::{State, SyncRecord};
-use crate::{sd, vs, wv};
+use crate::{sd, stability, vs, wv};
 use vsgm_ioa::Automaton;
 use vsgm_obs::{names, NoopRecorder, ObsEvent, Recorder};
 use vsgm_types::{
@@ -43,6 +43,11 @@ pub enum Input {
     /// real node pump). Only the batching linger deadline
     /// ([`Config::batch`]) observes it; with batching off it is inert.
     Tick(u64),
+    /// The host asks for one stability acknowledgement
+    /// ([`crate::stability`]): arms [`Action::SendAck`]. How often is the
+    /// host's call; an end-point never asked retains every message of its
+    /// current view.
+    AckDue,
 }
 
 /// An externally visible effect of the end-point.
@@ -104,6 +109,9 @@ pub enum Action {
     DeliverView,
     /// `co_rfifo.send_p(…, tag=fwd_msg, …)` per the forwarding strategy.
     Forward(ForwardCmd),
+    /// `co_rfifo.send_p(…, tag=ack_msg, last_dlvrd)` once armed by
+    /// [`Input::AckDue`] ([`crate::stability`]).
+    SendAck,
 }
 
 /// The driving interface shared by every group-multicast end-point in
@@ -191,6 +199,9 @@ pub struct EndpointStats {
     pub forwards_sent: u64,
     /// Block requests issued to the application.
     pub blocks: u64,
+    /// Forwarded messages refused because their index lay outside the
+    /// buffer ([`crate::state::MAX_GAP`]).
+    pub stores_refused: u64,
 }
 
 /// A GCS end-point: the executable `GCS_p` automaton (or a configured
@@ -315,6 +326,10 @@ impl Endpoint {
                 }
                 Vec::new()
             }
+            Input::AckDue => {
+                stability::on_ack_due(&mut self.st);
+                Vec::new()
+            }
         }
     }
 
@@ -366,7 +381,14 @@ impl Endpoint {
                 Vec::new()
             }
             NetMsg::Fwd(f) => {
-                wv::on_fwd_msg(&mut self.st, f);
+                if !wv::on_fwd_msg(&mut self.st, f) {
+                    self.stats.stores_refused += 1;
+                    rec.counter(names::EP_STORES_REFUSED, 1);
+                }
+                Vec::new()
+            }
+            NetMsg::Ack(cut) => {
+                stability::on_ack(&mut self.st, from, cut);
                 Vec::new()
             }
             NetMsg::Sync(payload) => {
@@ -597,6 +619,9 @@ impl Automaton for Endpoint {
                 out.push(Action::Forward(cmd));
             }
         }
+        if stability::send_ack_pre(&self.st) {
+            out.push(Action::SendAck);
+        }
         out
     }
 
@@ -686,7 +711,7 @@ impl Endpoint {
                 // pending suffix.
                 let reconfiguring =
                     self.st.start_change.is_some() || wv::view_pre(&self.st);
-                let (pcount, pbytes) = self.pending_batch();
+                let pending = self.cfg.batch.enabled().then(|| self.pending_batch());
                 let Some((set, msg, k)) = wv::send_app_batch_eff(
                     &mut self.st,
                     self.cfg.batch.max_msgs,
@@ -701,7 +726,7 @@ impl Endpoint {
                 for _ in 0..k {
                     rec.event(self.st.pid, None, ObsEvent::MsgSent);
                 }
-                if self.cfg.batch.enabled() {
+                if let Some((pcount, pbytes)) = pending {
                     let cause = crate::batch::flush_cause(
                         &self.cfg.batch,
                         reconfiguring,
@@ -751,6 +776,7 @@ impl Endpoint {
                 if self.cfg.stack.has_sd() {
                     sd::view_eff(&mut self.st);
                 }
+                stability::view_eff(&mut self.st);
                 if self.cfg.gc_old_views {
                     self.st.gc(&previous);
                 }
@@ -788,6 +814,17 @@ impl Endpoint {
                         msg,
                     }),
                 }]
+            }
+            Action::SendAck => {
+                let Some((set, msg)) = stability::send_ack_eff(&mut self.st) else {
+                    return Vec::new(); // enabled_actions() no longer offers this
+                };
+                rec.counter(names::EP_ACKS_SENT, 1);
+                if set.is_empty() {
+                    Vec::new()
+                } else {
+                    vec![Effect::NetSend { to: set, msg }]
+                }
             }
         }
     }

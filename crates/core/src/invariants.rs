@@ -204,7 +204,8 @@ pub fn buffers_agree_with_origin<'a>(
                 continue;
             }
             let Some(own) = origin.buf(*sender, view) else { continue };
-            for i in 1..=seq.last_index() {
+            // What the origin dropped as stable, every member delivered.
+            for i in seq.freed().max(own.freed()) + 1..=seq.last_index() {
                 if let Some(m) = seq.get(i) {
                     match own.get(i) {
                         Some(orig) if orig == m => {}

@@ -18,6 +18,14 @@
 //! the paper's automata); [`Endpoint`] composes the layers selected by
 //! [`Config::stack`], which is also the ablation knob for the experiments.
 //!
+//! Beside the paper's layers sit this repository's extensions, each a
+//! module of its own: [`batch`] (application-message batching),
+//! [`aggregation`] (§9 two-tier synchronization), [`audit`] / [`corrupt`]
+//! (self-stabilization) and [`stability`] — the garbage collection the
+//! paper leaves open: members acknowledge what they have delivered when
+//! their host asks ([`Input::AckDue`]), and an end-point drops what every
+//! member of its view has delivered.
+//!
 //! The headline algorithmic property: on a `start_change(cid, set)`
 //! notification the end-point sends **one** synchronization message tagged
 //! with its *local* `cid` — no agreement on a global identifier is needed
@@ -56,6 +64,7 @@ pub mod endpoint;
 pub mod forward;
 pub mod node;
 pub mod sd;
+pub mod stability;
 pub mod state;
 pub mod vs;
 pub mod wv;

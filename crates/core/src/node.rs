@@ -6,6 +6,9 @@ use std::time::{Duration, Instant};
 use vsgm_net::Transport;
 use vsgm_types::{AppMsg, ProcSet, ProcessId, View};
 
+/// Deliveries dispatched between two stability acknowledgements.
+const ACK_EVERY: u64 = 64;
+
 /// An application-facing event produced by a [`Node`] pump.
 #[derive(Debug, Clone, PartialEq)]
 pub enum AppEvent {
@@ -34,7 +37,9 @@ pub enum AppEvent {
 /// effects are returned to the caller.
 ///
 /// Transports are assumed reliable per connected pair (TCP is), so
-/// `SetReliable` effects are informational and dropped.
+/// `SetReliable` effects are informational and dropped. Once every
+/// [`ACK_EVERY`] deliveries the pump asks the endpoint for a stability
+/// acknowledgement ([`crate::stability`]).
 #[derive(Debug)]
 pub struct Node<T: Transport> {
     ep: Endpoint,
@@ -43,6 +48,8 @@ pub struct Node<T: Transport> {
     /// Origin of the endpoint's [`Input::Tick`] timebase (wall clock,
     /// measured from node creation).
     epoch: Instant,
+    /// Deliveries dispatched since the last [`Input::AckDue`].
+    delivered_since_ack: u64,
 }
 
 impl<T: Transport> Node<T> {
@@ -56,7 +63,7 @@ impl<T: Transport> Node<T> {
         // vsgm-allow(D1, T1): the tick epoch is driver-shell bookkeeping;
         // the endpoint only ever sees the derived monotone microsecond
         // input.
-        Node { ep, transport, auto_block_ok: true, epoch: Instant::now() }
+        Node { ep, transport, auto_block_ok: true, epoch: Instant::now(), delivered_since_ack: 0 }
     }
 
     /// Whether `block` requests are auto-acknowledged (default: true).
@@ -190,6 +197,13 @@ impl<T: Transport> Node<T> {
                 Effect::SetReliable(_) => {}
                 Effect::DeliverApp { from, msg } => {
                     out.push(AppEvent::Delivered { from, msg });
+                    self.delivered_since_ack += 1;
+                    if self.delivered_since_ack >= ACK_EVERY {
+                        self.delivered_since_ack = 0;
+                        // Arms the acknowledgement; the pump's next poll
+                        // sends it.
+                        let _ = self.ep.handle(Input::AckDue);
+                    }
                 }
                 Effect::InstallView { view, transitional } => {
                     out.push(AppEvent::View { view, transitional });

@@ -1,66 +1,120 @@
 //! End-point state: the union of the state variables of Figs. 9–11.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use vsgm_types::{AppMsg, Cut, MsgIndex, ProcSet, ProcessId, StartChangeId, View};
 
-/// A 1-indexed, possibly sparse sequence of application messages — one
-/// `msgs[q][v]` buffer. Sparse because forwarded messages (Fig. 9,
-/// `fwd_msg`) can fill arbitrary indices out of order.
+/// How many slots past its gap-free prefix a buffer accepts a message.
+/// A legitimate forward is never further ahead than what some member's
+/// cut committed; the index of a `fwd_msg` comes straight off the wire.
+pub const MAX_GAP: MsgIndex = 1 << 20;
+
+/// One `msgs[q][v]` buffer: a 1-indexed, possibly sparse sequence of
+/// application messages, of which only a window is retained. Sparse
+/// because forwarded messages (Fig. 9, `fwd_msg`) can fill arbitrary
+/// indices out of order; a window because the stability rule
+/// ([`crate::stability`]) drops the prefix every member of the view has
+/// delivered. Indices stay absolute: [`MsgSeq::get`] is `None` for a
+/// dropped index, and [`MsgSeq::longest_prefix`] and
+/// [`MsgSeq::last_index`] count dropped messages as present.
 #[derive(Debug, Clone, Default)]
 pub struct MsgSeq {
-    slots: Vec<Option<AppMsg>>,
+    /// Indices `1..=base` have been dropped.
+    base: MsgIndex,
+    /// Slot `k` holds index `base + 1 + k`; the back slot is populated.
+    slots: VecDeque<Option<AppMsg>>,
+    /// `LongestPrefixOf`, kept as messages arrive: indices `1..=prefix`
+    /// are or were all present, and `prefix >= base`.
+    prefix: MsgIndex,
 }
 
 impl MsgSeq {
-    /// The message at 1-based index `i`, if present.
-    pub fn get(&self, i: MsgIndex) -> Option<&AppMsg> {
-        if i == 0 {
-            return None;
-        }
-        self.slots.get((i - 1) as usize).and_then(Option::as_ref)
+    fn slot(&self, i: MsgIndex) -> Option<usize> {
+        i.checked_sub(self.base + 1).map(|k| k as usize)
     }
 
-    /// Stores a message at 1-based index `i`, growing with gaps as needed;
-    /// index 0 is outside the sequence and is ignored. Idempotent for
-    /// equal content (forwarded copies of the same original are
-    /// identical — Invariant 6.6).
-    pub fn set(&mut self, i: MsgIndex, m: AppMsg) {
-        let Some(idx) = (i as usize).checked_sub(1) else {
-            return;
-        };
-        if self.slots.len() <= idx {
-            self.slots.resize(idx + 1, None);
+    /// The message at 1-based index `i`, if retained.
+    pub fn get(&self, i: MsgIndex) -> Option<&AppMsg> {
+        self.slots.get(self.slot(i)?).and_then(Option::as_ref)
+    }
+
+    /// Stores a message at 1-based index `i`, growing with gaps as
+    /// needed. Idempotent for equal content (forwarded copies of the same
+    /// original are identical — Invariant 6.6); a copy of a message
+    /// already dropped is ignored. Returns `false`, storing nothing, for
+    /// an index outside the sequence: 0, or more than [`MAX_GAP`] past
+    /// the gap-free prefix.
+    pub fn set(&mut self, i: MsgIndex, m: AppMsg) -> bool {
+        let Some(k) = self.slot(i) else { return i != 0 };
+        if i.saturating_sub(self.prefix) > MAX_GAP {
+            return false;
         }
-        if let Some(slot) = self.slots.get_mut(idx) {
+        if self.slots.len() <= k {
+            self.slots.resize(k + 1, None);
+        }
+        if let Some(slot) = self.slots.get_mut(k) {
             *slot = Some(m);
         }
+        while self.get(self.prefix + 1).is_some() {
+            self.prefix += 1;
+        }
+        true
     }
 
     /// Appends at the next index (original sends from the local client).
     pub fn push(&mut self, m: AppMsg) {
-        self.slots.push(Some(m));
+        if self.prefix == self.last_index() {
+            self.prefix += 1;
+        }
+        self.slots.push_back(Some(m));
     }
 
     /// `LongestPrefixOf`: the largest `k` such that indices `1..=k` are
-    /// all present.
+    /// or were all present.
     pub fn longest_prefix(&self) -> MsgIndex {
-        self.slots.iter().take_while(|s| s.is_some()).count() as MsgIndex
+        self.prefix
     }
 
     /// The largest populated index (0 if empty).
     pub fn last_index(&self) -> MsgIndex {
-        self.slots
-            .iter()
-            .rposition(Option::is_some)
-            .map_or(0, |i| (i + 1) as MsgIndex)
+        self.base + self.slots.len() as MsgIndex
+    }
+
+    /// How many leading indices have been dropped.
+    pub fn freed(&self) -> MsgIndex {
+        self.base
+    }
+
+    /// How many slots are retained (gaps included).
+    pub fn retained(&self) -> usize {
+        self.slots.len()
+    }
+
+    /// Drops every index up to `k`, but never past the gap-free prefix.
+    pub fn free_through(&mut self, k: MsgIndex) {
+        let n = k.min(self.prefix).saturating_sub(self.base);
+        self.slots.drain(..n as usize);
+        self.base += n;
     }
 
     /// Discards every slot above 1-based index `keep` (so `get(i)` is
     /// `None` for all `i > keep`). Used only by the corruption fault
     /// injector ([`crate::corrupt`]) — no legal transition shrinks a
-    /// buffer.
+    /// buffer from the back.
     pub fn truncate(&mut self, keep: MsgIndex) {
-        self.slots.truncate(keep as usize);
+        self.slots.truncate(keep.saturating_sub(self.base) as usize);
+        self.base = self.base.min(keep);
+        while self.slots.back().is_some_and(Option::is_none) {
+            self.slots.pop_back();
+        }
+        self.prefix = self.prefix.min(self.last_index());
+    }
+
+    /// Whether the bookkeeping agrees with the slots: the recorded prefix
+    /// is the first gap, nothing below the window is counted missing, and
+    /// the back slot is populated. For [`crate::audit`].
+    pub fn is_consistent(&self) -> bool {
+        let held = self.slots.iter().take_while(|s| s.is_some()).count() as MsgIndex;
+        self.prefix == self.base + held && self.slots.back().is_none_or(Option::is_some)
     }
 }
 
@@ -79,6 +133,19 @@ pub struct SyncRecord {
     /// identical at every receiver — the observation behind the second
     /// §5.2.4 optimization ([`crate::Config::implicit_cuts`]).
     pub stream_pos: MsgIndex,
+}
+
+/// What an end-point knows about deliveries in its current view
+/// ([`crate::stability`]).
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct Stability {
+    /// `acked[r]`: the latest `last_dlvrd` vector peer `r` acknowledged.
+    pub acked: BTreeMap<ProcessId, Cut>,
+    /// The `last_dlvrd` vector this end-point last announced.
+    pub announced: BTreeMap<ProcessId, MsgIndex>,
+    /// Whether the host asked for an acknowledgement
+    /// ([`crate::Input::AckDue`]) that has not been sent yet.
+    pub armed: bool,
 }
 
 /// Block-handshake status (Fig. 11, `block_status`).
@@ -163,6 +230,12 @@ pub struct State {
     /// [`crate::wv::on_app_send`]).
     pub pending_sends: Vec<AppMsg>,
 
+    // ----- stability extension (see `crate::stability`) -----
+    /// Acknowledgement bookkeeping for the current view; allocated when
+    /// the first acknowledgement is asked for or heard, so an end-point
+    /// whose host never asks carries one null pointer.
+    pub stability: Option<Box<Stability>>,
+
     // ----- §8 crash/recovery -----
     /// While `true`, locally controlled actions and input effects are
     /// disabled.
@@ -195,6 +268,7 @@ impl State {
             now_us: 0,
             batch_opened_us: None,
             pending_sends: Vec::new(),
+            stability: None,
             crashed: false,
         }
     }
@@ -212,6 +286,15 @@ impl State {
     /// `view_msg[q]`, defaulting to `q`'s initial view.
     pub fn view_msg_of(&self, q: ProcessId) -> View {
         self.view_msg.get(&q).cloned().unwrap_or_else(|| View::initial(q))
+    }
+
+    /// Whether `view_msg[q]` is the current view: `q`'s stream (the own
+    /// one for `q = pid`) currently belongs to it.
+    pub fn in_current_view_stream(&self, q: ProcessId) -> bool {
+        match self.view_msg.get(&q) {
+            Some(v) => *v == self.current_view,
+            None => View::initial(q) == self.current_view,
+        }
     }
 
     /// `last_dlvrd[q]`, defaulting to 0.
@@ -327,6 +410,58 @@ mod tests {
         assert_eq!(s.get(0), None);
         assert_eq!(s.last_index(), 0);
         assert_eq!(s.longest_prefix(), 0);
+    }
+
+    #[test]
+    fn msg_seq_window_keeps_absolute_indices() {
+        let mut s = MsgSeq::default();
+        for k in 1..=6u8 {
+            s.push(AppMsg::from(vec![k]));
+        }
+        s.set(8, AppMsg::from("gap"));
+        s.free_through(4);
+        assert_eq!((s.freed(), s.retained()), (4, 4));
+        assert_eq!((s.get(4), s.get(5)), (None, Some(&AppMsg::from(vec![5u8]))));
+        assert_eq!((s.longest_prefix(), s.last_index()), (6, 8));
+        // Never past the gap-free prefix, and a late copy of a dropped
+        // message is ignored.
+        s.free_through(100);
+        assert_eq!((s.freed(), s.get(8)), (6, Some(&AppMsg::from("gap"))));
+        assert!(s.set(2, AppMsg::from("late copy")));
+        assert_eq!((s.get(2), s.freed(), s.retained()), (None, 6, 2));
+        // Filling the gap advances the prefix across what was buffered.
+        assert!(s.set(7, AppMsg::from("fill")));
+        assert_eq!(s.longest_prefix(), 8);
+        s.push(AppMsg::from("next"));
+        assert_eq!((s.longest_prefix(), s.last_index()), (9, 9));
+        assert!(s.is_consistent());
+    }
+
+    #[test]
+    fn msg_seq_refuses_an_index_far_past_its_prefix() {
+        let mut s = MsgSeq::default();
+        s.push(AppMsg::from("a"));
+        for forged in [1 + MAX_GAP + 1, 1 << 40, u64::MAX] {
+            assert!(!s.set(forged, AppMsg::from("forged")), "{forged}");
+        }
+        assert_eq!((s.last_index(), s.retained()), (1, 1));
+        assert!(s.set(1 + MAX_GAP, AppMsg::from("edge")));
+        assert_eq!(s.last_index(), 1 + MAX_GAP);
+    }
+
+    #[test]
+    fn msg_seq_truncate_reaches_below_the_window() {
+        let mut s = MsgSeq::default();
+        for _ in 0..5 {
+            s.push(AppMsg::from("m"));
+        }
+        s.set(8, AppMsg::from("far"));
+        s.truncate(7);
+        assert_eq!((s.last_index(), s.longest_prefix()), (5, 5), "trailing gaps go too");
+        s.free_through(4);
+        s.truncate(2);
+        assert_eq!((s.freed(), s.retained(), s.longest_prefix(), s.last_index()), (2, 0, 2, 2));
+        assert!(s.is_consistent());
     }
 
     #[test]

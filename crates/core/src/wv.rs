@@ -57,9 +57,10 @@ pub fn on_app_msg(st: &mut State, q: ProcessId, m: AppMsg) {
 }
 
 /// `co_rfifo.deliver(tag=fwd_msg, r, v, m, i)`: store the forwarded
-/// original at its tagged position.
-pub fn on_fwd_msg(st: &mut State, f: FwdPayload) {
-    st.buf_mut(f.origin, &f.view).set(f.index, f.msg);
+/// original at its tagged position. Returns `false` when the buffer
+/// refused the index ([`MsgSeq::set`]).
+pub fn on_fwd_msg(st: &mut State, f: FwdPayload) -> bool {
+    st.buf_mut(f.origin, &f.view).set(f.index, f.msg)
 }
 
 // ----- locally controlled actions -----

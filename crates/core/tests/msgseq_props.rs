@@ -2,7 +2,7 @@
 //! and the cut computation built on it.
 
 use proptest::prelude::*;
-use vsgm_core::state::{MsgSeq, State};
+use vsgm_core::state::{MsgSeq, State, MAX_GAP};
 use vsgm_types::{AppMsg, ProcessId};
 
 fn msg(k: u64) -> AppMsg {
@@ -71,6 +71,62 @@ proptest! {
         }
         let after: Vec<_> = (1..=30).map(|i| s.get(i).cloned()).collect();
         prop_assert_eq!(before, after);
+    }
+
+    /// Dropping a stable prefix changes what `get` returns below it and
+    /// nothing else: indices, prefix and last index stay absolute, and
+    /// later arrivals land where they would have.
+    #[test]
+    fn window_is_invisible_above_the_floor(
+        first in prop::collection::btree_set(1u64..40, 0..30),
+        floor in 0u64..45,
+        second in prop::collection::btree_set(1u64..40, 0..30),
+    ) {
+        let mut windowed = MsgSeq::default();
+        let mut whole = MsgSeq::default();
+        for &i in &first {
+            windowed.set(i, msg(i));
+            whole.set(i, msg(i));
+        }
+        windowed.free_through(floor);
+        let freed = floor.min(whole.longest_prefix());
+        prop_assert_eq!(windowed.freed(), freed);
+        for &i in &second {
+            windowed.set(i, msg(i));
+            whole.set(i, msg(i));
+        }
+        prop_assert_eq!(windowed.longest_prefix(), whole.longest_prefix());
+        prop_assert_eq!(windowed.last_index(), whole.last_index());
+        prop_assert!(windowed.is_consistent());
+        for i in 0..45 {
+            prop_assert_eq!(windowed.get(i), if i <= freed { None } else { whole.get(i) });
+        }
+        prop_assert_eq!(windowed.retained() as u64, whole.last_index() - freed);
+    }
+
+    /// An index from the wire is refused, and allocates nothing, once it
+    /// is more than `MAX_GAP` past the gap-free prefix — wherever the
+    /// prefix and the window are.
+    #[test]
+    fn set_refuses_exactly_beyond_the_gap_bound(
+        n in 0u64..20,
+        floor in 0u64..25,
+        far in any::<u64>(),
+    ) {
+        let mut s = MsgSeq::default();
+        for k in 1..=n {
+            s.push(msg(k));
+        }
+        s.free_through(floor);
+        let before = (s.retained(), s.last_index(), s.longest_prefix());
+        let beyond = n + MAX_GAP + 1;
+        let forged = beyond.max(far);
+        prop_assert!(!s.set(forged, msg(0)));
+        prop_assert!(!s.set(beyond, msg(0)));
+        prop_assert!(!s.set(0, msg(0)));
+        prop_assert_eq!((s.retained(), s.last_index(), s.longest_prefix()), before);
+        prop_assert!(s.set(beyond - 1, msg(0)));
+        prop_assert_eq!(s.last_index(), n + MAX_GAP);
     }
 
     /// commit_cut is monotone under message arrival: receiving more never

@@ -69,6 +69,36 @@ fn counters_track_the_protocol() {
 }
 
 #[test]
+fn acknowledgements_and_refused_stores_are_counted_and_recorded() {
+    use vsgm_obs::{names, ObsRecorder};
+    use vsgm_types::FwdPayload;
+    let mut ep = Endpoint::new(p(1), Config::default());
+    let mut rec = ObsRecorder::new();
+    full_change(&mut ep, 1, 1);
+    ep.handle(Input::AppSend(AppMsg::from("one")));
+    ep.poll();
+    // The host asks once: one acknowledgement of the own delivery.
+    ep.handle_rec(Input::AckDue, &mut rec);
+    let effects = ep.poll_rec(&mut rec);
+    assert_eq!(
+        effects,
+        vec![Effect::NetSend { to: set(&[2]), msg: NetMsg::Ack(Cut::from_iter([(p(1), 1)])) }]
+    );
+    assert!(ep.poll_rec(&mut rec).is_empty(), "one request, one acknowledgement");
+    // A forward whose index no stream could have reached is refused.
+    let forged = FwdPayload {
+        origin: p(2),
+        view: ep.current_view().clone(),
+        index: u64::MAX,
+        msg: AppMsg::from("forged"),
+    };
+    ep.handle_rec(Input::Net { from: p(2), msg: NetMsg::Fwd(forged) }, &mut rec);
+    assert_eq!(ep.stats().stores_refused, 1);
+    assert_eq!(rec.registry().counter(names::EP_ACKS_SENT), 1);
+    assert_eq!(rec.registry().counter(names::EP_STORES_REFUSED), 1);
+}
+
+#[test]
 fn recovery_resets_counters() {
     let mut ep = Endpoint::new(p(1), Config::default());
     full_change(&mut ep, 1, 1);

@@ -9,7 +9,7 @@ use vsgm_explore::{explore, ExploreConfig, ExploreOptions};
 
 fn usage() -> ! {
     eprintln!(
-        "usage: explore [--config canonical|aggregation|crash-recovery|corruption] [--no-dpor] [--format json]"
+        "usage: explore [--config canonical|aggregation|crash-recovery|corruption|ack-round] [--no-dpor] [--format json]"
     );
     std::process::exit(2);
 }

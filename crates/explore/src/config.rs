@@ -25,6 +25,10 @@ pub enum ExtKind {
     Crash,
     /// `recover_p()` (§8): restart with initial state, same identity.
     Recover,
+    /// The host asks for a stability acknowledgement (`ack_due_p`,
+    /// DESIGN.md §18). Not a trace event itself: the checkers see the
+    /// `ack_msg` the endpoint then sends.
+    AckDue,
     /// A transient state-corruption fault (DESIGN.md §15): mutate the
     /// endpoint's protocol state in place. The explorer runs the
     /// tick-cadence `StateAudit` atomically with the injection, so each
@@ -280,6 +284,42 @@ impl ExploreConfig {
         }
     }
 
+    /// Stability (DESIGN.md §18): an acknowledgement round races a
+    /// `start_change`. In view `{1,2,3}`, `p1`'s multicast has been
+    /// delivered everywhere and `p3` has acknowledged it. Preloaded — sent,
+    /// nothing delivered — are a multicast from `p2` and the
+    /// acknowledgements of `p1` and `p2`; then `p3` leaves. Exploration
+    /// enumerates every interleaving of those six arrivals (the last
+    /// acknowledgement to arrive is the one that lets its receiver drop
+    /// `m1`) with the survivors' membership notifications, their
+    /// synchronization round and the view: whatever an end-point has
+    /// dropped by the time it cuts, `{1,2}` must agree and install.
+    pub fn ack_round() -> ExploreConfig {
+        let (mut setup, _) = initial_view_setup(1, 1, &[1, 2, 3]);
+        let send = |m, text| ExtEvent {
+            p: pid(m),
+            kind: ExtKind::Send(AppMsg::from(text)),
+            after: vec![],
+        };
+        let ack_due = |m| ExtEvent { p: pid(m), kind: ExtKind::AckDue, after: vec![] };
+        setup.push(send(1, "m1"));
+        setup.push(ack_due(3));
+        let preload = vec![send(2, "m2"), ack_due(1), ack_due(2)];
+        let mut events = Vec::new();
+        let mut chain = std::collections::BTreeMap::new();
+        let final_view = push_change(&mut events, &mut chain, 2, 2, &[1, 2], false);
+        ExploreConfig {
+            name: "ack-round".to_string(),
+            n: 3,
+            endpoint: vsgm_core::Config::default(),
+            setup,
+            preload,
+            events,
+            final_view: Some(final_view),
+            max_depth: 2_000,
+        }
+    }
+
     /// All seed configurations, in the order the smoke stage runs them.
     pub fn seeds() -> Vec<ExploreConfig> {
         vec![
@@ -287,6 +327,7 @@ impl ExploreConfig {
             ExploreConfig::aggregation(),
             ExploreConfig::crash_recovery(),
             ExploreConfig::corruption(),
+            ExploreConfig::ack_round(),
         ]
     }
 }

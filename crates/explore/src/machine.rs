@@ -201,7 +201,7 @@ impl<'a> Machine<'a> {
                 // A transient fault strikes live state only; a crashed
                 // endpoint has nothing to corrupt (§8 wipes it anyway).
                 ExtKind::Corrupt(_) => !st.crashed.contains(&ev.p),
-                ExtKind::StartChange { .. } | ExtKind::View(_) => true,
+                ExtKind::StartChange { .. } | ExtKind::View(_) | ExtKind::AckDue => true,
             };
             if ready {
                 let global = matches!(
@@ -294,6 +294,11 @@ impl<'a> Machine<'a> {
                 self.trace.push(Event::Live { p, set: self.live_set(st) });
                 let effects =
                     st.eps.get_mut(&p).expect("known proc").handle(Input::MbrshpView(view.clone()));
+                self.route(st, p, effects);
+            }
+            ExtKind::AckDue => {
+                // Input effects are disabled while crashed (§8).
+                let effects = st.eps.get_mut(&p).expect("known proc").handle(Input::AckDue);
                 self.route(st, p, effects);
             }
             ExtKind::Crash => {

@@ -83,6 +83,20 @@ fn corruption_counts_are_pinned_and_every_path_converges() {
     );
 }
 
+#[test]
+fn ack_round_counts_are_pinned() {
+    // Stability (DESIGN.md §18): a multicast and two acknowledgements in
+    // flight race p3's leave. Every arrival order lets the survivors drop
+    // messages before, between or after their cuts; on every path they
+    // must agree and install {1,2}.
+    let outcome = explore(&ExploreConfig::ack_round(), &dpor());
+    assert!(outcome.is_clean(), "{:?}", outcome.counterexample);
+    assert_eq!(
+        outcome.stats,
+        Stats { paths: 30928, pruned: 123034, states: 4380, max_depth: 21, violating_paths: 0 }
+    );
+}
+
 /// A configuration scripted to violate the membership safety spec: after
 /// the initial view installs with start-change id 5, the service hands
 /// `p1` a *non-monotonic* start-change (id 3). Fig. 2 requires strictly

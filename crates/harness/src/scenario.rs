@@ -83,6 +83,9 @@ pub enum Step {
         /// Process number.
         p: u64,
     },
+    /// One round of stability acknowledgements: every live end-point is
+    /// asked to tell its view what it has delivered.
+    AckRound,
     /// Corrupt one facet of `p`'s protocol state in place (transient
     /// fault injection for the self-stabilization tier). The damage is
     /// detected by the endpoint's `StateAudit` pass on its next tick and
@@ -153,6 +156,7 @@ pub fn apply_step(sim: &mut Sim<vsgm_core::Endpoint>, step: &Step) {
             burst_len: 0,
         }),
         Step::CrashDuringSync { p } => sim.crash_during_sync(ProcessId::new(*p)),
+        Step::AckRound => sim.ack_round(),
         Step::Corrupt { p, kind } => sim.corrupt(ProcessId::new(*p), *kind),
     }
 }
@@ -287,6 +291,7 @@ mod tests {
                 Step::Send { p: 1, msg: "x".into() },
                 Step::RunFor { ms: 20 },
                 Step::CrashDuringSync { p: 2 },
+                Step::AckRound,
                 Step::Corrupt { p: 1, kind: vsgm_core::CorruptionKind::ScrambleMembership },
                 Step::Run,
             ],

@@ -308,6 +308,22 @@ impl<E: GroupEndpoint> Sim<E> {
         }
     }
 
+    /// One round of stability acknowledgements: every live end-point is
+    /// told [`Input::AckDue`]. Like [`Sim::send`], this only feeds the
+    /// input: the acknowledgements go out when the end-points next step,
+    /// and travel like any other message.
+    pub fn ack_round(&mut self) {
+        let ids: Vec<ProcessId> = self.eps.keys().copied().collect();
+        for id in ids {
+            if self.eps[&id].is_crashed() {
+                continue;
+            }
+            let rec = rec_of(&mut self.obs, &mut self.noop);
+            let effects = self.eps.get_mut(&id).expect("known proc").handle_rec(Input::AckDue, rec);
+            self.route(id, effects);
+        }
+    }
+
     // ----- membership scripting -----
 
     /// Issues a `start_change` suggesting `suggested`, to all of

@@ -17,7 +17,7 @@
 //! body      := 0x01 msg
 //! msg       := tag:u8 payload
 //! tag       := 0 ViewMsg | 1 App | 2 Fwd | 3 Sync | 4 SyncAgg
-//!            | 5 Baseline::Propose | 6 Baseline::Sync | 7 AppBatch
+//!            | 5 Baseline::Propose | 6 Baseline::Sync | 7 AppBatch | 8 Ack
 //! view      := epoch:u64 proposer:u64 n:u32 (pid:u64 cid:u64)^n
 //! cut       := n:u32 (pid:u64 index:u64)^n
 //! bytes     := n:u32 byte^n
@@ -31,6 +31,7 @@
 //!   Propose := n:u32 pid:u64^n seq:u64
 //!   BlSync  := n:u32 pid:u64^n tag_seq:u64 tag_pid:u64 view cut
 //!   AppBatch:= n:u32 bytes^n
+//!   Ack     := cut, pids strictly increasing
 //! ```
 //!
 //! [`decode_body`] is total: no input can panic, allocate unboundedly, or
@@ -77,6 +78,7 @@ const TAG_SYNC_AGG: u8 = 4;
 const TAG_BL_PROPOSE: u8 = 5;
 const TAG_BL_SYNC: u8 = 6;
 const TAG_APP_BATCH: u8 = 7;
+const TAG_ACK: u8 = 8;
 
 /// Encoding selected for *outgoing* frames. Decoding always accepts both.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -374,6 +376,10 @@ fn enc_msg(out: &mut Vec<u8>, msg: &NetMsg) {
             put_view(out, view);
             put_cut(out, cut);
         }
+        NetMsg::Ack(cut) => {
+            out.push(TAG_ACK);
+            put_cut(out, cut);
+        }
     }
 }
 
@@ -445,6 +451,23 @@ fn dec_cut(cur: &mut Cur<'_>) -> Option<Cut> {
         let p = ProcessId::new(cur.u64()?);
         let i = cur.u64()?;
         cut.set(p, i);
+    }
+    Some(cut)
+}
+
+/// An acknowledgement vector is accepted in the encoder's form only:
+/// pids strictly increasing, so none appears twice.
+fn dec_ack(cur: &mut Cur<'_>) -> Option<Cut> {
+    let n = cur.count(16)?;
+    let mut cut = Cut::new();
+    let mut last = None;
+    for _ in 0..n {
+        let p = ProcessId::new(cur.u64()?);
+        if last.is_some_and(|q| q >= p) {
+            return None;
+        }
+        last = Some(p);
+        cut.set(p, cur.u64()?);
     }
     Some(cut)
 }
@@ -521,6 +544,7 @@ fn dec_msg_ref<'a>(cur: &mut Cur<'a>) -> Option<BodyRef<'a>> {
                 cut,
             })))
         }
+        TAG_ACK => Some(BodyRef::Owned(NetMsg::Ack(dec_ack(cur)?))),
         _ => None,
     }
 }
@@ -597,6 +621,8 @@ mod tests {
                 view: v,
                 cut: Cut::from_iter([(p(2), 3)]),
             }),
+            NetMsg::Ack(Cut::from_iter([(p(1), 9), (p(2), 0), (p(5), u64::MAX)])),
+            NetMsg::Ack(Cut::new()),
         ]
     }
 
@@ -693,6 +719,51 @@ mod tests {
         );
         assert_eq!(hex, expected);
         assert_eq!(decode_body(&body), Some(msg));
+    }
+
+    /// Pinned golden bytes for the stability acknowledgement (tag 8).
+    /// Same compatibility rule as [`golden_bytes_are_stable`].
+    #[test]
+    fn golden_ack_bytes_are_stable() {
+        let msg = NetMsg::Ack(Cut::from_iter([(p(1), 64), (p(2), 0)]));
+        let body = encode_body(&msg, WireFormat::Binary).unwrap();
+        let hex: String = body.iter().map(|b| format!("{b:02x}")).collect();
+        let expected = concat!(
+            "01",               // BINARY_V1
+            "08",               // tag: Ack
+            "02000000",         // 2 entries
+            "0100000000000000", // p1
+            "4000000000000000", // -> 64
+            "0200000000000000", // p2
+            "0000000000000000", // -> 0
+        );
+        assert_eq!(hex, expected);
+        assert_eq!(decode_body(&body), Some(msg));
+    }
+
+    /// Malformed acknowledgement vectors: cut short, a pid twice (or out
+    /// of order), and a count the body cannot hold.
+    #[test]
+    fn malformed_ack_vectors_are_rejected() {
+        let entry = |pid: u64, idx: u64| [pid.to_le_bytes(), idx.to_le_bytes()].concat();
+        let ack = |count: u32, entries: &[Vec<u8>]| {
+            let mut body = vec![BINARY_V1, TAG_ACK];
+            body.extend_from_slice(&count.to_le_bytes());
+            body.extend(entries.iter().flatten());
+            body
+        };
+        let good = ack(2, &[entry(1, 5), entry(2, 7)]);
+        assert_eq!(
+            decode_body(&good),
+            Some(NetMsg::Ack(Cut::from_iter([(p(1), 5), (p(2), 7)])))
+        );
+        for cut_at in 0..good.len() {
+            assert_eq!(decode_body(good.get(..cut_at).unwrap_or(&[])), None, "cut at {cut_at}");
+        }
+        assert_eq!(decode_body(&ack(2, &[entry(1, 5), entry(1, 7)])), None, "duplicate pid");
+        assert_eq!(decode_body(&ack(2, &[entry(2, 5), entry(1, 7)])), None, "unordered pids");
+        assert_eq!(decode_body(&ack(u32::MAX, &[entry(1, 5)])), None, "length overflow");
+        assert_eq!(decode_body(&ack(3, &[entry(1, 5), entry(2, 7)])), None, "count past the body");
     }
 
     #[test]
@@ -811,7 +882,7 @@ mod tests {
             assert_eq!(decode_body_ref(&padded), None, "{m:?}");
         }
         // Hostile counts reject cheaply on the ref path too.
-        for tag in [TAG_APP, TAG_APP_BATCH, TAG_SYNC_AGG, TAG_FWD] {
+        for tag in [TAG_APP, TAG_APP_BATCH, TAG_SYNC_AGG, TAG_FWD, TAG_ACK] {
             let mut evil = vec![BINARY_V1, tag];
             evil.extend_from_slice(&u32::MAX.to_le_bytes());
             assert_eq!(decode_body_ref(&evil), None);

@@ -121,6 +121,7 @@ fn arb_net_msg() -> impl Strategy<Value = NetMsg> {
                 view,
                 cut
             })),
+        arb_cut().prop_map(NetMsg::Ack),
     ]
 }
 

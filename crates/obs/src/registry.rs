@@ -218,6 +218,10 @@ pub mod names {
     pub const EP_FORWARDS_SENT: &str = "endpoint.forwards_sent";
     /// Block requests issued (end-point layer).
     pub const EP_BLOCKS: &str = "endpoint.blocks";
+    /// Stability acknowledgements sent (end-point layer).
+    pub const EP_ACKS_SENT: &str = "endpoint.acks_sent";
+    /// Forwarded messages refused for an index outside the buffer.
+    pub const EP_STORES_REFUSED: &str = "endpoint.stores_refused";
     /// Application-message batch flushes (one per wire frame carrying
     /// original `app_msg` traffic, batched or not).
     pub const EP_BATCH_FLUSHES: &str = "endpoint.batch_flushes";

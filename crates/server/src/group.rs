@@ -8,10 +8,13 @@
 //! or leave into one paper reconfiguration (`start_change` + view), and
 //! a FIFO queue standing in for `CO_RFIFO` between co-hosted end-points.
 //! Nothing is simulated: no latency model, no clock, no randomness, no
-//! recorded trace. Every external action the host performs is emitted
-//! once, as the same [`Event`] a trace would hold, to the full
-//! [`vsgm_spec::full_checks`] battery, which judges it online and keeps
-//! only what it needs to judge the next one.
+//! recorded trace. Once every [`ACK_EVERY`] multicasts it asks its members
+//! for a stability acknowledgement, so that their message buffers follow
+//! what is undelivered rather than what was ever sent (DESIGN.md §18).
+//! Every external action the host performs is emitted once, as the same
+//! [`Event`] a trace would hold, to the full [`vsgm_spec::full_checks`]
+//! battery, which judges it online and keeps only what it needs to judge
+//! the next one.
 //!
 //! Commands arrive as [`GroupCmd`] values through the owning shard's
 //! channel, so per-group execution is totally ordered and reproducible:
@@ -38,6 +41,11 @@ use vsgm_types::{AppMsg, Event, FwdPayload, GroupId, NetMsg, ProcSet, ProcessId,
 pub fn group_seed(base: u64, gid: GroupId) -> u64 {
     base ^ gid.raw().wrapping_mul(0x9E37_79B9_7F4A_7C15)
 }
+
+/// Multicasts applied between two rounds of stability acknowledgements:
+/// a member retains about this many messages per sender, and a round
+/// costs n + n(n−1) events (EXPERIMENTS.md E16).
+const ACK_EVERY: u64 = 64;
 
 /// Whether a group of `capacity` admits process `p`: ids `1..=capacity`.
 pub(crate) fn admits(capacity: u64, p: ProcessId) -> bool {
@@ -114,6 +122,8 @@ pub struct GroupInstance {
     net: VecDeque<(ProcessId, ProcessId, NetMsg)>,
     /// End-points that took an input since they were last polled.
     dirty: BTreeSet<ProcessId>,
+    /// Multicasts applied since the last acknowledgement round.
+    sends_since_ack: u64,
     checks: CheckSet,
     /// External actions emitted so far (the next event's step number).
     emitted: u64,
@@ -141,6 +151,7 @@ impl GroupInstance {
             proposer_seq: 0,
             net: VecDeque::new(),
             dirty: BTreeSet::new(),
+            sends_since_ack: 0,
             checks: vsgm_spec::full_checks(None),
             emitted: 0,
             outputs: Vec::new(),
@@ -196,6 +207,7 @@ impl GroupInstance {
                 if let Some(msg) = h.client.want_send(msg) {
                     self.emit(Event::Send { p: from, msg: msg.clone() });
                     self.feed(from, Input::AppSend(msg));
+                    self.sends_since_ack += 1;
                 }
             }
             GroupCmd::Run => self.run_to_quiescence(),
@@ -204,12 +216,22 @@ impl GroupInstance {
 
     /// Runs the instance to quiescence: polls every end-point that took
     /// an input, once, then hands each queued message to its addressee,
-    /// until nothing is enabled and nothing is in flight. (Daemon mode
-    /// runs this after every command so outputs are promptly drainable.)
+    /// until nothing is enabled and nothing is in flight; when
+    /// [`ACK_EVERY`] multicasts have been applied since the last round,
+    /// every member is then asked to acknowledge, and that runs to
+    /// quiescence too. (Daemon mode runs this after every command so
+    /// outputs are promptly drainable.)
     pub fn run_to_quiescence(&mut self) {
         loop {
             self.poll_dirty();
             if self.net.is_empty() {
+                if self.sends_since_ack >= ACK_EVERY {
+                    self.sends_since_ack = 0;
+                    for p in self.members.clone() {
+                        self.feed(p, Input::AckDue);
+                    }
+                    continue;
+                }
                 // A view change queues ~n² messages at once; an idle group
                 // should not keep a buffer sized for its last one.
                 self.net.shrink_to_fit();
@@ -494,6 +516,38 @@ mod tests {
         assert_eq!(later.trace_len, undrained.trace_len + 5);
         assert_eq!(later.delivered, 4);
         assert!(g.finish().is_empty());
+    }
+
+    /// The counted side of EXPERIMENTS.md E16 (after Arnon & Sharma): a
+    /// multicast is 2n+1 events — `Send`, `NetSend`, n `Deliver`, n−1
+    /// `NetDeliver` — and every [`ACK_EVERY`] of them a round of
+    /// acknowledgements adds n `NetSend` and n(n−1) `NetDeliver`.
+    #[test]
+    fn events_per_multicast_are_2n_plus_1_and_a_round_is_n_squared() {
+        for n in [2u64, 4, 8] {
+            let mut g = GroupInstance::new(GroupId::new(n), n, 0);
+            for i in 1..=n {
+                step(&mut g, GroupCmd::Join(p(i)));
+            }
+            let before = g.report().trace_len as u64;
+            let rounds = 10;
+            for k in 0..rounds * ACK_EVERY {
+                assert_eq!(step(&mut g, send(1 + k % n, "m")).len() as u64, n);
+            }
+            let events = g.report().trace_len as u64 - before;
+            assert_eq!(
+                events,
+                rounds * ACK_EVERY * (2 * n + 1) + rounds * (n + n * (n - 1)),
+                "n = {n}"
+            );
+            // The last round left every member's buffers empty.
+            for h in g.hosted.values() {
+                let st = h.ep.state();
+                let held: usize = st.msgs.values().map(|buf| buf.retained()).sum();
+                assert_eq!(held, 0, "n = {n}: {} retains {held}", h.ep.pid());
+            }
+            assert!(g.finish().is_empty());
+        }
     }
 
     #[test]

@@ -1,8 +1,10 @@
 //! A hosted group's footprint is a function of its membership, not of its
 //! history: resident memory must plateau under a long multicast stream
-//! with membership churn, and under a long run of view changes alone —
-//! and not of its capacity either: a third soak holds 1000 groups of four
-//! to a per-group budget that unused capacity must not move.
+//! with membership churn, under the same stream in a view that never
+//! changes (where only the end-points' stability rule collects), and
+//! under a long run of view changes alone — and not of its capacity
+//! either: a fourth soak holds 1000 groups of four to a per-group budget
+//! that unused capacity must not move.
 //!
 //! The soaks drive 4-member [`GroupInstance`]s the way a daemon shard
 //! worker does (`apply` → `run_to_quiescence` → `drain_outputs`) with every
@@ -105,6 +107,53 @@ fn resident_memory_plateaus_under_multicast_with_churn() {
         MULTICASTS / 2,
         grown / (MULTICASTS / 2)
     );
+}
+
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "release-mode soak; scripts/check.sh runs it by name"
+)]
+fn resident_memory_plateaus_in_a_view_that_never_changes() {
+    const MULTICASTS: u64 = 200_000;
+    let _turn = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
+    let payload = AppMsg::new(vec![0xA5u8; 64]);
+    // Every member multicasting in turn, then p1 alone with three silent
+    // receivers: no join or leave after set-up, so nothing but the
+    // members' acknowledgements lets an end-point drop a message.
+    for (who, senders) in [("round-robin", 4), ("p1 only", 1)] {
+        let mut g = group_of_four();
+        let views = g.report().views_installed;
+        let mut frames = 0usize;
+        let mut rss_halfway = 0;
+        for i in 0..MULTICASTS {
+            if i == MULTICASTS / 2 {
+                rss_halfway = rss_bytes();
+            }
+            frames += step(
+                &mut g,
+                GroupCmd::Send {
+                    from: p(1 + i % senders),
+                    msg: payload.clone(),
+                },
+            );
+        }
+        let grown = rss_bytes().saturating_sub(rss_halfway);
+        println!(
+            "{who}: second {} multicasts in one view: resident set +{grown} B",
+            MULTICASTS / 2
+        );
+        assert_eq!(frames as u64, MULTICASTS * 4, "{who}");
+        let report = g.report();
+        assert_eq!(report.delivered, MULTICASTS * 4, "{who}");
+        assert_eq!(report.views_installed, views, "{who}: the view never changed");
+        assert!(g.finish().is_empty(), "{who}: spec checkers clean");
+        assert!(
+            grown < MULTICASTS / 2,
+            "{who}: resident set grew {grown} B over the second {} multicasts of one view",
+            MULTICASTS / 2
+        );
+    }
 }
 
 #[test]

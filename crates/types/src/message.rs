@@ -175,6 +175,7 @@ impl BaselineMsg {
 /// | [`NetMsg::Sync`]    | `sync_msg` | Fig. 10 (`VS_RFIFO+TS_p`) |
 /// | [`NetMsg::SyncAgg`] | — (§9 two-tier extension) | this repo |
 /// | [`NetMsg::AppBatch`] | — (endpoint batching) | this repo |
+/// | [`NetMsg::Ack`] | `ack_msg` (stability, DESIGN.md §18) | this repo |
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub enum NetMsg {
     /// "All following `App` messages from me were sent in view `v`."
@@ -197,6 +198,11 @@ pub enum NetMsg {
     AppBatch(Vec<AppMsg>),
     /// A message of the two-round pre-agreement baseline algorithm.
     Baseline(BaselineMsg),
+    /// Stability acknowledgement: the sender's `last_dlvrd` vector for the
+    /// view it last announced. It travels in-stream behind that
+    /// `ViewMsg`, so a receiver attributes it to `view_msg[sender]`
+    /// exactly as it attributes `App` messages.
+    Ack(Cut),
 }
 
 impl NetMsg {
@@ -211,6 +217,7 @@ impl NetMsg {
             NetMsg::AppBatch(_) => "app_batch",
             NetMsg::Baseline(BaselineMsg::Propose { .. }) => "bl_propose",
             NetMsg::Baseline(BaselineMsg::Sync { .. }) => "bl_sync",
+            NetMsg::Ack(_) => "ack_msg",
         }
     }
 
@@ -226,6 +233,7 @@ impl NetMsg {
                 16 + batch.iter().map(|m| 4 + m.len()).sum::<usize>()
             }
             NetMsg::Baseline(b) => b.wire_size(),
+            NetMsg::Ack(c) => 8 + c.len() * 16,
         }
     }
 }
@@ -287,6 +295,9 @@ mod tests {
         );
         assert_eq!(NetMsg::SyncAgg(vec![]).tag(), "sync_agg");
         assert_eq!(NetMsg::AppBatch(vec![AppMsg::from("x")]).tag(), "app_batch");
+        let ack = NetMsg::Ack(Cut::from_iter([(p(1), 3), (p(2), 0)]));
+        assert_eq!(ack.tag(), "ack_msg");
+        assert_eq!(ack.wire_size(), 8 + 16 * 2);
     }
 
     #[test]
@@ -306,6 +317,7 @@ mod tests {
                 cut: Cut::from_iter([(p(1), 2), (p(2), 0)]),
             }),
             NetMsg::AppBatch(vec![AppMsg::from("a"), AppMsg::from("bb")]),
+            NetMsg::Ack(Cut::from_iter([(p(1), 2), (p(2), 0)])),
         ];
         for m in msgs {
             let s = serde_json::to_string(&m).unwrap();

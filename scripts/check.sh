@@ -26,14 +26,18 @@ cargo clippy --workspace "${CARGO_FLAGS[@]}" -- -D warnings
 echo "==> vsgm-analyze --format json"
 cargo run -q -p vsgm-analyze "${CARGO_FLAGS[@]}" -- --format json
 
-# Explore smoke: exhaustively enumerate every interleaving of the four
+# Explore smoke: exhaustively enumerate every interleaving of the five
 # seed configurations (DPOR-pruned) and judge each path with the full
 # checker suite. Exit 1 carries a replayable counterexample schedule.
-# The same counts are pinned as regressions in crates/explore/tests.
+# The same counts are pinned as regressions in crates/explore/tests; the
+# stability configuration's (an acknowledgement round racing a
+# start_change, DESIGN.md §18) is pinned here as well.
 echo "==> vsgm-explore seeds"
-for cfg in canonical aggregation crash-recovery corruption; do
-    cargo run -q --release -p vsgm-explore --bin explore "${CARGO_FLAGS[@]}" -- \
-        --config "$cfg" --format json
+for cfg in canonical aggregation crash-recovery corruption ack-round; do
+    explored="$(cargo run -q --release -p vsgm-explore --bin explore "${CARGO_FLAGS[@]}" -- \
+        --config "$cfg" --format json)"
+    echo "$explored"
+    [ "$cfg" != ack-round ] || grep -q '"paths":30928,' <<<"$explored"
 done
 
 # TSan smoke: the writer-thread / batching / transport paths of vsgm-net
@@ -95,6 +99,15 @@ test -s BENCH_gcs.json
 echo "==> batching differential suite"
 cargo test -q -p vsgm --test batching_differential "${CARGO_FLAGS[@]}" >/dev/null
 
+# Stability differential (DESIGN.md §18), run by name: 60 randomized
+# schedules with and without acknowledgement rounds must deliver the
+# byte-identical events per process with every checker green; the pinned
+# race (a view change against a half-acknowledged prefix) must forward
+# and install; and on a network that makes end-points drop at the max
+# acknowledgement instead of the min, the same race must fail.
+echo "==> stability differential suite"
+cargo test -q -p vsgm --test stability_differential "${CARGO_FLAGS[@]}" >/dev/null
+
 # Multi-group conformance (DESIGN.md §17). Differential: the daemon's
 # direct host must hand every receiver the byte-identical frame sequence
 # the Sim-backed oracle (tests/support/) does over >=50 randomized
@@ -112,15 +125,19 @@ cargo test -q -p vsgm --test multigroup_chaos "${CARGO_FLAGS[@]}" >/dev/null
 # Hosted-group memory soaks (DESIGN.md §17), every spec checker online,
 # release-only (ignored in debug builds), run by name, a few seconds
 # each. Plateau: one 4-member group through 200,000 multicasts with a
-# leave/re-join every 1,000, then 40,000 view changes — resident memory
-# must stop growing (< 16 B per multicast, < 64 B per view change over
-# the second half); a host that hoards history again fails here.
+# leave/re-join every 1,000, the same 200,000 in a view that never
+# changes (from all four members, then from one with three silent
+# receivers), then 40,000 view changes — resident memory must stop
+# growing (< 16 B per multicast with churn, < 1 B without, < 64 B per
+# view change over the second half); a host that hoards history again,
+# or end-points that stop acknowledging, fail here.
 # Footprint: 1000 groups of four (joined, drained, one multicast per
 # member) stay under 48 KB resident each, and four members in capacity
 # 16 cost within 1 KB of four in capacity 4 — a host that provisions
 # per capacity, or simulates its clients again, fails here.
-echo "==> hosted-group memory soaks (plateau x2, footprint)"
+echo "==> hosted-group memory soaks (plateau x3, footprint)"
 for soak in resident_memory_plateaus_under_multicast_with_churn \
+            resident_memory_plateaus_in_a_view_that_never_changes \
             resident_memory_plateaus_under_view_changes \
             a_thousand_groups_of_four_fit_their_budget_and_unused_capacity_costs_nothing; do
     timeout 600 cargo test -q --release -p vsgm-server --test plateau "${CARGO_FLAGS[@]}" \
@@ -163,7 +180,8 @@ fi
 awk '/^vsgm benchmark: workload/ { w = $4 }
      /^  rss_paced_mb/ { printf "    %-12s rss_paced_mb %s %s\n", w, $2, $3 }' <<<"$smoke_out"
 
-# Chaos smoke: randomized fault-injection search over a fixed seed batch.
+# Chaos smoke: randomized fault-injection search over a fixed seed batch
+# (rounds of stability acknowledgements are in its step alphabet).
 # Every generated scenario must pass the full checker suite (exit 0); the
 # run is deterministic, so a failure here is a reproducible protocol bug —
 # rerun with `--seed <n> --minimize` to shrink it.

@@ -239,6 +239,35 @@ fn pinned_leave_and_rejoin_between_multicasts_matches_the_oracle() {
 }
 
 #[test]
+fn pinned_long_stable_view_matches_the_oracle_across_acknowledgement_rounds() {
+    // The direct host asks its members for a stability acknowledgement
+    // once every 64 multicasts (DESIGN.md §18); the oracle never does.
+    // Two hundred multicasts in one view, a leave, and more: three rounds
+    // fire on one side only, and no receiver may be able to tell — the
+    // acknowledgements show up in the direct host's event count and
+    // nowhere else.
+    let mut cmds: Vec<GroupCmd> = (1..=4).map(|i| GroupCmd::Join(p(i))).collect();
+    for k in 0..200 {
+        cmds.push(send(1 + k % 4, &format!("stable-{k}")));
+    }
+    cmds.push(GroupCmd::Leave(p(3)));
+    for k in 0..20 {
+        cmds.push(send(1 + k % 2, &format!("after-{k}")));
+    }
+    let gid = GroupId::new(64);
+    let direct = isolated_run(gid, 4, &cmds, true);
+    let oracle = oracle_run(gid, 4, &cmds);
+    assert_eq!(direct.wire, oracle.wire, "frames differ between the direct host and the oracle");
+    // Each round in the four-member view is 4 sends to 3 peers each.
+    let rounds = 3;
+    assert_eq!(direct.report.trace_len, oracle.report.trace_len + rounds * (4 + 4 * 3));
+    assert_eq!(
+        GroupReport { trace_len: 0, ..direct.report },
+        GroupReport { trace_len: 0, ..oracle.report }
+    );
+}
+
+#[test]
 fn pinned_four_unsettled_joins_end_in_one_full_view_on_both_hosts() {
     // What `benchmark/src/layers.rs::group` does: four joins applied
     // before the first `run_to_quiescence`. Mid-reconfiguration arrival
