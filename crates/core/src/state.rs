@@ -1,7 +1,7 @@
 //! End-point state: the union of the state variables of Figs. 9–11.
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
-use vsgm_types::{AppMsg, Cut, MsgIndex, ProcSet, ProcessId, StartChangeId, View};
+use std::collections::{BTreeSet, VecDeque};
+use vsgm_types::{AppMsg, Cut, MsgIndex, ProcSet, ProcessId, StartChangeId, VecMap, View};
 
 /// How many slots past its gap-free prefix a buffer accepts a message.
 /// A legitimate forward is never further ahead than what some member's
@@ -140,9 +140,9 @@ pub struct SyncRecord {
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Stability {
     /// `acked[r]`: the latest `last_dlvrd` vector peer `r` acknowledged.
-    pub acked: BTreeMap<ProcessId, Cut>,
+    pub acked: VecMap<ProcessId, Cut>,
     /// The `last_dlvrd` vector this end-point last announced.
-    pub announced: BTreeMap<ProcessId, MsgIndex>,
+    pub announced: VecMap<ProcessId, MsgIndex>,
     /// Whether the host asked for an acknowledgement
     /// ([`crate::Input::AckDue`]) that has not been sent yet.
     pub armed: bool,
@@ -169,21 +169,21 @@ pub struct State {
 
     // ----- WV_RFIFO_p (Fig. 9) -----
     /// `msgs[q][v]`: per-sender, per-view message buffers.
-    pub msgs: BTreeMap<(ProcessId, View), MsgSeq>,
+    pub msgs: VecMap<(ProcessId, View), MsgSeq>,
     /// Index of the last own message multicast via `CO_RFIFO`.
     pub last_sent: MsgIndex,
     /// `last_rcvd[q]`: last original-stream index received from `q`.
-    pub last_rcvd: BTreeMap<ProcessId, MsgIndex>,
+    pub last_rcvd: VecMap<ProcessId, MsgIndex>,
     /// `last_dlvrd[q]`: last index delivered to the application from `q`
     /// in the current view.
-    pub last_dlvrd: BTreeMap<ProcessId, MsgIndex>,
+    pub last_dlvrd: VecMap<ProcessId, MsgIndex>,
     /// The view last delivered to the application.
     pub current_view: View,
     /// The view last received from the membership service.
     pub mbrshp_view: View,
     /// `view_msg[q]`: the view conveyed by the latest `view_msg` from `q`
     /// (`view_msg[pid]` = the last view *we* announced).
-    pub view_msg: BTreeMap<ProcessId, View>,
+    pub view_msg: VecMap<ProcessId, View>,
     /// Peers we asked `CO_RFIFO` to keep reliable channels to.
     pub reliable_set: ProcSet,
 
@@ -191,10 +191,10 @@ pub struct State {
     /// The pending `start_change`, if a view change is in progress.
     pub start_change: Option<(StartChangeId, ProcSet)>,
     /// `sync_msg[q][cid]` cells.
-    pub sync_msgs: BTreeMap<(ProcessId, StartChangeId), SyncRecord>,
+    pub sync_msgs: VecMap<(ProcessId, StartChangeId), SyncRecord>,
     /// Largest sync cid received from each peer (used by the eager
     /// forwarding strategy to find the peer's freshest cut).
-    pub latest_sync_cid: BTreeMap<ProcessId, StartChangeId>,
+    pub latest_sync_cid: VecMap<ProcessId, StartChangeId>,
     /// `(dest, origin, view, index)` tuples already forwarded.
     pub forwarded: BTreeSet<(ProcessId, ProcessId, View, MsgIndex)>,
 
@@ -205,7 +205,7 @@ pub struct State {
     // ----- §9 aggregation extension -----
     /// Leader-side buffer of collected synchronization messages for the
     /// current change: `(sender, cid, record)`.
-    pub agg_buffer: BTreeMap<ProcessId, (StartChangeId, SyncRecord)>,
+    pub agg_buffer: VecMap<ProcessId, (StartChangeId, SyncRecord)>,
     /// Whether the leader already flushed the batched aggregate for the
     /// current change (stragglers are then relayed individually).
     pub agg_flushed: bool,
@@ -249,20 +249,20 @@ impl State {
         let initial = View::initial(pid);
         State {
             pid,
-            msgs: BTreeMap::new(),
+            msgs: VecMap::new(),
             last_sent: 0,
-            last_rcvd: BTreeMap::new(),
-            last_dlvrd: BTreeMap::new(),
+            last_rcvd: VecMap::new(),
+            last_dlvrd: VecMap::new(),
             current_view: initial.clone(),
             mbrshp_view: initial,
-            view_msg: BTreeMap::new(),
+            view_msg: VecMap::new(),
             reliable_set: [pid].into_iter().collect(),
             start_change: None,
-            sync_msgs: BTreeMap::new(),
-            latest_sync_cid: BTreeMap::new(),
+            sync_msgs: VecMap::new(),
+            latest_sync_cid: VecMap::new(),
             forwarded: BTreeSet::new(),
             block_status: BlockStatus::Unblocked,
-            agg_buffer: BTreeMap::new(),
+            agg_buffer: VecMap::new(),
             agg_flushed: false,
             agg_scope: None,
             now_us: 0,

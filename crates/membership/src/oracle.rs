@@ -1,7 +1,6 @@
 //! A scripted, spec-compliant membership oracle for simulations.
 
-use std::collections::BTreeMap;
-use vsgm_types::{ProcSet, ProcessId, StartChangeId, View, ViewId};
+use vsgm_types::{ProcSet, ProcessId, StartChangeId, VecMap, View, ViewId};
 
 /// One `start_change_p(cid, set)` notification to be delivered to `p`.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -53,7 +52,7 @@ struct ClientState {
 /// ```
 #[derive(Debug, Default)]
 pub struct MembershipOracle {
-    clients: BTreeMap<ProcessId, ClientState>,
+    clients: VecMap<ProcessId, ClientState>,
 }
 
 impl MembershipOracle {

@@ -444,15 +444,18 @@ fn dec_view(cur: &mut Cur<'_>) -> Option<View> {
     Some(View::new(ViewId::new(epoch, proposer), members, pairs))
 }
 
+/// A synchronization cut is accepted with pids in any order; of a
+/// repeated pid the last index wins. The pairs are collected first and
+/// sorted once, since a frame's entry count is bounded by the frame
+/// length, not by a group.
 fn dec_cut(cur: &mut Cur<'_>) -> Option<Cut> {
     let n = cur.count(16)?;
-    let mut cut = Cut::new();
+    let mut pairs = Vec::with_capacity(n);
     for _ in 0..n {
         let p = ProcessId::new(cur.u64()?);
-        let i = cur.u64()?;
-        cut.set(p, i);
+        pairs.push((p, cur.u64()?));
     }
-    Some(cut)
+    Some(Cut::from_iter(pairs))
 }
 
 /// An acknowledgement vector is accepted in the encoder's form only:
@@ -764,6 +767,35 @@ mod tests {
         assert_eq!(decode_body(&ack(2, &[entry(2, 5), entry(1, 7)])), None, "unordered pids");
         assert_eq!(decode_body(&ack(u32::MAX, &[entry(1, 5)])), None, "length overflow");
         assert_eq!(decode_body(&ack(3, &[entry(1, 5), entry(2, 7)])), None, "count past the body");
+    }
+
+    /// A synchronization cut may arrive in any order, and its size is
+    /// bounded by the frame, not by a group: a few hundred thousand
+    /// descending pids decode in one sort (inserting them one by one into
+    /// the sorted cut would take minutes), and a repeated pid keeps its
+    /// last index.
+    #[test]
+    fn a_huge_descending_sync_cut_decodes_in_one_sort() {
+        const N: u64 = 300_000;
+        let mut body = vec![BINARY_V1, TAG_SYNC];
+        body.extend_from_slice(&6u64.to_le_bytes()); // cid
+        body.push(0); // no view
+        body.extend_from_slice(&(N as u32 + 1).to_le_bytes());
+        for pid in (1..=N).rev() {
+            body.extend_from_slice(&pid.to_le_bytes());
+            body.extend_from_slice(&(2 * pid).to_le_bytes());
+        }
+        body.extend_from_slice(&1u64.to_le_bytes());
+        body.extend_from_slice(&7u64.to_le_bytes());
+        let started = std::time::Instant::now();
+        let decoded = decode_body(&body);
+        let took = started.elapsed();
+        let cut = Cut::from_iter((1..=N).map(|pid| (p(pid), if pid == 1 { 7 } else { 2 * pid })));
+        assert_eq!(
+            decoded,
+            Some(NetMsg::Sync(SyncPayload { cid: StartChangeId::new(6), view: None, cut }))
+        );
+        assert!(took < std::time::Duration::from_secs(5), "decoding took {took:?}");
     }
 
     #[test]

@@ -27,11 +27,11 @@
 //! Determinism discipline (analyzer rule D1 pins this file): only
 //! ordered containers, no ambient clocks, no ambient randomness.
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeSet, VecDeque};
 use vsgm_core::{BlockingClient, Config, Effect, Endpoint, Input};
 use vsgm_ioa::{CheckSet, SimTime, TraceEntry, Violation};
 use vsgm_membership::MembershipOracle;
-use vsgm_types::{AppMsg, Event, FwdPayload, GroupId, NetMsg, ProcSet, ProcessId, View};
+use vsgm_types::{AppMsg, Event, FwdPayload, GroupId, NetMsg, ProcSet, ProcessId, VecMap, View};
 
 /// Derives a per-group seed from a server-wide base seed. The direct
 /// host draws no randomness, so nothing in this crate consumes the
@@ -114,7 +114,7 @@ pub struct GroupInstance {
     capacity: u64,
     members: ProcSet,
     /// Created on a process's first join and kept when it leaves.
-    hosted: BTreeMap<ProcessId, Hosted>,
+    hosted: VecMap<ProcessId, Hosted>,
     oracle: MembershipOracle,
     proposer_seq: u64,
     /// `CO_RFIFO` between co-hosted end-points: `(from, to, msg)` in send
@@ -132,7 +132,7 @@ pub struct GroupInstance {
     delivered: u64,
     views_installed: u64,
     /// Per-(receiver, origin) running delivery index for `Fwd` frames.
-    fwd_index: BTreeMap<(ProcessId, ProcessId), u64>,
+    fwd_index: VecMap<(ProcessId, ProcessId), u64>,
 }
 
 impl GroupInstance {
@@ -146,7 +146,7 @@ impl GroupInstance {
             gid,
             capacity,
             members: ProcSet::new(),
-            hosted: BTreeMap::new(),
+            hosted: VecMap::new(),
             oracle: MembershipOracle::new(),
             proposer_seq: 0,
             net: VecDeque::new(),
@@ -157,7 +157,7 @@ impl GroupInstance {
             outputs: Vec::new(),
             delivered: 0,
             views_installed: 0,
-            fwd_index: BTreeMap::new(),
+            fwd_index: VecMap::new(),
         }
     }
 

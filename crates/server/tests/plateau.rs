@@ -203,25 +203,24 @@ fn resident_memory_plateaus_under_view_changes() {
 )]
 fn a_thousand_groups_of_four_fit_their_budget_and_unused_capacity_costs_nothing() {
     const GROUPS: u64 = 1000;
-    const BYTES_PER_GROUP: u64 = 48 * 1024;
+    const BYTES_PER_GROUP: u64 = 26 * 1024;
     const CAPACITY_SLACK: u64 = 1024;
     let _turn = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
-    // What `wide_1000g` holds per group once it is set up: four joins,
-    // each settled and drained, then one multicast from every member. The
-    // groups are handed back so the first thousand stay resident while the
-    // second thousand are measured (freed memory would be reused, not
-    // returned).
-    let per_group = |capacity: u64| {
+    // What a group holds after four joins, each settled and drained, and
+    // `multicasts` round-robin from its members. Every thousand is handed
+    // back and kept resident while the next is measured (freed memory
+    // would be reused, not returned).
+    let per_group = |capacity: u64, multicasts: u64| {
         let payload = AppMsg::new(vec![0x5Au8; 64]);
         let before = rss_bytes();
         let mut groups = Vec::with_capacity(GROUPS as usize);
         for gid in 1..=GROUPS {
             let mut g = group_of_four_in(GroupId::new(gid), capacity);
-            for i in 1..=4 {
+            for k in 0..multicasts {
                 let frames = step(
                     &mut g,
                     GroupCmd::Send {
-                        from: p(i),
+                        from: p(1 + k % 4),
                         msg: payload.clone(),
                     },
                 );
@@ -235,13 +234,23 @@ fn a_thousand_groups_of_four_fit_their_budget_and_unused_capacity_costs_nothing(
         }
         (each, groups)
     };
-    let (snug, _held) = per_group(4);
-    let (roomy, _) = per_group(16);
-    println!("per group of four: {snug} B in capacity 4, {roomy} B in capacity 16");
-    assert!(
-        snug < BYTES_PER_GROUP,
-        "{snug} B resident per 4-member group"
+    // One multicast from every member, in capacity 4 and in capacity 16.
+    let (snug, _held) = per_group(4, 4);
+    let (roomy, _held) = per_group(16, 4);
+    // `wide_1000g` during *paced*: 22 multicasts, no acknowledgement
+    // round yet; then 70, one round (every 64) behind them.
+    let (paced, _held) = per_group(4, 22);
+    let (rounded, _held) = per_group(4, 70);
+    println!(
+        "per group of four: {snug} B in capacity 4, {roomy} B in capacity 16, \
+         {paced} B after 22 multicasts, {rounded} B after 70"
     );
+    for (state, bytes) in [("4 multicasts", snug), ("22", paced), ("70", rounded)] {
+        assert!(
+            bytes < BYTES_PER_GROUP,
+            "{bytes} B resident per 4-member group after {state}"
+        );
+    }
     assert!(
         roomy.abs_diff(snug) < CAPACITY_SLACK,
         "four members cost {snug} B in capacity 4 but {roomy} B in capacity 16"

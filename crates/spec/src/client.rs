@@ -1,9 +1,8 @@
 //! `CLIENT:SPEC` — the blocking application client (Fig. 12) and the
 //! block-handshake discipline of the `GCS` automaton (Fig. 11).
 
-use std::collections::BTreeMap;
 use vsgm_ioa::{Checker, TraceEntry, Violation};
-use vsgm_types::{Event, ProcessId};
+use vsgm_types::{Event, ProcessId, VecMap};
 
 /// Block-handshake status, shared between a GCS end-point and its client
 /// (they agree on it — Invariant 6.11).
@@ -25,7 +24,7 @@ enum BlockStatus {
 /// * a delivered view unblocks.
 #[derive(Debug, Default)]
 pub struct ClientSpec {
-    status: BTreeMap<ProcessId, BlockStatus>,
+    status: VecMap<ProcessId, BlockStatus>,
 }
 
 impl ClientSpec {

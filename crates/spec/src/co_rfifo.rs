@@ -1,8 +1,8 @@
 //! `CO_RFIFO` — connection-oriented reliable FIFO multicast spec (Fig. 3).
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 use vsgm_ioa::{Checker, TraceEntry, Violation};
-use vsgm_types::{Event, NetMsg, ProcSet, ProcessId};
+use vsgm_types::{Event, NetMsg, ProcSet, ProcessId, VecMap};
 
 #[derive(Debug, Clone)]
 struct Pending {
@@ -13,6 +13,33 @@ struct Pending {
     /// leaves the sender's `reliable_set`, at which point `lose(p, q)`
     /// becomes enabled for everything in the channel.
     epoch: u64,
+}
+
+/// The messages in transit on one channel, oldest first. The oldest is
+/// kept inline: outside a view change a channel rarely holds more than
+/// one, so a send and its delivery allocate nothing.
+#[derive(Debug)]
+struct Channel {
+    first: Pending,
+    rest: VecDeque<Pending>,
+}
+
+impl Channel {
+    fn iter(&self) -> impl Iterator<Item = &Pending> {
+        std::iter::once(&self.first).chain(&self.rest)
+    }
+
+    /// Drops the messages up to position `at`; `false` if none is left.
+    fn drop_through(&mut self, at: usize) -> bool {
+        self.rest.drain(..at.min(self.rest.len()));
+        match self.rest.pop_front() {
+            Some(next) => {
+                self.first = next;
+                true
+            }
+            None => false,
+        }
+    }
 }
 
 /// Checker for the reliable FIFO multicast service specification (Fig. 3).
@@ -29,9 +56,9 @@ struct Pending {
 /// `p`'s outgoing channels losable; recovery resets it to `{p}`.
 #[derive(Debug, Default)]
 pub struct CoRfifoSpec {
-    reliable: BTreeMap<ProcessId, ProcSet>,
-    epoch: BTreeMap<(ProcessId, ProcessId), u64>,
-    channel: BTreeMap<(ProcessId, ProcessId), VecDeque<Pending>>,
+    reliable: VecMap<ProcessId, ProcSet>,
+    epoch: VecMap<(ProcessId, ProcessId), u64>,
+    channel: VecMap<(ProcessId, ProcessId), Channel>,
 }
 
 impl CoRfifoSpec {
@@ -59,7 +86,7 @@ impl CoRfifoSpec {
     /// Number of messages currently in transit from `p` to `q` (for tests
     /// and metrics).
     pub fn in_transit(&self, p: ProcessId, q: ProcessId) -> usize {
-        self.channel.get(&(p, q)).map_or(0, VecDeque::len)
+        self.channel.get(&(p, q)).map_or(0, |chan| chan.iter().count())
     }
 }
 
@@ -78,32 +105,49 @@ impl Checker for CoRfifoSpec {
                 Ok(())
             }
             Event::NetSend { p, set, msg } => {
-                let rel = self.reliable_set(*p);
+                let rel = self.reliable.get(p);
                 for q in set {
                     let pending = Pending {
                         msg: msg.clone(),
-                        reliable: rel.contains(q),
+                        // Absent: the initial reliable set, `{p}`.
+                        reliable: rel.map_or(q == p, |rel| rel.contains(q)),
                         epoch: self.epoch(*p, *q),
                     };
-                    self.channel.entry((*p, *q)).or_default().push_back(pending);
+                    match self.channel.get_mut(&(*p, *q)) {
+                        Some(chan) => chan.rest.push_back(pending),
+                        None => {
+                            let chan = Channel { first: pending, rest: VecDeque::new() };
+                            self.channel.insert((*p, *q), chan);
+                        }
+                    }
                 }
                 Ok(())
             }
             Event::NetDeliver { p, q, msg } => {
                 let cur_epoch = self.epoch(*p, *q);
-                let chan = self.channel.entry((*p, *q)).or_default();
-                // Skip (as lost) any prefix of droppable messages that do
-                // not match; the first non-droppable message must match.
-                while let Some(front) = chan.front() {
-                    if front.msg == *msg {
-                        chan.pop_front();
-                        return Ok(());
-                    }
-                    let droppable = !front.reliable || cur_epoch > front.epoch;
-                    if droppable {
-                        chan.pop_front();
-                        continue;
-                    }
+                let not_in_transit = || {
+                    Violation::at_step(
+                        "CO_RFIFO",
+                        step,
+                        format!(
+                            "deliver_{p},{q}: delivered {} which is not in transit \
+                             (never sent, duplicated, or already delivered)",
+                            msg.tag()
+                        ),
+                    )
+                };
+                // A rejected delivery changes nothing: no channel is made
+                // for a pair that has none, and nothing is dropped.
+                let Some(chan) = self.channel.get_mut(&(*p, *q)) else {
+                    return Err(not_in_transit());
+                };
+                // The message must be the first one in the channel that
+                // cannot have been lost; those before it were lost.
+                let undroppable = |m: &Pending| m.reliable && cur_epoch <= m.epoch;
+                let Some(at) = chan.iter().position(|m| m.msg == *msg || undroppable(m)) else {
+                    return Err(not_in_transit());
+                };
+                if let Some(first) = chan.iter().nth(at).filter(|m| m.msg != *msg) {
                     return Err(Violation::at_step(
                         "CO_RFIFO",
                         step,
@@ -111,19 +155,19 @@ impl Checker for CoRfifoSpec {
                             "deliver_{p},{q}: delivered {} but the first undroppable \
                              message in the channel is {} (FIFO/reliability violated)",
                             msg.tag(),
-                            front.msg.tag()
+                            first.msg.tag()
                         ),
                     ));
                 }
-                Err(Violation::at_step(
-                    "CO_RFIFO",
-                    step,
-                    format!(
-                        "deliver_{p},{q}: delivered {} which is not in transit \
-                         (never sent, duplicated, or already delivered)",
-                        msg.tag()
-                    ),
-                ))
+                // A drained channel is dropped, so an idle pair holds
+                // nothing, and an idle checker keeps no room for channels.
+                if !chan.drop_through(at) {
+                    self.channel.remove(&(*p, *q));
+                    if self.channel.is_empty() {
+                        self.channel = VecMap::new();
+                    }
+                }
+                Ok(())
             }
             Event::Crash { p } => {
                 let old = self.reliable_set(*p);
@@ -208,6 +252,32 @@ mod tests {
             Event::NetDeliver { p: p(1), q: p(2), msg: app("a") },
         ]);
         assert_eq!(violations.len(), 1);
+    }
+
+    #[test]
+    fn a_rejected_delivery_leaves_the_channels_as_they_were() {
+        let mut spec = CoRfifoSpec::new();
+        let mut trace = Trace::new();
+        for e in [
+            Event::Reliable { p: p(1), set: set(&[1, 2]) },
+            Event::NetSend { p: p(1), set: set(&[2, 3]), msg: app("a") },
+            Event::NetDeliver { p: p(1), q: p(2), msg: app("a") },
+        ] {
+            let step = trace.record(SimTime::ZERO, e);
+            spec.observe(&trace.entries()[step as usize]).unwrap();
+        }
+        // p1 → p2 drained, so it holds nothing; p1 → p3 holds a losable "a".
+        assert_eq!(spec.channel.keys().collect::<Vec<_>>(), [&(p(1), p(3))]);
+        let before = format!("{spec:?}");
+        for forged in [
+            Event::NetDeliver { p: p(1), q: p(2), msg: app("a") },
+            Event::NetDeliver { p: p(4), q: p(2), msg: app("ghost") },
+            Event::NetDeliver { p: p(1), q: p(3), msg: app("ghost") },
+        ] {
+            let step = trace.record(SimTime::ZERO, forged);
+            assert!(spec.observe(&trace.entries()[step as usize]).is_err());
+            assert_eq!(format!("{spec:?}"), before);
+        }
     }
 
     #[test]

@@ -1,8 +1,7 @@
 //! `MBRSHP` — membership service safety specification (Fig. 2).
 
-use std::collections::BTreeMap;
 use vsgm_ioa::{Checker, TraceEntry, Violation};
-use vsgm_types::{Event, ProcSet, ProcessId, StartChangeId, View, ViewId};
+use vsgm_types::{Event, ProcSet, ProcessId, StartChangeId, VecMap, View, ViewId};
 
 /// Per-process mode of the membership service (Fig. 2, `mode[p]`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -58,7 +57,7 @@ impl PerProc {
 /// view.
 #[derive(Debug, Default)]
 pub struct MbrshpSpec {
-    procs: BTreeMap<ProcessId, PerProc>,
+    procs: VecMap<ProcessId, PerProc>,
 }
 
 impl MbrshpSpec {

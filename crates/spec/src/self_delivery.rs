@@ -1,8 +1,7 @@
 //! `SELF:SPEC` — the Self Delivery property (Fig. 7).
 
-use std::collections::BTreeMap;
 use vsgm_ioa::{Checker, TraceEntry, Violation};
-use vsgm_types::{Event, ProcessId};
+use vsgm_types::{Event, ProcessId, VecMap};
 
 /// Checker for the Self Delivery safety property (Fig. 7): an end-point
 /// must not install a new view before delivering to its own application
@@ -11,9 +10,9 @@ use vsgm_types::{Event, ProcessId};
 #[derive(Debug, Default)]
 pub struct SelfDeliverySpec {
     /// Messages sent by `p` in its current view.
-    sent: BTreeMap<ProcessId, u64>,
+    sent: VecMap<ProcessId, u64>,
     /// Own messages delivered back to `p` in its current view.
-    delivered_own: BTreeMap<ProcessId, u64>,
+    delivered_own: VecMap<ProcessId, u64>,
 }
 
 impl SelfDeliverySpec {

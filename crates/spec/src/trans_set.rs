@@ -2,7 +2,7 @@
 
 use std::collections::BTreeMap;
 use vsgm_ioa::{Checker, TraceEntry, Violation};
-use vsgm_types::{Event, ProcSet, ProcessId, View, ViewId};
+use vsgm_types::{Event, ProcSet, ProcessId, VecMap, View, ViewId};
 
 /// Checker for the Transitional Set property (Property 4.1):
 ///
@@ -27,9 +27,9 @@ use vsgm_types::{Event, ProcSet, ProcessId, View, ViewId};
 /// moving `p`. That is what makes "could still install" decidable.
 #[derive(Debug, Default)]
 pub struct TransSetSpec {
-    current_view: BTreeMap<ProcessId, View>,
+    current_view: VecMap<ProcessId, View>,
     /// Largest view id ever delivered to `p` (survives crashes).
-    floor: BTreeMap<ProcessId, ViewId>,
+    floor: VecMap<ProcessId, ViewId>,
     /// The observed transitions into each view some member can still
     /// install.
     open: BTreeMap<View, Vec<Transition>>,

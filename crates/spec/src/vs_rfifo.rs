@@ -2,7 +2,7 @@
 
 use std::collections::BTreeMap;
 use vsgm_ioa::{Checker, TraceEntry, Violation};
-use vsgm_types::{Cut, Event, ProcessId, View, ViewId};
+use vsgm_types::{Cut, Event, ProcessId, VecMap, View, ViewId};
 
 /// Checker for the Virtual Synchrony property (Fig. 5).
 ///
@@ -29,12 +29,12 @@ use vsgm_types::{Cut, Event, ProcessId, View, ViewId};
 /// drops it.
 #[derive(Debug, Default)]
 pub struct VsRfifoSpec {
-    current_view: BTreeMap<ProcessId, View>,
+    current_view: VecMap<ProcessId, View>,
     /// Largest view id ever delivered to `p` (survives crashes).
-    floor: BTreeMap<ProcessId, ViewId>,
+    floor: VecMap<ProcessId, ViewId>,
     /// Messages delivered to `receiver` from `sender` in the receiver's
     /// current view: `last_dlvrd[(sender, receiver)]`.
-    last_dlvrd: BTreeMap<(ProcessId, ProcessId), u64>,
+    last_dlvrd: VecMap<(ProcessId, ProcessId), u64>,
     /// `cut[v][v']`, keyed by the (full-triple) views.
     cut: BTreeMap<(View, View), Cut>,
     /// Never forget anything: the reference the pruning differential

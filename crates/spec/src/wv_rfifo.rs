@@ -2,7 +2,7 @@
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use vsgm_ioa::{Checker, TraceEntry, Violation};
-use vsgm_types::{AppMsg, Event, ProcessId, View, ViewId};
+use vsgm_types::{AppMsg, Event, ProcessId, VecMap, View, ViewId};
 
 /// Checker for the within-view reliable FIFO multicast specification
 /// (Fig. 4).
@@ -43,14 +43,14 @@ use vsgm_types::{AppMsg, Event, ProcessId, View, ViewId};
 pub struct WvRfifoSpec {
     crashed: BTreeSet<ProcessId>,
     /// Incarnation counters; bumped on recovery.
-    inc: BTreeMap<ProcessId, u64>,
+    inc: VecMap<ProcessId, u64>,
     /// Largest view id ever delivered to `p` (survives crashes).
-    floor: BTreeMap<ProcessId, ViewId>,
-    current_view: BTreeMap<ProcessId, View>,
+    floor: VecMap<ProcessId, ViewId>,
+    current_view: VecMap<ProcessId, View>,
     /// `msgs[view][sender]`.
-    msgs: BTreeMap<View, BTreeMap<ProcessId, Sent>>,
+    msgs: BTreeMap<View, VecMap<ProcessId, Sent>>,
     /// `last_dlvrd[(sender, receiver)]`.
-    last_dlvrd: BTreeMap<(ProcessId, ProcessId), u64>,
+    last_dlvrd: VecMap<(ProcessId, ProcessId), u64>,
     /// Never forget anything: the reference the pruning differential
     /// test compares against.
     retain_all: bool,

@@ -2,8 +2,8 @@
 
 use crate::ids::ProcessId;
 use crate::message::MsgIndex;
+use crate::vec_map::VecMap;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 use std::fmt;
 
 /// A *cut*: a map from processes to 1-based message indices.
@@ -28,7 +28,7 @@ use std::fmt;
 /// ```
 #[derive(Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Cut {
-    indices: BTreeMap<ProcessId, MsgIndex>,
+    indices: VecMap<ProcessId, MsgIndex>,
 }
 
 impl Cut {

@@ -17,6 +17,8 @@
 //!   exchanged between end-points over the `CO_RFIFO` substrate (Fig. 9/10).
 //! * [`Cut`] — a map from processes to message indices: the set of messages
 //!   an end-point commits to deliver before installing the next view (§5.2).
+//! * [`VecMap`] — a sorted-vector map for per-process state, whose size
+//!   the group bounds (DESIGN.md §17).
 //! * [`event::Event`] — the externally observable actions of the composed
 //!   system, used by the spec checkers in `vsgm-spec` to validate traces.
 //!
@@ -39,12 +41,14 @@ pub mod cut;
 pub mod event;
 pub mod ids;
 pub mod message;
+pub mod vec_map;
 pub mod view;
 
 pub use cut::Cut;
 pub use event::Event;
 pub use ids::{GroupId, ProcessId, StartChangeId, ViewId};
 pub use message::{AppMsg, BaselineMsg, FwdPayload, MsgIndex, NetMsg, SyncPayload};
+pub use vec_map::VecMap;
 pub use view::View;
 
 /// Convenience alias for an ordered set of processes, as used throughout the

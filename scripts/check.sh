@@ -131,17 +131,20 @@ cargo test -q -p vsgm --test multigroup_chaos "${CARGO_FLAGS[@]}" >/dev/null
 # growing (< 16 B per multicast with churn, < 1 B without, < 64 B per
 # view change over the second half); a host that hoards history again,
 # or end-points that stop acknowledging, fail here.
-# Footprint: 1000 groups of four (joined, drained, one multicast per
-# member) stay under 48 KB resident each, and four members in capacity
-# 16 cost within 1 KB of four in capacity 4 — a host that provisions
-# per capacity, or simulates its clients again, fails here.
+# Footprint: 1000 groups of four (joined, drained, then 4, 22 or 70
+# multicasts — the last past one acknowledgement round) stay under
+# 26 KiB resident each, and four members in capacity 16 cost within
+# 1 KiB of four in capacity 4 — a host that provisions per capacity,
+# simulates its clients again, or keeps per-process state in B-tree
+# leaves again, fails here. Each soak's growth or per-group line is
+# printed, as the benchmark smoke below prints rss_paced_mb.
 echo "==> hosted-group memory soaks (plateau x3, footprint)"
 for soak in resident_memory_plateaus_under_multicast_with_churn \
             resident_memory_plateaus_in_a_view_that_never_changes \
             resident_memory_plateaus_under_view_changes \
             a_thousand_groups_of_four_fit_their_budget_and_unused_capacity_costs_nothing; do
     timeout 600 cargo test -q --release -p vsgm-server --test plateau "${CARGO_FLAGS[@]}" \
-        -- --exact "$soak" >/dev/null
+        -- --exact "$soak" --nocapture | grep -E 'resident set|per group' | sed 's/^/    /'
 done
 
 # Group-scaling smoke (EXPERIMENTS.md E15): a reduced groups×clients
