@@ -16,6 +16,7 @@
 //! | `R1` | lock discipline: lock fields declare a `vsgm-lock-tier`; no guard held across a blocking call |
 //! | `T1` | clock discipline: time enters via `Input::Tick`/sim time, never the ambient clock |
 //! | `A1` | audit coverage: every endpoint `State` field is read by at least one `StateAudit` check |
+//! | `U1` | unsafe confinement: `unsafe` only in `crates/net/src/sys.rs`, each block under a `// SAFETY:` comment; every other crate root forbids `unsafe_code` |
 //! | `W0` | waiver hygiene: `vsgm-allow`/`vsgm-lock-tier` comments must be well-formed, and every waiver must suppress something |
 //!
 //! Findings carry `file:line`, the rule id, and a fix hint. A finding is
@@ -56,6 +57,9 @@ pub struct SourceFile {
     pub crate_name: Option<String>,
     /// Production or test location.
     pub kind: FileKind,
+    /// The file is `crates/<name>/src/lib.rs` of a directory with a
+    /// `Cargo.toml`: a library crate root (rule U1).
+    pub crate_root: bool,
     /// Scanner output (code mask, test regions, waivers).
     pub scanned: Scanned,
 }
@@ -127,6 +131,9 @@ pub fn analyze_root(root: &Path, selected: Option<&BTreeSet<String>>) -> io::Res
     }
     if enabled("A1") {
         raw.extend(rules::a1(&files));
+    }
+    if enabled("U1") {
+        raw.extend(rules::u1(&files));
     }
 
     // Apply waivers, attributing each suppression to the waiver comment
@@ -238,7 +245,14 @@ pub fn collect_files(root: &Path) -> io::Result<Vec<SourceFile>> {
         crate_dirs.sort();
         for dir in crate_dirs {
             let name = dir.file_name().and_then(|n| n.to_str()).map(str::to_string);
+            let first_src = out.len();
             walk_rs(&dir.join("src"), root, name.clone(), FileKind::Src, &mut out)?;
+            if dir.join("Cargo.toml").is_file() {
+                let lib = format!("crates/{}/src/lib.rs", name.as_deref().unwrap_or(""));
+                for f in out.iter_mut().skip(first_src) {
+                    f.crate_root = f.rel == lib;
+                }
+            }
             walk_rs(&dir.join("tests"), root, name.clone(), FileKind::TestsDir, &mut out)?;
             walk_rs(&dir.join("benches"), root, name, FileKind::TestsDir, &mut out)?;
         }
@@ -272,7 +286,13 @@ fn walk_rs(
                 .map(|c| c.as_os_str().to_string_lossy())
                 .collect::<Vec<_>>()
                 .join("/");
-            out.push(SourceFile { rel, crate_name: crate_name.clone(), kind, scanned: scan::scan(&src) });
+            out.push(SourceFile {
+                rel,
+                crate_name: crate_name.clone(),
+                kind,
+                crate_root: false,
+                scanned: scan::scan(&src),
+            });
         }
     }
     Ok(())

@@ -1,6 +1,6 @@
 //! The protocol rules: D1 determinism, P1 panic-freedom, I1 IOA
 //! discipline, C1 spec coverage, R1 lock discipline, T1 clock
-//! discipline, A1 audit coverage.
+//! discipline, A1 audit coverage, U1 unsafe confinement.
 //!
 //! Each rule is phrased over the code mask of [`crate::SourceFile`]s and
 //! produces [`Finding`]s carrying the rule id, `file:line`, a message,
@@ -65,8 +65,13 @@ pub const T1_CRATES: [&str; 11] = [
     "spec", "types",
 ];
 
+/// The one file allowed to hold `unsafe` code (U1), pinned by path like
+/// [`R1_FILES`]: the `extern "C"` declarations of the Linux readiness
+/// calls the transport's event loops park on.
+pub const U1_FILE: &str = "crates/net/src/sys.rs";
+
 /// All rule identifiers the analyzer knows, with one-line descriptions.
-pub const RULES: [(&str, &str); 8] = [
+pub const RULES: [(&str, &str); 9] = [
     ("D1", "determinism: no HashMap/HashSet or ambient time/randomness in protocol crates"),
     ("P1", "panic-freedom: no unwrap/expect/panic!/unreachable!/indexing in protocol code"),
     ("I1", "IOA discipline: precondition/effect pairing and ObsEvent coverage"),
@@ -74,6 +79,7 @@ pub const RULES: [(&str, &str); 8] = [
     ("R1", "lock discipline: lock fields declare a vsgm-lock-tier; no guard held across a blocking call"),
     ("T1", "clock discipline: time enters via Input::Tick/sim time, never the ambient clock"),
     ("A1", "audit coverage: every endpoint State field read by at least one StateAudit check"),
+    ("U1", "unsafe confinement: unsafe only in crates/net/src/sys.rs under SAFETY comments; crate roots forbid it"),
     ("W0", "waiver hygiene: vsgm-allow/vsgm-lock-tier comments must be well-formed"),
 ];
 
@@ -511,6 +517,68 @@ pub fn t1(files: &[SourceFile]) -> Vec<Finding> {
                         T1_HINT,
                     ));
                 }
+            }
+        }
+    }
+    out
+}
+
+// ---------------------------------------------------------------- U1 ---
+
+const U1_STRAY_HINT: &str = "move the call into crates/net/src/sys.rs behind a safe wrapper; \
+     that file is the workspace's only unsafe code";
+const U1_SAFETY_HINT: &str = "state why the block is sound in a `// SAFETY: <invariant>` \
+     comment on the line or directly above it";
+const U1_ROOT_HINT: &str = "keep `#![forbid(unsafe_code)]` at the crate root (the crate \
+     holding sys.rs: `#![deny(unsafe_code)]`, with `#[allow(unsafe_code)]` on that module)";
+
+/// U1 — unsafe confinement: the `unsafe` keyword appears only in
+/// [`U1_FILE`], every occurrence there under a `// SAFETY:` comment,
+/// and every library crate root keeps the compiler-level ban —
+/// `#![forbid(unsafe_code)]`, or `#![deny(unsafe_code)]` in the crate
+/// that holds `U1_FILE` (forbid cannot be relaxed for one module).
+pub fn u1(files: &[SourceFile]) -> Vec<Finding> {
+    let host = U1_FILE.split('/').nth(1);
+    let mut out = Vec::new();
+    for f in files {
+        for (k, text) in f.scanned.mask.iter().enumerate() {
+            let line = k + 1;
+            if find_word(text, "unsafe").is_empty() {
+                continue;
+            }
+            if f.rel != U1_FILE {
+                out.push(finding(
+                    "U1",
+                    f,
+                    line,
+                    format!("`unsafe` outside {U1_FILE}"),
+                    U1_STRAY_HINT,
+                ));
+            } else if !f.scanned.safety.iter().any(|&s| f.scanned.covers(s, line)) {
+                out.push(finding(
+                    "U1",
+                    f,
+                    line,
+                    "`unsafe` without a `// SAFETY:` comment".to_string(),
+                    U1_SAFETY_HINT,
+                ));
+            }
+        }
+        if f.crate_root {
+            let want = if f.crate_name.as_deref() == host {
+                "#![deny(unsafe_code)]"
+            } else {
+                "#![forbid(unsafe_code)]"
+            };
+            let compact = |l: &String| l.split_whitespace().collect::<String>();
+            if !f.scanned.mask.iter().any(|l| compact(l) == want) {
+                out.push(finding(
+                    "U1",
+                    f,
+                    1,
+                    format!("crate root does not carry `{want}`"),
+                    U1_ROOT_HINT,
+                ));
             }
         }
     }

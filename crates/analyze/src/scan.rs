@@ -7,7 +7,8 @@
 //! * which characters are **code** (as opposed to comment or literal
 //!   content),
 //! * whether the line sits inside a `#[cfg(test)]` / `#[test]` region,
-//! * which `vsgm-allow(RULE): reason` waivers its comments carry.
+//! * which `vsgm-allow(RULE): reason` waivers its comments carry, and
+//!   which of its comments open with a `SAFETY:` justification.
 //!
 //! [`scan`] produces exactly that: a *code mask* (the source with comment
 //! and string/char-literal contents blanked to spaces, newlines preserved
@@ -66,6 +67,8 @@ pub struct Scanned {
     pub waivers: Vec<Waiver>,
     /// All lock-tier declarations found, in order of appearance.
     pub tiers: Vec<TierDecl>,
+    /// 1-based lines whose comment starts `SAFETY:` (rule U1).
+    pub safety: Vec<usize>,
 }
 
 impl Scanned {
@@ -294,8 +297,13 @@ pub fn scan(src: &str) -> Scanned {
     let test_line = mark_test_regions(&mask_lines);
     let waivers = comments.iter().flat_map(|(l, text)| parse_waivers(*l, text)).collect();
     let tiers = comments.iter().flat_map(|(l, text)| parse_tiers(*l, text)).collect();
+    let safety = comments
+        .iter()
+        .filter(|(_, text)| text.trim_start_matches('/').trim_start().starts_with("SAFETY:"))
+        .map(|(l, _)| *l)
+        .collect();
 
-    Scanned { mask: mask_lines, test_line, no_code, blank, waivers, tiers }
+    Scanned { mask: mask_lines, test_line, no_code, blank, waivers, tiers, safety }
 }
 
 /// If position `i` starts `#*"` (zero or more hashes then a quote),
@@ -668,6 +676,13 @@ mod tests {
         assert_eq!(s.tiers.len(), 2);
         assert!(s.tiers.iter().all(|t| !t.is_well_formed()));
         assert!(s.tier_for(1).is_none() && s.tier_for(2).is_none());
+    }
+
+    #[test]
+    fn safety_comments_are_collected() {
+        let s = scan("// SAFETY: fd is owned\nlet n = unsafe { f() };\n// not SAFETY: here\n");
+        assert_eq!(s.safety, vec![1]);
+        assert!(s.covers(1, 2));
     }
 
     #[test]

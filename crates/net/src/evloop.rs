@@ -14,12 +14,19 @@
 //!   buffer and push it to the socket with non-blocking writes, keeping
 //!   partial-write state across rounds.
 //!
-//! When a scan makes no progress the loop parks on a condvar with an
-//! escalating tick (spin → [`IDLE_TICK_CAP`]), so idle transports cost
-//! near-zero CPU while senders can wake their loop the instant a frame
-//! is enqueued ([`LoopWaker`]). Scaling property: the thread count is
-//! `loop_threads` regardless of connection count — 4096 connections are
-//! multiplexed over the same pool that served 4.
+//! Loop 0 also owns the transport's listening socket and accepts on it
+//! like one more connection, handing each accepted socket to the pool
+//! round-robin.
+//!
+//! When a scan makes no progress the loop parks in `epoll_wait`
+//! ([`crate::sys::Poller`]) until a socket it owns becomes ready, a
+//! sender wakes it through its eventfd ([`LoopWaker`]), or its earliest
+//! deadline passes — a mid-read connection's idle eviction, a paused
+//! listener's retry, or the shutdown grace. With no deadline it waits
+//! without a timeout, so an idle transport costs no CPU. Scaling
+//! property: the thread count is `loop_threads` regardless of connection
+//! count — 4096 connections are multiplexed over the same pool that
+//! served 4.
 //!
 //! The loop is also where the transport's resource-safety bugfixes
 //! live:
@@ -29,29 +36,40 @@
 //!   ([`LoopCounters::oversize_rejected`]);
 //! * a half-open peer that stalls mid-handshake or mid-frame is evicted
 //!   after `read_idle_timeout` ([`LoopCounters::idle_evictions`])
-//!   instead of pinning a blocked reader thread forever.
+//!   instead of pinning a blocked reader thread forever;
+//! * an `accept` that fails for want of descriptors or memory (`EMFILE`,
+//!   `ENFILE`, …) pauses accepting for [`ACCEPT_PAUSE`] and retries,
+//!   where the old accept thread stopped accepting for good.
 
 use crate::codec::{self, BodyRef};
+use crate::sys::{Events, Poller, READABLE, READABLE_EDGE, WRITABLE_EDGE};
 use crate::writer::{OutQueue, WriterStats};
 use crossbeam::channel::Sender;
 use std::collections::HashMap;
 use std::io::{self, Read, Write};
-use std::net::TcpStream;
+use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 use vsgm_types::{GroupId, NetMsg, ProcessId};
 
-/// Ceiling for the idle-park tick: the longest a loop sleeps between
-/// scans when nothing is happening. Bounds worst-case first-byte
-/// latency after an idle period.
-const IDLE_TICK_CAP: Duration = Duration::from_millis(5);
 /// Reads one connection may issue per scan round, so a firehose peer
 /// cannot starve its loop-mates.
 const MAX_READS_PER_ROUND: usize = 8;
 /// How long a shutting-down loop keeps trying to flush unwritten
 /// outbound frames before declaring them dropped and exiting.
 const SHUTDOWN_GRACE: Duration = Duration::from_millis(500);
+/// How long the listener stops accepting after an `accept` failed for
+/// want of resources, before it tries again.
+const ACCEPT_PAUSE: Duration = Duration::from_millis(10);
+/// Readiness events one `epoll_wait` returns at most. The loop scans
+/// every connection each round whatever epoll names, so this only
+/// bounds how many edges one wait hands over; the rest wait their turn.
+const EVENTS_PER_WAIT: usize = 64;
+/// epoll tokens: which registration a readiness event is about.
+const WAKE_TOKEN: u64 = 0;
+const LISTENER_TOKEN: u64 = 1;
+const CONN_TOKEN: u64 = 2;
 /// Byte ceiling for one coalesced flush buffer (a single oversized
 /// frame still flushes alone).
 const MAX_FLUSH_BYTES: usize = 1 << 20;
@@ -71,6 +89,8 @@ pub(crate) struct LoopCounters {
     /// Connections evicted for stalling mid-handshake or mid-frame
     /// longer than `read_idle_timeout`.
     pub idle_evictions: AtomicU64,
+    /// Connections the listener accepted.
+    pub accepted: AtomicU64,
     /// Connections adopted by a loop (inbound + outbound).
     pub conns_opened: AtomicU64,
     /// Connections retired by a loop (any reason).
@@ -135,10 +155,11 @@ struct LoopShared {
     // vsgm-lock-tier(1): taken briefly by registering threads and the
     // loop thread to swap the pending list; nothing else taken under it.
     inbox: Mutex<Vec<Register>>,
-    // vsgm-lock-tier(1): wake-flag mutex, paired solely with `wake_cv`.
-    wake: Mutex<bool>,
-    // vsgm-lock-tier(1): condvar paired with `wake` — same tier.
-    wake_cv: Condvar,
+    /// Whether a wake-up is owed since the loop last cleared this flag:
+    /// only the waker that turns it false → true writes the eventfd.
+    pending: AtomicBool,
+    /// The loop's epoll instance and the eventfd wakers write.
+    poller: Poller,
     shutdown: AtomicBool,
 }
 
@@ -148,83 +169,166 @@ fn lock<'a, T>(m: &'a Mutex<T>) -> MutexGuard<'a, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// Clone-cheap handle that wakes one loop thread out of its idle park.
+/// Clone-cheap handle that wakes one loop thread out of its park.
 #[derive(Clone)]
 pub(crate) struct LoopWaker(Arc<LoopShared>);
 
 impl LoopWaker {
+    /// Call after publishing the work (queue push, inbox push, flag):
+    /// the loop clears `pending` before it looks for work, so either it
+    /// sees this work in its current round or this call writes the
+    /// eventfd and its next wait returns at once.
     pub(crate) fn wake(&self) {
-        *lock(&self.0.wake) = true;
-        self.0.wake_cv.notify_one();
+        if !self.0.pending.swap(true, Ordering::AcqRel) {
+            self.0.poller.notify();
+        }
     }
 }
 
-/// The fixed pool of loop threads. Connections are assigned round-robin
-/// at registration and never migrate.
-pub(crate) struct LoopPool {
+/// Every loop's shared half plus the round-robin cursor: what the pool
+/// and loop 0's listener register connections through. Loop 0 holds
+/// this, not the [`LoopPool`], so dropping the pool still stops it.
+struct Loops {
     loops: Vec<Arc<LoopShared>>,
     next: AtomicUsize,
 }
 
+impl Loops {
+    /// Hands a connection to the next loop (round-robin) and returns
+    /// that loop's waker.
+    fn register(&self, reg: Register) -> io::Result<LoopWaker> {
+        let i = self.next.fetch_add(1, Ordering::Relaxed) % self.loops.len().max(1);
+        let shared = self
+            .loops
+            .get(i)
+            .ok_or_else(|| io::Error::other("transport has no event loop"))?;
+        lock(&shared.inbox).push(reg);
+        let waker = LoopWaker(Arc::clone(shared));
+        waker.wake();
+        Ok(waker)
+    }
+}
+
+/// The fixed pool of loop threads. Connections are assigned round-robin
+/// at registration and never migrate. Dropping the pool shuts it down.
+pub(crate) struct LoopPool(Arc<Loops>);
+
 impl LoopPool {
-    /// Spawns `threads` loop threads (at least one).
-    pub(crate) fn spawn(threads: usize, ctx: &Arc<LoopCtx>, cfg: &LoopConfig) -> LoopPool {
-        let loops: Vec<Arc<LoopShared>> = (0..threads.max(1))
+    /// Spawns `threads` loop threads (at least one); loop 0 takes
+    /// `listener` and accepts on it.
+    pub(crate) fn spawn(
+        threads: usize,
+        listener: TcpListener,
+        ctx: &Arc<LoopCtx>,
+        cfg: &LoopConfig,
+    ) -> io::Result<LoopPool> {
+        let loops = (0..threads.max(1))
             .map(|_| {
-                Arc::new(LoopShared {
+                Ok(Arc::new(LoopShared {
                     inbox: Mutex::new(Vec::new()),
-                    wake: Mutex::new(false),
-                    wake_cv: Condvar::new(),
+                    pending: AtomicBool::new(false),
+                    poller: Poller::new(WAKE_TOKEN)?,
                     shutdown: AtomicBool::new(false),
-                })
+                }))
             })
-            .collect();
-        for shared in &loops {
-            let shared = Arc::clone(shared);
-            let ctx = Arc::clone(ctx);
-            let cfg = cfg.clone();
+            .collect::<io::Result<Vec<_>>>()?;
+        let pool = LoopPool(Arc::new(Loops { loops, next: AtomicUsize::new(0) }));
+        let mut acceptor = Some(Acceptor {
+            listener,
+            loops: Arc::clone(&pool.0),
+            ready: true,
+            paused_until: None,
+        });
+        // On an early return the dropped pool stops the loops spawned
+        // so far.
+        for shared in &pool.0.loops {
+            let acceptor = acceptor.take();
+            if let Some(a) = &acceptor {
+                shared.poller.add(&a.listener, READABLE_EDGE, LISTENER_TOKEN)?;
+            }
+            let (shared, ctx, cfg) = (Arc::clone(shared), Arc::clone(ctx), cfg.clone());
             std::thread::Builder::new()
                 .name("vsgm-net-loop".into())
-                .spawn(move || loop_main(&shared, &ctx, &cfg))
-                // vsgm-allow(P1): thread-spawn failure is OS resource
-                // exhaustion at transport startup — not a protocol
-                // state, nothing to unwind to
-                .expect("spawn event-loop thread");
+                .spawn(move || loop_main(&shared, acceptor, &ctx, &cfg))?;
         }
-        LoopPool { loops, next: AtomicUsize::new(0) }
+        Ok(pool)
     }
 
     /// Number of loop threads in the pool.
     pub(crate) fn threads(&self) -> usize {
-        self.loops.len()
+        self.0.loops.len()
     }
 
     /// Hands a connection to the next loop (round-robin) and returns
     /// that loop's waker.
-    pub(crate) fn register(&self, reg: Register) -> LoopWaker {
-        let i = self.next.fetch_add(1, Ordering::Relaxed) % self.loops.len().max(1);
-        let Some(shared) = self.loops.get(i) else {
-            // Unreachable (the pool always has ≥1 loop); drop the
-            // registration rather than panic.
-            return LoopWaker(Arc::new(LoopShared {
-                inbox: Mutex::new(Vec::new()),
-                wake: Mutex::new(false),
-                wake_cv: Condvar::new(),
-                shutdown: AtomicBool::new(true),
-            }));
-        };
-        lock(&shared.inbox).push(reg);
-        let waker = LoopWaker(Arc::clone(shared));
-        waker.wake();
-        waker
+    pub(crate) fn register(&self, reg: Register) -> io::Result<LoopWaker> {
+        self.0.register(reg)
     }
 
     /// Tells every loop to flush what it can and exit.
     pub(crate) fn shutdown(&self) {
-        for shared in &self.loops {
+        for shared in &self.0.loops {
             shared.shutdown.store(true, Ordering::SeqCst);
             LoopWaker(Arc::clone(shared)).wake();
         }
+    }
+}
+
+impl Drop for LoopPool {
+    fn drop(&mut self) {
+        self.shutdown();
+    }
+}
+
+/// The transport's listening socket, owned by loop 0. It is registered
+/// edge-triggered: a listener whose `accept` keeps failing (`EMFILE`)
+/// would report ready on every level-triggered wait and spin the loop
+/// through its pause.
+struct Acceptor {
+    listener: TcpListener,
+    /// Where accepted sockets go.
+    loops: Arc<Loops>,
+    /// An arrival was reported since `accept` last said `WouldBlock`.
+    ready: bool,
+    /// Set after an `accept` failed for want of resources: the
+    /// connection stays in the backlog until this retry.
+    paused_until: Option<Instant>,
+}
+
+impl Acceptor {
+    /// Accepts every pending connection into the pool. Returns whether
+    /// any was taken.
+    fn accept_ready(&mut self, now: Instant, counters: &LoopCounters) -> bool {
+        if self.paused_until.is_some_and(|t| now < t) {
+            return false;
+        }
+        self.paused_until = None;
+        let mut took = false;
+        while self.ready {
+            match self.listener.accept() {
+                Ok((stream, _)) => {
+                    took = true;
+                    counters.accepted.fetch_add(1, Ordering::Relaxed);
+                    if stream.set_nodelay(true).is_ok() && stream.set_nonblocking(true).is_ok() {
+                        // A refused registration drops (closes) the socket.
+                        let _ = self.loops.register(Register::Inbound(stream));
+                    }
+                }
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => self.ready = false,
+                Err(e)
+                    if matches!(
+                        e.kind(),
+                        io::ErrorKind::Interrupted | io::ErrorKind::ConnectionAborted
+                    ) => {}
+                Err(_) => {
+                    // EMFILE, ENFILE, ENOBUFS, …: retry once resources
+                    // may have come back.
+                    self.paused_until = Some(now + ACCEPT_PAUSE);
+                    break;
+                }
+            }
+        }
+        took
     }
 }
 
@@ -342,6 +446,17 @@ impl Conn {
         }
     }
 
+    /// When a connection stalled mid-handshake or mid-frame gets evicted:
+    /// such a peer holds a socket (and a buffer) hostage. Idle *between*
+    /// frames is legal and has no deadline.
+    fn idle_deadline(&self, cfg: &LoopConfig) -> Option<Instant> {
+        let mid_read = matches!(self.kind, Kind::Handshake) || self.rlen > self.rstart;
+        if !mid_read || cfg.read_idle_timeout.is_zero() {
+            return None;
+        }
+        self.last_rx.checked_add(cfg.read_idle_timeout)
+    }
+
     /// One scan round. `Err` means retire the connection.
     fn service(
         &mut self,
@@ -394,14 +509,7 @@ impl Conn {
             }
         }
         self.note_heard(ctx, heard, now);
-        // Idle eviction: a peer stalled mid-handshake or mid-frame is
-        // holding a socket (and a buffer) hostage — reclaim it. Idle
-        // *between* frames is legal and never evicted.
-        let mid_read = matches!(self.kind, Kind::Handshake) || self.rlen > self.rstart;
-        if cfg.read_idle_timeout > Duration::ZERO
-            && mid_read
-            && now.duration_since(self.last_rx) > cfg.read_idle_timeout
-        {
+        if self.idle_deadline(cfg).is_some_and(|at| now >= at) {
             return Err(Retire::Idle);
         }
         Ok(())
@@ -575,25 +683,43 @@ impl Conn {
     }
 }
 
-fn loop_main(shared: &Arc<LoopShared>, ctx: &Arc<LoopCtx>, cfg: &LoopConfig) {
+fn loop_main(
+    shared: &LoopShared,
+    mut acceptor: Option<Acceptor>,
+    ctx: &LoopCtx,
+    cfg: &LoopConfig,
+) {
     let mut conns: Vec<Conn> = Vec::new();
     let mut pool = BufPool::default();
-    let mut idle_rounds: u32 = 0;
+    let mut events = Events::with_capacity(EVENTS_PER_WAIT);
     let mut grace_until: Option<Instant> = None;
     loop {
+        // Clear the wake-up flag before looking for work: a waker that
+        // publishes after this line finds it false and writes the
+        // eventfd, so the wait below cannot sleep through its work.
+        shared.pending.swap(false, Ordering::AcqRel);
         let now = Instant::now();
         let mut progress = false;
         // Adopt newly registered connections.
         let fresh = std::mem::take(&mut *lock(&shared.inbox));
         for reg in fresh {
             ctx.counters.conns_opened.fetch_add(1, Ordering::Relaxed);
-            conns.push(match reg {
-                Register::Inbound(stream) => Conn::inbound(stream, &mut pool, now),
+            let (conn, interest) = match reg {
+                Register::Inbound(stream) => (Conn::inbound(stream, &mut pool, now), READABLE),
                 Register::Outbound { stream, queue, broken } => {
-                    Conn::outbound(stream, queue, broken, &mut pool, now)
+                    (Conn::outbound(stream, queue, broken, &mut pool, now), WRITABLE_EDGE)
                 }
-            });
+            };
+            match shared.poller.add(&conn.stream, interest, CONN_TOKEN) {
+                Ok(()) => conns.push(conn),
+                // epoll is out of memory or watches: a socket the loop
+                // cannot wait on is retired at once.
+                Err(_) => conn.retire(ctx, &mut pool),
+            }
             progress = true;
+        }
+        if let Some(acceptor) = acceptor.as_mut() {
+            progress |= acceptor.accept_ready(now, &ctx.counters);
         }
         // Scan every connection, retiring the ones that are done for.
         let mut i = 0;
@@ -617,6 +743,8 @@ fn loop_main(shared: &Arc<LoopShared>, ctx: &Arc<LoopCtx>, cfg: &LoopConfig) {
         // Shutdown: flush what the sockets will take, bounded by a
         // grace window, then account the rest as dropped and exit.
         if shared.shutdown.load(Ordering::SeqCst) {
+            // Stop accepting (and free the port) at once.
+            acceptor = None;
             let deadline = *grace_until.get_or_insert(now + SHUTDOWN_GRACE);
             let pending = conns.iter().any(Conn::has_unflushed);
             if !pending || now >= deadline {
@@ -627,23 +755,24 @@ fn loop_main(shared: &Arc<LoopShared>, ctx: &Arc<LoopCtx>, cfg: &LoopConfig) {
             }
         }
         if progress {
-            idle_rounds = 0;
             continue;
         }
-        // Nothing moved: park with an escalating tick so an idle
-        // transport costs ~no CPU but wakes instantly on enqueue.
-        idle_rounds = idle_rounds.saturating_add(1);
-        let tick = Duration::from_micros(50)
-            .saturating_mul(idle_rounds.min(16))
-            .min(IDLE_TICK_CAP);
-        let mut wake = lock(&shared.wake);
-        if !*wake {
-            let (guard, _) = shared
-                .wake_cv
-                .wait_timeout(wake, tick)
-                .unwrap_or_else(PoisonError::into_inner);
-            wake = guard;
+        // Nothing moved: park until a socket is ready, a waker writes
+        // the eventfd, or the earliest deadline this loop has passes.
+        let wake_at = conns
+            .iter()
+            .filter_map(|c| c.idle_deadline(cfg))
+            .chain(grace_until)
+            .chain(acceptor.as_ref().and_then(|a| a.paused_until))
+            .min();
+        shared.poller.wait(&mut events, wake_at.map(|at| at.saturating_duration_since(now)));
+        for token in events.tokens() {
+            match (token, acceptor.as_mut()) {
+                (WAKE_TOKEN, _) => shared.poller.drain_notify(),
+                (LISTENER_TOKEN, Some(acceptor)) => acceptor.ready = true,
+                // Connections: the next round scans them all anyway.
+                _ => {}
+            }
         }
-        *wake = false;
     }
 }

@@ -9,17 +9,19 @@
 //!   loss outside `reliable_set`s, and crash handling. Used by the
 //!   simulation harness; every run is reproducible from a seed.
 //! * [`tcp::TcpTransport`] — an event-loop transport over real TCP
-//!   sockets (length-prefixed frames, a fixed pool of readiness-loop
-//!   threads owning all connections), for same-host deployments and
-//!   wall-clock benchmarks. TCP provides exactly the per-pair reliable
-//!   FIFO channel semantics the spec requires; the paper's own
-//!   implementation used the analogous datagram service of its
-//!   reference \[36\].
+//!   sockets (length-prefixed frames, a fixed pool of epoll loop threads
+//!   owning all connections), for same-host deployments and wall-clock
+//!   benchmarks. TCP provides exactly the per-pair reliable FIFO channel
+//!   semantics the spec requires; the paper's own implementation used the
+//!   analogous datagram service of its reference \[36\].
 //!
 //! Both are validated against the `CO_RFIFO` spec checker from
 //! `vsgm-spec`.
+//!
+//! The crate denies `unsafe` everywhere except the private `sys` module,
+//! which declares the Linux epoll/eventfd calls the event loops park on.
 
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod codec;
@@ -28,6 +30,8 @@ pub mod fault;
 pub mod latency;
 pub mod sim;
 pub mod stats;
+#[allow(unsafe_code)]
+mod sys;
 pub mod tcp;
 pub mod udp;
 pub(crate) mod writer;

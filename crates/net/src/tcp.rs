@@ -9,15 +9,17 @@
 //! Each direction of a pair uses its own connection, established lazily
 //! on first send and identified by an 8-byte process-id handshake.
 //!
-//! All sockets — inbound and outbound — are owned by a small fixed pool
-//! of readiness-loop threads ([`crate::evloop`],
+//! All sockets — the listener, inbound and outbound connections — are
+//! owned by a small fixed pool of epoll loop threads ([`crate::evloop`],
 //! [`TcpConfig::loop_threads`]), replacing the old thread-per-connection
-//! readers and per-peer writer threads: the paper's client-server
-//! architecture (§3) multiplexes many clients over one server transport,
-//! and thread count must not scale with connection count. Inbound frames
-//! are decoded in place from pooled read buffers via the borrowing
-//! [`crate::codec::decode_body_ref`] path; outbound frames flow through
-//! per-connection bounded queues ([`crate::writer`]):
+//! readers, per-peer writer threads and accept thread: the paper's
+//! client-server architecture (§3) multiplexes many clients over one
+//! server transport, and thread count must not scale with connection
+//! count. Besides the loops, a transport runs one heartbeat thread when
+//! heartbeats are on. Inbound frames are decoded in place from pooled
+//! read buffers via the borrowing [`crate::codec::decode_body_ref`]
+//! path; outbound frames flow through per-connection bounded queues
+//! ([`crate::writer`]):
 //!
 //! * **Serialized writes** — every producer (multicast fan-out from any
 //!   thread, the heartbeat prober) enqueues complete frames on the
@@ -196,7 +198,7 @@ impl Default for TcpConfig {
     }
 }
 
-/// State shared with the accept/heartbeat threads and the event loops.
+/// State shared with the heartbeat thread and the event loops.
 struct TcpShared {
     me: ProcessId,
     // vsgm-lock-tier(3): taken under a per-peer connect guard (and on
@@ -217,31 +219,33 @@ struct TcpShared {
     last_heard: Arc<Mutex<HashMap<ProcessId, Instant>>>,
     /// The fixed pool of event-loop threads owning every socket.
     pool: LoopPool,
-    /// Loop-side counters (heartbeats heard, rejects, evictions, conns).
+    /// Loop-side counters (accepts, heartbeats heard, rejects, evictions,
+    /// conns).
     counters: Arc<LoopCounters>,
     writer_stats: Arc<WriterStats>,
     retries: AtomicU64,
     heartbeats_sent: AtomicU64,
-    accepted: AtomicU64,
     shutdown: AtomicBool,
 }
 
 impl TcpTransport {
-    /// Binds a listener and starts the accept loop, with default
+    /// Binds a listener and starts the event loops, with default
     /// [`TcpConfig`].
     ///
     /// # Errors
     ///
-    /// Returns any error from binding the listener.
+    /// As for [`TcpTransport::bind_with`].
     pub fn bind(me: ProcessId, addr: &str) -> io::Result<TcpTransport> {
         TcpTransport::bind_with(me, addr, TcpConfig::default())
     }
 
-    /// Binds a listener with explicit robustness knobs.
+    /// Binds a listener with explicit robustness knobs; the first event
+    /// loop accepts on it.
     ///
     /// # Errors
     ///
-    /// Returns any error from binding the listener.
+    /// Returns any error from binding the listener, creating the loops'
+    /// epoll instances or spawning the transport's threads.
     pub fn bind_with(me: ProcessId, addr: &str, config: TcpConfig) -> io::Result<TcpTransport> {
         let listener = TcpListener::bind(addr)?;
         let local_addr = listener.local_addr()?;
@@ -262,7 +266,7 @@ impl TcpTransport {
             read_idle_timeout: config.read_idle_timeout,
             accept_json: config.accept_json,
         };
-        let pool = LoopPool::spawn(config.loop_threads, &ctx, &loop_cfg);
+        let pool = LoopPool::spawn(config.loop_threads, listener, &ctx, &loop_cfg)?;
         let shared = Arc::new(TcpShared {
             me,
             addr_book: Mutex::new(HashMap::new()),
@@ -274,12 +278,11 @@ impl TcpTransport {
             writer_stats,
             retries: AtomicU64::new(0),
             heartbeats_sent: AtomicU64::new(0),
-            accepted: AtomicU64::new(0),
             shutdown: AtomicBool::new(false),
         });
-        spawn_accept_loop(listener, Arc::clone(&shared));
         if config.heartbeat_interval > Duration::ZERO {
-            spawn_heartbeat_loop(Arc::clone(&shared), config.heartbeat_interval);
+            // On failure the dropped pool stops the loops.
+            spawn_heartbeat_loop(Arc::clone(&shared), config.heartbeat_interval)?;
         }
         // Seed for the deterministic backoff jitter (up to half the delay).
         const JITTER_SEED: u64 = 0x7C9;
@@ -363,7 +366,7 @@ impl TcpTransport {
     /// connection establishment this is exactly one per peer that ever
     /// sent to us, regardless of how many threads raced their first send.
     pub fn accepted_connections(&self) -> u64 {
-        self.shared.accepted.load(Ordering::Relaxed)
+        self.shared.counters.accepted.load(Ordering::Relaxed)
     }
 
     /// Returns a live writer handle for `peer`, connecting (with capped
@@ -434,7 +437,7 @@ impl TcpTransport {
             stream,
             queue: Arc::clone(&queue),
             broken: Arc::clone(&broken),
-        });
+        })?;
         let writer =
             PeerWriter::new(queue, broken, waker, Arc::clone(&self.shared.writer_stats));
         self.shared.outgoing.lock().insert(peer, writer.clone());
@@ -603,35 +606,6 @@ impl std::fmt::Debug for TcpTransport {
     }
 }
 
-fn spawn_accept_loop(listener: TcpListener, shared: Arc<TcpShared>) {
-    std::thread::Builder::new()
-        .name("vsgm-tcp-accept".into())
-        .spawn(move || {
-            while !shared.shutdown.load(Ordering::SeqCst) {
-                match listener.accept() {
-                    Ok((stream, _)) => {
-                        // No thread spawned: the socket joins an event
-                        // loop's connection set (round-robin).
-                        shared.accepted.fetch_add(1, Ordering::Relaxed);
-                        if stream.set_nodelay(true).is_err()
-                            || stream.set_nonblocking(true).is_err()
-                        {
-                            continue;
-                        }
-                        shared.pool.register(Register::Inbound(stream));
-                    }
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                        std::thread::sleep(Duration::from_millis(1));
-                    }
-                    Err(_) => break,
-                }
-            }
-        })
-        // vsgm-allow(P1): thread-spawn failure is OS resource exhaustion
-        // at transport startup — not a protocol state, nothing to unwind to
-        .expect("spawn accept thread");
-}
-
 /// Periodically claims the *reserved* heartbeat slot on every outgoing
 /// connection. The probe never competes with data for queue space, so a
 /// queue sitting at its backpressure watermark cannot delay liveness
@@ -639,7 +613,7 @@ fn spawn_accept_loop(listener: TcpListener, shared: Arc<TcpShared>) {
 /// connection whose queue has died is torn down here, so the next send
 /// reconnects with backoff — dead peers are detected even when the
 /// application has nothing to say.
-fn spawn_heartbeat_loop(shared: Arc<TcpShared>, interval: Duration) {
+fn spawn_heartbeat_loop(shared: Arc<TcpShared>, interval: Duration) -> io::Result<()> {
     std::thread::Builder::new()
         .name("vsgm-tcp-heartbeat".into())
         .spawn(move || {
@@ -663,9 +637,7 @@ fn spawn_heartbeat_loop(shared: Arc<TcpShared>, interval: Duration) {
                 }
             }
         })
-        // vsgm-allow(P1): thread-spawn failure is OS resource exhaustion
-        // at transport startup — not a protocol state, nothing to unwind to
-        .expect("spawn heartbeat thread");
+        .map(drop)
 }
 
 #[cfg(test)]

@@ -19,9 +19,18 @@
 //! across 64 peers must leak no file descriptors or threads, conserve
 //! frames (`enqueued == flushed + dropped`), and shut the loop threads
 //! down cleanly.
+//!
+//! And two pins of the epoll loop: no wake-up is ever lost (the loops
+//! wait without a timeout, so a lost one hangs a round trip), and an idle
+//! connected pair is asleep rather than polling.
+//!
+//! The tests run one at a time ([`serial`]): the leak soak and the idle
+//! test read process-wide `/proc` counts that a neighbour would skew.
 
+use std::collections::BTreeMap;
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 use vsgm_net::codec::{encode_frame, WireFormat};
 use vsgm_net::{TcpConfig, TcpTransport, Transport};
@@ -33,6 +42,19 @@ fn p(i: u64) -> ProcessId {
 
 fn only(to: u64) -> ProcSet {
     [p(to)].into_iter().collect()
+}
+
+fn serial() -> MutexGuard<'static, ()> {
+    static SERIAL: Mutex<()> = Mutex::new(());
+    SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+fn connected_pair() -> (TcpTransport, TcpTransport) {
+    let a = TcpTransport::bind(p(1), "127.0.0.1:0").unwrap();
+    let b = TcpTransport::bind(p(2), "127.0.0.1:0").unwrap();
+    a.register_peer(p(2), b.local_addr());
+    b.register_peer(p(1), a.local_addr());
+    (a, b)
 }
 
 fn wait_until(what: &str, deadline: Duration, mut ok: impl FnMut() -> bool) {
@@ -49,6 +71,7 @@ fn wait_until(what: &str, deadline: Duration, mut ok: impl FnMut() -> bool) {
 /// observability registry.
 #[test]
 fn oversize_length_prefix_tears_the_connection_down() {
+    let _serial = serial();
     let srv = TcpTransport::bind_with(
         p(1),
         "127.0.0.1:0",
@@ -81,9 +104,11 @@ fn oversize_length_prefix_tears_the_connection_down() {
 /// Bug 2 (pinned): a peer that sends 3 of the 8 handshake bytes and
 /// stalls used to leak a blocked reader thread plus its socket until
 /// process exit. The event loop must evict it after `read_idle_timeout`
-/// and count the eviction in `NetStats`.
+/// and count the eviction in `NetStats` — woken by that deadline alone,
+/// since nothing else happens on the stalled socket.
 #[test]
 fn half_open_peer_stalled_mid_handshake_is_evicted() {
+    let _serial = serial();
     let srv = TcpTransport::bind_with(
         p(1),
         "127.0.0.1:0",
@@ -122,6 +147,7 @@ fn half_open_peer_stalled_mid_handshake_is_evicted() {
 /// suspected.
 #[test]
 fn saturated_queue_still_sends_heartbeats_ahead_of_data() {
+    let _serial = serial();
     const FRAMES: usize = 400;
     let payload = AppMsg::from(vec![0x5a; 64 << 10]);
     let sender = TcpTransport::bind_with(
@@ -208,9 +234,10 @@ fn count_dir(path: &str) -> usize {
 /// Connection-churn soak: 64 peers across four connect/disconnect
 /// storms. Asserts no fd or thread leak (`/proc/self/fd`,
 /// `/proc/self/task`), per-client frame conservation at quiescence, and
-/// that every client's loop/accept/heartbeat threads shut down cleanly.
+/// that every client's loop/heartbeat threads shut down cleanly.
 #[test]
 fn connection_churn_soaks_without_leaking_fds_or_threads() {
+    let _serial = serial();
     let client_cfg = TcpConfig {
         loop_threads: 1,
         heartbeat_interval: Duration::from_millis(25),
@@ -263,7 +290,7 @@ fn connection_churn_soaks_without_leaking_fds_or_threads() {
         run_storm(round);
     }
     // Everything the storms created must be gone again: sockets closed
-    // (fds), and every client's loop/accept/heartbeat thread exited.
+    // (fds), and every client's loop/heartbeat thread exited.
     settle("post-storm resource return", fd0 + 2, th0);
     wait_until("server conns retired", Duration::from_secs(10), || srv.stats().conns_open == 0);
     let s = srv.stats();
@@ -271,4 +298,74 @@ fn connection_churn_soaks_without_leaking_fds_or_threads() {
     assert_eq!(s.oversize_rejected, 0, "{s:?}");
     assert_eq!(s.idle_evictions, 0, "{s:?}");
     assert_eq!(s.frames_enqueued, s.frames_flushed + s.frames_dropped, "{s:?}");
+}
+
+/// No lost wake-up: 20 000 window-1 round trips, each within 1 s. The
+/// loops park in `epoll_wait` without a timeout, so a wake-up lost
+/// between a sender's enqueue and the loop's wait would hang a round
+/// trip until the 1 s bound fails it, rather than cost one tick.
+#[test]
+fn twenty_thousand_round_trips_never_lose_a_wake_up() {
+    let _serial = serial();
+    let (a, b) = connected_pair();
+    let ping = NetMsg::App(AppMsg::from("ping"));
+    for i in 0..20_000 {
+        a.send(&only(2), &ping).unwrap();
+        let (_, msg) = b
+            .recv_timeout(Duration::from_secs(1))
+            .unwrap_or_else(|| panic!("round trip {i}: a → b not delivered within 1 s"));
+        b.send(&only(1), &msg).unwrap();
+        a.recv_timeout(Duration::from_secs(1))
+            .unwrap_or_else(|| panic!("round trip {i}: b → a not delivered within 1 s"));
+    }
+}
+
+/// `(comm, on-CPU ns)` of every thread of this process, by tid.
+fn thread_cpu() -> BTreeMap<u64, (String, u64)> {
+    let mut out = BTreeMap::new();
+    for task in std::fs::read_dir("/proc/self/task").unwrap().flatten() {
+        let Some(tid) = task.file_name().to_str().and_then(|t| t.parse().ok()) else { continue };
+        let read = |f: &str| std::fs::read_to_string(task.path().join(f)).unwrap_or_default();
+        let ns = read("schedstat").split_whitespace().next().and_then(|n| n.parse().ok());
+        out.insert(tid, (read("comm").trim().to_string(), ns.unwrap_or(0)));
+    }
+    out
+}
+
+/// Idle means asleep: a connected pair that has nothing to say costs its
+/// threads < 5 ms of CPU over a second — a handful of heartbeat wake-ups.
+/// The condvar loops this replaced rescanned every 0.8 ms and read ≈ 40
+/// ms here.
+#[test]
+fn an_idle_connected_pair_sleeps() {
+    let _serial = serial();
+    let before_bind = thread_cpu();
+    let (a, b) = connected_pair();
+    a.send(&only(2), &NetMsg::App(AppMsg::from("hi"))).unwrap();
+    b.recv_timeout(Duration::from_secs(5)).expect("a → b");
+    b.send(&only(1), &NetMsg::App(AppMsg::from("yo"))).unwrap();
+    a.recv_timeout(Duration::from_secs(5)).expect("b → a");
+    // The pair's threads: every transport thread its two binds started.
+    let cpu0 = thread_cpu();
+    let ours: Vec<u64> = cpu0
+        .iter()
+        .filter(|(t, (comm, _))| !before_bind.contains_key(t) && comm.starts_with("vsgm-"))
+        .map(|(t, _)| *t)
+        .collect();
+    assert!(
+        ours.iter().any(|t| cpu0.get(t).is_some_and(|(comm, _)| comm == "vsgm-net-loop")),
+        "the pair's loop threads were not found: {cpu0:?}"
+    );
+    std::thread::sleep(Duration::from_secs(1));
+    let cpu1 = thread_cpu();
+    let spent: Vec<(String, f64)> = ours
+        .iter()
+        .filter_map(|t| {
+            let (comm, ns0) = cpu0.get(t)?;
+            let (_, ns1) = cpu1.get(t)?;
+            Some((comm.clone(), ns1.saturating_sub(*ns0) as f64 / 1e6))
+        })
+        .collect();
+    let total_ms: f64 = spent.iter().map(|(_, ms)| ms).sum();
+    assert!(total_ms < 5.0, "an idle pair burned {total_ms:.2} ms of CPU in 1 s: {spent:?}");
 }

@@ -22,7 +22,8 @@ cargo clippy --workspace "${CARGO_FLAGS[@]}" -- -D warnings
 
 # Protocol analyzer: deny-by-default. Exits nonzero on any unwaived
 # finding (determinism, panic-freedom, IOA discipline, spec coverage,
-# lock discipline, clock discipline, waiver hygiene).
+# lock discipline, clock discipline, audit coverage, unsafe confinement,
+# waiver hygiene).
 echo "==> vsgm-analyze --format json"
 cargo run -q -p vsgm-analyze "${CARGO_FLAGS[@]}" -- --format json
 
@@ -59,6 +60,17 @@ if rustup run nightly cargo --version >/dev/null 2>&1 \
 else
     echo "    tsan: nightly with rust-src unavailable, skipped"
 fi
+
+# Transport readiness (DESIGN.md §16), run by name: the epoll loops'
+# pinned regressions — 20,000 window-1 round trips that one lost wake-up
+# would hang (the loops wait without a timeout), an idle connected pair
+# that must stay under 5 ms of CPU per second, half-open eviction woken
+# by its deadline alone, the churn soak that counts descriptors and
+# threads — and a listener that keeps accepting after the process ran
+# out of descriptors (a binary of its own: it exhausts the fd table).
+echo "==> transport readiness (evloop regressions, accept under fd exhaustion)"
+cargo test -q -p vsgm-net --test evloop_regressions --test accept_under_fd_exhaustion \
+    "${CARGO_FLAGS[@]}" >/dev/null
 
 # Net-bench smoke: a short loopback run of the codec/flush comparison
 # (JSON vs binary × per-send vs coalesced) plus the connection-scaling
