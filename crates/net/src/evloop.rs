@@ -7,8 +7,9 @@
 //! * **inbound connections** are drained with non-blocking reads into a
 //!   pooled, connection-local read buffer; complete frames are decoded
 //!   *in place* with the borrowing [`crate::codec::decode_body_ref`]
-//!   path (one payload copy, at the delivery-channel boundary) and
-//!   malformed or oversized frames tear the connection down;
+//!   path (one payload copy, when the frame is handed over) and given to
+//!   the transport's [`FrameHandler`] on the loop thread; malformed or
+//!   oversized frames tear the connection down;
 //! * **outbound connections** drain their bounded
 //!   [`crate::writer::OutQueue`] (heartbeat slot first) into a coalesce
 //!   buffer and push it to the socket with non-blocking writes, keeping
@@ -44,7 +45,6 @@
 use crate::codec::{self, BodyRef};
 use crate::sys::{Events, Poller, READABLE, READABLE_EDGE, WRITABLE_EDGE};
 use crate::writer::{OutQueue, WriterStats};
-use crossbeam::channel::Sender;
 use std::collections::HashMap;
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -106,13 +106,16 @@ impl LoopCounters {
     }
 }
 
+/// What a loop does with each decoded frame: `(peer, group, msg)`, where
+/// `group` is the id carried by a v2 group envelope, or `None` for a
+/// legacy single-group frame. It runs on the loop thread, between two
+/// socket reads, so it must not block.
+pub type FrameHandler = Box<dyn Fn(ProcessId, Option<GroupId>, NetMsg) + Send + Sync>;
+
 /// Everything a loop thread needs from the transport.
 pub(crate) struct LoopCtx {
-    /// Delivery channel into `Transport::recv_timeout` /
-    /// `TcpTransport::recv_routed_timeout`. The middle component is the
-    /// group id carried by a v2 group envelope, or `None` for legacy
-    /// single-group frames.
-    pub tx: Sender<(ProcessId, Option<GroupId>, NetMsg)>,
+    /// Where decoded frames go ([`crate::TcpTransport::bind_with_handler`]).
+    pub deliver: FrameHandler,
     /// Flush/coalesce/conservation accounting (shared with senders).
     pub stats: Arc<WriterStats>,
     /// Loop-side counters above.
@@ -588,7 +591,7 @@ impl Conn {
                     // Route by the optional v2 group envelope, then
                     // zero-copy decode the inner body: payload slices
                     // borrow from `rbuf`; the one copy happens in
-                    // `into_owned` at the channel boundary.
+                    // `into_owned` before the handler takes the frame.
                     let (group, inner) = match codec::split_group_envelope(body) {
                         Some((gid, inner)) => (Some(gid), inner),
                         None => (None, body),
@@ -604,9 +607,7 @@ impl Conn {
                     };
                     let Some(msg) = msg else { return Err(Retire::Poisoned) };
                     self.rstart += 4 + len;
-                    if ctx.tx.send((peer, group, msg)).is_err() {
-                        return Err(Retire::Gone);
-                    }
+                    (ctx.deliver)(peer, group, msg);
                 }
                 Kind::Out { .. } => return Ok(()),
             }

@@ -41,7 +41,7 @@ pub use fault::{FaultAction, FaultInjector, FaultPlan, FaultStats};
 pub use latency::LatencyModel;
 pub use sim::SimNet;
 pub use stats::NetStats;
-pub use tcp::{TcpConfig, TcpTransport, Transport};
+pub use tcp::{FrameHandler, TcpConfig, TcpTransport, Transport};
 pub use udp::UdpTransport;
 
 /// A message kind the simulated network can carry and account for.

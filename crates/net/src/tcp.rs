@@ -18,8 +18,9 @@
 //! count. Besides the loops, a transport runs one heartbeat thread when
 //! heartbeats are on. Inbound frames are decoded in place from pooled
 //! read buffers via the borrowing [`crate::codec::decode_body_ref`]
-//! path; outbound frames flow through per-connection bounded queues
-//! ([`crate::writer`]):
+//! path and handed to a [`FrameHandler`] on the loop thread (by default
+//! a queue for the `recv_*` calls); outbound frames flow through
+//! per-connection bounded queues ([`crate::writer`]):
 //!
 //! * **Serialized writes** — every producer (multicast fan-out from any
 //!   thread, the heartbeat prober) enqueues complete frames on the
@@ -63,6 +64,7 @@
 //!   thread and socket per half-open peer).
 
 use crate::codec::{self, WireFormat};
+pub use crate::evloop::FrameHandler;
 use crate::evloop::{LoopConfig, LoopCounters, LoopCtx, LoopPool, Register};
 use crate::stats::NetStats;
 use crate::writer::{OutQueue, PeerWriter, PushError, WriterStats};
@@ -240,22 +242,57 @@ impl TcpTransport {
     }
 
     /// Binds a listener with explicit robustness knobs; the first event
-    /// loop accepts on it.
+    /// loop accepts on it. Received frames queue for the `recv_*` calls.
     ///
     /// # Errors
     ///
     /// Returns any error from binding the listener, creating the loops'
     /// epoll instances or spawning the transport's threads.
     pub fn bind_with(me: ProcessId, addr: &str, config: TcpConfig) -> io::Result<TcpTransport> {
+        let (tx, rx) = unbounded();
+        // The send fails only once the transport, receiver and all, is gone.
+        let queue: FrameHandler = Box::new(move |p, g, m| {
+            let _ = tx.send((p, g, m));
+        });
+        TcpTransport::start(me, addr, config, queue, rx)
+    }
+
+    /// As [`TcpTransport::bind_with`], but each received frame goes to
+    /// `handler` on the loop that decoded it — one connection's frames in
+    /// arrival order, other connections' possibly at once — and `recv_*`
+    /// return `None` at once. The handler must not block: it holds up its
+    /// loop, and a send waiting for room in a queue that loop drains
+    /// never returns.
+    ///
+    /// # Errors
+    ///
+    /// As for [`TcpTransport::bind_with`].
+    pub fn bind_with_handler(
+        me: ProcessId,
+        addr: &str,
+        config: TcpConfig,
+        handler: FrameHandler,
+    ) -> io::Result<TcpTransport> {
+        // A receiver whose sender is already gone: nothing ever arrives.
+        TcpTransport::start(me, addr, config, handler, unbounded().1)
+    }
+
+    /// The loops hand each frame to `deliver`; `recv_*` read `incoming`.
+    fn start(
+        me: ProcessId,
+        addr: &str,
+        config: TcpConfig,
+        deliver: FrameHandler,
+        incoming: Receiver<(ProcessId, Option<GroupId>, NetMsg)>,
+    ) -> io::Result<TcpTransport> {
         let listener = TcpListener::bind(addr)?;
         let local_addr = listener.local_addr()?;
         listener.set_nonblocking(true)?;
-        let (tx, rx) = unbounded();
         let writer_stats = Arc::new(WriterStats::default());
         let counters = Arc::new(LoopCounters::default());
         let last_heard = Arc::new(Mutex::new(HashMap::new()));
         let ctx = Arc::new(LoopCtx {
-            tx,
+            deliver,
             stats: Arc::clone(&writer_stats),
             counters: Arc::clone(&counters),
             last_heard: Arc::clone(&last_heard),
@@ -287,7 +324,7 @@ impl TcpTransport {
         // Seed for the deterministic backoff jitter (up to half the delay).
         const JITTER_SEED: u64 = 0x7C9;
         let jitter = Mutex::new(SimRng::new(JITTER_SEED ^ me.raw()));
-        Ok(TcpTransport { shared, local_addr, incoming: rx, config, jitter })
+        Ok(TcpTransport { shared, local_addr, incoming, config, jitter })
     }
 
     /// The address peers should connect to.
@@ -454,15 +491,17 @@ impl TcpTransport {
     /// As for [`Transport::send`]: every destination is attempted and
     /// failures are aggregated into one error.
     pub fn send_to_group(&self, group: GroupId, to: &ProcSet, msg: &NetMsg) -> io::Result<()> {
-        let frame = codec::encode_frame_grouped(group, msg, self.config.wire_format)?;
+        self.fan_out(to, &codec::encode_frame_grouped(group, msg, self.config.wire_format)?)
+    }
+
+    /// Enqueues `frame` to every process in `to` but this one, and
+    /// aggregates the failures.
+    fn fan_out(&self, to: &ProcSet, frame: &[u8]) -> io::Result<()> {
         let mut attempted = 0usize;
         let mut failed: Vec<(ProcessId, io::Error)> = Vec::new();
-        for q in to {
-            if *q == self.shared.me {
-                continue;
-            }
+        for q in to.iter().filter(|q| **q != self.shared.me) {
             attempted += 1;
-            if let Err(e) = self.enqueue(*q, &frame) {
+            if let Err(e) = self.enqueue(*q, frame) {
                 failed.push((*q, e));
             }
         }
@@ -536,19 +575,7 @@ impl Transport for TcpTransport {
     }
 
     fn send(&self, to: &ProcSet, msg: &NetMsg) -> io::Result<()> {
-        let frame = codec::encode_frame(msg, self.config.wire_format)?;
-        let mut attempted = 0usize;
-        let mut failed: Vec<(ProcessId, io::Error)> = Vec::new();
-        for q in to {
-            if *q == self.shared.me {
-                continue;
-            }
-            attempted += 1;
-            if let Err(e) = self.enqueue(*q, &frame) {
-                failed.push((*q, e));
-            }
-        }
-        aggregate_send_errors(attempted, failed)
+        self.fan_out(to, &codec::encode_frame(msg, self.config.wire_format)?)
     }
 
     fn recv_timeout(&self, timeout: Duration) -> Option<(ProcessId, NetMsg)> {
@@ -864,12 +891,12 @@ mod tests {
         b.send(&only(1), &NetMsg::App(AppMsg::from("yo"))).unwrap();
         a.recv_timeout(Duration::from_secs(5)).unwrap();
         // Heartbeats keep the peer un-suspected while it lives.
+        // Each side's prober runs on its own clock: wait for both.
         let deadline = Instant::now() + Duration::from_secs(5);
-        while a.heartbeats_received() == 0 {
-            assert!(Instant::now() < deadline, "no heartbeat ever arrived");
+        while a.heartbeats_received() == 0 || a.stats().heartbeats == 0 {
+            assert!(Instant::now() < deadline, "heartbeats never flowed both ways");
             std::thread::sleep(Duration::from_millis(5));
         }
-        assert!(a.stats().heartbeats > 0, "a never sent a heartbeat");
         assert!(a.suspected_peers().is_empty(), "live peer suspected");
         // Kill b: its heartbeats stop, and silence crosses suspect_after.
         drop(b);
@@ -933,6 +960,39 @@ mod tests {
         let (from, group, msg) =
             b.recv_routed_timeout(Duration::from_secs(5)).expect("grouped json arrives");
         assert_eq!((from, group, msg), (p(1), Some(g), NetMsg::App(AppMsg::from("gjson"))));
+    }
+
+    #[test]
+    fn a_frame_handler_takes_every_frame_in_order_and_recv_finds_none() {
+        let (tx, rx) = unbounded();
+        let b = TcpTransport::bind_with_handler(
+            p(2),
+            "127.0.0.1:0",
+            TcpConfig::default(),
+            Box::new(move |peer, group, msg| {
+                let _ = tx.send((peer, group, msg, std::thread::current().name().map(String::from)));
+            }),
+        )
+        .unwrap();
+        let a = TcpTransport::bind(p(1), "127.0.0.1:0").unwrap();
+        a.register_peer(p(2), b.local_addr());
+        let g = GroupId::new(3);
+        a.send_to_group(g, &only(2), &NetMsg::App(AppMsg::from("first"))).unwrap();
+        a.send(&only(2), &NetMsg::App(AppMsg::from("second"))).unwrap();
+        let got: Vec<_> =
+            (0..2).map(|_| rx.recv_timeout(Duration::from_secs(5)).expect("handled")).collect();
+        let loop_thread = Some("vsgm-net-loop".to_string());
+        assert_eq!(
+            got,
+            [
+                (p(1), Some(g), NetMsg::App(AppMsg::from("first")), loop_thread.clone()),
+                (p(1), None, NetMsg::App(AppMsg::from("second")), loop_thread),
+            ]
+        );
+        let t0 = Instant::now();
+        assert!(b.recv_timeout(Duration::from_secs(5)).is_none());
+        assert!(b.try_recv_routed().is_none());
+        assert!(t0.elapsed() < Duration::from_secs(1), "recv on a handler transport waited");
     }
 
     #[test]

@@ -12,7 +12,9 @@
 //! lock acquisitions would reintroduce the TOCTOU window where both
 //! callers miss and both insert. The regression is pinned in this
 //! module's tests and exercised over real concurrent threads in
-//! `tests/multigroup_chaos.rs`.
+//! `tests/multigroup_chaos.rs`. The daemon's loops run verbs side by
+//! side, so its winner also queues the group's `Create` inside that
+//! section ([`Directory::create_or_join_with`]), raced in its own tests.
 //!
 //! # Wire protocol (control plane)
 //!
@@ -84,8 +86,8 @@ struct DirInner {
 /// The name service. All state lives behind one lock; see the module
 /// docs for why create-or-join must be a single critical section.
 pub struct Directory {
-    // vsgm-lock-tier(6): leaf — held only for map reads/inserts inside
-    // this module, never across a channel send, I/O, or another lock.
+    // vsgm-lock-tier(6): leaf — held only inside this module, across at
+    // most a fresh create's non-blocking hook; never across I/O or a lock.
     inner: parking_lot::Mutex<DirInner>,
     creates: AtomicU64,
     joins: AtomicU64,
@@ -116,8 +118,16 @@ impl Directory {
     /// name observes [`DirOutcome::Created`]; every other caller
     /// observes [`DirOutcome::Joined`] with the same id. The check and
     /// the insert share one lock acquisition — the TOCTOU race fix this
-    /// PR pins.
+    /// module pins.
     pub fn create_or_join(&self, name: &str) -> DirOutcome {
+        self.create_or_join_with(name, |_| {})
+    }
+
+    /// [`Directory::create_or_join`], running `create(gid)` inside the
+    /// critical section if the name is fresh: whoever resolves the name
+    /// next, on any thread, does so after `create` returned. `create`
+    /// must not block or take another lock.
+    pub fn create_or_join_with(&self, name: &str, create: impl FnOnce(GroupId)) -> DirOutcome {
         let mut inner = self.inner.lock();
         if let Some(gid) = inner.by_name.get(name) {
             self.joins.fetch_add(1, Ordering::Relaxed);
@@ -127,6 +137,7 @@ impl Directory {
         inner.next_gid += 1;
         inner.by_name.insert(name.to_string(), gid);
         self.creates.fetch_add(1, Ordering::Relaxed);
+        create(gid);
         DirOutcome::Created(gid)
     }
 
@@ -134,11 +145,7 @@ impl Directory {
     /// `join <name>` verb); an unknown name joins nothing and counts as no
     /// join.
     pub fn join(&self, name: &str) -> Option<GroupId> {
-        let gid = self.inner.lock().by_name.get(name).copied();
-        if gid.is_some() {
-            self.joins.fetch_add(1, Ordering::Relaxed);
-        }
-        gid
+        self.resolve(name, &self.joins)
     }
 
     /// Resolves `name` without creating or joining.
@@ -147,12 +154,21 @@ impl Directory {
         self.inner.lock().by_name.get(name).copied()
     }
 
-    /// Records a leave and resolves the name (membership itself is the
-    /// group instance's concern; names stay resolvable so late frames
-    /// still route).
+    /// Resolves `name` for a client leaving its group (the `leave <name>`
+    /// verb); an unknown name leaves nothing and counts as no leave.
+    /// Membership itself is the group instance's concern; names stay
+    /// resolvable so late frames still route.
     pub fn leave(&self, name: &str) -> Option<GroupId> {
-        self.leaves.fetch_add(1, Ordering::Relaxed);
-        self.inner.lock().by_name.get(name).copied()
+        self.resolve(name, &self.leaves)
+    }
+
+    /// `name`'s group, counted on `counter` only if it resolves.
+    fn resolve(&self, name: &str, counter: &AtomicU64) -> Option<GroupId> {
+        let gid = self.inner.lock().by_name.get(name).copied();
+        if gid.is_some() {
+            counter.fetch_add(1, Ordering::Relaxed);
+        }
+        gid
     }
 
     /// Number of registered groups.
@@ -218,9 +234,12 @@ mod tests {
         assert!(g2 > g1, "ids are fresh and increasing");
         assert_eq!(d.join("beta"), Some(g2));
         assert_eq!(d.len(), 2);
-        let (creates, joins, lookups, _) = d.counters();
-        assert_eq!((creates, joins), (2, 2));
-        assert_eq!(lookups, 2, "a join is not a lookup");
+        assert_eq!(d.leave("gamma"), None, "leaving an unknown name leaves nothing");
+        assert_eq!(d.leave("beta"), Some(g2));
+        assert_eq!(d.lookup("beta"), Some(g2), "a left name still resolves");
+        let (creates, joins, lookups, leaves) = d.counters();
+        assert_eq!((creates, joins, leaves), (2, 2, 1));
+        assert_eq!(lookups, 3, "a join or a leave is not a lookup");
     }
 
     /// Pinned regression for the concurrent-create race: many threads

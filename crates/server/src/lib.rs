@@ -14,9 +14,10 @@
 //!   path takes no cross-shard locks.
 //! * [`directory`] — [`Directory`]: name → group resolution with atomic
 //!   create-or-join (the concurrent-create race fix).
-//! * [`server`] — [`GroupServer`]: the TCP daemon routing v2
-//!   group-envelope frames between clients, the directory, and the
-//!   shards.
+//! * [`server`] — [`GroupServer`]: the TCP daemon. Its event loops
+//!   route each v2 group-envelope frame to the directory or a shard as
+//!   they decode it, and the shard workers send replies, deliveries and
+//!   views back to the clients; no thread sits in between.
 //!
 //! ```no_run
 //! use vsgm_server::{GroupServer, ServerConfig};

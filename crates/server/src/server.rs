@@ -2,39 +2,37 @@
 //!
 //! The paper's client-server architecture (§3) assumes servers that
 //! host group state for many lightweight clients. [`GroupServer`] is
-//! that server: it binds one event-loop [`TcpTransport`], routes every
-//! inbound frame by its v2 group envelope, and dispatches to the
-//! [`ShardPool`] — `gid → shard` arithmetic, one lock-free channel send,
-//! no cross-shard locks on the hot path.
+//! that server: one event-loop [`TcpTransport`] and one [`ShardPool`],
+//! nothing in between. The loop that decodes a frame routes it by its
+//! v2 group envelope:
 //!
-//! Frame routing:
+//! * to [`GroupId::DIRECTORY`] — control plane. The UTF-8 `App` payload
+//!   is a [`DirRequest`] (`create/join/lookup/leave <name>`); the reply
+//!   goes back to the client on the same reserved group.
+//! * to any other gid — data plane. An `App` payload becomes a
+//!   [`GroupCmd::Send`] on shard `gid % shards` from the client's process
+//!   id, which doubles as its member id within every group it joins.
+//! * anything else — a non-`App` frame, or an un-enveloped legacy frame
+//!   with no group context — is counted as unroutable, not guessed at.
 //!
-//! * envelope to [`GroupId::DIRECTORY`] — control plane. The UTF-8
-//!   payload is a [`DirRequest`] (`create/join/lookup/leave <name>`);
-//!   the reply goes back to the requesting client on the same reserved
-//!   group.
-//! * envelope to any other gid — data plane. An `App` payload becomes a
-//!   [`GroupCmd::Send`] from the client's process id, which doubles as
-//!   its member id within every group it joins.
-//! * un-enveloped legacy frames have no group context on a multi-group
-//!   server and are counted as unroutable rather than guessed at.
-//!
-//! Deliveries and view installations flow back to clients as enveloped
-//! `Fwd`/`ViewMsg` frames ([`crate::group::GroupInstance::drain_outputs`]).
-//! Because inbound connections are identified only by the 8-byte pid
-//! handshake, the reverse path needs addresses:
-//! [`GroupServer::register_client`].
+//! A loop never blocks (DESIGN.md §17): routing only touches the
+//! [`Directory`], queues commands and bumps counters. Every write the
+//! daemon starts — directory replies, deliveries and views
+//! ([`crate::group::GroupInstance::drain_outputs`]) — is made by a shard
+//! worker. One connection lives on one loop, so a client's frames reach
+//! its groups' shards in the order it sent them; a new group's `Create`
+//! is queued before any loop can resolve its name. Inbound connections
+//! are identified only by the 8-byte pid handshake, so the reverse path
+//! needs addresses: [`GroupServer::register_client`].
 
 use crate::directory::{err_response, ok_response, DirOutcome, DirRequest, Directory};
 use crate::group::{admits, GroupCmd};
-use crate::shard::{ShardConfig, ShardPool};
-use crossbeam::channel::{unbounded, Receiver};
+use crate::shard::{ShardPool, Sink};
 use std::io;
 use std::net::SocketAddr;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
-use std::time::Duration;
-use vsgm_net::{TcpConfig, TcpTransport};
+use std::sync::atomic::Ordering;
+use std::sync::{Arc, OnceLock, Weak};
+use vsgm_net::{FrameHandler, TcpConfig, TcpTransport};
 use vsgm_types::{AppMsg, GroupId, NetMsg, ProcessId};
 
 /// Daemon knobs.
@@ -66,16 +64,16 @@ pub struct ServerStats {
     /// Frames routed to a hosted group.
     pub frames_routed: u64,
     /// Frames with no routable group (unknown gid, missing envelope, or
-    /// non-App data-plane payloads).
+    /// non-App payloads on any group).
     pub frames_unroutable: u64,
-    /// Directory creates / joins / lookups / leaves.
+    /// Directory creates: `create` requests that made a new group.
     pub dir_creates: u64,
     /// Directory joins: `join` requests that resolved, and `create`
     /// requests that lost the race for the name.
     pub dir_joins: u64,
     /// Directory lookups.
     pub dir_lookups: u64,
-    /// Directory leaves.
+    /// Directory leaves: `leave` requests that resolved.
     pub dir_leaves: u64,
 }
 
@@ -84,57 +82,26 @@ pub struct GroupServer {
     transport: Arc<TcpTransport>,
     directory: Arc<Directory>,
     pool: Arc<ShardPool>,
-    shutdown: Arc<AtomicBool>,
-    router: Option<std::thread::JoinHandle<()>>,
-    forwarder: Option<std::thread::JoinHandle<()>>,
 }
 
 impl GroupServer {
     /// Binds the daemon's transport as process `me` on `addr` and
-    /// starts the router, forwarder, and shard workers.
+    /// starts the shard workers.
     ///
     /// # Errors
     ///
     /// Returns any error from binding the TCP listener.
     pub fn bind(me: ProcessId, addr: &str, cfg: ServerConfig) -> io::Result<GroupServer> {
-        let transport = Arc::new(TcpTransport::bind_with(me, addr, cfg.tcp.clone())?);
         let directory = Arc::new(Directory::new());
-        let (out_tx, out_rx) = unbounded();
-        let pool = Arc::new(ShardPool::spawn(ShardConfig {
-            shards: cfg.shards,
-            auto_run: true,
-            outputs: Some(out_tx),
-        }));
-        let shutdown = Arc::new(AtomicBool::new(false));
-        let router = {
-            let transport = Arc::clone(&transport);
-            let directory = Arc::clone(&directory);
-            let pool = Arc::clone(&pool);
-            let shutdown = Arc::clone(&shutdown);
-            let cfg = cfg.clone();
-            std::thread::Builder::new()
-                .name("vsgm-server-router".into())
-                .spawn(move || router_main(&transport, &directory, &pool, &shutdown, &cfg))
-                // vsgm-allow(P1): thread-spawn failure is OS resource
-                // exhaustion at daemon startup — nothing to unwind to
-                .expect("spawn server router")
-        };
-        let forwarder = {
-            let transport = Arc::clone(&transport);
-            std::thread::Builder::new()
-                .name("vsgm-server-fwd".into())
-                .spawn(move || forwarder_main(&transport, &out_rx))
-                // vsgm-allow(P1): as above
-                .expect("spawn server forwarder")
-        };
-        Ok(GroupServer {
-            transport,
-            directory,
-            pool,
-            shutdown,
-            router: Some(router),
-            forwarder: Some(forwarder),
-        })
+        // The loops' router holds the pool, and the pool's sink needs
+        // the transport: the sink gets a weak handle once it is bound.
+        let bound: Arc<OnceLock<Weak<TcpTransport>>> = Arc::default();
+        let pool = Arc::new(ShardPool::with_sink(cfg.shards, true, send_on(&bound)));
+        let router = route(Arc::clone(&directory), Arc::clone(&pool), cfg.group_capacity);
+        let transport = TcpTransport::bind_with_handler(me, addr, cfg.tcp, router).map(Arc::new);
+        // Set even on failure, so that no worker waits for it forever.
+        let _ = bound.set(transport.as_ref().map_or_else(|_| Weak::new(), Arc::downgrade));
+        Ok(GroupServer { transport: transport?, directory, pool })
     }
 
     /// The address clients should connect to.
@@ -189,65 +156,49 @@ impl GroupServer {
 
 impl Drop for GroupServer {
     fn drop(&mut self) {
-        self.shutdown.store(true, Ordering::SeqCst);
-        if let Some(h) = self.router.take() {
-            let _ = h.join();
-        }
-        // Stopping the shard workers closes the output channel (they
-        // hold its only senders), which lets the forwarder exit.
+        // Step what the shards hold and send it while the transport is
+        // open. Dropping the transport then closes its sockets; its
+        // loops, whose router holds the pool, exit within their grace.
         self.pool.shutdown();
-        if let Some(h) = self.forwarder.take() {
-            let _ = h.join();
-        }
     }
 }
 
-fn router_main(
-    transport: &TcpTransport,
-    directory: &Directory,
-    pool: &ShardPool,
-    shutdown: &AtomicBool,
-    cfg: &ServerConfig,
-) {
-    while !shutdown.load(Ordering::SeqCst) {
-        let Some((peer, group, msg)) = transport.recv_routed_timeout(Duration::from_millis(25))
-        else {
-            continue;
-        };
-        match group {
-            Some(GroupId::DIRECTORY) => {
-                if let NetMsg::App(req) = msg {
-                    let reply = handle_directory(directory, pool, cfg, peer, req.as_bytes());
-                    let to = [peer].into_iter().collect();
-                    let _ = transport.send_to_group(
-                        GroupId::DIRECTORY,
-                        &to,
-                        &NetMsg::App(AppMsg::from(reply.as_str())),
-                    );
-                }
-            }
-            Some(gid) => match msg {
-                NetMsg::App(payload) => {
-                    pool.apply(gid, GroupCmd::Send { from: peer, msg: payload });
-                }
-                _ => {
-                    // Data-plane frames other than App are not part of
-                    // the client protocol.
-                    pool.counters().frames_unroutable.fetch_add(1, Ordering::Relaxed);
-                }
-            },
-            None => {
-                // Legacy single-group frame: no group context here.
-                pool.counters().frames_unroutable.fetch_add(1, Ordering::Relaxed);
-            }
+/// The shards' sink: each output, enveloped to its group, onto its
+/// client's socket queue — on the worker's thread.
+fn send_on(bound: &Arc<OnceLock<Weak<TcpTransport>>>) -> Sink {
+    let bound = Arc::clone(bound);
+    Arc::new(move |gid, outputs| {
+        // Outputs follow frames, which can beat `bind` storing the
+        // handle by a moment; a handle that does not upgrade belongs to
+        // a daemon that failed to bind or is shutting down.
+        let Some(transport) = bound.wait().upgrade() else { return };
+        for out in outputs {
+            let _ = transport.send_to_group(gid, &[out.to].into_iter().collect(), &out.msg);
         }
-    }
+    })
+}
+
+/// The loops' frame handler. It must not block (module docs): it calls
+/// only the directory, the pool's queueing calls and the counters.
+fn route(directory: Arc<Directory>, pool: Arc<ShardPool>, capacity: u64) -> FrameHandler {
+    Box::new(move |peer, group, msg| match (group, msg) {
+        (Some(GroupId::DIRECTORY), NetMsg::App(req)) => {
+            let reply = handle_directory(&directory, &pool, capacity, peer, req.as_bytes());
+            pool.reply(peer, NetMsg::App(AppMsg::from(reply.as_str())));
+        }
+        (Some(gid), NetMsg::App(payload)) => {
+            pool.apply(gid, GroupCmd::Send { from: peer, msg: payload });
+        }
+        _ => {
+            pool.counters().frames_unroutable.fetch_add(1, Ordering::Relaxed);
+        }
+    })
 }
 
 fn handle_directory(
     directory: &Directory,
     pool: &ShardPool,
-    cfg: &ServerConfig,
+    capacity: u64,
     peer: ProcessId,
     raw: &[u8],
 ) -> String {
@@ -257,28 +208,23 @@ fn handle_directory(
     let Some(req) = DirRequest::parse(line) else {
         return err_response("bad-request", line.trim());
     };
-    // A group admits process ids 1..=group_capacity only; an `ok` to
-    // anyone else would leave them waiting for a view that never comes.
+    // A group admits process ids 1..=capacity only; an `ok` to anyone
+    // else would leave them waiting for a view that never comes.
     if let DirRequest::Create(name) | DirRequest::Join(name) = &req {
-        if !admits(cfg.group_capacity, peer) {
+        if !admits(capacity, peer) {
             return err_response("over-capacity", name);
         }
     }
     match req {
         DirRequest::Create(name) => {
             // Atomic create-or-join: exactly one concurrent creator
-            // instantiates the group; every other caller joins it.
-            let outcome = directory.create_or_join(&name);
-            let gid = outcome.gid();
-            if let DirOutcome::Created(gid) = outcome {
-                pool.create_group(gid, cfg.group_capacity, 0);
-            }
-            pool.apply(gid, GroupCmd::Join(peer));
-            let verb = match outcome {
-                DirOutcome::Created(_) => "create",
-                DirOutcome::Joined(_) => "join",
-            };
-            ok_response(verb, &name, gid)
+            // instantiates the group, queueing its `Create` before any
+            // other loop can resolve the name; every other caller joins.
+            let outcome =
+                directory.create_or_join_with(&name, |gid| pool.create_group(gid, capacity, 0));
+            let verb = if matches!(outcome, DirOutcome::Created(_)) { "create" } else { "join" };
+            pool.apply(outcome.gid(), GroupCmd::Join(peer));
+            ok_response(verb, &name, outcome.gid())
         }
         DirRequest::Join(name) => match directory.join(&name) {
             Some(gid) => {
@@ -301,21 +247,10 @@ fn handle_directory(
     }
 }
 
-fn forwarder_main(
-    transport: &TcpTransport,
-    outputs: &Receiver<(GroupId, ProcessId, NetMsg)>,
-) {
-    // Exits when every shard worker (the only senders) has shut down.
-    while let Ok((gid, to, msg)) = outputs.recv() {
-        let to = [to].into_iter().collect();
-        let _ = transport.send_to_group(gid, &to, &msg);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::time::Instant;
+    use std::time::{Duration, Instant};
     use vsgm_net::Transport;
 
     fn p(i: u64) -> ProcessId {
@@ -398,10 +333,9 @@ mod tests {
     #[test]
     fn over_capacity_create_and_join_are_refused_before_anything_is_touched() {
         let directory = Directory::new();
-        let pool = ShardPool::spawn(ShardConfig::default());
-        let cfg = ServerConfig { group_capacity: 2, ..ServerConfig::default() };
+        let pool = ShardPool::spawn(crate::ShardConfig::default());
         let ask = |peer: u64, line: &str| {
-            handle_directory(&directory, &pool, &cfg, p(peer), line.as_bytes())
+            handle_directory(&directory, &pool, 2, p(peer), line.as_bytes())
         };
         // Nobody outside 1..=2 (pid 0 included) may create a group...
         assert_eq!(ask(3, "create room"), "err over-capacity room");
@@ -480,17 +414,28 @@ mod tests {
         let c = Client::connect(1, &server);
         assert_eq!(c.request("join nowhere"), "err unknown-group nowhere");
         assert_eq!(c.request("lookup nowhere"), "err unknown-group nowhere");
+        assert_eq!(c.request("leave nowhere"), "err unknown-group nowhere");
         assert_eq!(c.request("gibberish"), "err bad-request gibberish");
-        // A frame to an unhosted gid and a legacy un-enveloped frame are
-        // counted, not crashed on.
+        let stats = server.stats();
+        assert_eq!(
+            (stats.dir_creates, stats.dir_joins, stats.dir_lookups, stats.dir_leaves),
+            (0, 0, 1, 0),
+            "a verb that resolves nothing joins or leaves nothing"
+        );
+        // A frame to an unhosted gid, a legacy un-enveloped frame and a
+        // non-App frame on the directory's group are counted, not
+        // crashed on.
         c.send(GroupId::new(99), "void");
         let to = [p(0)].into_iter().collect();
         c.t.send(&to, &NetMsg::App(AppMsg::from("legacy"))).expect("legacy send");
+        let view = NetMsg::ViewMsg(vsgm_types::View::initial(p(1)));
+        c.t.send_to_group(GroupId::DIRECTORY, &to, &view).expect("view on group 0");
         let deadline = Instant::now() + Duration::from_secs(5);
-        while server.stats().frames_unroutable < 2 {
+        while server.stats().frames_unroutable < 3 {
             assert!(Instant::now() < deadline, "unroutable frames never counted");
             std::thread::sleep(Duration::from_millis(10));
         }
+        assert_eq!(server.stats().frames_unroutable, 3);
         assert_eq!(server.stats().groups_hosted, 0);
     }
 }

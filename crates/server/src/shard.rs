@@ -10,9 +10,14 @@
 //! serialize through their channel in arrival order (the total per-group
 //! command order the differential suite relies on).
 //!
+//! In daemon mode a worker hands what each step drained to the pool's
+//! sink, on its own thread: the [`ShardConfig::outputs`] channel, or the
+//! daemon's client sockets.
+//!
 //! Determinism discipline (analyzer rule D1 pins this file): ordered
 //! containers only, no ambient clocks or randomness. Wall-clock pacing
-//! and sockets live in `server.rs`; a hosted group has no notion of time.
+//! and sockets live in `server.rs`, behind the daemon's sink; a hosted
+//! group has no notion of time.
 
 use crate::group::{GroupCmd, GroupInstance, GroupOutput, GroupReport};
 use crossbeam::channel::{unbounded, Receiver, Sender};
@@ -22,6 +27,10 @@ use std::sync::Arc;
 use vsgm_ioa::Violation;
 use vsgm_types::{GroupId, NetMsg, ProcessId};
 
+/// Where a worker hands the frames it owes clients: `(gid, outputs)`,
+/// called on the worker's thread with one step's outputs in order.
+pub(crate) type Sink = Arc<dyn Fn(GroupId, Vec<GroupOutput>) + Send + Sync>;
+
 /// A command routed to the shard owning one group.
 enum ShardCmd {
     /// Instantiate a group (idempotent: re-creating an existing gid is
@@ -29,6 +38,8 @@ enum ShardCmd {
     Create { gid: GroupId, capacity: u64 },
     /// Apply a [`GroupCmd`] to a hosted group.
     Apply { gid: GroupId, cmd: GroupCmd },
+    /// Hand one directory reply to the sink.
+    Reply(GroupOutput),
     /// Snapshot one group's report.
     Report { gid: GroupId, reply: Sender<Option<GroupReport>> },
     /// Snapshot every group this shard hosts.
@@ -83,18 +94,30 @@ impl Default for ShardConfig {
 impl ShardPool {
     /// Spawns the worker threads.
     pub fn spawn(cfg: ShardConfig) -> ShardPool {
-        let shards = cfg.shards.max(1);
+        let sink: Sink = match cfg.outputs {
+            Some(tx) => Arc::new(move |gid, drained| {
+                for out in drained {
+                    let _ = tx.send((gid, out.to, out.msg));
+                }
+            }),
+            None => Arc::new(|_, _| {}),
+        };
+        ShardPool::with_sink(cfg.shards, cfg.auto_run, sink)
+    }
+
+    /// [`ShardPool::spawn`], handing outputs to `sink`, not a channel.
+    pub(crate) fn with_sink(shards: usize, auto_run: bool, sink: Sink) -> ShardPool {
+        let shards = shards.max(1);
         let counters = Arc::new(ShardCounters::default());
         let mut senders = Vec::with_capacity(shards);
         let mut handles = Vec::with_capacity(shards);
         for i in 0..shards {
             let (tx, rx) = unbounded();
             let counters = Arc::clone(&counters);
-            let auto_run = cfg.auto_run;
-            let outputs = cfg.outputs.clone();
+            let sink = sink.clone();
             let handle = std::thread::Builder::new()
                 .name(format!("vsgm-shard-{i}"))
-                .spawn(move || shard_main(&rx, &counters, auto_run, outputs.as_ref()))
+                .spawn(move || shard_main(&rx, &counters, auto_run, &sink))
                 // vsgm-allow(P1): thread-spawn failure is OS resource
                 // exhaustion at server startup — nothing to unwind to
                 .expect("spawn shard worker");
@@ -119,8 +142,7 @@ impl ShardPool {
         &self.counters
     }
 
-    fn send_to(&self, gid: GroupId, cmd: ShardCmd) {
-        let shard = self.shard_of(gid);
+    fn send_to(&self, shard: usize, cmd: ShardCmd) {
         if let Some(tx) = self.senders.get(shard) {
             // A send only fails after shutdown; commands raced past the
             // end of the pool's life are dropped by design.
@@ -131,18 +153,26 @@ impl ShardPool {
     /// Instantiates a group on its owning shard (idempotent per gid).
     /// `_seed` is unused, as in [`GroupInstance::new`].
     pub fn create_group(&self, gid: GroupId, capacity: u64, _seed: u64) {
-        self.send_to(gid, ShardCmd::Create { gid, capacity });
+        self.send_to(self.shard_of(gid), ShardCmd::Create { gid, capacity });
     }
 
     /// Routes one command to `gid`'s instance.
     pub fn apply(&self, gid: GroupId, cmd: GroupCmd) {
-        self.send_to(gid, ShardCmd::Apply { gid, cmd });
+        self.send_to(self.shard_of(gid), ShardCmd::Apply { gid, cmd });
+    }
+
+    /// Hands `msg` for client `to` to the sink, from shard `to % shards`.
+    /// Every reply to one client goes through the same worker, so the
+    /// client receives its replies in the order they were queued here.
+    pub(crate) fn reply(&self, to: ProcessId, msg: NetMsg) {
+        let shard = (to.raw() % self.senders.len().max(1) as u64) as usize;
+        self.send_to(shard, ShardCmd::Reply(GroupOutput { to, msg }));
     }
 
     /// Blocking snapshot of one group (`None` if unhosted).
     pub fn report(&self, gid: GroupId) -> Option<GroupReport> {
         let (reply, rx) = unbounded();
-        self.send_to(gid, ShardCmd::Report { gid, reply });
+        self.send_to(self.shard_of(gid), ShardCmd::Report { gid, reply });
         rx.recv().ok().flatten()
     }
 
@@ -164,7 +194,7 @@ impl ShardPool {
     /// Blocking checker finalization for one group (`None` if unhosted).
     pub fn finish(&self, gid: GroupId) -> Option<Vec<Violation>> {
         let (reply, rx) = unbounded();
-        self.send_to(gid, ShardCmd::Finish { gid, reply });
+        self.send_to(self.shard_of(gid), ShardCmd::Finish { gid, reply });
         rx.recv().ok().flatten()
     }
 
@@ -187,23 +217,11 @@ impl Drop for ShardPool {
     }
 }
 
-fn forward_outputs(
-    gid: GroupId,
-    outputs: Option<&Sender<(GroupId, ProcessId, NetMsg)>>,
-    drained: Vec<GroupOutput>,
-) {
-    if let Some(tx) = outputs {
-        for out in drained {
-            let _ = tx.send((gid, out.to, out.msg));
-        }
-    }
-}
-
 fn shard_main(
     rx: &Receiver<ShardCmd>,
     counters: &ShardCounters,
     auto_run: bool,
-    outputs: Option<&Sender<(GroupId, ProcessId, NetMsg)>>,
+    sink: &Sink,
 ) {
     let mut groups: BTreeMap<GroupId, GroupInstance> = BTreeMap::new();
     while let Ok(cmd) = rx.recv() {
@@ -220,13 +238,14 @@ fn shard_main(
                     g.apply(cmd);
                     if auto_run {
                         g.run_to_quiescence();
-                        forward_outputs(gid, outputs, g.drain_outputs());
+                        sink(gid, g.drain_outputs());
                     }
                 }
                 None => {
                     counters.frames_unroutable.fetch_add(1, Ordering::Relaxed);
                 }
             },
+            ShardCmd::Reply(out) => sink(GroupId::DIRECTORY, vec![out]),
             ShardCmd::Report { gid, reply } => {
                 let _ = reply.send(groups.get(&gid).map(GroupInstance::report));
             }

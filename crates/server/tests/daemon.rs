@@ -1,0 +1,303 @@
+//! The daemon as its process sees it: the threads a serving
+//! `GroupServer` runs, that dropping one gives back every thread and
+//! descriptor it took, that one client's frames reach its group in the
+//! order the client sent them, directory verbs included, and that
+//! clients racing `create`/`join` from different loops all end in views.
+//!
+//! The tests run one at a time ([`serial`]): two of them read
+//! process-wide `/proc/self` counts that a neighbour would skew.
+
+use std::cell::RefCell;
+use std::collections::BTreeMap;
+use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::time::{Duration, Instant};
+use vsgm_net::{TcpConfig, TcpTransport, Transport};
+use vsgm_server::{GroupServer, ServerConfig};
+use vsgm_types::{AppMsg, GroupId, NetMsg, ProcSet, ProcessId};
+
+fn serial() -> MutexGuard<'static, ()> {
+    static SERIAL: Mutex<()> = Mutex::new(());
+    SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+fn p(i: u64) -> ProcessId {
+    ProcessId::new(i)
+}
+
+fn wait_until(what: &str, deadline: Duration, mut ok: impl FnMut() -> bool) {
+    let t0 = Instant::now();
+    while !ok() {
+        assert!(t0.elapsed() < deadline, "timed out waiting for {what}");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+}
+
+fn two_shards() -> GroupServer {
+    let cfg = ServerConfig { shards: 2, tcp: TcpConfig::default(), ..ServerConfig::default() };
+    GroupServer::bind(p(0), "127.0.0.1:0", cfg).expect("bind daemon")
+}
+
+/// This process's `vsgm-*` threads, counted by name (`comm` keeps 15
+/// bytes: `vsgm-tcp-heartbeat` reads `vsgm-tcp-heartb`).
+fn vsgm_threads() -> BTreeMap<String, usize> {
+    let mut by_name = BTreeMap::new();
+    for task in std::fs::read_dir("/proc/self/task").expect("procfs").flatten() {
+        let comm = std::fs::read_to_string(task.path().join("comm")).unwrap_or_default();
+        if comm.starts_with("vsgm-") {
+            *by_name.entry(comm.trim().to_string()).or_default() += 1;
+        }
+    }
+    by_name
+}
+
+fn count_dir(path: &str) -> usize {
+    std::fs::read_dir(path).map(|d| d.count()).unwrap_or(0)
+}
+
+type Frame = (ProcessId, Option<GroupId>, NetMsg);
+
+/// A bare client: one transport with one loop, and the frames it has
+/// received while waiting for others.
+struct Client {
+    t: TcpTransport,
+    pending: RefCell<Vec<Frame>>,
+}
+
+impl Client {
+    fn connect(me: u64, server: &GroupServer) -> Client {
+        let cfg = TcpConfig { loop_threads: 1, ..TcpConfig::default() };
+        let t = TcpTransport::bind_with(p(me), "127.0.0.1:0", cfg).expect("bind client");
+        t.register_peer(p(0), server.local_addr());
+        server.register_client(p(me), t.local_addr());
+        Client { t, pending: RefCell::new(Vec::new()) }
+    }
+
+    fn to_server(&self, gid: GroupId, text: &str) {
+        let server: ProcSet = [p(0)].into_iter().collect();
+        self.t.send_to_group(gid, &server, &NetMsg::App(AppMsg::from(text))).expect("send");
+    }
+
+    /// The first frame, buffered or arriving, that `want` accepts.
+    fn await_frame(&self, what: &str, mut want: impl FnMut(&Frame) -> bool) -> Frame {
+        let buffered = self.pending.borrow().iter().position(&mut want);
+        if let Some(i) = buffered {
+            return self.pending.borrow_mut().remove(i);
+        }
+        let deadline = Instant::now() + Duration::from_secs(10);
+        loop {
+            match self.t.recv_routed_timeout(Duration::from_millis(100)) {
+                Some(frame) if want(&frame) => return frame,
+                Some(other) => self.pending.borrow_mut().push(other),
+                None => assert!(Instant::now() < deadline, "{what} never arrived"),
+            }
+        }
+    }
+
+    fn await_reply(&self) -> String {
+        match self.await_frame("directory reply", |(_, g, m)| {
+            *g == Some(GroupId::DIRECTORY) && matches!(m, NetMsg::App(_))
+        }) {
+            (_, _, NetMsg::App(reply)) => String::from_utf8_lossy(reply.as_bytes()).into_owned(),
+            other => panic!("not a reply: {other:?}"),
+        }
+    }
+
+    fn request(&self, line: &str) -> String {
+        self.to_server(GroupId::DIRECTORY, line);
+        self.await_reply()
+    }
+
+    fn await_delivery(&self, gid: GroupId, from: ProcessId, text: &str) {
+        self.await_frame(&format!("delivery of {text:?} in {gid}"), |(_, g, m)| {
+            matches!(m, NetMsg::Fwd(f)
+                if *g == Some(gid) && f.origin == from && f.msg == AppMsg::from(text))
+        });
+    }
+
+    fn await_view(&self, gid: GroupId, members: &[u64]) {
+        let want: ProcSet = members.iter().map(|i| p(*i)).collect();
+        self.await_frame(&format!("view {members:?} of {gid}"), |(_, g, m)| {
+            matches!(m, NetMsg::ViewMsg(v) if *g == Some(gid) && *v.members() == want)
+        });
+    }
+
+    fn await_view_holding(&self, gid: GroupId, member: ProcessId) {
+        self.await_frame(&format!("a view of {gid} holding {member}"), |(_, g, m)| {
+            matches!(m, NetMsg::ViewMsg(v) if *g == Some(gid) && v.contains(member))
+        });
+    }
+
+    /// Whether a delivery of `text` has been received and set aside.
+    fn holds_delivery_of(&self, text: &str) -> bool {
+        self.pending
+            .borrow()
+            .iter()
+            .any(|(_, _, m)| matches!(m, NetMsg::Fwd(f) if f.msg == AppMsg::from(text)))
+    }
+}
+
+/// With two shards and the default transport a daemon runs five threads
+/// — two event loops (the first also accepts), the heartbeat prober and
+/// one worker per shard — and serving a client starts no more. Nothing
+/// stands between the loops and the shards.
+#[test]
+fn a_two_shard_daemon_runs_five_threads() {
+    let _serial = serial();
+    wait_until("earlier daemons' threads to exit", Duration::from_secs(10), || {
+        vsgm_threads().is_empty()
+    });
+    let daemon: BTreeMap<String, usize> = [
+        ("vsgm-net-loop", 2),
+        ("vsgm-shard-0", 1),
+        ("vsgm-shard-1", 1),
+        ("vsgm-tcp-heartb", 1),
+    ]
+    .into_iter()
+    .map(|(name, n)| (name.to_string(), n))
+    .collect();
+    let server = two_shards();
+    // A thread names itself as it starts: give the names a moment.
+    wait_until("the daemon's five threads", Duration::from_secs(5), || vsgm_threads() == daemon);
+    assert_eq!(daemon.values().sum::<usize>(), 5);
+    // Serving one client (its own loop and prober) adds no daemon thread.
+    let c = Client::connect(1, &server);
+    assert_eq!(c.request("create room"), "ok create room 1");
+    c.to_server(GroupId::new(1), "hello");
+    c.await_delivery(GroupId::new(1), p(1), "hello");
+    let mut serving = daemon.clone();
+    *serving.entry("vsgm-net-loop".to_string()).or_default() += 1;
+    *serving.entry("vsgm-tcp-heartb".to_string()).or_default() += 1;
+    assert_eq!(vsgm_threads(), serving);
+}
+
+/// Bind, serve one create/send/deliver, drop — twenty times: the
+/// process's thread and descriptor counts come back to where they were.
+/// The loops' router holds the shard pool and the pool's sink sends on
+/// the transport; were that a cycle of strong references, every round
+/// would leave a daemon's threads and sockets behind.
+#[test]
+fn dropping_a_daemon_gives_back_its_threads_and_descriptors() {
+    let _serial = serial();
+    let round = || {
+        let server = two_shards();
+        let c = Client::connect(1, &server);
+        assert_eq!(c.request("create room"), "ok create room 1");
+        c.to_server(GroupId::new(1), "hello");
+        c.await_delivery(GroupId::new(1), p(1), "hello");
+    };
+    // Warm-up: lazy allocations settle before the baseline is taken.
+    round();
+    wait_until("warm-up teardown", Duration::from_secs(10), || vsgm_threads().is_empty());
+    let fd0 = count_dir("/proc/self/fd");
+    let th0 = count_dir("/proc/self/task");
+    for _ in 0..20 {
+        round();
+    }
+    wait_until("threads and descriptors back at baseline", Duration::from_secs(20), || {
+        count_dir("/proc/self/fd") <= fd0 && count_dir("/proc/self/task") <= th0
+    });
+    assert!(vsgm_threads().is_empty(), "{:?}", vsgm_threads());
+}
+
+/// A client's frames reach its group's shard in the order it sent them,
+/// directory verbs included: a multicast sent right behind `join g`,
+/// without waiting for the reply, is applied after the join and
+/// delivered; one sent right behind `leave g` is applied after the leave
+/// and so delivered in no view at all.
+#[test]
+fn a_clients_verbs_and_multicasts_are_applied_in_the_order_it_sent_them() {
+    let _serial = serial();
+    let server = two_shards();
+    let a = Client::connect(1, &server);
+    let b = Client::connect(2, &server);
+    let g = GroupId::new(1);
+    assert_eq!(a.request("create room"), "ok create room 1");
+    b.to_server(GroupId::DIRECTORY, "join room");
+    b.to_server(g, "right behind the join");
+    a.await_delivery(g, p(2), "right behind the join");
+    b.await_delivery(g, p(2), "right behind the join");
+    assert_eq!(b.await_reply(), "ok join room 1");
+    let before = server.shards().report(g).expect("hosted");
+    assert_eq!(before.delivered, 2, "{before:?}");
+
+    b.to_server(GroupId::DIRECTORY, "leave room");
+    b.to_server(g, "right behind the leave");
+    // A reply to a later verb is routed after the multicast was queued on
+    // the group's shard, and the report is taken behind that multicast.
+    b.to_server(GroupId::DIRECTORY, "lookup room");
+    assert_eq!(b.await_reply(), "ok leave room 1");
+    assert_eq!(b.await_reply(), "ok lookup room 1");
+    let after = server.shards().report(g).expect("hosted");
+    assert_eq!(after.members, [p(1)].into_iter().collect::<ProcSet>());
+    assert_eq!(after.delivered, before.delivered, "the leaver's multicast was delivered");
+    // What the group sends `a` arrives in step order: `a`'s own marker
+    // comes after anything the leaver's multicast could have produced.
+    a.await_view(g, &[1]);
+    a.to_server(g, "marker");
+    a.await_delivery(g, p(1), "marker");
+    assert!(!a.holds_delivery_of("right behind the leave"));
+    assert_eq!(server.shards().finish(g), Some(vec![]));
+}
+
+/// Clients on both of the daemon's loops race `create` and `join` on a
+/// fresh name, round after round, without waiting for replies. Every
+/// name resolves to one group, and every `ok` leads to a view of that
+/// group holding the client: no loop queues a `Join` on the group's shard
+/// ahead of the `Create` another loop queued, so no `Join` is dropped as
+/// unroutable.
+#[test]
+fn racing_creates_and_joins_from_both_loops_each_lead_to_a_view() {
+    const CLIENTS: u64 = 6;
+    const ROUNDS: u64 = 50;
+    let _serial = serial();
+    let server = two_shards();
+    let clients: Vec<Client> = (1..=CLIENTS).map(|i| Client::connect(i, &server)).collect();
+    let to_server: ProcSet = [p(0)].into_iter().collect();
+    // Each client opens its connection with a legacy frame, which draws no
+    // reply (the daemon counts it as unroutable); one at a time, so the
+    // daemon's round-robin puts the clients on alternate loops.
+    for (i, c) in (1..).zip(&clients) {
+        c.t.send(&to_server, &NetMsg::App(AppMsg::from("hello"))).expect("send");
+        wait_until("the legacy frame", Duration::from_secs(5), || {
+            server.stats().frames_unroutable == i
+        });
+    }
+    // Two in three send `create`, so each round has losers that join.
+    let creates = |i: u64, round: u64| !(i + round).is_multiple_of(3);
+    let barrier = std::sync::Barrier::new(clients.len());
+    std::thread::scope(|s| {
+        for (i, c) in (1..).zip(&clients) {
+            let (t, barrier, to_server) = (&c.t, &barrier, &to_server);
+            s.spawn(move || {
+                for round in 0..ROUNDS {
+                    let verb = if creates(i, round) { "create" } else { "join" };
+                    let line = NetMsg::App(AppMsg::from(format!("{verb} room{round}").as_str()));
+                    barrier.wait();
+                    t.send_to_group(GroupId::DIRECTORY, to_server, &line).expect("send");
+                }
+            });
+        }
+    });
+    let mut gid_of: BTreeMap<String, GroupId> = BTreeMap::new();
+    for (i, c) in (1..).zip(&clients) {
+        for round in 0..ROUNDS {
+            let name = format!("room{round}");
+            let reply = c.await_reply();
+            match reply.split(' ').collect::<Vec<_>>().as_slice() {
+                ["ok", _, n, gid] if *n == name => {
+                    let gid = GroupId::new(gid.parse().expect("numeric gid"));
+                    assert_eq!(*gid_of.entry(name).or_insert(gid), gid, "{reply}");
+                    c.await_view_holding(gid, p(i));
+                }
+                // A `join` that beat every `create` of its round.
+                ["err", "unknown-group", n] if *n == name && !creates(i, round) => {}
+                _ => panic!("client {i}, round {round}: {reply}"),
+            }
+        }
+    }
+    let stats = server.stats();
+    assert_eq!((stats.dir_creates, stats.frames_unroutable), (ROUNDS, CLIENTS), "{stats:?}");
+    for gid in gid_of.values() {
+        assert_eq!(server.shards().finish(*gid), Some(vec![]));
+    }
+}

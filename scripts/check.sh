@@ -150,7 +150,22 @@ cargo test -q -p vsgm --test multigroup_chaos "${CARGO_FLAGS[@]}" >/dev/null
 # simulates its clients again, or keeps per-process state in B-tree
 # leaves again, fails here. Each soak's growth or per-group line is
 # printed, as the benchmark smoke below prints rss_paced_mb.
-echo "==> hosted-group memory soaks (plateau x3, footprint)"
+#
+# Before the soaks, the daemon itself (DESIGN.md §17), run by name: a
+# two-shard daemon runs exactly five threads (two loops, the heartbeat
+# prober, two shard workers — no router or forwarder between them); 20
+# bind/serve/drop rounds return the process's thread and descriptor
+# counts to baseline (the loops' router holds the shard pool and the
+# pool's sink sends on the transport: a strong cycle there leaks a
+# daemon per round); one client's `join`/`leave` and the multicast it
+# sends right behind each are applied in the order it sent them; and
+# clients on both loops racing `create`/`join` each end in a view.
+echo "==> vsgm-server (daemon threads and order; memory soaks plateau x3, footprint)"
+cargo test -q -p vsgm-server --test daemon "${CARGO_FLAGS[@]}" -- --exact \
+    a_two_shard_daemon_runs_five_threads \
+    dropping_a_daemon_gives_back_its_threads_and_descriptors \
+    a_clients_verbs_and_multicasts_are_applied_in_the_order_it_sent_them \
+    racing_creates_and_joins_from_both_loops_each_lead_to_a_view >/dev/null
 for soak in resident_memory_plateaus_under_multicast_with_churn \
             resident_memory_plateaus_in_a_view_that_never_changes \
             resident_memory_plateaus_under_view_changes \
