@@ -296,7 +296,7 @@ impl BaselineEndpoint {
         // deliveries
         let members: Vec<ProcessId> = self.st.current_view.members().iter().copied().collect();
         for q in members {
-            if let Some(m) = wv::deliver_pre(&self.st, q) {
+            if let Some(m) = wv::deliver_pre(&self.st, q).cloned() {
                 let allowed = match self.delivery_bound(q) {
                     None => true,
                     Some(bound) => self.st.dlvrd(q) < bound,

@@ -508,6 +508,25 @@ impl Endpoint {
         }
     }
 
+    /// `reliable_target() == reliable_set`, without building the target.
+    fn reliable_at_target(&self) -> bool {
+        if self.cfg.stack.has_vs() {
+            vs::reliable_at_target(&self.st)
+        } else {
+            *self.st.current_view.members() == self.st.reliable_set
+        }
+    }
+
+    fn sync_enabled(&self) -> bool {
+        self.cfg.stack.has_vs()
+            && vs::send_sync_pre(&self.st, self.cfg.implicit_cuts)
+            && (!self.cfg.stack.has_sd() || sd::sync_restriction(&self.st))
+    }
+
+    fn send_app_enabled(&self) -> bool {
+        wv::send_app_msg_pre(&self.st).is_some() && !self.batch_holds()
+    }
+
     fn deliver_enabled(&self, q: ProcessId) -> bool {
         let Some(_) = wv::deliver_pre(&self.st, q) else { return false };
         if self.cfg.stack.has_vs() {
@@ -516,6 +535,12 @@ impl Endpoint {
             }
         }
         true
+    }
+
+    /// `view_enabled().is_some()`, without building the transitional set.
+    fn view_ready(&self) -> bool {
+        wv::view_pre(&self.st)
+            && (!self.cfg.stack.has_vs() || vs::view_ready(&self.st, self.cfg.implicit_cuts))
     }
 
     fn view_enabled(&self) -> Option<ProcSet> {
@@ -567,12 +592,58 @@ impl Endpoint {
         let mut effects = Vec::new();
         let mut steps = 0usize;
         loop {
-            let actions = self.enabled_actions();
-            let Some(action) = actions.first().cloned() else { return effects };
+            let next = self.first_enabled();
+            debug_assert_eq!(
+                self.enabled_actions().first(),
+                next.as_ref(),
+                "first_enabled must choose what enabled_actions lists first"
+            );
+            let Some(action) = next else { return effects };
             effects.extend(self.fire_rec(&action, rec));
             steps += 1;
             assert!(steps < 1_000_000, "endpoint livelock: {action:?} keeps firing");
         }
+    }
+
+    /// The action [`Automaton::enabled_actions`] lists first: the same
+    /// canonical order, walked until the first precondition that holds.
+    /// Every predicate on the walk borrows the state, so the walk that
+    /// finds nothing — the last one of every poll — allocates nothing.
+    fn first_enabled(&self) -> Option<Action> {
+        if self.st.crashed {
+            return None;
+        }
+        if !self.reliable_at_target() {
+            return Some(Action::SetReliable);
+        }
+        if wv::send_view_msg_pre(&self.st) {
+            return Some(Action::SendViewMsg);
+        }
+        if self.sync_enabled() {
+            return Some(Action::SendSyncMsg);
+        }
+        if self.cfg.stack.has_sd() && sd::block_pre(&self.st) {
+            return Some(Action::Block);
+        }
+        if self.flush_agg_enabled() {
+            return Some(Action::FlushAgg);
+        }
+        if self.send_app_enabled() {
+            return Some(Action::SendAppMsg);
+        }
+        let members = self.st.current_view.members();
+        if let Some(q) = members.iter().copied().find(|q| self.deliver_enabled(*q)) {
+            return Some(Action::DeliverApp(q));
+        }
+        if self.view_ready() {
+            return Some(Action::DeliverView);
+        }
+        if self.cfg.stack.has_vs() {
+            if let Some(cmd) = self.cfg.forward.first_candidate(&self.st) {
+                return Some(Action::Forward(cmd));
+            }
+        }
+        stability::send_ack_pre(&self.st).then_some(Action::SendAck)
     }
 }
 
@@ -580,6 +651,9 @@ impl Automaton for Endpoint {
     type Action = Action;
     type Effect = Effect;
 
+    /// Every enabled action in canonical order — what explore's DPOR
+    /// enumerates, and the reference `Endpoint::first_enabled` is checked
+    /// against in debug builds.
     fn enabled_actions(&self) -> Vec<Action> {
         if self.st.crashed {
             return Vec::new();
@@ -591,10 +665,7 @@ impl Automaton for Endpoint {
         if wv::send_view_msg_pre(&self.st) {
             out.push(Action::SendViewMsg);
         }
-        if self.cfg.stack.has_vs()
-            && vs::send_sync_pre(&self.st, self.cfg.implicit_cuts)
-            && (!self.cfg.stack.has_sd() || sd::sync_restriction(&self.st))
-        {
+        if self.sync_enabled() {
             out.push(Action::SendSyncMsg);
         }
         if self.cfg.stack.has_sd() && sd::block_pre(&self.st) {
@@ -603,7 +674,7 @@ impl Automaton for Endpoint {
         if self.flush_agg_enabled() {
             out.push(Action::FlushAgg);
         }
-        if wv::send_app_msg_pre(&self.st).is_some() && !self.batch_holds() {
+        if self.send_app_enabled() {
             out.push(Action::SendAppMsg);
         }
         for q in self.st.current_view.members() {
@@ -745,7 +816,7 @@ impl Endpoint {
                 }
             }
             Action::DeliverApp(q) => {
-                let Some(m) = wv::deliver_pre(&self.st, *q) else {
+                let Some(m) = wv::deliver_pre(&self.st, *q).cloned() else {
                     return Vec::new(); // enabled_actions() no longer offers this
                 };
                 self.stats.msgs_delivered += 1;

@@ -16,9 +16,10 @@
 //!   per missing message, the committed holder with the smallest id as
 //!   the unique forwarder. Usually one copy per missing message.
 
-use crate::state::State;
-use std::collections::BTreeMap;
-use vsgm_types::{Cut, MsgIndex, ProcSet, ProcessId, View, ViewId};
+use crate::state::{State, SyncRecord};
+use std::convert::Infallible;
+use std::ops::ControlFlow;
+use vsgm_types::{Cut, MsgIndex, ProcSet, ProcessId, StartChangeId, View, ViewId};
 
 /// One forwarding obligation: send `msgs[origin][view][index]` to `to`.
 #[derive(Debug, Clone, PartialEq)]
@@ -52,67 +53,97 @@ impl ForwardStrategyKind {
     /// filtered against `st.forwarded` (Fig. 10's `forwarded_set`
     /// precondition) and against messages we do not hold.
     pub fn candidates(self, st: &State) -> Vec<ForwardCmd> {
-        // Fast path: forwarding can only ever be due when peer sync
-        // records exist (both strategies key off them). Steady-state
-        // multicast — the hot path — has none.
+        let mut out = Vec::new();
+        let _: ControlFlow<Infallible> = self.walk(st, &mut |cmd| {
+            out.push(cmd);
+            ControlFlow::Continue(())
+        });
+        out
+    }
+
+    /// The first of [`ForwardStrategyKind::candidates`], found by the same
+    /// walk stopped at its first obligation. A walk that finds none
+    /// allocates nothing.
+    pub fn first_candidate(self, st: &State) -> Option<ForwardCmd> {
+        match self.walk(st, &mut ControlFlow::Break) {
+            ControlFlow::Break(cmd) => Some(cmd),
+            ControlFlow::Continue(()) => None,
+        }
+    }
+
+    /// Hands every enabled forwarding action to `emit`, in candidate
+    /// order, until `emit` breaks.
+    fn walk<B>(
+        self,
+        st: &State,
+        emit: &mut impl FnMut(ForwardCmd) -> ControlFlow<B>,
+    ) -> ControlFlow<B> {
+        // Both strategies need a peer's sync record beside an own one, so
+        // fewer than two records means nothing is due. That holds only
+        // until the first view change: [`State::gc`] keeps the n records
+        // the current view was installed from, so a member of a stable
+        // view of n > 1 takes the walk below on every step.
         if st.sync_msgs.len() <= 1 {
-            return Vec::new();
+            return ControlFlow::Continue(());
         }
         match self {
-            ForwardStrategyKind::Disabled => Vec::new(),
-            ForwardStrategyKind::Eager => eager(st),
-            ForwardStrategyKind::MinCopy => min_copy(st),
+            ForwardStrategyKind::Disabled => ControlFlow::Continue(()),
+            ForwardStrategyKind::Eager => eager(st, emit),
+            ForwardStrategyKind::MinCopy => min_copy(st, emit),
         }
     }
 }
 
-/// The latest (max-cid) non-slim sync record each process has produced
-/// per view, from this end-point's perspective.
-fn latest_syncs_per_view(st: &State) -> BTreeMap<(ProcessId, View), Cut> {
-    let mut best: BTreeMap<(ProcessId, View), (vsgm_types::StartChangeId, Cut)> = BTreeMap::new();
-    for ((q, cid), rec) in &st.sync_msgs {
-        let Some(v) = &rec.view else { continue };
-        let key = (*q, v.clone());
-        match best.get(&key) {
-            Some((c, _)) if *c >= *cid => {}
-            _ => {
-                best.insert(key, (*cid, rec.cut.clone()));
-            }
-        }
-    }
-    best.into_iter().map(|(k, (_, cut))| (k, cut)).collect()
+/// One `sync_msg[q][cid]` cell as `State::sync_msgs` stores it.
+type SenderRecord = ((ProcessId, StartChangeId), SyncRecord);
+
+/// The cut of the latest (max-cid) record in `records` that carries view
+/// `v`. `records` is one sender's run of `sync_msgs`, in cid order.
+fn latest_cut<'a>(records: &'a [SenderRecord], v: &View) -> Option<&'a Cut> {
+    records.iter().rev().find(|(_, rec)| rec.view.as_ref() == Some(v)).map(|(_, rec)| &rec.cut)
 }
 
-/// The largest view id this end-point knows `q` to have reached (via
-/// `view_msg`s and sync messages).
-fn known_view_of(st: &State, q: ProcessId) -> ViewId {
-    let mut id = st.view_msg_of(q).id();
-    for ((sender, _), rec) in &st.sync_msgs {
-        if *sender == q {
-            if let Some(v) = &rec.view {
-                id = id.max(v.id());
-            }
-        }
-    }
-    id
+/// The smallest view above `after` that a record in `records` carries: the
+/// carried views in order, one call each, without collecting them.
+fn next_view<'a>(records: &'a [SenderRecord], after: Option<&View>) -> Option<&'a View> {
+    records
+        .iter()
+        .filter_map(|(_, rec)| rec.view.as_ref())
+        .filter(|v| after.is_none_or(|a| *v > a))
+        .min()
 }
 
 /// §5.2.2, first strategy: `p` forwards `m` (sent by `r` in view `v`) to
 /// `q` iff `p` committed to deliver `m`, `p` knows no later view of `q`
 /// than `v`, and `q`'s latest sync for `v` shows `q` misses `m`.
-fn eager(st: &State) -> Vec<ForwardCmd> {
-    let per_view = latest_syncs_per_view(st);
-    let mut out = Vec::new();
-    // Own commitments, per view.
-    for ((owner, v), own_cut) in &per_view {
-        if *owner != st.pid {
-            continue;
-        }
-        for ((q, qv), q_cut) in &per_view {
-            if *q == st.pid || qv != v {
+///
+/// Candidates come per own commitment in view order, then per peer in id
+/// order, each side's commitment being its latest (max-cid) non-slim sync
+/// record for that view.
+fn eager<B>(st: &State, emit: &mut impl FnMut(ForwardCmd) -> ControlFlow<B>) -> ControlFlow<B> {
+    // `sync_msgs` is ordered by sender, then cid: one run per sender.
+    let by_sender = || st.sync_msgs.as_slice().chunk_by(|(a, _), (b, _)| a.0 == b.0);
+    let Some(own) = by_sender().find(|run| run.first().is_some_and(|((q, _), _)| *q == st.pid))
+    else {
+        return ControlFlow::Continue(());
+    };
+    let mut after = None;
+    while let Some(v) = next_view(own, after) {
+        after = Some(v);
+        let Some(own_cut) = latest_cut(own, v) else { continue };
+        for run in by_sender() {
+            let Some(((q, _), _)) = run.first() else { continue };
+            if *q == st.pid {
                 continue;
             }
-            if known_view_of(st, *q) > v.id() {
+            let Some(q_cut) = latest_cut(run, v) else { continue };
+            // The largest view id this end-point knows `q` to have reached
+            // (via `view_msg`s and sync messages).
+            let known = run
+                .iter()
+                .filter_map(|(_, rec)| rec.view.as_ref().map(View::id))
+                .fold(st.view_msg.get(q).map_or(ViewId::ZERO, View::id), ViewId::max);
+            if known > v.id() {
                 continue; // q has moved on; its old cut is obsolete
             }
             for r in v.members() {
@@ -128,17 +159,17 @@ fn eager(st: &State) -> Vec<ForwardCmd> {
                     if st.buf(*r, v).and_then(|s| s.get(i)).is_none() {
                         continue;
                     }
-                    out.push(ForwardCmd {
+                    emit(ForwardCmd {
                         to: [*q].into_iter().collect(),
                         origin: *r,
                         view: v.clone(),
                         index: i,
-                    });
+                    })?;
                 }
             }
         }
     }
-    out
+    ControlFlow::Continue(())
 }
 
 /// §5.2.2, second strategy: once the membership view `v'` and the sync
@@ -146,57 +177,56 @@ fn eager(st: &State) -> Vec<ForwardCmd> {
 /// each message from an origin `r ∉ T`, the minimum-id member of `T`
 /// committed to it as the unique forwarder; it forwards to the members of
 /// `T` whose cuts show they miss the message.
-fn min_copy(st: &State) -> Vec<ForwardCmd> {
+fn min_copy<B>(st: &State, emit: &mut impl FnMut(ForwardCmd) -> ControlFlow<B>) -> ControlFlow<B> {
     let v_new = &st.mbrshp_view;
     // Own sync for this change must exist (we've committed).
-    let Some(own_cid) = v_new.start_id(st.pid) else { return Vec::new() };
-    let Some(own) = st.sync(st.pid, own_cid) else { return Vec::new() };
-    let Some(v_old) = own.view.clone() else { return Vec::new() };
+    let Some(own_cid) = v_new.start_id(st.pid) else { return ControlFlow::Continue(()) };
+    let Some(own) = st.sync(st.pid, own_cid) else { return ControlFlow::Continue(()) };
+    let Some(v_old) = &own.view else { return ControlFlow::Continue(()) };
 
     // All selected syncs from I = v'.set ∩ v_old.set must be present.
-    let mut t: Vec<(ProcessId, &Cut)> = Vec::new();
-    for q in v_new.intersection(&v_old) {
-        let Some(q_cid) = v_new.start_id(q) else { return Vec::new() };
-        let Some(rec) = st.sync(q, q_cid) else { return Vec::new() };
-        if rec.view.as_ref() == Some(&v_old) {
-            t.push((q, &rec.cut));
-        }
+    let selected = |q| v_new.start_id(q).and_then(|cid| st.sync(q, cid));
+    if v_new.intersection(v_old).any(|q| selected(q).is_none()) {
+        return ControlFlow::Continue(());
     }
-    let mut out = Vec::new();
+    // `q`'s cut if `q ∈ T`: its selected sync shows it moving from v_old.
+    let t_cut =
+        |q| selected(q).filter(|rec| rec.view.as_ref() == Some(v_old)).map(|rec| &rec.cut);
+    let t = || v_new.intersection(v_old).filter_map(|q| Some((q, t_cut(q)?)));
     for r in v_old.members() {
-        if t.iter().any(|(u, _)| u == r) {
+        if t_cut(*r).is_some() {
             continue; // r ∈ T: its messages arrive from r directly
         }
-        let max_cut = t.iter().map(|(_, c)| c.get(*r)).max().unwrap_or(0);
-        for i in 1..=max_cut {
-            let min_holder =
-                t.iter().filter(|(_, c)| c.get(*r) >= i).map(|(u, _)| *u).min();
+        // Below every member's cut nobody misses a message.
+        let min_cut = t().map(|(_, c)| c.get(*r)).min().unwrap_or(0);
+        let max_cut = t().map(|(_, c)| c.get(*r)).max().unwrap_or(0);
+        for i in (min_cut + 1)..=max_cut {
+            let min_holder = t().filter(|(_, c)| c.get(*r) >= i).map(|(u, _)| u).min();
             if min_holder != Some(st.pid) {
                 continue;
             }
-            let to: ProcSet = t
-                .iter()
-                .filter(|(u, c)| c.get(*r) < i && !st.forwarded.contains(&(*u, *r, v_old.clone(), i)))
-                .map(|(u, _)| *u)
-                .collect();
+            let misses = |(u, c): &(ProcessId, &Cut)| {
+                c.get(*r) < i && !st.forwarded.contains(&(*u, *r, v_old.clone(), i))
+            };
+            let to: ProcSet = t().filter(misses).map(|(u, _)| u).collect();
             if to.is_empty() {
                 continue;
             }
-            if st.buf(*r, &v_old).and_then(|s| s.get(i)).is_none() {
+            if st.buf(*r, v_old).and_then(|s| s.get(i)).is_none() {
                 continue;
             }
-            out.push(ForwardCmd { to, origin: *r, view: v_old.clone(), index: i });
+            emit(ForwardCmd { to, origin: *r, view: v_old.clone(), index: i })?;
         }
     }
-    out
+    ControlFlow::Continue(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::state::SyncRecord;
-    use crate::{vs, wv};
-    use vsgm_types::{AppMsg, StartChangeId, SyncPayload};
+    use crate::state::MsgSeq;
+    use crate::{vs, wv, Config, Effect, Endpoint, Input};
+    use vsgm_types::{AppMsg, SyncPayload};
 
     fn p(i: u64) -> ProcessId {
         ProcessId::new(i)
@@ -389,21 +419,96 @@ mod tests {
 
     #[test]
     fn latest_sync_per_view_uses_max_cid() {
-        let mut st = State::new(p(1));
-        let v = view(1, &[1, 2], &[1, 1]);
-        let mut c1 = Cut::new();
-        c1.set(p(2), 1);
-        let mut c2 = Cut::new();
-        c2.set(p(2), 5);
-        st.sync_msgs.insert(
-            (p(2), StartChangeId::new(1)),
-            SyncRecord { view: Some(v.clone()), cut: c1, stream_pos: 0 },
-        );
-        st.sync_msgs.insert(
-            (p(2), StartChangeId::new(3)),
-            SyncRecord { view: Some(v.clone()), cut: c2, stream_pos: 0 },
-        );
-        let per_view = latest_syncs_per_view(&st);
-        assert_eq!(per_view[&(p(2), v)].get(p(2)), 5);
+        // p2 synced twice from the same view: the later record (cid 5)
+        // says it holds both of p3's messages, the earlier one (cid 3)
+        // that it holds none. Only the later one counts.
+        let mut st = scenario();
+        let v = st.current_view.clone();
+        let p2_record = |held: u64| SyncRecord {
+            view: Some(v.clone()),
+            cut: [(p(3), held)].into_iter().collect(),
+            stream_pos: 0,
+        };
+        st.sync_msgs.insert((p(2), StartChangeId::new(3)), p2_record(0));
+        st.sync_msgs.insert((p(2), StartChangeId::new(5)), p2_record(2));
+        assert!(ForwardStrategyKind::Eager.candidates(&st).is_empty());
+        st.sync_msgs.insert((p(2), StartChangeId::new(5)), p2_record(1));
+        let cmds = ForwardStrategyKind::Eager.candidates(&st);
+        assert_eq!(cmds.iter().map(|c| c.index).collect::<Vec<_>>(), [2]);
+    }
+
+    #[test]
+    fn first_candidate_is_the_first_of_the_candidates() {
+        let mut st = scenario();
+        p2_sync(&mut st, 0);
+        let all = ForwardStrategyKind::Eager.candidates(&st);
+        assert_eq!(all.len(), 2);
+        assert_eq!(ForwardStrategyKind::Eager.first_candidate(&st).as_ref(), all.first());
+        st.mbrshp_view = view(2, &[1, 2], &[2, 4]);
+        let all = ForwardStrategyKind::MinCopy.candidates(&st);
+        assert_eq!(all.len(), 2);
+        assert_eq!(ForwardStrategyKind::MinCopy.first_candidate(&st).as_ref(), all.first());
+        assert_eq!(ForwardStrategyKind::Disabled.first_candidate(&st), None);
+    }
+
+    /// Four end-points through one complete view change into {1,2,3,4},
+    /// then a round of multicasts in it; returns p1.
+    fn stable_member_of_four(forward: ForwardStrategyKind) -> Endpoint {
+        let cfg = Config { forward, ..Config::default() };
+        let mut eps: Vec<Endpoint> = (1..=4).map(|i| Endpoint::new(p(i), cfg.clone())).collect();
+        let members = set(&[1, 2, 3, 4]);
+        let settle = |eps: &mut Vec<Endpoint>| loop {
+            let mut wire = Vec::new();
+            for ep in eps.iter_mut() {
+                let from = ep.pid();
+                for effect in ep.poll() {
+                    match effect {
+                        Effect::NetSend { to, msg } => {
+                            wire.extend(to.into_iter().map(|dest| (from, dest, msg.clone())));
+                        }
+                        Effect::Block => {
+                            ep.handle(Input::BlockOk);
+                        }
+                        _ => {}
+                    }
+                }
+            }
+            if wire.is_empty() {
+                return;
+            }
+            for (from, dest, msg) in wire {
+                let ep = eps.iter_mut().find(|ep| ep.pid() == dest).expect("a member");
+                ep.handle(Input::Net { from, msg });
+            }
+        };
+        for ep in eps.iter_mut() {
+            ep.handle(Input::StartChange { cid: StartChangeId::new(1), set: members.clone() });
+        }
+        settle(&mut eps);
+        let v = view(1, &[1, 2, 3, 4], &[1, 1, 1, 1]);
+        for ep in eps.iter_mut() {
+            ep.handle(Input::MbrshpView(v.clone()));
+        }
+        settle(&mut eps);
+        for ep in eps.iter_mut() {
+            ep.handle(Input::AppSend(AppMsg::from("steady")));
+        }
+        settle(&mut eps);
+        assert!(eps.iter().all(|ep| ep.current_view() == &v && !ep.reconfiguring()));
+        eps.swap_remove(0)
+    }
+
+    #[test]
+    fn a_stable_view_keeps_its_sync_records_and_owes_no_forward() {
+        for forward in [ForwardStrategyKind::Eager, ForwardStrategyKind::MinCopy] {
+            let ep = stable_member_of_four(forward);
+            let st = ep.state();
+            // The records the view was installed from survive `State::gc`,
+            // so steady state is past the fast path, on the full walk.
+            assert_eq!(st.sync_msgs.len(), 4, "{forward:?}");
+            assert_eq!(st.buf(p(4), &st.current_view).map(MsgSeq::last_index), Some(1));
+            assert_eq!(forward.candidates(st), [], "{forward:?}");
+            assert_eq!(forward.first_candidate(st), None, "{forward:?}");
+        }
     }
 }

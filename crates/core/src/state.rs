@@ -278,9 +278,10 @@ impl State {
         self.msgs.entry((q, v.clone())).or_default()
     }
 
-    /// The buffer `msgs[q][v]` if it exists.
+    /// The buffer `msgs[q][v]` if it exists (looked up by reference: no
+    /// key is built).
     pub fn buf(&self, q: ProcessId, v: &View) -> Option<&MsgSeq> {
-        self.msgs.get(&(q, v.clone()))
+        self.msgs.get_by(|(kq, kv)| kq.cmp(&q).then_with(|| kv.cmp(v)))
     }
 
     /// `view_msg[q]`, defaulting to `q`'s initial view.
@@ -293,7 +294,7 @@ impl State {
     pub fn in_current_view_stream(&self, q: ProcessId) -> bool {
         match self.view_msg.get(&q) {
             Some(v) => *v == self.current_view,
-            None => View::initial(q) == self.current_view,
+            None => self.current_view.is_initial_of(q),
         }
     }
 

@@ -63,6 +63,16 @@ pub fn reliable_target(st: &State) -> ProcSet {
     set
 }
 
+/// Whether `reliable_set` already equals [`reliable_target`], decided by
+/// walking the two member sets in order instead of building the target.
+pub fn reliable_at_target(st: &State) -> bool {
+    let members = st.current_view.members();
+    match &st.start_change {
+        Some((_, sc_set)) => members.union(sc_set).eq(st.reliable_set.iter()),
+        None => *members == st.reliable_set,
+    }
+}
+
 /// `co_rfifo.send_p(set, tag=sync_msg, …)` precondition (Fig. 10; the SD
 /// layer adds `block_status = blocked` on top).
 ///
@@ -84,7 +94,7 @@ pub fn send_sync_pre(st: &State, implicit_cuts: bool) -> bool {
     if implicit_cuts {
         let sent_all =
             st.last_sent == st.buf(st.pid, &st.current_view).map_or(0, |b| b.last_index());
-        let announced = st.view_msg_of(st.pid) == st.current_view;
+        let announced = st.in_current_view_stream(st.pid);
         return sent_all && (announced || st.current_view.len() == 1);
     }
     true
@@ -185,7 +195,6 @@ fn agreed_bound(st: &State, q: ProcessId, implicit_cuts: bool) -> MsgIndex {
         return 0;
     }
     potential_transitional(st)
-        .into_iter()
         .filter_map(|r| {
             let r_cid = v.start_id(r)?;
             Some(st.sync(r, r_cid)?.cut.get(q))
@@ -217,16 +226,13 @@ pub fn delivery_bound(st: &State, q: ProcessId) -> Option<MsgIndex> {
 /// `S` of Fig. 10's deliver restriction: processes in
 /// `mbrshp_view.set ∩ current_view.set` whose selected synchronization
 /// message shows they move from our current view.
-fn potential_transitional(st: &State) -> Vec<ProcessId> {
-    st.mbrshp_view
-        .intersection(&st.current_view)
-        .filter(|r| {
-            st.mbrshp_view
-                .start_id(*r)
-                .and_then(|cid| st.sync(*r, cid))
-                .is_some_and(|rec| rec.view.as_ref() == Some(&st.current_view))
-        })
-        .collect()
+fn potential_transitional(st: &State) -> impl Iterator<Item = ProcessId> + '_ {
+    st.mbrshp_view.intersection(&st.current_view).filter(|r| {
+        st.mbrshp_view
+            .start_id(*r)
+            .and_then(|cid| st.sync(*r, cid))
+            .is_some_and(|rec| rec.view.as_ref() == Some(&st.current_view))
+    })
 }
 
 /// The Fig. 10 restriction on `view_p(v, T)`. Returns the transitional
@@ -243,24 +249,28 @@ pub fn view_restriction(st: &State) -> Option<ProcSet> {
 
 /// [`view_restriction`] parameterized by the implicit-cuts optimization.
 pub fn view_restriction_with(st: &State, implicit_cuts: bool) -> Option<ProcSet> {
-    let v = &st.mbrshp_view;
-    let (cid, _) = st.start_change.as_ref()?;
-    if v.start_id(st.pid) != Some(*cid) {
+    if !view_ready(st, implicit_cuts) {
         return None;
     }
+    st.transitional_set()
+}
+
+/// Whether [`view_restriction_with`] holds, decided without building the
+/// transitional set.
+pub fn view_ready(st: &State, implicit_cuts: bool) -> bool {
+    let v = &st.mbrshp_view;
+    let Some((cid, _)) = &st.start_change else { return false };
+    if v.start_id(st.pid) != Some(*cid) {
+        return false;
+    }
     // All required sync messages present?
-    for q in v.intersection(&st.current_view) {
-        let q_cid = v.start_id(q)?;
-        st.sync(q, q_cid)?;
+    let selected_present =
+        |q| v.start_id(q).is_some_and(|q_cid| st.sync(q, q_cid).is_some());
+    if !v.intersection(&st.current_view).all(selected_present) {
+        return false;
     }
-    let t = st.transitional_set()?;
     // Agreed-cut equality.
-    for q in st.current_view.members() {
-        if st.dlvrd(*q) != agreed_bound(st, *q, implicit_cuts) {
-            return None;
-        }
-    }
-    Some(t)
+    st.current_view.members().iter().all(|q| st.dlvrd(*q) == agreed_bound(st, *q, implicit_cuts))
 }
 
 /// `view_p(v, T)` effect added by this layer.

@@ -82,12 +82,12 @@ pub fn view_eff(st: &mut State) {
 /// current view is present, and own messages are only self-delivered
 /// after being multicast (`q = p ⇒ last_dlvrd[q] < last_sent`). Returns
 /// the message to deliver.
-pub fn deliver_pre(st: &State, q: ProcessId) -> Option<AppMsg> {
+pub fn deliver_pre(st: &State, q: ProcessId) -> Option<&AppMsg> {
     let next = st.dlvrd(q) + 1;
     if q == st.pid && st.dlvrd(q) >= st.last_sent {
         return None;
     }
-    st.buf(q, &st.current_view).and_then(|seq| seq.get(next)).cloned()
+    st.buf(q, &st.current_view).and_then(|seq| seq.get(next))
 }
 
 /// `deliver_p(q, m)` effect.
@@ -99,7 +99,7 @@ pub fn deliver_eff(st: &mut State, q: ProcessId) {
 /// `co_rfifo.send_p(set, tag=view_msg, v)` precondition: the current view
 /// has not been announced yet and reliable channels cover it.
 pub fn send_view_msg_pre(st: &State) -> bool {
-    st.view_msg_of(st.pid) != st.current_view
+    !st.in_current_view_stream(st.pid)
         && st.current_view.members().iter().all(|m| st.reliable_set.contains(m))
 }
 
@@ -115,19 +115,17 @@ pub fn send_view_msg_eff(st: &mut State) -> (ProcSet, NetMsg) {
 
 /// `co_rfifo.send_p(set, tag=app_msg, m)` precondition: the view has been
 /// announced and an unsent own message exists. Returns it.
-pub fn send_app_msg_pre(st: &State) -> Option<AppMsg> {
-    if st.view_msg_of(st.pid) != st.current_view {
+pub fn send_app_msg_pre(st: &State) -> Option<&AppMsg> {
+    if !st.in_current_view_stream(st.pid) {
         return None;
     }
-    st.buf(st.pid, &st.current_view)
-        .and_then(|seq| seq.get(st.last_sent + 1))
-        .cloned()
+    st.buf(st.pid, &st.current_view).and_then(|seq| seq.get(st.last_sent + 1))
 }
 
 /// `co_rfifo.send_p(set, tag=app_msg, m)` effect. `None` when
 /// [`send_app_msg_pre`] is false (the action is not enabled).
 pub fn send_app_msg_eff(st: &mut State) -> Option<(ProcSet, NetMsg)> {
-    let m = send_app_msg_pre(st)?;
+    let m = send_app_msg_pre(st)?.clone();
     let set: ProcSet =
         st.current_view.members().iter().copied().filter(|q| *q != st.pid).collect();
     st.last_sent += 1;
@@ -139,7 +137,7 @@ pub fn send_app_msg_eff(st: &mut State) -> Option<(ProcSet, NetMsg)> {
 /// Batching changes *how many* unsent messages one `co_rfifo.send_p`
 /// covers, never *whether* the action is enabled — the enabling condition
 /// is still "the view is announced and an unsent own message exists".
-pub fn send_app_batch_pre(st: &State) -> Option<AppMsg> {
+pub fn send_app_batch_pre(st: &State) -> Option<&AppMsg> {
     send_app_msg_pre(st)
 }
 
@@ -158,7 +156,7 @@ pub fn send_app_batch_eff(
     max_msgs: u64,
     max_bytes: usize,
 ) -> Option<(ProcSet, NetMsg, u64)> {
-    let first = send_app_batch_pre(st)?;
+    let first = send_app_batch_pre(st)?.clone();
     let mut batch = vec![first];
     let mut bytes = batch.first().map_or(0, AppMsg::len);
     if let Some(buf) = st.buf(st.pid, &st.current_view) {
@@ -229,7 +227,7 @@ mod tests {
         // Not yet sent via CO_RFIFO: self-delivery disabled.
         assert_eq!(deliver_pre(&st, p(1)), None);
         st.last_sent = 1;
-        assert_eq!(deliver_pre(&st, p(1)), Some(AppMsg::from("a")));
+        assert_eq!(deliver_pre(&st, p(1)), Some(&AppMsg::from("a")));
         deliver_eff(&mut st, p(1));
         assert_eq!(deliver_pre(&st, p(1)), None);
     }
@@ -262,7 +260,7 @@ mod tests {
         assert_eq!(set, [p(2)].into_iter().collect());
         assert!(matches!(msg, NetMsg::ViewMsg(v) if v == view12(1)));
         // Now app messages flow.
-        assert_eq!(send_app_msg_pre(&st), Some(AppMsg::from("a")));
+        assert_eq!(send_app_msg_pre(&st), Some(&AppMsg::from("a")));
         let (set, msg) = send_app_msg_eff(&mut st).expect("send enabled");
         assert_eq!(set, [p(2)].into_iter().collect());
         assert!(matches!(msg, NetMsg::App(m) if m == AppMsg::from("a")));
@@ -348,7 +346,7 @@ mod tests {
         assert_eq!(deliver_pre(&st, p(1)), None);
         st.mbrshp_view = v;
         view_eff(&mut st);
-        assert_eq!(deliver_pre(&st, p(1)), Some(AppMsg::from("a")));
+        assert_eq!(deliver_pre(&st, p(1)), Some(&AppMsg::from("a")));
     }
 
     #[test]

@@ -2,6 +2,7 @@
 
 use serde::{Deserialize, Error, Serialize, Value};
 use std::borrow::Borrow;
+use std::cmp::Ordering;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::ops::Index;
@@ -64,6 +65,21 @@ impl<K, V> VecMap<K, V> {
     /// Entries in key order.
     pub fn iter(&self) -> Iter<'_, K, V> {
         self.entries.iter().map(|(k, v)| (k, v))
+    }
+
+    /// The entries as one slice in key order, so runs of neighbouring
+    /// keys can be walked with the slice's own tools (`chunk_by`).
+    pub fn as_slice(&self) -> &[(K, V)] {
+        &self.entries
+    }
+
+    /// The value whose key `cmp` answers `Equal` for. `cmp` orders a key
+    /// against the one sought and must agree with the key order. It looks
+    /// up by a borrowed form of the key that `Borrow` cannot express — a
+    /// tuple holding a reference — without building an owned key.
+    pub fn get_by(&self, mut cmp: impl FnMut(&K) -> Ordering) -> Option<&V> {
+        let i = self.entries.binary_search_by(|(k, _)| cmp(k)).ok()?;
+        self.entries.get(i).map(|(_, v)| v)
     }
 
     /// Keys in order.
@@ -335,6 +351,7 @@ mod tests {
                     }
                     Op::Get(k) => {
                         prop_assert_eq!(map.get(&k), model.get(&k));
+                        prop_assert_eq!(map.get_by(|x| x.cmp(&k)), model.get(&k));
                         prop_assert_eq!(map.contains_key(&k), model.contains_key(&k));
                     }
                 }

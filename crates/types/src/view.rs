@@ -142,6 +142,12 @@ impl View {
         self.inner.id == ViewId::ZERO
     }
 
+    /// Whether this view equals [`View::initial`]`(p)`, decided without
+    /// building that view.
+    pub fn is_initial_of(&self, p: ProcessId) -> bool {
+        self.is_initial() && self.len() == 1 && self.start_id(p) == Some(StartChangeId::ZERO)
+    }
+
     /// Paper equality: identical triples. (Same as `==`; provided for
     /// call-site readability where the distinction matters.)
     pub fn same_view(&self, other: &View) -> bool {
@@ -193,6 +199,11 @@ mod tests {
         assert!(v.contains(p(3)));
         assert_eq!(v.start_id(p(3)), Some(StartChangeId::ZERO));
         assert!(v.is_initial());
+        assert!(v.is_initial_of(p(3)) && !v.is_initial_of(p(4)));
+        let pair =
+            View::new(ViewId::ZERO, [p(3), p(4)], [p(3), p(4)].map(|q| (q, StartChangeId::ZERO)));
+        let later = View::new(ViewId::ZERO, [p(3)], [(p(3), StartChangeId::new(1))]);
+        assert!(!pair.is_initial_of(p(3)) && !later.is_initial_of(p(3)));
     }
 
     #[test]

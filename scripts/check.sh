@@ -120,6 +120,16 @@ cargo test -q -p vsgm --test batching_differential "${CARGO_FLAGS[@]}" >/dev/nul
 echo "==> stability differential suite"
 cargo test -q -p vsgm --test stability_differential "${CARGO_FLAGS[@]}" >/dev/null
 
+# The end-point's action chooser (DESIGN.md §19), run by name: every
+# poll of randomized Sim schedules — under each forwarding strategy, §9
+# aggregation, implicit cuts, slim sync, batching and the WV-only and
+# WV+VS stack prefixes, some polls put off so inputs pile up — must fire
+# exactly what a copy driven through enabled_actions().first() fires and
+# leave the same state. (Debug builds also assert it at every step of
+# every poll, so the whole `cargo test` above checks it.)
+echo "==> first-enabled equivalence suite"
+cargo test -q -p vsgm --test first_enabled_equivalence "${CARGO_FLAGS[@]}" >/dev/null
+
 # Multi-group conformance (DESIGN.md §17). Differential: the daemon's
 # direct host must hand every receiver the byte-identical frame sequence
 # the Sim-backed oracle (tests/support/) does over >=50 randomized
@@ -173,6 +183,15 @@ for soak in resident_memory_plateaus_under_multicast_with_churn \
     timeout 600 cargo test -q --release -p vsgm-server --test plateau "${CARGO_FLAGS[@]}" \
         -- --exact "$soak" --nocapture | grep -E 'resident set|per group' | sed 's/^/    /'
 done
+
+# Step scaling (DESIGN.md §19, EXPERIMENTS.md E17), release-only, printed
+# like the soaks and judged by nobody: µs per multicast and per join on
+# one hosted group at n = 4..64, every checker online, and the fitted
+# slope in n of each.
+echo "==> vsgm-server step scaling (n = 4..64)"
+timeout 600 cargo test -q --release -p vsgm-server --test step_scaling "${CARGO_FLAGS[@]}" \
+    -- --exact step_cost_per_multicast_and_per_join_by_group_size --nocapture \
+    | grep 'step scaling' | sed 's/^step scaling: /    /'
 
 # Group-scaling smoke (EXPERIMENTS.md E15): a reduced groups×clients
 # sweep through the real vsgm-server daemon on loopback. The bench
