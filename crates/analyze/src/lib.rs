@@ -9,7 +9,7 @@
 //!
 //! | Rule | Enforces |
 //! |---|---|
-//! | `D1` | determinism: no `HashMap`/`HashSet`, no ambient time/randomness in protocol crates |
+//! | `D1` | determinism: no `HashMap`/`HashSet`, no ambient randomness in protocol crates |
 //! | `P1` | panic-freedom: no `unwrap`/`expect`/panicking macros/indexing in protocol code |
 //! | `I1` | IOA discipline: `*_pre`/`*_eff` pairing; total `ObsEvent` vocabulary |
 //! | `C1` | spec coverage: every spec action exercised by a trace-checker test |

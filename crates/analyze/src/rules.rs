@@ -13,7 +13,7 @@ use std::collections::{BTreeMap, BTreeSet};
 
 /// Crates whose protocol state must iterate deterministically (D1).
 /// `chaos` is held to the same bar: seed-replayable search would silently
-/// rot if a HashMap or ambient clock crept into the generator/minimizer.
+/// rot if a HashMap or ambient randomness crept into the generator/minimizer.
 pub const D1_CRATES: [&str; 6] = ["core", "membership", "types", "spec", "chaos", "explore"];
 /// Individual files outside [`D1_CRATES`] held to the determinism bar,
 /// plus files inside them pinned explicitly so a crate-list edit cannot
@@ -59,7 +59,8 @@ pub const R1_FILES: [&str; 6] = [
 /// Crates that must route all time through explicit inputs
 /// (`Input::Tick` / `vsgm-ioa` sim time) rather than the ambient clock
 /// (T1): everything except the real-transport layer (`net`, which
-/// genuinely lives in wall-clock time) and the analyzer itself.
+/// genuinely lives in wall-clock time) and the analyzer itself. T1 also
+/// covers [`D1_FILES`], and is the one rule that bans the clock.
 pub const T1_CRATES: [&str; 11] = [
     "baseline", "chaos", "core", "explore", "harness", "ioa", "membership", "obs", "order",
     "spec", "types",
@@ -72,7 +73,7 @@ pub const U1_FILE: &str = "crates/net/src/sys.rs";
 
 /// All rule identifiers the analyzer knows, with one-line descriptions.
 pub const RULES: [(&str, &str); 9] = [
-    ("D1", "determinism: no HashMap/HashSet or ambient time/randomness in protocol crates"),
+    ("D1", "determinism: no HashMap/HashSet or ambient randomness in protocol crates"),
     ("P1", "panic-freedom: no unwrap/expect/panic!/unreachable!/indexing in protocol code"),
     ("I1", "IOA discipline: precondition/effect pairing and ObsEvent coverage"),
     ("C1", "spec coverage: every spec action exercised by a trace-checker test"),
@@ -98,6 +99,10 @@ fn in_crate_src(file: &SourceFile, crates: &[&str]) -> bool {
         && file.crate_name.as_deref().is_some_and(|c| crates.contains(&c))
 }
 
+fn in_d1_files(file: &SourceFile) -> bool {
+    file.kind == FileKind::Src && D1_FILES.contains(&file.rel.as_str())
+}
+
 /// Non-test mask lines of a file, as (1-based line, text) pairs.
 fn code_lines(file: &SourceFile) -> impl Iterator<Item = (usize, &String)> {
     file.scanned
@@ -112,18 +117,14 @@ fn code_lines(file: &SourceFile) -> impl Iterator<Item = (usize, &String)> {
 
 const D1_HASH_HINT: &str = "use BTreeMap/BTreeSet so iteration (and thus replay) order is \
      deterministic, or waive with `// vsgm-allow(D1): <why this is never iterated>`";
-const D1_TIME_HINT: &str = "deterministic crates take time/randomness as explicit inputs \
-     (vsgm-ioa SimTime / seeded rng); real-transport drivers may waive with vsgm-allow(D1)";
+const D1_RAND_HINT: &str = "deterministic crates take randomness as an explicit input \
+     (a seeded vsgm-ioa SimRng)";
 
-/// D1 — determinism: no `HashMap`/`HashSet` and no ambient time or
-/// randomness in the deterministic protocol crates.
+/// D1 — determinism: no `HashMap`/`HashSet` and no ambient randomness in
+/// the deterministic protocol crates (ambient clocks are T1's).
 pub fn d1(files: &[SourceFile]) -> Vec<Finding> {
     let mut out = Vec::new();
-    let covered = |f: &&SourceFile| {
-        in_crate_src(f, &D1_CRATES)
-            || (f.kind == FileKind::Src && D1_FILES.contains(&f.rel.as_str()))
-    };
-    for f in files.iter().filter(covered) {
+    for f in files.iter().filter(|f| in_crate_src(f, &D1_CRATES) || in_d1_files(f)) {
         let krate = f.crate_name.as_deref().unwrap_or("?");
         for (line, text) in code_lines(f) {
             for coll in ["HashMap", "HashSet"] {
@@ -137,15 +138,14 @@ pub fn d1(files: &[SourceFile]) -> Vec<Finding> {
                     ));
                 }
             }
-            for src in ["Instant::now", "SystemTime::now", "thread_rng", "from_entropy", "rand::random"]
-            {
+            for src in ["thread_rng", "from_entropy", "rand::random"] {
                 if !find_word(text, src).is_empty() {
                     out.push(finding(
                         "D1",
                         f,
                         line,
                         format!("ambient nondeterminism `{src}` in deterministic crate `{krate}`"),
-                        D1_TIME_HINT,
+                        D1_RAND_HINT,
                     ));
                 }
             }
@@ -500,11 +500,11 @@ const T1_HINT: &str = "deterministic layers take time as an explicit input (Inpu
      Driver shells bridging real time into ticks waive with `// vsgm-allow(T1): <why>`";
 
 /// T1 — clock discipline: no ambient clock reads (`Instant::now`,
-/// `SystemTime::now`, `.elapsed(`) in the protocol crates; all time
-/// flows through `Input::Tick` / simulated time.
+/// `SystemTime::now`, `.elapsed(`) in the protocol crates or the
+/// [`D1_FILES`]; all time flows through `Input::Tick` / simulated time.
 pub fn t1(files: &[SourceFile]) -> Vec<Finding> {
     let mut out = Vec::new();
-    for f in files.iter().filter(|f| in_crate_src(f, &T1_CRATES)) {
+    for f in files.iter().filter(|f| in_crate_src(f, &T1_CRATES) || in_d1_files(f)) {
         let krate = f.crate_name.as_deref().unwrap_or("?");
         for (line, text) in code_lines(f) {
             for pat in ["Instant::now", "SystemTime::now", ".elapsed("] {

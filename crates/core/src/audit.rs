@@ -8,12 +8,24 @@
 //! [`crate::Config::audit`] is set and, on failure, reconciles through
 //! the §8 crash/recovery path — see [`crate::endpoint`].
 //!
-//! The checks deliberately overlap the paper's proof invariants
-//! ([`crate::invariants`]) but are written against each field of
-//! [`State`] directly: the audit is the *coverage* surface (the analyzer
-//! `A1` rule requires every `State` field to be referenced here), and a
-//! detection must name the specific field-level contradiction for the
-//! minimized counterexample to be actionable.
+//! The audit *is* the paper's local proof invariants (§6–§7), the one
+//! implementation of each: `Sim::assert_paper_invariants` runs [`check`]
+//! on every end-point, then the cross-process ones of
+//! [`crate::invariants`]. The rest of the checks are written against each
+//! field of [`State`] directly: the audit is the *coverage* surface (the
+//! analyzer `A1` rule requires every `State` field to be referenced
+//! here), and a detection must name the specific field-level
+//! contradiction for the minimized counterexample to be actionable.
+//!
+//! | Check | Paper |
+//! |---|---|
+//! | `self_inclusion` | Invariant 6.1: `p ∈ mbrshp_view.set ∧ p ∈ current_view.set` |
+//! | `reliable_covers_view` | Invariant 6.2: once the view is announced, `current_view.set ⊆ reliable_set` |
+//! | `own_sync_in_current_view` | Invariant 6.9: the pending change's own sync was computed in the current view |
+//! | `own_cut_commits_all_sent` | Invariant 6.13: the own cut covers every own message |
+//! | `delivery_within_bound` | Invariant 7.1: no delivery beyond the bound `deliver`'s precondition enforces |
+//! | `cut_covered_by_buffers` | Invariant 7.2: the own cut only names messages actually buffered |
+//! | `view_ids_monotone` | `mbrshp_view.id ≥ current_view.id` (used throughout §7) |
 //!
 //! Soundness notes (why these hold in every legal state):
 //!
@@ -79,7 +91,7 @@ pub fn check(cfg: &Config, st: &State) -> Result<(), AuditFailure> {
     window_behind_delivery(st)?;
     announced_within_delivered(st)?;
     acked_within_sent(st)?;
-    delivery_within_bound(cfg, st)?;
+    delivery_within_bound(st)?;
     reliable_covers_view(st)?;
     own_sync_in_current_view(st)?;
     own_cut_commits_all_sent(st)?;
@@ -307,11 +319,13 @@ fn acked_within_sent(st: &State) -> Result<(), AuditFailure> {
     Ok(())
 }
 
-/// Invariant 7.1 with the configured optimization profile: deliveries
-/// never exceed the committed bound.
-fn delivery_within_bound(cfg: &Config, st: &State) -> Result<(), AuditFailure> {
+/// Invariant 7.1: deliveries never exceed the bound `deliver`'s
+/// precondition enforces. That bound is the same with implicit cuts on:
+/// the stream-position bound gates only view installation, and reads 0
+/// for a continuing member whose sync has yet to arrive.
+fn delivery_within_bound(st: &State) -> Result<(), AuditFailure> {
     for q in st.current_view.members() {
-        if let Some(bound) = vs::delivery_bound_with(st, *q, cfg.implicit_cuts) {
+        if let Some(bound) = vs::delivery_bound(st, *q) {
             if st.dlvrd(*q) > bound {
                 return fail(
                     "delivery_within_bound",
@@ -540,6 +554,22 @@ mod tests {
         let cfg = Config::default();
         check(&cfg, &State::new(p(1))).unwrap();
         check(&cfg, &busy_state()).unwrap();
+    }
+
+    /// Implicit cuts, mid-change: the membership view has arrived, but the
+    /// continuing member p2's sync has not. The end-point delivered p2's
+    /// message under its own cut, as `deliver`'s precondition allows; the
+    /// stream-position bound for p2 would still read 0 here.
+    #[test]
+    fn implicit_cuts_view_before_peer_sync_is_legal() {
+        let mut st = busy_state();
+        st.mbrshp_view = View::new(
+            ViewId::new(2, 0),
+            [p(1), p(2)],
+            [(p(1), StartChangeId::new(2)), (p(2), StartChangeId::new(5))],
+        );
+        assert_eq!(vs::delivery_bound_with(&st, p(2), true), Some(0));
+        check(&Config { implicit_cuts: true, ..Config::default() }, &st).unwrap();
     }
 
     #[test]

@@ -57,10 +57,6 @@ pub struct Config {
     /// §9 extension: aggregate synchronization messages through a
     /// deterministic leader (two-tier hierarchy) instead of all-to-all.
     pub aggregation: bool,
-    /// Garbage-collect buffers older than the previous view generation on
-    /// view installation. One previous generation is retained because
-    /// forwarding obligations for the just-left view may still be pending.
-    pub gc_old_views: bool,
     /// Application-message batching stage (see [`crate::batch`]). The
     /// default is off (per-message sends, the paper's original behavior).
     pub batch: BatchConfig,
@@ -80,7 +76,6 @@ impl Default for Config {
             slim_sync: false,
             implicit_cuts: false,
             aggregation: false,
-            gc_old_views: true,
             batch: BatchConfig::off(),
             audit: false,
         }

@@ -848,9 +848,7 @@ impl Endpoint {
                     sd::view_eff(&mut self.st);
                 }
                 stability::view_eff(&mut self.st);
-                if self.cfg.gc_old_views {
-                    self.st.gc(&previous);
-                }
+                self.st.gc(&previous);
                 // Re-issue application sends that arrived after the own
                 // sync for the just-completed change: they were queued
                 // (not stamped with the old view) and now join the new

@@ -60,7 +60,7 @@ impl<T: Transport> Node<T> {
     /// Panics if the endpoint and transport disagree about the identity.
     pub fn new(ep: Endpoint, transport: T) -> Self {
         assert_eq!(ep.pid(), transport.me(), "endpoint/transport identity mismatch");
-        // vsgm-allow(D1, T1): the tick epoch is driver-shell bookkeeping;
+        // vsgm-allow(T1): the tick epoch is driver-shell bookkeeping;
         // the endpoint only ever sees the derived monotone microsecond
         // input.
         Node { ep, transport, auto_block_ok: true, epoch: Instant::now(), delivered_since_ack: 0 }
@@ -132,7 +132,7 @@ impl<T: Transport> Node<T> {
     ///
     /// Propagates transport send failures.
     pub fn pump(&mut self, wait: Duration) -> io::Result<Vec<AppEvent>> {
-        // vsgm-allow(D1, T1): pump() is the real-transport driver shell;
+        // vsgm-allow(T1): pump() is the real-transport driver shell;
         // the deadline only bounds blocking on the socket and never feeds
         // the protocol state machine, which stays deterministic.
         let deadline = Instant::now() + wait;
@@ -159,7 +159,7 @@ impl<T: Transport> Node<T> {
             if got_any || had_effects {
                 continue;
             }
-            // vsgm-allow(D1, T1): same deadline bookkeeping — wall-clock
+            // vsgm-allow(T1): same deadline bookkeeping — wall-clock
             // never reaches the endpoint automaton.
             let now = Instant::now();
             if now >= deadline {

@@ -218,7 +218,8 @@ pub fn delivery_bound_with(st: &State, q: ProcessId, implicit_cuts: bool) -> Opt
 }
 
 /// [`delivery_bound_with`] with the optimization off (the paper's plain
-/// Fig. 10 semantics; also what the invariant checks audit).
+/// Fig. 10 semantics): the bound `deliver`'s precondition enforces, under
+/// every configuration, and what the audit's Invariant 7.1 check reads.
 pub fn delivery_bound(st: &State, q: ProcessId) -> Option<MsgIndex> {
     delivery_bound_with(st, q, false)
 }

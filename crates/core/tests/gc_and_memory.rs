@@ -180,21 +180,6 @@ fn gc_keeps_previous_generation_for_forwarding() {
 }
 
 #[test]
-fn gc_disabled_retains_everything() {
-    let cfg = Config { gc_old_views: false, ..Config::default() };
-    let mut a = Endpoint::new(p(1), cfg.clone());
-    let mut b = Endpoint::new(p(2), cfg);
-    for round in 1..=10u64 {
-        reconfigure(&mut a, &mut b, round, round);
-        a.handle(Input::AppSend(AppMsg::from("x")));
-        a.poll();
-    }
-    // Without GC the per-view buffers accumulate (the paper's abstract
-    // automaton behavior).
-    assert!(a.state().msgs.len() >= 9, "expected unbounded growth, got {}", a.state().msgs.len());
-}
-
-#[test]
 fn forwarded_set_pruned_with_buffers() {
     let mut a = Endpoint::new(p(1), Config::default());
     let mut b = Endpoint::new(p(2), Config::default());

@@ -103,7 +103,10 @@ impl Sim<Endpoint> {
 
 impl Sim<Endpoint> {
     /// Asserts every numbered invariant of the paper's proofs (§6–§7)
-    /// over the current global state (see `vsgm_core::invariants`).
+    /// over the current global state: the legal-state predicate
+    /// (`vsgm_core::audit`, the local invariants) on each end-point under
+    /// its own `Config`, then the cross-process ones
+    /// (`vsgm_core::invariants`).
     ///
     /// # Panics
     ///
@@ -117,8 +120,13 @@ impl Sim<Endpoint> {
         if self.corruption_mark.is_some() {
             return;
         }
+        for (p, ep) in &self.eps {
+            if let Err(e) = vsgm_core::audit::check(ep.config(), ep.state()) {
+                panic!("paper invariant violated: {p}: {e}");
+            }
+        }
         let states = self.eps.values().map(|e| e.state());
-        if let Err(e) = vsgm_core::invariants::check_all(states) {
+        if let Err(e) = vsgm_core::invariants::check_global(states) {
             panic!("paper invariant violated: {e}");
         }
     }

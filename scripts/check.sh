@@ -21,9 +21,11 @@ echo "==> cargo clippy --workspace -- -D warnings"
 cargo clippy --workspace "${CARGO_FLAGS[@]}" -- -D warnings
 
 # Protocol analyzer: deny-by-default. Exits nonzero on any unwaived
-# finding (determinism, panic-freedom, IOA discipline, spec coverage,
-# lock discipline, clock discipline, audit coverage, unsafe confinement,
-# waiver hygiene).
+# finding (determinism: maps and randomness; panic-freedom, IOA
+# discipline, spec coverage, lock discipline; clock discipline, the one
+# rule that checks the ambient clock; audit coverage, unsafe confinement,
+# waiver hygiene). The tree carries 9 waivers, pinned per rule by the
+# analyzer's real_workspace_waiver_budget_is_pinned test.
 echo "==> vsgm-analyze --format json"
 cargo run -q -p vsgm-analyze "${CARGO_FLAGS[@]}" -- --format json
 
@@ -129,6 +131,16 @@ cargo test -q -p vsgm --test stability_differential "${CARGO_FLAGS[@]}" >/dev/nu
 # every poll, so the whole `cargo test` above checks it.)
 echo "==> first-enabled equivalence suite"
 cargo test -q -p vsgm --test first_enabled_equivalence "${CARGO_FLAGS[@]}" >/dev/null
+
+# The paper's proof invariants (DESIGN.md §8), run by name: on every
+# reachable state of randomized Sim schedules, with the Config shape one
+# of the drawn inputs (each forwarding strategy, aggregation, implicit
+# cuts, slim sync, batching, the audit on, the WV and WV+VS prefixes),
+# every end-point passes the legal-state audit under its own Config —
+# its checks are the local invariants 6.1, 6.2, 6.9, 6.13, 7.1 and 7.2 —
+# and the group the cross-process ones (6.6, 6.7, Cor. 6.1).
+echo "==> paper invariants suite"
+cargo test -q -p vsgm --test paper_invariants "${CARGO_FLAGS[@]}" >/dev/null
 
 # Multi-group conformance (DESIGN.md §17). Differential: the daemon's
 # direct host must hand every receiver the byte-identical frame sequence

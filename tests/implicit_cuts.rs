@@ -69,6 +69,33 @@ fn optimized_stack_handles_crash_and_recovery() {
     sim.assert_clean();
 }
 
+/// With the audit on, no fault-free run resets an end-point. The window
+/// this pins: the membership view has arrived but a continuing member's
+/// sync has not, so an implicit-cuts bound for that member reads 0 while
+/// the end-point has already delivered up to its own cut — a state the
+/// deliver precondition allows, so the audit must accept it too.
+#[test]
+fn audit_resets_no_end_point_in_fault_free_runs() {
+    let cfg = Config { implicit_cuts: true, audit: true, ..Config::default() };
+    for seed in 0..200u64 {
+        let mut sim = Sim::new_paper(4, cfg.clone(), SimOptions { seed, ..Default::default() });
+        sim.reconfigure(&procs(4));
+        for k in 0..seed % 9 {
+            sim.send(p(1 + (seed + k) % 4), AppMsg::from("w"));
+        }
+        sim.run_to_quiescence();
+        let mask = 1 + seed % 14;
+        let members: Vec<u64> = (0..4u64).filter(|i| mask & (1 << i) != 0).map(|i| i + 1).collect();
+        sim.reconfigure(&procs_of(&members));
+        sim.run_to_quiescence();
+        sim.reconfigure(&procs(4));
+        sim.run_to_quiescence();
+        sim.assert_clean();
+        let resets = sim.trace().kind_counts().get("crash").copied().unwrap_or(0);
+        assert_eq!(resets, 0, "seed {seed}: the audit reset a legal end-point");
+    }
+}
+
 #[test]
 fn wire_cuts_are_actually_smaller() {
     // Compare total sync bytes with/without the optimization for an

@@ -97,22 +97,6 @@ fn mixed_forwarding_strategies_recover_messages() {
 }
 
 #[test]
-fn gc_and_no_gc_endpoints_interoperate() {
-    let keep = Config { gc_old_views: false, ..Config::default() };
-    let mut sim = mixed_sim(vec![Config::default(), keep, Config::default()]);
-    sim.reconfigure(&procs(3));
-    for round in 2..=6u64 {
-        sim.send(p(1 + round % 3), AppMsg::from(format!("r{round}").as_str()));
-        sim.run_to_quiescence();
-        sim.reconfigure(&procs(3));
-        sim.run_to_quiescence();
-    }
-    sim.assert_clean();
-    // The non-GC endpoint accumulated history; the GC ones stayed lean.
-    assert!(sim.endpoint(p(2)).state().msgs.len() > sim.endpoint(p(1)).state().msgs.len());
-}
-
-#[test]
 fn aggregating_group_with_plain_joiner_converges_on_next_change() {
     // An aggregation group admits a plain (non-aggregating) joiner. The
     // joiner multicasts its sync to everyone (flat), which the leader and

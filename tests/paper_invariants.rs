@@ -1,9 +1,11 @@
 //! Mechanical audit of the paper's proof invariants (§6–§7): assert every
 //! numbered invariant on *every reachable global state* of simulated
 //! executions — after each network-delivery step, not just at the end.
+//! The local invariants are the audit's checks, so the random scenarios
+//! judge that one predicate under every `Config` shape.
 
 use proptest::prelude::*;
-use vsgm_core::{Config, ForwardStrategyKind};
+use vsgm_core::{BatchConfig, Config, ForwardStrategyKind, Stack};
 use vsgm_harness::sim::{procs, procs_of};
 use vsgm_harness::{Sim, SimOptions};
 use vsgm_types::{AppMsg, ProcessId};
@@ -78,22 +80,35 @@ fn invariants_hold_through_cascades() {
     sim.assert_clean();
 }
 
+/// The `Config` shapes the predicate must accept every legal state of:
+/// each forwarding strategy, each optimization, the audit itself, and
+/// the two layer prefixes.
+fn shape(k: u8) -> Config {
+    let base = Config::default();
+    match k {
+        0 => base,
+        1 => Config { forward: ForwardStrategyKind::MinCopy, ..base },
+        2 => Config { forward: ForwardStrategyKind::Disabled, ..base },
+        3 => Config { aggregation: true, ..base },
+        4 => Config { implicit_cuts: true, audit: true, ..base },
+        5 => Config { slim_sync: true, batch: BatchConfig::small(), ..base },
+        6 => Config { stack: Stack::Wv, ..base },
+        _ => Config { stack: Stack::VsTs, ..base },
+    }
+}
+
 proptest! {
-    #![proptest_config(ProptestConfig { cases: 32, ..ProptestConfig::default() })]
+    #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
 
     #[test]
     fn invariants_hold_under_random_scenarios(
         seed in 0u64..500,
         sends in prop::collection::vec(0u64..4, 0..10),
         shrink_mask in 1u8..15,
-        use_min_copy in any::<bool>(),
+        shape_id in 0u8..8,
     ) {
-        let forward = if use_min_copy {
-            ForwardStrategyKind::MinCopy
-        } else {
-            ForwardStrategyKind::Eager
-        };
-        let cfg = Config { forward, ..Config::default() };
+        let cfg = shape(shape_id);
+        let full_stack = cfg.stack == Stack::Full;
         let mut sim = Sim::new_paper(4, cfg, SimOptions { seed, ..Default::default() });
         sim.reconfigure(&procs(4));
         run_checked(&mut sim);
@@ -107,6 +122,10 @@ proptest! {
         run_checked(&mut sim);
         sim.reconfigure(&procs(4));
         run_checked(&mut sim);
-        sim.assert_clean();
+        // The layer prefixes satisfy only a prefix of the spec suite; the
+        // predicate above still judged every state they reached.
+        if full_stack {
+            sim.assert_clean();
+        }
     }
 }
