@@ -1,7 +1,7 @@
 //! CLI for `vsgm-analyze`.
 //!
 //! ```text
-//! vsgm-analyze [--root DIR] [--format table|json] [--rules D1,P1,...] [--list-rules]
+//! vsgm-analyze [--root DIR] [--format table|json] [--rules R1,A1,...] [--list-rules]
 //! ```
 //!
 //! Exits 0 on a clean tree, 1 when findings survive waivers, 2 on usage
@@ -20,7 +20,7 @@ struct Opts {
 }
 
 fn usage() -> String {
-    "usage: vsgm-analyze [--root DIR] [--format table|json] [--rules D1,P1,...] [--list-rules]\n"
+    "usage: vsgm-analyze [--root DIR] [--format table|json] [--rules R1,A1,...] [--list-rules]\n"
         .to_string()
 }
 

@@ -40,7 +40,7 @@ pub fn table(report: &Report) -> String {
     out
 }
 
-/// `: D1 3, P1 7` — or empty when nothing was waived.
+/// `: A1 3, R1 7` — or empty when nothing was waived.
 fn waived_breakdown(report: &Report) -> String {
     if report.waived_by_rule.is_empty() {
         return String::new();
@@ -131,11 +131,11 @@ mod tests {
     fn sample() -> Report {
         Report {
             findings: vec![Finding {
-                rule: "P1".to_string(),
-                file: "crates/core/src/x.rs".to_string(),
+                rule: "R1".to_string(),
+                file: "crates/net/src/x.rs".to_string(),
                 line: 7,
-                message: "`.unwrap()` in non-test code".to_string(),
-                hint: "return a typed error".to_string(),
+                message: "lock field `m` declares no vsgm-lock-tier".to_string(),
+                hint: "declare a tier".to_string(),
             }],
             waived: 2,
             files_scanned: 10,
@@ -151,7 +151,7 @@ mod tests {
     #[test]
     fn json_shape() {
         let j = json(&sample());
-        assert!(j.contains("\"rule\": \"P1\""));
+        assert!(j.contains("\"rule\": \"R1\""));
         assert!(j.contains("\"line\": 7"));
         assert!(j.contains("\"files_scanned\": 10"));
         assert!(j.contains("\"waived\": 2"));
@@ -160,8 +160,8 @@ mod tests {
     #[test]
     fn table_mentions_location_and_hint() {
         let t = table(&sample());
-        assert!(t.contains("crates/core/src/x.rs:7"));
-        assert!(t.contains("hint: return a typed error"));
+        assert!(t.contains("crates/net/src/x.rs:7"));
+        assert!(t.contains("hint: declare a tier"));
         assert!(t.contains("1 finding(s)"));
     }
 

@@ -1,6 +1,7 @@
-//! The protocol rules: D1 determinism, P1 panic-freedom, I1 IOA
-//! discipline, C1 spec coverage, R1 lock discipline, T1 clock
-//! discipline, A1 audit coverage, U1 unsafe confinement.
+//! The rules the compiler cannot state: I1 IOA discipline, C1 spec
+//! coverage, R1 lock discipline, A1 audit coverage, U1 unsafe
+//! confinement. Determinism, the clock and panic-freedom are clippy's
+//! (`clippy.toml` and the workspace lint wall; DESIGN.md §10).
 //!
 //! Each rule is phrased over the code mask of [`crate::SourceFile`]s and
 //! produces [`Finding`]s carrying the rule id, `file:line`, a message,
@@ -11,32 +12,6 @@ use crate::scan::{find_word, tokens, Tok};
 use crate::{FileKind, Finding, SourceFile};
 use std::collections::{BTreeMap, BTreeSet};
 
-/// Crates whose protocol state must iterate deterministically (D1).
-/// `chaos` is held to the same bar: seed-replayable search would silently
-/// rot if a HashMap or ambient randomness crept into the generator/minimizer.
-pub const D1_CRATES: [&str; 6] = ["core", "membership", "types", "spec", "chaos", "explore"];
-/// Individual files outside [`D1_CRATES`] held to the determinism bar,
-/// plus files inside them pinned explicitly so a crate-list edit cannot
-/// silently drop them. The wire codec lives in `net` (a real-transport
-/// crate that is otherwise free to use ambient time), but its encoding
-/// must be byte-deterministic — golden vectors and cross-peer interop
-/// depend on it. The batching stage decides *what goes in a frame*
-/// from inputs only (`Input::Tick`); an ambient clock there would make
-/// frame boundaries — and hence the differential suite — unreplayable.
-/// The server's group instances and shard routing are pinned for the
-/// same reason the batch stage is: a hosted group's trace must be
-/// byte-identical to an isolated rerun (the multi-group differential
-/// suite), which an ambient clock or unordered map would break.
-pub const D1_FILES: [&str; 4] = [
-    "crates/net/src/codec.rs",
-    "crates/core/src/batch.rs",
-    "crates/server/src/group.rs",
-    "crates/server/src/shard.rs",
-];
-/// Crates whose non-test code must be panic-free (P1). The multi-group
-/// daemon (`server`) is included: one group's panic must never take
-/// down the shard-mates it is multiplexed with.
-pub const P1_CRATES: [&str; 5] = ["core", "membership", "net", "server", "spec"];
 /// Crates holding precondition/effect transition functions (I1).
 pub const I1_CRATES: [&str; 2] = ["core", "spec"];
 /// Crates whose threaded code is held to the lock discipline (R1): the
@@ -45,9 +20,9 @@ pub const R1_CRATES: [&str; 1] = ["net"];
 /// Files pinned under R1 *by path*, independent of [`R1_CRATES`]: the
 /// event-loop transport core, where a guard held across a blocking call
 /// stalls every connection the loop owns — not just one peer, and the
-/// server's directory/shard/router modules, where the same mistake
-/// stalls every group on a shard. A future edit to the crate list
-/// cannot silently drop these.
+/// daemon's directory, shard pool and frame handler, where the same
+/// mistake stalls every group on a shard. A future edit to the crate
+/// list cannot silently drop these.
 pub const R1_FILES: [&str; 6] = [
     "crates/net/src/tcp.rs",
     "crates/net/src/evloop.rs",
@@ -56,31 +31,18 @@ pub const R1_FILES: [&str; 6] = [
     "crates/server/src/shard.rs",
     "crates/server/src/server.rs",
 ];
-/// Crates that must route all time through explicit inputs
-/// (`Input::Tick` / `vsgm-ioa` sim time) rather than the ambient clock
-/// (T1): everything except the real-transport layer (`net`, which
-/// genuinely lives in wall-clock time) and the analyzer itself. T1 also
-/// covers [`D1_FILES`], and is the one rule that bans the clock.
-pub const T1_CRATES: [&str; 11] = [
-    "baseline", "chaos", "core", "explore", "harness", "ioa", "membership", "obs", "order",
-    "spec", "types",
-];
-
 /// The one file allowed to hold `unsafe` code (U1), pinned by path like
 /// [`R1_FILES`]: the `extern "C"` declarations of the Linux readiness
 /// calls the transport's event loops park on.
 pub const U1_FILE: &str = "crates/net/src/sys.rs";
 
 /// All rule identifiers the analyzer knows, with one-line descriptions.
-pub const RULES: [(&str, &str); 9] = [
-    ("D1", "determinism: no HashMap/HashSet or ambient randomness in protocol crates"),
-    ("P1", "panic-freedom: no unwrap/expect/panic!/unreachable!/indexing in protocol code"),
+pub const RULES: [(&str, &str); 6] = [
     ("I1", "IOA discipline: precondition/effect pairing and ObsEvent coverage"),
     ("C1", "spec coverage: every spec action exercised by a trace-checker test"),
     ("R1", "lock discipline: lock fields declare a vsgm-lock-tier; no guard held across a blocking call"),
-    ("T1", "clock discipline: time enters via Input::Tick/sim time, never the ambient clock"),
     ("A1", "audit coverage: every endpoint State field read by at least one StateAudit check"),
-    ("U1", "unsafe confinement: unsafe only in crates/net/src/sys.rs under SAFETY comments; crate roots forbid it"),
+    ("U1", "unsafe confinement: unsafe only in crates/net/src/sys.rs; crate roots forbid it"),
     ("W0", "waiver hygiene: vsgm-allow/vsgm-lock-tier comments must be well-formed"),
 ];
 
@@ -97,133 +59,6 @@ fn finding(rule: &str, file: &SourceFile, line: usize, message: String, hint: &s
 fn in_crate_src(file: &SourceFile, crates: &[&str]) -> bool {
     file.kind == FileKind::Src
         && file.crate_name.as_deref().is_some_and(|c| crates.contains(&c))
-}
-
-fn in_d1_files(file: &SourceFile) -> bool {
-    file.kind == FileKind::Src && D1_FILES.contains(&file.rel.as_str())
-}
-
-/// Non-test mask lines of a file, as (1-based line, text) pairs.
-fn code_lines(file: &SourceFile) -> impl Iterator<Item = (usize, &String)> {
-    file.scanned
-        .mask
-        .iter()
-        .enumerate()
-        .filter(|(k, _)| !file.scanned.test_line.get(*k).copied().unwrap_or(false))
-        .map(|(k, l)| (k + 1, l))
-}
-
-// ---------------------------------------------------------------- D1 ---
-
-const D1_HASH_HINT: &str = "use BTreeMap/BTreeSet so iteration (and thus replay) order is \
-     deterministic, or waive with `// vsgm-allow(D1): <why this is never iterated>`";
-const D1_RAND_HINT: &str = "deterministic crates take randomness as an explicit input \
-     (a seeded vsgm-ioa SimRng)";
-
-/// D1 — determinism: no `HashMap`/`HashSet` and no ambient randomness in
-/// the deterministic protocol crates (ambient clocks are T1's).
-pub fn d1(files: &[SourceFile]) -> Vec<Finding> {
-    let mut out = Vec::new();
-    for f in files.iter().filter(|f| in_crate_src(f, &D1_CRATES) || in_d1_files(f)) {
-        let krate = f.crate_name.as_deref().unwrap_or("?");
-        for (line, text) in code_lines(f) {
-            for coll in ["HashMap", "HashSet"] {
-                if !find_word(text, coll).is_empty() {
-                    out.push(finding(
-                        "D1",
-                        f,
-                        line,
-                        format!("{coll} in deterministic protocol crate `{krate}`"),
-                        D1_HASH_HINT,
-                    ));
-                }
-            }
-            for src in ["thread_rng", "from_entropy", "rand::random"] {
-                if !find_word(text, src).is_empty() {
-                    out.push(finding(
-                        "D1",
-                        f,
-                        line,
-                        format!("ambient nondeterminism `{src}` in deterministic crate `{krate}`"),
-                        D1_RAND_HINT,
-                    ));
-                }
-            }
-        }
-    }
-    out
-}
-
-// ---------------------------------------------------------------- P1 ---
-
-const P1_UNWRAP_HINT: &str =
-    "convert to a typed error, or prove the invariant and use an invariant-carrying \
-     expect with a `// vsgm-allow(P1): <invariant>` waiver";
-const P1_INDEX_HINT: &str = "use .get()/.get_mut() and handle the None case explicitly";
-
-/// P1 — panic-freedom: no `unwrap`/`expect`/panicking macros and no
-/// slice/array indexing in non-test protocol code.
-pub fn p1(files: &[SourceFile]) -> Vec<Finding> {
-    let mut out = Vec::new();
-    for f in files.iter().filter(|f| in_crate_src(f, &P1_CRATES)) {
-        for (line, text) in code_lines(f) {
-            for pat in [".unwrap(", ".expect("] {
-                for _ in find_word(text, pat) {
-                    let what = pat.get(1..pat.len() - 1).unwrap_or(pat);
-                    out.push(finding(
-                        "P1",
-                        f,
-                        line,
-                        format!("{what}() in protocol code"),
-                        P1_UNWRAP_HINT,
-                    ));
-                }
-            }
-            for mac in ["panic", "unreachable", "todo", "unimplemented", "dbg"] {
-                for at in find_word(text, mac) {
-                    let bang = text.get(at + mac.len()..).and_then(|s| s.chars().next());
-                    if bang == Some('!') {
-                        out.push(finding(
-                            "P1",
-                            f,
-                            line,
-                            format!("{mac}! in protocol code"),
-                            P1_UNWRAP_HINT,
-                        ));
-                    }
-                }
-            }
-            for at in indexing_sites(text) {
-                let _ = at;
-                out.push(finding(
-                    "P1",
-                    f,
-                    line,
-                    "slice/array indexing in protocol code".to_string(),
-                    P1_INDEX_HINT,
-                ));
-            }
-        }
-    }
-    out
-}
-
-/// Byte offsets of `[` tokens that open an indexing expression: the
-/// character immediately before is an identifier character, `)`, `]`, or
-/// `?` (ruling out attributes `#[…]`, macros `vec![…]`, array types and
-/// literals).
-fn indexing_sites(line: &str) -> Vec<usize> {
-    let mut out = Vec::new();
-    let mut prev = ' ';
-    for (at, c) in line.char_indices() {
-        if c == '['
-            && (prev.is_alphanumeric() || prev == '_' || prev == ')' || prev == ']' || prev == '?')
-        {
-            out.push(at);
-        }
-        prev = c;
-    }
-    out
 }
 
 // ---------------------------------------------------------------- R1 ---
@@ -493,75 +328,34 @@ fn binding_name(text: &str) -> Option<String> {
     (!name.is_empty() && name != "mut").then_some(name)
 }
 
-// ---------------------------------------------------------------- T1 ---
-
-const T1_HINT: &str = "deterministic layers take time as an explicit input (Input::Tick, \
-     vsgm-ioa SimTime); only the real-transport net layer may read the ambient clock. \
-     Driver shells bridging real time into ticks waive with `// vsgm-allow(T1): <why>`";
-
-/// T1 — clock discipline: no ambient clock reads (`Instant::now`,
-/// `SystemTime::now`, `.elapsed(`) in the protocol crates or the
-/// [`D1_FILES`]; all time flows through `Input::Tick` / simulated time.
-pub fn t1(files: &[SourceFile]) -> Vec<Finding> {
-    let mut out = Vec::new();
-    for f in files.iter().filter(|f| in_crate_src(f, &T1_CRATES) || in_d1_files(f)) {
-        let krate = f.crate_name.as_deref().unwrap_or("?");
-        for (line, text) in code_lines(f) {
-            for pat in ["Instant::now", "SystemTime::now", ".elapsed("] {
-                if !find_word(text, pat).is_empty() {
-                    out.push(finding(
-                        "T1",
-                        f,
-                        line,
-                        format!("ambient clock read `{pat}` in protocol crate `{krate}`"),
-                        T1_HINT,
-                    ));
-                }
-            }
-        }
-    }
-    out
-}
-
 // ---------------------------------------------------------------- U1 ---
 
 const U1_STRAY_HINT: &str = "move the call into crates/net/src/sys.rs behind a safe wrapper; \
      that file is the workspace's only unsafe code";
-const U1_SAFETY_HINT: &str = "state why the block is sound in a `// SAFETY: <invariant>` \
-     comment on the line or directly above it";
 const U1_ROOT_HINT: &str = "keep `#![forbid(unsafe_code)]` at the crate root (the crate \
      holding sys.rs: `#![deny(unsafe_code)]`, with `#[allow(unsafe_code)]` on that module)";
 
 /// U1 — unsafe confinement: the `unsafe` keyword appears only in
-/// [`U1_FILE`], every occurrence there under a `// SAFETY:` comment,
-/// and every library crate root keeps the compiler-level ban —
-/// `#![forbid(unsafe_code)]`, or `#![deny(unsafe_code)]` in the crate
-/// that holds `U1_FILE` (forbid cannot be relaxed for one module).
+/// [`U1_FILE`], and every library crate root keeps the compiler-level
+/// ban — `#![forbid(unsafe_code)]`, or `#![deny(unsafe_code)]` in the
+/// crate that holds `U1_FILE` (forbid cannot be relaxed for one module).
+/// Clippy's `undocumented_unsafe_blocks` asks each block there for its
+/// justifying comment.
 pub fn u1(files: &[SourceFile]) -> Vec<Finding> {
     let host = U1_FILE.split('/').nth(1);
     let mut out = Vec::new();
     for f in files {
-        for (k, text) in f.scanned.mask.iter().enumerate() {
-            let line = k + 1;
-            if find_word(text, "unsafe").is_empty() {
-                continue;
-            }
-            if f.rel != U1_FILE {
-                out.push(finding(
-                    "U1",
-                    f,
-                    line,
-                    format!("`unsafe` outside {U1_FILE}"),
-                    U1_STRAY_HINT,
-                ));
-            } else if !f.scanned.safety.iter().any(|&s| f.scanned.covers(s, line)) {
-                out.push(finding(
-                    "U1",
-                    f,
-                    line,
-                    "`unsafe` without a `// SAFETY:` comment".to_string(),
-                    U1_SAFETY_HINT,
-                ));
+        if f.rel != U1_FILE {
+            for (k, text) in f.scanned.mask.iter().enumerate() {
+                if !find_word(text, "unsafe").is_empty() {
+                    out.push(finding(
+                        "U1",
+                        f,
+                        k + 1,
+                        format!("`unsafe` outside {U1_FILE}"),
+                        U1_STRAY_HINT,
+                    ));
+                }
             }
         }
         if f.crate_root {

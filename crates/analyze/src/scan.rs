@@ -7,8 +7,8 @@
 //! * which characters are **code** (as opposed to comment or literal
 //!   content),
 //! * whether the line sits inside a `#[cfg(test)]` / `#[test]` region,
-//! * which `vsgm-allow(RULE): reason` waivers its comments carry, and
-//!   which of its comments open with a `SAFETY:` justification.
+//! * which `vsgm-allow(RULE): reason` waivers and `vsgm-lock-tier(N)`
+//!   declarations its comments carry.
 //!
 //! [`scan`] produces exactly that: a *code mask* (the source with comment
 //! and string/char-literal contents blanked to spaces, newlines preserved
@@ -16,8 +16,8 @@
 //! waivers. Nested block comments, raw strings (`r#"…"#`), byte strings,
 //! and the char-literal/lifetime ambiguity are handled.
 
-/// A waiver comment: `// vsgm-allow(P1): reason` or
-/// `// vsgm-allow(D1, P1): reason`.
+/// A waiver comment: `// vsgm-allow(R1): reason` or
+/// `// vsgm-allow(R1, A1): reason`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Waiver {
     /// 1-based line the waiver comment appears on.
@@ -67,8 +67,6 @@ pub struct Scanned {
     pub waivers: Vec<Waiver>,
     /// All lock-tier declarations found, in order of appearance.
     pub tiers: Vec<TierDecl>,
-    /// 1-based lines whose comment starts `SAFETY:` (rule U1).
-    pub safety: Vec<usize>,
 }
 
 impl Scanned {
@@ -297,13 +295,8 @@ pub fn scan(src: &str) -> Scanned {
     let test_line = mark_test_regions(&mask_lines);
     let waivers = comments.iter().flat_map(|(l, text)| parse_waivers(*l, text)).collect();
     let tiers = comments.iter().flat_map(|(l, text)| parse_tiers(*l, text)).collect();
-    let safety = comments
-        .iter()
-        .filter(|(_, text)| text.trim_start_matches('/').trim_start().starts_with("SAFETY:"))
-        .map(|(l, _)| *l)
-        .collect();
 
-    Scanned { mask: mask_lines, test_line, no_code, blank, waivers, tiers, safety }
+    Scanned { mask: mask_lines, test_line, no_code, blank, waivers, tiers }
 }
 
 /// If position `i` starts `#*"` (zero or more hashes then a quote),
@@ -592,16 +585,16 @@ mod tests {
 
     #[test]
     fn comments_and_strings_are_blanked() {
-        let s = scan("let x = \"HashMap\"; // HashMap here\nlet y = HashMap::new();\n");
-        assert!(!s.mask.first().unwrap().contains("HashMap"), "{:?}", s.mask);
-        assert!(s.mask.get(1).unwrap().contains("HashMap"));
+        let s = scan("let x = \"Mutex\"; // Mutex here\nlet y = Mutex::new();\n");
+        assert!(!s.mask.first().unwrap().contains("Mutex"), "{:?}", s.mask);
+        assert!(s.mask.get(1).unwrap().contains("Mutex"));
     }
 
     #[test]
     fn raw_strings_and_chars_are_blanked() {
-        let s = scan("let a = r#\"unwrap() \"inner\" \"#; let b = '\\''; let c: &'static str = x;");
+        let s = scan("let a = r#\"lock() \"inner\" \"#; let b = '\\''; let c: &'static str = x;");
         let m = s.mask.first().unwrap();
-        assert!(!m.contains("unwrap"), "{m}");
+        assert!(!m.contains("lock"), "{m}");
         assert!(m.contains("&'static"), "{m}");
     }
 
@@ -615,7 +608,7 @@ mod tests {
 
     #[test]
     fn cfg_test_region_is_marked() {
-        let src = "fn real() {}\n#[cfg(test)]\nmod tests {\n    fn t() { x.unwrap(); }\n}\nfn after() {}\n";
+        let src = "fn real() {}\n#[cfg(test)]\nmod tests {\n    fn t() { x.lock(); }\n}\nfn after() {}\n";
         let s = scan(src);
         assert_eq!(s.test_line, vec![false, true, true, true, true, false, false]);
     }
@@ -630,31 +623,31 @@ mod tests {
 
     #[test]
     fn waiver_parsing_with_and_without_reason() {
-        let s = scan("// vsgm-allow(P1): checked by enabled_actions\n// vsgm-allow(D1,P1)\n");
+        let s = scan("// vsgm-allow(R1): the hold is bounded\n// vsgm-allow(R1,A1)\n");
         assert_eq!(s.waivers.len(), 2);
         let first = s.waivers.first().unwrap();
-        assert_eq!(first.rules, vec!["P1"]);
+        assert_eq!(first.rules, vec!["R1"]);
         assert!(first.has_reason);
         let second = s.waivers.get(1).unwrap();
-        assert_eq!(second.rules, vec!["D1", "P1"]);
+        assert_eq!(second.rules, vec!["R1", "A1"]);
         assert!(!second.has_reason);
     }
 
     #[test]
     fn waiver_applies_to_same_line_and_comment_block_above() {
-        let src = "// vsgm-allow(P1): fine here\nx.unwrap();\ny.unwrap(); // vsgm-allow(P1): inline\nz.unwrap();\n";
+        let src = "// vsgm-allow(R1): fine here\nx.lock();\ny.lock(); // vsgm-allow(R1): inline\nz.lock();\n";
         let s = scan(src);
-        assert!(s.is_waived("P1", 2));
-        assert!(s.is_waived("P1", 3));
-        assert!(!s.is_waived("P1", 4));
-        assert!(!s.is_waived("D1", 2));
+        assert!(s.is_waived("R1", 2));
+        assert!(s.is_waived("R1", 3));
+        assert!(!s.is_waived("R1", 4));
+        assert!(!s.is_waived("A1", 2));
     }
 
     #[test]
     fn blank_line_breaks_waiver_chain() {
-        let src = "// vsgm-allow(P1): above\n\nx.unwrap();\n";
+        let src = "// vsgm-allow(R1): above\n\nx.lock();\n";
         let s = scan(src);
-        assert!(!s.is_waived("P1", 3));
+        assert!(!s.is_waived("R1", 3));
     }
 
     #[test]
@@ -679,15 +672,8 @@ mod tests {
     }
 
     #[test]
-    fn safety_comments_are_collected() {
-        let s = scan("// SAFETY: fd is owned\nlet n = unsafe { f() };\n// not SAFETY: here\n");
-        assert_eq!(s.safety, vec![1]);
-        assert!(s.covers(1, 2));
-    }
-
-    #[test]
     fn find_word_respects_boundaries() {
-        assert_eq!(find_word("HashMap<Foo, HashMapLike>", "HashMap"), vec![0]);
-        assert_eq!(find_word("a.unwrap().unwrap()", ".unwrap("), vec![1, 10]);
+        assert_eq!(find_word("Mutex<Foo, MutexLike>", "Mutex"), vec![0]);
+        assert_eq!(find_word("a.lock().lock()", ".lock("), vec![1, 8]);
     }
 }

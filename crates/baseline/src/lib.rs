@@ -31,6 +31,10 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![allow(
+    clippy::disallowed_types,
+    reason = "outside D1: `rounds` is probed by key, never iterated"
+)]
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use vsgm_core::state::State;

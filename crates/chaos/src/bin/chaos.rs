@@ -21,6 +21,8 @@
 //! E11) and writes convergence statistics to `PATH`. Exit status: 0 iff
 //! every run passed. Same arguments ⇒ byte-identical report.
 
+#![allow(clippy::expect_used, reason = "outside P1: a test driver, not protocol code")]
+
 use serde::Serialize;
 use vsgm_chaos::{generate, minimize, run_scenario, Artifact, ChaosConfig, CorruptMode, RunOptions};
 use vsgm_core::CorruptionKind;

@@ -30,6 +30,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![allow(clippy::expect_used, reason = "outside P1: a test driver, not protocol code")]
 
 pub mod gen;
 pub mod minimize;

@@ -58,11 +58,13 @@ impl<T: Transport> Node<T> {
     /// # Panics
     ///
     /// Panics if the endpoint and transport disagree about the identity.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the tick epoch is driver-shell bookkeeping; the endpoint only ever sees \
+                  the derived monotone microsecond input"
+    )]
     pub fn new(ep: Endpoint, transport: T) -> Self {
         assert_eq!(ep.pid(), transport.me(), "endpoint/transport identity mismatch");
-        // vsgm-allow(T1): the tick epoch is driver-shell bookkeeping;
-        // the endpoint only ever sees the derived monotone microsecond
-        // input.
         Node { ep, transport, auto_block_ok: true, epoch: Instant::now(), delivered_since_ack: 0 }
     }
 
@@ -131,18 +133,18 @@ impl<T: Transport> Node<T> {
     /// # Errors
     ///
     /// Propagates transport send failures.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "pump() is the real-transport driver shell: its deadline only bounds \
+                  blocking on the socket, and the clock enters the automaton as an \
+                  Input::Tick, as in the simulator"
+    )]
     pub fn pump(&mut self, wait: Duration) -> io::Result<Vec<AppEvent>> {
-        // vsgm-allow(T1): pump() is the real-transport driver shell;
-        // the deadline only bounds blocking on the socket and never feeds
-        // the protocol state machine, which stays deterministic.
         let deadline = Instant::now() + wait;
         let mut out = Vec::new();
         loop {
             // Feed the wall clock as an explicit Tick input (only the
             // batching linger deadline reads it).
-            // vsgm-allow(T1): the clock enters the automaton as an Input,
-            // same as in the simulator — the transition relation itself
-            // stays deterministic in its inputs.
             let now_us = self.epoch.elapsed().as_micros() as u64;
             let _ = self.ep.handle(Input::Tick(now_us));
             // Ingest whatever is queued (blocking up to the deadline for
@@ -159,8 +161,6 @@ impl<T: Transport> Node<T> {
             if got_any || had_effects {
                 continue;
             }
-            // vsgm-allow(T1): same deadline bookkeeping — wall-clock
-            // never reaches the endpoint automaton.
             let now = Instant::now();
             if now >= deadline {
                 return Ok(out);

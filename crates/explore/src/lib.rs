@@ -26,6 +26,11 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![allow(
+    clippy::expect_used,
+    clippy::panic,
+    reason = "outside P1: a model checker fails loudly when its model breaks"
+)]
 
 pub mod config;
 pub mod machine;

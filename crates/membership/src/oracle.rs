@@ -118,14 +118,16 @@ impl MembershipOracle {
         let mut start_ids: Vec<(ProcessId, StartChangeId)> = Vec::new();
         for p in members {
             let st = self.client(*p);
-            let (cid, suggested) = st.pending.as_ref().unwrap_or_else(
-                // The documented scenario-bug panic: the oracle drives
-                // hand-written scenarios, and a member without a pending
-                // change means the scenario itself violates the spec's
-                // form_view precondition.
-                // vsgm-allow(P1): documented scenario-bug check
-                || panic!("form_view: {p} has no pending start_change"),
-            );
+            #[expect(
+                clippy::panic,
+                reason = "the documented scenario-bug panic: the oracle drives hand-written \
+                          scenarios, and a member without a pending change means the \
+                          scenario itself violates the spec's form_view precondition"
+            )]
+            let (cid, suggested) = st
+                .pending
+                .as_ref()
+                .unwrap_or_else(|| panic!("form_view: {p} has no pending start_change"));
             assert!(
                 members.iter().all(|m| suggested.contains(m)),
                 "form_view: {p}'s suggested set {suggested:?} does not cover {members:?}"

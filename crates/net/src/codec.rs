@@ -39,6 +39,10 @@
 //! actually remaining before any allocation, and trailing garbage after a
 //! well-formed message rejects the frame.
 
+// Held to D1 and T1 by path, though `net` is not: golden vectors and
+// cross-peer interop need bytes that depend on the message alone.
+#![deny(clippy::disallowed_types, clippy::disallowed_methods)]
+
 use std::io;
 use vsgm_types::{
     AppMsg, BaselineMsg, Cut, FwdPayload, GroupId, NetMsg, ProcessId, StartChangeId, SyncPayload,

@@ -241,6 +241,11 @@ fn parse_frame(frame: &[u8]) -> Option<Frame<'_>> {
     }
 }
 
+#[expect(
+    clippy::expect_used,
+    reason = "thread-spawn failure is OS resource exhaustion at transport startup, \
+              not a protocol state: there is nothing to unwind to"
+)]
 fn spawn_recv_loop(shared: Arc<Shared>, tx: Sender<(ProcessId, NetMsg)>) {
     std::thread::Builder::new()
         .name("vsgm-udp-recv".into())
@@ -295,11 +300,14 @@ fn spawn_recv_loop(shared: Arc<Shared>, tx: Sender<(ProcessId, NetMsg)>) {
                 }
             }
         })
-        // vsgm-allow(P1): thread-spawn failure is OS resource exhaustion
-        // at transport startup — not a protocol state, nothing to unwind to
         .expect("spawn udp recv thread");
 }
 
+#[expect(
+    clippy::expect_used,
+    reason = "thread-spawn failure is OS resource exhaustion at transport startup, \
+              not a protocol state: there is nothing to unwind to"
+)]
 fn spawn_retransmit_loop(shared: Arc<Shared>) {
     std::thread::Builder::new()
         .name("vsgm-udp-retx".into())
@@ -327,8 +335,6 @@ fn spawn_retransmit_loop(shared: Arc<Shared>) {
                 }
             }
         })
-        // vsgm-allow(P1): thread-spawn failure is OS resource exhaustion
-        // at transport startup — not a protocol state, nothing to unwind to
         .expect("spawn udp retransmit thread");
 }
 

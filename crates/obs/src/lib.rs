@@ -28,6 +28,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![allow(clippy::expect_used, reason = "outside P1: observability sits beside the protocol")]
 
 mod event;
 mod journal;

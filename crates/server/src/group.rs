@@ -24,8 +24,10 @@
 //! frame-for-frame equality against the `harness::Sim`-backed oracle in
 //! `tests/support/`.
 //!
-//! Determinism discipline (analyzer rule D1 pins this file): only
-//! ordered containers, no ambient clocks, no ambient randomness.
+//! Determinism discipline: only ordered containers, no ambient clocks,
+//! no ambient randomness. The lints below pin it to this file.
+
+#![deny(clippy::disallowed_types, clippy::disallowed_methods)]
 
 use std::collections::{BTreeSet, VecDeque};
 use vsgm_core::{BlockingClient, Config, Effect, Endpoint, Input};

@@ -14,10 +14,12 @@
 //! sink, on its own thread: the [`ShardConfig::outputs`] channel, or the
 //! daemon's client sockets.
 //!
-//! Determinism discipline (analyzer rule D1 pins this file): ordered
-//! containers only, no ambient clocks or randomness. Wall-clock pacing
+//! Determinism discipline: ordered containers only, no ambient clocks or
+//! randomness; the lints below pin it to this file. Wall-clock pacing
 //! and sockets live in `server.rs`, behind the daemon's sink; a hosted
 //! group has no notion of time.
+
+#![deny(clippy::disallowed_types, clippy::disallowed_methods)]
 
 use crate::group::{GroupCmd, GroupInstance, GroupOutput, GroupReport};
 use crossbeam::channel::{unbounded, Receiver, Sender};
@@ -115,11 +117,14 @@ impl ShardPool {
             let (tx, rx) = unbounded();
             let counters = Arc::clone(&counters);
             let sink = sink.clone();
+            #[expect(
+                clippy::expect_used,
+                reason = "thread-spawn failure is OS resource exhaustion at server startup: \
+                          there is nothing to unwind to"
+            )]
             let handle = std::thread::Builder::new()
                 .name(format!("vsgm-shard-{i}"))
                 .spawn(move || shard_main(&rx, &counters, auto_run, &sink))
-                // vsgm-allow(P1): thread-spawn failure is OS resource
-                // exhaustion at server startup — nothing to unwind to
                 .expect("spawn shard worker");
             senders.push(tx);
             handles.push(handle);

@@ -509,7 +509,7 @@ mod tests {
             view: v.clone(),
             transitional: Default::default(),
         };
-        let held = |spec: &WvRfifoSpec| spec.msgs[&v][&p(1)].msgs.len();
+        let held = |spec: &WvRfifoSpec| spec.msgs[&v].get(&p(1)).unwrap().msgs.len();
         feed(&mut spec, install(1));
         feed(&mut spec, Event::Send { p: p(1), msg: m("a") });
         feed(&mut spec, Event::Send { p: p(1), msg: m("b") });

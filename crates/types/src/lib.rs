@@ -36,6 +36,10 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![allow(
+    clippy::expect_used,
+    reason = "outside P1: its expects state invariants of VecMap and serde"
+)]
 
 pub mod cut;
 pub mod event;

@@ -5,7 +5,6 @@ use std::borrow::Borrow;
 use std::cmp::Ordering;
 use std::collections::BTreeMap;
 use std::fmt;
-use std::ops::Index;
 
 /// An ordered map stored as a vector of `(key, value)` pairs with strictly
 /// increasing keys, looked up by binary search.
@@ -209,21 +208,6 @@ impl<'a, K, V> Entry<'a, K, V> {
     }
 }
 
-impl<K, Q, V> Index<&Q> for VecMap<K, V>
-where
-    K: Ord + Borrow<Q>,
-    Q: Ord + ?Sized,
-{
-    type Output = V;
-
-    /// # Panics
-    ///
-    /// Panics if `key` is absent, as `BTreeMap` does.
-    fn index(&self, key: &Q) -> &V {
-        self.get(key).expect("key not in VecMap")
-    }
-}
-
 impl<K: Ord, V> FromIterator<(K, V)> for VecMap<K, V> {
     /// Collects in any order; of repeated keys the last value wins, as in
     /// `BTreeMap`.
@@ -385,7 +369,7 @@ mod tests {
         for v in m.values_mut() {
             *v *= 10;
         }
-        assert_eq!((m["a"], m["b"]), (10, 20));
+        assert_eq!((m.get("a"), m.get("b")), (Some(&10), Some(&20)));
         assert_eq!(m.into_iter().collect::<Vec<_>>(), [("a", 10), ("b", 20)]);
     }
 }

@@ -17,14 +17,21 @@ cargo build --release "${CARGO_FLAGS[@]}"
 echo "==> cargo test -q"
 cargo test -q "${CARGO_FLAGS[@]}"
 
+# The lint wall (DESIGN.md §10), the one checker of determinism, the
+# clock and panic-freedom: clippy.toml bans HashMap/HashSet (D1) and
+# Instant::now, SystemTime::now and .elapsed() (T1); [workspace.lints]
+# denies unwrap_used, expect_used, panic, unreachable, unimplemented,
+# todo, dbg_macro and indexing_slicing (P1), undocumented_unsafe_blocks
+# and allow_attributes_without_reason. -D warnings makes the bans and
+# an #[expect] that no longer fires errors. No --all-targets: test code
+# is exempt.
 echo "==> cargo clippy --workspace -- -D warnings"
 cargo clippy --workspace "${CARGO_FLAGS[@]}" -- -D warnings
 
 # Protocol analyzer: deny-by-default. Exits nonzero on any unwaived
-# finding (determinism: maps and randomness; panic-freedom, IOA
-# discipline, spec coverage, lock discipline; clock discipline, the one
-# rule that checks the ambient clock; audit coverage, unsafe confinement,
-# waiver hygiene). The tree carries 9 waivers, pinned per rule by the
+# finding of its six rules: IOA discipline (I1), spec coverage (C1),
+# lock discipline (R1), audit coverage (A1), unsafe confinement (U1) and
+# waiver hygiene (W0). The tree carries 1 waiver (R1), pinned by the
 # analyzer's real_workspace_waiver_budget_is_pinned test.
 echo "==> vsgm-analyze --format json"
 cargo run -q -p vsgm-analyze "${CARGO_FLAGS[@]}" -- --format json
