@@ -14,7 +14,8 @@ use std::fmt;
 /// A safety (or end-of-run liveness) violation found by a checker.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Violation {
-    /// Name of the checker (spec automaton) that rejected the trace.
+    /// Name of the spec automaton the trace violates, e.g.
+    /// `"WV_RFIFO:SPEC"`; one checker may judge several.
     pub checker: String,
     /// Step at which the violation occurred (`None` for end-of-run checks).
     pub step: Option<u64>,
@@ -53,9 +54,6 @@ impl std::error::Error for Violation {}
 /// that can only be judged on the complete run (transitional-set
 /// consistency, liveness under stabilization).
 pub trait Checker {
-    /// Stable name used in violation reports, e.g. `"WV_RFIFO:SPEC"`.
-    fn name(&self) -> &'static str;
-
     /// Observes one trace entry.
     ///
     /// # Errors
@@ -185,22 +183,21 @@ mod tests {
         seen: usize,
     }
 
+    const MAX_SENDS: &str = "MAX_SENDS";
+
     impl Checker for MaxSends {
-        fn name(&self) -> &'static str {
-            "MAX_SENDS"
-        }
         fn observe(&mut self, entry: &TraceEntry) -> Result<(), Violation> {
             if matches!(entry.event, Event::Send { .. }) {
                 self.seen += 1;
                 if self.seen > self.limit {
-                    return Err(Violation::at_step(self.name(), entry.step, "too many sends"));
+                    return Err(Violation::at_step(MAX_SENDS, entry.step, "too many sends"));
                 }
             }
             Ok(())
         }
         fn finish(&mut self) -> Result<(), Violation> {
             if self.seen == 0 {
-                return Err(Violation::at_end(self.name(), "no sends at all"));
+                return Err(Violation::at_end(MAX_SENDS, "no sends at all"));
             }
             Ok(())
         }

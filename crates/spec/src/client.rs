@@ -39,10 +39,6 @@ impl ClientSpec {
 }
 
 impl Checker for ClientSpec {
-    fn name(&self) -> &'static str {
-        "CLIENT:SPEC"
-    }
-
     fn observe(&mut self, entry: &TraceEntry) -> Result<(), Violation> {
         let step = entry.step;
         match &entry.event {

@@ -82,19 +82,9 @@ impl CoRfifoSpec {
             }
         }
     }
-
-    /// Number of messages currently in transit from `p` to `q` (for tests
-    /// and metrics).
-    pub fn in_transit(&self, p: ProcessId, q: ProcessId) -> usize {
-        self.channel.get(&(p, q)).map_or(0, |chan| chan.iter().count())
-    }
 }
 
 impl Checker for CoRfifoSpec {
-    fn name(&self) -> &'static str {
-        "CO_RFIFO"
-    }
-
     fn observe(&mut self, entry: &TraceEntry) -> Result<(), Violation> {
         let step = entry.step;
         match &entry.event {
@@ -339,9 +329,12 @@ mod tests {
         for e in trace.entries() {
             spec.observe(e).unwrap();
         }
-        assert_eq!(spec.in_transit(p(1), p(2)), 1);
-        assert_eq!(spec.in_transit(p(1), p(3)), 1);
-        assert_eq!(spec.in_transit(p(1), p(1)), 0);
+        let in_transit = |p: ProcessId, q: ProcessId| {
+            spec.channel.get(&(p, q)).map_or(0, |chan| chan.iter().count())
+        };
+        assert_eq!(in_transit(p(1), p(2)), 1);
+        assert_eq!(in_transit(p(1), p(3)), 1);
+        assert_eq!(in_transit(p(1), p(1)), 0);
     }
 
     #[test]

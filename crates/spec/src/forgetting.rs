@@ -1,14 +1,14 @@
-//! Forgetting changes no verdict: the three checkers that drop state no
-//! future event can read ([`WvRfifoSpec`], [`VsRfifoSpec`],
-//! [`TransSetSpec`]) are run next to their never-forgetting selves over
-//! legal traces — the chaos generator's scenarios, crash/recover
-//! incarnations included, and a member that leaves while the others move
-//! on — and over every kind of single-event mutation of those traces, and
-//! must reach the same verdict on each.
+//! Forgetting changes no verdict: the checker that drops state no future
+//! event can read ([`ViewSyncSpec`](crate::ViewSyncSpec), in each of its
+//! three parts) is run next to its never-forgetting self over legal
+//! traces — the chaos generator's scenarios, crash/recover incarnations
+//! included, and a member that leaves while the others move on — and over
+//! every kind of single-event mutation of those traces, and must reach
+//! the same verdict on each of the three specs.
 
 #[cfg(test)]
 mod tests {
-    use crate::{TransSetSpec, VsRfifoSpec, WvRfifoSpec};
+    use crate::ViewSyncSpec;
     use proptest::prelude::*;
     use vsgm_chaos::{generate, ChaosConfig};
     use vsgm_core::Config;
@@ -184,18 +184,15 @@ mod tests {
     /// Which of the three specs `trace` violates, after asserting that the
     /// forgetting and the retaining checker agree on each.
     fn violated(trace: &[TraceEntry]) -> [bool; 3] {
-        let wv = verdict(WvRfifoSpec::new(), trace);
-        assert_eq!(
-            wv,
-            verdict(WvRfifoSpec::retaining(), trace),
-            "WV_RFIFO:SPEC"
-        );
-        let vs = verdict(VsRfifoSpec::new(), trace);
-        assert_eq!(
-            vs,
-            verdict(VsRfifoSpec::retaining(), trace),
-            "VS_RFIFO:SPEC"
-        );
+        let found = verdict(ViewSyncSpec::new(), trace);
+        let found_retaining = verdict(ViewSyncSpec::retaining(), trace);
+        let of = |found: &[Violation], checker: &str| -> Vec<Violation> {
+            found.iter().filter(|v| v.checker == checker).cloned().collect()
+        };
+        let [wv, vs, ts] = ["WV_RFIFO:SPEC", "VS_RFIFO:SPEC", "TRANS_SET:SPEC"]
+            .map(|checker| (of(&found, checker), of(&found_retaining, checker)));
+        assert_eq!(wv.0, wv.1, "WV_RFIFO:SPEC");
+        assert_eq!(vs.0, vs.1, "VS_RFIFO:SPEC");
         // TRANS_SET:SPEC judges a settled view when it settles instead of at
         // `finish`, so only the local clauses report at the same step.
         let local = |found: &[Violation]| -> Vec<Violation> {
@@ -205,19 +202,19 @@ mod tests {
                 .cloned()
                 .collect()
         };
-        let ts = verdict(TransSetSpec::new(), trace);
-        let ts_retaining = verdict(TransSetSpec::retaining(), trace);
         assert_eq!(
-            local(&ts),
-            local(&ts_retaining),
+            local(&ts.0),
+            local(&ts.1),
             "TRANS_SET:SPEC local clauses"
         );
         assert_eq!(
-            ts.is_empty(),
-            ts_retaining.is_empty(),
-            "TRANS_SET:SPEC: {ts:?} vs {ts_retaining:?}"
+            ts.0.is_empty(),
+            ts.1.is_empty(),
+            "TRANS_SET:SPEC: {:?} vs {:?}",
+            ts.0,
+            ts.1
         );
-        [!wv.is_empty(), !vs.is_empty(), !ts.is_empty()]
+        [!wv.0.is_empty(), !vs.0.is_empty(), !ts.0.is_empty()]
     }
 
     proptest! {
@@ -269,39 +266,25 @@ mod tests {
         );
 
         let legal = record(&leaver(1, 4, 8, 24));
-        let size = |spec: &dyn std::fmt::Debug| format!("{spec:?}").len();
-        let (mut wv, mut wv_all) = (WvRfifoSpec::new(), WvRfifoSpec::retaining());
-        let (mut vs, mut vs_all) = (VsRfifoSpec::new(), VsRfifoSpec::retaining());
-        let (mut ts, mut ts_all) = (TransSetSpec::new(), TransSetSpec::retaining());
+        let sizes = |spec: &ViewSyncSpec| {
+            [format!("{:?}", spec.wv), format!("{:?}", spec.vs), format!("{:?}", spec.ts)]
+                .map(|debug| debug.len())
+        };
+        let (mut spec, mut spec_all) = (ViewSyncSpec::new(), ViewSyncSpec::retaining());
         for e in &legal {
-            for spec in [
-                &mut wv as &mut dyn Checker,
-                &mut wv_all,
-                &mut vs,
-                &mut vs_all,
-                &mut ts,
-                &mut ts_all,
-            ] {
-                spec.observe(e).expect("legal trace");
-            }
+            spec.observe(e).expect("legal trace");
+            spec_all.observe(e).expect("legal trace");
         }
+        let specs = ["WV_RFIFO:SPEC", "VS_RFIFO:SPEC", "TRANS_SET:SPEC"];
+        for ((name, kept), all) in specs.iter().zip(sizes(&spec)).zip(sizes(&spec_all)) {
+            assert!(kept < all / 2, "{name} kept {kept} of {all}");
+        }
+        let size = |spec: &ViewSyncSpec| format!("{spec:?}").len();
         assert!(
-            size(&wv) < size(&wv_all) / 2,
-            "WV_RFIFO:SPEC kept {} of {}",
-            size(&wv),
-            size(&wv_all)
-        );
-        assert!(
-            size(&vs) < size(&vs_all) / 2,
-            "VS_RFIFO:SPEC kept {} of {}",
-            size(&vs),
-            size(&vs_all)
-        );
-        assert!(
-            size(&ts) < size(&ts_all) / 2,
-            "TRANS_SET:SPEC kept {} of {}",
-            size(&ts),
-            size(&ts_all)
+            size(&spec) < size(&spec_all) / 2,
+            "ViewSyncSpec kept {} of {}",
+            size(&spec),
+            size(&spec_all)
         );
     }
 }

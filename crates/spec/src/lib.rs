@@ -1,6 +1,6 @@
 //! Executable specification automata for the vsgm stack.
 //!
-//! Each module transcribes one specification automaton from the paper into
+//! Each checker transcribes a specification automaton from the paper into
 //! a [`vsgm_ioa::Checker`] that replays a global trace and rejects it if
 //! any observed external action has no enabled transition in the spec:
 //!
@@ -8,9 +8,10 @@
 //! |---|---|---|
 //! | [`mbrshp`] | `MBRSHP` membership service safety | Fig. 2 |
 //! | [`co_rfifo`] | `CO_RFIFO` reliable FIFO multicast | Fig. 3 |
-//! | [`wv_rfifo`] | `WV_RFIFO:SPEC` within-view reliable FIFO | Fig. 4 |
-//! | [`vs_rfifo`] | `VS_RFIFO:SPEC` virtual synchrony (agreed cuts) | Fig. 5 |
-//! | [`trans_set`] | `TRANS_SET:SPEC` transitional sets | Fig. 6 / Property 4.1 |
+//! | [`view_sync`] | [`ViewSyncSpec`]: the next three as one automaton | Figs. 4–6 |
+//! | `wv_rfifo` | its `WV_RFIFO:SPEC` part: within-view reliable FIFO | Fig. 4 |
+//! | `vs_rfifo` | its `VS_RFIFO:SPEC` part: virtual synchrony (agreed cuts) | Fig. 5 |
+//! | `trans_set` | its `TRANS_SET:SPEC` part: transitional sets | Fig. 6 / Property 4.1 |
 //! | [`self_delivery`] | `SELF:SPEC` self delivery | Fig. 7 |
 //! | [`client`] | `CLIENT:SPEC` blocking application client | Fig. 12 |
 //! | [`liveness`] | Property 4.2 (conditional liveness) | §4.2 |
@@ -34,9 +35,10 @@ pub mod liveness;
 pub mod mbrshp;
 pub mod self_delivery;
 pub mod stabilize;
-pub mod trans_set;
-pub mod vs_rfifo;
-pub mod wv_rfifo;
+mod trans_set;
+pub mod view_sync;
+mod vs_rfifo;
+mod wv_rfifo;
 
 pub use client::ClientSpec;
 pub use co_rfifo::CoRfifoSpec;
@@ -44,16 +46,14 @@ pub use liveness::LivenessSpec;
 pub use mbrshp::MbrshpSpec;
 pub use self_delivery::SelfDeliverySpec;
 pub use stabilize::{judge_split, judge_suffix, ConvergenceReport};
-pub use trans_set::TransSetSpec;
-pub use vs_rfifo::VsRfifoSpec;
-pub use wv_rfifo::WvRfifoSpec;
+pub use view_sync::ViewSyncSpec;
 
 use vsgm_ioa::{CheckSet, TraceEntry, Violation};
 use vsgm_types::View;
 
 /// Builds the standard battery of safety checkers: `MBRSHP`, `CO_RFIFO`,
-/// `WV_RFIFO:SPEC`, `VS_RFIFO:SPEC`, `TRANS_SET:SPEC`, `SELF:SPEC`, and
-/// `CLIENT:SPEC`.
+/// `WV_RFIFO:SPEC` with `VS_RFIFO:SPEC` and `TRANS_SET:SPEC` (one
+/// [`ViewSyncSpec`]), `SELF:SPEC`, and `CLIENT:SPEC`.
 ///
 /// ```
 /// let mut checks = vsgm_spec::standard_checks();
@@ -64,9 +64,7 @@ pub fn standard_checks() -> CheckSet {
     let mut set = CheckSet::new();
     set.add(MbrshpSpec::new());
     set.add(CoRfifoSpec::new());
-    set.add(WvRfifoSpec::new());
-    set.add(VsRfifoSpec::new());
-    set.add(TransSetSpec::new());
+    set.add(ViewSyncSpec::new());
     set.add(SelfDeliverySpec::new());
     set.add(ClientSpec::new());
     set

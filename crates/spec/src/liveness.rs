@@ -55,10 +55,6 @@ impl LivenessSpec {
 }
 
 impl Checker for LivenessSpec {
-    fn name(&self) -> &'static str {
-        "LIVENESS(4.2)"
-    }
-
     fn observe(&mut self, entry: &TraceEntry) -> Result<(), Violation> {
         let step = entry.step;
         match &entry.event {

@@ -72,10 +72,6 @@ impl MbrshpSpec {
 }
 
 impl Checker for MbrshpSpec {
-    fn name(&self) -> &'static str {
-        "MBRSHP"
-    }
-
     fn observe(&mut self, entry: &TraceEntry) -> Result<(), Violation> {
         let step = entry.step;
         match &entry.event {

@@ -23,10 +23,6 @@ impl SelfDeliverySpec {
 }
 
 impl Checker for SelfDeliverySpec {
-    fn name(&self) -> &'static str {
-        "SELF:SPEC"
-    }
-
     fn observe(&mut self, entry: &TraceEntry) -> Result<(), Violation> {
         match &entry.event {
             Event::Send { p, .. } => {

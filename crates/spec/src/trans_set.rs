@@ -1,10 +1,15 @@
 //! `TRANS_SET:SPEC` — transitional sets (Fig. 6, Property 4.1).
 
+use crate::view_sync::ViewCursor;
 use std::collections::BTreeMap;
-use vsgm_ioa::{Checker, TraceEntry, Violation};
-use vsgm_types::{Event, ProcSet, ProcessId, VecMap, View, ViewId};
+use vsgm_types::{ProcSet, ProcessId, View};
 
-/// Checker for the Transitional Set property (Property 4.1):
+/// The name `TRANS_SET:SPEC`'s violations carry.
+pub(crate) const TS: &str = "TRANS_SET:SPEC";
+
+/// The part of the Transitional Set property (Property 4.1) that is not
+/// the [`ViewCursor`]: the transitions into views some member can still
+/// install.
 ///
 /// > When a process `p` moves from view `v` to view `v'`, the transitional
 /// > set it delivers with `v'` is a subset of `v.set ∩ v'.set` which
@@ -16,26 +21,15 @@ use vsgm_types::{Event, ProcSet, ProcessId, VecMap, View, ViewId};
 /// event. The cross-process clauses need every transition into `v'`
 /// (another process may install `v'` later), so they run when the last
 /// member of `v'` that could still install it has moved — into `v'` or
-/// past it — and in [`Checker::finish`] for the views some member can
+/// past it — and at the end of the run for the views some member can
 /// still install. The transitions of a judged view are dropped: nothing
-/// can join them any more.
-///
-/// `TRANS_SET:SPEC` is a child of `WV_RFIFO:SPEC` (Fig. 6 modifies Fig. 4),
-/// so `view_p(v)` keeps the parent's Local Monotonicity precondition: a
-/// `view` whose identifier does not exceed every one `p` was given before
-/// is not a transition of this automaton either, and is rejected without
-/// moving `p`. That is what makes "could still install" decidable.
+/// can join them any more, since the cursor's Local Monotonicity admits
+/// no member below its floor.
 #[derive(Debug, Default)]
-pub struct TransSetSpec {
-    current_view: VecMap<ProcessId, View>,
-    /// Largest view id ever delivered to `p` (survives crashes).
-    floor: VecMap<ProcessId, ViewId>,
+pub(crate) struct Transitions {
     /// The observed transitions into each view some member can still
     /// install.
     open: BTreeMap<View, Vec<Transition>>,
-    /// Judge nothing before `finish`: the reference the pruning
-    /// differential test compares against.
-    retain_all: bool,
 }
 
 /// One observed `view_p(next, T)`: the process, the view it moved from,
@@ -76,36 +70,43 @@ fn judge(next: &View, group: &[Transition]) -> Result<(), String> {
     Ok(())
 }
 
-impl TransSetSpec {
-    /// Creates the checker in the spec's initial state.
-    pub fn new() -> Self {
-        TransSetSpec::default()
-    }
-
-    /// The checker that judges every view at `finish`.
-    #[cfg(test)]
-    pub(crate) fn retaining() -> Self {
-        TransSetSpec { retain_all: true, ..TransSetSpec::default() }
-    }
-
-    fn view_of(&self, p: ProcessId) -> View {
-        self.current_view.get(&p).cloned().unwrap_or_else(|| View::initial(p))
-    }
-
-    fn floor_of(&self, p: ProcessId) -> ViewId {
-        self.floor.get(&p).copied().unwrap_or(ViewId::ZERO)
+impl Transitions {
+    /// Judges the local clauses of `view_p(next, transitional)`, admitted
+    /// by the cursor, and records the transition if they hold.
+    pub(crate) fn transition(
+        &mut self,
+        cursor: &ViewCursor,
+        p: ProcessId,
+        next: &View,
+        transitional: &ProcSet,
+        step: u64,
+    ) -> Result<(), String> {
+        let prev = cursor.view(p);
+        // T ⊆ v.set ∩ v'.set
+        if let Some(q) = transitional.iter().find(|q| !prev.contains(**q) || !next.contains(**q)) {
+            return Err(format!(
+                "view_{p}: transitional set member {q} not in {prev}.set ∩ {next}.set"
+            ));
+        }
+        // p ∈ T
+        if !transitional.contains(&p) {
+            return Err(format!("view_{p}: {p} missing from its own transitional set"));
+        }
+        self.open.entry(next.clone()).or_default().push(Transition {
+            p,
+            prev,
+            t_set: transitional.clone(),
+            step,
+        });
+        Ok(())
     }
 
     /// Judges and drops every view whose last possible mover has moved;
-    /// run after each `view`.
-    fn judge_settled(&mut self) -> Result<(), String> {
-        if self.retain_all {
-            return Ok(());
-        }
+    /// run after each `view` the other parts accepted.
+    pub(crate) fn settle(&mut self, cursor: &ViewCursor) -> Result<(), String> {
         let mut verdict = Ok(());
-        let mut open = std::mem::take(&mut self.open);
-        open.retain(|next, group| {
-            if next.members().iter().any(|r| self.floor_of(*r) < next.id()) {
+        self.open.retain(|next, group| {
+            if next.members().iter().any(|r| cursor.can_install(*r, next)) {
                 return true;
             }
             if verdict.is_ok() {
@@ -113,85 +114,22 @@ impl TransSetSpec {
             }
             false
         });
-        self.open = open;
         verdict
     }
-}
 
-impl Checker for TransSetSpec {
-    fn name(&self) -> &'static str {
-        "TRANS_SET:SPEC"
-    }
-
-    fn observe(&mut self, entry: &TraceEntry) -> Result<(), Violation> {
-        let step = entry.step;
-        match &entry.event {
-            Event::GcsView { p, view: next, transitional } => {
-                let floor = self.floor_of(*p);
-                if next.id() <= floor {
-                    return Err(Violation::at_step(
-                        "TRANS_SET:SPEC",
-                        step,
-                        format!(
-                            "view_{p}: {} not greater than {floor} (Local Monotonicity, \
-                             inherited from WV_RFIFO:SPEC)",
-                            next.id()
-                        ),
-                    ));
-                }
-                let prev = self.view_of(*p);
-                // T ⊆ v.set ∩ v'.set
-                for q in transitional {
-                    if !prev.contains(*q) || !next.contains(*q) {
-                        return Err(Violation::at_step(
-                            "TRANS_SET:SPEC",
-                            step,
-                            format!(
-                                "view_{p}: transitional set member {q} not in \
-                                 {prev}.set ∩ {next}.set"
-                            ),
-                        ));
-                    }
-                }
-                // p ∈ T
-                if !transitional.contains(p) {
-                    return Err(Violation::at_step(
-                        "TRANS_SET:SPEC",
-                        step,
-                        format!("view_{p}: {p} missing from its own transitional set"),
-                    ));
-                }
-                self.open.entry(next.clone()).or_default().push(Transition {
-                    p: *p,
-                    prev,
-                    t_set: transitional.clone(),
-                    step,
-                });
-                self.current_view.insert(*p, next.clone());
-                self.floor.insert(*p, next.id());
-                self.judge_settled().map_err(|m| Violation::at_step("TRANS_SET:SPEC", step, m))
-            }
-            Event::Recover { p } => {
-                self.current_view.insert(*p, View::initial(*p));
-                Ok(())
-            }
-            _ => Ok(()),
-        }
-    }
-
-    fn finish(&mut self) -> Result<(), Violation> {
-        for (next, group) in &self.open {
-            judge(next, group).map_err(|m| Violation::at_end("TRANS_SET:SPEC", m))?;
-        }
-        Ok(())
+    /// Judges the views still open at the end of the run.
+    pub(crate) fn finish(&self) -> Result<(), String> {
+        self.open.iter().try_for_each(|(next, group)| judge(next, group))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vsgm_ioa::{SimTime, Trace};
-    use vsgm_types::{StartChangeId, ViewId};
+    use crate::view_sync::{tests::replay, ViewSyncSpec};
+    use crate::wv_rfifo::WV;
+    use vsgm_ioa::{Checker, SimTime, Trace, Violation};
+    use vsgm_types::{Event, StartChangeId, ViewId};
 
     fn p(i: u64) -> ProcessId {
         ProcessId::new(i)
@@ -209,18 +147,10 @@ mod tests {
         )
     }
 
+    /// `TRANS_SET:SPEC`'s violations over `events`, the end of the run
+    /// included.
     fn run(events: Vec<Event>) -> Vec<Violation> {
-        let mut trace = Trace::new();
-        for e in events {
-            trace.record(SimTime::ZERO, e);
-        }
-        let mut spec = TransSetSpec::new();
-        let mut out: Vec<Violation> =
-            trace.entries().iter().filter_map(|e| spec.observe(e).err()).collect();
-        if let Err(v) = spec.finish() {
-            out.push(v);
-        }
-        out
+        replay(events).1.into_iter().filter(|v| v.checker == TS).collect()
     }
 
     fn install(at: u64, v: &View, t: &[u64]) -> Event {
@@ -341,13 +271,14 @@ mod tests {
         ] {
             trace.record(SimTime::ZERO, e);
         }
-        let mut spec = TransSetSpec::new();
+        let mut spec = ViewSyncSpec::new();
         let found: Vec<Violation> =
             trace.entries().iter().filter_map(|e| spec.observe(e).err()).collect();
         assert_eq!(found.len(), 1, "{found:?}");
+        assert_eq!(found[0].checker, TS, "{found:?}");
         assert_eq!(found[0].step, Some(3));
         assert!(found[0].message.contains("missing from"), "{found:?}");
-        assert!(spec.open.is_empty(), "{:?}", spec.open);
+        assert!(spec.ts.open.is_empty(), "{:?}", spec.ts.open);
         assert!(spec.finish().is_ok());
     }
 
@@ -356,26 +287,31 @@ mod tests {
         let v1 = view(1, &[1, 2]);
         let v2 = view(2, &[1, 2]);
         let mut trace = Trace::new();
-        let mut spec = TransSetSpec::new();
-        let mut feed = |spec: &mut TransSetSpec, e: Event| {
+        let mut spec = ViewSyncSpec::new();
+        let mut feed = |spec: &mut ViewSyncSpec, e: Event| {
             let step = trace.record(SimTime::ZERO, e);
             spec.observe(&trace.entries()[step as usize]).unwrap();
         };
         feed(&mut spec, install(1, &v1, &[1]));
-        assert_eq!(spec.open.len(), 1, "p2 can still install v1");
+        assert_eq!(spec.ts.open.len(), 1, "p2 can still install v1");
         // p2 skips v1: it can install neither v1 nor (again) v2 after this.
         feed(&mut spec, install(2, &v2, &[2]));
-        assert_eq!(spec.open.keys().collect::<Vec<_>>(), vec![&v2], "p1 can still install v2");
+        assert_eq!(spec.ts.open.keys().collect::<Vec<_>>(), vec![&v2], "p1 can still install v2");
         feed(&mut spec, install(1, &v2, &[1]));
-        assert!(spec.open.is_empty(), "{:?}", spec.open);
+        assert!(spec.ts.open.is_empty(), "{:?}", spec.ts.open);
     }
 
     #[test]
     fn view_regression_is_not_a_transition() {
+        // Refused by the cursor (Local Monotonicity, reported once, by WV):
+        // p1 stays in v2, and no transition into v1 is recorded.
         let v1 = view(1, &[1, 2]);
         let v2 = view(2, &[1, 2]);
-        let violations = run(vec![install(1, &v2, &[1]), install(1, &v1, &[1])]);
+        let (spec, violations) = replay(vec![install(1, &v2, &[1]), install(1, &v1, &[1])]);
         assert_eq!(violations.len(), 1, "{violations:?}");
+        assert_eq!(violations[0].checker, WV, "{violations:?}");
         assert!(violations[0].message.contains("Local Monotonicity"), "{violations:?}");
+        assert_eq!(spec.cursor.view(p(1)), v2);
+        assert!(!spec.ts.open.contains_key(&v1), "{:?}", spec.ts.open);
     }
 }

@@ -1,10 +1,14 @@
 //! `VS_RFIFO:SPEC` — virtual synchrony via agreed cuts (Fig. 5).
 
-use std::collections::BTreeMap;
-use vsgm_ioa::{Checker, TraceEntry, Violation};
-use vsgm_types::{Cut, Event, ProcessId, VecMap, View, ViewId};
+use crate::view_sync::ViewCursor;
+use std::collections::{BTreeMap, BTreeSet};
+use vsgm_types::{Cut, ProcessId, View};
 
-/// Checker for the Virtual Synchrony property (Fig. 5).
+/// The name `VS_RFIFO:SPEC`'s violations carry.
+pub(crate) const VS: &str = "VS_RFIFO:SPEC";
+
+/// The part of the Virtual Synchrony specification (Fig. 5) that is not
+/// the [`ViewCursor`]: the agreed cuts.
 ///
 /// The spec automaton nondeterministically fixes, per pair of views
 /// `(v, v')`, a *cut* — the exact per-sender message counts every process
@@ -13,167 +17,70 @@ use vsgm_types::{Cut, Event, ProcessId, VecMap, View, ViewId};
 /// process observed making the transition (simulating the spec's internal
 /// `set_cut` just before that `view` event, exactly as the paper's
 /// refinement proof does with the `H_cut` history variable) and requires
-/// every later process making the same transition to match it.
-///
-/// `VS_RFIFO:SPEC` is a child of `WV_RFIFO:SPEC` (Fig. 5 modifies Fig. 4),
-/// so `view_p(v)` keeps the parent's Local Monotonicity precondition: a
-/// `view` whose identifier does not exceed every one `p` was given before
-/// is not a transition of this automaton either, and is rejected without
-/// moving `p`.
+/// every later process making the same transition to match it. What a
+/// mover has delivered is the cursor's `last_dlvrd`.
 ///
 /// # What is forgotten
 ///
 /// `cut[v][v']` is read only by a process in `v` installing `v'`. Once no
 /// process is in `v` and Local Monotonicity lets none enter it any more,
-/// no event, legal or violating, can read `cut[v][·]`, and the checker
-/// drops it.
+/// no event, legal or violating, can read `cut[v][·]`, and
+/// [`Cuts::forget`] drops it.
 #[derive(Debug, Default)]
-pub struct VsRfifoSpec {
-    current_view: VecMap<ProcessId, View>,
-    /// Largest view id ever delivered to `p` (survives crashes).
-    floor: VecMap<ProcessId, ViewId>,
-    /// Messages delivered to `receiver` from `sender` in the receiver's
-    /// current view: `last_dlvrd[(sender, receiver)]`.
-    last_dlvrd: VecMap<(ProcessId, ProcessId), u64>,
+pub(crate) struct Cuts {
     /// `cut[v][v']`, keyed by the (full-triple) views.
     cut: BTreeMap<(View, View), Cut>,
-    /// Never forget anything: the reference the pruning differential
-    /// test compares against.
-    retain_all: bool,
 }
 
-impl VsRfifoSpec {
-    /// Creates the checker in the spec's initial state.
-    pub fn new() -> Self {
-        VsRfifoSpec::default()
-    }
-
-    /// The checker that never forgets.
-    #[cfg(test)]
-    pub(crate) fn retaining() -> Self {
-        VsRfifoSpec { retain_all: true, ..VsRfifoSpec::default() }
-    }
-
-    fn view_of(&self, p: ProcessId) -> View {
-        self.current_view.get(&p).cloned().unwrap_or_else(|| View::initial(p))
-    }
-
-    fn delivered_cut(&self, receiver: ProcessId) -> Cut {
-        self.last_dlvrd
-            .iter()
-            .filter(|((_, r), _)| *r == receiver)
-            .map(|((s, _), n)| (*s, *n))
-            .collect()
-    }
-
-    /// The agreed cut recorded for the transition `v → v'`, if any process
-    /// has made it and one still can. Exposed for tests and experiment
-    /// metrics.
-    pub fn recorded_cut(&self, v: &View, v_new: &View) -> Option<&Cut> {
-        self.cut.get(&(v.clone(), v_new.clone()))
-    }
-
-    /// Whether some process is in `v` or can still install it.
-    fn reachable(&self, v: &View) -> bool {
-        self.current_view.values().any(|cv| cv == v)
-            || v.members().iter().any(|r| match self.floor.get(r) {
-                Some(floor) => *floor < v.id(),
-                // Never given a view: still in its initial one.
-                None => true,
-            })
+impl Cuts {
+    /// Judges `view_p(v_new)`, admitted by the cursor, against the cut
+    /// agreed for `p`'s move; the first mover fixes it.
+    pub(crate) fn transition(
+        &mut self,
+        cursor: &ViewCursor,
+        p: ProcessId,
+        v_new: &View,
+    ) -> Result<(), String> {
+        let v_old = cursor.view(p);
+        let delivered = cursor.delivered_cut(p);
+        let key = (v_old, v_new.clone());
+        let Some(agreed) = self.cut.get(&key) else {
+            // First mover: this fixes the cut (spec's set_cut).
+            self.cut.insert(key, delivered);
+            return Ok(());
+        };
+        // Later mover: must match the established cut exactly (pointwise,
+        // absent entries read as 0).
+        let senders: BTreeSet<ProcessId> =
+            agreed.iter().map(|(s, _)| s).chain(delivered.iter().map(|(s, _)| s)).collect();
+        match senders.into_iter().find(|s| delivered.get(*s) != agreed.get(*s)) {
+            None => Ok(()),
+            Some(s) => Err(format!(
+                "view_{p}: moving {} -> {v_new} with {} messages delivered from {s}, \
+                 but the agreed cut says {} (Virtual Synchrony violated)",
+                key.0,
+                delivered.get(s),
+                agreed.get(s)
+            )),
+        }
     }
 
     /// Drops the cuts out of views nobody is in or can enter; run whenever
     /// a process changes view.
-    fn forget_unreachable(&mut self) {
-        if self.retain_all {
-            return;
-        }
-        let mut cut = std::mem::take(&mut self.cut);
-        cut.retain(|(v, _), _| self.reachable(v));
-        self.cut = cut;
-    }
-}
-
-impl Checker for VsRfifoSpec {
-    fn name(&self) -> &'static str {
-        "VS_RFIFO:SPEC"
-    }
-
-    fn observe(&mut self, entry: &TraceEntry) -> Result<(), Violation> {
-        let step = entry.step;
-        match &entry.event {
-            Event::Deliver { p: receiver, q: sender, .. } => {
-                *self.last_dlvrd.entry((*sender, *receiver)).or_insert(0) += 1;
-                Ok(())
-            }
-            Event::GcsView { p, view: v_new, .. } => {
-                let floor = self.floor.get(p).copied().unwrap_or(ViewId::ZERO);
-                if v_new.id() <= floor {
-                    return Err(Violation::at_step(
-                        "VS_RFIFO:SPEC",
-                        step,
-                        format!(
-                            "view_{p}: {} not greater than {floor} (Local Monotonicity, \
-                             inherited from WV_RFIFO:SPEC)",
-                            v_new.id()
-                        ),
-                    ));
-                }
-                let v_old = self.view_of(*p);
-                let delivered = self.delivered_cut(*p);
-                let key = (v_old.clone(), v_new.clone());
-                if let Some(agreed) = self.cut.get(&key) {
-                    // Later mover: must match the established cut exactly
-                    // (pointwise, absent entries read as 0).
-                    let senders: std::collections::BTreeSet<ProcessId> = agreed
-                        .iter()
-                        .map(|(s, _)| s)
-                        .chain(delivered.iter().map(|(s, _)| s))
-                        .collect();
-                    for s in senders {
-                        if delivered.get(s) != agreed.get(s) {
-                            return Err(Violation::at_step(
-                                "VS_RFIFO:SPEC",
-                                step,
-                                format!(
-                                    "view_{p}: moving {} -> {} with {} messages delivered \
-                                     from {s}, but the agreed cut says {} \
-                                     (Virtual Synchrony violated)",
-                                    v_old,
-                                    v_new,
-                                    delivered.get(s),
-                                    agreed.get(s)
-                                ),
-                            ));
-                        }
-                    }
-                } else {
-                    // First mover: this fixes the cut (spec's set_cut).
-                    self.cut.insert(key, delivered);
-                }
-                self.current_view.insert(*p, v_new.clone());
-                self.floor.insert(*p, v_new.id());
-                self.last_dlvrd.retain(|(_, r), _| r != p);
-                self.forget_unreachable();
-                Ok(())
-            }
-            Event::Recover { p } => {
-                self.current_view.insert(*p, View::initial(*p));
-                self.last_dlvrd.retain(|(_, r), _| r != p);
-                self.forget_unreachable();
-                Ok(())
-            }
-            _ => Ok(()),
-        }
+    pub(crate) fn forget(&mut self, cursor: &ViewCursor) {
+        self.cut.retain(|(v, _), _| {
+            v.members().iter().any(|r| cursor.is_in(*r, v) || cursor.can_install(*r, v))
+        });
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vsgm_ioa::{SimTime, Trace};
-    use vsgm_types::{AppMsg, StartChangeId, ViewId};
+    use crate::view_sync::{tests::replay, ViewSyncSpec};
+    use crate::wv_rfifo::WV;
+    use vsgm_ioa::{Checker, SimTime, Trace, Violation};
+    use vsgm_types::{AppMsg, Event, ProcSet, StartChangeId, ViewId};
 
     fn p(i: u64) -> ProcessId {
         ProcessId::new(i)
@@ -187,13 +94,13 @@ mod tests {
         )
     }
 
+    /// `VS_RFIFO:SPEC`'s violations over `events`.
     fn run(events: Vec<Event>) -> Vec<Violation> {
-        let mut trace = Trace::new();
-        for e in events {
-            trace.record(SimTime::ZERO, e);
-        }
-        let mut spec = VsRfifoSpec::new();
-        trace.entries().iter().filter_map(|e| spec.observe(e).err()).collect()
+        replay(events).1.into_iter().filter(|v| v.checker == VS).collect()
+    }
+
+    fn recorded_cut<'a>(spec: &'a ViewSyncSpec, v: &View, v_new: &View) -> Option<&'a Cut> {
+        spec.vs.cut.get(&(v.clone(), v_new.clone()))
     }
 
     fn deliver(to: u64, from: u64, s: &str) -> Event {
@@ -273,20 +180,14 @@ mod tests {
     fn cut_recorded_for_first_mover() {
         let v1 = view12(1);
         let v2 = view12(2);
-        let mut spec = VsRfifoSpec::new();
-        let mut trace = Trace::new();
-        for e in [
+        let (spec, violations) = replay(vec![
             install(1, &v1),
             Event::Send { p: p(1), msg: AppMsg::from("a") },
             deliver(1, 1, "a"),
             install(1, &v2),
-        ] {
-            trace.record(SimTime::ZERO, e);
-        }
-        for e in trace.entries() {
-            spec.observe(e).unwrap();
-        }
-        let cut = spec.recorded_cut(&v1, &v2).unwrap();
+        ]);
+        assert!(violations.iter().all(|v| v.checker != VS), "{violations:?}");
+        let cut = recorded_cut(&spec, &v1, &v2).unwrap();
         assert_eq!(cut.get(p(1)), 1);
     }
 
@@ -341,27 +242,38 @@ mod tests {
     fn cuts_out_of_a_view_nobody_can_reach_are_forgotten() {
         let v1 = view12(1);
         let v2 = view12(2);
-        let mut spec = VsRfifoSpec::new();
+        let mut spec = ViewSyncSpec::new();
         let mut trace = Trace::new();
+        let mut feed = |spec: &mut ViewSyncSpec, e: Event| {
+            let step = trace.record(SimTime::ZERO, e);
+            if let Err(violation) = spec.observe(&trace.entries()[step as usize]) {
+                assert_ne!(violation.checker, VS, "{violation}");
+            }
+        };
         for e in [install(1, &v1), install(2, &v1), install(1, &v2)] {
-            trace.record(SimTime::ZERO, e);
+            feed(&mut spec, e);
         }
-        for e in trace.entries() {
-            spec.observe(e).unwrap();
-        }
-        assert!(spec.recorded_cut(&v1, &v2).is_some(), "p2 is still in v1");
-        let step = trace.record(SimTime::ZERO, install(2, &v2));
-        spec.observe(&trace.entries()[step as usize]).unwrap();
-        assert!(spec.recorded_cut(&v1, &v2).is_none());
-        assert!(spec.cut.is_empty(), "{:?}", spec.cut);
+        assert!(recorded_cut(&spec, &v1, &v2).is_some(), "p2 is still in v1");
+        feed(&mut spec, install(2, &v2));
+        assert!(recorded_cut(&spec, &v1, &v2).is_none());
+        assert!(spec.vs.cut.is_empty(), "{:?}", spec.vs.cut);
     }
 
     #[test]
     fn view_regression_is_not_a_transition() {
+        // p1 is refused v1 after v2 (Local Monotonicity, reported once, by
+        // WV) and stays in v2; p2's move into v1 is then judged alone.
         let v1 = view12(1);
         let v2 = view12(2);
-        let violations = run(vec![install(1, &v2), install(1, &v1), install(2, &v1)]);
+        let alone = |at: u64, v: &View| Event::GcsView {
+            p: p(at),
+            view: v.clone(),
+            transitional: ProcSet::from([p(at)]),
+        };
+        let (spec, violations) = replay(vec![alone(1, &v2), alone(1, &v1), alone(2, &v1)]);
         assert_eq!(violations.len(), 1, "{violations:?}");
+        assert_eq!(violations[0].checker, WV, "{violations:?}");
         assert!(violations[0].message.contains("Local Monotonicity"), "{violations:?}");
+        assert_eq!(spec.cursor.view(p(1)), v2);
     }
 }

@@ -1,59 +1,44 @@
 //! `WV_RFIFO:SPEC` — within-view reliable FIFO multicast (Fig. 4).
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
-use vsgm_ioa::{Checker, TraceEntry, Violation};
-use vsgm_types::{AppMsg, Event, ProcessId, VecMap, View, ViewId};
+use crate::view_sync::ViewCursor;
+use std::collections::{BTreeMap, VecDeque};
+use vsgm_types::{AppMsg, ProcessId, VecMap, View};
 
-/// Checker for the within-view reliable FIFO multicast specification
-/// (Fig. 4).
+/// The name `WV_RFIFO:SPEC`'s violations carry.
+pub(crate) const WV: &str = "WV_RFIFO:SPEC";
+
+/// The part of the within-view reliable FIFO multicast specification
+/// (Fig. 4) that is not the [`ViewCursor`]: `msgs[q][v]`, the sequence of
+/// messages `q`'s application sent in view `v`. With the cursor's
+/// `current_view[p]` and `last_dlvrd[q][p]` it enforces
 ///
-/// Replays the centralized spec state:
-///
-/// * `msgs[p][v]` — the sequence of messages `p`'s application sent in
-///   view `v`;
-/// * `last_dlvrd[q][p]` — the index of the last message from `q` delivered
-///   to `p` in `p`'s current view;
-/// * `current_view[p]`.
-///
-/// and enforces on every event:
-///
+/// * `send_p(m)`: `p` is alive, and no earlier incarnation of `p` sent in
+///   the shared view `p` is in;
 /// * `deliver_p(q, m)`: `m` is exactly message `last_dlvrd[q][p] + 1` of
 ///   `msgs[q][current_view[p]]` — i.e. delivery is gap-free, FIFO, and in
-///   the view in which the message was sent;
-/// * `view_p(v)`: Self Inclusion and Local Monotonicity.
+///   the view in which the message was sent.
+///
+/// `view_p(v)`'s Self Inclusion and Local Monotonicity are the cursor's.
 ///
 /// Crash/recovery (§8): a recovered process restarts as a fresh
-/// *incarnation* with initial state, but view-identifier monotonicity is
-/// preserved across the crash (the spec keeps the pre-crash
-/// `current_view`). Messages a fresh incarnation sends in its initial
-/// singleton view are tracked separately from pre-crash ones.
+/// *incarnation* in its initial singleton view. Messages a fresh
+/// incarnation sends there are tracked separately from pre-crash ones.
 ///
 /// # What is forgotten
 ///
 /// `msgs[q][v]` is read only by a `deliver` at a live process whose
 /// current view is `v`, from index `last_dlvrd[q][p]` on, and Local
-/// Monotonicity lets `p` enter `v` only while `v.id` exceeds every view
-/// identifier `p` was ever given. So the checker drops the prefix of
-/// `msgs[q][v]` below the least `last_dlvrd[q][p]` over the live processes
-/// in `v` once no member of `v` can still install it, and the whole
-/// sequence once no process is in `v` either. No event, legal or
-/// violating, can tell: what it keeps is a function of the group's
-/// membership and its undelivered messages, not of the run's length.
+/// Monotonicity lets `p` enter `v` only while `v.id` exceeds its floor.
+/// So [`Windows::forget`] drops the prefix of `msgs[q][v]` below the least
+/// `last_dlvrd[q][p]` over the live processes in `v` once no member of `v`
+/// can still install it, and the whole sequence once no process is in `v`
+/// either. No event, legal or violating, can tell: what it keeps is a
+/// function of the group's membership and its undelivered messages, not
+/// of the run's length.
 #[derive(Debug, Default)]
-pub struct WvRfifoSpec {
-    crashed: BTreeSet<ProcessId>,
-    /// Incarnation counters; bumped on recovery.
-    inc: VecMap<ProcessId, u64>,
-    /// Largest view id ever delivered to `p` (survives crashes).
-    floor: VecMap<ProcessId, ViewId>,
-    current_view: VecMap<ProcessId, View>,
+pub(crate) struct Windows {
     /// `msgs[view][sender]`.
     msgs: BTreeMap<View, VecMap<ProcessId, Sent>>,
-    /// `last_dlvrd[(sender, receiver)]`.
-    last_dlvrd: VecMap<(ProcessId, ProcessId), u64>,
-    /// Never forget anything: the reference the pruning differential
-    /// test compares against.
-    retain_all: bool,
 }
 
 /// What one incarnation of a sender sent in one view.
@@ -84,75 +69,113 @@ impl Sent {
     }
 }
 
-impl WvRfifoSpec {
-    /// Creates the checker in the spec's initial state.
-    pub fn new() -> Self {
-        WvRfifoSpec::default()
-    }
-
-    /// The checker that never forgets.
-    #[cfg(test)]
-    pub(crate) fn retaining() -> Self {
-        WvRfifoSpec { retain_all: true, ..WvRfifoSpec::default() }
-    }
-
-    fn incarnation(&self, p: ProcessId) -> u64 {
-        self.inc.get(&p).copied().unwrap_or(0)
-    }
-
-    fn view_of(&self, p: ProcessId) -> View {
-        self.current_view.get(&p).cloned().unwrap_or_else(|| View::initial(p))
-    }
-
-    fn guard_alive(&self, p: ProcessId, what: &str, step: u64) -> Result<(), Violation> {
-        if self.crashed.contains(&p) {
-            return Err(Violation::at_step(
-                "WV_RFIFO:SPEC",
-                step,
-                format!("{what} at {p} while crashed"),
-            ));
+/// The first index of `msgs[sender][v]` a future `deliver` can still
+/// read: 0 while some member of `v` can still install it (it would start
+/// from the beginning), else the least `last_dlvrd[sender][r]` over the
+/// live processes `r` in `v` — `None` when there is none, so nothing sent
+/// in `v` will ever be read again.
+fn horizon(cursor: &ViewCursor, v: &View, sender: ProcessId) -> Option<u64> {
+    let mut least: Option<u64> = None;
+    for r in v.members() {
+        if cursor.can_install(*r, v) {
+            return Some(0);
         }
+        if cursor.is_in(*r, v) && !cursor.crashed(*r) {
+            let next = cursor.delivered(sender, *r);
+            least = Some(least.map_or(next, |l| l.min(next)));
+        }
+    }
+    least
+}
+
+impl Windows {
+    /// `send_p(msg)` by a live `p`.
+    pub(crate) fn send(
+        &mut self,
+        cursor: &ViewCursor,
+        p: ProcessId,
+        msg: &AppMsg,
+    ) -> Result<(), String> {
+        let v = cursor.view(p);
+        let i = cursor.incarnation(p);
+        let shared = !v.is_initial();
+        let sent = self
+            .msgs
+            .entry(v.clone())
+            .or_default()
+            .entry(p)
+            .or_insert_with(|| Sent { inc: i, ..Sent::default() });
+        if sent.inc != i {
+            // Whatever the earlier incarnation sent here is out of every
+            // reader's reach from now on.
+            *sent = Sent { inc: i, ..Sent::default() };
+            // Initial singleton views are private to their owner and may
+            // be re-entered by a fresh incarnation after recovery; only
+            // shared (non-initial) views need the uniqueness tracking.
+            if shared {
+                return Err(format!("send_{p}: two incarnations of {p} sent in the same view {v}"));
+            }
+        }
+        sent.msgs.push_back(msg.clone());
         Ok(())
     }
 
-    /// Number of messages `sender` has sent in `view` (for other checkers'
-    /// tests and the harness's metrics).
-    pub fn sent_in_view(&self, sender: ProcessId, view: &View) -> usize {
-        let sent = self.msgs.get(view).and_then(|senders| senders.get(&sender));
-        let current = |s: &&Sent| !view.is_initial() || s.inc == self.incarnation(sender);
-        sent.filter(current).map_or(0, Sent::len)
+    /// Judges `deliver_q(sender, msg)` by a live `q`. On success, the view
+    /// whose oldest kept message it read, if it did: once the cursor has
+    /// counted the delivery, [`Windows::forget_read`] may drop it.
+    pub(crate) fn deliver(
+        &self,
+        cursor: &ViewCursor,
+        q: ProcessId,
+        sender: ProcessId,
+        msg: &AppMsg,
+    ) -> Result<Option<View>, String> {
+        let v = cursor.view(q);
+        let sent = self
+            .msgs
+            .get(&v)
+            .and_then(|senders| senders.get(&sender))
+            // A process reads back only what its own current incarnation
+            // sent.
+            .filter(|sent| sender != q || sent.inc == cursor.incarnation(q));
+        if sent.is_none() && sender != q {
+            return Err(format!(
+                "deliver_{q}({sender}, ..): {sender} sent no messages in {q}'s current view {v}"
+            ));
+        }
+        let idx = cursor.delivered(sender, q);
+        match sent.and_then(|s| s.get(idx)) {
+            Some(m) if m == msg => Ok(sent.is_some_and(|s| s.base == idx).then_some(v)),
+            Some(m) => Err(format!(
+                "deliver_{q}({sender}, {msg:?}): expected message #{} of view {v} \
+                 to be {m:?} (FIFO order violated)",
+                idx + 1
+            )),
+            None => Err(format!(
+                "deliver_{q}({sender}, {msg:?}): {sender} sent only {} messages \
+                 in view {v}, cannot deliver #{}",
+                sent.map_or(0, Sent::len),
+                idx + 1
+            )),
+        }
     }
 
-    /// The first index of `msgs[sender][v]` a future `deliver` can still
-    /// read: 0 while some member of `v` can still install it (it would
-    /// start from the beginning), else the least `last_dlvrd[sender][r]`
-    /// over the live processes `r` in `v` — `None` when there is none, so
-    /// nothing sent in `v` will ever be read again.
-    fn horizon(&self, v: &View, sender: ProcessId) -> Option<u64> {
-        let mut least: Option<u64> = None;
-        for r in v.members() {
-            if self.floor.get(r).copied().unwrap_or(ViewId::ZERO) < v.id() {
-                return Some(0);
-            }
-            let in_v = self.current_view.get(r).map_or(v.is_initial(), |cv| cv == v);
-            if in_v && !self.crashed.contains(r) {
-                let next = self.last_dlvrd.get(&(sender, *r)).copied().unwrap_or(0);
-                least = Some(least.map_or(next, |l| l.min(next)));
-            }
+    /// Drops what a delivery of the oldest message `sender` sent in `v`
+    /// has made unreadable: its reader may have been the last one holding
+    /// it.
+    pub(crate) fn forget_read(&mut self, cursor: &ViewCursor, v: &View, sender: ProcessId) {
+        let horizon = horizon(cursor, v, sender).unwrap_or(0);
+        if let Some(sent) = self.msgs.get_mut(v).and_then(|senders| senders.get_mut(&sender)) {
+            sent.forget_below(horizon);
         }
-        least
     }
 
-    /// Drops what [`WvRfifoSpec::horizon`] says no `deliver` can read any
-    /// more; run whenever a process leaves a view or gives up the right
-    /// to install one (`view`, `crash`, `recover`).
-    fn forget_unreadable(&mut self) {
-        if self.retain_all {
-            return;
-        }
-        let mut msgs = std::mem::take(&mut self.msgs);
-        msgs.retain(|v, senders| {
-            senders.retain(|sender, sent| match self.horizon(v, *sender) {
+    /// Drops what [`horizon`] says no `deliver` can read any more; run
+    /// whenever a process leaves a view or gives up the right to install
+    /// one (`view`, `crash`, `recover`).
+    pub(crate) fn forget(&mut self, cursor: &ViewCursor) {
+        self.msgs.retain(|v, senders| {
+            senders.retain(|sender, sent| match horizon(cursor, v, *sender) {
                 Some(idx) => {
                     sent.forget_below(idx);
                     true
@@ -161,154 +184,15 @@ impl WvRfifoSpec {
             });
             !senders.is_empty()
         });
-        self.msgs = msgs;
-    }
-}
-
-impl Checker for WvRfifoSpec {
-    fn name(&self) -> &'static str {
-        "WV_RFIFO:SPEC"
-    }
-
-    fn observe(&mut self, entry: &TraceEntry) -> Result<(), Violation> {
-        let step = entry.step;
-        match &entry.event {
-            Event::Send { p, msg } => {
-                self.guard_alive(*p, "send", step)?;
-                let v = self.view_of(*p);
-                let i = self.incarnation(*p);
-                let shared = !v.is_initial();
-                let sent = self.msgs.entry(v.clone()).or_default().entry(*p).or_insert_with(|| {
-                    Sent { inc: i, ..Sent::default() }
-                });
-                if sent.inc != i {
-                    // Whatever the earlier incarnation sent here is out of
-                    // every reader's reach from now on.
-                    *sent = Sent { inc: i, ..Sent::default() };
-                    // Initial singleton views are private to their owner and
-                    // may be re-entered by a fresh incarnation after
-                    // recovery; only shared (non-initial) views need the
-                    // uniqueness tracking.
-                    if shared {
-                        return Err(Violation::at_step(
-                            "WV_RFIFO:SPEC",
-                            step,
-                            format!("send_{p}: two incarnations of {p} sent in the same view {v}"),
-                        ));
-                    }
-                }
-                sent.msgs.push_back(msg.clone());
-                Ok(())
-            }
-            Event::Deliver { p: q, q: sender, msg } => {
-                self.guard_alive(*q, "deliver", step)?;
-                let v = self.view_of(*q);
-                let inc = self.incarnation(*q);
-                let sent = self
-                    .msgs
-                    .get(&v)
-                    .and_then(|senders| senders.get(sender))
-                    // A process reads back only what its own current
-                    // incarnation sent.
-                    .filter(|sent| sender != q || sent.inc == inc);
-                if sent.is_none() && sender != q {
-                    return Err(Violation::at_step(
-                        "WV_RFIFO:SPEC",
-                        step,
-                        format!(
-                            "deliver_{q}({sender}, ..): {sender} sent no messages \
-                             in {q}'s current view {v}"
-                        ),
-                    ));
-                }
-                let idx = self.last_dlvrd.get(&(*sender, *q)).copied().unwrap_or(0);
-                match sent.and_then(|s| s.get(idx)) {
-                    Some(m) if m == msg => {
-                        let oldest = sent.is_some_and(|s| s.base == idx);
-                        self.last_dlvrd.insert((*sender, *q), idx + 1);
-                        // Only the reader of the oldest retained message
-                        // can have been the last one holding it.
-                        if oldest && !self.retain_all {
-                            let horizon = self.horizon(&v, *sender).unwrap_or(0);
-                            if let Some(sent) =
-                                self.msgs.get_mut(&v).and_then(|senders| senders.get_mut(sender))
-                            {
-                                sent.forget_below(horizon);
-                            }
-                        }
-                        Ok(())
-                    }
-                    Some(m) => Err(Violation::at_step(
-                        "WV_RFIFO:SPEC",
-                        step,
-                        format!(
-                            "deliver_{q}({sender}, {msg:?}): expected message #{} of view {v} \
-                             to be {m:?} (FIFO order violated)",
-                            idx + 1
-                        ),
-                    )),
-                    None => Err(Violation::at_step(
-                        "WV_RFIFO:SPEC",
-                        step,
-                        format!(
-                            "deliver_{q}({sender}, {msg:?}): {sender} sent only {} messages \
-                             in view {v}, cannot deliver #{}",
-                            sent.map_or(0, Sent::len),
-                            idx + 1
-                        ),
-                    )),
-                }
-            }
-            Event::GcsView { p, view, .. } => {
-                self.guard_alive(*p, "view", step)?;
-                if !view.contains(*p) {
-                    return Err(Violation::at_step(
-                        "WV_RFIFO:SPEC",
-                        step,
-                        format!("view_{p}: Self Inclusion violated, {p} not in {view}"),
-                    ));
-                }
-                let floor = self.floor.get(p).copied().unwrap_or(ViewId::ZERO);
-                if view.id() <= floor {
-                    return Err(Violation::at_step(
-                        "WV_RFIFO:SPEC",
-                        step,
-                        format!(
-                            "view_{p}: Local Monotonicity violated, {} not greater than {}",
-                            view.id(),
-                            floor
-                        ),
-                    ));
-                }
-                self.current_view.insert(*p, view.clone());
-                self.floor.insert(*p, view.id());
-                self.last_dlvrd.retain(|(_, receiver), _| receiver != p);
-                self.forget_unreadable();
-                Ok(())
-            }
-            Event::Crash { p } => {
-                self.crashed.insert(*p);
-                self.forget_unreadable();
-                Ok(())
-            }
-            Event::Recover { p } => {
-                self.crashed.remove(p);
-                *self.inc.entry(*p).or_insert(0) += 1;
-                self.current_view.insert(*p, View::initial(*p));
-                self.last_dlvrd.retain(|(_, receiver), _| receiver != p);
-                self.forget_unreadable();
-                Ok(())
-            }
-            _ => Ok(()),
-        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vsgm_ioa::{SimTime, Trace};
-    use vsgm_types::StartChangeId;
+    use crate::view_sync::{tests::replay, ViewSyncSpec};
+    use vsgm_ioa::{Checker, SimTime, Trace, Violation};
+    use vsgm_types::{Event, StartChangeId, ViewId};
 
     fn p(i: u64) -> ProcessId {
         ProcessId::new(i)
@@ -322,17 +206,16 @@ mod tests {
         )
     }
 
+    /// `WV_RFIFO:SPEC`'s violations over `events`.
     fn run(events: Vec<Event>) -> Vec<Violation> {
-        let mut trace = Trace::new();
-        for e in events {
-            trace.record(SimTime::ZERO, e);
-        }
-        let mut spec = WvRfifoSpec::new();
-        trace
-            .entries()
-            .iter()
-            .filter_map(|e| spec.observe(e).err())
-            .collect()
+        replay(events).1.into_iter().filter(|v| v.checker == WV).collect()
+    }
+
+    /// Number of messages `sender` has sent in `view`.
+    fn sent_in_view(spec: &ViewSyncSpec, sender: ProcessId, view: &View) -> usize {
+        let sent = spec.wv.msgs.get(view).and_then(|senders| senders.get(&sender));
+        let current = |s: &&Sent| !view.is_initial() || s.inc == spec.cursor.incarnation(sender);
+        sent.filter(current).map_or(0, Sent::len)
     }
 
     fn m(s: &str) -> AppMsg {
@@ -480,36 +363,33 @@ mod tests {
     #[test]
     fn sent_in_view_counts() {
         let v = view12(1);
-        let mut trace = Trace::new();
-        trace.record(
-            SimTime::ZERO,
-            Event::GcsView { p: p(1), view: v.clone(), transitional: Default::default() },
-        );
-        trace.record(SimTime::ZERO, Event::Send { p: p(1), msg: m("a") });
-        trace.record(SimTime::ZERO, Event::Send { p: p(1), msg: m("b") });
-        let mut spec = WvRfifoSpec::new();
-        for e in trace.entries() {
-            spec.observe(e).unwrap();
-        }
-        assert_eq!(spec.sent_in_view(p(1), &v), 2);
-        assert_eq!(spec.sent_in_view(p(2), &v), 0);
+        let (spec, violations) = replay(vec![
+            Event::GcsView { p: p(1), view: v.clone(), transitional: [p(1)].into() },
+            Event::Send { p: p(1), msg: m("a") },
+            Event::Send { p: p(1), msg: m("b") },
+        ]);
+        assert!(violations.is_empty(), "{violations:?}");
+        assert_eq!(sent_in_view(&spec, p(1), &v), 2);
+        assert_eq!(sent_in_view(&spec, p(2), &v), 0);
     }
 
     #[test]
     fn delivered_prefix_is_forgotten_once_nobody_can_install_the_view() {
         let v = view12(1);
         let mut trace = Trace::new();
-        let mut spec = WvRfifoSpec::new();
-        let mut feed = |spec: &mut WvRfifoSpec, e: Event| {
+        let mut spec = ViewSyncSpec::new();
+        let mut feed = |spec: &mut ViewSyncSpec, e: Event| {
             let step = trace.record(SimTime::ZERO, e);
-            spec.observe(&trace.entries()[step as usize]).unwrap();
+            if let Err(violation) = spec.observe(&trace.entries()[step as usize]) {
+                assert_ne!(violation.checker, WV, "{violation}");
+            }
         };
         let install = |at: u64| Event::GcsView {
             p: p(at),
             view: v.clone(),
             transitional: Default::default(),
         };
-        let held = |spec: &WvRfifoSpec| spec.msgs[&v].get(&p(1)).unwrap().msgs.len();
+        let held = |spec: &ViewSyncSpec| spec.wv.msgs[&v].get(&p(1)).unwrap().msgs.len();
         feed(&mut spec, install(1));
         feed(&mut spec, Event::Send { p: p(1), msg: m("a") });
         feed(&mut spec, Event::Send { p: p(1), msg: m("b") });
@@ -519,7 +399,7 @@ mod tests {
         feed(&mut spec, install(2));
         feed(&mut spec, Event::Deliver { p: p(2), q: p(1), msg: m("a") });
         assert_eq!(held(&spec), 1, "both readers are past \"a\"");
-        assert_eq!(spec.sent_in_view(p(1), &v), 2, "the count stays absolute");
+        assert_eq!(sent_in_view(&spec, p(1), &v), 2, "the count stays absolute");
         feed(&mut spec, Event::Deliver { p: p(2), q: p(1), msg: m("b") });
         assert_eq!(held(&spec), 1, "p1 has not delivered \"b\" yet");
         // Once both have moved on nothing sent in v is kept.
@@ -530,7 +410,7 @@ mod tests {
                 Event::GcsView { p: p(at), view: v2.clone(), transitional: Default::default() },
             );
         }
-        assert!(spec.msgs.is_empty(), "{:?}", spec.msgs);
+        assert!(spec.wv.msgs.is_empty(), "{:?}", spec.wv.msgs);
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! corrupted histories would silently void the whole verification story.
 
 use vsgm_ioa::{CheckSet, SimRng, SimTime, Trace, TraceEntry};
-use vsgm_spec::{ClientSpec, SelfDeliverySpec, TransSetSpec, VsRfifoSpec, WvRfifoSpec};
+use vsgm_spec::{ClientSpec, SelfDeliverySpec, ViewSyncSpec};
 use vsgm_types::{AppMsg, Event, ProcSet, ProcessId, StartChangeId, View, ViewId};
 
 fn p(i: u64) -> ProcessId {
@@ -77,9 +77,7 @@ fn legal_trace(rng: &mut SimRng, rounds: u64) -> Trace {
 
 fn full_checks() -> CheckSet {
     let mut set = CheckSet::new();
-    set.add(WvRfifoSpec::new());
-    set.add(VsRfifoSpec::new());
-    set.add(TransSetSpec::new());
+    set.add(ViewSyncSpec::new());
     set.add(SelfDeliverySpec::new());
     set.add(ClientSpec::new());
     set

@@ -214,9 +214,7 @@ fn vs_stack_without_sd_runs_clean_on_vs_specs() {
     let mut checks = vsgm_ioa::CheckSet::new();
     checks.add(vsgm_spec::MbrshpSpec::new());
     checks.add(vsgm_spec::CoRfifoSpec::new());
-    checks.add(vsgm_spec::WvRfifoSpec::new());
-    checks.add(vsgm_spec::VsRfifoSpec::new());
-    checks.add(vsgm_spec::TransSetSpec::new());
+    checks.add(vsgm_spec::ViewSyncSpec::new());
     checks.run(sim.trace().entries());
     checks.assert_clean();
 }

@@ -183,9 +183,7 @@ fn explore(seed: u64) {
     let mut checks = CheckSet::new();
     checks.add(vsgm_spec::MbrshpSpec::new());
     checks.add(vsgm_spec::CoRfifoSpec::new());
-    checks.add(vsgm_spec::WvRfifoSpec::new());
-    checks.add(vsgm_spec::VsRfifoSpec::new());
-    checks.add(vsgm_spec::TransSetSpec::new());
+    checks.add(vsgm_spec::ViewSyncSpec::new());
     checks.run(comp.trace.entries());
     assert!(
         checks.is_clean(),
@@ -250,9 +248,7 @@ fn explore_with_crash(seed: u64) {
 
     let mut checks = CheckSet::new();
     checks.add(vsgm_spec::MbrshpSpec::new());
-    checks.add(vsgm_spec::WvRfifoSpec::new());
-    checks.add(vsgm_spec::VsRfifoSpec::new());
-    checks.add(vsgm_spec::TransSetSpec::new());
+    checks.add(vsgm_spec::ViewSyncSpec::new());
     checks.run(comp.trace.entries());
     assert!(checks.is_clean(), "seed {seed}: {:?}", checks.violations());
     for i in [1u64, 2] {
