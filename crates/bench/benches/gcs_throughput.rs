@@ -35,7 +35,7 @@ fn transport_config() -> TcpConfig {
 }
 
 /// Builds a connected two-node group with an installed two-member view.
-fn two_node_group(batch: BatchConfig) -> (Node<TcpTransport>, Node<TcpTransport>) {
+fn two_node_group(batch: BatchConfig) -> (Node, Node) {
     let p1 = ProcessId::new(1);
     let p2 = ProcessId::new(2);
     let t1 = TcpTransport::bind_with(p1, "127.0.0.1:0", transport_config()).unwrap();

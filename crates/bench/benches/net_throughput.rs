@@ -20,7 +20,7 @@ use std::io::Write;
 use std::net::TcpStream;
 use std::sync::Barrier;
 use std::time::{Duration, Instant};
-use vsgm_net::{TcpConfig, TcpTransport, Transport, WireFormat};
+use vsgm_net::{TcpConfig, TcpTransport, WireFormat};
 use vsgm_types::{AppMsg, NetMsg, ProcSet, ProcessId};
 
 const PAYLOAD_BYTES: usize = 96;

@@ -1,9 +1,9 @@
-//! A runtime node: an [`Endpoint`] pumped over a real [`Transport`].
+//! A runtime node: an [`Endpoint`] pumped over a real [`TcpTransport`].
 
 use crate::endpoint::{Effect, Endpoint, Input};
 use std::io;
 use std::time::{Duration, Instant};
-use vsgm_net::Transport;
+use vsgm_net::TcpTransport;
 use vsgm_types::{AppMsg, ProcSet, ProcessId, View};
 
 /// Deliveries dispatched between two stability acknowledgements.
@@ -31,19 +31,18 @@ pub enum AppEvent {
     BlockRequested,
 }
 
-/// A single-threaded pump binding an [`Endpoint`] to a [`Transport`]
-/// (e.g. [`vsgm_net::TcpTransport`]): incoming frames are fed to the
-/// endpoint, its `NetSend` effects go back out, and application-facing
-/// effects are returned to the caller.
+/// A single-threaded pump binding an [`Endpoint`] to a [`TcpTransport`]:
+/// incoming frames are fed to the endpoint, its `NetSend` effects go back
+/// out, and application-facing effects are returned to the caller.
 ///
-/// Transports are assumed reliable per connected pair (TCP is), so
-/// `SetReliable` effects are informational and dropped. Once every
-/// [`ACK_EVERY`] deliveries the pump asks the endpoint for a stability
-/// acknowledgement ([`crate::stability`]).
+/// TCP is reliable per connected pair, so `SetReliable` effects are
+/// informational and dropped. Once every [`ACK_EVERY`] deliveries the
+/// pump asks the endpoint for a stability acknowledgement
+/// ([`crate::stability`]).
 #[derive(Debug)]
-pub struct Node<T: Transport> {
+pub struct Node {
     ep: Endpoint,
-    transport: T,
+    transport: TcpTransport,
     auto_block_ok: bool,
     /// Origin of the endpoint's [`Input::Tick`] timebase (wall clock,
     /// measured from node creation).
@@ -52,7 +51,7 @@ pub struct Node<T: Transport> {
     delivered_since_ack: u64,
 }
 
-impl<T: Transport> Node<T> {
+impl Node {
     /// Wraps `ep` over `transport`.
     ///
     /// # Panics
@@ -63,7 +62,7 @@ impl<T: Transport> Node<T> {
         reason = "the tick epoch is driver-shell bookkeeping; the endpoint only ever sees \
                   the derived monotone microsecond input"
     )]
-    pub fn new(ep: Endpoint, transport: T) -> Self {
+    pub fn new(ep: Endpoint, transport: TcpTransport) -> Self {
         assert_eq!(ep.pid(), transport.me(), "endpoint/transport identity mismatch");
         Node { ep, transport, auto_block_ok: true, epoch: Instant::now(), delivered_since_ack: 0 }
     }
@@ -80,7 +79,7 @@ impl<T: Transport> Node<T> {
     }
 
     /// The transport.
-    pub fn transport(&self) -> &T {
+    pub fn transport(&self) -> &TcpTransport {
         &self.transport
     }
 
@@ -231,14 +230,13 @@ impl<T: Transport> Node<T> {
 mod tests {
     use super::*;
     use crate::Config;
-    use vsgm_net::TcpTransport;
     use vsgm_types::{StartChangeId, ViewId};
 
     fn p(i: u64) -> ProcessId {
         ProcessId::new(i)
     }
 
-    fn tcp_pair() -> (Node<TcpTransport>, Node<TcpTransport>) {
+    fn tcp_pair() -> (Node, Node) {
         let t1 = TcpTransport::bind(p(1), "127.0.0.1:0").unwrap();
         let t2 = TcpTransport::bind(p(2), "127.0.0.1:0").unwrap();
         t1.register_peer(p(2), t2.local_addr());
@@ -257,8 +255,8 @@ mod tests {
         )
     }
 
-    fn pump_until<T: Transport>(
-        nodes: &mut [&mut Node<T>],
+    fn pump_until(
+        nodes: &mut [&mut Node],
         mut done: impl FnMut(&[AppEvent]) -> bool,
         collected: &mut Vec<AppEvent>,
     ) {

@@ -2,7 +2,7 @@
 //!
 //! The group communication end-points of the paper communicate over a
 //! *connection-oriented reliable FIFO multicast service* (Fig. 3). This
-//! crate provides two interchangeable implementations:
+//! crate provides it twice, once simulated and once real:
 //!
 //! * [`sim::SimNet`] — a deterministic discrete-event network with
 //!   configurable latency ([`latency::LatencyModel`]), partitions, message
@@ -38,7 +38,6 @@ pub mod stats;
 #[allow(unsafe_code, reason = "the workspace's one unsafe module (analyzer rule U1)")]
 mod sys;
 pub mod tcp;
-pub mod udp;
 pub(crate) mod writer;
 
 pub use codec::WireFormat;
@@ -46,8 +45,7 @@ pub use fault::{FaultAction, FaultInjector, FaultPlan, FaultStats};
 pub use latency::LatencyModel;
 pub use sim::SimNet;
 pub use stats::NetStats;
-pub use tcp::{FrameHandler, TcpConfig, TcpTransport, Transport};
-pub use udp::UdpTransport;
+pub use tcp::{FrameHandler, TcpConfig, TcpTransport};
 
 /// A message kind the simulated network can carry and account for.
 ///

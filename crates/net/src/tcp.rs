@@ -31,7 +31,7 @@
 //!   queued into one buffered socket write, so a burst of N multicasts
 //!   costs one syscall instead of N
 //!   ([`TcpConfig::max_coalesce_frames`], at most 1 MiB per flush).
-//! * **Independent fan-out** — [`Transport::send`] attempts *every*
+//! * **Independent fan-out** — [`TcpTransport::send`] attempts *every*
 //!   destination, drops only the connections that actually failed, and
 //!   returns one aggregated error; a single broken peer no longer censors
 //!   the rest of the `ProcSet`, matching the paper's model of independent
@@ -79,35 +79,11 @@ use std::time::{Duration, Instant};
 use vsgm_ioa::SimRng;
 use vsgm_types::{GroupId, NetMsg, ProcSet, ProcessId};
 
-/// A point-to-point message transport for GCS end-points.
-///
-/// The simulation harness drives end-points directly; live deployments
-/// drive them through a `Transport`. Implementations must provide
-/// per-ordered-pair FIFO delivery for connected peers.
-pub trait Transport: Send {
-    /// This node's process identity.
-    fn me(&self) -> ProcessId;
-
-    /// Sends `msg` to every process in `to` (self is skipped).
-    ///
-    /// # Errors
-    ///
-    /// Every destination is attempted; if any fail, an aggregated error
-    /// naming the failed peers is returned (with the [`io::ErrorKind`] of
-    /// the first failure). Peers that did not fail have been sent to.
-    fn send(&self, to: &ProcSet, msg: &NetMsg) -> io::Result<()>;
-
-    /// Receives the next incoming message, waiting up to `timeout`.
-    fn recv_timeout(&self, timeout: Duration) -> Option<(ProcessId, NetMsg)>;
-
-    /// Receives the next incoming message if one is already queued.
-    fn try_recv(&self) -> Option<(ProcessId, NetMsg)>;
-}
-
-/// TCP implementation of [`Transport`].
+/// The real `CO_RFIFO` transport: point-to-point messages between GCS
+/// end-points over TCP, FIFO per ordered pair of connected peers.
 ///
 /// ```no_run
-/// use vsgm_net::{TcpTransport, Transport};
+/// use vsgm_net::TcpTransport;
 /// use vsgm_types::{ProcessId, NetMsg, AppMsg};
 ///
 /// # fn main() -> std::io::Result<()> {
@@ -327,6 +303,11 @@ impl TcpTransport {
         Ok(TcpTransport { shared, local_addr, incoming, config, jitter })
     }
 
+    /// This node's process identity.
+    pub fn me(&self) -> ProcessId {
+        self.shared.me
+    }
+
     /// The address peers should connect to.
     pub fn local_addr(&self) -> SocketAddr {
         self.local_addr
@@ -481,14 +462,25 @@ impl TcpTransport {
         Ok(writer)
     }
 
-    /// Sends `msg` to every process in `to` wrapped in the v2 group
-    /// envelope for `group`, so a multi-group server routes it to the
-    /// right instance. Same fan-out/error semantics as
-    /// [`Transport::send`].
+    /// Sends `msg` to every process in `to` (self is skipped).
     ///
     /// # Errors
     ///
-    /// As for [`Transport::send`]: every destination is attempted and
+    /// Every destination is attempted; if any fail, an aggregated error
+    /// naming the failed peers is returned (with the [`io::ErrorKind`] of
+    /// the first failure). Peers that did not fail have been sent to.
+    pub fn send(&self, to: &ProcSet, msg: &NetMsg) -> io::Result<()> {
+        self.fan_out(to, &codec::encode_frame(msg, self.config.wire_format)?)
+    }
+
+    /// Sends `msg` to every process in `to` wrapped in the v2 group
+    /// envelope for `group`, so a multi-group server routes it to the
+    /// right instance. Same fan-out/error semantics as
+    /// [`TcpTransport::send`].
+    ///
+    /// # Errors
+    ///
+    /// As for [`TcpTransport::send`]: every destination is attempted and
     /// failures are aggregated into one error.
     pub fn send_to_group(&self, group: GroupId, to: &ProcSet, msg: &NetMsg) -> io::Result<()> {
         self.fan_out(to, &codec::encode_frame_grouped(group, msg, self.config.wire_format)?)
@@ -511,8 +503,8 @@ impl TcpTransport {
     /// Receives the next incoming message with its routing group:
     /// `Some(gid)` for frames that arrived in a v2 group envelope, `None`
     /// for legacy single-group frames. Multi-group servers consume this;
-    /// single-group callers use [`Transport::recv_timeout`], which strips
-    /// the group.
+    /// single-group callers use [`TcpTransport::recv_timeout`], which
+    /// strips the group.
     pub fn recv_routed_timeout(
         &self,
         timeout: Duration,
@@ -523,6 +515,16 @@ impl TcpTransport {
     /// Non-blocking variant of [`TcpTransport::recv_routed_timeout`].
     pub fn try_recv_routed(&self) -> Option<(ProcessId, Option<GroupId>, NetMsg)> {
         self.incoming.try_recv().ok()
+    }
+
+    /// Receives the next incoming message, waiting up to `timeout`.
+    pub fn recv_timeout(&self, timeout: Duration) -> Option<(ProcessId, NetMsg)> {
+        self.recv_routed_timeout(timeout).map(|(p, _group, m)| (p, m))
+    }
+
+    /// Receives the next incoming message if one is already queued.
+    pub fn try_recv(&self) -> Option<(ProcessId, NetMsg)> {
+        self.try_recv_routed().map(|(p, _group, m)| (p, m))
     }
 
     /// Enqueues an encoded frame to one peer, translating queue outcomes
@@ -566,24 +568,6 @@ impl TcpTransport {
                 })
             }
         }
-    }
-}
-
-impl Transport for TcpTransport {
-    fn me(&self) -> ProcessId {
-        self.shared.me
-    }
-
-    fn send(&self, to: &ProcSet, msg: &NetMsg) -> io::Result<()> {
-        self.fan_out(to, &codec::encode_frame(msg, self.config.wire_format)?)
-    }
-
-    fn recv_timeout(&self, timeout: Duration) -> Option<(ProcessId, NetMsg)> {
-        self.incoming.recv_timeout(timeout).ok().map(|(p, _group, m)| (p, m))
-    }
-
-    fn try_recv(&self) -> Option<(ProcessId, NetMsg)> {
-        self.incoming.try_recv().ok().map(|(p, _group, m)| (p, m))
     }
 }
 
@@ -939,7 +923,7 @@ mod tests {
         let (from, group, msg) =
             b.recv_routed_timeout(Duration::from_secs(5)).expect("legacy frame arrives");
         assert_eq!((from, group, msg), (p(1), None, NetMsg::App(AppMsg::from("legacy"))));
-        // The single-group Transport view just strips the group.
+        // The single-group recv just strips the group.
         a.send_to_group(g, &only(2), &NetMsg::App(AppMsg::from("stripped"))).unwrap();
         let (_, msg) = b.recv_timeout(Duration::from_secs(5)).expect("message arrives");
         assert_eq!(msg, NetMsg::App(AppMsg::from("stripped")));

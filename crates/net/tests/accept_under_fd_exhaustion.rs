@@ -14,7 +14,7 @@
 use std::fs::File;
 use std::process::Command;
 use std::time::Duration;
-use vsgm_net::{TcpTransport, Transport};
+use vsgm_net::TcpTransport;
 use vsgm_types::{AppMsg, NetMsg, ProcSet, ProcessId};
 
 /// `EMFILE` on Linux.

@@ -33,7 +33,7 @@ use std::net::{TcpListener, TcpStream};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 use vsgm_net::codec::{encode_frame, WireFormat};
-use vsgm_net::{TcpConfig, TcpTransport, Transport};
+use vsgm_net::{TcpConfig, TcpTransport};
 use vsgm_types::{AppMsg, NetMsg, ProcSet, ProcessId};
 
 fn p(i: u64) -> ProcessId {

@@ -1,10 +1,9 @@
-//! Wire robustness: malformed, truncated, or hostile datagrams and
-//! frames must never crash a transport or corrupt its streams — nor, when
-//! they decode, the end-point behind it.
+//! Wire robustness: malformed, truncated, or hostile frames must never
+//! crash a transport or corrupt its streams — nor, when they decode, the
+//! end-point behind it.
 
-use std::net::UdpSocket;
 use std::time::Duration;
-use vsgm_net::{Transport, UdpTransport};
+use vsgm_net::TcpTransport;
 use vsgm_types::{AppMsg, NetMsg, ProcSet, ProcessId};
 
 fn p(i: u64) -> ProcessId {
@@ -16,91 +15,7 @@ fn only(i: u64) -> ProcSet {
 }
 
 #[test]
-fn udp_ignores_garbage_datagrams() {
-    let a = UdpTransport::bind(p(1), "127.0.0.1:0").unwrap();
-    let b = UdpTransport::bind(p(2), "127.0.0.1:0").unwrap();
-    a.register_peer(p(2), b.local_addr());
-    b.register_peer(p(1), a.local_addr());
-
-    // Blast b with junk from a raw socket: empty, short, bad kind, bad
-    // JSON body, huge sequence numbers.
-    let attacker = UdpSocket::bind("127.0.0.1:0").unwrap();
-    let target = b.local_addr();
-    let junk: Vec<Vec<u8>> = vec![
-        vec![],
-        vec![0],
-        vec![0; 16],
-        vec![9; 40],                    // unknown frame kind
-        {
-            let mut f = vec![0u8];      // data frame kind
-            f.extend_from_slice(&1u64.to_le_bytes());
-            f.extend_from_slice(&u64::MAX.to_le_bytes());
-            f.extend_from_slice(b"{not json");
-            f
-        },
-    ];
-    for frame in &junk {
-        attacker.send_to(frame, target).unwrap();
-    }
-    // Real traffic still flows, in order.
-    for k in 0..10 {
-        a.send(&only(2), &NetMsg::App(AppMsg::from(format!("ok{k}").as_str()))).unwrap();
-    }
-    for k in 0..10 {
-        let (from, msg) = b.recv_timeout(Duration::from_secs(10)).expect("arrives");
-        assert_eq!(from, p(1));
-        assert_eq!(msg, NetMsg::App(AppMsg::from(format!("ok{k}").as_str())));
-    }
-    // No junk surfaced as messages.
-    assert!(b.try_recv().is_none());
-}
-
-#[test]
-fn udp_forged_sender_id_does_not_corrupt_real_stream() {
-    let a = UdpTransport::bind(p(1), "127.0.0.1:0").unwrap();
-    let b = UdpTransport::bind(p(2), "127.0.0.1:0").unwrap();
-    a.register_peer(p(2), b.local_addr());
-    b.register_peer(p(1), a.local_addr());
-
-    // Attacker forges frames claiming to be from p1 with clashing seq 0.
-    let attacker = UdpSocket::bind("127.0.0.1:0").unwrap();
-    let body = serde_json::to_vec(&NetMsg::App(AppMsg::from("forged"))).unwrap();
-    let mut frame = vec![0u8]; // data
-    frame.extend_from_slice(&1u64.to_le_bytes()); // "from p1"
-    frame.extend_from_slice(&0u64.to_le_bytes()); // seq 0
-    frame.extend_from_slice(&body);
-    attacker.send_to(&frame, b.local_addr()).unwrap();
-
-    // The forged frame may be accepted (no authentication — same trust
-    // model as the paper), but the legitimate stream must still arrive
-    // completely and in order AFTER it, since the forger consumed seq 0.
-    let (_, first) = b.recv_timeout(Duration::from_secs(5)).expect("first frame");
-    assert_eq!(first, NetMsg::App(AppMsg::from("forged")));
-    a.send(&only(2), &NetMsg::App(AppMsg::from("real-0"))).unwrap();
-    // a's seq 0 is treated as a duplicate of the forged frame; its data
-    // would be suppressed — which is exactly why deployments layer
-    // authentication below CO_RFIFO. Document the failure mode by
-    // asserting the *transport* stays alive and delivers subsequent
-    // traffic once sequence numbers advance past the forgery.
-    for k in 1..5 {
-        a.send(&only(2), &NetMsg::App(AppMsg::from(format!("real-{k}").as_str()))).unwrap();
-    }
-    let mut got = Vec::new();
-    while let Some((_, msg)) = b.recv_timeout(Duration::from_secs(2)) {
-        got.push(msg);
-        if got.len() >= 4 {
-            break;
-        }
-    }
-    assert!(
-        got.contains(&NetMsg::App(AppMsg::from("real-1"))),
-        "transport wedged after forgery: {got:?}"
-    );
-}
-
-#[test]
 fn tcp_reader_survives_peer_disconnect() {
-    use vsgm_net::TcpTransport;
     let a = TcpTransport::bind(p(1), "127.0.0.1:0").unwrap();
     let b = TcpTransport::bind(p(2), "127.0.0.1:0").unwrap();
     a.register_peer(p(2), b.local_addr());
@@ -128,7 +43,6 @@ fn tcp_reader_survives_peer_disconnect() {
 #[test]
 fn forged_indices_in_well_formed_frames_do_not_take_a_node_down() {
     use vsgm_core::{audit, Config, Endpoint, Input, Node};
-    use vsgm_net::TcpTransport;
     use vsgm_types::{Cut, FwdPayload, StartChangeId, SyncPayload, View, ViewId};
 
     let attacker = TcpTransport::bind(p(1), "127.0.0.1:0").unwrap();

@@ -1,9 +1,8 @@
-//! Concurrency and stress tests for the real transports (TCP and the
-//! UDP reliable-datagram service).
+//! Concurrency and stress tests for the TCP transport.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use vsgm_net::{TcpTransport, Transport, UdpTransport};
+use vsgm_net::TcpTransport;
 use vsgm_types::{AppMsg, NetMsg, ProcSet, ProcessId};
 
 fn p(i: u64) -> ProcessId {
@@ -20,7 +19,7 @@ fn payload(tag: u64, k: usize) -> NetMsg {
 
 #[test]
 fn tcp_concurrent_senders_share_one_transport() {
-    // Transport::send takes &self: multiple threads may send through the
+    // TcpTransport::send takes &self: multiple threads may send through the
     // same node concurrently. Each thread's stream must stay FIFO.
     let a = Arc::new(TcpTransport::bind(p(1), "127.0.0.1:0").unwrap());
     let b = TcpTransport::bind(p(2), "127.0.0.1:0").unwrap();
@@ -79,67 +78,5 @@ fn tcp_many_peers_fan_out() {
         let (from, msg) = t.recv_timeout(Duration::from_secs(10)).expect("fan-out arrives");
         assert_eq!(from, p(1));
         assert_eq!(msg, payload(0, 0));
-    }
-}
-
-#[test]
-fn udp_concurrent_senders_with_loss() {
-    let a = Arc::new(UdpTransport::bind(p(1), "127.0.0.1:0").unwrap());
-    let b = UdpTransport::bind(p(2), "127.0.0.1:0").unwrap();
-    a.register_peer(p(2), b.local_addr());
-    b.register_peer(p(1), a.local_addr());
-    a.set_loss(0.1, 99);
-
-    const THREADS: u64 = 3;
-    const PER_THREAD: usize = 25;
-    let mut handles = Vec::new();
-    for t in 0..THREADS {
-        let a = Arc::clone(&a);
-        handles.push(std::thread::spawn(move || {
-            for k in 0..PER_THREAD {
-                a.send(&only(2), &payload(t, k)).unwrap();
-            }
-        }));
-    }
-    for h in handles {
-        h.join().unwrap();
-    }
-    let mut seqs: std::collections::HashMap<u64, Vec<usize>> = Default::default();
-    let deadline = Instant::now() + Duration::from_secs(30);
-    let mut got = 0;
-    while got < THREADS as usize * PER_THREAD {
-        assert!(Instant::now() < deadline, "only {got} messages recovered");
-        if let Some((_, NetMsg::App(m))) = b.recv_timeout(Duration::from_millis(100)) {
-            let text = String::from_utf8_lossy(m.as_bytes()).into_owned();
-            let (tag, k) = text.split_once(':').unwrap();
-            seqs.entry(tag.parse().unwrap()).or_default().push(k.parse().unwrap());
-            got += 1;
-        }
-    }
-    // The single UDP channel serializes everything into ONE FIFO; each
-    // thread's relative order must still hold (subsequence property).
-    for (tag, seq) in seqs {
-        assert!(
-            seq.windows(2).all(|w| w[0] < w[1]),
-            "thread {tag} stream reordered: {seq:?}"
-        );
-    }
-}
-
-#[test]
-fn udp_burst_larger_than_window_survives() {
-    let a = UdpTransport::bind(p(1), "127.0.0.1:0").unwrap();
-    let b = UdpTransport::bind(p(2), "127.0.0.1:0").unwrap();
-    a.register_peer(p(2), b.local_addr());
-    b.register_peer(p(1), a.local_addr());
-    const COUNT: usize = 500;
-    for k in 0..COUNT {
-        a.send(&only(2), &payload(0, k)).unwrap();
-    }
-    for k in 0..COUNT {
-        let (_, msg) = b
-            .recv_timeout(Duration::from_secs(20))
-            .unwrap_or_else(|| panic!("message {k} missing"));
-        assert_eq!(msg, payload(0, k));
     }
 }

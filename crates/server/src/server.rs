@@ -251,7 +251,6 @@ fn handle_directory(
 mod tests {
     use super::*;
     use std::time::{Duration, Instant};
-    use vsgm_net::Transport;
 
     fn p(i: u64) -> ProcessId {
         ProcessId::new(i)

@@ -11,7 +11,7 @@ use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
-use vsgm_net::{TcpConfig, TcpTransport, Transport};
+use vsgm_net::{TcpConfig, TcpTransport};
 use vsgm_server::{GroupServer, ServerConfig};
 use vsgm_types::{AppMsg, GroupId, NetMsg, ProcSet, ProcessId};
 

@@ -15,7 +15,7 @@ use std::sync::mpsc;
 use std::time::{Duration, Instant};
 use vsgm_core::{Config, Endpoint, Input, Node};
 use vsgm_core::node::AppEvent;
-use vsgm_net::{TcpTransport, Transport};
+use vsgm_net::TcpTransport;
 use vsgm_types::{AppMsg, ProcSet, ProcessId, StartChangeId, View, ViewId};
 
 fn main() -> std::io::Result<()> {

@@ -16,7 +16,7 @@ use std::collections::BTreeMap;
 use std::net::TcpListener;
 use std::sync::Barrier;
 use std::time::{Duration, Instant};
-use vsgm_net::{TcpConfig, TcpTransport, Transport};
+use vsgm_net::{TcpConfig, TcpTransport};
 use vsgm_types::{AppMsg, NetMsg, ProcSet, ProcessId};
 
 fn p(i: u64) -> ProcessId {

@@ -4,18 +4,18 @@
 use std::time::{Duration, Instant};
 use vsgm_core::node::AppEvent;
 use vsgm_core::{Config, Endpoint, Input, Node};
-use vsgm_net::{TcpConfig, TcpTransport, Transport, WireFormat};
+use vsgm_net::{TcpConfig, TcpTransport, WireFormat};
 use vsgm_types::{AppMsg, ProcSet, ProcessId, StartChangeId, View, ViewId};
 
 fn p(i: u64) -> ProcessId {
     ProcessId::new(i)
 }
 
-fn cluster(n: u64) -> Vec<Node<TcpTransport>> {
+fn cluster(n: u64) -> Vec<Node> {
     cluster_with(n, |_| TcpConfig::default())
 }
 
-fn cluster_with(n: u64, config: impl Fn(u64) -> TcpConfig) -> Vec<Node<TcpTransport>> {
+fn cluster_with(n: u64, config: impl Fn(u64) -> TcpConfig) -> Vec<Node> {
     let transports: Vec<TcpTransport> = (1..=n)
         .map(|i| TcpTransport::bind_with(p(i), "127.0.0.1:0", config(i)).expect("bind"))
         .collect();
@@ -44,7 +44,7 @@ fn scripted_view(members: &ProcSet, epoch: u64, cid: u64) -> View {
     )
 }
 
-fn pump_all(nodes: &mut [Node<TcpTransport>], events: &mut Vec<(ProcessId, AppEvent)>) {
+fn pump_all(nodes: &mut [Node], events: &mut Vec<(ProcessId, AppEvent)>) {
     for n in nodes.iter_mut() {
         let me = n.endpoint().pid();
         for e in n.pump(Duration::from_millis(5)).expect("pump") {
@@ -54,7 +54,7 @@ fn pump_all(nodes: &mut [Node<TcpTransport>], events: &mut Vec<(ProcessId, AppEv
 }
 
 fn pump_until(
-    nodes: &mut [Node<TcpTransport>],
+    nodes: &mut [Node],
     events: &mut Vec<(ProcessId, AppEvent)>,
     mut done: impl FnMut(&[(ProcessId, AppEvent)]) -> bool,
 ) {
@@ -66,7 +66,7 @@ fn pump_until(
 }
 
 fn form_view(
-    nodes: &mut [Node<TcpTransport>],
+    nodes: &mut [Node],
     events: &mut Vec<(ProcessId, AppEvent)>,
     members: &ProcSet,
     epoch: u64,
