@@ -3,19 +3,19 @@
 //! The paper's algorithms (Figs. 9–11) refine its I/O-automaton specs
 //! (Figs. 2–7); the refinement only means something while the Rust
 //! implementation stays **deterministic**, **total**, and structured as
-//! precondition/effect transitions. Determinism, the ambient clock and
-//! panic-freedom are checked by the compiler: `clippy.toml` and the
-//! workspace lint wall (DESIGN.md §10). This crate walks the workspace
-//! sources with a small hand-rolled token scanner (no `syn`; the build
-//! environment is offline) and checks what no lint states:
+//! precondition/effect transitions. Most of that is checked by the
+//! compiler — `clippy.toml` and the workspace lint wall (determinism,
+//! the clock, panic-freedom, unsafe confinement), `audit::check`'s
+//! exhaustive destructure of `State` (audit coverage) — and by tests (the
+//! `ObsEvent` vocabulary, spec coverage); DESIGN.md §10. This crate walks
+//! the workspace's `crates/*/src` with a small hand-rolled token scanner
+//! (no `syn`; the build environment is offline) and checks what needs
+//! source text:
 //!
 //! | Rule | Enforces |
 //! |---|---|
-//! | `I1` | IOA discipline: `*_pre`/`*_eff` pairing; total `ObsEvent` vocabulary |
-//! | `C1` | spec coverage: every spec action exercised by a trace-checker test |
+//! | `I1` | IOA discipline: `*_pre`/`*_eff` pairing |
 //! | `R1` | lock discipline: lock fields declare a `vsgm-lock-tier`; no guard held across a blocking call |
-//! | `A1` | audit coverage: every endpoint `State` field is read by at least one `StateAudit` check |
-//! | `U1` | unsafe confinement: `unsafe` only in `crates/net/src/sys.rs`; every other crate root forbids `unsafe_code` |
 //! | `W0` | waiver hygiene: `vsgm-allow`/`vsgm-lock-tier` comments must be well-formed, and every waiver must suppress something |
 //!
 //! Findings carry `file:line`, the rule id, and a fix hint. A finding is
@@ -23,7 +23,6 @@
 //! same line or the comment block directly above — so every exception is
 //! visible and justified in the source itself.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod report;
@@ -36,29 +35,13 @@ use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
-/// Where a source file lives, which decides how rules treat it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FileKind {
-    /// Under some `crates/<name>/src`: production code (modulo inline
-    /// `#[cfg(test)]` regions, which the scanner marks).
-    Src,
-    /// Under a `tests/` directory (crate-level or workspace-level): test
-    /// code, exempt from R1 and counted as coverage for I1/C1.
-    TestsDir,
-}
-
 /// One scanned workspace source file.
 #[derive(Debug)]
 pub struct SourceFile {
     /// Path relative to the workspace root, with `/` separators.
     pub rel: String,
-    /// The `crates/<name>` the file belongs to, if any.
-    pub crate_name: Option<String>,
-    /// Production or test location.
-    pub kind: FileKind,
-    /// The file is `crates/<name>/src/lib.rs` of a directory with a
-    /// `Cargo.toml`: a library crate root (rule U1).
-    pub crate_root: bool,
+    /// The `<name>` of the `crates/<name>` the file belongs to.
+    pub crate_name: String,
     /// Scanner output (code mask, test regions, waivers).
     pub scanned: Scanned,
 }
@@ -66,7 +49,7 @@ pub struct SourceFile {
 /// One rule violation.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Finding {
-    /// Rule identifier (`I1`, `C1`, `R1`, `A1`, `U1`, `W0`).
+    /// Rule identifier (`I1`, `R1`, `W0`).
     pub rule: String,
     /// Workspace-relative file path.
     pub file: String,
@@ -100,31 +83,15 @@ impl Report {
     }
 }
 
-/// Scans every workspace source under `root` (`crates/*/{src,tests}` and
-/// the top-level `tests/`) and runs the selected rules (`None` = all).
+/// Scans every `crates/*/src` source under `root` and runs the rules.
 ///
 /// # Errors
 ///
 /// Propagates I/O errors from walking or reading the tree.
-pub fn analyze_root(root: &Path, selected: Option<&BTreeSet<String>>) -> io::Result<Report> {
+pub fn analyze_root(root: &Path) -> io::Result<Report> {
     let files = collect_files(root)?;
-    let enabled = |r: &str| selected.is_none_or(|s| s.contains(r));
-    let mut raw = Vec::new();
-    if enabled("I1") {
-        raw.extend(rules::i1(&files));
-    }
-    if enabled("C1") {
-        raw.extend(rules::c1(&files));
-    }
-    if enabled("R1") {
-        raw.extend(rules::r1(&files));
-    }
-    if enabled("A1") {
-        raw.extend(rules::a1(&files));
-    }
-    if enabled("U1") {
-        raw.extend(rules::u1(&files));
-    }
+    let mut raw = rules::i1(&files);
+    raw.extend(rules::r1(&files));
 
     // Apply waivers, attributing each suppression to the waiver comment
     // that did the suppressing so unused waivers can be flagged below.
@@ -150,65 +117,61 @@ pub fn analyze_root(root: &Path, selected: Option<&BTreeSet<String>>) -> io::Res
         }
     }
 
-    // Hygiene (W0): malformed waivers/tier declarations, and — when the
-    // full rule set ran, so `used` is complete — waivers that suppress
-    // nothing. The analyzer's own sources discuss the comment syntax in
-    // prose, so they are exempt from the sweeps that key on that text.
-    if enabled("W0") {
-        let known: BTreeSet<&str> = rules::RULES.iter().map(|(r, _)| *r).collect();
-        for sf in &files {
-            let is_analyze = sf.crate_name.as_deref() == Some("analyze");
-            for w in &sf.scanned.waivers {
-                if !w.has_reason {
-                    report.findings.push(Finding {
-                        rule: "W0".to_string(),
-                        file: sf.rel.clone(),
-                        line: w.line,
-                        message: format!(
-                            "waiver for {} carries no reason and is ignored",
-                            w.rules.join(", ")
-                        ),
-                        hint: "write `// vsgm-allow(RULE): <why the rule is safe to bend here>`"
-                            .to_string(),
-                    });
-                }
-            }
-            for t in sf.scanned.tiers.iter().filter(|t| !t.is_well_formed() && !is_analyze) {
+    // Hygiene (W0): malformed waivers/tier declarations, and waivers
+    // that suppress nothing. The analyzer's own sources discuss the
+    // comment syntax in prose, so they are exempt from the sweeps that
+    // key on that text.
+    let known: BTreeSet<&str> = rules::RULES.iter().map(|(r, _)| *r).collect();
+    for sf in &files {
+        let is_analyze = sf.crate_name == "analyze";
+        for w in &sf.scanned.waivers {
+            if !w.has_reason {
                 report.findings.push(Finding {
                     rule: "W0".to_string(),
                     file: sf.rel.clone(),
-                    line: t.line,
-                    message: "malformed vsgm-lock-tier declaration (tier must be a number \
-                              and a `: reason` must follow) — it is ignored"
-                        .to_string(),
-                    hint: "write `// vsgm-lock-tier(N): <what may be held when this is taken>`"
+                    line: w.line,
+                    message: format!(
+                        "waiver for {} carries no reason and is ignored",
+                        w.rules.join(", ")
+                    ),
+                    hint: "write `// vsgm-allow(RULE): <why the rule is safe to bend here>`"
                         .to_string(),
                 });
             }
-            if selected.is_none() && !is_analyze {
-                for w in &sf.scanned.waivers {
-                    let in_test =
-                        sf.scanned.test_line.get(w.line.saturating_sub(1)).copied().unwrap_or(false);
-                    let all_known = w.rules.iter().all(|r| known.contains(r.as_str()));
-                    if w.has_reason
-                        && !in_test
-                        && all_known
-                        && !used.contains(&(sf.rel.clone(), w.line))
-                    {
-                        report.findings.push(Finding {
-                            rule: "W0".to_string(),
-                            file: sf.rel.clone(),
-                            line: w.line,
-                            message: format!(
-                                "waiver for {} suppresses no finding — stale, delete it",
-                                w.rules.join(", ")
-                            ),
-                            hint: "every waiver must buy an exception some rule would \
-                                   otherwise flag; remove waivers the code has outgrown"
-                                .to_string(),
-                        });
-                    }
-                }
+        }
+        for t in sf.scanned.tiers.iter().filter(|t| !t.is_well_formed() && !is_analyze) {
+            report.findings.push(Finding {
+                rule: "W0".to_string(),
+                file: sf.rel.clone(),
+                line: t.line,
+                message: "malformed vsgm-lock-tier declaration (tier must be a number \
+                          and a `: reason` must follow) — it is ignored"
+                    .to_string(),
+                hint: "write `// vsgm-lock-tier(N): <what may be held when this is taken>`"
+                    .to_string(),
+            });
+        }
+        if is_analyze {
+            continue;
+        }
+        for w in &sf.scanned.waivers {
+            let in_test =
+                sf.scanned.test_line.get(w.line.saturating_sub(1)).copied().unwrap_or(false);
+            let all_known = w.rules.iter().all(|r| known.contains(r.as_str()));
+            if w.has_reason && !in_test && all_known && !used.contains(&(sf.rel.clone(), w.line))
+            {
+                report.findings.push(Finding {
+                    rule: "W0".to_string(),
+                    file: sf.rel.clone(),
+                    line: w.line,
+                    message: format!(
+                        "waiver for {} suppresses no finding — stale, delete it",
+                        w.rules.join(", ")
+                    ),
+                    hint: "every waiver must buy an exception some rule would \
+                           otherwise flag; remove waivers the code has outgrown"
+                        .to_string(),
+                });
             }
         }
     }
@@ -218,7 +181,7 @@ pub fn analyze_root(root: &Path, selected: Option<&BTreeSet<String>>) -> io::Res
     Ok(report)
 }
 
-/// Walks `root` for the analyzable sources.
+/// Walks `root` for the analyzable sources: every `crates/<name>/src`.
 ///
 /// # Errors
 ///
@@ -234,30 +197,14 @@ pub fn collect_files(root: &Path) -> io::Result<Vec<SourceFile>> {
             .collect();
         crate_dirs.sort();
         for dir in crate_dirs {
-            let name = dir.file_name().and_then(|n| n.to_str()).map(str::to_string);
-            let first_src = out.len();
-            walk_rs(&dir.join("src"), root, name.clone(), FileKind::Src, &mut out)?;
-            if dir.join("Cargo.toml").is_file() {
-                let lib = format!("crates/{}/src/lib.rs", name.as_deref().unwrap_or(""));
-                for f in out.iter_mut().skip(first_src) {
-                    f.crate_root = f.rel == lib;
-                }
-            }
-            walk_rs(&dir.join("tests"), root, name.clone(), FileKind::TestsDir, &mut out)?;
-            walk_rs(&dir.join("benches"), root, name, FileKind::TestsDir, &mut out)?;
+            let name = dir.file_name().map(|n| n.to_string_lossy().into_owned());
+            walk_rs(&dir.join("src"), root, &name.unwrap_or_default(), &mut out)?;
         }
     }
-    walk_rs(&root.join("tests"), root, None, FileKind::TestsDir, &mut out)?;
     Ok(out)
 }
 
-fn walk_rs(
-    dir: &Path,
-    root: &Path,
-    crate_name: Option<String>,
-    kind: FileKind,
-    out: &mut Vec<SourceFile>,
-) -> io::Result<()> {
+fn walk_rs(dir: &Path, root: &Path, crate_name: &str, out: &mut Vec<SourceFile>) -> io::Result<()> {
     if !dir.is_dir() {
         return Ok(());
     }
@@ -266,7 +213,7 @@ fn walk_rs(
     entries.sort();
     for path in entries {
         if path.is_dir() {
-            walk_rs(&path, root, crate_name.clone(), kind, out)?;
+            walk_rs(&path, root, crate_name, out)?;
         } else if path.extension().and_then(|e| e.to_str()) == Some("rs") {
             let src = fs::read_to_string(&path)?;
             let rel = path
@@ -276,13 +223,8 @@ fn walk_rs(
                 .map(|c| c.as_os_str().to_string_lossy())
                 .collect::<Vec<_>>()
                 .join("/");
-            out.push(SourceFile {
-                rel,
-                crate_name: crate_name.clone(),
-                kind,
-                crate_root: false,
-                scanned: scan::scan(&src),
-            });
+            let crate_name = crate_name.to_string();
+            out.push(SourceFile { rel, crate_name, scanned: scan::scan(&src) });
         }
     }
     Ok(())

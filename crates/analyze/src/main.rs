@@ -1,13 +1,12 @@
 //! CLI for `vsgm-analyze`.
 //!
 //! ```text
-//! vsgm-analyze [--root DIR] [--format table|json] [--rules R1,A1,...] [--list-rules]
+//! vsgm-analyze [--root DIR] [--format table|json] [--list-rules]
 //! ```
 //!
 //! Exits 0 on a clean tree, 1 when findings survive waivers, 2 on usage
 //! or I/O errors.
 
-use std::collections::BTreeSet;
 use std::path::PathBuf;
 use std::process::ExitCode;
 use vsgm_analyze::{analyze_root, find_root, report, rules};
@@ -15,17 +14,16 @@ use vsgm_analyze::{analyze_root, find_root, report, rules};
 struct Opts {
     root: Option<PathBuf>,
     json: bool,
-    rules: Option<BTreeSet<String>>,
     list_rules: bool,
 }
 
 fn usage() -> String {
-    "usage: vsgm-analyze [--root DIR] [--format table|json] [--rules R1,A1,...] [--list-rules]\n"
+    "usage: vsgm-analyze [--root DIR] [--format table|json] [--list-rules]\n"
         .to_string()
 }
 
 fn parse_args(args: &[String]) -> Result<Opts, String> {
-    let mut opts = Opts { root: None, json: false, rules: None, list_rules: false };
+    let mut opts = Opts { root: None, json: false, list_rules: false };
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
@@ -40,19 +38,6 @@ fn parse_args(args: &[String]) -> Result<Opts, String> {
                     "table" => opts.json = false,
                     other => return Err(format!("unknown format `{other}`")),
                 }
-            }
-            "--rules" => {
-                let v = it.next().ok_or_else(|| "--rules needs a value".to_string())?;
-                let known: BTreeSet<&str> = rules::RULES.iter().map(|(id, _)| *id).collect();
-                let mut set = BTreeSet::new();
-                for r in v.split(',').filter(|r| !r.is_empty()) {
-                    let r = r.to_ascii_uppercase();
-                    if !known.contains(r.as_str()) {
-                        return Err(format!("unknown rule `{r}`"));
-                    }
-                    set.insert(r);
-                }
-                opts.rules = Some(set);
             }
             "--list-rules" => opts.list_rules = true,
             "-h" | "--help" => return Err(String::new()),
@@ -101,7 +86,7 @@ fn main() -> ExitCode {
         }
     };
 
-    let rep = match analyze_root(&root, opts.rules.as_ref()) {
+    let rep = match analyze_root(&root) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("vsgm-analyze: {}: {e}", root.display());

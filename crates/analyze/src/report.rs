@@ -40,7 +40,7 @@ pub fn table(report: &Report) -> String {
     out
 }
 
-/// `: A1 3, R1 7` — or empty when nothing was waived.
+/// `: I1 2, R1 7` — or empty when nothing was waived.
 fn waived_breakdown(report: &Report) -> String {
     if report.waived_by_rule.is_empty() {
         return String::new();

@@ -1,15 +1,16 @@
-//! The rules the compiler cannot state: I1 IOA discipline, C1 spec
-//! coverage, R1 lock discipline, A1 audit coverage, U1 unsafe
-//! confinement. Determinism, the clock and panic-freedom are clippy's
-//! (`clippy.toml` and the workspace lint wall; DESIGN.md §10).
+//! The rules the compiler cannot state: I1 precondition/effect pairing
+//! and R1 lock discipline. Determinism, the clock, panic-freedom, unsafe
+//! confinement and audit coverage are the compiler's (`clippy.toml`, the
+//! workspace lint wall and `audit::check`'s exhaustive destructure); the
+//! `ObsEvent` vocabulary and spec coverage are tests' (DESIGN.md §10).
 //!
 //! Each rule is phrased over the code mask of [`crate::SourceFile`]s and
 //! produces [`Finding`]s carrying the rule id, `file:line`, a message,
 //! and a fix hint. Waivers are applied by the caller
 //! ([`crate::analyze_root`]), not here.
 
-use crate::scan::{find_word, tokens, Tok};
-use crate::{FileKind, Finding, SourceFile};
+use crate::scan::{find_word, tokens};
+use crate::{Finding, SourceFile};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Crates holding precondition/effect transition functions (I1).
@@ -31,18 +32,11 @@ pub const R1_FILES: [&str; 6] = [
     "crates/server/src/shard.rs",
     "crates/server/src/server.rs",
 ];
-/// The one file allowed to hold `unsafe` code (U1), pinned by path like
-/// [`R1_FILES`]: the `extern "C"` declarations of the Linux readiness
-/// calls the transport's event loops park on.
-pub const U1_FILE: &str = "crates/net/src/sys.rs";
 
 /// All rule identifiers the analyzer knows, with one-line descriptions.
-pub const RULES: [(&str, &str); 6] = [
-    ("I1", "IOA discipline: precondition/effect pairing and ObsEvent coverage"),
-    ("C1", "spec coverage: every spec action exercised by a trace-checker test"),
+pub const RULES: [(&str, &str); 3] = [
+    ("I1", "IOA discipline: *_eff effects and *_pre/*_restriction preconditions come in pairs"),
     ("R1", "lock discipline: lock fields declare a vsgm-lock-tier; no guard held across a blocking call"),
-    ("A1", "audit coverage: every endpoint State field read by at least one StateAudit check"),
-    ("U1", "unsafe confinement: unsafe only in crates/net/src/sys.rs; crate roots forbid it"),
     ("W0", "waiver hygiene: vsgm-allow/vsgm-lock-tier comments must be well-formed"),
 ];
 
@@ -56,9 +50,8 @@ fn finding(rule: &str, file: &SourceFile, line: usize, message: String, hint: &s
     }
 }
 
-fn in_crate_src(file: &SourceFile, crates: &[&str]) -> bool {
-    file.kind == FileKind::Src
-        && file.crate_name.as_deref().is_some_and(|c| crates.contains(&c))
+fn in_crate(file: &SourceFile, crates: &[&str]) -> bool {
+    crates.contains(&file.crate_name.as_str())
 }
 
 // ---------------------------------------------------------------- R1 ---
@@ -84,10 +77,8 @@ const R1_BLOCKING: [&str; 9] = [
 /// blocking call.
 pub fn r1(files: &[SourceFile]) -> Vec<Finding> {
     let mut out = Vec::new();
-    for f in files.iter().filter(|f| {
-        in_crate_src(f, &R1_CRATES)
-            || (f.kind == FileKind::Src && R1_FILES.contains(&f.rel.as_str()))
-    }) {
+    let covered = |f: &&SourceFile| in_crate(f, &R1_CRATES) || R1_FILES.contains(&f.rel.as_str());
+    for f in files.iter().filter(covered) {
         out.extend(r1_fields(f));
         out.extend(r1_guards(f));
     }
@@ -328,83 +319,20 @@ fn binding_name(text: &str) -> Option<String> {
     (!name.is_empty() && name != "mut").then_some(name)
 }
 
-// ---------------------------------------------------------------- U1 ---
-
-const U1_STRAY_HINT: &str = "move the call into crates/net/src/sys.rs behind a safe wrapper; \
-     that file is the workspace's only unsafe code";
-const U1_ROOT_HINT: &str = "keep `#![forbid(unsafe_code)]` at the crate root (the crate \
-     holding sys.rs: `#![deny(unsafe_code)]`, with `#[allow(unsafe_code)]` on that module)";
-
-/// U1 — unsafe confinement: the `unsafe` keyword appears only in
-/// [`U1_FILE`], and every library crate root keeps the compiler-level
-/// ban — `#![forbid(unsafe_code)]`, or `#![deny(unsafe_code)]` in the
-/// crate that holds `U1_FILE` (forbid cannot be relaxed for one module).
-/// Clippy's `undocumented_unsafe_blocks` asks each block there for its
-/// justifying comment.
-pub fn u1(files: &[SourceFile]) -> Vec<Finding> {
-    let host = U1_FILE.split('/').nth(1);
-    let mut out = Vec::new();
-    for f in files {
-        if f.rel != U1_FILE {
-            for (k, text) in f.scanned.mask.iter().enumerate() {
-                if !find_word(text, "unsafe").is_empty() {
-                    out.push(finding(
-                        "U1",
-                        f,
-                        k + 1,
-                        format!("`unsafe` outside {U1_FILE}"),
-                        U1_STRAY_HINT,
-                    ));
-                }
-            }
-        }
-        if f.crate_root {
-            let want = if f.crate_name.as_deref() == host {
-                "#![deny(unsafe_code)]"
-            } else {
-                "#![forbid(unsafe_code)]"
-            };
-            let compact = |l: &String| l.split_whitespace().collect::<String>();
-            if !f.scanned.mask.iter().any(|l| compact(l) == want) {
-                out.push(finding(
-                    "U1",
-                    f,
-                    1,
-                    format!("crate root does not carry `{want}`"),
-                    U1_ROOT_HINT,
-                ));
-            }
-        }
-    }
-    out
-}
-
 // ---------------------------------------------------------------- I1 ---
 
-const I1_PAIR_HINT: &str = "IOA discipline (Figs. 9-11): every transition effect pairs with an \
+const I1_HINT: &str = "IOA discipline (Figs. 9-11): every transition effect pairs with an \
      explicit precondition function (`*_pre` or `*_restriction`) and vice versa";
-const I1_OBS_HINT: &str = "keep the observability vocabulary total: list the variant in \
-     ObsEvent::ALL, match it in recorder.rs, emit it from the instrumented protocol \
-     layers, and cover it with a journal/ioa test";
 
-/// I1 — IOA discipline: (a) precondition/effect pairing of transition
-/// functions in the algorithm crates; (b) the `vsgm-obs` event vocabulary
-/// is total — every `ObsEvent` variant is listed in `ALL`, matched in
-/// `recorder.rs`, emitted by instrumented code, and covered by a test.
+/// I1 — IOA discipline: precondition/effect pairing of transition
+/// functions in the algorithm crates.
 pub fn i1(files: &[SourceFile]) -> Vec<Finding> {
-    let mut out = Vec::new();
-    out.extend(i1_pairing(files));
-    out.extend(i1_obs(files));
-    out
-}
-
-fn i1_pairing(files: &[SourceFile]) -> Vec<Finding> {
     let mut out = Vec::new();
     for krate in I1_CRATES {
         // name -> (file index, line) of every non-test `fn` in the crate.
         let mut fns: BTreeMap<String, (usize, usize)> = BTreeMap::new();
         for (fi, f) in files.iter().enumerate() {
-            if f.kind != FileKind::Src || f.crate_name.as_deref() != Some(krate) {
+            if f.crate_name != krate {
                 continue;
             }
             let toks = tokens(&f.scanned.mask);
@@ -447,7 +375,7 @@ fn i1_pairing(files: &[SourceFile]) -> Vec<Finding> {
                                 "transition effect `{name}` has no matching precondition \
                                  (`{base}_pre` / `{base}_restriction`) in crate `{krate}`"
                             ),
-                            I1_PAIR_HINT,
+                            I1_HINT,
                         ));
                     }
                 }
@@ -462,335 +390,12 @@ fn i1_pairing(files: &[SourceFile]) -> Vec<Finding> {
                                 "precondition `{name}` has no matching effect `{base}_eff` \
                                  in crate `{krate}`"
                             ),
-                            I1_PAIR_HINT,
+                            I1_HINT,
                         ));
                     }
                 }
             }
         }
-    }
-    out
-}
-
-/// `(enum-variant name, line)` pairs of `pub enum <name>` in the file.
-pub fn enum_variants(file: &SourceFile, enum_name: &str) -> Vec<(String, usize)> {
-    let toks = tokens(&file.scanned.mask);
-    let mut i = 0usize;
-    // Find `enum <enum_name> {`.
-    while i < toks.len() {
-        let is_start = toks.get(i).is_some_and(|t| t.ident && t.text == "enum")
-            && toks.get(i + 1).is_some_and(|t| t.ident && t.text == enum_name)
-            && toks.get(i + 2).is_some_and(|t| t.text == "{");
-        if is_start {
-            break;
-        }
-        i += 1;
-    }
-    if i >= toks.len() {
-        return Vec::new();
-    }
-    let mut out = Vec::new();
-    let mut depth = 0i64;
-    let mut expect_variant = false;
-    let mut j = i + 2;
-    while let Some(t) = toks.get(j) {
-        match t.text.as_str() {
-            "{" | "(" | "[" => {
-                depth += 1;
-                if depth == 1 {
-                    expect_variant = true;
-                }
-            }
-            "}" | ")" | "]" => {
-                depth -= 1;
-                if depth == 0 {
-                    break;
-                }
-            }
-            "," if depth == 1 => expect_variant = true,
-            "#" if depth == 1 => {} // variant attribute: idents inside are at depth 2
-            _ => {
-                if depth == 1 && expect_variant && t.ident {
-                    out.push((t.text.clone(), t.line));
-                    expect_variant = false;
-                }
-            }
-        }
-        j += 1;
-    }
-    out
-}
-
-/// All `Prefix::Variant` references in a token stream, with the line of
-/// each and whether that line is test code.
-fn path_refs(toks: &[Tok], prefix: &str) -> Vec<(String, usize)> {
-    let mut out = Vec::new();
-    for w in toks.windows(4) {
-        if let [a, c1, c2, b] = w {
-            if a.ident && a.text == prefix && c1.text == ":" && c2.text == ":" && b.ident {
-                out.push((b.text.clone(), b.line));
-            }
-        }
-    }
-    out
-}
-
-fn is_test_at(f: &SourceFile, line: usize) -> bool {
-    f.kind == FileKind::TestsDir
-        || f.scanned.test_line.get(line.saturating_sub(1)).copied().unwrap_or(false)
-}
-
-fn i1_obs(files: &[SourceFile]) -> Vec<Finding> {
-    let Some((efi, event_file)) = files
-        .iter()
-        .enumerate()
-        .find(|(_, f)| f.crate_name.as_deref() == Some("obs") && f.rel.ends_with("src/event.rs"))
-    else {
-        return Vec::new();
-    };
-    let variants = enum_variants(event_file, "ObsEvent");
-    if variants.is_empty() {
-        return Vec::new();
-    }
-
-    // `ObsEvent::X` occurrences inside the `const ALL: ... = [...];`
-    // declaration of event.rs (everything from `const ALL` to the `;`
-    // that ends the item, so the type annotation's brackets don't
-    // confuse the span).
-    let etoks = tokens(&event_file.scanned.mask);
-    let mut in_all: BTreeSet<String> = BTreeSet::new();
-    let mut k = 0usize;
-    while k < etoks.len() {
-        let is_decl = etoks.get(k).is_some_and(|t| t.ident && t.text == "const")
-            && etoks.get(k + 1).is_some_and(|t| t.ident && t.text == "ALL");
-        if is_decl {
-            let mut depth = 0i64;
-            let mut j = k + 2;
-            let start = j;
-            while let Some(t) = etoks.get(j) {
-                match t.text.as_str() {
-                    "[" | "(" | "{" => depth += 1,
-                    "]" | ")" | "}" => depth -= 1,
-                    ";" if depth == 0 => break,
-                    _ => {}
-                }
-                j += 1;
-            }
-            let slice = etoks.get(start..j).unwrap_or(&[]);
-            for (v, _) in path_refs(slice, "ObsEvent") {
-                in_all.insert(v);
-            }
-        }
-        k += 1;
-    }
-
-    // Where each variant is referenced across the workspace.
-    let mut matched_in_recorder: BTreeSet<String> = BTreeSet::new();
-    let mut emitted: BTreeSet<String> = BTreeSet::new();
-    let mut tested: BTreeSet<String> = BTreeSet::new();
-    for (fi, f) in files.iter().enumerate() {
-        let toks = tokens(&f.scanned.mask);
-        for (v, line) in path_refs(&toks, "ObsEvent") {
-            if f.rel.ends_with("obs/src/recorder.rs") && !is_test_at(f, line) {
-                matched_in_recorder.insert(v.clone());
-            }
-            if is_test_at(f, line) {
-                tested.insert(v.clone());
-            } else if fi != efi
-                && f.kind == FileKind::Src
-                && f.crate_name.as_deref() != Some("obs")
-            {
-                emitted.insert(v);
-            }
-        }
-    }
-
-    let mut out = Vec::new();
-    for (v, line) in &variants {
-        let mut missing = Vec::new();
-        if !in_all.contains(v) {
-            missing.push("not listed in ObsEvent::ALL");
-        }
-        if !matched_in_recorder.contains(v) {
-            missing.push("not matched in obs/src/recorder.rs");
-        }
-        if !emitted.contains(v) {
-            missing.push("never emitted by instrumented protocol code");
-        }
-        if !tested.contains(v) {
-            missing.push("not covered by any journal/ioa test");
-        }
-        if !missing.is_empty() {
-            out.push(finding(
-                "I1",
-                event_file,
-                *line,
-                format!("ObsEvent::{v}: {}", missing.join("; ")),
-                I1_OBS_HINT,
-            ));
-        }
-    }
-    out
-}
-
-// ---------------------------------------------------------------- C1 ---
-
-const C1_HINT: &str = "add a trace-checker test feeding this action to the spec automaton \
-     (module test, crates/spec/tests, or the workspace tests/ suites)";
-
-/// C1 — spec coverage: every `Event::X` action a spec automaton in
-/// `crates/spec` matches must be exercised by at least one trace-checker
-/// test somewhere in the workspace.
-pub fn c1(files: &[SourceFile]) -> Vec<Finding> {
-    // The test corpus: Event::X references on test lines anywhere.
-    let mut tested: BTreeSet<String> = BTreeSet::new();
-    for f in files {
-        let toks = tokens(&f.scanned.mask);
-        for (v, line) in path_refs(&toks, "Event") {
-            if is_test_at(f, line) {
-                tested.insert(v);
-            }
-        }
-    }
-    let mut out = Vec::new();
-    for f in files {
-        if f.kind != FileKind::Src || f.crate_name.as_deref() != Some("spec") {
-            continue;
-        }
-        let toks = tokens(&f.scanned.mask);
-        // First non-test reference per variant in this module.
-        let mut first: BTreeMap<String, usize> = BTreeMap::new();
-        for (v, line) in path_refs(&toks, "Event") {
-            if !is_test_at(f, line) {
-                first.entry(v).or_insert(line);
-            }
-        }
-        for (v, line) in first {
-            if !tested.contains(&v) {
-                out.push(finding(
-                    "C1",
-                    f,
-                    line,
-                    format!("spec action `Event::{v}` is not exercised by any trace-checker test"),
-                    C1_HINT,
-                ));
-            }
-        }
-    }
-    out
-}
-
-// ---------------------------------------------------------------- A1 ---
-
-/// The endpoint state definition A1 audits…
-pub const A1_STATE_FILE: &str = "crates/core/src/state.rs";
-/// …and the `StateAudit` pass that must read every field of it.
-pub const A1_AUDIT_FILE: &str = "crates/core/src/audit.rs";
-
-const A1_HINT: &str = "extend vsgm_core::audit with a legal-state check that reads this \
-     field — corruption of a field the audit never looks at survives every tick \
-     undetected — or waive with `// vsgm-allow(A1): <why corruption here is benign>`";
-
-/// A1 — audit coverage: every field of the endpoint `State` struct
-/// ([`A1_STATE_FILE`]) is referenced by the `StateAudit` pass
-/// ([`A1_AUDIT_FILE`]), non-test code only. The self-stabilization tier
-/// (DESIGN.md §15) claims convergence from *any* corrupted state; a
-/// `State` field the audit never reads is a blind spot that silently
-/// narrows the claim to "converges unless that field is hit", so new
-/// fields are deny-by-default until a check covers them.
-pub fn a1(files: &[SourceFile]) -> Vec<Finding> {
-    let Some(state) = files.iter().find(|f| f.rel == A1_STATE_FILE) else {
-        return Vec::new();
-    };
-    let audited: BTreeSet<String> = files
-        .iter()
-        .find(|f| f.rel == A1_AUDIT_FILE)
-        .map(|audit| {
-            tokens(&audit.scanned.mask)
-                .into_iter()
-                .filter(|t| t.ident && !is_test_at(audit, t.line))
-                .map(|t| t.text)
-                .collect()
-        })
-        .unwrap_or_default();
-    let mut out = Vec::new();
-    for (name, line) in fields_of_struct(state, "State") {
-        if !audited.contains(&name) {
-            out.push(finding(
-                "A1",
-                state,
-                line,
-                format!("State field `{name}` is read by no StateAudit check"),
-                A1_HINT,
-            ));
-        }
-    }
-    out
-}
-
-/// `(field name, line)` pairs of the named struct's fields in the file.
-/// Like [`struct_fields`], but anchored to one struct by name; angle
-/// brackets are depth-tracked so `::` paths and generic arguments in
-/// field types are never mistaken for field names.
-fn fields_of_struct(file: &SourceFile, struct_name: &str) -> Vec<(String, usize)> {
-    let toks = tokens(&file.scanned.mask);
-    let mut i = 0usize;
-    while i < toks.len() {
-        let is_start = toks.get(i).is_some_and(|t| t.ident && t.text == "struct")
-            && toks.get(i + 1).is_some_and(|t| t.ident && t.text == struct_name);
-        if is_start {
-            break;
-        }
-        i += 1;
-    }
-    // Skip generics to the body opener, bailing on tuple/unit structs.
-    let mut j = i + 2;
-    let mut angle = 0i64;
-    let mut body = None;
-    while let Some(t) = toks.get(j) {
-        match t.text.as_str() {
-            "<" => angle += 1,
-            ">" => angle -= 1,
-            "{" if angle == 0 => {
-                body = Some(j);
-                break;
-            }
-            ";" | "(" if angle == 0 => break,
-            _ => {}
-        }
-        j += 1;
-    }
-    let Some(open) = body else {
-        return Vec::new();
-    };
-    // Walk the body at depth 1: a field name is an identifier followed
-    // by a single `:` (two would be a path separator inside a type).
-    let mut out = Vec::new();
-    let mut depth = 1i64;
-    angle = 0;
-    let mut k = open + 1;
-    while let Some(t) = toks.get(k) {
-        match t.text.as_str() {
-            "{" | "(" | "[" => depth += 1,
-            "}" | ")" | "]" => {
-                depth -= 1;
-                if depth == 0 {
-                    break;
-                }
-            }
-            "<" if depth == 1 => angle += 1,
-            ">" if depth == 1 => angle -= 1,
-            _ => {}
-        }
-        if depth == 1
-            && angle == 0
-            && t.ident
-            && toks.get(k + 1).is_some_and(|n| n.text == ":")
-            && toks.get(k + 2).is_none_or(|n| n.text != ":")
-        {
-            out.push((t.text.clone(), t.line));
-        }
-        k += 1;
     }
     out
 }

@@ -17,7 +17,7 @@
 //! and the char-literal/lifetime ambiguity are handled.
 
 /// A waiver comment: `// vsgm-allow(R1): reason` or
-/// `// vsgm-allow(R1, A1): reason`.
+/// `// vsgm-allow(R1, I1): reason`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Waiver {
     /// 1-based line the waiver comment appears on.
@@ -70,16 +70,6 @@ pub struct Scanned {
 }
 
 impl Scanned {
-    /// Number of lines.
-    pub fn len(&self) -> usize {
-        self.mask.len()
-    }
-
-    /// True when there are no lines at all.
-    pub fn is_empty(&self) -> bool {
-        self.mask.is_empty()
-    }
-
     /// Whether `rule` is waived for a finding on 1-based line `line`: a
     /// well-formed waiver naming the rule on the same line, or on the
     /// contiguous run of comment-only lines directly above it.
@@ -623,13 +613,13 @@ mod tests {
 
     #[test]
     fn waiver_parsing_with_and_without_reason() {
-        let s = scan("// vsgm-allow(R1): the hold is bounded\n// vsgm-allow(R1,A1)\n");
+        let s = scan("// vsgm-allow(R1): the hold is bounded\n// vsgm-allow(R1,I1)\n");
         assert_eq!(s.waivers.len(), 2);
         let first = s.waivers.first().unwrap();
         assert_eq!(first.rules, vec!["R1"]);
         assert!(first.has_reason);
         let second = s.waivers.get(1).unwrap();
-        assert_eq!(second.rules, vec!["R1", "A1"]);
+        assert_eq!(second.rules, vec!["R1", "I1"]);
         assert!(!second.has_reason);
     }
 
@@ -640,7 +630,7 @@ mod tests {
         assert!(s.is_waived("R1", 2));
         assert!(s.is_waived("R1", 3));
         assert!(!s.is_waived("R1", 4));
-        assert!(!s.is_waived("A1", 2));
+        assert!(!s.is_waived("I1", 2));
     }
 
     #[test]

@@ -2,10 +2,11 @@
 //! violation per rule, waiver-placement semantics, and the zero-exit
 //! guarantee on the real tree (which `scripts/check.sh` relies on).
 //!
-//! The rules the analyzer used to share with clippy — determinism (D1),
-//! panic-freedom (P1), the ambient clock (T1) and the `// SAFETY:`
-//! comment — are clippy's alone now; their tests plant probe lines into
-//! a copy of the workspace and read one `cargo clippy` run over it.
+//! The rules the analyzer used to share with the compiler — determinism
+//! (D1), panic-freedom (P1), the ambient clock (T1), unsafe confinement
+//! and audit coverage — are the compiler's alone now; their tests plant
+//! probe lines into a copy of the workspace and read `cargo clippy` runs
+//! over it.
 
 use serde::Value;
 use std::collections::{BTreeMap, BTreeSet};
@@ -52,7 +53,7 @@ fn i1_flags_unpaired_transition_functions() {
              pub fn install_eff() {}\n",
         )],
     );
-    let report = analyze_root(&root, None).expect("analyze fixture");
+    let report = analyze_root(&root).expect("analyze fixture");
     let msgs: Vec<&str> = report.findings.iter().map(|f| f.message.as_str()).collect();
     assert!(
         msgs.iter().any(|m| m.contains("deliver_eff") && m.contains("no matching precondition")),
@@ -68,72 +69,6 @@ fn i1_flags_unpaired_transition_functions() {
     );
 }
 
-#[test]
-fn i1_flags_incomplete_obs_vocabulary() {
-    let root = fixture(
-        "i1-obs",
-        &[
-            (
-                "crates/obs/src/event.rs",
-                "pub enum ObsEvent { MsgSent, MsgDropped }\n\
-                 impl ObsEvent {\n\
-                     pub const ALL: [ObsEvent; 2] = [ObsEvent::MsgSent, ObsEvent::MsgDropped];\n\
-                 }\n",
-            ),
-            (
-                "crates/obs/src/recorder.rs",
-                "pub fn role(e: super::ObsEvent) {\n\
-                     match e { ObsEvent::MsgSent => {} _ => {} }\n\
-                 }\n",
-            ),
-            ("crates/core/src/lib.rs", "pub fn emit() { observe(ObsEvent::MsgSent); }\n"),
-            ("crates/core/tests/journal.rs", "#[test]\nfn t() { check(ObsEvent::MsgSent); }\n"),
-        ],
-    );
-    let report = analyze_root(&root, None).expect("analyze fixture");
-    // MsgSent is listed, matched, emitted, and tested: clean.
-    assert!(
-        !report.findings.iter().any(|f| f.message.contains("MsgSent:")),
-        "{:?}",
-        report.findings
-    );
-    // MsgDropped is in ALL but matched nowhere else: one finding naming
-    // each missing obligation.
-    let dropped: Vec<_> =
-        report.findings.iter().filter(|f| f.message.contains("MsgDropped")).collect();
-    assert_eq!(dropped.len(), 1, "{:?}", report.findings);
-    let d = dropped.first().expect("checked nonempty");
-    assert_eq!(d.rule, "I1");
-    assert_eq!(d.file, "crates/obs/src/event.rs");
-    assert!(d.message.contains("not matched in obs/src/recorder.rs"), "{}", d.message);
-    assert!(d.message.contains("never emitted"), "{}", d.message);
-    assert!(d.message.contains("not covered by any journal/ioa test"), "{}", d.message);
-}
-
-// ---------------------------------------------------------------- C1 ---
-
-#[test]
-fn c1_flags_spec_actions_without_trace_tests() {
-    let root = fixture(
-        "c1-dirty",
-        &[
-            (
-                "crates/spec/src/lib.rs",
-                "pub fn observe(e: &Event) {\n\
-                     match e { Event::Send => {} Event::Crash => {} _ => {} }\n\
-                 }\n",
-            ),
-            ("crates/spec/tests/trace.rs", "#[test]\nfn t() { drive(Event::Send); }\n"),
-        ],
-    );
-    let report = analyze_root(&root, None).expect("analyze fixture");
-    let c1: Vec<_> = report.findings.iter().filter(|f| f.rule == "C1").collect();
-    assert_eq!(c1.len(), 1, "{:?}", report.findings);
-    let f = c1.first().expect("checked nonempty");
-    assert!(f.message.contains("Event::Crash"), "{}", f.message);
-    assert!(!report.findings.iter().any(|f| f.message.contains("Event::Send")));
-}
-
 // ----------------------------------------------------------- waivers ---
 
 /// One R1 finding, on line 1 of `crates/net/src/lib.rs`: a lock field
@@ -142,7 +77,7 @@ const BARE_LOCK: &str = "pub struct Q { m: std::sync::Mutex<u8> }";
 
 fn analyze_net(name: &str, net_lib: &str) -> vsgm_analyze::Report {
     let root = fixture(name, &[("crates/net/src/lib.rs", net_lib)]);
-    analyze_root(&root, None).expect("analyze fixture")
+    analyze_root(&root).expect("analyze fixture")
 }
 
 #[test]
@@ -177,10 +112,10 @@ fn blank_line_breaks_the_waiver_chain() {
 
 #[test]
 fn waiver_for_another_rule_does_not_suppress() {
-    let src = format!("{BARE_LOCK} // vsgm-allow(A1): names the wrong rule\n");
+    let src = format!("{BARE_LOCK} // vsgm-allow(I1): names the wrong rule\n");
     let report = analyze_net("waive-wrong-rule", &src);
     let rules: Vec<&str> = report.findings.iter().map(|f| f.rule.as_str()).collect();
-    // The R1 finding survives, and the A1 waiver — which suppresses
+    // The R1 finding survives, and the I1 waiver — which suppresses
     // nothing — is itself reported stale.
     assert_eq!(rules, vec!["R1", "W0"], "{:?}", report.findings);
 }
@@ -195,25 +130,7 @@ fn reasonless_waiver_is_ignored_and_reported_as_w0() {
     assert_eq!(report.waived, 0);
 }
 
-// ----------------------------------------------- rule selection & CLI ---
-
-#[test]
-fn rule_selection_runs_only_the_requested_rules() {
-    let root = fixture(
-        "select-rules",
-        &[
-            ("crates/net/src/lib.rs", BARE_LOCK),
-            ("crates/core/src/state.rs", "pub struct State { pub ghost: u64 }\n"),
-        ],
-    );
-    let only_r1: BTreeSet<String> = ["R1".to_string()].into_iter().collect();
-    let report = analyze_root(&root, Some(&only_r1)).expect("analyze fixture");
-    assert!(report.findings.iter().all(|f| f.rule == "R1"), "{:?}", report.findings);
-    assert!(!report.findings.is_empty());
-    // The unaudited field is there for a run that asks for A1.
-    let report = analyze_root(&root, None).expect("analyze fixture");
-    assert!(report.findings.iter().any(|f| f.rule == "A1"), "{:?}", report.findings);
-}
+// --------------------------------------------------------------- CLI ---
 
 #[test]
 fn cli_exits_nonzero_on_findings_and_zero_on_the_real_tree() {
@@ -265,7 +182,7 @@ fn r1_flags_lock_fields_without_a_tier_and_accepts_declared_ones() {
              }\n",
         )],
     );
-    let report = analyze_root(&root, None).expect("analyze fixture");
+    let report = analyze_root(&root).expect("analyze fixture");
     let r1: Vec<usize> =
         report.findings.iter().filter(|f| f.rule == "R1").map(|f| f.line).collect();
     assert_eq!(r1, vec![2, 5, 6], "bare/wrapped/cv need tiers, tiered and plain do not: {:?}", report.findings);
@@ -298,7 +215,7 @@ fn r1_flags_blocking_calls_under_a_held_guard() {
              }\n",
         )],
     );
-    let report = analyze_root(&root, None).expect("analyze fixture");
+    let report = analyze_root(&root).expect("analyze fixture");
     let r1: Vec<usize> =
         report.findings.iter().filter(|f| f.rule == "R1").map(|f| f.line).collect();
     // Only the sleep at line 3 runs under a live guard: line 9 sleeps
@@ -322,7 +239,7 @@ fn r1_scrutinee_guards_live_for_their_block_and_condvar_wait_is_exempt() {
              }\n",
         )],
     );
-    let report = analyze_root(&root, None).expect("analyze fixture");
+    let report = analyze_root(&root).expect("analyze fixture");
     let r1: Vec<usize> =
         report.findings.iter().filter(|f| f.rule == "R1").map(|f| f.line).collect();
     // Line 3 sleeps inside the if-let (scrutinee temporaries live for
@@ -337,7 +254,7 @@ fn r1_only_covers_the_net_crate() {
         "r1-scope",
         &[("crates/harness/src/lib.rs", "pub struct S { m: std::sync::Mutex<u8> }\n")],
     );
-    let report = analyze_root(&root, None).expect("analyze fixture");
+    let report = analyze_root(&root).expect("analyze fixture");
     assert!(
         !report.findings.iter().any(|f| f.rule == "R1"),
         "harness is not an R1 crate: {:?}",
@@ -368,7 +285,7 @@ fn r1_pins_the_event_loop_transport_modules_by_path() {
             "pub struct L { inbox: std::sync::Mutex<Vec<u8>> }\n",
         )],
     );
-    let report = analyze_root(&root, None).expect("analyze fixture");
+    let report = analyze_root(&root).expect("analyze fixture");
     assert!(
         report.findings.iter().any(|f| f.rule == "R1" && f.file.ends_with("evloop.rs")),
         "a tierless lock field in evloop.rs must be R1-covered: {:?}",
@@ -388,7 +305,7 @@ fn malformed_tier_declarations_are_reported_as_w0() {
              }\n",
         )],
     );
-    let report = analyze_root(&root, None).expect("analyze fixture");
+    let report = analyze_root(&root).expect("analyze fixture");
     let rules: Vec<&str> = report.findings.iter().map(|f| f.rule.as_str()).collect();
     // The malformed declaration does not count as a tier (R1 still
     // fires) and is itself flagged.
@@ -413,26 +330,13 @@ fn waivers_that_suppress_nothing_are_flagged_stale() {
     assert_eq!(f.line, 1);
 }
 
-#[test]
-fn stale_waiver_detection_needs_the_full_rule_set() {
-    // With only A1 selected, an R1 waiver's target rule never ran, so
-    // staleness cannot be judged — no W0 is emitted.
-    let root = fixture(
-        "waive-stale-selected",
-        &[("crates/net/src/lib.rs", "// vsgm-allow(R1): was a bare lock once\npub fn f() {}\n")],
-    );
-    let only_a1: BTreeSet<String> = ["A1".to_string(), "W0".to_string()].into_iter().collect();
-    let report = analyze_root(&root, Some(&only_a1)).expect("analyze fixture");
-    assert!(report.is_clean(), "{:?}", report.findings);
-}
-
 // -------------------------------------------------------- real tree ---
 
 /// The gate `scripts/check.sh` relies on: the workspace itself carries
 /// zero unwaived findings, and its waivers are each justified in-source.
 #[test]
 fn real_workspace_is_clean() {
-    let report = analyze_root(&repo_root(), None).expect("analyze the workspace");
+    let report = analyze_root(&repo_root()).expect("analyze the workspace");
     assert!(
         report.is_clean(),
         "the workspace must stay analyzer-clean:\n{:#?}",
@@ -448,7 +352,7 @@ fn real_workspace_is_clean() {
 /// sweep deletes the comment for you.)
 #[test]
 fn real_workspace_waiver_budget_is_pinned() {
-    let report = analyze_root(&repo_root(), None).expect("analyze the workspace");
+    let report = analyze_root(&repo_root()).expect("analyze the workspace");
     let budget: Vec<(&str, usize)> =
         report.waived_by_rule.iter().map(|(r, n)| (r.as_str(), *n)).collect();
     assert_eq!(
@@ -457,125 +361,9 @@ fn real_workspace_waiver_budget_is_pinned() {
         "the per-rule waiver counts moved — audit the new/removed waiver and re-pin"
     );
     assert_eq!(report.waived, 1);
-    // All six rules are registered (so `--rules R1,A1` is accepted).
+    // The rules that need source text; the rest are the compiler's.
     let ids: Vec<&str> = vsgm_analyze::rules::RULES.iter().map(|(r, _)| *r).collect();
-    assert_eq!(ids, vec!["I1", "C1", "R1", "A1", "U1", "W0"]);
-}
-
-// ---------------------------------------------------------------- A1 ---
-
-/// A fixture `State` with one audited and one unaudited field, plus an
-/// audit pass that reads only the former.
-fn a1_fixture(name: &str, state_extra: &str) -> PathBuf {
-    fixture(
-        name,
-        &[
-            (
-                "crates/core/src/state.rs",
-                &format!(
-                    "pub struct Other {{ pub ghost_free: u64 }}\n\
-                     pub struct State {{\n\
-                         pub pid: u64,\n\
-                         pub msgs: std::collections::BTreeMap<u64, u64>,\n\
-                         {state_extra}\n\
-                     }}\n"
-                ),
-            ),
-            (
-                "crates/core/src/audit.rs",
-                "pub fn check(st: &crate::state::State) -> bool {\n\
-                     st.pid == 0 && st.msgs.is_empty()\n\
-                 }\n",
-            ),
-        ],
-    )
-}
-
-#[test]
-fn a1_flags_state_fields_the_audit_never_reads() {
-    let root = a1_fixture("a1-blind-spot", "pub ghost: u64,");
-    let only_a1: BTreeSet<String> = ["A1".to_string()].into_iter().collect();
-    let report = analyze_root(&root, Some(&only_a1)).expect("analyze fixture");
-    let hits: Vec<(&str, usize)> =
-        report.findings.iter().map(|f| (f.rule.as_str(), f.line)).collect();
-    // `ghost` (line 5 of state.rs) is unaudited; `pid`/`msgs` are read,
-    // and `ghost_free` belongs to a different struct — not A1's concern.
-    assert_eq!(hits, vec![("A1", 5)], "{:?}", report.findings);
-    let f = report.findings.first().expect("one finding");
-    assert_eq!(f.file, "crates/core/src/state.rs");
-    assert!(f.message.contains("`ghost`"), "{}", f.message);
-}
-
-#[test]
-fn a1_accepts_a_waived_blind_spot() {
-    let root = a1_fixture(
-        "a1-waived",
-        "// vsgm-allow(A1): fixture field, corruption here is benign\n\
-         pub ghost: u64,",
-    );
-    let only_a1: BTreeSet<String> = ["A1".to_string()].into_iter().collect();
-    let report = analyze_root(&root, Some(&only_a1)).expect("analyze fixture");
-    assert!(report.is_clean(), "{:?}", report.findings);
-    assert_eq!(report.waived, 1);
-}
-
-// ---------------------------------------------------------------- U1 ---
-
-fn u1_findings(report: &vsgm_analyze::Report) -> Vec<(&str, usize)> {
-    report.findings.iter().filter(|f| f.rule == "U1").map(|f| (f.file.as_str(), f.line)).collect()
-}
-
-#[test]
-fn u1_pins_unsafe_to_the_sys_file_by_path() {
-    assert_eq!(vsgm_analyze::rules::U1_FILE, "crates/net/src/sys.rs");
-    let root = fixture(
-        "u1-stray",
-        &[
-            ("crates/net/src/sys.rs", "// SAFETY: fixture invariant\npub fn a() { unsafe { g() } }\n"),
-            ("crates/core/src/lib.rs", "pub fn b() {\n    unsafe { g() }\n}\n"),
-            ("crates/net/src/tcp.rs", "// SAFETY: a comment does not make it the sys file\nunsafe fn c() {}\n"),
-            ("crates/net/tests/t.rs", "#[test]\nfn t() { unsafe { g() } }\n"),
-            // Prose and literals are not code.
-            ("crates/spec/src/lib.rs", "// unsafe here is prose\npub const S: &str = \"unsafe\";\n"),
-        ],
-    );
-    let report = analyze_root(&root, None).expect("analyze fixture");
-    assert_eq!(
-        u1_findings(&report),
-        vec![("crates/core/src/lib.rs", 2), ("crates/net/src/tcp.rs", 2), ("crates/net/tests/t.rs", 2)],
-        "{:?}",
-        report.findings
-    );
-}
-
-#[test]
-fn u1_flags_a_crate_root_that_dropped_forbid_unsafe_code() {
-    let root = fixture(
-        "u1-roots",
-        &[
-            ("crates/core/Cargo.toml", "[package]\n"),
-            ("crates/core/src/lib.rs", "//! Core.\n\npub fn f() {}\n"),
-            ("crates/spec/Cargo.toml", "[package]\n"),
-            ("crates/spec/src/lib.rs", "//! Spec.\n\n#![forbid(unsafe_code)]\n"),
-            // The crate holding sys.rs denies instead (forbid cannot be
-            // relaxed for one module); no other crate may.
-            ("crates/net/Cargo.toml", "[package]\n"),
-            ("crates/net/src/lib.rs", "#![deny(unsafe_code)]\n#[allow(unsafe_code)]\nmod sys;\n"),
-            ("crates/obs/Cargo.toml", "[package]\n"),
-            ("crates/obs/src/lib.rs", "#![deny(unsafe_code)]\n"),
-            // No manifest: not a crate, so no root to check.
-            ("crates/harness/src/lib.rs", "pub fn h() {}\n"),
-        ],
-    );
-    let report = analyze_root(&root, None).expect("analyze fixture");
-    assert_eq!(
-        u1_findings(&report),
-        vec![("crates/core/src/lib.rs", 1), ("crates/obs/src/lib.rs", 1)],
-        "{:?}",
-        report.findings
-    );
-    let core = report.findings.iter().find(|f| f.file == "crates/core/src/lib.rs").expect("core");
-    assert!(core.message.contains("#![forbid(unsafe_code)]"), "{}", core.message);
+    assert_eq!(ids, vec!["I1", "R1", "W0"]);
 }
 
 // -------------------------------------------------------- the lint wall ---
@@ -583,8 +371,9 @@ fn u1_flags_a_crate_root_that_dropped_forbid_unsafe_code() {
 const MAP: &str = "pub fn probe_map() -> std::collections::HashMap<u8, u8> { Default::default() }";
 const NOW: &str = "pub fn probe_now() -> std::time::Instant { std::time::Instant::now() }";
 const EXPECT: &str = "pub fn probe_expect(x: Option<u8>) -> u8 { x.expect(\"probe\") }";
+const UNSAFE: &str = "pub fn probe_unsafe() -> u8 { unsafe { std::ptr::read(&0u8) } }";
 
-/// Lines planted into a copy of the workspace before the one clippy run:
+/// Lines planted into a copy of the workspace before the clippy runs:
 /// `(name, file, code)`, the code appended to the file (created if
 /// absent). Each rule's probes sit both inside and outside its scope.
 const PROBES: &[(&str, &str, &str)] = &[
@@ -595,6 +384,7 @@ const PROBES: &[(&str, &str, &str)] = &[
     ("map in the codec", "crates/net/src/codec.rs", MAP),
     ("map in tcp", "crates/net/src/tcp.rs", MAP),
     ("map in ioa", "crates/ioa/src/lib.rs", MAP),
+    ("map in baseline", "crates/baseline/src/lib.rs", MAP),
     ("randomness in core", "crates/core/src/bin/lint_probe.rs", "fn main() { let _ = rand::thread_rng(); }"),
     ("randomness in ioa", "crates/ioa/src/bin/lint_probe.rs", "fn main() { let _ = rand::thread_rng(); let _: u64 = rand::random(); }"),
     // P1: the workspace lint wall.
@@ -619,12 +409,24 @@ const PROBES: &[(&str, &str, &str)] = &[
     ("clock in tcp", "crates/net/src/tcp.rs", NOW),
     ("clock in the shard pool", "crates/server/src/shard.rs", NOW),
     ("clock in the daemon", "crates/server/src/server.rs", NOW),
+    // Unsafe confinement: `[workspace.lints.rust]`, and the one
+    // `#[expect(unsafe_code)]` on `vsgm-net`'s `sys` module.
+    ("unsafe in core", "crates/core/src/lib.rs", UNSAFE),
+    ("unsafe in tcp", "crates/net/src/tcp.rs", UNSAFE),
+    ("unsafe in a core test", "crates/core/tests/lint_probe_unsafe.rs", "#[test] fn probe_unsafe() { let _ = unsafe { std::ptr::read(&0u8) }; }"),
     // The justifying comment on an unsafe block.
     ("bare unsafe block", "crates/net/src/sys.rs", "pub(crate) fn probe_bare() -> u8 { unsafe { std::ptr::read(&0u8) } }"),
     ("documented unsafe block", "crates/net/src/sys.rs", "pub(crate) fn probe_documented() -> u8 {\n    // SAFETY: reads a live local.\n    unsafe { std::ptr::read(&0u8) }\n}"),
     // Exceptions: `#[expect]` with a reason, fulfilled.
     ("stale expect", "crates/core/src/lib.rs", "#[expect(clippy::unwrap_used, reason = \"probe\")] pub fn probe_stale() {}"),
     ("reasonless expect", "crates/core/src/lib.rs", "#[expect(clippy::unwrap_used)] pub fn probe_reasonless(x: Option<u8>) -> u8 { x.unwrap() }"),
+];
+
+/// A field added to `State` and to its constructor, and read by no
+/// audit check: `(after, insert)` edits to `crates/core/src/state.rs`.
+const STATE_FIELD: [(&str, &str); 2] = [
+    ("    pub crashed: bool,\n", "    pub probe: u8,\n"),
+    ("            crashed: false,\n", "            probe: 0,\n"),
 ];
 
 /// What clippy reported on a probed copy of the workspace.
@@ -637,8 +439,11 @@ struct Wall {
 
 /// Copies the workspace (no `target/`, no hidden entries) under
 /// `CARGO_TARGET_TMPDIR`, plants [`PROBES`], and runs `cargo clippy` over
-/// it once, in its own target directory, with every lint capped at
-/// `warn` so that no crate's findings stop its dependents being checked.
+/// it in its own target directory, with every lint capped at `warn` so
+/// that no crate's findings stop its dependents being checked. Two probes
+/// need runs of their own after that one: the test target holding
+/// `unsafe`, which a plain clippy run does not build, and
+/// [`STATE_FIELD`], which stops `vsgm-core` building at all.
 fn wall() -> &'static Wall {
     static WALL: OnceLock<Wall> = OnceLock::new();
     WALL.get_or_init(|| {
@@ -663,35 +468,58 @@ fn wall() -> &'static Wall {
             fs::write(&path, text).expect("plant a probe");
             probes.insert(name, (file, first..=first + code.lines().count() - 1));
         }
-        let out = Command::new(std::env::var_os("CARGO").unwrap_or_else(|| "cargo".into()))
-            .current_dir(&tree)
-            .args(["clippy", "--workspace", "--offline", "--keep-going"])
-            .arg("--message-format=json")
-            .arg("--target-dir")
-            .arg(base.join("target"))
-            .args(["--", "--cap-lints", "warn"])
-            .output()
-            .expect("run cargo clippy");
-        let mut codes: BTreeMap<(String, usize), BTreeSet<String>> = BTreeMap::new();
-        for line in String::from_utf8_lossy(&out.stdout).lines() {
-            let Ok(v) = serde_json::from_str::<Value>(line) else { continue };
-            let Some(msg) = v.get("message") else { continue };
-            let Some(Value::Str(code)) = msg.get("code").and_then(|c| c.get("code")) else {
-                continue;
-            };
-            for span in msg.get("spans").and_then(Value::as_array).unwrap_or_default() {
-                if let (Some(Value::Bool(true)), Some(Value::Str(file)), Some(Value::U64(line))) =
-                    (span.get("is_primary"), span.get("file_name"), span.get("line_start"))
-                {
-                    let at = (file.clone(), usize::try_from(*line).expect("line fits usize"));
-                    codes.entry(at).or_default().insert(code.clone());
-                }
-            }
+        let target = base.join("target");
+        let mut codes = BTreeMap::new();
+        clippy(&tree, &target, &["--workspace", "--keep-going"], &mut codes);
+        clippy(&tree, &target, &["-p", "vsgm-core", "--test", "lint_probe_unsafe"], &mut codes);
+        let state = tree.join("crates/core/src/state.rs");
+        let mut text = fs::read_to_string(&state).expect("read state.rs");
+        for (after, insert) in STATE_FIELD {
+            assert!(text.contains(after), "state.rs no longer holds `{after}`");
+            text = text.replacen(after, &format!("{after}{insert}"), 1);
         }
-        let stderr = String::from_utf8_lossy(&out.stderr);
-        assert!(!codes.is_empty(), "clippy reported nothing:\n{stderr}");
+        fs::write(&state, text).expect("plant the State field");
+        clippy(&tree, &target, &["-p", "vsgm-core", "--lib"], &mut codes);
         Wall { codes, probes }
     })
+}
+
+/// Runs `cargo clippy <args>` over `tree` with every lint capped at
+/// `warn`, adding the code of each diagnostic to `codes` under the
+/// `(file, line)` of its primary span.
+fn clippy(
+    tree: &Path,
+    target: &Path,
+    args: &[&str],
+    codes: &mut BTreeMap<(String, usize), BTreeSet<String>>,
+) {
+    let out = Command::new(std::env::var_os("CARGO").unwrap_or_else(|| "cargo".into()))
+        .current_dir(tree)
+        .args(["clippy", "--offline", "--message-format=json"])
+        .args(args)
+        .arg("--target-dir")
+        .arg(target)
+        .args(["--", "--cap-lints", "warn"])
+        .output()
+        .expect("run cargo clippy");
+    let before = codes.len();
+    for line in String::from_utf8_lossy(&out.stdout).lines() {
+        let Ok(v) = serde_json::from_str::<Value>(line) else { continue };
+        let Some(msg) = v.get("message") else { continue };
+        let Some(Value::Str(code)) = msg.get("code").and_then(|c| c.get("code")) else {
+            continue;
+        };
+        for span in msg.get("spans").and_then(Value::as_array).unwrap_or_default() {
+            if let (Some(Value::Bool(true)), Some(Value::Str(file)), Some(Value::U64(line))) =
+                (span.get("is_primary"), span.get("file_name"), span.get("line_start"))
+            {
+                let at = (file.clone(), usize::try_from(*line).expect("line fits usize"));
+                codes.entry(at).or_default().insert(code.clone());
+            }
+        }
+    }
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(codes.len() > before, "clippy {args:?} reported nothing new:\n{stderr}");
 }
 
 fn copy_sources(from: &Path, to: &Path) {
@@ -732,6 +560,11 @@ fn does_not_build(probe: &str) -> bool {
     fired(probe).iter().any(|c| c.starts_with('E'))
 }
 
+/// The codes reported anywhere in `file`.
+fn codes_in(file: &str) -> BTreeSet<String> {
+    wall().codes.iter().filter(|((f, _), _)| f == file).flat_map(|(_, c)| c.clone()).collect()
+}
+
 const MAP_BAN: &str = "clippy::disallowed_types";
 const CLOCK_BAN: &str = "clippy::disallowed_methods";
 
@@ -739,6 +572,7 @@ const CLOCK_BAN: &str = "clippy::disallowed_methods";
 fn d1_flags_hash_collections_and_ambient_randomness() {
     assert!(flags("map in core", MAP_BAN), "{:?}", fired("map in core"));
     assert!(flags("set in core", MAP_BAN), "{:?}", fired("set in core"));
+    assert!(flags("map in ioa", MAP_BAN), "{:?}", fired("map in ioa"));
     // Ambient randomness needs no lint: `core` has no `rand`, and the
     // vendored `rand` that `ioa` uses has no entropy source to call.
     assert!(does_not_build("randomness in core"), "{:?}", fired("randomness in core"));
@@ -748,7 +582,7 @@ fn d1_flags_hash_collections_and_ambient_randomness() {
 #[test]
 fn d1_ignores_crates_outside_its_scope() {
     // Each allows the ban at its crate root.
-    assert!(!flags("map in ioa", MAP_BAN), "{:?}", fired("map in ioa"));
+    assert!(!flags("map in baseline", MAP_BAN), "{:?}", fired("map in baseline"));
     assert!(!flags("map in tcp", MAP_BAN), "{:?}", fired("map in tcp"));
     assert!(flags("map in core", MAP_BAN));
 }
@@ -828,6 +662,50 @@ fn u1_requires_a_safety_comment_on_every_unsafe_block_in_the_sys_file() {
     let lint = "clippy::undocumented_unsafe_blocks";
     assert!(flags("bare unsafe block", lint), "{:?}", fired("bare unsafe block"));
     assert!(!flags("documented unsafe block", lint), "{:?}", fired("documented unsafe block"));
+}
+
+#[test]
+fn u1_pins_unsafe_to_the_sys_file_by_path() {
+    for probe in ["unsafe in core", "unsafe in tcp", "unsafe in a core test"] {
+        assert!(flags(probe, "unsafe_code"), "{probe}: {:?}", fired(probe));
+    }
+    // The `sys` module's one `#[expect(unsafe_code)]` covers the probe
+    // planted there.
+    let sys = fired("documented unsafe block");
+    assert!(!sys.contains("unsafe_code"), "{sys:?}");
+}
+
+/// The wall is only as wide as the packages that inherit it: one without
+/// `[lints] workspace = true` could hold `unsafe` unnoticed.
+#[test]
+fn u1_every_package_inherits_the_lint_wall() {
+    let root = repo_root();
+    let mut manifests = vec![root.join("Cargo.toml")];
+    for entry in fs::read_dir(root.join("crates")).expect("read crates/") {
+        let manifest = entry.expect("read a crate dir").path().join("Cargo.toml");
+        if manifest.is_file() {
+            manifests.push(manifest);
+        }
+    }
+    assert!(manifests.len() > 10, "{manifests:?}");
+    for manifest in manifests {
+        let text = fs::read_to_string(&manifest).expect("read a manifest");
+        assert!(
+            text.contains("\n[lints]\nworkspace = true\n"),
+            "{} does not inherit [workspace.lints]",
+            manifest.display()
+        );
+    }
+}
+
+#[test]
+fn a1_flags_state_fields_the_audit_never_reads() {
+    // The field is initialized, so the one error is the audit's
+    // destructure not naming it.
+    let audit = codes_in("crates/core/src/audit.rs");
+    assert!(audit.contains("E0027"), "{audit:?}");
+    let state = codes_in("crates/core/src/state.rs");
+    assert!(!state.iter().any(|c| c.starts_with('E')), "{state:?}");
 }
 
 #[test]

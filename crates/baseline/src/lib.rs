@@ -29,12 +29,12 @@
 //! simple pre-agreement schemes it models, and part of why the paper's
 //! design is preferable.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![allow(
     clippy::disallowed_types,
     reason = "outside D1: `rounds` is probed by key, never iterated"
 )]
+#![allow(clippy::panic, reason = "outside P1: a comparison baseline that stops on a livelock")]
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use vsgm_core::state::State;

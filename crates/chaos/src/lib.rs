@@ -28,7 +28,6 @@
 //!
 //! [`FaultPlan`]: vsgm_net::FaultPlan
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![allow(clippy::expect_used, reason = "outside P1: a test driver, not protocol code")]
 

@@ -12,10 +12,11 @@
 //! implementation of each: `Sim::assert_paper_invariants` runs [`check`]
 //! on every end-point, then the cross-process ones of
 //! [`crate::invariants`]. The rest of the checks are written against each
-//! field of [`State`] directly: the audit is the *coverage* surface (the
-//! analyzer `A1` rule requires every `State` field to be referenced
-//! here), and a detection must name the specific field-level
-//! contradiction for the minimized counterexample to be actionable.
+//! field of [`State`] directly: the audit is the *coverage* surface
+//! ([`check`] destructures `State` with no `..`, so a new field is a
+//! compile error here until a check reads it), and a detection must name
+//! the specific field-level contradiction for the minimized
+//! counterexample to be actionable.
 //!
 //! | Check | Paper |
 //! |---|---|
@@ -77,7 +78,33 @@ fn fail(check: &'static str, detail: String) -> Result<(), AuditFailure> {
 /// is returned otherwise. Crashed end-points are exempt (their state is
 /// frozen mid-action and will be reset on recovery anyway).
 pub fn check(cfg: &Config, st: &State) -> Result<(), AuditFailure> {
-    if st.crashed {
+    // Every field by name, with no `..`: a field added to `State` does
+    // not compile here until a check reads it. Each names its readers.
+    let State {
+        pid: _,             // self_inclusion, and every check of own state
+        msgs: _,            // windows_consistent, forwarded_backed_by_buffer
+        last_sent: _,       // sent_within_buffer
+        last_rcvd: _,       // received_within_stream
+        last_dlvrd: _,      // delivered_within_prefix
+        current_view: _,    // view_ids_monotone
+        mbrshp_view: _,     // view_ids_monotone
+        view_msg: _,        // announced_view_not_ahead
+        reliable_set: _,    // reliable_covers_view
+        start_change: _,    // block_status_implies_change, own_sync_in_current_view
+        sync_msgs: _,       // sync_cids_tracked
+        latest_sync_cid: _, // sync_cids_tracked
+        forwarded: _,       // forwarded_backed_by_buffer
+        block_status: _,    // block_status_implies_change
+        agg_buffer: _,      // agg_state_gated
+        agg_flushed: _,     // agg_state_gated
+        agg_scope: _,       // agg_state_gated
+        now_us: _,          // batch_clock_monotone
+        batch_opened_us: _, // batch_clock_monotone
+        pending_sends: _,   // pending_sends_gated
+        stability: _,       // announced_within_delivered, acked_within_sent
+        crashed,
+    } = st;
+    if *crashed {
         return Ok(());
     }
     view_ids_monotone(st)?;

@@ -244,11 +244,8 @@ fn potential_transitional(st: &State) -> impl Iterator<Item = ProcessId> + '_ {
 ///    every member of `v.set ∩ current_view.set`;
 /// 3. exactly the agreed cut has been delivered:
 ///    `∀q ∈ current_view.set: last_dlvrd[q] = max_{r∈T} cut_r(q)`.
-pub fn view_restriction(st: &State) -> Option<ProcSet> {
-    view_restriction_with(st, false)
-}
-
-/// [`view_restriction`] parameterized by the implicit-cuts optimization.
+///
+/// `implicit_cuts` is [`crate::Config::implicit_cuts`].
 pub fn view_restriction_with(st: &State, implicit_cuts: bool) -> Option<ProcSet> {
     if !view_ready(st, implicit_cuts) {
         return None;
@@ -447,7 +444,7 @@ mod tests {
         // A view tagged with an OLD cid for p1 (cid 1, but the pending
         // change is cid 2): obsolete, must not be delivered.
         st.mbrshp_view = view12(2, 1, 1);
-        assert_eq!(view_restriction(&st), None);
+        assert_eq!(view_restriction_with(&st, false), None);
     }
 
     #[test]
@@ -456,7 +453,7 @@ mod tests {
         let _ = send_sync_eff(&mut st, false, false, false).expect("sync enabled");
         st.mbrshp_view = view12(2, 2, 7);
         // Missing p2's sync: not yet installable.
-        assert_eq!(view_restriction(&st), None);
+        assert_eq!(view_restriction_with(&st, false), None);
         let cv = st.current_view.clone();
         on_sync(
             &mut st,
@@ -467,7 +464,7 @@ mod tests {
                 cut: Cut::new(),
             },
         );
-        let t = view_restriction(&st).expect("installable");
+        let t = view_restriction_with(&st, false).expect("installable");
         assert_eq!(t, set(&[1, 2]));
         view_eff(&mut st);
         assert!(st.start_change.is_none());
@@ -499,7 +496,7 @@ mod tests {
             },
         );
         // p3 moves from its own (initial) view — slim or different view.
-        let t = view_restriction(&st).expect("installable");
+        let t = view_restriction_with(&st, false).expect("installable");
         assert_eq!(t, set(&[1, 2]), "p3 not in current view ⇒ not consulted for T");
     }
 }

@@ -24,7 +24,6 @@
 //!   dependence relation.
 //! * [`run`] — the DFS explorer, statistics, counterexamples, replay.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![allow(
     clippy::expect_used,

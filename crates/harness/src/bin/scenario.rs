@@ -11,6 +11,8 @@
 //! the metrics snapshot table; with a file argument it runs that
 //! scenario instead of the demo.
 
+#![allow(clippy::panic, reason = "outside P1: a command-line tool that stops on bad input")]
+
 use vsgm_harness::Scenario;
 
 fn main() {

@@ -9,6 +9,8 @@
 //! Application-facing events are shown by default; pass `--all` after the
 //! source to include membership and network-level events.
 
+#![allow(clippy::panic, reason = "outside P1: a command-line tool that stops on bad input")]
+
 use vsgm_harness::Scenario;
 use vsgm_ioa::Trace;
 use vsgm_types::Event;

@@ -17,8 +17,14 @@
 //!   (E1–E11 plus the layer ablation), each regenerating one table of
 //!   `EXPERIMENTS.md`.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![allow(
+    clippy::expect_used,
+    clippy::unwrap_used,
+    clippy::panic,
+    clippy::indexing_slicing,
+    reason = "outside P1: a simulation harness fails loudly when a scenario or a run goes wrong"
+)]
 
 pub mod experiments;
 pub mod metrics;

@@ -789,7 +789,8 @@ pub fn procs_of(ids: &[u64]) -> ProcSet {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vsgm_core::Stack;
+    use std::collections::BTreeSet;
+    use vsgm_core::{BatchConfig, Stack};
     use vsgm_spec::LivenessSpec;
 
     #[test]
@@ -823,6 +824,59 @@ mod tests {
         let (at, when) = sim.corruption_mark().expect("mark set at injection");
         assert_eq!(at, sim.trace().entries().len());
         assert_eq!(Some(when), sim.last_corruption());
+    }
+
+    /// The kinds journalled by an obs-enabled run of `script` over four
+    /// end-points in one view.
+    fn journalled(cfg: Config, script: impl FnOnce(&mut Sim)) -> BTreeSet<ObsEvent> {
+        let mut sim = Sim::new_paper(4, cfg, SimOptions::default());
+        sim.enable_obs();
+        sim.reconfigure(&procs(4));
+        sim.run_to_quiescence();
+        script(&mut sim);
+        sim.run_to_quiescence();
+        sim.finish();
+        let journal = sim.obs().expect("obs enabled").journal();
+        journal.records().iter().map(|r| r.event).collect()
+    }
+
+    /// Between them, these runs take every path that journals: view
+    /// changes, multicast, forwarding after a crash, recovery, batching,
+    /// a corruption the audit reconciles, and a swallowed sync that the
+    /// liveness checker reports. What they journal is exactly
+    /// `ObsEvent::ALL`: no kind is left unemitted, and none is emitted
+    /// that `ALL` does not list.
+    #[test]
+    fn obs_enabled_runs_journal_every_event_kind() {
+        let p = ProcessId::new;
+        let mut kinds = journalled(Config::default(), |sim| {
+            sim.send(p(1), AppMsg::from("to all"));
+            sim.run_to_quiescence();
+            sim.partition(&[vec![p(3), p(4)], vec![p(1), p(2)]]);
+            sim.send(p(4), AppMsg::from("only p3 gets this"));
+            sim.run_to_quiescence();
+            sim.crash(p(4));
+            sim.heal();
+            sim.reconfigure(&procs_of(&[1, 2, 3]));
+            sim.run_to_quiescence();
+            sim.recover(p(4));
+        });
+        let batched = Config { batch: BatchConfig::small(), ..Config::default() };
+        kinds.extend(journalled(batched, |sim| {
+            for i in 0..8 {
+                sim.send(p(1), AppMsg::from(format!("b{i}").as_str()));
+            }
+        }));
+        kinds.extend(journalled(Config { audit: true, ..Config::default() }, |sim| {
+            sim.corrupt(p(2), vsgm_core::CorruptionKind::ScrambleMembership);
+            sim.run_for(SimTime::from_millis(5));
+        }));
+        kinds.extend(journalled(Config::default(), |sim| {
+            sim.suppress_sync(0);
+            let v = sim.reconfigure(&procs_of(&[1, 2, 3]));
+            sim.add_checker(LivenessSpec::new(v));
+        }));
+        assert_eq!(kinds, ObsEvent::ALL.into_iter().collect::<BTreeSet<_>>());
     }
 
     #[test]

@@ -1,6 +1,5 @@
 //! The enabled/fire interface implemented by algorithm automata.
 
-use crate::rng::SimRng;
 use std::fmt;
 
 /// An I/O automaton's locally controlled behavior, in precondition/effect
@@ -12,11 +11,6 @@ use std::fmt;
 /// visible effects. Input actions are ordinary methods on the concrete
 /// types (inputs are always enabled, so they need no precondition
 /// machinery).
-///
-/// Two drivers are provided: [`drain`] fires actions in the deterministic
-/// order `enabled_actions` lists them (the production mode), and
-/// [`drain_random`] picks uniformly at random (schedule exploration for
-/// model-based tests). Both run until quiescence.
 pub trait Automaton {
     /// A locally controlled action, possibly parameterized.
     type Action: Clone + fmt::Debug;
@@ -30,157 +24,4 @@ pub trait Automaton {
     /// Fires one action. Implementations may assume (and should
     /// `debug_assert!`) that `action` is currently enabled.
     fn fire(&mut self, action: &Self::Action) -> Vec<Self::Effect>;
-
-    /// Whether no locally controlled action is enabled.
-    fn is_quiescent(&self) -> bool {
-        self.enabled_actions().is_empty()
-    }
-}
-
-/// Fires enabled actions in canonical order until quiescence (or
-/// `max_steps`), forwarding each `(action, effects)` pair to `sink`.
-///
-/// Returns the number of actions fired.
-///
-/// # Panics
-///
-/// Panics if `max_steps` is exceeded — quiescence failing to arrive in a
-/// bounded automaton indicates a livelock bug, and hiding it would mask
-/// liveness violations.
-pub fn drain<A: Automaton>(
-    a: &mut A,
-    max_steps: usize,
-    mut sink: impl FnMut(&A::Action, Vec<A::Effect>),
-) -> usize {
-    let mut fired = 0;
-    loop {
-        let actions = a.enabled_actions();
-        let Some(action) = actions.first().cloned() else { return fired };
-        let effects = a.fire(&action);
-        sink(&action, effects);
-        fired += 1;
-        assert!(fired <= max_steps, "automaton did not quiesce within {max_steps} steps");
-    }
-}
-
-/// Like [`drain`] but picks a uniformly random enabled action each step,
-/// exploring alternative schedules. Deterministic for a given `rng` seed.
-///
-/// # Panics
-///
-/// Panics if `max_steps` is exceeded.
-pub fn drain_random<A: Automaton>(
-    a: &mut A,
-    rng: &mut SimRng,
-    max_steps: usize,
-    mut sink: impl FnMut(&A::Action, Vec<A::Effect>),
-) -> usize {
-    let mut fired = 0;
-    loop {
-        let actions = a.enabled_actions();
-        if actions.is_empty() {
-            return fired;
-        }
-        let action = actions[rng.index(actions.len())].clone();
-        let effects = a.fire(&action);
-        sink(&action, effects);
-        fired += 1;
-        assert!(fired <= max_steps, "automaton did not quiesce within {max_steps} steps");
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    /// Toy automaton: counts down `n` with two action kinds.
-    struct Countdown {
-        n: u32,
-    }
-
-    #[derive(Clone, Debug, PartialEq)]
-    enum Act {
-        Dec,
-        Zero,
-    }
-
-    impl Automaton for Countdown {
-        type Action = Act;
-        type Effect = u32;
-
-        fn enabled_actions(&self) -> Vec<Act> {
-            match self.n {
-                0 => vec![],
-                1 => vec![Act::Zero],
-                _ => vec![Act::Dec, Act::Zero],
-            }
-        }
-
-        fn fire(&mut self, action: &Act) -> Vec<u32> {
-            match action {
-                Act::Dec => {
-                    self.n -= 1;
-                    vec![self.n]
-                }
-                Act::Zero => {
-                    let old = self.n;
-                    self.n = 0;
-                    vec![old]
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn drain_reaches_quiescence_in_order() {
-        let mut a = Countdown { n: 3 };
-        let mut log = Vec::new();
-        let fired = drain(&mut a, 100, |act, eff| log.push((act.clone(), eff)));
-        // Canonical order always picks Dec first: 3→2→1, then Zero.
-        assert_eq!(fired, 3);
-        assert!(a.is_quiescent());
-        assert_eq!(log.last().unwrap().0, Act::Zero);
-    }
-
-    #[test]
-    fn drain_random_is_seed_deterministic() {
-        let run = |seed| {
-            let mut a = Countdown { n: 5 };
-            let mut rng = SimRng::new(seed);
-            let mut log = Vec::new();
-            drain_random(&mut a, &mut rng, 100, |act, _| log.push(act.clone()));
-            log
-        };
-        assert_eq!(run(11), run(11));
-    }
-
-    #[test]
-    fn drain_random_explores_different_schedules() {
-        let lens: std::collections::BTreeSet<usize> = (0..20)
-            .map(|seed| {
-                let mut a = Countdown { n: 5 };
-                let mut rng = SimRng::new(seed);
-                drain_random(&mut a, &mut rng, 100, |_, _| {})
-            })
-            .collect();
-        // Some seeds jump straight to Zero, others decrement first.
-        assert!(lens.len() > 1, "expected schedule diversity, got {lens:?}");
-    }
-
-    #[test]
-    #[should_panic(expected = "did not quiesce")]
-    fn drain_detects_livelock() {
-        struct Forever;
-        impl Automaton for Forever {
-            type Action = ();
-            type Effect = ();
-            fn enabled_actions(&self) -> Vec<()> {
-                vec![()]
-            }
-            fn fire(&mut self, _: &()) -> Vec<()> {
-                vec![]
-            }
-        }
-        drain(&mut Forever, 10, |_, _| {});
-    }
 }

@@ -22,7 +22,6 @@
 //!   serving its own set of clients. Used by the scalability experiment
 //!   (E9) and the end-to-end server-based scenarios.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod oracle;

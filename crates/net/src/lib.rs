@@ -18,10 +18,10 @@
 //! Both are validated against the `CO_RFIFO` spec checker from
 //! `vsgm-spec`.
 //!
-//! The crate denies `unsafe` everywhere except the private `sys` module,
-//! which declares the Linux epoll/eventfd calls the event loops park on.
+//! The workspace denies `unsafe` everywhere except this crate's private
+//! `sys` module, which declares the Linux epoll/eventfd calls the event
+//! loops park on.
 
-#![deny(unsafe_code)]
 #![warn(missing_docs)]
 #![allow(
     clippy::disallowed_types,
@@ -35,7 +35,7 @@ pub mod fault;
 pub mod latency;
 pub mod sim;
 pub mod stats;
-#[allow(unsafe_code, reason = "the workspace's one unsafe module (analyzer rule U1)")]
+#[expect(unsafe_code, reason = "the workspace's one unsafe module: the epoll/eventfd FFI")]
 mod sys;
 pub mod tcp;
 pub(crate) mod writer;

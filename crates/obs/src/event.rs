@@ -166,6 +166,40 @@ impl Serialize for ObsRecord {
 mod tests {
     use super::*;
 
+    /// Where each variant sits in `ALL`. The match is exhaustive, so a
+    /// new variant does not compile here until it is given a place.
+    fn position(e: ObsEvent) -> usize {
+        match e {
+            ObsEvent::StartChangeRecv => 0,
+            ObsEvent::SyncSent => 1,
+            ObsEvent::SyncRecv => 2,
+            ObsEvent::CutAgreed => 3,
+            ObsEvent::ViewInstalled => 4,
+            ObsEvent::BlockRequested => 5,
+            ObsEvent::BlockOk => 6,
+            ObsEvent::ForwardSent => 7,
+            ObsEvent::MsgSent => 8,
+            ObsEvent::MsgDelivered => 9,
+            ObsEvent::RecoveryReset => 10,
+            ObsEvent::BatchFlushed => 11,
+            ObsEvent::InvariantViolated => 12,
+            ObsEvent::CorruptionInjected => 13,
+            ObsEvent::AuditFailed => 14,
+            ObsEvent::AuditReconciled => 15,
+        }
+    }
+
+    /// `ALL` is every variant once, in declaration order. (That the
+    /// instrumented layers emit each kind is `vsgm-harness`'s
+    /// `obs_enabled_runs_journal_every_event_kind`.)
+    #[test]
+    fn all_lists_every_variant_once_in_declaration_order() {
+        for (i, e) in ObsEvent::ALL.into_iter().enumerate() {
+            assert_eq!(position(e), i, "{e:?}");
+            assert_eq!(e as usize, i, "{e:?}");
+        }
+    }
+
     #[test]
     fn names_are_unique_and_snake_case() {
         let mut names: Vec<&str> = ObsEvent::ALL.iter().map(|e| e.name()).collect();

@@ -26,7 +26,6 @@
 //!   exporters, including derived metrics: per-view-change sync-round
 //!   latency, messages per view change by tag, and delivery latency.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![allow(clippy::expect_used, reason = "outside P1: observability sits beside the protocol")]
 

@@ -29,8 +29,12 @@
 //! The layer is transport-free: feed it the GCS's application-facing
 //! events, multicast whatever it returns.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![allow(
+    clippy::expect_used,
+    clippy::indexing_slicing,
+    reason = "outside P1: an ordering layer for experiments; expects and indexes state invariants"
+)]
 
 pub mod causal;
 pub mod replica;

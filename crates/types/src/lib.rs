@@ -34,7 +34,6 @@
 //! assert_eq!(initial.id(), ViewId::ZERO);
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![allow(
     clippy::expect_used,

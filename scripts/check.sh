@@ -18,21 +18,24 @@ echo "==> cargo test -q"
 cargo test -q "${CARGO_FLAGS[@]}"
 
 # The lint wall (DESIGN.md §10), the one checker of determinism, the
-# clock and panic-freedom: clippy.toml bans HashMap/HashSet (D1) and
-# Instant::now, SystemTime::now and .elapsed() (T1); [workspace.lints]
-# denies unwrap_used, expect_used, panic, unreachable, unimplemented,
-# todo, dbg_macro and indexing_slicing (P1), undocumented_unsafe_blocks
-# and allow_attributes_without_reason. -D warnings makes the bans and
-# an #[expect] that no longer fires errors. No --all-targets: test code
-# is exempt.
+# clock, panic-freedom and unsafe confinement: clippy.toml bans
+# HashMap/HashSet (D1) and Instant::now, SystemTime::now and .elapsed()
+# (T1); [workspace.lints] denies unsafe_code (in every target, so the
+# build and test stages above enforce it too), unwrap_used, expect_used,
+# panic, unreachable, unimplemented, todo, dbg_macro and indexing_slicing
+# (P1), undocumented_unsafe_blocks and allow_attributes_without_reason.
+# -D warnings makes the bans and an #[expect] that no longer fires
+# errors. No --all-targets: test code is exempt from the clippy lints.
 echo "==> cargo clippy --workspace -- -D warnings"
 cargo clippy --workspace "${CARGO_FLAGS[@]}" -- -D warnings
 
 # Protocol analyzer: deny-by-default. Exits nonzero on any unwaived
-# finding of its six rules: IOA discipline (I1), spec coverage (C1),
-# lock discipline (R1), audit coverage (A1), unsafe confinement (U1) and
-# waiver hygiene (W0). The tree carries 1 waiver (R1), pinned by the
-# analyzer's real_workspace_waiver_budget_is_pinned test.
+# finding of its three rules: IOA precondition/effect pairing (I1), lock
+# discipline (R1) and waiver hygiene (W0). Unsafe confinement and audit
+# coverage are the compiler's (the clippy stage above and the build);
+# the ObsEvent vocabulary and spec coverage are tests'. The tree carries
+# 1 waiver (R1), pinned by the analyzer's
+# real_workspace_waiver_budget_is_pinned test.
 echo "==> vsgm-analyze --format json"
 cargo run -q -p vsgm-analyze "${CARGO_FLAGS[@]}" -- --format json
 
