@@ -152,11 +152,46 @@ pub fn encode_frame_grouped(
     msg: &NetMsg,
     format: WireFormat,
 ) -> io::Result<Vec<u8>> {
-    let body = encode_body_grouped(group, msg, format)?;
-    let mut frame = Vec::with_capacity(4 + body.len());
-    frame.extend_from_slice(&(body.len() as u32).to_le_bytes());
-    frame.extend_from_slice(&body);
+    let mut frame = Vec::with_capacity(4 + 9 + msg.wire_size() + 16);
+    append_frame_grouped(&mut frame, group, msg, format)?;
     Ok(frame)
+}
+
+/// Appends the frame [`encode_frame_grouped`] returns to `out`, encoding
+/// in place: a batch of frames for one peer fills one buffer. On error
+/// `out` is left as it was.
+///
+/// # Errors
+///
+/// Propagates [`encode_body`] errors (JSON serialization only).
+pub fn append_frame_grouped(
+    out: &mut Vec<u8>,
+    group: GroupId,
+    msg: &NetMsg,
+    format: WireFormat,
+) -> io::Result<()> {
+    let start = out.len();
+    put_u32(out, 0);
+    out.push(GROUP_ENVELOPE_V2);
+    put_u64(out, group.raw());
+    match format {
+        WireFormat::Json => match serde_json::to_vec(msg) {
+            Ok(body) => out.extend_from_slice(&body),
+            Err(e) => {
+                out.truncate(start);
+                return Err(e.into());
+            }
+        },
+        WireFormat::Binary => {
+            out.push(BINARY_V1);
+            enc_msg(out, msg);
+        }
+    }
+    let len = (out.len() - start - 4) as u32;
+    if let Some(prefix) = out.get_mut(start..start + 4) {
+        prefix.copy_from_slice(&len.to_le_bytes());
+    }
+    Ok(())
 }
 
 /// Splits a [`GROUP_ENVELOPE_V2`] body into its group id and the
@@ -984,6 +1019,26 @@ mod tests {
         let (len, body) = frame.split_first_chunk::<4>().unwrap();
         assert_eq!(u32::from_le_bytes(*len) as usize, body.len());
         assert_eq!(decode_body_routed(body, false), Some((Some(gid), msg)));
+    }
+
+    /// Frames appended one after another into one buffer are, byte for
+    /// byte, the frames the old two-buffer encoding built one at a time
+    /// — length prefix, envelope, body — in either wire format.
+    #[test]
+    fn appended_frames_are_the_enveloped_frames_back_to_back() {
+        for format in [WireFormat::Binary, WireFormat::Json] {
+            let mut buf = Vec::new();
+            let mut expected = Vec::new();
+            for (i, m) in (1..).zip(sample_msgs()) {
+                let gid = GroupId::new(i);
+                append_frame_grouped(&mut buf, gid, &m, format).unwrap();
+                let body = encode_body_grouped(gid, &m, format).unwrap();
+                expected.extend_from_slice(&(body.len() as u32).to_le_bytes());
+                expected.extend_from_slice(&body);
+                assert_eq!(encode_frame_grouped(gid, &m, format).unwrap().len(), 4 + body.len());
+            }
+            assert_eq!(buf, expected, "{format:?}");
+        }
     }
 
     /// Mixed-version interop during a rolling transition: legacy

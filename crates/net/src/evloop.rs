@@ -10,10 +10,13 @@
 //!   path (one payload copy, when the frame is handed over) and given to
 //!   the transport's [`FrameHandler`] on the loop thread; malformed or
 //!   oversized frames tear the connection down;
-//! * **outbound connections** drain their bounded
-//!   [`crate::writer::OutQueue`] (heartbeat slot first) into a coalesce
-//!   buffer and push it to the socket with non-blocking writes, keeping
-//!   partial-write state across rounds.
+//! * **outbound connections** are written through their
+//!   [`crate::writer::OutQueue`], which holds the socket: the loop drains
+//!   the queue (heartbeat slot first) into a coalesce buffer and writes
+//!   it with non-blocking writes under the queue's lock, keeping the
+//!   unwritten tail there across rounds. A batch push that finds the
+//!   connection idle writes under the same lock on its own thread, and
+//!   leaves the loop only a tail to finish.
 //!
 //! Loop 0 also owns the transport's listening socket and accepts on it
 //! like one more connection, handing each accepted socket to the pool
@@ -46,7 +49,7 @@ use crate::codec::{self, BodyRef};
 use crate::sys::{Events, Poller, READABLE, READABLE_EDGE, WRITABLE_EDGE};
 use crate::writer::{OutQueue, WriterStats};
 use std::collections::HashMap;
-use std::io::{self, Read, Write};
+use std::io::{self, Read};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
@@ -73,7 +76,7 @@ const CONN_TOKEN: u64 = 2;
 /// Byte ceiling for one coalesced flush buffer (a single oversized
 /// frame still flushes alone).
 const MAX_FLUSH_BYTES: usize = 1 << 20;
-/// Size of each pooled per-connection buffer. Read buffers grow
+/// Size of each pooled per-connection read buffer. Read buffers grow
 /// transiently for larger frames and are not retained once they have.
 const POOL_BUF_BYTES: usize = 64 << 10;
 
@@ -145,9 +148,8 @@ pub(crate) enum Register {
     Inbound(TcpStream),
     /// Dialed socket: write-only, fed by `queue`.
     Outbound {
-        /// The non-blocking, handshook socket.
-        stream: TcpStream,
-        /// Bounded frame queue senders push into.
+        /// Bounded frame queue senders push into; it holds the
+        /// non-blocking, handshook socket.
         queue: Arc<OutQueue>,
         /// Connection-death flag shared with `PeerWriter` handles.
         broken: Arc<AtomicBool>,
@@ -337,9 +339,9 @@ impl Acceptor {
 
 // ----------------------------------------------------- the loop body ---
 
-/// A tiny free-list of read/coalesce buffers, loop-thread-local so it
-/// needs no lock. Buffers that grew past the standard size (oversized
-/// frames) are not retained.
+/// A tiny free-list of read buffers, loop-thread-local so it needs no
+/// lock. Buffers that grew past the standard size (oversized frames) are
+/// not retained.
 #[derive(Default)]
 struct BufPool {
     free: Vec<Vec<u8>>,
@@ -354,15 +356,6 @@ impl BufPool {
         buf
     }
 
-    /// A write coalesce buffer: empty, with [`POOL_BUF_BYTES`] of capacity.
-    /// (Length matters: stale pooled bytes must never be mistaken for
-    /// pending write data.)
-    fn take_write(&mut self) -> Vec<u8> {
-        let mut buf = self.free.pop().unwrap_or_else(|| Vec::with_capacity(POOL_BUF_BYTES));
-        buf.clear();
-        buf
-    }
-
     fn put(&mut self, mut buf: Vec<u8>) {
         buf.clear();
         if (POOL_BUF_BYTES..=POOL_BUF_BYTES * 2).contains(&buf.capacity()) && self.free.len() < 64 {
@@ -372,28 +365,29 @@ impl BufPool {
 }
 
 enum Kind {
-    /// Inbound, 8-byte peer-id handshake incomplete.
+    /// 8-byte peer-id handshake incomplete.
     Handshake,
-    /// Inbound, streaming frames from `peer`.
+    /// Streaming frames from `peer`.
     Frames(ProcessId),
-    /// Outbound, draining its queue.
-    Out { queue: Arc<OutQueue>, broken: Arc<AtomicBool> },
 }
 
-struct Conn {
+/// An accepted connection: read-only.
+struct Inbound {
     stream: TcpStream,
     kind: Kind,
-    /// Read buffer (inbound) — `rbuf[rstart..rlen]` is unparsed.
+    /// Read buffer — `rbuf[rstart..rlen]` is unparsed.
     rbuf: Vec<u8>,
     rstart: usize,
     rlen: usize,
-    /// Coalesce buffer (outbound) — `wbuf[wpos..]` awaits the socket.
-    wbuf: Vec<u8>,
-    wpos: usize,
-    /// Frames carried by `wbuf`, credited to `frames_flushed` only once
-    /// the whole buffer is on the wire.
-    wframes: u64,
     last_rx: Instant,
+}
+
+/// A connection one loop owns.
+enum Conn {
+    In(Inbound),
+    /// A dialed connection: write-only, its socket and write state in
+    /// `queue`.
+    Out { queue: Arc<OutQueue>, broken: Arc<AtomicBool> },
 }
 
 /// Why a connection was retired this round.
@@ -407,45 +401,71 @@ enum Retire {
 }
 
 impl Conn {
-    fn inbound(stream: TcpStream, pool: &mut BufPool, now: Instant) -> Conn {
-        Conn {
+    /// Whether outbound work is still unwritten (shutdown flush check).
+    fn has_unflushed(&self) -> bool {
+        match self {
+            Conn::Out { queue, .. } => !queue.is_drained(),
+            Conn::In(_) => false,
+        }
+    }
+
+    fn idle_deadline(&self, cfg: &LoopConfig) -> Option<Instant> {
+        match self {
+            Conn::In(c) => c.idle_deadline(cfg),
+            Conn::Out { .. } => None,
+        }
+    }
+
+    /// One scan round. `Err` means retire the connection.
+    fn service(
+        &mut self,
+        now: Instant,
+        ctx: &LoopCtx,
+        cfg: &LoopConfig,
+        progress: &mut bool,
+    ) -> Result<(), Retire> {
+        match self {
+            Conn::In(c) => c.service(now, ctx, cfg, progress),
+            Conn::Out { queue, broken } => {
+                if broken.load(Ordering::Acquire) {
+                    // A sender declared the queue stalled; retire and account.
+                    return Err(Retire::Gone);
+                }
+                let moved = queue
+                    .write_out(&ctx.stats, cfg.max_coalesce_frames, MAX_FLUSH_BYTES)
+                    .map_err(|()| Retire::Gone)?;
+                *progress |= moved;
+                Ok(())
+            }
+        }
+    }
+
+    /// Retires the connection: accounts unwritten frames as dropped,
+    /// poisons sender handles, closes the socket, recycles buffers.
+    fn retire(self, ctx: &LoopCtx, pool: &mut BufPool) {
+        match self {
+            Conn::Out { queue, broken } => {
+                broken.store(true, Ordering::Release);
+                let dropped = queue.drain_remaining();
+                if dropped > 0 {
+                    ctx.stats.frames_dropped.fetch_add(dropped, Ordering::Relaxed);
+                }
+            }
+            Conn::In(c) => pool.put(c.rbuf),
+        }
+        ctx.counters.conns_closed.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
+impl Inbound {
+    fn new(stream: TcpStream, pool: &mut BufPool, now: Instant) -> Inbound {
+        Inbound {
             stream,
             kind: Kind::Handshake,
             rbuf: pool.take_read(),
             rstart: 0,
             rlen: 0,
-            wbuf: Vec::new(),
-            wpos: 0,
-            wframes: 0,
             last_rx: now,
-        }
-    }
-
-    fn outbound(
-        stream: TcpStream,
-        queue: Arc<OutQueue>,
-        broken: Arc<AtomicBool>,
-        pool: &mut BufPool,
-        now: Instant,
-    ) -> Conn {
-        Conn {
-            stream,
-            kind: Kind::Out { queue, broken },
-            rbuf: Vec::new(),
-            rstart: 0,
-            rlen: 0,
-            wbuf: pool.take_write(),
-            wpos: 0,
-            wframes: 0,
-            last_rx: now,
-        }
-    }
-
-    /// Whether outbound work is still unwritten (shutdown flush check).
-    fn has_unflushed(&self) -> bool {
-        match &self.kind {
-            Kind::Out { queue, .. } => self.wpos < self.wbuf.len() || !queue.is_drained(),
-            _ => false,
         }
     }
 
@@ -460,23 +480,7 @@ impl Conn {
         self.last_rx.checked_add(cfg.read_idle_timeout)
     }
 
-    /// One scan round. `Err` means retire the connection.
     fn service(
-        &mut self,
-        now: Instant,
-        ctx: &LoopCtx,
-        cfg: &LoopConfig,
-        progress: &mut bool,
-    ) -> Result<(), Retire> {
-        match &self.kind {
-            Kind::Out { .. } => self.service_out(ctx, cfg, progress),
-            _ => self.service_in(now, ctx, cfg, progress),
-        }
-    }
-
-    // ------------------------------------------------------- inbound ---
-
-    fn service_in(
         &mut self,
         now: Instant,
         ctx: &LoopCtx,
@@ -609,78 +613,8 @@ impl Conn {
                     self.rstart += 4 + len;
                     (ctx.deliver)(peer, group, msg);
                 }
-                Kind::Out { .. } => return Ok(()),
             }
         }
-    }
-
-    // ------------------------------------------------------ outbound ---
-
-    fn service_out(
-        &mut self,
-        ctx: &LoopCtx,
-        cfg: &LoopConfig,
-        progress: &mut bool,
-    ) -> Result<(), Retire> {
-        let Kind::Out { queue, broken } = &self.kind else { return Ok(()) };
-        let (queue, broken) = (Arc::clone(queue), Arc::clone(broken));
-        if broken.load(Ordering::Acquire) {
-            // A sender declared the queue stalled; retire and account.
-            return Err(Retire::Gone);
-        }
-        loop {
-            if self.wpos < self.wbuf.len() {
-                let Some(src) = self.wbuf.get(self.wpos..) else { break };
-                match self.stream.write(src) {
-                    Ok(0) => return Err(Retire::Gone),
-                    Ok(n) => {
-                        self.wpos += n;
-                        *progress = true;
-                        if self.wpos == self.wbuf.len() {
-                            ctx.stats.flushes.fetch_add(1, Ordering::Relaxed);
-                            ctx.stats.frames_flushed.fetch_add(self.wframes, Ordering::Relaxed);
-                            self.wframes = 0;
-                            self.wbuf.clear();
-                            self.wpos = 0;
-                        }
-                    }
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                    Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                    Err(_) => return Err(Retire::Gone),
-                }
-            } else {
-                self.wbuf.clear();
-                self.wpos = 0;
-                let taken =
-                    queue.take_batch(&mut self.wbuf, cfg.max_coalesce_frames, MAX_FLUSH_BYTES);
-                if taken.frames == 0 {
-                    if queue.is_closed() {
-                        // Graceful retirement: everything flushed.
-                        return Err(Retire::Gone);
-                    }
-                    break;
-                }
-                self.wframes = taken.frames;
-                ctx.stats.coalesce_max.fetch_max(taken.frames, Ordering::Relaxed);
-                *progress = true;
-            }
-        }
-        Ok(())
-    }
-
-    /// Retires the connection: accounts unwritten frames as dropped,
-    /// poisons sender handles, recycles buffers.
-    fn retire(self, ctx: &LoopCtx, pool: &mut BufPool) {
-        if let Kind::Out { queue, broken } = &self.kind {
-            broken.store(true, Ordering::Release);
-            let dropped = self.wframes + queue.drain_remaining();
-            if dropped > 0 {
-                ctx.stats.frames_dropped.fetch_add(dropped, Ordering::Relaxed);
-            }
-        }
-        ctx.counters.conns_closed.fetch_add(1, Ordering::Relaxed);
-        pool.put(self.rbuf);
-        pool.put(self.wbuf);
     }
 }
 
@@ -705,13 +639,18 @@ fn loop_main(
         let fresh = std::mem::take(&mut *lock(&shared.inbox));
         for reg in fresh {
             ctx.counters.conns_opened.fetch_add(1, Ordering::Relaxed);
-            let (conn, interest) = match reg {
-                Register::Inbound(stream) => (Conn::inbound(stream, &mut pool, now), READABLE),
-                Register::Outbound { stream, queue, broken } => {
-                    (Conn::outbound(stream, queue, broken, &mut pool, now), WRITABLE_EDGE)
+            let (conn, watched) = match reg {
+                Register::Inbound(stream) => {
+                    let conn = Inbound::new(stream, &mut pool, now);
+                    let watched = shared.poller.add(&conn.stream, READABLE, CONN_TOKEN);
+                    (Conn::In(conn), watched)
+                }
+                Register::Outbound { queue, broken } => {
+                    let watched = queue.watch(&shared.poller, WRITABLE_EDGE, CONN_TOKEN);
+                    (Conn::Out { queue, broken }, watched)
                 }
             };
-            match shared.poller.add(&conn.stream, interest, CONN_TOKEN) {
+            match watched {
                 Ok(()) => conns.push(conn),
                 // epoll is out of memory or watches: a socket the loop
                 // cannot wait on is retired at once.

@@ -22,15 +22,20 @@
 //! a queue for the `recv_*` calls); outbound frames flow through
 //! per-connection bounded queues ([`crate::writer`]):
 //!
-//! * **Serialized writes** — every producer (multicast fan-out from any
-//!   thread, the heartbeat prober) enqueues complete frames on the
-//!   connection's bounded queue; the one loop thread owning the socket
-//!   performs all writes, so concurrent senders and heartbeats can
-//!   never tear a frame mid-stream.
+//! * **Serialized writes** — every byte on an outbound socket is written
+//!   under its connection's queue lock, so concurrent senders and
+//!   heartbeats can never tear a frame mid-stream. Per-frame sends and
+//!   the heartbeat prober enqueue complete frames and wake the loop
+//!   that owns the connection, which writes them;
+//!   [`TcpTransport::send_batch`] writes a peer's whole batch itself,
+//!   on the caller's thread, when it finds the connection idle, and
+//!   leaves the loop only what the socket did not take.
 //! * **Coalesced flushes** — the loop drains every frame already
 //!   queued into one buffered socket write, so a burst of N multicasts
 //!   costs one syscall instead of N
-//!   ([`TcpConfig::max_coalesce_frames`], at most 1 MiB per flush).
+//!   ([`TcpConfig::max_coalesce_frames`], at most 1 MiB per flush); a
+//!   batch send costs one write per peer, however many frames it
+//!   carries.
 //! * **Independent fan-out** — [`TcpTransport::send`] attempts *every*
 //!   destination, drops only the connections that actually failed, and
 //!   returns one aggregated error; a single broken peer no longer censors
@@ -449,10 +454,9 @@ impl TcpTransport {
         // interleave with frames.
         stream.write_all(&self.shared.me.raw().to_le_bytes())?;
         stream.set_nonblocking(true)?;
-        let queue = Arc::new(OutQueue::new(self.config.writer_queue));
+        let queue = Arc::new(OutQueue::new(self.config.writer_queue, Some(stream)));
         let broken = Arc::new(AtomicBool::new(false));
         let waker = self.shared.pool.register(Register::Outbound {
-            stream,
             queue: Arc::clone(&queue),
             broken: Arc::clone(&broken),
         })?;
@@ -484,6 +488,50 @@ impl TcpTransport {
     /// failures are aggregated into one error.
     pub fn send_to_group(&self, group: GroupId, to: &ProcSet, msg: &NetMsg) -> io::Result<()> {
         self.fan_out(to, &codec::encode_frame_grouped(group, msg, self.config.wire_format)?)
+    }
+
+    /// Sends a batch of `(group, to, msg)` frames, each in its group's
+    /// envelope. Every destination's frames are encoded, in batch order,
+    /// into one buffer that goes to its connection in one push: written
+    /// at once on this thread if the connection is idle (nothing queued,
+    /// nothing unwritten, no heartbeat pending), else queued as one
+    /// chunk for its event loop. Frames to this process are skipped.
+    ///
+    /// Returns how many frames could not be queued: their destination
+    /// has no address, cannot be reached, or its connection is down or
+    /// stalled (such a connection is dropped, as [`TcpTransport::send`]
+    /// drops it). The others are on their way.
+    pub fn send_batch(&self, batch: &[(GroupId, ProcessId, NetMsg)]) -> u64 {
+        let mut by_peer: Vec<&(GroupId, ProcessId, NetMsg)> = batch.iter().collect();
+        // Stable: each destination's frames keep their batch order.
+        by_peer.sort_by_key(|(_, to, _)| *to);
+        let mut buf = Vec::new();
+        let mut unsent = 0u64;
+        for run in by_peer.chunk_by(|a, b| a.1 == b.1) {
+            let Some(&&(_, to, _)) = run.first() else { continue };
+            if to == self.shared.me {
+                continue;
+            }
+            buf.clear();
+            let mut frames = 0u64;
+            for (group, _, msg) in run {
+                match codec::append_frame_grouped(&mut buf, *group, msg, self.config.wire_format) {
+                    Ok(()) => frames += 1,
+                    Err(_) => unsent += 1,
+                }
+            }
+            if frames == 0 {
+                continue;
+            }
+            let pushed = self.writer_handle(to).and_then(|writer| {
+                let outcome = writer.push_batch(&buf, frames, self.config.enqueue_timeout);
+                self.settle(to, &writer, outcome)
+            });
+            if pushed.is_err() {
+                unsent += frames;
+            }
+        }
+        unsent
     }
 
     /// Enqueues `frame` to every process in `to` but this one, and
@@ -532,6 +580,18 @@ impl TcpTransport {
     fn enqueue(&self, peer: ProcessId, frame: &[u8]) -> io::Result<()> {
         let writer = self.writer_handle(peer)?;
         let outcome = writer.push(frame.to_vec(), self.config.enqueue_timeout);
+        self.settle(peer, &writer, outcome)
+    }
+
+    /// Accounts one push to `peer` through `writer`: its depth on
+    /// success; on failure, the eviction of the connection it found
+    /// broken, as an I/O error.
+    fn settle(
+        &self,
+        peer: ProcessId,
+        writer: &PeerWriter,
+        outcome: Result<usize, PushError>,
+    ) -> io::Result<()> {
         match outcome {
             Ok(depth) => {
                 self.shared
@@ -553,7 +613,7 @@ impl TcpTransport {
                 // Evict exactly the writer we saw fail — never a fresh
                 // reconnection another thread raced in underneath us.
                 let mut out = self.shared.outgoing.lock();
-                if out.get(&peer).is_some_and(|w| w.same_as(&writer)) {
+                if out.get(&peer).is_some_and(|w| w.same_as(writer)) {
                     out.remove(&peer);
                 }
                 Err(match kind {

@@ -294,6 +294,9 @@ pub mod names {
     pub const SERVER_FRAMES_ROUTED: &str = "server.frames_routed";
     /// Frames dropped because their group id resolved to no instance.
     pub const SERVER_FRAMES_UNROUTABLE: &str = "server.frames_unroutable";
+    /// Frames a server owed its clients that could not be queued on a
+    /// client's connection (no address, unreachable, broken, stalled).
+    pub const SERVER_FRAMES_UNSENT: &str = "server.frames_unsent";
     /// Directory create requests that created a fresh group.
     pub const SERVER_DIR_CREATES: &str = "server.directory_creates";
     /// Directory create/join requests resolved onto an existing group

@@ -11,13 +11,15 @@
 //!   run of the same commands.
 //! * [`shard`] — [`ShardPool`]: `gid → shard` arithmetic routing onto
 //!   worker threads that each *own* their groups outright, so the hot
-//!   path takes no cross-shard locks.
+//!   path takes no cross-shard locks; a worker steps a batch of
+//!   commands, then hands all their outputs over at once.
 //! * [`directory`] — [`Directory`]: name → group resolution with atomic
 //!   create-or-join (the concurrent-create race fix).
 //! * [`server`] — [`GroupServer`]: the TCP daemon. Its event loops
 //!   route each v2 group-envelope frame to the directory or a shard as
 //!   they decode it, and the shard workers send replies, deliveries and
-//!   views back to the clients; no thread sits in between.
+//!   views back to the clients, one write per client per batch; no
+//!   thread sits in between.
 //!
 //! ```no_run
 //! use vsgm_server::{GroupServer, ServerConfig};

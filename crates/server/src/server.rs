@@ -18,19 +18,24 @@
 //! A loop never blocks (DESIGN.md §17): routing only touches the
 //! [`Directory`], queues commands and bumps counters. Every write the
 //! daemon starts — directory replies, deliveries and views
-//! ([`crate::group::GroupInstance::drain_outputs`]) — is made by a shard
-//! worker. One connection lives on one loop, so a client's frames reach
-//! its groups' shards in the order it sent them; a new group's `Create`
-//! is queued before any loop can resolve its name. Inbound connections
-//! are identified only by the 8-byte pid handshake, so the reverse path
-//! needs addresses: [`GroupServer::register_client`].
+//! ([`crate::group::GroupInstance::drain_outputs`]) — is started by a
+//! shard worker: once per batch of commands, one
+//! [`TcpTransport::send_batch`] that pushes one buffer per client, written
+//! on the worker's thread when the client's connection is idle. Frames
+//! it could not queue (a client whose connection is gone) are counted in
+//! [`ServerStats::frames_unsent`]. One connection lives on one loop, so a
+//! client's frames reach its groups' shards in the order it sent them; a
+//! new group's `Create`, fused with its creator's `Join`, is queued before
+//! any loop can resolve its name. Inbound connections are identified only
+//! by the 8-byte pid handshake, so the reverse path needs addresses:
+//! [`GroupServer::register_client`].
 
 use crate::directory::{err_response, ok_response, DirOutcome, DirRequest, Directory};
 use crate::group::{admits, GroupCmd};
 use crate::shard::{ShardPool, Sink};
 use std::io;
 use std::net::SocketAddr;
-use std::sync::atomic::Ordering;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock, Weak};
 use vsgm_net::{FrameHandler, TcpConfig, TcpTransport};
 use vsgm_types::{AppMsg, GroupId, NetMsg, ProcessId};
@@ -75,6 +80,9 @@ pub struct ServerStats {
     pub dir_lookups: u64,
     /// Directory leaves: `leave` requests that resolved.
     pub dir_leaves: u64,
+    /// Frames the shards owed clients that could not be queued on a
+    /// client's connection (no address, unreachable, broken or stalled).
+    pub frames_unsent: u64,
 }
 
 /// The multi-group daemon. See the module docs.
@@ -82,6 +90,8 @@ pub struct GroupServer {
     transport: Arc<TcpTransport>,
     directory: Arc<Directory>,
     pool: Arc<ShardPool>,
+    /// Frames the sink could not queue ([`ServerStats::frames_unsent`]).
+    unsent: Arc<AtomicU64>,
 }
 
 impl GroupServer {
@@ -96,12 +106,13 @@ impl GroupServer {
         // The loops' router holds the pool, and the pool's sink needs
         // the transport: the sink gets a weak handle once it is bound.
         let bound: Arc<OnceLock<Weak<TcpTransport>>> = Arc::default();
-        let pool = Arc::new(ShardPool::with_sink(cfg.shards, true, send_on(&bound)));
+        let unsent: Arc<AtomicU64> = Arc::default();
+        let pool = Arc::new(ShardPool::with_sink(cfg.shards, true, send_on(&bound, &unsent)));
         let router = route(Arc::clone(&directory), Arc::clone(&pool), cfg.group_capacity);
         let transport = TcpTransport::bind_with_handler(me, addr, cfg.tcp, router).map(Arc::new);
         // Set even on failure, so that no worker waits for it forever.
         let _ = bound.set(transport.as_ref().map_or_else(|_| Weak::new(), Arc::downgrade));
-        Ok(GroupServer { transport: transport?, directory, pool })
+        Ok(GroupServer { transport: transport?, directory, pool, unsent })
     }
 
     /// The address clients should connect to.
@@ -138,6 +149,7 @@ impl GroupServer {
             dir_joins,
             dir_lookups,
             dir_leaves,
+            frames_unsent: self.unsent.load(Ordering::Relaxed),
         }
     }
 
@@ -150,6 +162,7 @@ impl GroupServer {
         rec.gauge(names::SERVER_SHARDS, s.shards);
         rec.counter(names::SERVER_FRAMES_ROUTED, s.frames_routed);
         rec.counter(names::SERVER_FRAMES_UNROUTABLE, s.frames_unroutable);
+        rec.counter(names::SERVER_FRAMES_UNSENT, s.frames_unsent);
         self.directory.export_obs(rec);
     }
 }
@@ -163,18 +176,20 @@ impl Drop for GroupServer {
     }
 }
 
-/// The shards' sink: each output, enveloped to its group, onto its
-/// client's socket queue — on the worker's thread.
-fn send_on(bound: &Arc<OnceLock<Weak<TcpTransport>>>) -> Sink {
-    let bound = Arc::clone(bound);
-    Arc::new(move |gid, outputs| {
+/// The shards' sink: a batch's outputs, each enveloped to its group,
+/// one buffer per client — on the worker's thread. Counts the frames
+/// that could not be queued into `unsent`.
+fn send_on(bound: &Arc<OnceLock<Weak<TcpTransport>>>, unsent: &Arc<AtomicU64>) -> Sink {
+    let (bound, unsent) = (Arc::clone(bound), Arc::clone(unsent));
+    Arc::new(move |batch| {
         // Outputs follow frames, which can beat `bind` storing the
         // handle by a moment; a handle that does not upgrade belongs to
         // a daemon that failed to bind or is shutting down.
-        let Some(transport) = bound.wait().upgrade() else { return };
-        for out in outputs {
-            let _ = transport.send_to_group(gid, &[out.to].into_iter().collect(), &out.msg);
-        }
+        let lost = match bound.wait().upgrade() {
+            Some(transport) => transport.send_batch(batch),
+            None => batch.len() as u64,
+        };
+        unsent.fetch_add(lost, Ordering::Relaxed);
     })
 }
 
@@ -220,10 +235,16 @@ fn handle_directory(
             // Atomic create-or-join: exactly one concurrent creator
             // instantiates the group, queueing its `Create` before any
             // other loop can resolve the name; every other caller joins.
-            let outcome =
-                directory.create_or_join_with(&name, |gid| pool.create_group(gid, capacity, 0));
-            let verb = if matches!(outcome, DirOutcome::Created(_)) { "create" } else { "join" };
-            pool.apply(outcome.gid(), GroupCmd::Join(peer));
+            // The winner's `Create` carries its `Join`: one command.
+            let outcome = directory
+                .create_or_join_with(&name, |gid| pool.create_and_join(gid, capacity, peer));
+            let verb = match outcome {
+                DirOutcome::Created(_) => "create",
+                DirOutcome::Joined(gid) => {
+                    pool.apply(gid, GroupCmd::Join(peer));
+                    "join"
+                }
+            };
             ok_response(verb, &name, outcome.gid())
         }
         DirRequest::Join(name) => match directory.join(&name) {

@@ -10,9 +10,15 @@
 //! serialize through their channel in arrival order (the total per-group
 //! command order the differential suite relies on).
 //!
-//! In daemon mode a worker hands what each step drained to the pool's
-//! sink, on its own thread: the [`ShardConfig::outputs`] channel, or the
-//! daemon's client sockets.
+//! A worker pays per batch, not per command: it drains its channel, up
+//! to [`MAX_BATCH`] commands or until it is empty, steps each command
+//! exactly as it would alone, and then hands the whole batch's outputs
+//! to the pool's sink in one call, on its own thread — the
+//! [`ShardConfig::outputs`] channel, or the daemon's client sockets,
+//! where that is one write per client. Directory replies ride the same
+//! batch. Each group's frames keep their step order. A worker hands over
+//! what it holds before it answers a report or finish, and before it
+//! exits.
 //!
 //! Determinism discipline: ordered containers only, no ambient clocks or
 //! randomness; the lints below pin it to this file. Wall-clock pacing
@@ -29,15 +35,25 @@ use std::sync::Arc;
 use vsgm_ioa::Violation;
 use vsgm_types::{GroupId, NetMsg, ProcessId};
 
-/// Where a worker hands the frames it owes clients: `(gid, outputs)`,
-/// called on the worker's thread with one step's outputs in order.
-pub(crate) type Sink = Arc<dyn Fn(GroupId, Vec<GroupOutput>) + Send + Sync>;
+/// Most commands a worker steps before it hands their outputs to the
+/// sink.
+const MAX_BATCH: usize = 64;
+
+/// One frame a worker owes a client: `(group, client, frame)`.
+pub(crate) type Outbound = (GroupId, ProcessId, NetMsg);
+
+/// Where a worker hands the frames it owes clients, called on the
+/// worker's thread with one batch's outputs in step order. The sink may
+/// take them out of the `Vec`; the worker clears it after, and reuses
+/// its buffer.
+pub(crate) type Sink = Arc<dyn Fn(&mut Vec<Outbound>) + Send + Sync>;
 
 /// A command routed to the shard owning one group.
 enum ShardCmd {
     /// Instantiate a group (idempotent: re-creating an existing gid is
-    /// ignored — the directory already guarantees one winner).
-    Create { gid: GroupId, capacity: u64 },
+    /// ignored — the directory already guarantees one winner), then
+    /// apply its creator's `Join`, if any.
+    Create { gid: GroupId, capacity: u64, creator: Option<ProcessId> },
     /// Apply a [`GroupCmd`] to a hosted group.
     Apply { gid: GroupId, cmd: GroupCmd },
     /// Hand one directory reply to the sink.
@@ -97,12 +113,12 @@ impl ShardPool {
     /// Spawns the worker threads.
     pub fn spawn(cfg: ShardConfig) -> ShardPool {
         let sink: Sink = match cfg.outputs {
-            Some(tx) => Arc::new(move |gid, drained| {
-                for out in drained {
-                    let _ = tx.send((gid, out.to, out.msg));
+            Some(tx) => Arc::new(move |batch: &mut Vec<Outbound>| {
+                for out in batch.drain(..) {
+                    let _ = tx.send(out);
                 }
             }),
-            None => Arc::new(|_, _| {}),
+            None => Arc::new(|_: &mut Vec<Outbound>| {}),
         };
         ShardPool::with_sink(cfg.shards, cfg.auto_run, sink)
     }
@@ -158,7 +174,14 @@ impl ShardPool {
     /// Instantiates a group on its owning shard (idempotent per gid).
     /// `_seed` is unused, as in [`GroupInstance::new`].
     pub fn create_group(&self, gid: GroupId, capacity: u64, _seed: u64) {
-        self.send_to(self.shard_of(gid), ShardCmd::Create { gid, capacity });
+        self.send_to(self.shard_of(gid), ShardCmd::Create { gid, capacity, creator: None });
+    }
+
+    /// Instantiates a group and joins `creator` to it, as one command:
+    /// a create wakes its shard once.
+    pub(crate) fn create_and_join(&self, gid: GroupId, capacity: u64, creator: ProcessId) {
+        let cmd = ShardCmd::Create { gid, capacity, creator: Some(creator) };
+        self.send_to(self.shard_of(gid), cmd);
     }
 
     /// Routes one command to `gid`'s instance.
@@ -222,46 +245,88 @@ impl Drop for ShardPool {
     }
 }
 
+/// A worker's state: the groups it owns and the outputs of the batch
+/// it is stepping.
+struct Worker<'a> {
+    groups: BTreeMap<GroupId, GroupInstance>,
+    out: Vec<Outbound>,
+    counters: &'a ShardCounters,
+    auto_run: bool,
+    sink: &'a Sink,
+}
+
+impl Worker<'_> {
+    /// Applies `cmd` to `gid`'s instance and, in daemon mode, runs it to
+    /// quiescence and collects what it owes its clients.
+    fn apply(&mut self, gid: GroupId, cmd: GroupCmd) {
+        let Some(g) = self.groups.get_mut(&gid) else {
+            self.counters.frames_unroutable.fetch_add(1, Ordering::Relaxed);
+            return;
+        };
+        self.counters.frames_routed.fetch_add(1, Ordering::Relaxed);
+        g.apply(cmd);
+        if self.auto_run {
+            g.run_to_quiescence();
+            self.out.extend(g.drain_outputs().into_iter().map(|o| (gid, o.to, o.msg)));
+        }
+    }
+
+    /// Hands the batch's outputs to the sink, if there are any.
+    fn hand_over(&mut self) {
+        if !self.out.is_empty() {
+            (self.sink)(&mut self.out);
+            self.out.clear();
+        }
+    }
+
+    /// Steps one command; `false` once it was [`ShardCmd::Shutdown`].
+    fn step(&mut self, cmd: ShardCmd) -> bool {
+        match cmd {
+            ShardCmd::Create { gid, capacity, creator } => {
+                if let std::collections::btree_map::Entry::Vacant(slot) = self.groups.entry(gid) {
+                    slot.insert(GroupInstance::new(gid, capacity, 0));
+                    self.counters.groups_hosted.fetch_add(1, Ordering::Relaxed);
+                }
+                if let Some(p) = creator {
+                    self.apply(gid, GroupCmd::Join(p));
+                }
+            }
+            ShardCmd::Apply { gid, cmd } => self.apply(gid, cmd),
+            ShardCmd::Reply(out) => self.out.push((GroupId::DIRECTORY, out.to, out.msg)),
+            ShardCmd::Report { gid, reply } => {
+                self.hand_over();
+                let _ = reply.send(self.groups.get(&gid).map(GroupInstance::report));
+            }
+            ShardCmd::ReportAll { reply } => {
+                self.hand_over();
+                let _ = reply.send(self.groups.values().map(GroupInstance::report).collect());
+            }
+            ShardCmd::Finish { gid, reply } => {
+                self.hand_over();
+                let _ = reply.send(self.groups.get_mut(&gid).map(GroupInstance::finish));
+            }
+            ShardCmd::Shutdown => return false,
+        }
+        true
+    }
+}
+
 fn shard_main(
     rx: &Receiver<ShardCmd>,
     counters: &ShardCounters,
     auto_run: bool,
     sink: &Sink,
 ) {
-    let mut groups: BTreeMap<GroupId, GroupInstance> = BTreeMap::new();
-    while let Ok(cmd) = rx.recv() {
-        match cmd {
-            ShardCmd::Create { gid, capacity } => {
-                if let std::collections::btree_map::Entry::Vacant(slot) = groups.entry(gid) {
-                    slot.insert(GroupInstance::new(gid, capacity, 0));
-                    counters.groups_hosted.fetch_add(1, Ordering::Relaxed);
-                }
+    let mut w = Worker { groups: BTreeMap::new(), out: Vec::new(), counters, auto_run, sink };
+    while let Ok(first) = rx.recv() {
+        let queued = std::iter::from_fn(|| rx.try_recv().ok());
+        for cmd in std::iter::once(first).chain(queued).take(MAX_BATCH) {
+            if !w.step(cmd) {
+                w.hand_over();
+                return;
             }
-            ShardCmd::Apply { gid, cmd } => match groups.get_mut(&gid) {
-                Some(g) => {
-                    counters.frames_routed.fetch_add(1, Ordering::Relaxed);
-                    g.apply(cmd);
-                    if auto_run {
-                        g.run_to_quiescence();
-                        sink(gid, g.drain_outputs());
-                    }
-                }
-                None => {
-                    counters.frames_unroutable.fetch_add(1, Ordering::Relaxed);
-                }
-            },
-            ShardCmd::Reply(out) => sink(GroupId::DIRECTORY, vec![out]),
-            ShardCmd::Report { gid, reply } => {
-                let _ = reply.send(groups.get(&gid).map(GroupInstance::report));
-            }
-            ShardCmd::ReportAll { reply } => {
-                let _ = reply.send(groups.values().map(GroupInstance::report).collect());
-            }
-            ShardCmd::Finish { gid, reply } => {
-                let _ = reply.send(groups.get_mut(&gid).map(GroupInstance::finish));
-            }
-            ShardCmd::Shutdown => break,
         }
+        w.hand_over();
     }
 }
 
@@ -366,5 +431,206 @@ mod tests {
         });
         assert!(expected.len() > 8, "{expected:?}");
         assert_eq!(hosted, expected, "hosted == isolated, frame for frame");
+    }
+
+    /// Steps `cmds`, then a `Shutdown`, all queued before the worker
+    /// starts, on this thread: the batches are then exactly
+    /// `MAX_BATCH` commands each, the last one shorter.
+    fn run_burst(cmds: Vec<ShardCmd>, sink: &Sink) -> ShardCounters {
+        let (tx, rx) = unbounded();
+        for cmd in cmds.into_iter().chain([ShardCmd::Shutdown]) {
+            tx.send(cmd).unwrap();
+        }
+        let counters = ShardCounters::default();
+        shard_main(&rx, &counters, true, sink);
+        counters
+    }
+
+    /// A sink that records each batch it is handed.
+    fn recording() -> (Sink, Arc<std::sync::Mutex<Vec<Vec<Outbound>>>>) {
+        let log: Arc<std::sync::Mutex<Vec<Vec<Outbound>>>> = Arc::default();
+        let sink_log = Arc::clone(&log);
+        let sink: Sink = Arc::new(move |batch: &mut Vec<Outbound>| {
+            sink_log.lock().unwrap().push(std::mem::take(batch));
+        });
+        (sink, log)
+    }
+
+    /// What an isolated instance owes its clients for `cmds`, stepped one
+    /// at a time.
+    fn isolated(gid: GroupId, capacity: u64, cmds: &[GroupCmd]) -> Vec<Outbound> {
+        let mut g = GroupInstance::new(gid, capacity, 0);
+        let mut out = Vec::new();
+        for cmd in cmds {
+            g.apply(cmd.clone());
+            g.run_to_quiescence();
+            out.extend(g.drain_outputs().into_iter().map(|o| (gid, o.to, o.msg)));
+        }
+        out
+    }
+
+    fn send(from: u64, text: &str) -> GroupCmd {
+        GroupCmd::Send { from: p(from), msg: AppMsg::from(text) }
+    }
+
+    /// One worker fed one burst of interleaved commands for three groups
+    /// — creates fused with their creators' joins, joins, multicasts, a
+    /// leave and a directory reply — hands each group exactly the frames
+    /// an isolated instance produces, in its order, in one sink call per
+    /// `MAX_BATCH` commands.
+    #[test]
+    fn one_burst_for_three_groups_gives_each_its_isolated_frames_in_order() {
+        let gids = [GroupId::new(3), GroupId::new(5), GroupId::new(8)];
+        let script = |k: u64| -> Vec<GroupCmd> {
+            let mut cmds: Vec<GroupCmd> = (1..=3).map(|m| GroupCmd::Join(p(m))).collect();
+            cmds.extend((0..40).map(|i| send(1 + (i + k) % 3, &format!("g{k} m{i}"))));
+            cmds.push(GroupCmd::Leave(p(2)));
+            cmds.push(send(3, "after the leave"));
+            cmds
+        };
+        let mut cmds = Vec::new();
+        let mut per_group: Vec<std::vec::IntoIter<GroupCmd>> =
+            (0..3).map(|k| script(k).into_iter()).collect();
+        for (gid, group) in gids.iter().zip(&mut per_group) {
+            let Some(GroupCmd::Join(creator)) = group.next() else { unreachable!() };
+            cmds.push(ShardCmd::Create { gid: *gid, capacity: 3, creator: Some(creator) });
+        }
+        let reply = GroupOutput { to: p(2), msg: NetMsg::App(AppMsg::from("ok lookup x 3")) };
+        cmds.push(ShardCmd::Reply(reply.clone()));
+        loop {
+            let mut any = false;
+            for (gid, group) in gids.iter().zip(&mut per_group) {
+                if let Some(cmd) = group.next() {
+                    cmds.push(ShardCmd::Apply { gid: *gid, cmd });
+                    any = true;
+                }
+            }
+            if !any {
+                break;
+            }
+        }
+        let n = cmds.len();
+        let (sink, log) = recording();
+        let counters = run_burst(cmds, &sink);
+        let batches = log.lock().unwrap().clone();
+        assert_eq!(batches.len(), n.div_ceil(MAX_BATCH), "one sink call per batch");
+        let handed: Vec<Outbound> = batches.into_iter().flatten().collect();
+        assert_eq!(
+            handed.iter().filter(|(g, _, _)| *g == GroupId::DIRECTORY).collect::<Vec<_>>(),
+            [&(GroupId::DIRECTORY, reply.to, reply.msg)]
+        );
+        for (k, gid) in (0..).zip(gids) {
+            let hosted: Vec<Outbound> =
+                handed.iter().filter(|(g, _, _)| *g == gid).cloned().collect();
+            let expected = isolated(gid, 3, &script(k));
+            assert!(expected.len() > 100, "{}", expected.len());
+            assert_eq!(hosted, expected, "{gid}: hosted == isolated, frame for frame");
+        }
+        assert_eq!(counters.frames_routed.load(Ordering::Relaxed), 3 * 45);
+        assert_eq!(counters.groups_hosted.load(Ordering::Relaxed), 3);
+    }
+
+    /// A batch whose outputs reach `c` idle clients costs the daemon's
+    /// transport exactly `c` socket writes, each made on the worker's
+    /// thread, and credits every frame as flushed.
+    #[test]
+    fn a_batch_reaching_c_idle_clients_raises_flushes_by_exactly_c() {
+        const C: u64 = 4;
+        let quiet = vsgm_net::TcpConfig {
+            heartbeat_interval: std::time::Duration::ZERO,
+            ..vsgm_net::TcpConfig::default()
+        };
+        let bind = |i: u64| {
+            vsgm_net::TcpTransport::bind_with(p(i), "127.0.0.1:0", quiet.clone()).unwrap()
+        };
+        let server = Arc::new(bind(0));
+        let clients: Vec<_> = (1..=C).map(bind).collect();
+        for (i, c) in (1..).zip(&clients) {
+            server.register_peer(p(i), c.local_addr());
+        }
+
+        // Dial every client, then wait for the writes to settle.
+        let hello: Vec<Outbound> =
+            (1..=C).map(|i| (GroupId::new(1), p(i), NetMsg::App(AppMsg::from("hi")))).collect();
+        assert_eq!(server.send_batch(&hello), 0);
+        for c in &clients {
+            c.recv_timeout(std::time::Duration::from_secs(10)).expect("hello arrives");
+        }
+        let settled = |s: &vsgm_net::NetStats| s.frames_flushed == s.frames_enqueued;
+        while !settled(&server.stats()) {
+            std::thread::yield_now();
+        }
+        let before = server.stats();
+        let handed: Arc<AtomicU64> = Arc::default();
+        let sink: Sink = {
+            let (server, handed) = (Arc::clone(&server), Arc::clone(&handed));
+            Arc::new(move |batch: &mut Vec<Outbound>| {
+                handed.fetch_add(batch.len() as u64, Ordering::Relaxed);
+                assert_eq!(server.send_batch(batch), 0);
+            })
+        };
+        let gid = GroupId::new(1);
+        let mut cmds = vec![ShardCmd::Create { gid, capacity: C, creator: Some(p(1)) }];
+        cmds.extend((2..=C).map(|m| ShardCmd::Apply { gid, cmd: GroupCmd::Join(p(m)) }));
+        cmds.push(ShardCmd::Apply { gid, cmd: send(1, "to all") });
+        run_burst(cmds, &sink);
+        let after = server.stats();
+        let frames = handed.load(Ordering::Relaxed);
+        assert_eq!(after.flushes - before.flushes, C, "{before:?} {after:?}");
+        assert_eq!(after.frames_flushed - before.frames_flushed, frames);
+        assert_eq!(after.frames_enqueued - before.frames_enqueued, frames);
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+        let mut got = 0;
+        while got < frames {
+            assert!(std::time::Instant::now() < deadline, "{got} of {frames} frames arrived");
+            for c in &clients {
+                while c.try_recv().is_some() {
+                    got += 1;
+                }
+            }
+        }
+        assert_eq!(got, frames);
+    }
+
+    /// `report` and `finish` are answered only once every output of the
+    /// commands queued before them has been handed to the sink, even
+    /// when they share a batch with those commands.
+    #[test]
+    fn report_and_finish_answer_after_their_batch_is_handed_over() {
+        let gid = GroupId::new(2);
+        let (report_tx, report_rx) = unbounded();
+        let (finish_tx, finish_rx) = unbounded();
+        let finish_rx_seen = finish_rx.clone();
+        // Each sink call logs its batch size and the replies sent so far.
+        let log: Arc<std::sync::Mutex<Vec<(usize, usize)>>> = Arc::default();
+        let reports: Arc<std::sync::Mutex<Vec<Option<GroupReport>>>> = Arc::default();
+        let sink: Sink = {
+            let (log, reports) = (Arc::clone(&log), Arc::clone(&reports));
+            Arc::new(move |batch: &mut Vec<Outbound>| {
+                let mut reports = reports.lock().unwrap();
+                reports.extend(report_rx.try_iter());
+                let answered = reports.len() + finish_rx_seen.try_iter().count();
+                log.lock().unwrap().push((batch.len(), answered));
+            })
+        };
+        run_burst(
+            vec![
+                ShardCmd::Create { gid, capacity: 2, creator: Some(p(1)) },
+                ShardCmd::Apply { gid, cmd: GroupCmd::Join(p(2)) },
+                ShardCmd::Apply { gid, cmd: send(1, "before the report") },
+                ShardCmd::Report { gid, reply: report_tx },
+                ShardCmd::Apply { gid, cmd: send(2, "before the finish") },
+                ShardCmd::Finish { gid, reply: finish_tx },
+            ],
+            &sink,
+        );
+        let mut cmds = vec![GroupCmd::Join(p(1)), GroupCmd::Join(p(2)), send(1, "x")];
+        let before_report = isolated(gid, 2, &cmds).len();
+        cmds.push(send(2, "y"));
+        let before_finish = isolated(gid, 2, &cmds).len() - before_report;
+        assert!(before_report > 0 && before_finish > 0);
+        assert_eq!(*log.lock().unwrap(), [(before_report, 0), (before_finish, 1)]);
+        assert!(matches!(reports.lock().unwrap().as_slice(), [Some(r)] if r.delivered > 0));
+        assert_eq!(finish_rx.recv().unwrap(), Some(vec![]));
     }
 }

@@ -301,3 +301,55 @@ fn racing_creates_and_joins_from_both_loops_each_lead_to_a_view() {
         assert_eq!(server.shards().finish(*gid), Some(vec![]));
     }
 }
+
+/// A client that goes away stays a member of its group, so the group
+/// keeps owing it frames. Once its connection is found broken and cannot
+/// be re-dialed, each of them is counted in `frames_unsent` — exactly
+/// one per multicast here — and the group's other members still receive
+/// theirs. (Before the counter, the daemon's sink discarded every send
+/// error.)
+#[test]
+fn frames_owed_to_a_dropped_client_are_counted_and_the_others_still_get_theirs() {
+    let _serial = serial();
+    let server = two_shards();
+    let (a, b, c) =
+        (Client::connect(1, &server), Client::connect(2, &server), Client::connect(3, &server));
+    let g = GroupId::new(1);
+    assert_eq!(a.request("create room"), "ok create room 1");
+    assert_eq!(b.request("join room"), "ok join room 1");
+    assert_eq!(c.request("join room"), "ok join room 1");
+    for client in [&a, &b, &c] {
+        client.await_view(g, &[1, 2, 3]);
+    }
+    a.to_server(g, "all there");
+    for client in [&a, &b, &c] {
+        client.await_delivery(g, p(1), "all there");
+    }
+    assert_eq!(server.stats().frames_unsent, 0);
+    drop(c);
+    // Multicast until the daemon has found `c`'s connection broken.
+    let mut sent = 0;
+    while server.stats().frames_unsent == 0 {
+        assert!(sent < 200, "no frame for the dropped client was ever counted");
+        let text = format!("probe {sent}");
+        a.to_server(g, &text);
+        b.await_delivery(g, p(1), &text);
+        sent += 1;
+    }
+    // A report is answered only after the shard handed over everything
+    // queued before it: no push to `c` is still under way.
+    server.shards().report(g).expect("hosted");
+    let counted = server.stats().frames_unsent;
+    for i in 0..5 {
+        let text = format!("after {i}");
+        a.to_server(g, &text);
+        a.await_delivery(g, p(1), &text);
+        b.await_delivery(g, p(1), &text);
+    }
+    server.shards().report(g).expect("hosted");
+    assert_eq!(server.stats().frames_unsent, counted + 5, "{:?}", server.stats());
+    let mut reg = vsgm_obs::Registry::new();
+    server.export_obs(&mut reg);
+    assert_eq!(reg.counter(vsgm_obs::names::SERVER_FRAMES_UNSENT), counted + 5);
+    assert_eq!(server.shards().finish(g), Some(vec![]));
+}

@@ -51,6 +51,18 @@ pub(crate) struct ViewCursor {
     last_dlvrd: VecMap<(ProcessId, ProcessId), u64>,
 }
 
+/// A member's standing towards one view, as [`ViewCursor::reader`]
+/// finds it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Reader {
+    /// Local Monotonicity still lets it install the view.
+    CanInstall,
+    /// It is alive and in the view now.
+    Live,
+    /// Neither: it will never read what is sent in the view.
+    Gone,
+}
+
 #[derive(Debug)]
 struct Proc {
     /// `current_view[p]`.
@@ -80,6 +92,23 @@ impl ViewCursor {
     /// Whether Local Monotonicity still lets `r` install `v`.
     pub(crate) fn can_install(&self, r: ProcessId, v: &View) -> bool {
         self.floor(r) < v.id()
+    }
+
+    /// Where `r` stands as a reader of what is sent in `v`, found with
+    /// one lookup of `r`: what [`ViewCursor::can_install`],
+    /// [`ViewCursor::is_in`] and [`ViewCursor::crashed`] answer together.
+    pub(crate) fn reader(&self, r: ProcessId, v: &View) -> Reader {
+        let (floor, in_v, crashed) = match self.procs.get(&r) {
+            Some(s) => (s.floor, s.view == *v, s.crashed),
+            None => (ViewId::ZERO, v.is_initial_of(r), false),
+        };
+        if floor < v.id() {
+            Reader::CanInstall
+        } else if in_v && !crashed {
+            Reader::Live
+        } else {
+            Reader::Gone
+        }
     }
 
     pub(crate) fn incarnation(&self, p: ProcessId) -> u64 {

@@ -1,6 +1,6 @@
 //! `WV_RFIFO:SPEC` — within-view reliable FIFO multicast (Fig. 4).
 
-use crate::view_sync::ViewCursor;
+use crate::view_sync::{Reader, ViewCursor};
 use std::collections::{BTreeMap, VecDeque};
 use vsgm_types::{AppMsg, ProcessId, VecMap, View};
 
@@ -77,12 +77,13 @@ impl Sent {
 fn horizon(cursor: &ViewCursor, v: &View, sender: ProcessId) -> Option<u64> {
     let mut least: Option<u64> = None;
     for r in v.members() {
-        if cursor.can_install(*r, v) {
-            return Some(0);
-        }
-        if cursor.is_in(*r, v) && !cursor.crashed(*r) {
-            let next = cursor.delivered(sender, *r);
-            least = Some(least.map_or(next, |l| l.min(next)));
+        match cursor.reader(*r, v) {
+            Reader::CanInstall => return Some(0),
+            Reader::Live => {
+                let next = cursor.delivered(sender, *r);
+                least = Some(least.map_or(next, |l| l.min(next)));
+            }
+            Reader::Gone => {}
         }
     }
     least

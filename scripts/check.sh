@@ -53,8 +53,10 @@ for cfg in canonical aggregation crash-recovery corruption ack-round; do
     [ "$cfg" != ack-round ] || grep -q '"paths":30928,' <<<"$explored"
 done
 
-# TSan smoke: the writer-thread / batching / transport paths of vsgm-net
-# under ThreadSanitizer. A *sound* run needs std itself instrumented
+# TSan smoke: the writer / batching / transport paths of vsgm-net under
+# ThreadSanitizer — `writer::` includes the inline-write tests: batch
+# pushers writing the socket on their own threads beside frame pushers,
+# a heartbeat prober and the loop's drain. A *sound* run needs std itself instrumented
 # (-Zbuild-std), i.e. a nightly toolchain with the rust-src component —
 # without it TSan sees no happens-before edges inside std's locks and
 # reports false races, so the stage skips rather than cry wolf. Where it
@@ -190,14 +192,27 @@ cargo test -q -p vsgm --test multigroup_chaos "${CARGO_FLAGS[@]}" >/dev/null
 # counts to baseline (the loops' router holds the shard pool and the
 # pool's sink sends on the transport: a strong cycle there leaks a
 # daemon per round); one client's `join`/`leave` and the multicast it
-# sends right behind each are applied in the order it sent them; and
-# clients on both loops racing `create`/`join` each end in a view.
+# sends right behind each are applied in the order it sent them;
+# clients on both loops racing `create`/`join` each end in a view; and
+# the frames owed to a dropped client are counted in
+# `server.frames_unsent`, exactly one per multicast, while the group's
+# other members still receive theirs. Then the shard worker's batching,
+# in exact counts: one burst of interleaved commands for three groups
+# gives each group the isolated instance's frames in order, one sink
+# call per batch; a batch reaching c idle clients costs exactly c socket
+# writes; `report` and `finish` are answered only after the outputs
+# queued before them were handed over.
 echo "==> vsgm-server (daemon threads and order; memory soaks plateau x3, footprint)"
 cargo test -q -p vsgm-server --test daemon "${CARGO_FLAGS[@]}" -- --exact \
     a_two_shard_daemon_runs_five_threads \
     dropping_a_daemon_gives_back_its_threads_and_descriptors \
     a_clients_verbs_and_multicasts_are_applied_in_the_order_it_sent_them \
-    racing_creates_and_joins_from_both_loops_each_lead_to_a_view >/dev/null
+    racing_creates_and_joins_from_both_loops_each_lead_to_a_view \
+    frames_owed_to_a_dropped_client_are_counted_and_the_others_still_get_theirs >/dev/null
+cargo test -q -p vsgm-server --lib "${CARGO_FLAGS[@]}" -- --exact \
+    shard::tests::one_burst_for_three_groups_gives_each_its_isolated_frames_in_order \
+    shard::tests::a_batch_reaching_c_idle_clients_raises_flushes_by_exactly_c \
+    shard::tests::report_and_finish_answer_after_their_batch_is_handed_over >/dev/null
 for soak in resident_memory_plateaus_under_multicast_with_churn \
             resident_memory_plateaus_in_a_view_that_never_changes \
             resident_memory_plateaus_under_view_changes \
