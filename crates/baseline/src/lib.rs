@@ -424,8 +424,10 @@ impl GroupEndpoint for BaselineEndpoint {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashMap as StdHashMap;
-    use vsgm_types::{AppMsg, StartChangeId, ViewId};
+    use std::collections::{HashMap as StdHashMap, VecDeque};
+    use vsgm_core::{Hosted, Sink};
+    use vsgm_obs::{NoopRecorder, Recorder};
+    use vsgm_types::{AppMsg, Event, StartChangeId, ViewId};
 
     fn p(i: u64) -> ProcessId {
         ProcessId::new(i)
@@ -437,7 +439,7 @@ mod tests {
 
     /// Instant-routing harness mirroring the one in vsgm-core's tests.
     struct Net {
-        eps: StdHashMap<ProcessId, BaselineEndpoint>,
+        eps: StdHashMap<ProcessId, Hosted<BaselineEndpoint>>,
         delivered: Vec<(ProcessId, ProcessId, AppMsg)>,
         views: Vec<(ProcessId, View, ProcSet)>,
         msgs_by_tag: StdHashMap<&'static str, u64>,
@@ -446,7 +448,10 @@ mod tests {
     impl Net {
         fn new(ids: &[u64]) -> Self {
             Net {
-                eps: ids.iter().map(|&i| (p(i), BaselineEndpoint::new(p(i)))).collect(),
+                eps: ids
+                    .iter()
+                    .map(|&i| (p(i), Hosted::new(BaselineEndpoint::new(p(i)))))
+                    .collect(),
                 delivered: Vec::new(),
                 views: Vec::new(),
                 msgs_by_tag: StdHashMap::new(),
@@ -454,8 +459,7 @@ mod tests {
         }
 
         fn input(&mut self, to: u64, input: Input) {
-            let effects = self.eps.get_mut(&p(to)).unwrap().handle(input);
-            self.route(p(to), effects);
+            self.run(p(to), |h, rec, out| h.input(input, rec, out));
         }
 
         fn settle(&mut self) {
@@ -463,11 +467,7 @@ mod tests {
                 let mut progress = false;
                 let ids: Vec<ProcessId> = self.eps.keys().copied().collect();
                 for id in ids {
-                    let effects = self.eps.get_mut(&id).unwrap().poll();
-                    if !effects.is_empty() {
-                        progress = true;
-                        self.route(id, effects);
-                    }
+                    progress |= self.run(id, |h, rec, out| h.poll(rec, out));
                 }
                 if !progress {
                     return;
@@ -476,37 +476,39 @@ mod tests {
             panic!("did not settle");
         }
 
-        fn route(&mut self, from: ProcessId, effects: Vec<Effect>) {
-            for e in effects {
-                match e {
-                    Effect::NetSend { to, msg } => {
-                        *self.msgs_by_tag.entry(msg.tag()).or_insert(0) += to.len() as u64;
-                        for dest in to {
-                            if dest == from {
-                                continue;
-                            }
-                            let more = self
-                                .eps
-                                .get_mut(&dest)
-                                .unwrap()
-                                .handle(Input::Net { from, msg: msg.clone() });
-                            self.route(dest, more);
-                        }
-                    }
-                    Effect::DeliverApp { from: sender, msg } => {
-                        self.delivered.push((from, sender, msg));
-                    }
-                    Effect::InstallView { view, transitional } => {
-                        self.views.push((from, view, transitional));
-                    }
-                    Effect::Block => {
-                        let more = self.eps.get_mut(&from).unwrap().handle(Input::BlockOk);
-                        self.route(from, more);
-                    }
-                    Effect::SetReliable(_) => {}
-                    Effect::Reconciled => {}
-                }
+        /// Runs `call` on `p`'s hosted end-point, then hands every message
+        /// sent on to its addressees at once, until none is left.
+        fn run<R>(
+            &mut self,
+            p: ProcessId,
+            call: impl FnOnce(&mut Hosted<BaselineEndpoint>, &mut dyn Recorder, &mut Sink<'_>) -> R,
+        ) -> R {
+            let mut sent = VecDeque::new();
+            let result = self.step(p, call, &mut sent);
+            while let Some((from, to, msg)) = sent.pop_front() {
+                self.step(to, |h, rec, out| h.input(Input::Net { from, msg }, rec, out), &mut sent);
             }
+            result
+        }
+
+        fn step<R>(
+            &mut self,
+            p: ProcessId,
+            call: impl FnOnce(&mut Hosted<BaselineEndpoint>, &mut dyn Recorder, &mut Sink<'_>) -> R,
+            sent: &mut VecDeque<(ProcessId, ProcessId, NetMsg)>,
+        ) -> R {
+            let Net { eps, delivered, views, msgs_by_tag } = self;
+            call(eps.get_mut(&p).unwrap(), &mut NoopRecorder, &mut |event, _| match event {
+                Event::NetSend { p: from, set, msg } => {
+                    *msgs_by_tag.entry(msg.tag()).or_insert(0) += set.len() as u64;
+                    for to in set.into_iter().filter(|to| *to != from) {
+                        sent.push_back((from, to, msg.clone()));
+                    }
+                }
+                Event::Deliver { p, q, msg } => delivered.push((p, q, msg)),
+                Event::GcsView { p, view, transitional } => views.push((p, view, transitional)),
+                _ => {}
+            })
         }
 
         fn reconfigure(&mut self, members: &[u64], epoch: u64, cid: u64) -> View {
@@ -581,10 +583,11 @@ mod tests {
         net.input(2, Input::StartChange { cid: StartChangeId::new(2), set: set(&[1, 2]) });
         net.input(1, Input::AppSend(AppMsg::from("during")));
         // Deliver p2's poll: it is blocked, so nothing reaches its app.
-        let effects = net.eps.get_mut(&p(2)).unwrap().poll();
+        let mut seen = Vec::new();
+        net.eps.get_mut(&p(2)).unwrap().poll(&mut NoopRecorder, &mut |e, _| seen.push(e));
         assert!(
-            !effects.iter().any(|e| matches!(e, Effect::DeliverApp { .. })),
-            "baseline must not deliver while agreement is pending: {effects:?}"
+            !seen.iter().any(|e| matches!(e, Event::Deliver { .. })),
+            "baseline must not deliver while agreement is pending: {seen:?}"
         );
     }
 

@@ -81,10 +81,11 @@ pub enum Effect {
     SetReliable(ProcSet),
     /// Self-stabilization ([`Config::audit`]): the tick-cadence
     /// [`crate::audit`] pass found the local state illegal and the
-    /// end-point reset itself through the §8 recovery path. The driver
-    /// should treat this exactly like an observed crash+recover pair —
-    /// tear down the end-point's channels and re-admit it through the
-    /// membership service.
+    /// end-point reset itself through the §8 recovery path.
+    /// [`crate::Hosted`] shows its host a `Crash` and a `Recover` event and
+    /// gives the end-point a fresh client; the host tears down the
+    /// end-point's channels and re-admits it through the membership
+    /// service, as for an observed crash+recover pair.
     Reconciled,
 }
 
@@ -704,7 +705,7 @@ impl Automaton for Endpoint {
 impl Endpoint {
     /// Fires one locally controlled action with an observability
     /// [`Recorder`] — the instrumented body behind [`Automaton::fire`].
-    fn fire_rec(&mut self, action: &Action, rec: &mut dyn Recorder) -> Vec<Effect> {
+    pub(crate) fn fire_rec(&mut self, action: &Action, rec: &mut dyn Recorder) -> Vec<Effect> {
         debug_assert!(!self.st.crashed, "fire while crashed");
         match action {
             Action::SetReliable => {

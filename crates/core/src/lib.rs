@@ -70,7 +70,7 @@ pub mod wv;
 
 pub use audit::AuditFailure;
 pub use batch::{BatchConfig, FlushCause};
-pub use client::BlockingClient;
+pub use client::{BlockingClient, Hosted, Sink};
 pub use corrupt::CorruptionKind;
 pub use config::{Config, Stack};
 pub use endpoint::{Action, Effect, Endpoint, EndpointStats, GroupEndpoint, Input};

@@ -1,13 +1,15 @@
-//! A runtime node: an [`Endpoint`] pumped over a real [`TcpTransport`].
+//! A runtime node: a [`Hosted`] end-point pumped over a real
+//! [`TcpTransport`]. Its application is held to `CLIENT:SPEC` by the
+//! composition every host shares ([`crate::client`]).
 
-use crate::endpoint::{Effect, Endpoint, Input};
+use crate::client::{Hosted, Sink};
+use crate::endpoint::{Endpoint, Input};
+use crate::stability::ACK_EVERY;
 use std::io;
 use std::time::{Duration, Instant};
 use vsgm_net::TcpTransport;
-use vsgm_types::{AppMsg, ProcSet, ProcessId, View};
-
-/// Deliveries dispatched between two stability acknowledgements.
-const ACK_EVERY: u64 = 64;
+use vsgm_obs::{NoopRecorder, Recorder};
+use vsgm_types::{AppMsg, Event, ProcSet, ProcessId, View};
 
 /// An application-facing event produced by a [`Node`] pump.
 #[derive(Debug, Clone, PartialEq)]
@@ -26,24 +28,24 @@ pub enum AppEvent {
         /// Its transitional set.
         transitional: ProcSet,
     },
-    /// The GCS asked the application to stop sending (only surfaced when
-    /// [`Node::set_auto_block_ok`] is disabled).
-    BlockRequested,
 }
 
-/// A single-threaded pump binding an [`Endpoint`] to a [`TcpTransport`]:
-/// incoming frames are fed to the endpoint, its `NetSend` effects go back
-/// out, and application-facing effects are returned to the caller.
+/// A single-threaded pump binding a [`Hosted`] end-point to a
+/// [`TcpTransport`]: incoming frames are fed to the end-point, its
+/// `NetSend`s go back out, and deliveries and views are returned to the
+/// caller. Blocks are acknowledged for the application, which may keep
+/// calling [`Node::send`]: what it sends while blocked goes out in the
+/// next view. An audit reset (§8) leaves it a fresh client; the
+/// transport reconnects lazily, so it needs nothing else.
 ///
-/// TCP is reliable per connected pair, so `SetReliable` effects are
+/// TCP is reliable per connected pair, so `Reliable` events are
 /// informational and dropped. Once every [`ACK_EVERY`] deliveries the
-/// pump asks the endpoint for a stability acknowledgement
+/// pump asks the end-point for a stability acknowledgement
 /// ([`crate::stability`]).
 #[derive(Debug)]
 pub struct Node {
-    ep: Endpoint,
+    hosted: Hosted,
     transport: TcpTransport,
-    auto_block_ok: bool,
     /// Origin of the endpoint's [`Input::Tick`] timebase (wall clock,
     /// measured from node creation).
     epoch: Instant,
@@ -64,18 +66,12 @@ impl Node {
     )]
     pub fn new(ep: Endpoint, transport: TcpTransport) -> Self {
         assert_eq!(ep.pid(), transport.me(), "endpoint/transport identity mismatch");
-        Node { ep, transport, auto_block_ok: true, epoch: Instant::now(), delivered_since_ack: 0 }
-    }
-
-    /// Whether `block` requests are auto-acknowledged (default: true).
-    /// Disable to drive the handshake from application code.
-    pub fn set_auto_block_ok(&mut self, auto: bool) {
-        self.auto_block_ok = auto;
+        Node { hosted: Hosted::new(ep), transport, epoch: Instant::now(), delivered_since_ack: 0 }
     }
 
     /// The wrapped endpoint.
     pub fn endpoint(&self) -> &Endpoint {
-        &self.ep
+        self.hosted.ep()
     }
 
     /// The transport.
@@ -85,17 +81,18 @@ impl Node {
 
     /// The endpoint's protocol counters.
     pub fn stats(&self) -> crate::endpoint::EndpointStats {
-        self.ep.stats()
+        self.hosted.ep().stats()
     }
 
-    /// Multicasts `m` to the current view and pumps.
+    /// Multicasts `m` to the current view — or, while the client is
+    /// blocked, to the next one — and pumps.
     ///
     /// # Errors
     ///
     /// Propagates transport send failures.
     pub fn send(&mut self, m: AppMsg) -> io::Result<Vec<AppEvent>> {
-        let effects = self.ep.handle(Input::AppSend(m));
-        let mut out = self.dispatch(effects)?;
+        let mut out = Vec::new();
+        self.step(&mut out, |h, rec, sink| h.send(m, rec, sink))?;
         out.extend(self.pump(Duration::ZERO)?);
         Ok(out)
     }
@@ -107,20 +104,8 @@ impl Node {
     ///
     /// Propagates transport send failures.
     pub fn membership(&mut self, input: Input) -> io::Result<Vec<AppEvent>> {
-        let effects = self.ep.handle(input);
-        let mut out = self.dispatch(effects)?;
-        out.extend(self.pump(Duration::ZERO)?);
-        Ok(out)
-    }
-
-    /// Acknowledges a block request (when auto-ack is disabled).
-    ///
-    /// # Errors
-    ///
-    /// Propagates transport send failures.
-    pub fn block_ok(&mut self) -> io::Result<Vec<AppEvent>> {
-        let effects = self.ep.handle(Input::BlockOk);
-        let mut out = self.dispatch(effects)?;
+        let mut out = Vec::new();
+        self.step(&mut out, |h, rec, sink| h.input(input, rec, sink))?;
         out.extend(self.pump(Duration::ZERO)?);
         Ok(out)
     }
@@ -142,22 +127,20 @@ impl Node {
         let deadline = Instant::now() + wait;
         let mut out = Vec::new();
         loop {
-            // Feed the wall clock as an explicit Tick input (only the
-            // batching linger deadline reads it).
+            // Feed the wall clock as an explicit Tick input: the batching
+            // linger deadline reads it, and so does the audit, whose reset
+            // the composition carries out.
             let now_us = self.epoch.elapsed().as_micros() as u64;
-            let _ = self.ep.handle(Input::Tick(now_us));
+            self.step(&mut out, |h, rec, sink| h.input(Input::Tick(now_us), rec, sink))?;
             // Ingest whatever is queued (blocking up to the deadline for
             // the first frame only).
             let mut got_any = false;
             while let Some((from, msg)) = self.transport.try_recv() {
                 got_any = true;
-                let effects = self.ep.handle(Input::Net { from, msg });
-                out.extend(self.dispatch(effects)?);
+                self.step(&mut out, |h, rec, sink| h.input(Input::Net { from, msg }, rec, sink))?;
             }
-            let effects = self.ep.poll();
-            let had_effects = !effects.is_empty();
-            out.extend(self.dispatch(effects)?);
-            if got_any || had_effects {
+            let acted = self.step(&mut out, |h, rec, sink| h.poll(rec, sink))?;
+            if got_any || acted {
                 continue;
             }
             let now = Instant::now();
@@ -168,7 +151,7 @@ impl Node {
             // deadline, so the linger bound holds under an idle socket.
             let mut wait_for = deadline - now;
             let mut flush_wake = false;
-            if let Some(flush_at) = self.ep.next_deadline_us() {
+            if let Some(flush_at) = self.hosted.ep().next_deadline_us() {
                 let remaining = Duration::from_micros(flush_at.saturating_sub(now_us));
                 if remaining < wait_for {
                     wait_for = remaining;
@@ -177,8 +160,8 @@ impl Node {
             }
             match self.transport.recv_timeout(wait_for) {
                 Some((from, msg)) => {
-                    let effects = self.ep.handle(Input::Net { from, msg });
-                    out.extend(self.dispatch(effects)?);
+                    let input = Input::Net { from, msg };
+                    self.step(&mut out, |h, rec, sink| h.input(input, rec, sink))?;
                 }
                 // A flush wake is not the caller's deadline: loop again
                 // (the fresh Tick releases the batch).
@@ -188,41 +171,42 @@ impl Node {
         }
     }
 
-    fn dispatch(&mut self, effects: Vec<Effect>) -> io::Result<Vec<AppEvent>> {
-        let mut out = Vec::new();
-        for e in effects {
-            match e {
-                Effect::NetSend { to, msg } => self.transport.send(&to, &msg)?,
-                Effect::SetReliable(_) => {}
-                Effect::DeliverApp { from, msg } => {
-                    out.push(AppEvent::Delivered { from, msg });
-                    self.delivered_since_ack += 1;
-                    if self.delivered_since_ack >= ACK_EVERY {
-                        self.delivered_since_ack = 0;
-                        // Arms the acknowledgement; the pump's next poll
-                        // sends it.
-                        let _ = self.ep.handle(Input::AckDue);
-                    }
-                }
-                Effect::InstallView { view, transitional } => {
-                    out.push(AppEvent::View { view, transitional });
-                }
-                Effect::Block => {
-                    if self.auto_block_ok {
-                        let more = self.ep.handle(Input::BlockOk);
-                        out.extend(self.dispatch(more)?);
-                    } else {
-                        out.push(AppEvent::BlockRequested);
-                    }
-                }
-                // Audit-driven self-reset (never fires here: nodes run
-                // with the audit off unless a deployment opts in, and a
-                // legal-state endpoint never trips it). The transport
-                // reconnects lazily, so no teardown is needed.
-                Effect::Reconciled => {}
+    /// Runs `call` on the hosted end-point: a `NetSend` goes out over TCP
+    /// (none after the first failure, which is returned once the other
+    /// events are handled), a `Deliver` or `GcsView` becomes an
+    /// [`AppEvent`], and every [`ACK_EVERY`]th delivery arms an
+    /// acknowledgement once `call` returns.
+    fn step<R>(
+        &mut self,
+        out: &mut Vec<AppEvent>,
+        call: impl FnOnce(&mut Hosted, &mut dyn Recorder, &mut Sink<'_>) -> R,
+    ) -> io::Result<R> {
+        let Node { hosted, transport, delivered_since_ack, .. } = self;
+        let mut failed = None;
+        let mut ack_due = false;
+        let result = call(hosted, &mut NoopRecorder, &mut |event, _| match event {
+            Event::NetSend { set, msg, .. } if failed.is_none() => {
+                failed = transport.send(&set, &msg).err();
             }
+            Event::Deliver { q, msg, .. } => {
+                out.push(AppEvent::Delivered { from: q, msg });
+                *delivered_since_ack += 1;
+                if *delivered_since_ack >= ACK_EVERY {
+                    *delivered_since_ack = 0;
+                    ack_due = true;
+                }
+            }
+            Event::GcsView { view, transitional, .. } => {
+                out.push(AppEvent::View { view, transitional });
+            }
+            _ => {}
+        });
+        if ack_due {
+            // Arms the acknowledgement, which has no effects of its own;
+            // the pump's next poll sends it.
+            hosted.input(Input::AckDue, &mut NoopRecorder, &mut |_, _| {});
         }
-        Ok(out)
+        failed.map_or(Ok(result), Err)
     }
 }
 
@@ -236,15 +220,12 @@ mod tests {
         ProcessId::new(i)
     }
 
-    fn tcp_pair() -> (Node, Node) {
+    fn tcp_pair(cfg: Config) -> (Node, Node) {
         let t1 = TcpTransport::bind(p(1), "127.0.0.1:0").unwrap();
         let t2 = TcpTransport::bind(p(2), "127.0.0.1:0").unwrap();
         t1.register_peer(p(2), t2.local_addr());
         t2.register_peer(p(1), t1.local_addr());
-        (
-            Node::new(Endpoint::new(p(1), Config::default()), t1),
-            Node::new(Endpoint::new(p(2), Config::default()), t2),
-        )
+        (Node::new(Endpoint::new(p(1), cfg.clone()), t1), Node::new(Endpoint::new(p(2), cfg), t2))
     }
 
     fn two_view() -> View {
@@ -271,7 +252,7 @@ mod tests {
 
     #[test]
     fn two_nodes_over_tcp_form_view_and_exchange() {
-        let (mut a, mut b) = tcp_pair();
+        let (mut a, mut b) = tcp_pair(Config::default());
         let members: ProcSet = [p(1), p(2)].into_iter().collect();
         let view = two_view();
         let mut events = Vec::new();
@@ -308,18 +289,86 @@ mod tests {
         );
     }
 
+    /// Pumps both nodes until `done` holds for each one's own events.
+    fn pump_each_until(
+        nodes: [&mut Node; 2],
+        seen: &mut [Vec<AppEvent>; 2],
+        done: impl Fn(&[AppEvent]) -> bool,
+    ) {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        let [a, b] = nodes;
+        while !(done(&seen[0]) && done(&seen[1])) {
+            assert!(Instant::now() < deadline, "timed out; saw {seen:?}");
+            seen[0].extend(a.pump(Duration::from_millis(5)).unwrap());
+            seen[1].extend(b.pump(Duration::from_millis(5)).unwrap());
+        }
+    }
+
+    /// `CLIENT:SPEC` (Fig. 12): once a node has answered `block`, what its
+    /// application sends waits for the next view and is delivered in it,
+    /// at both nodes.
     #[test]
-    fn manual_block_handshake_surfaces_event() {
-        let (mut a, b) = tcp_pair();
-        a.set_auto_block_ok(false);
+    fn a_send_between_block_ok_and_the_next_view_is_delivered_in_that_view() {
+        let (mut a, mut b) = tcp_pair(Config::default());
         let members: ProcSet = [p(1), p(2)].into_iter().collect();
-        let evs = a
-            .membership(Input::StartChange { cid: StartChangeId::new(1), set: members.clone() })
-            .unwrap();
-        assert!(evs.contains(&AppEvent::BlockRequested), "{evs:?}");
-        // The sync message is withheld until block_ok.
-        let _ = b;
-        let evs = a.block_ok().unwrap();
-        assert!(evs.is_empty() || !evs.contains(&AppEvent::BlockRequested));
+        let mut seen = [Vec::new(), Vec::new()];
+        for (i, n) in [&mut a, &mut b].into_iter().enumerate() {
+            let cid = StartChangeId::new(1);
+            seen[i].extend(n.membership(Input::StartChange { cid, set: members.clone() }).unwrap());
+        }
+        for (i, n) in [&mut a, &mut b].into_iter().enumerate() {
+            seen[i].extend(n.membership(Input::MbrshpView(two_view())).unwrap());
+        }
+        let first = two_view();
+        pump_each_until([&mut a, &mut b], &mut seen, |evs| {
+            evs.iter().any(|e| matches!(e, AppEvent::View { view, .. } if *view == first))
+        });
+        // A second change: both nodes answer block with block_ok.
+        for (i, n) in [&mut a, &mut b].into_iter().enumerate() {
+            let cid = StartChangeId::new(2);
+            seen[i].extend(n.membership(Input::StartChange { cid, set: members.clone() }).unwrap());
+        }
+        assert!(a.hosted.client().is_blocked() && b.hosted.client().is_blocked());
+        let held = AppMsg::from("held");
+        seen[0].extend(a.send(held.clone()).unwrap());
+        assert_eq!(a.hosted.client().queued_len(), 1, "the send waits for the view");
+        // The end-point is never handed a send after block_ok.
+        assert!(a.endpoint().state().pending_sends.is_empty());
+        let next = View::new(
+            ViewId::new(2, 0),
+            [p(1), p(2)],
+            [(p(1), StartChangeId::new(2)), (p(2), StartChangeId::new(2))],
+        );
+        for (i, n) in [&mut a, &mut b].into_iter().enumerate() {
+            seen[i].extend(n.membership(Input::MbrshpView(next.clone())).unwrap());
+        }
+        let delivered = |evs: &[AppEvent]| {
+            evs.iter().any(|e| matches!(e, AppEvent::Delivered { msg, .. } if *msg == held))
+        };
+        pump_each_until([&mut a, &mut b], &mut seen, delivered);
+        for evs in &seen {
+            let at = |want: &dyn Fn(&AppEvent) -> bool| evs.iter().position(want);
+            let view = at(&|e| matches!(e, AppEvent::View { view, .. } if *view == next));
+            let delivery = at(&|e| matches!(e, AppEvent::Delivered { msg, .. } if *msg == held));
+            assert!(view.is_some() && view < delivery, "delivered in the next view: {evs:?}");
+        }
+    }
+
+    /// An audited node whose end-point is damaged resets through the
+    /// composition: the tick of one pump finds the state illegal, and the
+    /// client starts over, unblocked, its queued send gone with the state.
+    #[test]
+    fn an_audit_reset_reaches_the_node_and_leaves_a_fresh_client() {
+        let (mut a, _b) = tcp_pair(Config { audit: true, ..Config::default() });
+        let members: ProcSet = [p(1), p(2)].into_iter().collect();
+        a.membership(Input::StartChange { cid: StartChangeId::new(1), set: members }).unwrap();
+        assert!(a.hosted.client().is_blocked());
+        a.send(AppMsg::from("lost")).unwrap();
+        assert_eq!(a.hosted.client().queued_len(), 1);
+        a.hosted.ep_mut().corrupt(crate::CorruptionKind::ScrambleMembership, 0);
+        a.pump(Duration::ZERO).unwrap();
+        assert!(!a.hosted.client().is_blocked());
+        assert_eq!(a.hosted.client().queued_len(), 0);
+        assert_eq!(a.endpoint().current_view(), &View::initial(p(1)));
     }
 }

@@ -25,6 +25,18 @@
 use crate::state::State;
 use vsgm_types::{Cut, MsgIndex, NetMsg, ProcSet, ProcessId};
 
+/// How often a host asks for acknowledgements ([`crate::Input::AckDue`]).
+/// The daemon's `GroupInstance` asks every member once this many
+/// multicasts have been applied to the group; a [`crate::Node`] asks its
+/// end-point once this many messages were delivered to its application.
+/// A member then retains about this many messages per sender, and a
+/// round costs n + n(n−1) events (EXPERIMENTS.md E16). The trigger stays
+/// in the hosts, not in [`crate::Hosted`]: `harness::Sim` acknowledges
+/// only on `Sim::ack_round`, its un-acknowledged run is the retaining
+/// reference `tests/stability_differential.rs` compares against, and a
+/// trigger inside the composition would need a switch to turn it off.
+pub const ACK_EVERY: u64 = 64;
+
 // ----- input actions -----
 
 /// `ack_due_p()` from the host: arm one acknowledgement. Ignored until

@@ -2,19 +2,22 @@
 //! FIFO channels, its schedulable transitions, and the conservative
 //! dependence relation DPOR pruning is keyed on.
 //!
-//! The composition mirrors the fine-grained schedule-exploration tests
-//! (and the §8 harness semantics): `vsgm-core` endpoints exchange
-//! messages over per-ordered-pair FIFO queues, membership notifications
-//! arrive as scripted externals, `block` requests are acknowledged
-//! immediately (the Fig. 12 client), and a crash wipes the victim's
-//! channels. Unlike the random walker, every nondeterministic choice is
-//! reified as a [`Transition`] so the explorer can enumerate them all.
+//! Each end-point is a [`Hosted`] one — composed with its Fig. 12 client
+//! exactly as the simulation harness and the daemon compose theirs — so
+//! `block` requests are acknowledged at once, a blocked client's scripted
+//! sends wait for the view, and a §8 reset shows as a crash/recover
+//! pair. The machine keeps only the channel: per-ordered-pair FIFO
+//! queues, which a `Crash` event wipes both ways. Membership
+//! notifications arrive as scripted externals. Unlike the random walker,
+//! every nondeterministic choice is reified as a [`Transition`] so the
+//! explorer can enumerate them all.
 
 use crate::config::{ExploreConfig, ExtEvent, ExtKind};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
-use vsgm_core::{Effect, Endpoint, Input};
+use vsgm_core::{Endpoint, Hosted, Input, Sink};
 use vsgm_ioa::{Automaton, Dependence};
-use vsgm_types::{Event, NetMsg, ProcSet, ProcessId};
+use vsgm_obs::{NoopRecorder, Recorder};
+use vsgm_types::{Event, NetMsg, ProcessId};
 
 /// One schedulable transition of the composition.
 ///
@@ -94,17 +97,14 @@ impl Dependence for Transition {
 /// so a clone is an exact snapshot).
 #[derive(Debug, Clone)]
 pub struct State {
-    /// The endpoint automata.
-    pub eps: BTreeMap<ProcessId, Endpoint>,
+    /// The endpoint automata, each with its Fig. 12 client.
+    pub eps: BTreeMap<ProcessId, Hosted>,
     /// Per ordered pair, the in-flight FIFO channel.
     pub channels: BTreeMap<(ProcessId, ProcessId), VecDeque<NetMsg>>,
     /// Which scripted externals have fired.
     pub fired: Vec<bool>,
     /// Currently crashed processes (§8).
     pub crashed: BTreeSet<ProcessId>,
-    /// Processes whose client acknowledged a `block` and has not yet
-    /// seen the view (sends are gated off — Fig. 12).
-    pub blocked: BTreeSet<ProcessId>,
 }
 
 /// Drives a configuration's composition: owns the (path-local) trace and
@@ -133,13 +133,12 @@ impl<'a> Machine<'a> {
             eps: (1..=self.cfg.n)
                 .map(|i| {
                     let p = ProcessId::new(i);
-                    (p, Endpoint::new(p, self.cfg.endpoint.clone()))
+                    (p, Hosted::new(Endpoint::new(p, self.cfg.endpoint.clone())))
                 })
                 .collect(),
             channels: BTreeMap::new(),
             fired: vec![false; self.cfg.events.len()],
             crashed: BTreeSet::new(),
-            blocked: BTreeSet::new(),
         };
         let setup: Vec<ExtEvent> = self.cfg.setup.clone();
         for ev in &setup {
@@ -169,8 +168,8 @@ impl<'a> Machine<'a> {
 
     fn enabled_internal(&self, st: &State) -> Vec<Transition> {
         let mut out = Vec::new();
-        for (p, ep) in &st.eps {
-            if !st.crashed.contains(p) && !ep.enabled_actions().is_empty() {
+        for (p, host) in &st.eps {
+            if !st.crashed.contains(p) && !host.ep().enabled_actions().is_empty() {
                 out.push(Transition::Fire { p: *p });
             }
         }
@@ -195,7 +194,7 @@ impl<'a> Machine<'a> {
             }
             let ready = match &ev.kind {
                 // Fig. 12: a blocked client does not send.
-                ExtKind::Send(_) => !st.blocked.contains(&ev.p),
+                ExtKind::Send(_) => !st.eps.get(&ev.p).is_some_and(|h| h.client().is_blocked()),
                 ExtKind::Crash => !st.crashed.contains(&ev.p),
                 ExtKind::Recover => st.crashed.contains(&ev.p),
                 // A transient fault strikes live state only; a crashed
@@ -222,12 +221,11 @@ impl<'a> Machine<'a> {
                 // Macro-step: drain p's enabled actions in canonical
                 // order until locally quiescent.
                 for _ in 0..self.cfg.max_depth {
-                    let ep = st.eps.get_mut(p).expect("known proc");
-                    let Some(action) = ep.enabled_actions().into_iter().next() else {
+                    let host = st.eps.get(p).expect("known proc");
+                    let Some(action) = host.ep().enabled_actions().into_iter().next() else {
                         return;
                     };
-                    let effects = ep.fire(&action);
-                    self.route(st, *p, effects);
+                    self.step(st, *p, |h, rec, out| h.fire(&action, rec, out));
                 }
                 panic!("{}: endpoint {p} never went locally quiescent", self.cfg.name);
             }
@@ -238,9 +236,8 @@ impl<'a> Machine<'a> {
                     .and_then(VecDeque::pop_front)
                     .expect("delivery was enabled");
                 self.trace.push(Event::NetDeliver { p: *from, q: *to, msg: msg.clone() });
-                let effects =
-                    st.eps.get_mut(to).expect("known proc").handle(Input::Net { from: *from, msg });
-                self.route(st, *to, effects);
+                let input = Input::Net { from: *from, msg };
+                self.step(st, *to, |h, rec, out| h.input(input, rec, out));
             }
             Transition::External { index, .. } => {
                 let ev = self.cfg.events.get(*index).expect("known event").clone();
@@ -252,15 +249,6 @@ impl<'a> Machine<'a> {
         }
     }
 
-    /// The peers currently considered alive and connected (full
-    /// connectivity minus crashed processes) — recorded as
-    /// `CO_RFIFO.live` alongside each membership notification, exactly
-    /// as the simulation harness does, to scope the reliable-FIFO
-    /// obligations across crashes.
-    fn live_set(&self, st: &State) -> ProcSet {
-        st.eps.keys().filter(|p| !st.crashed.contains(p)).copied().collect()
-    }
-
     fn fire_external(&mut self, st: &mut State, ev: &ExtEvent) {
         let p = ev.p;
         match &ev.kind {
@@ -268,56 +256,28 @@ impl<'a> Machine<'a> {
                 if st.crashed.contains(&p) {
                     return; // a crashed client sends nothing
                 }
-                self.trace.push(Event::Send { p, msg: msg.clone() });
-                let effects =
-                    st.eps.get_mut(&p).expect("known proc").handle(Input::AppSend(msg.clone()));
-                self.route(st, p, effects);
+                self.step(st, p, |h, rec, out| h.send(msg.clone(), rec, out));
             }
             ExtKind::StartChange { cid, set } => {
-                if st.crashed.contains(&p) {
-                    return; // the service skips crashed members
-                }
-                self.trace.push(Event::MbrshpStartChange { p, cid: *cid, set: set.clone() });
-                self.trace.push(Event::Live { p, set: self.live_set(st) });
-                let effects = st
-                    .eps
-                    .get_mut(&p)
-                    .expect("known proc")
-                    .handle(Input::StartChange { cid: *cid, set: set.clone() });
-                self.route(st, p, effects);
+                let notice = Event::MbrshpStartChange { p, cid: *cid, set: set.clone() };
+                self.notify(st, notice, Input::StartChange { cid: *cid, set: set.clone() });
             }
             ExtKind::View(view) => {
-                if st.crashed.contains(&p) {
-                    return;
-                }
-                self.trace.push(Event::MbrshpView { p, view: view.clone() });
-                self.trace.push(Event::Live { p, set: self.live_set(st) });
-                let effects =
-                    st.eps.get_mut(&p).expect("known proc").handle(Input::MbrshpView(view.clone()));
-                self.route(st, p, effects);
+                let notice = Event::MbrshpView { p, view: view.clone() };
+                self.notify(st, notice, Input::MbrshpView(view.clone()));
             }
             ExtKind::AckDue => {
                 // Input effects are disabled while crashed (§8).
-                let effects = st.eps.get_mut(&p).expect("known proc").handle(Input::AckDue);
-                self.route(st, p, effects);
+                self.step(st, p, |h, rec, out| h.input(Input::AckDue, rec, out));
             }
             ExtKind::Crash => {
-                self.trace.push(Event::Crash { p });
-                st.eps.get_mut(&p).expect("known proc").handle(Input::Crash);
+                // The client restarts unblocked.
+                self.step(st, p, Hosted::crash);
                 st.crashed.insert(p);
-                st.blocked.remove(&p); // the client restarts unblocked
-                // §8: the crash wipes the victim's channels, both ways.
-                for ((from, to), chan) in st.channels.iter_mut() {
-                    if *from == p || *to == p {
-                        chan.clear();
-                    }
-                }
             }
             ExtKind::Recover => {
-                self.trace.push(Event::Recover { p });
+                self.step(st, p, Hosted::recover);
                 st.crashed.remove(&p);
-                let effects = st.eps.get_mut(&p).expect("known proc").handle(Input::Recover);
-                self.route(st, p, effects);
             }
             ExtKind::Corrupt(kind) => {
                 if st.crashed.contains(&p) {
@@ -329,63 +289,59 @@ impl<'a> Machine<'a> {
                 // corruption reconciles through the §8 path, which the
                 // checkers observe as a crash/recover pair; the deviation
                 // window is a single atomic transition, so no corrupted
-                // state ever acts on a judged trace.
-                let ep = st.eps.get_mut(&p).expect("known proc");
-                ep.corrupt(*kind, 7);
-                let effects = ep.handle(Input::Tick(0));
-                if effects.iter().any(|e| matches!(e, Effect::Reconciled)) {
-                    self.trace.push(Event::Crash { p });
-                    // §8: reconciliation wipes the channels, both ways.
-                    for ((from, to), chan) in st.channels.iter_mut() {
-                        if *from == p || *to == p {
-                            chan.clear();
-                        }
-                    }
-                    st.blocked.remove(&p);
-                    self.trace.push(Event::Recover { p });
-                } else {
-                    // The mutation landed on state the audit accepts
-                    // (a no-op under this salt): route normally.
-                    self.route(st, p, effects);
-                }
+                // state ever acts on a judged trace. A mutation the audit
+                // accepts (a no-op under this salt) leaves the tick inert.
+                st.eps.get_mut(&p).expect("known proc").ep_mut().corrupt(*kind, 7);
+                self.step(st, p, |h, rec, out| h.input(Input::Tick(0), rec, out));
             }
         }
     }
 
-    fn route(&mut self, st: &mut State, from: ProcessId, effects: Vec<Effect>) {
-        for eff in effects {
-            match eff {
-                Effect::NetSend { to, msg } => {
-                    self.trace.push(Event::NetSend { p: from, set: to.clone(), msg: msg.clone() });
-                    for dest in to {
-                        if dest != from && !st.crashed.contains(&dest) {
-                            st.channels.entry((from, dest)).or_default().push_back(msg.clone());
+    /// Delivers a membership notice to its process unless it is crashed
+    /// (the service skips crashed members): the notice, then the peers
+    /// alive and connected (full connectivity minus crashed processes) as
+    /// `CO_RFIFO.live`, exactly as the simulation harness records it to
+    /// scope the reliable-FIFO obligations across crashes, then the input.
+    fn notify(&mut self, st: &mut State, notice: Event, input: Input) {
+        let p = notice.process();
+        if !st.crashed.contains(&p) {
+            self.trace.push(notice);
+            let set = st.eps.keys().filter(|q| !st.crashed.contains(q)).copied().collect();
+            self.trace.push(Event::Live { p, set });
+            self.step(st, p, |h, rec, out| h.input(input, rec, out));
+        }
+    }
+
+    /// Runs `call` on `p`'s hosted end-point and appends the events it
+    /// emits to the trace: a `NetSend` is queued on each channel to a
+    /// live addressee, and a `Crash` — a crash or a §8 reset — wipes the
+    /// victim's channels, both ways.
+    fn step<R>(
+        &mut self,
+        st: &mut State,
+        p: ProcessId,
+        call: impl FnOnce(&mut Hosted, &mut dyn Recorder, &mut Sink<'_>) -> R,
+    ) -> R {
+        let State { eps, channels, crashed, .. } = st;
+        let trace = &mut self.trace;
+        call(eps.get_mut(&p).expect("known proc"), &mut NoopRecorder, &mut |event, _| {
+            match &event {
+                Event::NetSend { p, set, msg } => {
+                    for dest in set.iter().filter(|q| *q != p && !crashed.contains(q)) {
+                        channels.entry((*p, *dest)).or_default().push_back(msg.clone());
+                    }
+                }
+                Event::Crash { p } => {
+                    for ((from, to), chan) in channels.iter_mut() {
+                        if from == p || to == p {
+                            chan.clear();
                         }
                     }
                 }
-                Effect::SetReliable(set) => self.trace.push(Event::Reliable { p: from, set }),
-                Effect::DeliverApp { from: sender, msg } => {
-                    self.trace.push(Event::Deliver { p: from, q: sender, msg });
-                }
-                Effect::InstallView { view, transitional } => {
-                    self.trace.push(Event::GcsView { p: from, view, transitional });
-                    st.blocked.remove(&from);
-                }
-                // Reconciliation is consumed by the `Corrupt` macro-step
-                // above (audits only run there — endpoints never tick on
-                // other explored transitions), so nothing reaches here.
-                Effect::Reconciled => {}
-                Effect::Block => {
-                    // The Fig. 12 client acknowledges immediately; the
-                    // explorer then gates scripted sends until the view.
-                    self.trace.push(Event::Block { p: from });
-                    self.trace.push(Event::BlockOk { p: from });
-                    st.blocked.insert(from);
-                    let more = st.eps.get_mut(&from).expect("known proc").handle(Input::BlockOk);
-                    self.route(st, from, more);
-                }
+                _ => {}
             }
-        }
+            trace.push(event);
+        })
     }
 }
 

@@ -31,7 +31,8 @@ fn fingerprint(st: &State) -> u64 {
 
 fn audit_state(cfg: &ExploreConfig, st: &State) -> usize {
     let mut audited = 0;
-    for (p, ep) in &st.eps {
+    for (p, host) in &st.eps {
+        let ep = host.ep();
         if let Err(e) = vsgm_core::audit::check(&cfg.endpoint, ep.state()) {
             panic!(
                 "{}: audit rejected a legally reachable state at {p}: {e}\nstate: {:#?}",

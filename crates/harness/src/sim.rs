@@ -1,7 +1,7 @@
 //! The oracle-driven simulator.
 
 use std::collections::BTreeMap;
-use vsgm_core::{BlockingClient, Config, Effect, Endpoint, GroupEndpoint, Input};
+use vsgm_core::{Config, Endpoint, GroupEndpoint, Hosted, Input, Sink};
 use vsgm_ioa::{CheckSet, SimRng, SimTime, Trace, TraceEntry, Violation};
 use vsgm_membership::MembershipOracle;
 use vsgm_net::{FaultPlan, FaultStats, LatencyModel, SimNet};
@@ -34,8 +34,10 @@ impl Default for SimOptions {
 /// [`MembershipOracle`]; its notifications are delivered to endpoints
 /// instantaneously (the client↔server membership channel is outside the
 /// model — see [`crate::server_sim::ServerSim`] for the fully
-/// message-passing variant). Application clients auto-acknowledge block
-/// requests and queue sends while blocked, per `CLIENT:SPEC`.
+/// message-passing variant). Each end-point is [`Hosted`] with its
+/// `CLIENT:SPEC` client, which acknowledges block requests and queues
+/// sends while blocked; the simulation keeps the channel — a [`SimNet`]
+/// — and the recorded, judged trace of every event the hosts emit.
 ///
 /// ```
 /// use vsgm_harness::{Sim, SimOptions};
@@ -51,8 +53,7 @@ pub struct Sim<E: GroupEndpoint = Endpoint> {
     opts: SimOptions,
     time: SimTime,
     net: SimNet<NetMsg>,
-    eps: BTreeMap<ProcessId, E>,
-    clients: BTreeMap<ProcessId, BlockingClient>,
+    hosts: BTreeMap<ProcessId, Hosted<E>>,
     oracle: MembershipOracle,
     trace: Trace,
     checks: CheckSet,
@@ -120,12 +121,12 @@ impl Sim<Endpoint> {
         if self.corruption_mark.is_some() {
             return;
         }
-        for (p, ep) in &self.eps {
-            if let Err(e) = vsgm_core::audit::check(ep.config(), ep.state()) {
+        for (p, host) in &self.hosts {
+            if let Err(e) = vsgm_core::audit::check(host.ep().config(), host.ep().state()) {
                 panic!("paper invariant violated: {p}: {e}");
             }
         }
-        let states = self.eps.values().map(|e| e.state());
+        let states = self.hosts.values().map(|h| h.ep().state());
         if let Err(e) = vsgm_core::invariants::check_global(states) {
             panic!("paper invariant violated: {e}");
         }
@@ -139,11 +140,11 @@ impl Sim<Endpoint> {
     /// [`Sim::assert_paper_invariants`] from here on. No-op on crashed
     /// end-points (their volatile state is about to vanish anyway).
     pub fn corrupt(&mut self, p: ProcessId, kind: vsgm_core::CorruptionKind) {
-        if self.eps[&p].is_crashed() {
+        if self.endpoint(p).is_crashed() {
             return;
         }
         let salt = self.sched_rng.range(0, 1 << 16);
-        self.eps.get_mut(&p).expect("known proc").corrupt(kind, salt);
+        self.hosts.get_mut(&p).expect("known proc").ep_mut().corrupt(kind, salt);
         let rec = rec_of(&mut self.obs, &mut self.noop);
         rec.counter(obs_names::CHAOS_CORRUPTIONS, 1);
         rec.event(p, None, ObsEvent::CorruptionInjected);
@@ -188,14 +189,12 @@ impl<E: GroupEndpoint> Sim<E> {
         let mut rng = SimRng::new(opts.seed);
         let sched_rng = rng.fork(1);
         let net = SimNet::new(procs.iter().copied(), opts.latency, rng);
-        let clients = procs.iter().map(|p| (*p, BlockingClient::new())).collect();
         let checks = if opts.check { vsgm_spec::full_checks(None) } else { CheckSet::new() };
         Sim {
             opts,
             time: SimTime::ZERO,
             net,
-            eps,
-            clients,
+            hosts: eps.into_iter().map(|(p, ep)| (p, Hosted::new(ep))).collect(),
             oracle: MembershipOracle::new(),
             trace: Trace::new(),
             checks,
@@ -234,7 +233,7 @@ impl<E: GroupEndpoint> Sim<E> {
 
     /// All process ids.
     pub fn all_procs(&self) -> ProcSet {
-        self.eps.keys().copied().collect()
+        self.hosts.keys().copied().collect()
     }
 
     /// The id of the `i`-th process (1-based).
@@ -278,41 +277,74 @@ impl<E: GroupEndpoint> Sim<E> {
 
     /// Resets network traffic statistics (between experiment phases).
     pub fn reset_net_stats(&mut self) {
-        self.net_mut().reset_stats();
-    }
-
-    fn net_mut(&mut self) -> &mut SimNet<NetMsg> {
-        &mut self.net
+        self.net.reset_stats();
     }
 
     /// Read access to an endpoint.
     pub fn endpoint(&self, p: ProcessId) -> &E {
-        &self.eps[&p]
+        self.hosts[&p].ep()
     }
 
     fn record(&mut self, event: Event) {
-        self.trace.record(self.time, event);
-        if self.opts.check {
-            if let Some(entry) = self.trace.entries().last() {
-                self.checks.observe(entry);
+        record(&mut self.trace, &mut self.checks, self.opts.check, self.time, event);
+    }
+
+    /// Runs `call` on `p`'s hosted end-point and carries out the events
+    /// it emits: each is recorded (and judged), a `NetSend` goes onto the
+    /// network — unless [`Sim::suppress_sync`] swallows it, unrecorded —
+    /// a `Reliable` reconfigures the network, a `Crash` takes `p` off it,
+    /// and a `Recover` puts `p` back and re-admits it to the oracle.
+    fn step<R>(
+        &mut self,
+        p: ProcessId,
+        call: impl FnOnce(&mut Hosted<E>, &mut dyn Recorder, &mut Sink<'_>) -> R,
+    ) -> R {
+        let Sim {
+            opts,
+            time,
+            net,
+            hosts,
+            oracle,
+            trace,
+            checks,
+            obs,
+            noop,
+            suppress_sync,
+            sync_seen,
+            ..
+        } = self;
+        let now = *time;
+        let host = hosts.get_mut(&p).expect("known proc");
+        call(host, rec_of(obs, noop), &mut |event, rec| {
+            match &event {
+                Event::NetSend { p, set, msg } => {
+                    if matches!(msg.tag(), "sync_msg" | "sync_agg") {
+                        let idx = *sync_seen;
+                        *sync_seen += 1;
+                        if *suppress_sync == Some(idx) {
+                            return;
+                        }
+                    }
+                    net.send_rec(now, *p, set, msg, rec);
+                }
+                Event::Reliable { p, set } => net.set_reliable(*p, set.clone()),
+                Event::Crash { p } => net.crash(*p),
+                Event::Recover { p } => {
+                    net.recover(*p);
+                    oracle.recover(*p);
+                }
+                _ => {}
             }
-        }
+            record(trace, checks, opts.check, now, event);
+        })
     }
 
     // ----- workload -----
 
     /// The application at `p` multicasts `msg` (queued if blocked).
     pub fn send(&mut self, p: ProcessId, msg: AppMsg) {
-        if self.eps[&p].is_crashed() {
-            return;
-        }
-        let release = self.clients.get_mut(&p).expect("known proc").want_send(msg);
-        if let Some(m) = release {
-            self.record(Event::Send { p, msg: m.clone() });
-            let rec = rec_of(&mut self.obs, &mut self.noop);
-            let effects =
-                self.eps.get_mut(&p).expect("known proc").handle_rec(Input::AppSend(m), rec);
-            self.route(p, effects);
+        if !self.endpoint(p).is_crashed() {
+            self.step(p, |h, rec, out| h.send(msg, rec, out));
         }
     }
 
@@ -321,14 +353,10 @@ impl<E: GroupEndpoint> Sim<E> {
     /// input: the acknowledgements go out when the end-points next step,
     /// and travel like any other message.
     pub fn ack_round(&mut self) {
-        let ids: Vec<ProcessId> = self.eps.keys().copied().collect();
-        for id in ids {
-            if self.eps[&id].is_crashed() {
-                continue;
+        for id in self.all_procs() {
+            if !self.endpoint(id).is_crashed() {
+                self.step(id, |h, rec, out| h.input(Input::AckDue, rec, out));
             }
-            let rec = rec_of(&mut self.obs, &mut self.noop);
-            let effects = self.eps.get_mut(&id).expect("known proc").handle_rec(Input::AckDue, rec);
-            self.route(id, effects);
         }
     }
 
@@ -344,19 +372,7 @@ impl<E: GroupEndpoint> Sim<E> {
     pub fn start_change_for(&mut self, targets: &ProcSet, suggested: &ProcSet) {
         let notices = self.oracle.start_change_for(targets, suggested);
         for n in notices {
-            if self.eps[&n.p].is_crashed() {
-                continue;
-            }
-            self.record(Event::MbrshpStartChange { p: n.p, cid: n.cid, set: n.set.clone() });
-            let live = self.net.live_set(n.p);
-            self.record(Event::Live { p: n.p, set: live });
-            let rec = rec_of(&mut self.obs, &mut self.noop);
-            let effects = self
-                .eps
-                .get_mut(&n.p)
-                .expect("known proc")
-                .handle_rec(Input::StartChange { cid: n.cid, set: n.set }, rec);
-            self.route(n.p, effects);
+            self.feed_start_change(n.p, n.cid, n.set);
         }
         self.step_all();
     }
@@ -377,19 +393,7 @@ impl<E: GroupEndpoint> Sim<E> {
         self.proposer_seq += 1;
         let view = self.oracle.form_view(members, self.proposer_seq);
         for m in members {
-            if self.eps[m].is_crashed() {
-                continue;
-            }
-            self.record(Event::MbrshpView { p: *m, view: view.clone() });
-            let live = self.net.live_set(*m);
-            self.record(Event::Live { p: *m, set: live });
-            let rec = rec_of(&mut self.obs, &mut self.noop);
-            let effects = self
-                .eps
-                .get_mut(m)
-                .expect("known proc")
-                .handle_rec(Input::MbrshpView(view.clone()), rec);
-            self.route(*m, effects);
+            self.feed_view(*m, view.clone());
         }
         self.step_all();
         view
@@ -403,40 +407,33 @@ impl<E: GroupEndpoint> Sim<E> {
 
     /// Feeds a raw `start_change` notification to one endpoint, bypassing
     /// the oracle (used by [`crate::server_sim::ServerSim`], whose
-    /// membership comes from real servers).
+    /// membership comes from real servers, and by
+    /// [`Sim::start_change_for`]).
     pub fn feed_start_change(
         &mut self,
         p: ProcessId,
         cid: vsgm_types::StartChangeId,
         set: ProcSet,
     ) {
-        if self.eps[&p].is_crashed() {
+        if self.endpoint(p).is_crashed() {
             return;
         }
         self.record(Event::MbrshpStartChange { p, cid, set: set.clone() });
         let live = self.net.live_set(p);
         self.record(Event::Live { p, set: live });
-        let rec = rec_of(&mut self.obs, &mut self.noop);
-        let effects = self
-            .eps
-            .get_mut(&p)
-            .expect("known proc")
-            .handle_rec(Input::StartChange { cid, set }, rec);
-        self.route(p, effects);
+        self.step(p, |h, rec, out| h.input(Input::StartChange { cid, set }, rec, out));
     }
 
-    /// Feeds a raw membership view to one endpoint, bypassing the oracle.
+    /// Feeds a raw membership view to one endpoint, bypassing the oracle
+    /// (and [`Sim::form_view`]'s delivery of the view it formed).
     pub fn feed_view(&mut self, p: ProcessId, view: View) {
-        if self.eps[&p].is_crashed() {
+        if self.endpoint(p).is_crashed() {
             return;
         }
         self.record(Event::MbrshpView { p, view: view.clone() });
         let live = self.net.live_set(p);
         self.record(Event::Live { p, set: live });
-        let rec = rec_of(&mut self.obs, &mut self.noop);
-        let effects =
-            self.eps.get_mut(&p).expect("known proc").handle_rec(Input::MbrshpView(view), rec);
-        self.route(p, effects);
+        self.step(p, |h, rec, out| h.input(Input::MbrshpView(view), rec, out));
     }
 
     // ----- faults -----
@@ -468,15 +465,9 @@ impl<E: GroupEndpoint> Sim<E> {
     /// No-op if `p` is already down (minimized chaos scenarios may lose
     /// the intervening `Recover` step).
     pub fn crash(&mut self, p: ProcessId) {
-        if self.eps[&p].is_crashed() {
-            return;
+        if !self.endpoint(p).is_crashed() {
+            self.step(p, Hosted::crash);
         }
-        self.record(Event::Crash { p });
-        self.net.crash(p);
-        let rec = rec_of(&mut self.obs, &mut self.noop);
-        let effects = self.eps.get_mut(&p).expect("known proc").handle_rec(Input::Crash, rec);
-        self.route(p, effects);
-        self.clients.insert(p, BlockingClient::new());
     }
 
     /// Crashes `p` in the middle of a sync round: delivers network
@@ -485,15 +476,15 @@ impl<E: GroupEndpoint> Sim<E> {
     /// of the sync exchange land, then crashes `p`. Falls back to a plain
     /// crash at quiescence if no reconfiguration ever starts.
     pub fn crash_during_sync(&mut self, p: ProcessId) {
-        if self.eps[&p].is_crashed() {
+        if self.endpoint(p).is_crashed() {
             return;
         }
         for _ in 0..10_000_000u64 {
-            if self.eps[&p].reconfiguring() || !self.deliver_next() {
+            if self.endpoint(p).reconfiguring() || !self.deliver_next() {
                 break;
             }
         }
-        if self.eps[&p].reconfiguring() {
+        if self.endpoint(p).reconfiguring() {
             // Vary (deterministically) how much of the sync round p sees
             // before dying — crash-before-sync vs crash-after-partial-sync
             // exercise different recovery paths.
@@ -510,15 +501,9 @@ impl<E: GroupEndpoint> Sim<E> {
     /// Recovers `p` with a fresh initial state (no stable storage).
     /// No-op if `p` is not down.
     pub fn recover(&mut self, p: ProcessId) {
-        if !self.eps[&p].is_crashed() {
-            return;
+        if self.endpoint(p).is_crashed() {
+            self.step(p, Hosted::recover);
         }
-        self.record(Event::Recover { p });
-        self.net.recover(p);
-        self.oracle.recover(p);
-        let rec = rec_of(&mut self.obs, &mut self.noop);
-        let effects = self.eps.get_mut(&p).expect("known proc").handle_rec(Input::Recover, rec);
-        self.route(p, effects);
     }
 
     // ----- execution -----
@@ -528,20 +513,17 @@ impl<E: GroupEndpoint> Sim<E> {
     /// batching linger deadline); clock advances are not trace events.
     fn tick_all(&mut self) {
         let us = self.time.as_micros();
-        let ids: Vec<ProcessId> = self.eps.keys().copied().collect();
-        for id in ids {
-            let rec = rec_of(&mut self.obs, &mut self.noop);
-            let effects =
-                self.eps.get_mut(&id).expect("known proc").handle_rec(Input::Tick(us), rec);
-            self.route(id, effects);
+        for id in self.all_procs() {
+            self.step(id, |h, rec, out| h.input(Input::Tick(us), rec, out));
         }
     }
 
     /// The earliest pending linger deadline across live endpoints, if any
     /// batch is being held (`None` for endpoints without batching).
     fn next_deadline(&self) -> Option<SimTime> {
-        self.eps
+        self.hosts
             .values()
+            .map(Hosted::ep)
             .filter(|e| !e.is_crashed())
             .filter_map(GroupEndpoint::next_deadline_us)
             .min()
@@ -553,17 +535,12 @@ impl<E: GroupEndpoint> Sim<E> {
     pub fn step_all(&mut self) {
         for _ in 0..1_000_000 {
             let mut progress = false;
-            let mut ids: Vec<ProcessId> = self.eps.keys().copied().collect();
+            let mut ids: Vec<ProcessId> = self.hosts.keys().copied().collect();
             if self.opts.shuffle_polling {
                 self.sched_rng.shuffle(&mut ids);
             }
             for id in ids {
-                let rec = rec_of(&mut self.obs, &mut self.noop);
-                let effects = self.eps.get_mut(&id).expect("known proc").poll_rec(rec);
-                if !effects.is_empty() {
-                    progress = true;
-                    self.route(id, effects);
-                }
+                progress |= self.step(id, |h, rec, out| h.poll(rec, out));
             }
             if !progress {
                 return;
@@ -585,10 +562,7 @@ impl<E: GroupEndpoint> Sim<E> {
         let batch = self.net.pop_ready_rec(t, rec_of(&mut self.obs, &mut self.noop));
         for (from, to, msg) in batch {
             self.record(Event::NetDeliver { p: from, q: to, msg: msg.clone() });
-            let rec = rec_of(&mut self.obs, &mut self.noop);
-            let effects =
-                self.eps.get_mut(&to).expect("known proc").handle_rec(Input::Net { from, msg }, rec);
-            self.route(to, effects);
+            self.step(to, |h, rec, out| h.input(Input::Net { from, msg }, rec, out));
         }
         self.step_all();
         true
@@ -668,76 +642,6 @@ impl<E: GroupEndpoint> Sim<E> {
         matches!(self.suppress_sync, Some(nth) if self.sync_seen > nth)
     }
 
-    fn route(&mut self, from: ProcessId, effects: Vec<Effect>) {
-        for e in effects {
-            match e {
-                Effect::NetSend { to, msg } => {
-                    if matches!(msg.tag(), "sync_msg" | "sync_agg") {
-                        let idx = self.sync_seen;
-                        self.sync_seen += 1;
-                        if self.suppress_sync == Some(idx) {
-                            continue;
-                        }
-                    }
-                    self.record(Event::NetSend { p: from, set: to.clone(), msg: msg.clone() });
-                    let now = self.time;
-                    let rec = rec_of(&mut self.obs, &mut self.noop);
-                    self.net.send_rec(now, from, &to, &msg, rec);
-                }
-                Effect::SetReliable(set) => {
-                    self.record(Event::Reliable { p: from, set: set.clone() });
-                    self.net.set_reliable(from, set);
-                }
-                Effect::DeliverApp { from: sender, msg } => {
-                    self.record(Event::Deliver { p: from, q: sender, msg });
-                }
-                Effect::InstallView { view, transitional } => {
-                    self.record(Event::GcsView { p: from, view, transitional });
-                    let released = self.clients.get_mut(&from).expect("known proc").on_view();
-                    for m in released {
-                        self.record(Event::Send { p: from, msg: m.clone() });
-                        let rec = rec_of(&mut self.obs, &mut self.noop);
-                        let more = self
-                            .eps
-                            .get_mut(&from)
-                            .expect("known proc")
-                            .handle_rec(Input::AppSend(m), rec);
-                        self.route(from, more);
-                    }
-                }
-                Effect::Block => {
-                    self.record(Event::Block { p: from });
-                    let client = self.clients.get_mut(&from).expect("known proc");
-                    client.on_block();
-                    if client.ack_block() {
-                        self.record(Event::BlockOk { p: from });
-                        let rec = rec_of(&mut self.obs, &mut self.noop);
-                        let more = self
-                            .eps
-                            .get_mut(&from)
-                            .expect("known proc")
-                            .handle_rec(Input::BlockOk, rec);
-                        self.route(from, more);
-                    }
-                }
-                Effect::Reconciled => {
-                    // The end-point already reset itself (§8, audit
-                    // path); mirror the reset as an observed crash +
-                    // instant recover so the trace, network, membership
-                    // oracle and client stay consistent with it. No
-                    // Crash/Recover inputs are fed — the end-point is
-                    // already in its initial state.
-                    self.record(Event::Crash { p: from });
-                    self.net.crash(from);
-                    self.record(Event::Recover { p: from });
-                    self.net.recover(from);
-                    self.oracle.recover(from);
-                    self.clients.insert(from, BlockingClient::new());
-                }
-            }
-        }
-    }
-
     /// Runs the end-of-trace checks and returns every violation found
     /// over the whole run.
     pub fn finish(&mut self) -> Vec<Violation> {
@@ -773,6 +677,17 @@ impl<E: GroupEndpoint> Sim<E> {
     pub fn assert_clean(&mut self) {
         self.checks.finish();
         self.checks.assert_clean();
+    }
+}
+
+/// Records `event` at `time` and, when checking, shows it to every
+/// checker.
+fn record(trace: &mut Trace, checks: &mut CheckSet, check: bool, time: SimTime, event: Event) {
+    trace.record(time, event);
+    if check {
+        if let Some(entry) = trace.entries().last() {
+            checks.observe(entry);
+        }
     }
 }
 

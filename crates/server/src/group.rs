@@ -3,18 +3,19 @@
 //!
 //! A `GroupInstance` hosts the GCS end-points of its clients directly
 //! (§3: the server runs the end-points, the clients stay lightweight).
-//! It owns one [`Endpoint`] and one [`BlockingClient`] per process that
-//! ever joined, the scripted [`MembershipOracle`] that turns each join
-//! or leave into one paper reconfiguration (`start_change` + view), and
-//! a FIFO queue standing in for `CO_RFIFO` between co-hosted end-points.
-//! Nothing is simulated: no latency model, no clock, no randomness, no
-//! recorded trace. Once every [`ACK_EVERY`] multicasts it asks its members
-//! for a stability acknowledgement, so that their message buffers follow
-//! what is undelivered rather than what was ever sent (DESIGN.md §18).
-//! Every external action the host performs is emitted once, as the same
-//! [`Event`] a trace would hold, to the full [`vsgm_spec::full_checks`]
-//! battery, which judges it online and keeps only what it needs to judge
-//! the next one.
+//! It owns one [`Hosted`] end-point per process that ever joined — the
+//! end-point with its `CLIENT:SPEC` client, composed once in `vsgm-core`
+//! — the scripted [`MembershipOracle`] that turns each join or leave into
+//! one paper reconfiguration (`start_change` + view), and a FIFO queue
+//! standing in for `CO_RFIFO` between co-hosted end-points. Nothing is
+//! simulated: no latency model, no clock, no randomness, no recorded
+//! trace. Once every [`ACK_EVERY`] multicasts it asks its members for a
+//! stability acknowledgement, so that their message buffers follow what
+//! is undelivered rather than what was ever sent (DESIGN.md §18). Every
+//! [`Event`] a hosted end-point emits is shown once to the full
+//! [`vsgm_spec::full_checks`] battery, which judges it online and keeps
+//! only what it needs to judge the next one; a `Deliver` and a `GcsView`
+//! also become the frame the client is owed.
 //!
 //! Commands arrive as [`GroupCmd`] values through the owning shard's
 //! channel, so per-group execution is totally ordered and reproducible:
@@ -30,10 +31,12 @@
 #![deny(clippy::disallowed_types, clippy::disallowed_methods)]
 
 use std::collections::{BTreeSet, VecDeque};
-use vsgm_core::{BlockingClient, Config, Effect, Endpoint, Input};
+use vsgm_core::stability::ACK_EVERY;
+use vsgm_core::{Config, Endpoint, Hosted, Input, Sink};
 use vsgm_ioa::{CheckSet, SimTime, TraceEntry, Violation};
 use vsgm_membership::MembershipOracle;
-use vsgm_types::{AppMsg, Event, FwdPayload, GroupId, NetMsg, ProcSet, ProcessId, VecMap, View};
+use vsgm_obs::{NoopRecorder, Recorder};
+use vsgm_types::{AppMsg, Event, FwdPayload, GroupId, NetMsg, ProcSet, ProcessId, VecMap};
 
 /// Derives a per-group seed from a server-wide base seed. The direct
 /// host draws no randomness, so nothing in this crate consumes the
@@ -43,11 +46,6 @@ use vsgm_types::{AppMsg, Event, FwdPayload, GroupId, NetMsg, ProcSet, ProcessId,
 pub fn group_seed(base: u64, gid: GroupId) -> u64 {
     base ^ gid.raw().wrapping_mul(0x9E37_79B9_7F4A_7C15)
 }
-
-/// Multicasts applied between two rounds of stability acknowledgements:
-/// a member retains about this many messages per sender, and a round
-/// costs n + n(n−1) events (EXPERIMENTS.md E16).
-const ACK_EVERY: u64 = 64;
 
 /// Whether a group of `capacity` admits process `p`: ids `1..=capacity`.
 pub(crate) fn admits(capacity: u64, p: ProcessId) -> bool {
@@ -100,14 +98,6 @@ pub struct GroupOutput {
     pub to: ProcessId,
     /// The frame: `Fwd` for deliveries, `ViewMsg` for installed views.
     pub msg: NetMsg,
-}
-
-/// One client's end of the group: its GCS end-point and the
-/// `CLIENT:SPEC` automaton that acknowledges blocks and holds sends
-/// back while blocked.
-struct Hosted {
-    ep: Endpoint,
-    client: BlockingClient,
 }
 
 /// One group's full protocol instance. See the module docs.
@@ -188,10 +178,9 @@ impl GroupInstance {
         match cmd {
             GroupCmd::Join(p) => {
                 if self.in_capacity(p) && self.members.insert(p) {
-                    self.hosted.entry(p).or_insert_with(|| Hosted {
-                        ep: Endpoint::new(p, Config::default()),
-                        client: BlockingClient::new(),
-                    });
+                    self.hosted
+                        .entry(p)
+                        .or_insert_with(|| Hosted::new(Endpoint::new(p, Config::default())));
                     self.reconfigure();
                 }
             }
@@ -204,11 +193,8 @@ impl GroupInstance {
                 if !self.members.contains(&from) {
                     return;
                 }
-                let Some(h) = self.hosted.get_mut(&from) else { return };
                 // A blocked client holds the send back until its next view.
-                if let Some(msg) = h.client.want_send(msg) {
-                    self.emit(Event::Send { p: from, msg: msg.clone() });
-                    self.feed(from, Input::AppSend(msg));
+                if self.step(from, |h, rec, out| h.send(msg, rec, out)) == Some(true) {
                     self.sends_since_ack += 1;
                 }
             }
@@ -296,101 +282,104 @@ impl GroupInstance {
         self.poll_dirty();
     }
 
-    /// Shows one external action to every checker. Checkers read the
-    /// event and its step number only; there is no clock to stamp it with.
+    /// Shows one external action to every checker.
     fn emit(&mut self, event: Event) {
-        let entry = TraceEntry { step: self.emitted, time: SimTime::ZERO, event };
-        self.emitted += 1;
-        self.checks.observe(&entry);
+        emit(&mut self.checks, &mut self.emitted, event);
     }
 
     /// Feeds one input to `p`'s end-point and marks it for polling.
     fn feed(&mut self, p: ProcessId, input: Input) {
-        let Some(h) = self.hosted.get_mut(&p) else { return };
-        let effects = h.ep.handle(input);
-        let view = h.ep.current_view().clone();
-        self.dirty.insert(p);
-        self.route(p, view, effects);
+        if self.step(p, |h, rec, out| h.input(input, rec, out)).is_some() {
+            self.dirty.insert(p);
+        }
     }
 
     /// Polls every marked end-point once, in process order.
-    /// [`Endpoint::poll`] runs to local quiescence, and routing its
-    /// effects can only re-mark the end-point polled (its own block
-    /// acknowledgement, its own released sends).
+    /// [`Hosted::poll`] runs to local quiescence, and its events can only
+    /// re-mark the end-point polled (its own block acknowledgement, its
+    /// own released sends).
     fn poll_dirty(&mut self) {
         while let Some(p) = self.dirty.pop_first() {
-            let Some(h) = self.hosted.get_mut(&p) else { continue };
-            let view = h.ep.current_view().clone();
-            let effects = h.ep.poll();
-            self.route(p, view, effects);
+            self.step(p, |h, rec, out| h.poll(rec, out));
         }
     }
 
-    /// Carries out `from`'s effects in order. `view` is the view `from`'s
-    /// application held before the first of them — a single poll can
-    /// deliver messages and then install the next view, and each `Fwd`
-    /// frame is stamped with the view it was delivered in.
-    fn route(&mut self, from: ProcessId, mut view: View, effects: Vec<Effect>) {
-        for effect in effects {
-            match effect {
-                Effect::NetSend { to, msg } => {
+    /// Runs `call` on `p`'s hosted end-point, if `p` ever joined, and
+    /// carries out the events it emits: a `NetSend` queues one message per
+    /// addressee, a `Deliver` becomes a `Fwd` frame and a `GcsView` a
+    /// `ViewMsg` frame for `p`'s client, an input fed to the end-point
+    /// (its `BlockOk`, a released `Send`) marks it for polling, and an
+    /// audit reset (`Crash`, `Recover`) drops what it had in flight and
+    /// re-admits it to the oracle. Every event is then judged.
+    fn step<R>(
+        &mut self,
+        p: ProcessId,
+        call: impl FnOnce(&mut Hosted, &mut dyn Recorder, &mut Sink<'_>) -> R,
+    ) -> Option<R> {
+        let GroupInstance {
+            hosted,
+            oracle,
+            net,
+            dirty,
+            checks,
+            emitted,
+            outputs,
+            delivered,
+            views_installed,
+            fwd_index,
+            ..
+        } = self;
+        let h = hosted.get_mut(&p)?;
+        // The view p's application holds. A single poll can deliver
+        // messages and then install the next view, and each `Fwd` frame
+        // is stamped with the view it was delivered in.
+        let mut view = h.ep().current_view().clone();
+        let result = call(h, &mut NoopRecorder, &mut |event, _| {
+            match &event {
+                Event::NetSend { p, set, msg } => {
                     // End-points never multicast to themselves.
-                    for q in to.iter().filter(|q| **q != from) {
-                        self.net.push_back((from, *q, msg.clone()));
+                    for q in set.iter().filter(|q| *q != p) {
+                        net.push_back((*p, *q, msg.clone()));
                     }
-                    self.emit(Event::NetSend { p: from, set: to, msg });
                 }
-                Effect::SetReliable(set) => self.emit(Event::Reliable { p: from, set }),
-                Effect::DeliverApp { from: origin, msg } => {
-                    self.delivered += 1;
-                    self.emit(Event::Deliver { p: from, q: origin, msg: msg.clone() });
-                    let index = self.fwd_index.entry((from, origin)).or_insert(0);
+                Event::Deliver { p, q, msg } => {
+                    *delivered += 1;
+                    let index = fwd_index.entry((*p, *q)).or_insert(0);
                     *index += 1;
-                    self.outputs.push(GroupOutput {
-                        to: from,
-                        msg: NetMsg::Fwd(FwdPayload {
-                            origin,
-                            view: view.clone(),
-                            index: *index,
-                            msg,
-                        }),
-                    });
+                    let (stamp, msg) = (view.clone(), msg.clone());
+                    let fwd = FwdPayload { origin: *q, view: stamp, index: *index, msg };
+                    outputs.push(GroupOutput { to: *p, msg: NetMsg::Fwd(fwd) });
                 }
-                Effect::InstallView { view: installed, transitional } => {
-                    self.views_installed += 1;
-                    self.emit(Event::GcsView { p: from, view: installed.clone(), transitional });
-                    self.outputs
-                        .push(GroupOutput { to: from, msg: NetMsg::ViewMsg(installed.clone()) });
-                    view = installed;
-                    let released =
-                        self.hosted.get_mut(&from).map(|h| h.client.on_view()).unwrap_or_default();
-                    for msg in released {
-                        self.emit(Event::Send { p: from, msg: msg.clone() });
-                        self.feed(from, Input::AppSend(msg));
-                    }
+                Event::GcsView { p, view: installed, .. } => {
+                    *views_installed += 1;
+                    outputs.push(GroupOutput { to: *p, msg: NetMsg::ViewMsg(installed.clone()) });
+                    view = installed.clone();
                 }
-                Effect::Block => {
-                    self.emit(Event::Block { p: from });
-                    let acked = self.hosted.get_mut(&from).is_some_and(|h| {
-                        h.client.on_block();
-                        h.client.ack_block()
-                    });
-                    if acked {
-                        self.emit(Event::BlockOk { p: from });
-                        self.feed(from, Input::BlockOk);
-                    }
+                Event::BlockOk { p } | Event::Send { p, .. } => {
+                    dirty.insert(*p);
                 }
-                // Only the audit pass resets an end-point, and
-                // `Config::default()` leaves the audit off.
-                Effect::Reconciled => {}
+                Event::Crash { p } => net.retain(|(from, _, _)| from != p),
+                Event::Recover { p } => oracle.recover(*p),
+                _ => {}
             }
-        }
+            emit(checks, emitted, event);
+        });
+        Some(result)
     }
+}
+
+/// Shows `event` to every checker as the next step. Checkers read the
+/// event and its step number only; there is no clock to stamp it with.
+fn emit(checks: &mut CheckSet, emitted: &mut u64, event: Event) {
+    let entry = TraceEntry { step: *emitted, time: SimTime::ZERO, event };
+    *emitted += 1;
+    checks.observe(&entry);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vsgm_types::View;
 
     fn p(i: u64) -> ProcessId {
         ProcessId::new(i)
@@ -544,9 +533,9 @@ mod tests {
             );
             // The last round left every member's buffers empty.
             for h in g.hosted.values() {
-                let st = h.ep.state();
+                let st = h.ep().state();
                 let held: usize = st.msgs.values().map(|buf| buf.retained()).sum();
-                assert_eq!(held, 0, "n = {n}: {} retains {held}", h.ep.pid());
+                assert_eq!(held, 0, "n = {n}: {} retains {held}", h.ep().pid());
             }
             assert!(g.finish().is_empty());
         }

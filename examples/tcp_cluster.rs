@@ -75,7 +75,6 @@ fn main() -> std::io::Result<()> {
                             greetings += 1;
                             tx.send(format!("{me}: got {msg:?} from {from}")).ok();
                         }
-                        AppEvent::BlockRequested => {}
                     }
                 }
                 if sent {

@@ -154,6 +154,23 @@ cargo test -q -p vsgm --test first_enabled_equivalence "${CARGO_FLAGS[@]}" >/dev
 echo "==> paper invariants suite"
 cargo test -q -p vsgm --test paper_invariants "${CARGO_FLAGS[@]}" >/dev/null
 
+# The one composition of an end-point with its CLIENT:SPEC client
+# (vsgm_core::Hosted, DESIGN.md §15, §17), run by name: the handshake
+# emits block then block_ok; a send while blocked emits nothing until
+# the view, then one send per queued message, in order; a crash and an
+# audit reset each leave a fresh client with nothing queued. Then its
+# TCP host: a Node's send between block_ok and the next view is
+# delivered in that view at both nodes, and an audited node whose
+# end-point is damaged resets, its client fresh, after one pump.
+echo "==> hosted composition (Hosted, Node under CLIENT:SPEC)"
+cargo test -q -p vsgm-core --lib "${CARGO_FLAGS[@]}" -- --exact \
+    client::tests::the_handshake_emits_block_then_block_ok \
+    client::tests::a_send_while_blocked_waits_for_the_view_then_goes_out_in_order \
+    client::tests::a_crash_leaves_a_fresh_client_and_drops_queued_sends \
+    client::tests::a_reconciled_end_point_shows_a_crash_and_recover_and_gets_a_fresh_client \
+    node::tests::a_send_between_block_ok_and_the_next_view_is_delivered_in_that_view \
+    node::tests::an_audit_reset_reaches_the_node_and_leaves_a_fresh_client >/dev/null
+
 # Multi-group conformance (DESIGN.md §17). Differential: the daemon's
 # direct host must hand every receiver the byte-identical frame sequence
 # the Sim-backed oracle (tests/support/) does over >=50 randomized

@@ -8,12 +8,13 @@
 //! quantifying over all fair executions in the paper's proofs.
 
 use std::collections::{BTreeMap, VecDeque};
-use vsgm_core::{Config, Effect, Endpoint, Input};
+use vsgm_core::{Config, Endpoint, Hosted, Input, Sink};
 use vsgm_ioa::{Automaton, CheckSet, SimRng, SimTime, Trace};
+use vsgm_obs::{NoopRecorder, Recorder};
 use vsgm_types::{AppMsg, Event, NetMsg, ProcSet, ProcessId, StartChangeId, View, ViewId};
 
 struct Composition {
-    eps: BTreeMap<ProcessId, Endpoint>,
+    eps: BTreeMap<ProcessId, Hosted>,
     channels: BTreeMap<(ProcessId, ProcessId), VecDeque<NetMsg>>,
     trace: Trace,
     rng: SimRng,
@@ -23,7 +24,10 @@ impl Composition {
     fn new(n: u64, seed: u64) -> Self {
         Composition {
             eps: (1..=n)
-                .map(|i| (ProcessId::new(i), Endpoint::new(ProcessId::new(i), Config::default())))
+                .map(|i| {
+                    let p = ProcessId::new(i);
+                    (p, Hosted::new(Endpoint::new(p, Config::default())))
+                })
                 .collect(),
             channels: BTreeMap::new(),
             trace: Trace::new(),
@@ -35,40 +39,27 @@ impl Composition {
         self.trace.record(SimTime::ZERO, e);
     }
 
-    fn route(&mut self, from: ProcessId, effects: Vec<Effect>) {
-        for eff in effects {
-            match eff {
-                Effect::NetSend { to, msg } => {
-                    self.record(Event::NetSend { p: from, set: to.clone(), msg: msg.clone() });
-                    for dest in to {
-                        if dest != from {
-                            self.channels.entry((from, dest)).or_default().push_back(msg.clone());
-                        }
-                    }
+    /// Runs `call` on `p`'s hosted end-point: every event it emits is
+    /// recorded, and a `NetSend` is queued on each channel it names.
+    fn step<R>(
+        &mut self,
+        p: ProcessId,
+        call: impl FnOnce(&mut Hosted, &mut dyn Recorder, &mut Sink<'_>) -> R,
+    ) -> R {
+        let Composition { eps, channels, trace, .. } = self;
+        call(eps.get_mut(&p).unwrap(), &mut NoopRecorder, &mut |event, _| {
+            if let Event::NetSend { p, set, msg } = &event {
+                for dest in set.iter().filter(|q| *q != p) {
+                    channels.entry((*p, *dest)).or_default().push_back(msg.clone());
                 }
-                Effect::SetReliable(set) => self.record(Event::Reliable { p: from, set }),
-                Effect::DeliverApp { from: sender, msg } => {
-                    self.record(Event::Deliver { p: from, q: sender, msg });
-                }
-                Effect::InstallView { view, transitional } => {
-                    self.record(Event::GcsView { p: from, view, transitional });
-                }
-                Effect::Block => {
-                    self.record(Event::Block { p: from });
-                    self.record(Event::BlockOk { p: from });
-                    let more = self.eps.get_mut(&from).unwrap().handle(Input::BlockOk);
-                    self.route(from, more);
-                }
-                // Audit is off in these compositions; never fires.
-                Effect::Reconciled => {}
             }
-        }
+            trace.record(SimTime::ZERO, event);
+        })
     }
 
     fn input(&mut self, p: ProcessId, event: Event, input: Input) {
         self.record(event);
-        let effects = self.eps.get_mut(&p).unwrap().handle(input);
-        self.route(p, effects);
+        self.step(p, |h, rec, out| h.input(input, rec, out));
     }
 
     /// Fires one randomly chosen enabled step (an endpoint action or a
@@ -76,8 +67,8 @@ impl Composition {
     fn random_step(&mut self) -> bool {
         // Enumerate choices: (endpoint, action index) and nonempty channels.
         let mut choices: Vec<(u8, ProcessId, ProcessId, usize)> = Vec::new();
-        for (p, ep) in &self.eps {
-            for i in 0..ep.enabled_actions().len() {
+        for (p, host) in &self.eps {
+            for i in 0..host.ep().enabled_actions().len() {
                 choices.push((0, *p, *p, i));
             }
         }
@@ -92,19 +83,15 @@ impl Composition {
         let (kind, a, b, idx) = choices[self.rng.index(choices.len())];
         match kind {
             0 => {
-                let ep = self.eps.get_mut(&a).unwrap();
-                let actions = ep.enabled_actions();
-                // The set may have changed? No inputs occurred since
-                // enumeration, so it is stable.
-                let action = actions[idx].clone();
-                let effects = ep.fire(&action);
-                self.route(a, effects);
+                // No inputs occurred since enumeration, so the set is
+                // stable.
+                let action = self.eps[&a].ep().enabled_actions()[idx].clone();
+                self.step(a, |h, rec, out| h.fire(&action, rec, out));
             }
             _ => {
                 let msg = self.channels.get_mut(&(a, b)).unwrap().pop_front().unwrap();
                 self.record(Event::NetDeliver { p: a, q: b, msg: msg.clone() });
-                let effects = self.eps.get_mut(&b).unwrap().handle(Input::Net { from: a, msg });
-                self.route(b, effects);
+                self.step(b, |h, rec, out| h.input(Input::Net { from: a, msg }, rec, out));
             }
         }
         true
@@ -153,15 +140,10 @@ impl Composition {
     }
 
     fn send(&mut self, i: u64, text: &str) {
-        let p = ProcessId::new(i);
-        // Only send when the client would be allowed to (not blocked):
-        // approximate by skipping while a change with an acked block is
-        // pending — the CLIENT spec checker would flag a blocked send.
-        self.input(
-            p,
-            Event::Send { p, msg: AppMsg::from(text) },
-            Input::AppSend(AppMsg::from(text)),
-        );
+        // A blocked client holds the send back until its next view.
+        self.step(ProcessId::new(i), |h, rec, out| {
+            h.send(AppMsg::from(text), rec, out);
+        });
     }
 }
 
@@ -177,10 +159,10 @@ fn explore(seed: u64) {
     comp.send(2, "b2");
     comp.run_random(100_000);
 
-    // Validate the trace against every safety spec except CLIENT (sends
-    // here are injected without consulting a blocking client, so the
-    // block discipline is exercised by the other suites).
+    // Validate the trace against the safety specs. Sends go through each
+    // end-point's blocking client, so CLIENT holds too.
     let mut checks = CheckSet::new();
+    checks.add(vsgm_spec::ClientSpec::new());
     checks.add(vsgm_spec::MbrshpSpec::new());
     checks.add(vsgm_spec::CoRfifoSpec::new());
     checks.add(vsgm_spec::ViewSyncSpec::new());
@@ -233,8 +215,7 @@ fn explore_with_crash(seed: u64) {
         comp.random_step();
     }
     let victim = ProcessId::new(3);
-    comp.record(Event::Crash { p: victim });
-    comp.eps.get_mut(&victim).unwrap().handle(Input::Crash);
+    comp.step(victim, Hosted::crash);
     // §8: the crash wipes the victim's outgoing channels.
     for ((from, _), chan) in comp.channels.iter_mut() {
         if *from == victim {

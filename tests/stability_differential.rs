@@ -28,11 +28,12 @@
 //! can forward them, and `{2,3}` never installs: (b) fails, so (b) can.
 
 use std::collections::{BTreeMap, VecDeque};
-use vsgm_core::{Config, Effect, Endpoint, Input};
+use vsgm_core::{Config, Endpoint, Hosted, Input};
 use vsgm_harness::sim::procs;
 use vsgm_harness::{Sim, SimOptions};
 use vsgm_ioa::{SimRng, SimTime, Trace};
 use vsgm_net::LatencyModel;
+use vsgm_obs::{NoopRecorder, Recorder};
 use vsgm_spec::LivenessSpec;
 use vsgm_types::{AppMsg, Cut, Event, NetMsg, ProcSet, ProcessId, StartChangeId, View, ViewId};
 
@@ -255,9 +256,9 @@ fn sixty_schedules_with_and_without_acknowledgements_deliver_identically() {
 
 // ----- (b), (c) the pinned race ------------------------------------------
 
-/// Three end-points on hand-delivered FIFO channels.
+/// Three hosted end-points on hand-delivered FIFO channels.
 struct Wire {
-    eps: BTreeMap<ProcessId, Endpoint>,
+    eps: BTreeMap<ProcessId, Hosted>,
     chan: BTreeMap<(ProcessId, ProcessId), VecDeque<NetMsg>>,
     delivered: BTreeMap<ProcessId, Vec<AppMsg>>,
     installed: BTreeMap<ProcessId, View>,
@@ -269,7 +270,9 @@ struct Wire {
 impl Wire {
     fn new(max_mutant: bool) -> Wire {
         Wire {
-            eps: (1..=3).map(|i| (p(i), Endpoint::new(p(i), Config::default()))).collect(),
+            eps: (1..=3)
+                .map(|i| (p(i), Hosted::new(Endpoint::new(p(i), Config::default()))))
+                .collect(),
             chan: BTreeMap::new(),
             delivered: BTreeMap::new(),
             installed: BTreeMap::new(),
@@ -277,35 +280,29 @@ impl Wire {
         }
     }
 
-    fn ep(&mut self, q: ProcessId) -> &mut Endpoint {
-        self.eps.get_mut(&q).expect("known proc")
+    fn ep(&self, q: ProcessId) -> &Endpoint {
+        self.eps[&q].ep()
     }
 
+    /// Feeds `input` to `q` and polls it until it is quiescent: a poll
+    /// that acknowledges a block enables what waited for `block_ok`.
     fn input(&mut self, q: ProcessId, input: Input) {
-        let effects = self.ep(q).handle(input);
-        self.route(q, effects);
-        let effects = self.ep(q).poll();
-        self.route(q, effects);
-    }
-
-    fn route(&mut self, from: ProcessId, effects: Vec<Effect>) {
-        for effect in effects {
-            match effect {
-                Effect::NetSend { to, msg } => {
-                    for q in to.into_iter().filter(|q| *q != from) {
-                        self.chan.entry((from, q)).or_default().push_back(msg.clone());
-                    }
+        let Wire { eps, chan, delivered, installed, .. } = self;
+        let host = eps.get_mut(&q).expect("known proc");
+        let mut sink = |event: Event, _: &mut dyn Recorder| match event {
+            Event::NetSend { p: from, set, msg } => {
+                for to in set.into_iter().filter(|to| *to != from) {
+                    chan.entry((from, to)).or_default().push_back(msg.clone());
                 }
-                Effect::DeliverApp { msg, .. } => {
-                    self.delivered.entry(from).or_default().push(msg);
-                }
-                Effect::InstallView { view, .. } => {
-                    self.installed.insert(from, view);
-                }
-                Effect::Block => self.input(from, Input::BlockOk),
-                Effect::SetReliable(_) | Effect::Reconciled => {}
             }
-        }
+            Event::Deliver { p, msg, .. } => delivered.entry(p).or_default().push(msg),
+            Event::GcsView { p, view, .. } => {
+                installed.insert(p, view);
+            }
+            _ => {}
+        };
+        host.input(input, &mut NoopRecorder, &mut sink);
+        while host.poll(&mut NoopRecorder, &mut sink) {}
     }
 
     /// Delivers up to `count` messages waiting on `from → to`.
@@ -320,7 +317,8 @@ impl Wire {
                     let max = max_seen.entry(to).or_default();
                     max.join(&cut);
                     let lie = NetMsg::Ack(max.clone());
-                    let peers: Vec<ProcessId> = self.eps[&to]
+                    let peers: Vec<ProcessId> = self
+                        .ep(to)
                         .current_view()
                         .members()
                         .iter()
@@ -393,7 +391,7 @@ fn half_acknowledged_prefix_races_a_view_change(max_mutant: bool) -> RaceOutcome
     for (from, to) in [(1, 2), (3, 2), (2, 3), (2, 1), (3, 1)] {
         w.deliver(from, to, 1);
     }
-    let p2 = w.eps[&p(2)].state();
+    let p2 = w.ep(p(2)).state();
     assert_eq!(p2.stability.as_ref().map(|s| s.announced.get(&p(1))), Some(Some(&10)));
     // p1 is cut off: what it still had in flight is lost.
     w.chan.retain(|(from, to), _| *from != p(1) && *to != p(1));
@@ -407,7 +405,7 @@ fn half_acknowledged_prefix_races_a_view_change(max_mutant: bool) -> RaceOutcome
             .collect(),
         survivors_view,
         p3_delivered: w.delivered.get(&p(3)).map_or(0, Vec::len),
-        p2_forwards: w.eps[&p(2)].stats().forwards_sent,
+        p2_forwards: w.ep(p(2)).stats().forwards_sent,
     }
 }
 
