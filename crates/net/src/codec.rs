@@ -9,9 +9,10 @@
 //! understands both.
 //!
 //! The binary layout is fixed-width little-endian, length-prefixed, and
-//! *deterministic*: all maps and sets in `NetMsg` are `BTreeMap`/
-//! `BTreeSet`, so iteration — and therefore the encoded bytes — depend
-//! only on the message value. Layout (all integers LE):
+//! *deterministic*: every map and set in `NetMsg` is a sorted vector
+//! (`VecMap`/`VecSet`) that iterates in key order, so iteration — and
+//! therefore the encoded bytes — depend only on the message value, not
+//! on the order it was built in. Layout (all integers LE):
 //!
 //! ```text
 //! body      := 0x01 msg
@@ -45,8 +46,8 @@
 
 use std::io;
 use vsgm_types::{
-    AppMsg, BaselineMsg, Cut, FwdPayload, GroupId, NetMsg, ProcessId, StartChangeId, SyncPayload,
-    View, ViewId,
+    AppMsg, BaselineMsg, Cut, FwdPayload, GroupId, NetMsg, ProcSet, ProcessId, StartChangeId,
+    SyncPayload, View, ViewId,
 };
 
 /// Version byte opening every binary-coded frame body. Distinct from `{`
@@ -514,6 +515,19 @@ fn dec_ack(cur: &mut Cur<'_>) -> Option<Cut> {
     Some(cut)
 }
 
+/// A participant set is accepted with pids in any order, repeats
+/// included. The ids are collected first and sorted once, as in
+/// [`dec_cut`]: inserting them one by one into a sorted vector would cost
+/// quadratic time for a hostile frame.
+fn dec_participants(cur: &mut Cur<'_>) -> Option<ProcSet> {
+    let n = cur.count(8)?;
+    let mut ids = Vec::with_capacity(n);
+    for _ in 0..n {
+        ids.push(ProcessId::new(cur.u64()?));
+    }
+    Some(ids.into_iter().collect())
+}
+
 /// Reads a length-prefixed byte string as a borrowed slice.
 fn dec_app_ref<'a>(cur: &mut Cur<'a>) -> Option<&'a [u8]> {
     let n = cur.count(1)?;
@@ -562,20 +576,12 @@ fn dec_msg_ref<'a>(cur: &mut Cur<'a>) -> Option<BodyRef<'a>> {
             Some(BodyRef::AppBatch(batch))
         }
         TAG_BL_PROPOSE => {
-            let n = cur.count(8)?;
-            let mut participants = std::collections::BTreeSet::new();
-            for _ in 0..n {
-                participants.insert(ProcessId::new(cur.u64()?));
-            }
+            let participants = dec_participants(cur)?;
             let seq = cur.u64()?;
             Some(BodyRef::Owned(NetMsg::Baseline(BaselineMsg::Propose { participants, seq })))
         }
         TAG_BL_SYNC => {
-            let n = cur.count(8)?;
-            let mut participants = std::collections::BTreeSet::new();
-            for _ in 0..n {
-                participants.insert(ProcessId::new(cur.u64()?));
-            }
+            let participants = dec_participants(cur)?;
             let tag = (cur.u64()?, cur.u64()?);
             let view = dec_view(cur)?;
             let cut = dec_cut(cur)?;
@@ -835,6 +841,27 @@ mod tests {
             Some(NetMsg::Sync(SyncPayload { cid: StartChangeId::new(6), view: None, cut }))
         );
         assert!(took < std::time::Duration::from_secs(5), "decoding took {took:?}");
+    }
+
+    /// A baseline participant set, like a cut, is bounded by the frame:
+    /// 2¹⁸ descending pids, one of them repeated, decode in one sort, well
+    /// inside the bound below (inserting them one by one into the sorted
+    /// set takes about 9 s in a debug build on a 2-core x86-64 VM).
+    #[test]
+    fn a_huge_descending_participant_set_decodes_in_one_sort() {
+        const N: u64 = 1 << 18;
+        let mut body = vec![BINARY_V1, TAG_BL_PROPOSE];
+        body.extend_from_slice(&(N as u32 + 1).to_le_bytes());
+        for pid in (1..=N).rev().chain([N]) {
+            body.extend_from_slice(&pid.to_le_bytes());
+        }
+        body.extend_from_slice(&9u64.to_le_bytes()); // seq
+        let started = std::time::Instant::now();
+        let decoded = decode_body(&body);
+        let took = started.elapsed();
+        let participants = (1..=N).map(p).collect();
+        assert_eq!(decoded, Some(NetMsg::Baseline(BaselineMsg::Propose { participants, seq: 9 })));
+        assert!(took < std::time::Duration::from_secs(2), "decoding took {took:?}");
     }
 
     #[test]

@@ -104,19 +104,18 @@ fn arb_net_msg() -> impl Strategy<Value = NetMsg> {
             })),
         arb_sync_payload().prop_map(NetMsg::Sync),
         prop::collection::vec((arb_pid(), arb_sync_payload()), 0..4).prop_map(NetMsg::SyncAgg),
-        (prop::collection::btree_set(arb_pid(), 0..6), any::<u64>())
-            .prop_map(|(participants, seq)| NetMsg::Baseline(BaselineMsg::Propose {
-                participants,
-                seq
-            })),
+        (prop::collection::vec(arb_pid(), 0..6), any::<u64>()).prop_map(|(participants, seq)| {
+            let participants = participants.into_iter().collect();
+            NetMsg::Baseline(BaselineMsg::Propose { participants, seq })
+        }),
         (
-            prop::collection::btree_set(arb_pid(), 0..6),
+            prop::collection::vec(arb_pid(), 0..6),
             (any::<u64>(), any::<u64>()),
             arb_view(),
             arb_cut()
         )
             .prop_map(|(participants, tag, view, cut)| NetMsg::Baseline(BaselineMsg::Sync {
-                participants,
+                participants: participants.into_iter().collect(),
                 tag,
                 view,
                 cut

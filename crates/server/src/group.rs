@@ -30,7 +30,7 @@
 
 #![deny(clippy::disallowed_types, clippy::disallowed_methods)]
 
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::VecDeque;
 use vsgm_core::stability::ACK_EVERY;
 use vsgm_core::{Config, Endpoint, Hosted, Input, Sink};
 use vsgm_ioa::{CheckSet, SimTime, TraceEntry, Violation};
@@ -113,7 +113,7 @@ pub struct GroupInstance {
     /// order, which keeps every channel FIFO.
     net: VecDeque<(ProcessId, ProcessId, NetMsg)>,
     /// End-points that took an input since they were last polled.
-    dirty: BTreeSet<ProcessId>,
+    dirty: ProcSet,
     /// Multicasts applied since the last acknowledgement round.
     sends_since_ack: u64,
     checks: CheckSet,
@@ -142,7 +142,7 @@ impl GroupInstance {
             oracle: MembershipOracle::new(),
             proposer_seq: 0,
             net: VecDeque::new(),
-            dirty: BTreeSet::new(),
+            dirty: ProcSet::new(),
             sends_since_ack: 0,
             checks: vsgm_spec::full_checks(None),
             emitted: 0,

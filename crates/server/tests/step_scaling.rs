@@ -6,9 +6,12 @@
 //! `run_to_quiescence` → `drain_outputs`), every spec checker online. A
 //! multicast comes from each member in turn; a join is one member joining
 //! a group that already holds the ones before it, so the join figure is
-//! the mean over groups of 1 to n members. The test prints and asserts no
-//! timing. It is a release-mode test (ignored in debug builds;
-//! `scripts/check.sh` prints its table).
+//! the mean over groups of 1 to n members. A set-up replay follows: what
+//! a daemon hosting `wide_1000g` steps before its first paced multicast —
+//! 1000 groups of four, each member joining and then multicasting once —
+//! timed per phase, best of five. The test prints and asserts no timing.
+//! It is a release-mode test (ignored in debug builds; `scripts/check.sh`
+//! prints its table).
 
 use std::time::Instant;
 use vsgm_server::{GroupCmd, GroupInstance};
@@ -51,6 +54,30 @@ fn measure(n: u64) -> (f64, f64) {
     (join_us, t0.elapsed().as_secs_f64() * 1e6 / sends as f64)
 }
 
+/// Milliseconds for the two phases of setting up `groups` groups of four:
+/// every group's four joins, then one multicast from each member of each.
+fn replay_setup(groups: u64) -> (f64, f64) {
+    let t0 = Instant::now();
+    let mut hosted: Vec<GroupInstance> = (1..=groups)
+        .map(|gid| {
+            let mut g = GroupInstance::new(GroupId::new(gid), 4, 0);
+            for i in 1..=4 {
+                step(&mut g, GroupCmd::Join(ProcessId::new(i)));
+            }
+            g
+        })
+        .collect();
+    let join_ms = t0.elapsed().as_secs_f64() * 1e3;
+    let payload = AppMsg::new(vec![0xA5u8; 64]);
+    let t0 = Instant::now();
+    for g in &mut hosted {
+        for i in 1..=4 {
+            step(g, GroupCmd::Send { from: ProcessId::new(i), msg: payload.clone() });
+        }
+    }
+    (join_ms, t0.elapsed().as_secs_f64() * 1e3)
+}
+
 /// The exponent `b` of the least-squares fit `y = a·n^b`.
 fn slope(points: &[(u64, f64)]) -> f64 {
     let xy: Vec<(f64, f64)> = points.iter().map(|(n, y)| ((*n as f64).ln(), y.ln())).collect();
@@ -78,5 +105,13 @@ fn step_cost_per_multicast_and_per_join_by_group_size() {
         "step scaling: slope in n (4..64): send n^{:.2}, join n^{:.2}",
         slope(&sends),
         slope(&joins)
+    );
+    const GROUPS: u64 = 1000;
+    let (join_ms, send_ms) = (0..5)
+        .map(|_| replay_setup(GROUPS))
+        .fold((f64::INFINITY, f64::INFINITY), |(j, s), (jr, sr)| (j.min(jr), s.min(sr)));
+    println!(
+        "step scaling: set-up of {GROUPS} groups of four (best of 5): \
+         joins {join_ms:.1} ms, one multicast per member {send_ms:.1} ms"
     );
 }

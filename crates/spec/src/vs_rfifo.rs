@@ -1,8 +1,8 @@
 //! `VS_RFIFO:SPEC` — virtual synchrony via agreed cuts (Fig. 5).
 
 use crate::view_sync::ViewCursor;
-use std::collections::{BTreeMap, BTreeSet};
-use vsgm_types::{Cut, ProcessId, View};
+use std::collections::BTreeMap;
+use vsgm_types::{Cut, ProcSet, ProcessId, View};
 
 /// The name `VS_RFIFO:SPEC`'s violations carry.
 pub(crate) const VS: &str = "VS_RFIFO:SPEC";
@@ -51,7 +51,7 @@ impl Cuts {
         };
         // Later mover: must match the established cut exactly (pointwise,
         // absent entries read as 0).
-        let senders: BTreeSet<ProcessId> =
+        let senders: ProcSet =
             agreed.iter().map(|(s, _)| s).chain(delivered.iter().map(|(s, _)| s)).collect();
         match senders.into_iter().find(|s| delivered.get(*s) != agreed.get(*s)) {
             None => Ok(()),

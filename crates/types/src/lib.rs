@@ -17,8 +17,9 @@
 //!   exchanged between end-points over the `CO_RFIFO` substrate (Fig. 9/10).
 //! * [`Cut`] — a map from processes to message indices: the set of messages
 //!   an end-point commits to deliver before installing the next view (§5.2).
-//! * [`VecMap`] — a sorted-vector map for per-process state, whose size
-//!   the group bounds (DESIGN.md §17).
+//! * [`VecMap`], [`VecSet`] — a sorted-vector map and set for per-process
+//!   state whose size the group bounds (DESIGN.md §17); [`ProcSet`] is a
+//!   `VecSet` of processes.
 //! * [`event::Event`] — the externally observable actions of the composed
 //!   system, used by the spec checkers in `vsgm-spec` to validate traces.
 //!
@@ -45,6 +46,7 @@ pub mod event;
 pub mod ids;
 pub mod message;
 pub mod vec_map;
+pub mod vec_set;
 pub mod view;
 
 pub use cut::Cut;
@@ -52,8 +54,10 @@ pub use event::Event;
 pub use ids::{GroupId, ProcessId, StartChangeId, ViewId};
 pub use message::{AppMsg, BaselineMsg, FwdPayload, MsgIndex, NetMsg, SyncPayload};
 pub use vec_map::VecMap;
+pub use vec_set::VecSet;
 pub use view::View;
 
-/// Convenience alias for an ordered set of processes, as used throughout the
-/// paper for view member sets and `start_change` suggestion sets.
-pub type ProcSet = std::collections::BTreeSet<ProcessId>;
+/// An ordered set of processes, as used throughout the paper for view
+/// member sets and `start_change` suggestion sets: a sorted vector, since
+/// the group bounds it.
+pub type ProcSet = VecSet<ProcessId>;

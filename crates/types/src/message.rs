@@ -3,6 +3,7 @@
 use crate::cut::Cut;
 use crate::ids::{ProcessId, StartChangeId};
 use crate::view::View;
+use crate::ProcSet;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::sync::Arc;
@@ -134,14 +135,14 @@ pub enum BaselineMsg {
     /// Round 1: propose a tag component for the given participant set.
     Propose {
         /// The processes participating in this agreement.
-        participants: std::collections::BTreeSet<ProcessId>,
+        participants: ProcSet,
         /// The proposer's monotone sequence number.
         seq: u64,
     },
     /// Round 2: the cut exchange, labeled with the agreed global tag.
     Sync {
         /// The processes participating in this agreement.
-        participants: std::collections::BTreeSet<ProcessId>,
+        participants: ProcSet,
         /// The agreed globally unique tag `(seq, pid)`.
         tag: (u64, u64),
         /// The sender's current view.

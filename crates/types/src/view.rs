@@ -1,9 +1,9 @@
 //! Membership views (Fig. 2: `Type View: ViewId × SetOf(Proc) × (Proc → StartChangeId)`).
 
 use crate::ids::{ProcessId, StartChangeId, ViewId};
+use crate::{ProcSet, VecMap};
 use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
-use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::sync::Arc;
 
@@ -66,8 +66,8 @@ impl PartialOrd for View {
 #[derive(Debug, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 struct ViewInner {
     id: ViewId,
-    members: BTreeSet<ProcessId>,
-    start_ids: BTreeMap<ProcessId, StartChangeId>,
+    members: ProcSet,
+    start_ids: VecMap<ProcessId, StartChangeId>,
 }
 
 impl View {
@@ -83,8 +83,8 @@ impl View {
         members: impl IntoIterator<Item = ProcessId>,
         start_ids: impl IntoIterator<Item = (ProcessId, StartChangeId)>,
     ) -> Self {
-        let members: BTreeSet<ProcessId> = members.into_iter().collect();
-        let start_ids: BTreeMap<ProcessId, StartChangeId> = start_ids.into_iter().collect();
+        let members: ProcSet = members.into_iter().collect();
+        let start_ids: VecMap<ProcessId, StartChangeId> = start_ids.into_iter().collect();
         assert!(
             members.iter().eq(start_ids.keys()),
             "startId map must be defined exactly on the member set \
@@ -106,7 +106,7 @@ impl View {
     }
 
     /// The member set (`v.set`).
-    pub fn members(&self) -> &BTreeSet<ProcessId> {
+    pub fn members(&self) -> &ProcSet {
         &self.inner.members
     }
 
@@ -133,7 +133,7 @@ impl View {
     }
 
     /// The full `startId` map.
-    pub fn start_ids(&self) -> &BTreeMap<ProcessId, StartChangeId> {
+    pub fn start_ids(&self) -> &VecMap<ProcessId, StartChangeId> {
         &self.inner.start_ids
     }
 
