@@ -80,9 +80,9 @@ impl ForwardStrategyKind {
     ) -> ControlFlow<B> {
         // Both strategies need a peer's sync record beside an own one, so
         // fewer than two records means nothing is due. That holds only
-        // until the first view change: [`State::gc`] keeps the n records
-        // the current view was installed from, so a member of a stable
-        // view of n > 1 takes the walk below on every step.
+        // until the first view change: [`State::gc`] keeps one generation,
+        // the n records the current view was installed from, so a member
+        // of a stable view of n > 1 takes the walk below on every step.
         if st.sync_msgs.len() <= 1 {
             return ControlFlow::Continue(());
         }

@@ -345,20 +345,30 @@ impl State {
         Some(t)
     }
 
-    /// Drops buffers and bookkeeping older than the previous view
-    /// generation. One generation is kept because forwarding duties for
-    /// the view just left may still be pending.
+    /// Drops what no later step can read, once view `v` (the current
+    /// view) is installed and `previous_view` (`u`) was left. Buffers and
+    /// forwarding marks of views older than `u` go; those of `u` stay,
+    /// since forwarding duties for it may still be pending. Of the sync
+    /// records, one generation stays (DESIGN.md §18):
+    ///
+    /// * of `q ∈ v`, those at or above `v.start_id(q)` — a later view
+    ///   selects a cid at least that, since `q`'s start ids only grow;
+    /// * of `q ∈ u \ v`, those at or above `u.start_id(q)`;
+    /// * of `q` in neither view, all — one may be the sync for a change
+    ///   this end-point has not seen yet, and dropping it would block
+    ///   that change forever.
+    ///
+    /// A dropped record carries a view older than `u`, whose buffers are
+    /// gone, or is an older record of a sender that has synced since.
     pub fn gc(&mut self, previous_view: &View) {
         let floor = previous_view.id();
         self.msgs.retain(|(_, v), _| v.id() >= floor);
         self.forwarded.retain(|(_, _, v, _)| v.id() >= floor);
-        // Sync records older than the previous view's start ids are dead:
-        // future views carry strictly newer cids per member.
-        let prev = previous_view.clone();
-        self.sync_msgs.retain(|(q, cid), _| match prev.start_id(*q) {
-            Some(prev_cid) => *cid >= prev_cid,
-            None => true,
+        let v = &self.current_view;
+        self.sync_msgs.retain(|(q, cid), _| {
+            v.start_id(*q).or_else(|| previous_view.start_id(*q)).is_none_or(|from| *cid >= from)
         });
+        self.sync_msgs.shrink_to_fit();
     }
 
     /// Resets everything to the initial state (§8 recovery — no stable
@@ -484,6 +494,124 @@ mod tests {
         let cut = st.commit_cut();
         assert_eq!(cut.get(p(1)), 1);
         assert_eq!(cut.get(p(2)), 0);
+    }
+
+    /// End-points joined by channels that deliver at once, each block
+    /// request acknowledged, for driving the view changes whose garbage
+    /// [`State::gc`] collects.
+    struct Mesh(VecMap<ProcessId, crate::Endpoint>);
+
+    impl Mesh {
+        fn new(ids: &[u64]) -> Mesh {
+            let ep = |i: &u64| (p(*i), crate::Endpoint::new(p(*i), crate::Config::default()));
+            Mesh(ids.iter().map(ep).collect())
+        }
+
+        fn state(&self, i: u64) -> &State {
+            self.0.get(&p(i)).expect("a member of the mesh").state()
+        }
+
+        /// `input` at each of `at`, then traffic until nobody has anything
+        /// left to say.
+        fn input(&mut self, at: &[u64], input: crate::Input) {
+            for i in at {
+                self.0.get_mut(&p(*i)).expect("a member of the mesh").handle(input.clone());
+            }
+            loop {
+                let mut traffic = Vec::new();
+                for ep in self.0.values_mut() {
+                    let mut effects = ep.handle(crate::Input::BlockOk);
+                    effects.extend(ep.poll());
+                    for e in effects {
+                        if let crate::Effect::NetSend { to, msg } = e {
+                            traffic.push((ep.pid(), to, msg));
+                        }
+                    }
+                }
+                if traffic.is_empty() {
+                    return;
+                }
+                for (from, to, msg) in traffic {
+                    for ep in self.0.values_mut().filter(|ep| to.contains(&ep.pid())) {
+                        ep.handle(crate::Input::Net { from, msg: msg.clone() });
+                    }
+                }
+            }
+        }
+
+        fn start_change(&mut self, at: &[u64], cid: u64, set: &[u64]) {
+            let set = set.iter().map(|i| p(*i)).collect();
+            self.input(at, crate::Input::StartChange { cid: StartChangeId::new(cid), set });
+        }
+
+        /// Announces view `epoch` of `start_ids` to its members and
+        /// returns it.
+        fn view(&mut self, epoch: u64, start_ids: &[(u64, u64)]) -> View {
+            let ids = start_ids.iter().map(|(i, cid)| (p(*i), StartChangeId::new(*cid)));
+            let v = View::new(vsgm_types::ViewId::new(epoch, 0), ids.clone().map(|(q, _)| q), ids);
+            let members: Vec<u64> = start_ids.iter().map(|(i, _)| *i).collect();
+            self.input(&members, crate::Input::MbrshpView(v.clone()));
+            v
+        }
+
+        /// The `(q, cid)` keys of `i`'s sync records.
+        fn records(&self, i: u64) -> Vec<(u64, u64)> {
+            self.state(i).sync_msgs.keys().map(|(q, cid)| (q.raw(), cid.raw())).collect()
+        }
+    }
+
+    #[test]
+    fn after_a_cascaded_change_only_the_current_views_start_ids_remain() {
+        let mut m = Mesh::new(&[1, 2]);
+        m.start_change(&[1, 2], 1, &[1, 2]);
+        m.view(1, &[(1, 1), (2, 1)]);
+        m.start_change(&[1, 2], 2, &[1, 2]);
+        m.start_change(&[1, 2], 3, &[1, 2]);
+        assert_eq!(m.records(1), [(1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (2, 3)]);
+        let v = m.view(2, &[(1, 3), (2, 3)]);
+        for i in [1, 2] {
+            assert_eq!(m.state(i).current_view, v);
+            assert_eq!(m.records(i), [(1, 3), (2, 3)], "p{i}");
+        }
+    }
+
+    #[test]
+    fn a_member_that_leaves_and_rejoins_leaves_one_generation_behind() {
+        let mut m = Mesh::new(&[1, 2, 3]);
+        m.start_change(&[1, 2, 3], 1, &[1, 2, 3]);
+        m.view(1, &[(1, 1), (2, 1), (3, 1)]);
+        // p3 leaves; the survivors keep its record of the view it left.
+        m.start_change(&[1, 2], 2, &[1, 2]);
+        m.view(2, &[(1, 2), (2, 2)]);
+        assert_eq!(m.records(1), [(1, 2), (2, 2), (3, 1)]);
+        // It re-joins from the view it left, and every member ends with
+        // one record per member of the view.
+        m.start_change(&[1, 2, 3], 3, &[1, 2, 3]);
+        let v = m.view(3, &[(1, 3), (2, 3), (3, 3)]);
+        for i in [1, 2, 3] {
+            assert_eq!(m.state(i).current_view, v, "p{i}");
+            assert_eq!(m.records(i), [(1, 3), (2, 3), (3, 3)], "p{i}");
+        }
+    }
+
+    #[test]
+    fn a_future_joiners_early_sync_survives_the_install_and_the_next_view_installs() {
+        let mut m = Mesh::new(&[1, 2, 3]);
+        m.start_change(&[1, 2], 1, &[1, 2]);
+        m.view(1, &[(1, 1), (2, 1)]);
+        // p3 hears of a change that adds it before p1 and p2 do, and its
+        // sync reaches them while they are still changing without it.
+        m.start_change(&[3], 7, &[1, 2, 3]);
+        m.start_change(&[1, 2], 2, &[1, 2]);
+        assert!(m.records(1).contains(&(3, 7)));
+        m.view(2, &[(1, 2), (2, 2)]);
+        assert_eq!(m.records(1), [(1, 2), (2, 2), (3, 7)]);
+        m.start_change(&[1, 2], 3, &[1, 2, 3]);
+        let v = m.view(3, &[(1, 3), (2, 3), (3, 7)]);
+        for i in [1, 2, 3] {
+            assert_eq!(m.state(i).current_view, v, "p{i}");
+            assert_eq!(m.records(i), [(1, 3), (2, 3), (3, 7)], "p{i}");
+        }
     }
 
     #[test]

@@ -46,8 +46,8 @@
 
 use std::io;
 use vsgm_types::{
-    AppMsg, BaselineMsg, Cut, FwdPayload, GroupId, NetMsg, ProcSet, ProcessId, StartChangeId,
-    SyncPayload, View, ViewId,
+    AppMsg, BaselineMsg, Cut, FwdPayload, GroupId, MsgIndex, NetMsg, ProcSet, ProcessId,
+    StartChangeId, SyncPayload, View, ViewId,
 };
 
 /// Version byte opening every binary-coded frame body. Distinct from `{`
@@ -499,20 +499,20 @@ fn dec_cut(cur: &mut Cur<'_>) -> Option<Cut> {
 }
 
 /// An acknowledgement vector is accepted in the encoder's form only:
-/// pids strictly increasing, so none appears twice.
+/// pids strictly increasing, so none appears twice. As in [`dec_cut`],
+/// the pairs are collected and the cut built once: [`Cut::set`] copies
+/// the cut, so setting entry by entry is quadratic in a frame's length.
 fn dec_ack(cur: &mut Cur<'_>) -> Option<Cut> {
     let n = cur.count(16)?;
-    let mut cut = Cut::new();
-    let mut last = None;
+    let mut pairs: Vec<(ProcessId, MsgIndex)> = Vec::with_capacity(n);
     for _ in 0..n {
         let p = ProcessId::new(cur.u64()?);
-        if last.is_some_and(|q| q >= p) {
+        if pairs.last().is_some_and(|(q, _)| *q >= p) {
             return None;
         }
-        last = Some(p);
-        cut.set(p, cur.u64()?);
+        pairs.push((p, cur.u64()?));
     }
-    Some(cut)
+    Some(Cut::from_iter(pairs))
 }
 
 /// A participant set is accepted with pids in any order, repeats
@@ -841,6 +841,27 @@ mod tests {
             Some(NetMsg::Sync(SyncPayload { cid: StartChangeId::new(6), view: None, cut }))
         );
         assert!(took < std::time::Duration::from_secs(5), "decoding took {took:?}");
+    }
+
+    /// An acknowledgement vector is bounded by the frame as well: 2¹⁸
+    /// increasing pids decode into one cut built once. Setting them one by
+    /// one copies the shared cut per entry, which is quadratic and far
+    /// past the bound below.
+    #[test]
+    fn a_huge_increasing_ack_decodes_in_one_build() {
+        const N: u64 = 1 << 18;
+        let mut body = vec![BINARY_V1, TAG_ACK];
+        body.extend_from_slice(&(N as u32).to_le_bytes());
+        for pid in 1..=N {
+            body.extend_from_slice(&pid.to_le_bytes());
+            body.extend_from_slice(&(pid + 3).to_le_bytes());
+        }
+        let started = std::time::Instant::now();
+        let decoded = decode_body(&body);
+        let took = started.elapsed();
+        let cut = Cut::from_iter((1..=N).map(|pid| (p(pid), pid + 3)));
+        assert_eq!(decoded, Some(NetMsg::Ack(cut)));
+        assert!(took < std::time::Duration::from_secs(2), "decoding took {took:?}");
     }
 
     /// A baseline participant set, like a cut, is bounded by the frame:

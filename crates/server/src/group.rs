@@ -568,6 +568,29 @@ mod tests {
         assert!(g.finish().is_empty());
     }
 
+    /// An end-point keeps one generation of sync records: after churn,
+    /// one per member of its current view, the one that view selects.
+    #[test]
+    fn after_churn_each_end_point_holds_one_sync_record_per_member() {
+        let mut g = GroupInstance::new(GroupId::new(9), 4, 0);
+        for i in 1..=4 {
+            step(&mut g, GroupCmd::Join(p(i)));
+        }
+        for _ in 0..3 {
+            step(&mut g, GroupCmd::Leave(p(4)));
+            step(&mut g, GroupCmd::Join(p(4)));
+        }
+        for h in g.hosted.values() {
+            let st = h.ep().state();
+            let v = &st.current_view;
+            assert_eq!(v.len(), 4);
+            let selected: Vec<_> = v.start_ids().iter().map(|(q, cid)| (*q, *cid)).collect();
+            let held: Vec<_> = st.sync_msgs.keys().copied().collect();
+            assert_eq!(held, selected, "{}", h.ep().pid());
+        }
+        assert!(g.finish().is_empty());
+    }
+
     #[test]
     fn empty_group_goes_dormant_not_panicking() {
         let mut g = GroupInstance::new(GroupId::new(5), 2, 1);

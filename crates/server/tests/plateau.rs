@@ -203,7 +203,7 @@ fn resident_memory_plateaus_under_view_changes() {
 )]
 fn a_thousand_groups_of_four_fit_their_budget_and_unused_capacity_costs_nothing() {
     const GROUPS: u64 = 1000;
-    const BYTES_PER_GROUP: u64 = 22 * 1024;
+    const BYTES_PER_GROUP: u64 = 18 * 1024;
     const CAPACITY_SLACK: u64 = 1024;
     let _turn = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
     // What a group holds after four joins, each settled and drained, and

@@ -105,6 +105,11 @@ impl<K, V> VecMap<K, V> {
     pub fn retain(&mut self, mut keep: impl FnMut(&K, &mut V) -> bool) {
         self.entries.retain_mut(|(k, v)| keep(k, v));
     }
+
+    /// Gives back the capacity the entries do not use.
+    pub fn shrink_to_fit(&mut self) {
+        self.entries.shrink_to_fit();
+    }
 }
 
 impl<K: Ord, V> VecMap<K, V> {

@@ -171,6 +171,31 @@ cargo test -q -p vsgm-core --lib "${CARGO_FLAGS[@]}" -- --exact \
     node::tests::a_send_between_block_ok_and_the_next_view_is_delivered_in_that_view \
     node::tests::an_audit_reset_reaches_the_node_and_leaves_a_fresh_client >/dev/null
 
+# What an end-point keeps (DESIGN.md §18), run by name: one generation
+# of sync records — after a cascaded change, after a leave and re-join,
+# and after a hosted group's churn only the records the current view's
+# start ids select remain, while a future joiner's early sync survives
+# the install and its view installs — and one shared, immutable cut,
+# which answers every call as the sorted-vector map it replaced, with
+# the same Debug text and JSON. An acknowledgement vector decodes into
+# a cut built once (2^18 entries within 2 s in debug; one copy per
+# entry is quadratic).
+echo "==> end-point memory (one generation of sync records, shared cuts)"
+cargo test -q -p vsgm-core --lib "${CARGO_FLAGS[@]}" -- --exact \
+    state::tests::after_a_cascaded_change_only_the_current_views_start_ids_remain \
+    state::tests::a_member_that_leaves_and_rejoins_leaves_one_generation_behind \
+    state::tests::a_future_joiners_early_sync_survives_the_install_and_the_next_view_installs \
+    >/dev/null
+cargo test -q -p vsgm-server --lib "${CARGO_FLAGS[@]}" -- --exact \
+    group::tests::after_churn_each_end_point_holds_one_sync_record_per_member >/dev/null
+cargo test -q -p vsgm-types --lib "${CARGO_FLAGS[@]}" -- --exact \
+    cut::tests::behaves_like_a_vec_map_cut \
+    cut::tests::a_set_on_a_clone_leaves_the_original_unchanged \
+    cut::tests::an_empty_cut_is_equal_however_it_was_built \
+    cut::tests::debug_and_json_literals_are_the_vec_map_cuts >/dev/null
+cargo test -q -p vsgm-net --lib "${CARGO_FLAGS[@]}" -- --exact \
+    codec::tests::a_huge_increasing_ack_decodes_in_one_build >/dev/null
+
 # Multi-group conformance (DESIGN.md §17). Differential: the daemon's
 # direct host must hand every receiver the byte-identical frame sequence
 # the Sim-backed oracle (tests/support/) does over >=50 randomized
@@ -196,10 +221,11 @@ cargo test -q -p vsgm --test multigroup_chaos "${CARGO_FLAGS[@]}" >/dev/null
 # or end-points that stop acknowledging, fail here.
 # Footprint: 1000 groups of four (joined, drained, then 4, 22 or 70
 # multicasts — the last past one acknowledgement round) stay under
-# 26 KiB resident each, and four members in capacity 16 cost within
+# 18 KiB resident each, and four members in capacity 16 cost within
 # 1 KiB of four in capacity 4 — a host that provisions per capacity,
-# simulates its clients again, or keeps per-process state in B-tree
-# leaves again, fails here. Each soak's growth or per-group line is
+# simulates its clients again, keeps per-process state in B-tree
+# leaves again, or end-points that keep two generations of sync
+# records or a private copy of every cut, fail here. Each soak's growth or per-group line is
 # printed, as the benchmark smoke below prints rss_paced_mb.
 #
 # Before the soaks, the daemon itself (DESIGN.md §17), run by name: a
