@@ -28,7 +28,6 @@
 #[cfg(test)]
 mod tests {
     use crate::{Action, Config, Effect, Endpoint, Input};
-    use vsgm_ioa::Automaton;
     use vsgm_types::{
         AppMsg, Cut, NetMsg, ProcSet, ProcessId, StartChangeId, SyncPayload, View, ViewId,
     };

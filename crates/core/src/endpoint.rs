@@ -4,7 +4,6 @@ use crate::config::Config;
 use crate::forward::ForwardCmd;
 use crate::state::{State, SyncRecord};
 use crate::{sd, stability, vs, wv};
-use vsgm_ioa::Automaton;
 use vsgm_obs::{names, NoopRecorder, ObsEvent, Recorder};
 use vsgm_types::{
     AppMsg, FwdPayload, NetMsg, ProcSet, ProcessId, StartChangeId, SyncPayload, View,
@@ -210,8 +209,8 @@ pub struct EndpointStats {
 ///
 /// Drive it by feeding [`Input`]s with [`Endpoint::handle`] and letting it
 /// fire its enabled locally controlled actions, either one at a time
-/// through the [`Automaton`] interface (for schedule-exploring tests) or
-/// in bulk with [`Endpoint::poll`].
+/// with [`Endpoint::enabled_actions`] and [`Endpoint::fire`] (for
+/// schedule-exploring tests) or in bulk with [`Endpoint::poll`].
 #[derive(Debug, Clone)]
 pub struct Endpoint {
     cfg: Config,
@@ -606,11 +605,11 @@ impl Endpoint {
         }
     }
 
-    /// The action [`Automaton::enabled_actions`] lists first: the same
+    /// The action [`Endpoint::enabled_actions`] lists first: the same
     /// canonical order, walked until the first precondition that holds.
     /// Every predicate on the walk borrows the state, so the walk that
     /// finds nothing — the last one of every poll — allocates nothing.
-    fn first_enabled(&self) -> Option<Action> {
+    pub fn first_enabled(&self) -> Option<Action> {
         if self.st.crashed {
             return None;
         }
@@ -646,16 +645,36 @@ impl Endpoint {
         }
         stability::send_ack_pre(&self.st).then_some(Action::SendAck)
     }
-}
 
-impl Automaton for Endpoint {
-    type Action = Action;
-    type Effect = Effect;
+    /// Whether `action`'s precondition holds: the precondition half of
+    /// each precondition/effect pair, as [`Endpoint::fire`]'s match is the
+    /// effect half. Both matches are exhaustive, with no `_` arm, so an
+    /// [`Action`] without both halves does not compile.
+    pub fn pre(&self, action: &Action) -> bool {
+        if self.st.crashed {
+            return false;
+        }
+        match action {
+            Action::SetReliable => !self.reliable_at_target(),
+            Action::SendViewMsg => wv::send_view_msg_pre(&self.st),
+            Action::SendSyncMsg => self.sync_enabled(),
+            Action::Block => self.cfg.stack.has_sd() && sd::block_pre(&self.st),
+            Action::FlushAgg => self.flush_agg_enabled(),
+            Action::SendAppMsg => self.send_app_enabled(),
+            Action::DeliverApp(q) => {
+                self.st.current_view.members().contains(q) && self.deliver_enabled(*q)
+            }
+            Action::DeliverView => self.view_ready(),
+            Action::Forward(cmd) => {
+                self.cfg.stack.has_vs() && self.cfg.forward.offers(&self.st, cmd)
+            }
+            Action::SendAck => stability::send_ack_pre(&self.st),
+        }
+    }
 
-    /// Every enabled action in canonical order — what explore's DPOR
-    /// enumerates, and the reference `Endpoint::first_enabled` is checked
-    /// against in debug builds.
-    fn enabled_actions(&self) -> Vec<Action> {
+    /// Every enabled action in canonical order — the reference
+    /// [`Endpoint::first_enabled`] is checked against in debug builds.
+    pub fn enabled_actions(&self) -> Vec<Action> {
         if self.st.crashed {
             return Vec::new();
         }
@@ -697,16 +716,15 @@ impl Automaton for Endpoint {
         out
     }
 
-    fn fire(&mut self, action: &Action) -> Vec<Effect> {
+    /// Fires one enabled locally controlled action atomically and returns
+    /// its externally visible effects.
+    pub fn fire(&mut self, action: &Action) -> Vec<Effect> {
         self.fire_rec(action, &mut NoopRecorder)
     }
-}
 
-impl Endpoint {
-    /// Fires one locally controlled action with an observability
-    /// [`Recorder`] — the instrumented body behind [`Automaton::fire`].
+    /// [`Endpoint::fire`] with an observability [`Recorder`].
     pub(crate) fn fire_rec(&mut self, action: &Action, rec: &mut dyn Recorder) -> Vec<Effect> {
-        debug_assert!(!self.st.crashed, "fire while crashed");
+        debug_assert!(self.pre(action), "fire of {action:?}, which is not enabled");
         match action {
             Action::SetReliable => {
                 let target = self.reliable_target();

@@ -71,6 +71,19 @@ impl ForwardStrategyKind {
         }
     }
 
+    /// Whether `cmd` is one of [`ForwardStrategyKind::candidates`], found
+    /// by the same walk stopped where it meets `cmd`.
+    pub fn offers(self, st: &State, cmd: &ForwardCmd) -> bool {
+        let hit = self.walk(st, &mut |c| {
+            if c == *cmd {
+                ControlFlow::Break(())
+            } else {
+                ControlFlow::Continue(())
+            }
+        });
+        hit.is_break()
+    }
+
     /// Hands every enabled forwarding action to `emit`, in candidate
     /// order, until `emit` breaks.
     fn walk<B>(

@@ -3,7 +3,6 @@
 //! abstract automata take for granted.
 
 use vsgm_core::{Action, Config, Effect, Endpoint, Input, Stack};
-use vsgm_ioa::Automaton;
 use vsgm_types::{
     AppMsg, Cut, FwdPayload, NetMsg, ProcSet, ProcessId, StartChangeId, SyncPayload, View, ViewId,
 };

@@ -15,7 +15,7 @@
 use crate::config::{ExploreConfig, ExtEvent, ExtKind};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use vsgm_core::{Endpoint, Hosted, Input, Sink};
-use vsgm_ioa::{Automaton, Dependence};
+use vsgm_ioa::Dependence;
 use vsgm_obs::{NoopRecorder, Recorder};
 use vsgm_types::{Event, NetMsg, ProcessId};
 
@@ -169,7 +169,7 @@ impl<'a> Machine<'a> {
     fn enabled_internal(&self, st: &State) -> Vec<Transition> {
         let mut out = Vec::new();
         for (p, host) in &st.eps {
-            if !st.crashed.contains(p) && !host.ep().enabled_actions().is_empty() {
+            if !st.crashed.contains(p) && host.ep().first_enabled().is_some() {
                 out.push(Transition::Fire { p: *p });
             }
         }
@@ -222,7 +222,7 @@ impl<'a> Machine<'a> {
                 // order until locally quiescent.
                 for _ in 0..self.cfg.max_depth {
                     let host = st.eps.get(p).expect("known proc");
-                    let Some(action) = host.ep().enabled_actions().into_iter().next() else {
+                    let Some(action) = host.ep().first_enabled() else {
                         return;
                     };
                     self.step(st, *p, |h, rec, out| h.fire(&action, rec, out));

@@ -804,11 +804,15 @@ mod tests {
 
     #[test]
     fn e10_aggregation_reduces_messages() {
-        let t = e10_aggregation(&[8]);
-        let flat: u64 = t.rows[0][1].parse().unwrap();
-        let agg: u64 = t.rows[0][3].parse().unwrap();
-        assert_eq!(flat, 8 * 7);
-        assert_eq!(agg, 2 * 7);
+        let t = e10_aggregation(&[4, 8, 16]);
+        assert_eq!(t.rows.len(), 3);
+        for row in &t.rows {
+            let n: u64 = row[0].parse().unwrap();
+            let flat: u64 = row[1].parse().unwrap();
+            let agg: u64 = row[3].parse().unwrap();
+            assert_eq!(flat, n * (n - 1), "flat sync messages at n = {n}");
+            assert_eq!(agg, 2 * (n - 1), "aggregated sync messages at n = {n}");
+        }
     }
 
     #[test]

@@ -9,8 +9,6 @@
 //! * [`time::SimTime`] — discrete simulated time.
 //! * [`rng::SimRng`] — seeded, reproducible randomness for schedule and
 //!   fault exploration.
-//! * [`automaton::Automaton`] — the enabled/fire interface every algorithm
-//!   automaton in this workspace implements.
 //! * [`trace::Trace`] — a recorded global execution trace of external
 //!   actions, with projections and JSON export.
 //! * [`check::Checker`] — the interface spec automata implement to validate
@@ -24,14 +22,12 @@
     reason = "outside P1: `CheckSet::assert_clean` panics for tests; expects state invariants"
 )]
 
-pub mod automaton;
 pub mod check;
 pub mod depend;
 pub mod rng;
 pub mod time;
 pub mod trace;
 
-pub use automaton::Automaton;
 pub use check::{CheckSet, Checker, Violation};
 pub use depend::{Dependence, SleepSet};
 pub use rng::SimRng;

@@ -47,12 +47,13 @@
 
 use crate::codec::{self, BodyRef};
 use crate::sys::{Events, Poller, READABLE, READABLE_EDGE, WRITABLE_EDGE};
+use crate::tiered::{blocking, Tiered};
 use crate::writer::{OutQueue, WriterStats};
 use std::collections::HashMap;
 use std::io::{self, Read};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 use vsgm_types::{GroupId, NetMsg, ProcessId};
 
@@ -123,9 +124,9 @@ pub(crate) struct LoopCtx {
     pub stats: Arc<WriterStats>,
     /// Loop-side counters above.
     pub counters: Arc<LoopCounters>,
-    /// Last time any frame arrived per peer (suspicion input).
-    // vsgm-lock-tier(5): leaf — taken by loop threads with nothing held.
-    pub last_heard: Arc<parking_lot::Mutex<HashMap<ProcessId, Instant>>>,
+    /// Last time any frame arrived per peer (suspicion input). A leaf:
+    /// taken by loop threads with nothing held.
+    pub last_heard: Arc<Tiered<HashMap<ProcessId, Instant>, 5>>,
 }
 
 /// The transport-config slice the loops act on.
@@ -157,21 +158,16 @@ pub(crate) enum Register {
 }
 
 struct LoopShared {
-    // vsgm-lock-tier(1): taken briefly by registering threads and the
-    // loop thread to swap the pending list; nothing else taken under it.
-    inbox: Mutex<Vec<Register>>,
+    /// Connections handed over and not yet taken in. Taken briefly by
+    /// registering threads and the loop thread to swap the pending list;
+    /// nothing else is taken under it.
+    inbox: Tiered<Vec<Register>, 1>,
     /// Whether a wake-up is owed since the loop last cleared this flag:
     /// only the waker that turns it false → true writes the eventfd.
     pending: AtomicBool,
     /// The loop's epoll instance and the eventfd wakers write.
     poller: Poller,
     shutdown: AtomicBool,
-}
-
-fn lock<'a, T>(m: &'a Mutex<T>) -> MutexGuard<'a, T> {
-    // Loop-internal std mutexes guard plain data swapped in single
-    // statements; recover from poisoning rather than propagate.
-    m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// Clone-cheap handle that wakes one loop thread out of its park.
@@ -207,7 +203,7 @@ impl Loops {
             .loops
             .get(i)
             .ok_or_else(|| io::Error::other("transport has no event loop"))?;
-        lock(&shared.inbox).push(reg);
+        shared.inbox.lock().push(reg);
         let waker = LoopWaker(Arc::clone(shared));
         waker.wake();
         Ok(waker)
@@ -230,7 +226,7 @@ impl LoopPool {
         let loops = (0..threads.max(1))
             .map(|_| {
                 Ok(Arc::new(LoopShared {
-                    inbox: Mutex::new(Vec::new()),
+                    inbox: Tiered::new(Vec::new()),
                     pending: AtomicBool::new(false),
                     poller: Poller::new(WAKE_TOKEN)?,
                     shutdown: AtomicBool::new(false),
@@ -636,7 +632,7 @@ fn loop_main(
         let now = Instant::now();
         let mut progress = false;
         // Adopt newly registered connections.
-        let fresh = std::mem::take(&mut *lock(&shared.inbox));
+        let fresh = std::mem::take(&mut *shared.inbox.lock());
         for reg in fresh {
             ctx.counters.conns_opened.fetch_add(1, Ordering::Relaxed);
             let (conn, watched) = match reg {
@@ -705,7 +701,8 @@ fn loop_main(
             .chain(grace_until)
             .chain(acceptor.as_ref().and_then(|a| a.paused_until))
             .min();
-        shared.poller.wait(&mut events, wake_at.map(|at| at.saturating_duration_since(now)));
+        let timeout = wake_at.map(|at| at.saturating_duration_since(now));
+        blocking(|| shared.poller.wait(&mut events, timeout));
         for token in events.tokens() {
             match (token, acceptor.as_mut()) {
                 (WAKE_TOKEN, _) => shared.poller.drain_notify(),

@@ -38,6 +38,7 @@ pub mod stats;
 #[expect(unsafe_code, reason = "the workspace's one unsafe module: the epoll/eventfd FFI")]
 mod sys;
 pub mod tcp;
+pub mod tiered;
 pub(crate) mod writer;
 
 pub use codec::WireFormat;

@@ -72,9 +72,9 @@ use crate::codec::{self, WireFormat};
 pub use crate::evloop::FrameHandler;
 use crate::evloop::{LoopConfig, LoopCounters, LoopCtx, LoopPool, Register};
 use crate::stats::NetStats;
+use crate::tiered::{blocking, blocking_holding, Tiered};
 use crate::writer::{OutQueue, PeerWriter, PushError, WriterStats};
 use crossbeam::channel::{unbounded, Receiver};
-use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::io::{self, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -104,9 +104,9 @@ pub struct TcpTransport {
     local_addr: SocketAddr,
     incoming: Receiver<(ProcessId, Option<GroupId>, NetMsg)>,
     config: TcpConfig,
-    // vsgm-lock-tier(4): taken under a per-peer connect guard during
-    // backoff; never held while taking any other lock.
-    jitter: Mutex<SimRng>,
+    /// Backoff jitter. Taken under a per-peer connect guard during
+    /// backoff; never held while taking any other lock.
+    jitter: Tiered<SimRng, 4>,
 }
 
 /// Wire-format and robustness knobs for [`TcpTransport`].
@@ -181,25 +181,37 @@ impl Default for TcpConfig {
     }
 }
 
+/// The tier of a per-peer connect guard: the outermost lock, held across
+/// the dial, the handshake write and the backoff sleeps between attempts.
+const CONNECT_TIER: u8 = 0;
+
+/// Serializes connection establishment to one peer.
+type ConnectGuard = Tiered<(), CONNECT_TIER>;
+
+/// Why a thread dials, writes its handshake and sleeps out its backoff
+/// holding the peer's connect guard.
+const HELD_WHILE_DIALING: &str = "racing senders must wait for the one connection attempt to a \
+    peer rather than dial it concurrently; the guard is per peer, so no other traffic waits";
+
 /// State shared with the heartbeat thread and the event loops.
 struct TcpShared {
     me: ProcessId,
-    // vsgm-lock-tier(3): taken under a per-peer connect guard (and on
-    // registration with nothing held); released before connecting.
-    addr_book: Mutex<HashMap<ProcessId, SocketAddr>>,
-    // vsgm-lock-tier(2): taken bare on the fast path and re-checked
-    // under a per-peer connect guard; never held across a connect.
-    outgoing: Mutex<HashMap<ProcessId, PeerWriter>>,
+    /// Where each peer listens. Taken under a per-peer connect guard (and
+    /// on registration with nothing held); released before connecting.
+    addr_book: Tiered<HashMap<ProcessId, SocketAddr>, 3>,
+    /// Each peer's live connection. Taken bare on the fast path and
+    /// re-checked under a per-peer connect guard; never held across a
+    /// connect, nor while taking a connection's queue lock.
+    outgoing: Tiered<HashMap<ProcessId, PeerWriter>, 2>,
     /// Per-peer guards serializing connection establishment: the loser of
-    /// a racing first send waits here and reuses the winner's socket.
-    // vsgm-lock-tier(1): the map lock is only held to clone out the
-    // per-peer Arc; the per-peer guards inside outrank every other lock.
-    connect_locks: Mutex<HashMap<ProcessId, Arc<Mutex<()>>>>,
+    /// a racing first send waits here and reuses the winner's socket. The
+    /// map lock is only held to clone out the per-peer `Arc`; the
+    /// per-peer guards inside outrank every other lock.
+    connect_locks: Tiered<HashMap<ProcessId, Arc<ConnectGuard>>, 1>,
     /// Last time any frame (handshake, data, heartbeat) arrived per peer
-    /// — shared with the event loops through [`LoopCtx`].
-    // vsgm-lock-tier(5): leaf — touched by loop/heartbeat threads with
-    // nothing else held.
-    last_heard: Arc<Mutex<HashMap<ProcessId, Instant>>>,
+    /// — shared with the event loops through [`LoopCtx`]. A leaf: touched
+    /// by loop and heartbeat threads with nothing else held.
+    last_heard: Arc<Tiered<HashMap<ProcessId, Instant>, 5>>,
     /// The fixed pool of event-loop threads owning every socket.
     pool: LoopPool,
     /// Loop-side counters (accepts, heartbeats heard, rejects, evictions,
@@ -271,7 +283,7 @@ impl TcpTransport {
         listener.set_nonblocking(true)?;
         let writer_stats = Arc::new(WriterStats::default());
         let counters = Arc::new(LoopCounters::default());
-        let last_heard = Arc::new(Mutex::new(HashMap::new()));
+        let last_heard = Arc::new(Tiered::new(HashMap::new()));
         let ctx = Arc::new(LoopCtx {
             deliver,
             stats: Arc::clone(&writer_stats),
@@ -287,9 +299,9 @@ impl TcpTransport {
         let pool = LoopPool::spawn(config.loop_threads, listener, &ctx, &loop_cfg)?;
         let shared = Arc::new(TcpShared {
             me,
-            addr_book: Mutex::new(HashMap::new()),
-            outgoing: Mutex::new(HashMap::new()),
-            connect_locks: Mutex::new(HashMap::new()),
+            addr_book: Tiered::new(HashMap::new()),
+            outgoing: Tiered::new(HashMap::new()),
+            connect_locks: Tiered::new(HashMap::new()),
             last_heard,
             pool,
             counters,
@@ -304,7 +316,7 @@ impl TcpTransport {
         }
         // Seed for the deterministic backoff jitter (up to half the delay).
         const JITTER_SEED: u64 = 0x7C9;
-        let jitter = Mutex::new(SimRng::new(JITTER_SEED ^ me.raw()));
+        let jitter = Tiered::new(SimRng::new(JITTER_SEED ^ me.raw()));
         Ok(TcpTransport { shared, local_addr, incoming, config, jitter })
     }
 
@@ -434,12 +446,10 @@ impl TcpTransport {
                     self.shared.retries.fetch_add(1, Ordering::Relaxed);
                     let jitter_us =
                         self.jitter.lock().range(0, (delay.as_micros() as u64) / 2 + 1);
-                    // vsgm-allow(R1): the backoff sleeps under the
-                    // per-peer connect guard by design — racing senders
-                    // must wait for the one connection attempt rather
-                    // than dial the same peer concurrently. The guard is
-                    // per-peer, so no other traffic is delayed.
-                    std::thread::sleep(delay + Duration::from_micros(jitter_us));
+                    let pause = delay + Duration::from_micros(jitter_us);
+                    blocking_holding::<CONNECT_TIER, _>(HELD_WHILE_DIALING, || {
+                        std::thread::sleep(pause)
+                    });
                     delay = (delay * 2).min(self.config.backoff_cap);
                 }
             }
@@ -447,12 +457,15 @@ impl TcpTransport {
     }
 
     fn try_connect(&self, peer: ProcessId, addr: SocketAddr) -> io::Result<PeerWriter> {
-        let mut stream = TcpStream::connect(addr)?;
-        stream.set_nodelay(true)?;
         // Handshake: announce who we are. The connection has not been
         // handed to an event loop yet, so this (blocking) write cannot
         // interleave with frames.
-        stream.write_all(&self.shared.me.raw().to_le_bytes())?;
+        let stream = blocking_holding::<CONNECT_TIER, _>(HELD_WHILE_DIALING, || {
+            let mut stream = TcpStream::connect(addr)?;
+            stream.set_nodelay(true)?;
+            stream.write_all(&self.shared.me.raw().to_le_bytes())?;
+            io::Result::Ok(stream)
+        })?;
         stream.set_nonblocking(true)?;
         let queue = Arc::new(OutQueue::new(self.config.writer_queue, Some(stream)));
         let broken = Arc::new(AtomicBool::new(false));
@@ -557,7 +570,7 @@ impl TcpTransport {
         &self,
         timeout: Duration,
     ) -> Option<(ProcessId, Option<GroupId>, NetMsg)> {
-        self.incoming.recv_timeout(timeout).ok()
+        blocking(|| self.incoming.recv_timeout(timeout)).ok()
     }
 
     /// Non-blocking variant of [`TcpTransport::recv_routed_timeout`].
@@ -659,9 +672,12 @@ fn aggregate_send_errors(
 impl Drop for TcpTransport {
     fn drop(&mut self) {
         self.shared.shutdown.store(true, Ordering::SeqCst);
-        // Close every writer queue (queued frames still flush), then tell
-        // the loops to finish flushing within their grace window and exit.
-        for (_, w) in self.shared.outgoing.lock().drain() {
+        // Close every writer queue (queued frames still flush) once out of
+        // the map, whose tier is above a queue's, then tell the loops to
+        // finish flushing within their grace window and exit.
+        let writers: Vec<PeerWriter> =
+            self.shared.outgoing.lock().drain().map(|(_, w)| w).collect();
+        for w in writers {
             w.close();
         }
         self.shared.pool.shutdown();
@@ -689,7 +705,7 @@ fn spawn_heartbeat_loop(shared: Arc<TcpShared>, interval: Duration) -> io::Resul
         .name("vsgm-tcp-heartbeat".into())
         .spawn(move || {
             while !shared.shutdown.load(Ordering::SeqCst) {
-                std::thread::sleep(interval);
+                blocking(|| std::thread::sleep(interval));
                 let conns: Vec<(ProcessId, PeerWriter)> = shared
                     .outgoing
                     .lock()

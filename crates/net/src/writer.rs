@@ -38,7 +38,8 @@ use std::collections::VecDeque;
 use std::io::{self, Write};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use crate::tiered::{Tiered, TieredCondvar, TieredGuard};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// An emptied write buffer keeps its capacity for the next one up to
@@ -196,22 +197,14 @@ pub(crate) struct TakenBatch {
 /// Bounded MPSC queue of encoded frames feeding one connection, and the
 /// connection's socket. See the module docs for who writes it.
 pub(crate) struct OutQueue {
-    // vsgm-lock-tier(1): the queue's only lock; held across the paired
-    // condvar waits (required) and across non-blocking socket `write`s
-    // (every byte on the socket is written under it), never while taking
-    // any other lock.
-    inner: Mutex<OutInner>,
-    // vsgm-lock-tier(1): condvar paired with `inner` — same tier, it is
-    // only ever waited on with that one mutex.
-    not_full: Condvar,
+    /// The queue's only lock: held across the paired condvar waits
+    /// (required) and across non-blocking socket `write`s (every byte on
+    /// the socket is written under it), never while taking any other
+    /// lock.
+    inner: Tiered<OutInner, 1>,
+    /// Paired with `inner`, and only ever waited on with it.
+    not_full: TieredCondvar<1>,
     cap: usize,
-}
-
-/// The std mutexes here are internal to the queue and never poisoned
-/// while holding broken invariants (pushes and pops are single
-/// statements); recover the guard rather than propagate.
-fn lock(m: &Mutex<OutInner>) -> MutexGuard<'_, OutInner> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// The zero-length heartbeat frame: a bare 4-byte length prefix of 0.
@@ -222,7 +215,7 @@ impl OutQueue {
     /// socket, which only the loop-side drain empties).
     pub(crate) fn new(cap: usize, sock: Option<TcpStream>) -> OutQueue {
         OutQueue {
-            inner: Mutex::new(OutInner {
+            inner: Tiered::new(OutInner {
                 chunks: VecDeque::new(),
                 queued: 0,
                 hb_pending: false,
@@ -232,7 +225,7 @@ impl OutQueue {
                 wpos: 0,
                 wframes: 0,
             }),
-            not_full: Condvar::new(),
+            not_full: TieredCondvar::new(),
             cap: cap.max(1),
         }
     }
@@ -242,7 +235,7 @@ impl OutQueue {
     /// empty. Returns the queue depth after the push.
     fn push_chunk(
         &self,
-        mut g: MutexGuard<'_, OutInner>,
+        mut g: TieredGuard<'_, OutInner, 1>,
         bytes: Vec<u8>,
         frames: u64,
         timeout: Duration,
@@ -263,18 +256,14 @@ impl OutQueue {
             else {
                 return Err(PushError::Timeout);
             };
-            let (guard, _timed_out) = self
-                .not_full
-                .wait_timeout(g, left)
-                .unwrap_or_else(PoisonError::into_inner);
-            g = guard;
+            g = self.not_full.wait_timeout(g, left);
         }
     }
 
     /// Enqueues one frame, waiting up to `timeout` for space. Returns the
     /// queue depth after the push.
     fn push(&self, frame: Vec<u8>, timeout: Duration) -> Result<usize, PushError> {
-        self.push_chunk(lock(&self.inner), frame, 1, timeout)
+        self.push_chunk(self.inner.lock(), frame, 1, timeout)
     }
 
     /// Hands `bytes`, `frames` complete frames, to the connection. If it
@@ -289,7 +278,7 @@ impl OutQueue {
         timeout: Duration,
         stats: &WriterStats,
     ) -> Result<(usize, bool), PushError> {
-        let mut g = lock(&self.inner);
+        let mut g = self.inner.lock();
         if g.closed {
             return Err(PushError::Closed);
         }
@@ -323,7 +312,7 @@ impl OutQueue {
     /// arriving while one is already pending coalesces into it (`false`:
     /// nothing new was enqueued).
     pub(crate) fn push_heartbeat(&self) -> bool {
-        let mut g = lock(&self.inner);
+        let mut g = self.inner.lock();
         if g.closed || g.hb_pending {
             return false;
         }
@@ -336,7 +325,7 @@ impl OutQueue {
     /// first: the loop's drain, without the socket.
     #[cfg(test)]
     fn take_batch(&self, buf: &mut Vec<u8>, max_frames: u64, max_bytes: usize) -> TakenBatch {
-        let mut g = lock(&self.inner);
+        let mut g = self.inner.lock();
         let taken = g.take_batch(max_frames, max_bytes);
         buf.append(&mut g.wbuf);
         g.wframes = 0;
@@ -354,7 +343,7 @@ impl OutQueue {
         max_frames: u64,
         max_bytes: usize,
     ) -> Result<bool, ()> {
-        let mut g = lock(&self.inner);
+        let mut g = self.inner.lock();
         let mut progress = false;
         loop {
             match g.write_wbuf(stats, &mut progress) {
@@ -375,7 +364,7 @@ impl OutQueue {
 
     /// Asks `poller` to report `token` when the socket has room again.
     pub(crate) fn watch(&self, poller: &Poller, interest: u32, token: u64) -> io::Result<()> {
-        match &lock(&self.inner).sock {
+        match &self.inner.lock().sock {
             Some(sock) => poller.add(sock, interest, token),
             None => Err(io::ErrorKind::NotConnected.into()),
         }
@@ -384,17 +373,17 @@ impl OutQueue {
     /// Whether nothing is left to write (no frames, no pending probe, no
     /// unwritten tail).
     pub(crate) fn is_drained(&self) -> bool {
-        lock(&self.inner).is_idle()
+        self.inner.lock().is_idle()
     }
 
     /// Whether the queue has been closed.
     pub(crate) fn is_closed(&self) -> bool {
-        lock(&self.inner).closed
+        self.inner.lock().closed
     }
 
     /// Closes the queue: pending frames still drain, new pushes fail.
     pub(crate) fn close(&self) {
-        lock(&self.inner).closed = true;
+        self.inner.lock().closed = true;
         self.not_full.notify_all();
     }
 
@@ -403,7 +392,7 @@ impl OutQueue {
     /// the teardown side of the `enqueued == flushed + dropped`
     /// conservation law.
     pub(crate) fn drain_remaining(&self) -> u64 {
-        let mut g = lock(&self.inner);
+        let mut g = self.inner.lock();
         g.closed = true;
         g.sock = None;
         let mut n = g.queued as u64 + g.wframes;

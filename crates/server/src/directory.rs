@@ -24,6 +24,7 @@
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
+use vsgm_net::tiered::Tiered;
 use vsgm_types::GroupId;
 
 /// Outcome of [`Directory::create_or_join`].
@@ -86,9 +87,10 @@ struct DirInner {
 /// The name service. All state lives behind one lock; see the module
 /// docs for why create-or-join must be a single critical section.
 pub struct Directory {
-    // vsgm-lock-tier(6): leaf — held only inside this module, across at
-    // most a fresh create's non-blocking hook; never across I/O or a lock.
-    inner: parking_lot::Mutex<DirInner>,
+    /// Names and the next group id. A leaf: held only inside this
+    /// module, across at most a fresh create's non-blocking hook; never
+    /// across I/O or a lock.
+    inner: Tiered<DirInner, 6>,
     creates: AtomicU64,
     joins: AtomicU64,
     lookups: AtomicU64,
@@ -105,7 +107,7 @@ impl Directory {
     /// An empty directory; group ids are handed out from 1.
     pub fn new() -> Directory {
         Directory {
-            inner: parking_lot::Mutex::new(DirInner { by_name: BTreeMap::new(), next_gid: 1 }),
+            inner: Tiered::new(DirInner { by_name: BTreeMap::new(), next_gid: 1 }),
             creates: AtomicU64::new(0),
             joins: AtomicU64::new(0),
             lookups: AtomicU64::new(0),

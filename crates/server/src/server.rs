@@ -37,6 +37,7 @@ use std::io;
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock, Weak};
+use vsgm_net::tiered::blocking;
 use vsgm_net::{FrameHandler, TcpConfig, TcpTransport};
 use vsgm_types::{AppMsg, GroupId, NetMsg, ProcessId};
 
@@ -185,7 +186,7 @@ fn send_on(bound: &Arc<OnceLock<Weak<TcpTransport>>>, unsent: &Arc<AtomicU64>) -
         // Outputs follow frames, which can beat `bind` storing the
         // handle by a moment; a handle that does not upgrade belongs to
         // a daemon that failed to bind or is shutting down.
-        let lost = match bound.wait().upgrade() {
+        let lost = match blocking(|| bound.wait()).upgrade() {
             Some(transport) => transport.send_batch(batch),
             None => batch.len() as u64,
         };

@@ -33,6 +33,7 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use vsgm_ioa::Violation;
+use vsgm_net::tiered::{blocking, Tiered};
 use vsgm_types::{GroupId, NetMsg, ProcessId};
 
 /// Most commands a worker steps before it hands their outputs to the
@@ -83,9 +84,9 @@ pub struct ShardCounters {
 /// The fixed pool of shard workers. See the module docs.
 pub struct ShardPool {
     senders: Vec<Sender<ShardCmd>>,
-    // vsgm-lock-tier(6): leaf — taken only by shutdown/Drop to drain the
-    // join handles; never held while sending on a shard channel.
-    handles: parking_lot::Mutex<Vec<std::thread::JoinHandle<()>>>,
+    /// The workers' join handles. A leaf: taken only by shutdown to
+    /// drain them; never held while sending on a shard channel.
+    handles: Tiered<Vec<std::thread::JoinHandle<()>>, 6>,
     counters: Arc<ShardCounters>,
 }
 
@@ -145,7 +146,7 @@ impl ShardPool {
             senders.push(tx);
             handles.push(handle);
         }
-        ShardPool { senders, handles: parking_lot::Mutex::new(handles), counters }
+        ShardPool { senders, handles: Tiered::new(handles), counters }
     }
 
     /// Number of shards (worker threads).
@@ -201,7 +202,7 @@ impl ShardPool {
     pub fn report(&self, gid: GroupId) -> Option<GroupReport> {
         let (reply, rx) = unbounded();
         self.send_to(self.shard_of(gid), ShardCmd::Report { gid, reply });
-        rx.recv().ok().flatten()
+        blocking(|| rx.recv()).ok().flatten()
     }
 
     /// Blocking snapshot of every hosted group, ordered by gid.
@@ -214,7 +215,7 @@ impl ShardPool {
             }
         }
         let mut all: Vec<GroupReport> =
-            replies.into_iter().filter_map(|rx| rx.recv().ok()).flatten().collect();
+            replies.into_iter().filter_map(|rx| blocking(|| rx.recv()).ok()).flatten().collect();
         all.sort_by_key(|r| r.gid);
         all
     }
@@ -223,7 +224,7 @@ impl ShardPool {
     pub fn finish(&self, gid: GroupId) -> Option<Vec<Violation>> {
         let (reply, rx) = unbounded();
         self.send_to(self.shard_of(gid), ShardCmd::Finish { gid, reply });
-        rx.recv().ok().flatten()
+        blocking(|| rx.recv()).ok().flatten()
     }
 
     /// Stops every worker after it drains its queue, and joins them.
@@ -234,7 +235,7 @@ impl ShardPool {
         }
         let handles: Vec<_> = self.handles.lock().drain(..).collect();
         for handle in handles {
-            let _ = handle.join();
+            let _ = blocking(|| handle.join());
         }
     }
 }
@@ -318,7 +319,7 @@ fn shard_main(
     sink: &Sink,
 ) {
     let mut w = Worker { groups: BTreeMap::new(), out: Vec::new(), counters, auto_run, sink };
-    while let Ok(first) = rx.recv() {
+    while let Ok(first) = blocking(|| rx.recv()) {
         let queued = std::iter::from_fn(|| rx.try_recv().ok());
         for cmd in std::iter::once(first).chain(queued).take(MAX_BATCH) {
             if !w.step(cmd) {

@@ -8,7 +8,9 @@
 //! process-wide `/proc/self` counts that a neighbour would skew.
 
 use std::cell::RefCell;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
+#[cfg(debug_assertions)]
+use std::path::Path;
 use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 use vsgm_net::{TcpConfig, TcpTransport};
@@ -352,4 +354,154 @@ fn frames_owed_to_a_dropped_client_are_counted_and_the_others_still_get_theirs()
     server.export_obs(&mut reg);
     assert_eq!(reg.counter(vsgm_obs::names::SERVER_FRAMES_UNSENT), counted + 5);
     assert_eq!(server.shards().finish(g), Some(vec![]));
+}
+
+/// Every lock and blocking call site in the non-test code of the
+/// transport and the daemon, as `(file, line)`: the lines that call
+/// `.lock()`, `blocking` or `blocking_holding`, outside items
+/// compiled for tests only. `tiered.rs` implements them and is left out.
+#[cfg(debug_assertions)]
+fn tracked_sites() -> BTreeSet<(String, u32)> {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let mut sites = BTreeSet::new();
+    for dir in ["crates/net/src", "crates/server/src"] {
+        for entry in std::fs::read_dir(root.join(dir)).expect("read a source dir") {
+            let path = entry.expect("read a source entry").path();
+            let name = path.file_name().expect("a file name").to_string_lossy().into_owned();
+            if !name.ends_with(".rs") || name == "tiered.rs" {
+                continue;
+            }
+            let text = std::fs::read_to_string(&path).expect("read a source file");
+            let mut in_test_item: Option<usize> = None;
+            for (i, line) in text.lines().enumerate() {
+                let code = line.trim_start();
+                let indent = line.len() - code.len();
+                if let Some(at) = in_test_item {
+                    if indent == at && code.starts_with('}') {
+                        in_test_item = None;
+                    }
+                    continue;
+                }
+                if code == "#[cfg(test)]" {
+                    in_test_item = Some(indent);
+                } else if !code.starts_with("//") && calls_a_tracked_site(code) {
+                    sites.insert((format!("{dir}/{name}"), i as u32 + 1));
+                }
+            }
+        }
+    }
+    sites
+}
+
+#[cfg(debug_assertions)]
+fn calls_a_tracked_site(code: &str) -> bool {
+    let word_at = |i: usize| !code[..i].ends_with(|c: char| c == '_' || c.is_alphanumeric());
+    code.contains(".lock()")
+        || ["blocking(", "blocking_holding::<"]
+            .iter()
+            .any(|call| code.match_indices(call).any(|(i, _)| word_at(i)))
+}
+
+/// The lock order and the no-guard-across-a-blocking-call rule of
+/// `vsgm_net::tiered` are checked as the code runs, so they cover the
+/// paths that run. This session runs every one of [`tracked_sites`]: a
+/// daemon serving two clients through every directory verb, a
+/// multicast, the shard pool's blocking snapshots and its shutdown; a
+/// dial that fails and backs off; a peer that never reads, so heartbeats
+/// coalesce behind a stuck frame and a full queue times out; and a peer
+/// that vanishes under the heartbeat prober. It must end with each site
+/// reached and no violation seen, on any thread.
+#[cfg(debug_assertions)]
+#[test]
+fn every_tiered_lock_and_blocking_call_site_runs_under_the_tracker() {
+    use vsgm_net::tiered::{sites_reached, violations};
+
+    let _serial = serial();
+    // A violation on a thread the session waits on shows up as a frame
+    // that never arrives: report the violation first.
+    let session = std::panic::catch_unwind(tracked_session);
+    assert_eq!(violations(), Vec::<String>::new());
+    if let Err(panic) = session {
+        std::panic::resume_unwind(panic);
+    }
+    let sites = tracked_sites();
+    let missing = || {
+        let reached: BTreeSet<(String, u32)> =
+            sites_reached().into_iter().map(|(f, l)| (f.to_string(), l)).collect();
+        sites.difference(&reached).cloned().collect::<Vec<_>>()
+    };
+    // The loops and workers finish their shutdown on their own threads.
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while !missing().is_empty() && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    assert!(sites.len() > 40, "{sites:?}");
+    assert_eq!(violations(), Vec::<String>::new());
+    assert_eq!(missing(), vec![], "lock or blocking call sites never reached");
+}
+
+/// The session [`every_tiered_lock_and_blocking_call_site_runs_under_the_tracker`]
+/// judges. It returns once everything it started is shutting down.
+#[cfg(debug_assertions)]
+fn tracked_session() {
+    use std::net::TcpListener;
+
+    let server = two_shards();
+    let (a, b) = (Client::connect(1, &server), Client::connect(2, &server));
+    let room = GroupId::new(1);
+    assert_eq!(a.request("create room"), "ok create room 1");
+    assert_eq!(b.request("join room"), "ok join room 1");
+    assert_eq!(b.request("lookup room"), "ok lookup room 1");
+    a.await_view(room, &[1, 2]);
+    a.to_server(room, "hello");
+    b.await_delivery(room, p(1), "hello");
+    assert_eq!(b.request("leave room"), "ok leave room 1");
+    assert_eq!(server.directory().len(), 1);
+    assert!(server.shards().report(room).is_some());
+    assert_eq!(server.shards().report_all().len(), 1);
+    assert_eq!(server.shards().finish(room), Some(vec![]));
+    assert!(a.t.suspected_peers().is_empty());
+
+    // A dial refused on every attempt, with backoff sleeps between.
+    let refused = TcpListener::bind("127.0.0.1:0").and_then(|l| l.local_addr()).expect("port");
+    a.t.register_peer(p(9), refused);
+    let (hi, big) = (NetMsg::App(AppMsg::from("hi")), NetMsg::App(AppMsg::from(vec![0; 16 << 20])));
+    assert!(a.t.send(&[p(9)].into_iter().collect(), &hi).is_err());
+    assert!(a.t.stats().retries > 0);
+
+    let cfg = TcpConfig {
+        heartbeat_interval: Duration::from_millis(5),
+        writer_queue: 1,
+        enqueue_timeout: Duration::from_millis(50),
+        loop_threads: 1,
+        ..TcpConfig::default()
+    };
+    let t = TcpTransport::bind_with(p(8), "127.0.0.1:0", cfg).expect("bind");
+    // A peer that never reads: a frame larger than the socket buffers
+    // stays half written, heartbeats coalesce behind it, and once the
+    // one queue slot is taken the next send times out.
+    let deaf = TcpListener::bind("127.0.0.1:0").expect("bind");
+    t.register_peer(p(7), deaf.local_addr().expect("addr"));
+    let to_deaf: ProcSet = [p(7)].into_iter().collect();
+    t.send(&to_deaf, &big).expect("queued");
+    wait_until("coalesced heartbeats", Duration::from_secs(10), || t.stats().heartbeats >= 3);
+    t.send(&to_deaf, &hi).expect("the one queue slot");
+    assert!(t.send(&to_deaf, &hi).is_err(), "a full queue times out");
+    // A peer that goes away: the prober finds its connection broken.
+    let gone = TcpListener::bind("127.0.0.1:0").expect("bind");
+    t.register_peer(p(6), gone.local_addr().expect("addr"));
+    t.send(&[p(6)].into_iter().collect(), &hi).expect("queued");
+    drop(gone);
+    wait_until("both connections retired", Duration::from_secs(10), || t.stats().conns_open == 0);
+    // Ten more rounds of the prober, which evicts the retired writers.
+    std::thread::sleep(Duration::from_millis(50));
+    // Shutting down waits for a half-written frame: the loop keeps
+    // checking whether it is flushed until its grace runs out.
+    let deaf_too = TcpListener::bind("127.0.0.1:0").expect("bind");
+    t.register_peer(p(5), deaf_too.local_addr().expect("addr"));
+    t.send(&[p(5)].into_iter().collect(), &big).expect("queued");
+    drop((t, a, b, server));
+    // Past the loop's shutdown grace, so it has given up on the frames.
+    std::thread::sleep(Duration::from_millis(600));
+    drop((deaf, deaf_too));
 }

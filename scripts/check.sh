@@ -29,15 +29,38 @@ cargo test -q "${CARGO_FLAGS[@]}"
 echo "==> cargo clippy --workspace -- -D warnings"
 cargo clippy --workspace "${CARGO_FLAGS[@]}" -- -D warnings
 
-# Protocol analyzer: deny-by-default. Exits nonzero on any unwaived
-# finding of its three rules: IOA precondition/effect pairing (I1), lock
-# discipline (R1) and waiver hygiene (W0). Unsafe confinement and audit
-# coverage are the compiler's (the clippy stage above and the build);
-# the ObsEvent vocabulary and spec coverage are tests'. The tree carries
-# 1 waiver (R1), pinned by the analyzer's
-# real_workspace_waiver_budget_is_pinned test.
-echo "==> vsgm-analyze --format json"
-cargo run -q -p vsgm-analyze "${CARGO_FLAGS[@]}" -- --format json
+# Lock tiers and transition pairing, run by name, each name checked to
+# run exactly one test. Every lock net and server share between threads
+# is a `vsgm_net::tiered::Tiered` of a fixed tier; debug builds panic on a
+# lock taken out of tier order and on a blocking call made holding a
+# tracked guard (the dial and backoff under a peer's connect guard are
+# the one stated exception). The tracker sees only the paths that run,
+# so a loopback daemon session must reach every lock and blocking call
+# site in the source with no violation. Release builds carry no tracker
+# (a const assertion, checked by the release build above). An action's
+# precondition and effect are arms of two exhaustive matches; the lint
+# wall plants an action with only one half of the pair and reads E0004.
+echo "==> lock tiers and transition pairing"
+one_test() {
+    local name="${*: -1}" out
+    out="$(cargo test -q "${CARGO_FLAGS[@]}" "${@:1:$#-1}" -- --exact "$name" 2>&1)" \
+        || { echo "$out"; return 1; }
+    grep -Eq "test result: ok\. 1 passed" <<<"$out" \
+        || { echo "    $name did not run exactly one test:"; echo "$out"; return 1; }
+}
+for name in \
+    increasing_tiers_nest_and_release_in_any_order \
+    an_inversion_and_a_same_tier_nesting_panic_in_debug_builds \
+    a_blocking_call_under_a_guard_panics_unless_it_names_that_one_tier \
+    a_guard_waits_on_its_condvar_and_keeps_its_tier; do
+    one_test -p vsgm-net --lib "tiered::tests::$name"
+done
+one_test -p vsgm-server --test daemon every_tiered_lock_and_blocking_call_site_runs_under_the_tracker
+for name in \
+    i1_an_action_with_an_effect_and_no_precondition_does_not_build \
+    i1_an_action_with_a_precondition_and_no_effect_does_not_build; do
+    one_test -p vsgm --test lint_wall "$name"
+done
 
 # Explore smoke: exhaustively enumerate every interleaving of the five
 # seed configurations (DPOR-pruned) and judge each path with the full
@@ -60,8 +83,9 @@ done
 # (-Zbuild-std), i.e. a nightly toolchain with the rust-src component —
 # without it TSan sees no happens-before edges inside std's locks and
 # reports false races, so the stage skips rather than cry wolf. Where it
-# does run, any report is a real data race and fails the gate; elsewhere
-# the lexical R1 lint above still covers the lock-discipline basics.
+# does run, any report is a real data race and fails the gate. Where it
+# skips, the lock discipline is checked by the debug-build tier tracker
+# the "lock tiers" stage above runs.
 echo "==> tsan smoke (net writer/batching)"
 host_triple="$(rustc -vV | sed -n 's/^host: //p')"
 if rustup run nightly cargo --version >/dev/null 2>&1 \

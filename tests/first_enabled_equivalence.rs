@@ -1,10 +1,11 @@
 //! The end-point's action chooser against its reference.
 //!
-//! `Endpoint::poll` fires, one at a time, the first action its private
-//! `first_enabled` walk finds; `Automaton::enabled_actions` lists every
-//! enabled action in the same canonical order and is what explore's DPOR
-//! enumerates. The two must agree at every step: `first_enabled` is
-//! `enabled_actions().first()`, found without building the list.
+//! `Endpoint::poll` fires, one at a time, the first action its
+//! `first_enabled` walk finds; `Endpoint::enabled_actions` lists every
+//! enabled action in the same canonical order, and `Endpoint::pre` judges
+//! one action at a time. The three must agree at every step:
+//! `first_enabled` is `enabled_actions().first()`, found without building
+//! the list, and `pre` holds for every action the list holds.
 //!
 //! Debug builds assert that inside `poll` at every step. The default-config
 //! suites (explore, chaos, the batching, stability and multigroup
@@ -15,7 +16,7 @@
 //! cascaded changes, crash/recovery, partitions and acknowledgement rounds.
 //! Every end-point sits behind [`Checked`], which also compares the whole
 //! poll against a copy driven through `enabled_actions().first()` and
-//! `Automaton::fire`: the same effects and the same final state, in any
+//! `Endpoint::fire`: the same effects and the same final state, in any
 //! build profile. In two of every three schedules `Checked` also puts off
 //! some polls, so several inputs land between two of them and actions
 //! become enabled together that eager polling never lets coexist. (In the
@@ -29,7 +30,7 @@ use vsgm_core::{
 };
 use vsgm_harness::sim::procs;
 use vsgm_harness::{Sim, SimOptions};
-use vsgm_ioa::{Automaton, SimRng, SimTime};
+use vsgm_ioa::{SimRng, SimTime};
 use vsgm_obs::Recorder;
 use vsgm_types::{AppMsg, NetMsg, ProcSet, ProcessId, View};
 
@@ -65,8 +66,14 @@ impl Checked {
         }
         let mut reference = self.ep.clone();
         let mut expected = Vec::new();
-        while let Some(action) = reference.enabled_actions().first().cloned() {
-            expected.extend(reference.fire(&action));
+        loop {
+            let enabled = reference.enabled_actions();
+            let pid = reference.pid();
+            for action in &enabled {
+                assert!(reference.pre(action), "{pid}: {action:?} is listed but `pre` is false");
+            }
+            let Some(action) = enabled.first() else { break };
+            expected.extend(reference.fire(action));
         }
         let got = self.ep.poll_rec(rec);
         let pid = self.ep.pid();

@@ -1,12 +1,9 @@
-//! End-to-end analyzer tests: tempdir fixture workspaces seeded with one
-//! violation per rule, waiver-placement semantics, and the zero-exit
-//! guarantee on the real tree (which `scripts/check.sh` relies on).
-//!
-//! The rules the analyzer used to share with the compiler — determinism
-//! (D1), panic-freedom (P1), the ambient clock (T1), unsafe confinement
-//! and audit coverage — are the compiler's alone now; their tests plant
-//! probe lines into a copy of the workspace and read `cargo clippy` runs
-//! over it.
+//! The compiler's lint wall, read from `cargo clippy` runs over a copy of
+//! the workspace with probe lines planted in it: determinism (D1),
+//! panic-freedom (P1), the ambient clock (T1), unsafe confinement, audit
+//! coverage, `#[expect]` hygiene, and the precondition/effect pairing of
+//! the end-point's actions (I1). Each rule's probes sit both inside and
+//! outside its scope.
 
 use serde::Value;
 use std::collections::{BTreeMap, BTreeSet};
@@ -15,355 +12,9 @@ use std::ops::RangeInclusive;
 use std::path::{Path, PathBuf};
 use std::process::Command;
 use std::sync::OnceLock;
-use vsgm_analyze::analyze_root;
-
-/// Materializes a throwaway workspace under `CARGO_TARGET_TMPDIR` with
-/// the given `(relative path, contents)` files plus a root `Cargo.toml`.
-fn fixture(name: &str, files: &[(&str, &str)]) -> PathBuf {
-    let root = Path::new(env!("CARGO_TARGET_TMPDIR")).join(name);
-    if root.exists() {
-        fs::remove_dir_all(&root).expect("clear stale fixture");
-    }
-    for (rel, content) in files {
-        let path = root.join(rel);
-        fs::create_dir_all(path.parent().expect("fixture paths have parents"))
-            .expect("create fixture dirs");
-        fs::write(&path, content).expect("write fixture file");
-    }
-    fs::create_dir_all(root.join("crates")).expect("create crates dir");
-    fs::write(root.join("Cargo.toml"), "[workspace]\n").expect("write root manifest");
-    root
-}
 
 fn repo_root() -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR")).join("../..")
-}
-
-// ---------------------------------------------------------------- I1 ---
-
-#[test]
-fn i1_flags_unpaired_transition_functions() {
-    let root = fixture(
-        "i1-pairing",
-        &[(
-            "crates/core/src/lib.rs",
-            "pub fn deliver_eff() {}\n\
-             pub fn send_pre() -> bool { true }\n\
-             pub fn install_pre() -> bool { true }\n\
-             pub fn install_eff() {}\n",
-        )],
-    );
-    let report = analyze_root(&root).expect("analyze fixture");
-    let msgs: Vec<&str> = report.findings.iter().map(|f| f.message.as_str()).collect();
-    assert!(
-        msgs.iter().any(|m| m.contains("deliver_eff") && m.contains("no matching precondition")),
-        "{msgs:?}"
-    );
-    assert!(
-        msgs.iter().any(|m| m.contains("send_pre") && m.contains("no matching effect")),
-        "{msgs:?}"
-    );
-    assert!(
-        !msgs.iter().any(|m| m.contains("install")),
-        "paired install_pre/install_eff must not be flagged: {msgs:?}"
-    );
-}
-
-// ----------------------------------------------------------- waivers ---
-
-/// One R1 finding, on line 1 of `crates/net/src/lib.rs`: a lock field
-/// that declares no tier.
-const BARE_LOCK: &str = "pub struct Q { m: std::sync::Mutex<u8> }";
-
-fn analyze_net(name: &str, net_lib: &str) -> vsgm_analyze::Report {
-    let root = fixture(name, &[("crates/net/src/lib.rs", net_lib)]);
-    analyze_root(&root).expect("analyze fixture")
-}
-
-#[test]
-fn waiver_on_the_finding_line_suppresses() {
-    let src = format!("{BARE_LOCK} // vsgm-allow(R1): leaf lock, nothing nests inside\n");
-    let report = analyze_net("waive-inline", &src);
-    assert!(report.is_clean(), "{:?}", report.findings);
-    assert_eq!(report.waived, 1);
-}
-
-#[test]
-fn waiver_in_the_comment_block_above_suppresses() {
-    let src = format!(
-        "// Taken alone, to copy one field out.\n\
-         // vsgm-allow(R1): leaf lock, nothing nests inside\n\
-         {BARE_LOCK}\n"
-    );
-    let report = analyze_net("waive-above", &src);
-    assert!(report.is_clean(), "{:?}", report.findings);
-    assert_eq!(report.waived, 1);
-}
-
-#[test]
-fn blank_line_breaks_the_waiver_chain() {
-    let src = format!("// vsgm-allow(R1): too far away\n\n{BARE_LOCK}\n");
-    let report = analyze_net("waive-gap", &src);
-    // The lock is flagged, and the now-orphaned waiver is flagged too.
-    let rules: Vec<&str> = report.findings.iter().map(|f| f.rule.as_str()).collect();
-    assert_eq!(rules, vec!["W0", "R1"], "{:?}", report.findings);
-    assert_eq!(report.waived, 0);
-}
-
-#[test]
-fn waiver_for_another_rule_does_not_suppress() {
-    let src = format!("{BARE_LOCK} // vsgm-allow(I1): names the wrong rule\n");
-    let report = analyze_net("waive-wrong-rule", &src);
-    let rules: Vec<&str> = report.findings.iter().map(|f| f.rule.as_str()).collect();
-    // The R1 finding survives, and the I1 waiver — which suppresses
-    // nothing — is itself reported stale.
-    assert_eq!(rules, vec!["R1", "W0"], "{:?}", report.findings);
-}
-
-#[test]
-fn reasonless_waiver_is_ignored_and_reported_as_w0() {
-    let src = format!("{BARE_LOCK} // vsgm-allow(R1)\n");
-    let report = analyze_net("waive-no-reason", &src);
-    let rules: BTreeSet<&str> = report.findings.iter().map(|f| f.rule.as_str()).collect();
-    assert!(rules.contains("R1"), "reasonless waiver must not suppress: {:?}", report.findings);
-    assert!(rules.contains("W0"), "reasonless waiver must be reported: {:?}", report.findings);
-    assert_eq!(report.waived, 0);
-}
-
-// --------------------------------------------------------------- CLI ---
-
-#[test]
-fn cli_exits_nonzero_on_findings_and_zero_on_the_real_tree() {
-    let bin = env!("CARGO_BIN_EXE_vsgm-analyze");
-    let dirty = fixture("cli-dirty", &[("crates/net/src/lib.rs", BARE_LOCK)]);
-
-    let out = std::process::Command::new(bin)
-        .args(["--root", dirty.to_str().expect("utf-8 path")])
-        .output()
-        .expect("run vsgm-analyze");
-    assert_eq!(out.status.code(), Some(1), "dirty tree must exit 1");
-    let text = String::from_utf8_lossy(&out.stdout);
-    assert!(text.contains("R1") && text.contains("crates/net/src/lib.rs:1"), "{text}");
-
-    let repo = repo_root();
-    let out = std::process::Command::new(bin)
-        .args(["--root", repo.to_str().expect("utf-8 path"), "--format", "json"])
-        .output()
-        .expect("run vsgm-analyze");
-    assert_eq!(
-        out.status.code(),
-        Some(0),
-        "the real tree must be clean: {}",
-        String::from_utf8_lossy(&out.stdout)
-    );
-
-    let out = std::process::Command::new(bin)
-        .arg("--definitely-not-a-flag")
-        .output()
-        .expect("run vsgm-analyze");
-    assert_eq!(out.status.code(), Some(2), "usage errors exit 2");
-}
-
-// ---------------------------------------------------------------- R1 ---
-
-#[test]
-fn r1_flags_lock_fields_without_a_tier_and_accepts_declared_ones() {
-    let root = fixture(
-        "r1-fields",
-        &[(
-            "crates/net/src/lib.rs",
-            "pub struct Q {\n\
-                 bare: std::sync::Mutex<u8>,\n\
-                 // vsgm-lock-tier(1): leaf lock, nothing nests inside\n\
-                 tiered: std::sync::Mutex<u8>,\n\
-                 wrapped: std::sync::Arc<std::sync::RwLock<u8>>,\n\
-                 cv: std::sync::Condvar,\n\
-                 plain: u64,\n\
-             }\n",
-        )],
-    );
-    let report = analyze_root(&root).expect("analyze fixture");
-    let r1: Vec<usize> =
-        report.findings.iter().filter(|f| f.rule == "R1").map(|f| f.line).collect();
-    assert_eq!(r1, vec![2, 5, 6], "bare/wrapped/cv need tiers, tiered and plain do not: {:?}", report.findings);
-    assert!(
-        report.findings.iter().any(|f| f.message.contains("`bare`")),
-        "{:?}",
-        report.findings
-    );
-}
-
-#[test]
-fn r1_flags_blocking_calls_under_a_held_guard() {
-    let root = fixture(
-        "r1-guard",
-        &[(
-            "crates/net/src/lib.rs",
-            "pub fn held(m: &std::sync::Mutex<u8>) {\n\
-                 let g = m.lock().unwrap();\n\
-                 std::thread::sleep(std::time::Duration::from_millis(1));\n\
-                 drop(g);\n\
-             }\n\
-             pub fn released(m: &std::sync::Mutex<u8>) {\n\
-                 let g = m.lock().unwrap();\n\
-                 drop(g);\n\
-                 std::thread::sleep(std::time::Duration::from_millis(1));\n\
-             }\n\
-             pub fn copied_out(m: &std::sync::Mutex<Vec<u8>>) {\n\
-                 let v = m.lock().unwrap().clone();\n\
-                 std::thread::sleep(std::time::Duration::from_millis(v.len() as u64));\n\
-             }\n",
-        )],
-    );
-    let report = analyze_root(&root).expect("analyze fixture");
-    let r1: Vec<usize> =
-        report.findings.iter().filter(|f| f.rule == "R1").map(|f| f.line).collect();
-    // Only the sleep at line 3 runs under a live guard: line 9 sleeps
-    // after an explicit drop, line 13 bound a *clone* through a
-    // statement-scoped guard temporary.
-    assert_eq!(r1, vec![3], "{:?}", report.findings);
-}
-
-#[test]
-fn r1_scrutinee_guards_live_for_their_block_and_condvar_wait_is_exempt() {
-    let root = fixture(
-        "r1-scrutinee",
-        &[(
-            "crates/net/src/lib.rs",
-            "pub fn f(m: &std::sync::Mutex<Option<u8>>, cv: &std::sync::Condvar) {\n\
-                 if let Ok(g) = m.lock() {\n\
-                     std::thread::sleep(std::time::Duration::from_millis(1));\n\
-                     let _g2 = cv.wait(g);\n\
-                 }\n\
-                 std::thread::sleep(std::time::Duration::from_millis(1));\n\
-             }\n",
-        )],
-    );
-    let report = analyze_root(&root).expect("analyze fixture");
-    let r1: Vec<usize> =
-        report.findings.iter().filter(|f| f.rule == "R1").map(|f| f.line).collect();
-    // Line 3 sleeps inside the if-let (scrutinee temporaries live for
-    // the whole block); line 4's condvar wait is the *correct* pattern
-    // and exempt; line 6 is outside the block.
-    assert_eq!(r1, vec![3], "{:?}", report.findings);
-}
-
-#[test]
-fn r1_only_covers_the_net_crate() {
-    let root = fixture(
-        "r1-scope",
-        &[("crates/harness/src/lib.rs", "pub struct S { m: std::sync::Mutex<u8> }\n")],
-    );
-    let report = analyze_root(&root).expect("analyze fixture");
-    assert!(
-        !report.findings.iter().any(|f| f.rule == "R1"),
-        "harness is not an R1 crate: {:?}",
-        report.findings
-    );
-}
-
-#[test]
-fn r1_pins_the_event_loop_transport_modules_by_path() {
-    // The event-loop core is pinned by file path, not just by crate: a
-    // guard held across a blocking call there stalls every connection
-    // the loop owns, so a future reorganization of R1_CRATES must not
-    // silently drop these files.
-    for pinned in
-        ["crates/net/src/tcp.rs", "crates/net/src/evloop.rs", "crates/net/src/writer.rs"]
-    {
-        assert!(
-            vsgm_analyze::rules::R1_FILES.contains(&pinned),
-            "{pinned} must be pinned in R1_FILES: {:?}",
-            vsgm_analyze::rules::R1_FILES
-        );
-    }
-    // And the pin actually maps through to findings.
-    let root = fixture(
-        "r1-evloop-file",
-        &[(
-            "crates/net/src/evloop.rs",
-            "pub struct L { inbox: std::sync::Mutex<Vec<u8>> }\n",
-        )],
-    );
-    let report = analyze_root(&root).expect("analyze fixture");
-    assert!(
-        report.findings.iter().any(|f| f.rule == "R1" && f.file.ends_with("evloop.rs")),
-        "a tierless lock field in evloop.rs must be R1-covered: {:?}",
-        report.findings
-    );
-}
-
-#[test]
-fn malformed_tier_declarations_are_reported_as_w0() {
-    let root = fixture(
-        "r1-bad-tier",
-        &[(
-            "crates/net/src/lib.rs",
-            "pub struct Q {\n\
-                 // vsgm-lock-tier(one): tier must be a number\n\
-                 m: std::sync::Mutex<u8>,\n\
-             }\n",
-        )],
-    );
-    let report = analyze_root(&root).expect("analyze fixture");
-    let rules: Vec<&str> = report.findings.iter().map(|f| f.rule.as_str()).collect();
-    // The malformed declaration does not count as a tier (R1 still
-    // fires) and is itself flagged.
-    assert_eq!(rules, vec!["W0", "R1"], "{:?}", report.findings);
-}
-
-// ------------------------------------------------------ stale waivers ---
-
-#[test]
-fn waivers_that_suppress_nothing_are_flagged_stale() {
-    // The lock under the waiver was removed, the waiver forgotten.
-    let report = analyze_net(
-        "waive-stale",
-        "// vsgm-allow(R1): was a bare lock once\n\
-         pub struct Q { n: u8 }\n",
-    );
-    let w0: Vec<&vsgm_analyze::Finding> =
-        report.findings.iter().filter(|f| f.rule == "W0").collect();
-    assert_eq!(w0.len(), 1, "{:?}", report.findings);
-    let f = w0.first().expect("checked nonempty");
-    assert!(f.message.contains("suppresses no finding"), "{}", f.message);
-    assert_eq!(f.line, 1);
-}
-
-// -------------------------------------------------------- real tree ---
-
-/// The gate `scripts/check.sh` relies on: the workspace itself carries
-/// zero unwaived findings, and its waivers are each justified in-source.
-#[test]
-fn real_workspace_is_clean() {
-    let report = analyze_root(&repo_root()).expect("analyze the workspace");
-    assert!(
-        report.is_clean(),
-        "the workspace must stay analyzer-clean:\n{:#?}",
-        report.findings
-    );
-    assert!(report.files_scanned > 50, "walked the whole tree");
-    assert!(report.waived >= 1, "the known transport/oracle waivers are counted");
-}
-
-/// The waiver budget, pinned per rule. Growing it is a reviewed event:
-/// a new waiver must both carry an in-source justification *and* bump
-/// the count here. (Shrinking is always welcome — the stale-waiver W0
-/// sweep deletes the comment for you.)
-#[test]
-fn real_workspace_waiver_budget_is_pinned() {
-    let report = analyze_root(&repo_root()).expect("analyze the workspace");
-    let budget: Vec<(&str, usize)> =
-        report.waived_by_rule.iter().map(|(r, n)| (r.as_str(), *n)).collect();
-    assert_eq!(
-        budget,
-        vec![("R1", 1)],
-        "the per-rule waiver counts moved — audit the new/removed waiver and re-pin"
-    );
-    assert_eq!(report.waived, 1);
-    // The rules that need source text; the rest are the compiler's.
-    let ids: Vec<&str> = vsgm_analyze::rules::RULES.iter().map(|(r, _)| *r).collect();
-    assert_eq!(ids, vec!["I1", "R1", "W0"]);
+    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
 }
 
 // -------------------------------------------------------- the lint wall ---
@@ -429,6 +80,29 @@ const STATE_FIELD: [(&str, &str); 2] = [
     ("            crashed: false,\n", "            probe: 0,\n"),
 ];
 
+/// Two actions planted into `crates/core/src/endpoint.rs` with one half
+/// each of a precondition/effect pair: `(after, insert)` edits. The
+/// halves are arms of `Endpoint::pre`'s and `Endpoint::fire_rec`'s
+/// matches, so each probe leaves the other match non-exhaustive.
+const ACTION_PROBES: [(&str, &str); 3] = [
+    ("    SendAck,\n", "    ProbeEffectOnly,\n    ProbePreOnly,\n"),
+    (
+        "            Action::SendAck => stability::send_ack_pre(&self.st),\n",
+        "            Action::ProbePreOnly => false,\n",
+    ),
+    (
+        "                vec![Effect::SetReliable(target)]\n            }\n",
+        "            Action::ProbeEffectOnly => Vec::new(),\n",
+    ),
+];
+
+/// The I1 probes, each named by the missing half, with the function whose
+/// match must then fail to build.
+const ACTION_MATCHES: [(&str, &str); 2] = [
+    ("an effect with no precondition", "    pub fn pre("),
+    ("a precondition with no effect", "    pub(crate) fn fire_rec("),
+];
+
 /// What clippy reported on a probed copy of the workspace.
 struct Wall {
     /// Lint or error codes by `(file, line)` of their primary span.
@@ -440,10 +114,11 @@ struct Wall {
 /// Copies the workspace (no `target/`, no hidden entries) under
 /// `CARGO_TARGET_TMPDIR`, plants [`PROBES`], and runs `cargo clippy` over
 /// it in its own target directory, with every lint capped at `warn` so
-/// that no crate's findings stop its dependents being checked. Two probes
-/// need runs of their own after that one: the test target holding
+/// that no crate's findings stop its dependents being checked. Three
+/// probes need runs of their own after that one: the test target holding
 /// `unsafe`, which a plain clippy run does not build, and
-/// [`STATE_FIELD`], which stops `vsgm-core` building at all.
+/// [`ACTION_PROBES`] and [`STATE_FIELD`], which each stop `vsgm-core`
+/// building at all.
 fn wall() -> &'static Wall {
     static WALL: OnceLock<Wall> = OnceLock::new();
     WALL.get_or_init(|| {
@@ -472,16 +147,41 @@ fn wall() -> &'static Wall {
         let mut codes = BTreeMap::new();
         clippy(&tree, &target, &["--workspace", "--keep-going"], &mut codes);
         clippy(&tree, &target, &["-p", "vsgm-core", "--test", "lint_probe_unsafe"], &mut codes);
-        let state = tree.join("crates/core/src/state.rs");
-        let mut text = fs::read_to_string(&state).expect("read state.rs");
-        for (after, insert) in STATE_FIELD {
-            assert!(text.contains(after), "state.rs no longer holds `{after}`");
-            text = text.replacen(after, &format!("{after}{insert}"), 1);
+        let endpoint = tree.join("crates/core/src/endpoint.rs");
+        let original = fs::read_to_string(&endpoint).expect("read endpoint.rs");
+        let probed = plant(&original, &ACTION_PROBES);
+        for (name, head) in ACTION_MATCHES {
+            let line = match_after(&probed, head);
+            probes.insert(name, ("crates/core/src/endpoint.rs", line..=line));
         }
-        fs::write(&state, text).expect("plant the State field");
+        fs::write(&endpoint, probed).expect("plant the actions");
+        clippy(&tree, &target, &["-p", "vsgm-core", "--lib"], &mut codes);
+        fs::write(&endpoint, original).expect("restore endpoint.rs");
+        let state = tree.join("crates/core/src/state.rs");
+        let text = fs::read_to_string(&state).expect("read state.rs");
+        fs::write(&state, plant(&text, &STATE_FIELD)).expect("plant the State field");
         clippy(&tree, &target, &["-p", "vsgm-core", "--lib"], &mut codes);
         Wall { codes, probes }
     })
+}
+
+/// `text` with each `(after, insert)` edit's `insert` placed after the
+/// first `after`.
+fn plant(text: &str, edits: &[(&str, &str)]) -> String {
+    let mut text = text.to_string();
+    for (after, insert) in edits {
+        assert!(text.contains(after), "no longer holds `{after}`");
+        text = text.replacen(after, &format!("{after}{insert}"), 1);
+    }
+    text
+}
+
+/// The 1-based line of the first `match` after the line starting with
+/// `head`.
+fn match_after(text: &str, head: &str) -> usize {
+    let lines: Vec<&str> = text.lines().collect();
+    let start = lines.iter().position(|l| l.starts_with(head)).expect("the function");
+    start + 1 + lines[start..].iter().position(|l| l.contains("match ")).expect("its match")
 }
 
 /// Runs `cargo clippy <args>` over `tree` with every lint capped at
@@ -720,4 +420,16 @@ fn expected_lints_need_a_reason_and_a_finding() {
         "{:?}",
         fired("reasonless expect")
     );
+}
+
+#[test]
+fn i1_an_action_with_an_effect_and_no_precondition_does_not_build() {
+    let probe = "an effect with no precondition";
+    assert!(flags(probe, "E0004"), "{:?}", fired(probe));
+}
+
+#[test]
+fn i1_an_action_with_a_precondition_and_no_effect_does_not_build() {
+    let probe = "a precondition with no effect";
+    assert!(flags(probe, "E0004"), "{:?}", fired(probe));
 }

@@ -9,7 +9,7 @@
 
 use std::collections::{BTreeMap, VecDeque};
 use vsgm_core::{Config, Endpoint, Hosted, Input, Sink};
-use vsgm_ioa::{Automaton, CheckSet, SimRng, SimTime, Trace};
+use vsgm_ioa::{CheckSet, SimRng, SimTime, Trace};
 use vsgm_obs::{NoopRecorder, Recorder};
 use vsgm_types::{AppMsg, Event, NetMsg, ProcSet, ProcessId, StartChangeId, View, ViewId};
 
