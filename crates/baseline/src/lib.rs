@@ -39,6 +39,7 @@
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use vsgm_core::state::State;
 use vsgm_core::{wv, Effect, GroupEndpoint, Input};
+use vsgm_obs::Recorder;
 use vsgm_types::{
     BaselineMsg, Cut, MsgIndex, NetMsg, ProcSet, ProcessId, View,
 };
@@ -77,13 +78,13 @@ impl Round {
 /// ```
 /// use vsgm_baseline::BaselineEndpoint;
 /// use vsgm_core::{GroupEndpoint, Input};
+/// use vsgm_obs::NoopRecorder;
 /// use vsgm_types::{ProcessId, StartChangeId};
 ///
 /// let mut ep = BaselineEndpoint::new(ProcessId::new(1));
-/// ep.handle(Input::StartChange {
-///     cid: StartChangeId::new(1),
-///     set: [ProcessId::new(1)].into_iter().collect(),
-/// });
+/// let set = [ProcessId::new(1)].into_iter().collect();
+/// let start = Input::StartChange { cid: StartChangeId::new(1), set };
+/// ep.step(Some(start), &mut NoopRecorder, &mut Vec::new());
 /// assert!(ep.reconfiguring());
 /// ```
 #[derive(Debug, Clone)]
@@ -225,12 +226,11 @@ impl BaselineEndpoint {
         Some(t)
     }
 
-    /// Fires every enabled locally controlled action once; returns the
-    /// effects and whether anything fired.
-    fn step(&mut self) -> (Vec<Effect>, bool) {
-        let mut effects = Vec::new();
+    /// Fires the first enabled locally controlled action, pushing its
+    /// effects onto `out`; returns whether anything fired.
+    fn fire_next(&mut self, out: &mut Vec<Effect>) -> bool {
         if self.st.crashed {
-            return (effects, false);
+            return false;
         }
         let pid = self.st.pid;
 
@@ -238,24 +238,24 @@ impl BaselineEndpoint {
         let target = self.reliable_target();
         if target != self.st.reliable_set {
             self.st.reliable_set = target.clone();
-            effects.push(Effect::SetReliable(target));
-            return (effects, true);
+            out.push(Effect::SetReliable(target));
+            return true;
         }
         // view_msg
         if wv::send_view_msg_pre(&self.st) {
             let (set, msg) = wv::send_view_msg_eff(&mut self.st);
             if !set.is_empty() {
-                effects.push(Effect::NetSend { to: set, msg });
+                out.push(Effect::NetSend { to: set, msg });
             }
-            return (effects, true);
+            return true;
         }
         // block
         if self.st.start_change.is_some()
             && self.st.block_status == vsgm_core::state::BlockStatus::Unblocked
         {
             self.st.block_status = vsgm_core::state::BlockStatus::Requested;
-            effects.push(Effect::Block);
-            return (effects, true);
+            out.push(Effect::Block);
+            return true;
         }
         // round 1: proposals
         if let Some(participants) = self.due_proposals().into_iter().next() {
@@ -267,12 +267,12 @@ impl BaselineEndpoint {
             r.own_change = self.changes_seen;
             let to: ProcSet = participants.iter().copied().filter(|q| *q != pid).collect();
             if !to.is_empty() {
-                effects.push(Effect::NetSend {
+                out.push(Effect::NetSend {
                     to,
                     msg: NetMsg::Baseline(BaselineMsg::Propose { participants, seq }),
                 });
             }
-            return (effects, true);
+            return true;
         }
         // round 2: tagged syncs
         if let Some((participants, tag)) = self.due_syncs().into_iter().next() {
@@ -283,19 +283,19 @@ impl BaselineEndpoint {
             r.synced.insert(tag);
             let to: ProcSet = participants.iter().copied().filter(|q| *q != pid).collect();
             if !to.is_empty() {
-                effects.push(Effect::NetSend {
+                out.push(Effect::NetSend {
                     to,
                     msg: NetMsg::Baseline(BaselineMsg::Sync { participants, tag, view, cut }),
                 });
             }
-            return (effects, true);
+            return true;
         }
         // app multicast
         if let Some((set, msg)) = wv::send_app_msg_eff(&mut self.st) {
             if !set.is_empty() {
-                effects.push(Effect::NetSend { to: set, msg });
+                out.push(Effect::NetSend { to: set, msg });
             }
-            return (effects, true);
+            return true;
         }
         // deliveries
         let members: Vec<ProcessId> = self.st.current_view.members().iter().copied().collect();
@@ -307,8 +307,8 @@ impl BaselineEndpoint {
                 };
                 if allowed {
                     wv::deliver_eff(&mut self.st, q);
-                    effects.push(Effect::DeliverApp { from: q, msg: m });
-                    return (effects, true);
+                    out.push(Effect::DeliverApp { from: q, msg: m });
+                    return true;
                 }
             }
         }
@@ -330,13 +330,13 @@ impl BaselineEndpoint {
                 self.st.start_change = None;
                 self.st.block_status = vsgm_core::state::BlockStatus::Unblocked;
             }
-            effects.push(Effect::InstallView {
+            out.push(Effect::InstallView {
                 view: self.st.current_view.clone(),
                 transitional: t,
             });
-            return (effects, true);
+            return true;
         }
-        (effects, false)
+        false
     }
 }
 
@@ -345,7 +345,16 @@ impl GroupEndpoint for BaselineEndpoint {
         self.st.pid
     }
 
-    fn handle(&mut self, input: Input) -> Vec<Effect> {
+    /// Journals nothing: the baseline is not instrumented.
+    fn step(&mut self, input: Option<Input>, _rec: &mut dyn Recorder, out: &mut Vec<Effect>) {
+        let Some(input) = input else {
+            for _ in 0..1_000_000 {
+                if !self.fire_next(out) {
+                    return;
+                }
+            }
+            panic!("baseline endpoint livelock");
+        };
         if self.st.crashed {
             if input == Input::Recover {
                 self.st.reset();
@@ -353,7 +362,7 @@ impl GroupEndpoint for BaselineEndpoint {
                 self.changes_seen = 0;
                 self.rounds.clear();
             }
-            return Vec::new();
+            return;
         }
         match input {
             Input::AppSend(m) => wv::on_app_send(&mut self.st, m),
@@ -393,19 +402,6 @@ impl GroupEndpoint for BaselineEndpoint {
             // Nor a stability rule: it retains every message.
             Input::AckDue => {}
         }
-        Vec::new()
-    }
-
-    fn poll(&mut self) -> Vec<Effect> {
-        let mut out = Vec::new();
-        for _ in 0..1_000_000 {
-            let (effects, progress) = self.step();
-            out.extend(effects);
-            if !progress {
-                return out;
-            }
-        }
-        panic!("baseline endpoint livelock");
     }
 
     fn current_view(&self) -> &View {
@@ -640,11 +636,15 @@ mod tests {
     #[test]
     fn crash_and_recover_reset() {
         let mut ep = BaselineEndpoint::new(p(1));
-        ep.handle(Input::StartChange { cid: StartChangeId::new(1), set: set(&[1]) });
-        ep.handle(Input::Crash);
+        let mut out = Vec::new();
+        let start = Input::StartChange { cid: StartChangeId::new(1), set: set(&[1]) };
+        for input in [start, Input::Crash] {
+            ep.step(Some(input), &mut NoopRecorder, &mut out);
+        }
         assert!(ep.is_crashed());
-        assert!(ep.poll().is_empty());
-        ep.handle(Input::Recover);
+        ep.step(None, &mut NoopRecorder, &mut out);
+        assert!(out.is_empty());
+        ep.step(Some(Input::Recover), &mut NoopRecorder, &mut out);
         assert!(!ep.is_crashed());
         assert!(!ep.reconfiguring());
     }

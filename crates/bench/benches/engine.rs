@@ -6,6 +6,7 @@ use vsgm_core::state::MsgSeq;
 use vsgm_core::{Config, Endpoint, Input};
 use vsgm_ioa::{SimRng, SimTime};
 use vsgm_net::{LatencyModel, SimNet};
+use vsgm_obs::NoopRecorder;
 use vsgm_types::{AppMsg, Cut, NetMsg, ProcSet, ProcessId, StartChangeId, View, ViewId};
 
 fn bench_msg_seq(c: &mut Criterion) {
@@ -44,11 +45,12 @@ fn bench_simnet(c: &mut Criterion) {
             net.set_reliable(ProcessId::new(1), everyone.clone());
             let msg = NetMsg::App(AppMsg::from("payload"));
             for i in 0..1000 {
-                net.send(SimTime::from_micros(i), ProcessId::new(1), &everyone, &msg);
+                let now = SimTime::from_micros(i);
+                net.send(now, ProcessId::new(1), &everyone, &msg, &mut NoopRecorder);
             }
             let mut total = 0;
             while let Some(t) = net.next_arrival() {
-                total += net.pop_ready(t).len();
+                total += net.pop_ready(t, &mut NoopRecorder).len();
             }
             total
         })

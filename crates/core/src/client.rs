@@ -156,14 +156,16 @@ impl<E: GroupEndpoint> Hosted<E> {
 
     /// Feeds one input to the end-point and carries out its effects.
     pub fn input(&mut self, input: Input, rec: &mut dyn Recorder, out: &mut Sink<'_>) {
-        let effects = self.ep.handle_rec(input, rec);
+        let mut effects = Vec::new();
+        self.ep.step(Some(input), rec, &mut effects);
         self.route(effects, rec, out);
     }
 
     /// Runs the end-point to local quiescence and carries out its
     /// effects. Returns whether it did anything.
     pub fn poll(&mut self, rec: &mut dyn Recorder, out: &mut Sink<'_>) -> bool {
-        let effects = self.ep.poll_rec(rec);
+        let mut effects = Vec::new();
+        self.ep.step(None, rec, &mut effects);
         let acted = !effects.is_empty();
         self.route(effects, rec, out);
         acted
@@ -190,7 +192,10 @@ impl<E: GroupEndpoint> Hosted<E> {
     }
 
     /// Carries out `effects` in order. The one `match` over [`Effect`]
-    /// outside the end-points themselves.
+    /// outside the end-points themselves. Each call's effects sit in a
+    /// buffer of that call alone, so an idle end-point holds none, and an
+    /// input fed here (a `BlockOk`, a released send) routes its own
+    /// effects before the next of these, depth first.
     fn route(&mut self, effects: Vec<Effect>, rec: &mut dyn Recorder, out: &mut Sink<'_>) {
         let p = self.ep.pid();
         for effect in effects {
@@ -228,7 +233,8 @@ impl Hosted<Endpoint> {
     /// Fires one enabled locally controlled action and carries out its
     /// effects — the model checker's step, finer than [`Hosted::poll`].
     pub fn fire(&mut self, action: &Action, rec: &mut dyn Recorder, out: &mut Sink<'_>) {
-        let effects = self.ep.fire_rec(action, rec);
+        let mut effects = Vec::new();
+        self.ep.fire(action, rec, &mut effects);
         self.route(effects, rec, out);
     }
 }

@@ -39,8 +39,10 @@ pub enum Input {
     Recover,
     /// Clock advance to the given absolute microsecond timestamp (the
     /// driver's clock: simulated time under the harness, wall clock in a
-    /// real node pump). Only the batching linger deadline
-    /// ([`Config::batch`]) observes it; with batching off it is inert.
+    /// real node pump). Two things observe it: the batching linger
+    /// deadline ([`Config::batch`]), and with [`Config::audit`] on, the
+    /// [`crate::audit`] pass each tick runs, which resets an illegal state
+    /// ([`Effect::Reconciled`]). With both off it is inert.
     Tick(u64),
     /// The host asks for one stability acknowledgement
     /// ([`crate::stability`]): arms [`Action::SendAck`]. How often is the
@@ -118,25 +120,19 @@ pub enum Action {
 /// this workspace (the paper's algorithm in this crate and the two-round
 /// pre-agreement baseline in `vsgm-baseline`), letting the simulation
 /// harness and experiments run either behind the same scenarios.
+///
+/// An end-point is an I/O automaton, and [`GroupEndpoint::step`] is its
+/// one entry point: an input action, or its locally controlled actions
+/// run to quiescence. Effects go into the caller's buffer.
 pub trait GroupEndpoint {
     /// The end-point's identity.
     fn pid(&self) -> ProcessId;
-    /// Applies one input action, returning immediate effects.
-    fn handle(&mut self, input: Input) -> Vec<Effect>;
-    /// Fires every enabled locally controlled action until quiescence.
-    fn poll(&mut self) -> Vec<Effect>;
-    /// [`GroupEndpoint::handle`] with an observability [`Recorder`].
-    /// The default ignores the recorder, so un-instrumented end-points
-    /// (e.g. comparison baselines) keep working unchanged.
-    fn handle_rec(&mut self, input: Input, rec: &mut dyn Recorder) -> Vec<Effect> {
-        let _ = rec;
-        self.handle(input)
-    }
-    /// [`GroupEndpoint::poll`] with an observability [`Recorder`].
-    fn poll_rec(&mut self, rec: &mut dyn Recorder) -> Vec<Effect> {
-        let _ = rec;
-        self.poll()
-    }
+    /// One step, its effects pushed onto `out` in order. `Some(input)`
+    /// applies that input action only; `None` fires every enabled locally
+    /// controlled action, in canonical order, until quiescence. `rec`
+    /// journals what the step does; a silent caller passes
+    /// [`NoopRecorder`].
+    fn step(&mut self, input: Option<Input>, rec: &mut dyn Recorder, out: &mut Vec<Effect>);
     /// The view last delivered to the application.
     fn current_view(&self) -> &View;
     /// Whether a view change is in progress.
@@ -156,17 +152,8 @@ impl GroupEndpoint for Endpoint {
     fn pid(&self) -> ProcessId {
         Endpoint::pid(self)
     }
-    fn handle(&mut self, input: Input) -> Vec<Effect> {
-        Endpoint::handle(self, input)
-    }
-    fn poll(&mut self) -> Vec<Effect> {
-        Endpoint::poll(self)
-    }
-    fn handle_rec(&mut self, input: Input, rec: &mut dyn Recorder) -> Vec<Effect> {
-        Endpoint::handle_rec(self, input, rec)
-    }
-    fn poll_rec(&mut self, rec: &mut dyn Recorder) -> Vec<Effect> {
-        Endpoint::poll_rec(self, rec)
+    fn step(&mut self, input: Option<Input>, rec: &mut dyn Recorder, out: &mut Vec<Effect>) {
+        Endpoint::step(self, input, rec, out);
     }
     fn current_view(&self) -> &View {
         Endpoint::current_view(self)
@@ -207,10 +194,10 @@ pub struct EndpointStats {
 /// A GCS end-point: the executable `GCS_p` automaton (or a configured
 /// prefix of its inheritance chain — see [`Config::stack`]).
 ///
-/// Drive it by feeding [`Input`]s with [`Endpoint::handle`] and letting it
-/// fire its enabled locally controlled actions, either one at a time
-/// with [`Endpoint::enabled_actions`] and [`Endpoint::fire`] (for
-/// schedule-exploring tests) or in bulk with [`Endpoint::poll`].
+/// Drive it through [`Endpoint::step`]: `Some(input)` feeds an [`Input`],
+/// `None` fires its enabled locally controlled actions in bulk. A
+/// schedule-exploring driver fires them one at a time instead, with
+/// [`Endpoint::enabled_actions`] and [`Endpoint::fire`].
 #[derive(Debug, Clone)]
 pub struct Endpoint {
     cfg: Config,
@@ -271,66 +258,80 @@ impl Endpoint {
         &self.st
     }
 
-    /// Applies one input action. Returns any immediate effects (only the
-    /// §9 aggregation relay produces effects from inputs; everything else
-    /// surfaces through the locally controlled actions).
-    pub fn handle(&mut self, input: Input) -> Vec<Effect> {
-        self.handle_rec(input, &mut NoopRecorder)
-    }
-
-    /// [`Endpoint::handle`] with an observability [`Recorder`]: journals
-    /// protocol events (start_change receipt, sync receipt, block_ok,
-    /// recovery reset) as they are processed.
-    pub fn handle_rec(&mut self, input: Input, rec: &mut dyn Recorder) -> Vec<Effect> {
+    /// One step of the automaton, its effects pushed onto `out` in order
+    /// ([`GroupEndpoint::step`]). `Some(input)` applies that input action
+    /// only; effects from an input are rare (the §9 aggregation relay and
+    /// the audit reset), everything else surfaces through the locally
+    /// controlled actions. `None` fires every enabled locally controlled
+    /// action, in canonical order, until quiescence. `rec` journals
+    /// protocol events as they happen: start_change and sync receipt,
+    /// block_ok and recovery reset on input; sync sends, blocks, message
+    /// sends and deliveries, forwards, cut agreement and view installs as
+    /// the actions fire.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the end-point fails to quiesce within a large internal
+    /// step bound (indicates a livelock bug).
+    pub fn step(&mut self, input: Option<Input>, rec: &mut dyn Recorder, out: &mut Vec<Effect>) {
+        let Some(input) = input else { return self.quiesce(rec, out) };
         if self.st.crashed {
             if input == Input::Recover {
                 self.st.reset();
                 self.stats = EndpointStats::default();
                 rec.event(self.st.pid, None, ObsEvent::RecoveryReset);
             }
-            return Vec::new(); // §8: input effects disabled while crashed
+            return; // §8: input effects disabled while crashed
         }
         match input {
-            Input::AppSend(m) => {
-                wv::on_app_send(&mut self.st, m);
-                Vec::new()
-            }
+            Input::AppSend(m) => wv::on_app_send(&mut self.st, m),
             Input::BlockOk => {
                 rec.event(self.st.pid, self.current_cid(), ObsEvent::BlockOk);
                 if self.cfg.stack.has_sd() {
                     sd::on_block_ok(&mut self.st);
                 }
-                Vec::new()
             }
             Input::StartChange { cid, set } => {
                 rec.event(self.st.pid, Some(cid), ObsEvent::StartChangeRecv);
                 if self.cfg.stack.has_vs() {
                     vs::on_start_change(&mut self.st, cid, set);
                 }
-                Vec::new()
             }
-            Input::MbrshpView(v) => {
-                wv::on_mbrshp_view(&mut self.st, v);
-                Vec::new()
-            }
-            Input::Net { from, msg } => self.handle_net(from, msg, rec),
-            Input::Crash => {
-                self.st.crashed = true;
-                Vec::new()
-            }
-            Input::Recover => Vec::new(), // not crashed: no-op
+            Input::MbrshpView(v) => wv::on_mbrshp_view(&mut self.st, v),
+            Input::Net { from, msg } => self.handle_net(from, msg, rec, out),
+            Input::Crash => self.st.crashed = true,
+            Input::Recover => {} // not crashed: no-op
             Input::Tick(us) => {
                 self.st.now_us = self.st.now_us.max(us);
                 if self.cfg.audit && crate::audit::check(&self.cfg, &self.st).is_err() {
-                    return self.reconcile(rec);
+                    self.reconcile(rec, out);
                 }
-                Vec::new()
             }
-            Input::AckDue => {
-                stability::on_ack_due(&mut self.st);
-                Vec::new()
-            }
+            Input::AckDue => stability::on_ack_due(&mut self.st),
         }
+    }
+
+    /// [`Endpoint::step`] with `Some(input)`, recording nothing, into a
+    /// fresh `Vec`. Kept for the frozen `benchmark/src/layers.rs`, which
+    /// calls it, until that benchmark moves to `step` (ROADMAP item 1(c));
+    /// tests use it as a shorthand.
+    pub fn handle(&mut self, input: Input) -> Vec<Effect> {
+        let mut out = Vec::new();
+        self.step(Some(input), &mut NoopRecorder, &mut out);
+        out
+    }
+
+    /// [`Endpoint::step`] with `None`, recording nothing, into a fresh
+    /// `Vec`. Kept, like [`Endpoint::handle`], for the frozen
+    /// `benchmark/src/layers.rs` until ROADMAP item 1(c).
+    ///
+    /// # Panics
+    ///
+    /// Panics on the same livelock bound as [`Endpoint::step`].
+    pub fn poll(&mut self) -> Vec<Effect> {
+        let mut out = Vec::new();
+        self.step(None, &mut NoopRecorder, &mut out);
+        out
     }
 
     /// The local start-change id of the view change in progress — the
@@ -351,26 +352,26 @@ impl Endpoint {
     /// exactly as a crash+recover pair would, and tell the driver via
     /// [`Effect::Reconciled`]. (Drivers wanting the specific failed
     /// check re-run [`crate::audit::check`] before feeding the tick.)
-    fn reconcile(&mut self, rec: &mut dyn Recorder) -> Vec<Effect> {
+    fn reconcile(&mut self, rec: &mut dyn Recorder, out: &mut Vec<Effect>) {
         rec.counter(names::EP_AUDIT_FAILURES, 1);
         rec.event(self.st.pid, self.current_cid(), ObsEvent::AuditFailed);
         self.st.reset();
         self.stats = EndpointStats::default();
         rec.counter(names::EP_AUDIT_RECONCILES, 1);
         rec.event(self.st.pid, None, ObsEvent::AuditReconciled);
-        vec![Effect::Reconciled]
+        out.push(Effect::Reconciled);
     }
 
-    fn handle_net(&mut self, from: ProcessId, msg: NetMsg, rec: &mut dyn Recorder) -> Vec<Effect> {
+    fn handle_net(
+        &mut self,
+        from: ProcessId,
+        msg: NetMsg,
+        rec: &mut dyn Recorder,
+        out: &mut Vec<Effect>,
+    ) {
         match msg {
-            NetMsg::ViewMsg(v) => {
-                wv::on_view_msg(&mut self.st, from, v);
-                Vec::new()
-            }
-            NetMsg::App(m) => {
-                wv::on_app_msg(&mut self.st, from, m);
-                Vec::new()
-            }
+            NetMsg::ViewMsg(v) => wv::on_view_msg(&mut self.st, from, v),
+            NetMsg::App(m) => wv::on_app_msg(&mut self.st, from, m),
             NetMsg::AppBatch(batch) => {
                 // Unbatch before any protocol processing: the stored
                 // stream is identical to receiving each message in its own
@@ -378,30 +379,24 @@ impl Endpoint {
                 for m in batch {
                     wv::on_app_msg(&mut self.st, from, m);
                 }
-                Vec::new()
             }
             NetMsg::Fwd(f) => {
                 if !wv::on_fwd_msg(&mut self.st, f) {
                     self.stats.stores_refused += 1;
                     rec.counter(names::EP_STORES_REFUSED, 1);
                 }
-                Vec::new()
             }
-            NetMsg::Ack(cut) => {
-                stability::on_ack(&mut self.st, from, cut);
-                Vec::new()
-            }
+            NetMsg::Ack(cut) => stability::on_ack(&mut self.st, from, cut),
             NetMsg::Sync(payload) => {
-                if !self.cfg.stack.has_vs() {
-                    return Vec::new();
+                if self.cfg.stack.has_vs() {
+                    rec.event(self.st.pid, self.current_cid(), ObsEvent::SyncRecv);
+                    let srec = vs::on_sync(&mut self.st, from, &payload);
+                    self.maybe_relay_as_leader(from, payload.cid, srec, out);
                 }
-                rec.event(self.st.pid, self.current_cid(), ObsEvent::SyncRecv);
-                let srec = vs::on_sync(&mut self.st, from, &payload);
-                self.maybe_relay_as_leader(from, payload.cid, srec)
             }
             NetMsg::SyncAgg(entries) => {
                 if !self.cfg.stack.has_vs() {
-                    return Vec::new();
+                    return;
                 }
                 for (sender, payload) in entries {
                     if sender != self.st.pid {
@@ -409,11 +404,10 @@ impl Endpoint {
                         vs::on_sync(&mut self.st, sender, &payload);
                     }
                 }
-                Vec::new()
             }
             // Baseline-protocol traffic is not ours; tolerate and drop it
             // (mixed deployments only occur in comparative experiments).
-            NetMsg::Baseline(_) => Vec::new(),
+            NetMsg::Baseline(_) => {}
         }
     }
 
@@ -424,25 +418,22 @@ impl Endpoint {
         from: ProcessId,
         cid: StartChangeId,
         rec: SyncRecord,
-    ) -> Vec<Effect> {
+        out: &mut Vec<Effect>,
+    ) {
         if !self.cfg.aggregation {
-            return Vec::new();
+            return;
         }
-        let Some(sc_set) = self.st.agg_scope.clone() else { return Vec::new() };
+        let Some(sc_set) = self.st.agg_scope.clone() else { return };
         if vs::leader(&sc_set) != Some(self.st.pid) {
-            return Vec::new();
+            return;
         }
         self.st.agg_buffer.insert(from, (cid, rec.clone()));
         if self.st.agg_flushed {
             let to: ProcSet =
                 sc_set.iter().copied().filter(|q| *q != self.st.pid && *q != from).collect();
-            if to.is_empty() {
-                return Vec::new();
-            }
             let payload = SyncPayload { cid, view: rec.view, cut: rec.cut };
-            return vec![Effect::NetSend { to, msg: NetMsg::SyncAgg(vec![(from, payload)]) }];
+            net_send(out, to, NetMsg::SyncAgg(vec![(from, payload)]));
         }
-        Vec::new()
     }
 
     /// The pending batch — the unsent suffix of the own current-view
@@ -570,26 +561,9 @@ impl Endpoint {
         complete || view_arrived
     }
 
-    /// Fires every enabled locally controlled action, in canonical order,
-    /// until quiescence; returns the accumulated effects.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the end-point fails to quiesce within a large internal
-    /// step bound (indicates a livelock bug).
-    pub fn poll(&mut self) -> Vec<Effect> {
-        self.poll_rec(&mut NoopRecorder)
-    }
-
-    /// [`Endpoint::poll`] with an observability [`Recorder`]: journals
-    /// sync sends, blocks, message sends/deliveries, forwards, cut
-    /// agreement, and view installs as the actions fire.
-    ///
-    /// # Panics
-    ///
-    /// Panics on the same livelock bound as [`Endpoint::poll`].
-    pub fn poll_rec(&mut self, rec: &mut dyn Recorder) -> Vec<Effect> {
-        let mut effects = Vec::new();
+    /// [`Endpoint::step`]'s `None`: fires every enabled locally
+    /// controlled action, in canonical order, until quiescence.
+    fn quiesce(&mut self, rec: &mut dyn Recorder, out: &mut Vec<Effect>) {
         let mut steps = 0usize;
         loop {
             let next = self.first_enabled();
@@ -598,8 +572,8 @@ impl Endpoint {
                 next.as_ref(),
                 "first_enabled must choose what enabled_actions lists first"
             );
-            let Some(action) = next else { return effects };
-            effects.extend(self.fire_rec(&action, rec));
+            let Some(action) = next else { return };
+            self.fire(&action, rec, out);
             steps += 1;
             assert!(steps < 1_000_000, "endpoint livelock: {action:?} keeps firing");
         }
@@ -716,28 +690,21 @@ impl Endpoint {
         out
     }
 
-    /// Fires one enabled locally controlled action atomically and returns
-    /// its externally visible effects.
-    pub fn fire(&mut self, action: &Action) -> Vec<Effect> {
-        self.fire_rec(action, &mut NoopRecorder)
-    }
-
-    /// [`Endpoint::fire`] with an observability [`Recorder`].
-    pub(crate) fn fire_rec(&mut self, action: &Action, rec: &mut dyn Recorder) -> Vec<Effect> {
+    /// Fires one enabled locally controlled action atomically, pushing its
+    /// externally visible effects onto `out` and journaling to `rec`. Each
+    /// arm's `let … else { return }` reads what the precondition already
+    /// guarantees, so a disabled action does nothing.
+    pub fn fire(&mut self, action: &Action, rec: &mut dyn Recorder, out: &mut Vec<Effect>) {
         debug_assert!(self.pre(action), "fire of {action:?}, which is not enabled");
         match action {
             Action::SetReliable => {
                 let target = self.reliable_target();
                 self.st.reliable_set = target.clone();
-                vec![Effect::SetReliable(target)]
+                out.push(Effect::SetReliable(target));
             }
             Action::SendViewMsg => {
                 let (set, msg) = wv::send_view_msg_eff(&mut self.st);
-                if set.is_empty() {
-                    Vec::new()
-                } else {
-                    vec![Effect::NetSend { to: set, msg }]
-                }
+                net_send(out, set, msg);
             }
             Action::SendSyncMsg => {
                 let Some(plan) = vs::send_sync_eff(
@@ -746,7 +713,7 @@ impl Endpoint {
                     self.cfg.aggregation,
                     self.cfg.implicit_cuts,
                 ) else {
-                    return Vec::new(); // enabled_actions() no longer offers this
+                    return;
                 };
                 self.stats.syncs_sent += 1;
                 rec.counter(names::EP_SYNCS_SENT, 1);
@@ -756,22 +723,17 @@ impl Endpoint {
                 if plan.cid > *latest {
                     *latest = plan.cid;
                 }
-                plan.sends
-                    .into_iter()
-                    .map(|(to, msg)| Effect::NetSend { to, msg })
-                    .collect()
+                out.extend(plan.sends.into_iter().map(|(to, msg)| Effect::NetSend { to, msg }));
             }
             Action::Block => {
                 self.stats.blocks += 1;
                 rec.counter(names::EP_BLOCKS, 1);
                 rec.event(self.st.pid, self.current_cid(), ObsEvent::BlockRequested);
                 sd::block_eff(&mut self.st);
-                vec![Effect::Block]
+                out.push(Effect::Block);
             }
             Action::FlushAgg => {
-                let Some((_, sc_set)) = self.st.start_change.clone() else {
-                    return Vec::new(); // enabled_actions() no longer offers this
-                };
+                let Some((_, sc_set)) = self.st.start_change.clone() else { return };
                 let entries: Vec<(ProcessId, SyncPayload)> = self
                     .st
                     .agg_buffer
@@ -790,11 +752,7 @@ impl Endpoint {
                 self.st.agg_flushed = true;
                 let to: ProcSet =
                     sc_set.iter().copied().filter(|q| *q != self.st.pid).collect();
-                if to.is_empty() {
-                    Vec::new()
-                } else {
-                    vec![Effect::NetSend { to, msg: NetMsg::SyncAgg(entries) }]
-                }
+                net_send(out, to, NetMsg::SyncAgg(entries));
             }
             Action::SendAppMsg => {
                 // Attribute the flush before the effect consumes the
@@ -807,7 +765,7 @@ impl Endpoint {
                     self.cfg.batch.max_msgs,
                     self.cfg.batch.max_bytes,
                 ) else {
-                    return Vec::new(); // enabled_actions() no longer offers this
+                    return;
                 };
                 self.stats.msgs_sent += k;
                 rec.counter(names::EP_MSGS_SENT, k);
@@ -828,26 +786,18 @@ impl Endpoint {
                     rec.observe(names::EP_BATCH_SIZE, k);
                     rec.event(self.st.pid, self.current_cid(), ObsEvent::BatchFlushed);
                 }
-                if set.is_empty() {
-                    Vec::new()
-                } else {
-                    vec![Effect::NetSend { to: set, msg }]
-                }
+                net_send(out, set, msg);
             }
             Action::DeliverApp(q) => {
-                let Some(m) = wv::deliver_pre(&self.st, *q).cloned() else {
-                    return Vec::new(); // enabled_actions() no longer offers this
-                };
+                let Some(m) = wv::deliver_pre(&self.st, *q).cloned() else { return };
                 self.stats.msgs_delivered += 1;
                 rec.counter(names::EP_MSGS_DELIVERED, 1);
                 rec.event(self.st.pid, None, ObsEvent::MsgDelivered);
                 wv::deliver_eff(&mut self.st, *q);
-                vec![Effect::DeliverApp { from: *q, msg: m }]
+                out.push(Effect::DeliverApp { from: *q, msg: m });
             }
             Action::DeliverView => {
-                let Some(t) = self.view_enabled() else {
-                    return Vec::new(); // enabled_actions() no longer offers this
-                };
+                let Some(t) = self.view_enabled() else { return };
                 self.stats.views_installed += 1;
                 rec.counter(names::EP_VIEWS_INSTALLED, 1);
                 // The span being closed is the view change in progress;
@@ -876,24 +826,21 @@ impl Endpoint {
                 for m in queued {
                     wv::on_app_send(&mut self.st, m);
                 }
-                vec![Effect::InstallView {
+                out.push(Effect::InstallView {
                     view: self.st.current_view.clone(),
                     transitional: t,
-                }]
+                });
             }
             Action::Forward(cmd) => {
-                let Some(msg) =
-                    self.st.buf(cmd.origin, &cmd.view).and_then(|s| s.get(cmd.index)).cloned()
-                else {
-                    return Vec::new(); // enabled_actions() no longer offers this
-                };
+                let buf = self.st.buf(cmd.origin, &cmd.view);
+                let Some(msg) = buf.and_then(|s| s.get(cmd.index)).cloned() else { return };
                 self.stats.forwards_sent += 1;
                 rec.counter(names::EP_FORWARDS_SENT, 1);
                 rec.event(self.st.pid, self.current_cid(), ObsEvent::ForwardSent);
                 for dest in &cmd.to {
                     self.st.forwarded.insert((*dest, cmd.origin, cmd.view.clone(), cmd.index));
                 }
-                vec![Effect::NetSend {
+                out.push(Effect::NetSend {
                     to: cmd.to.clone(),
                     msg: NetMsg::Fwd(FwdPayload {
                         origin: cmd.origin,
@@ -901,20 +848,21 @@ impl Endpoint {
                         index: cmd.index,
                         msg,
                     }),
-                }]
+                });
             }
             Action::SendAck => {
-                let Some((set, msg)) = stability::send_ack_eff(&mut self.st) else {
-                    return Vec::new(); // enabled_actions() no longer offers this
-                };
+                let Some((set, msg)) = stability::send_ack_eff(&mut self.st) else { return };
                 rec.counter(names::EP_ACKS_SENT, 1);
-                if set.is_empty() {
-                    Vec::new()
-                } else {
-                    vec![Effect::NetSend { to: set, msg }]
-                }
+                net_send(out, set, msg);
             }
         }
+    }
+}
+
+/// `co_rfifo.send_p(to, msg)` as an effect, unless `to` is empty.
+fn net_send(out: &mut Vec<Effect>, to: ProcSet, msg: NetMsg) {
+    if !to.is_empty() {
+        out.push(Effect::NetSend { to, msg });
     }
 }
 
@@ -1332,9 +1280,10 @@ mod tests {
         use vsgm_obs::ObsRecorder;
         let mut ep = Endpoint::new(p(1), batched_cfg(2, 1_000_000));
         let mut rec = ObsRecorder::new();
-        ep.handle_rec(Input::AppSend(AppMsg::from("a")), &mut rec);
-        ep.handle_rec(Input::AppSend(AppMsg::from("b")), &mut rec);
-        let _ = ep.poll_rec(&mut rec);
+        let mut out = Vec::new();
+        ep.step(Some(Input::AppSend(AppMsg::from("a"))), &mut rec, &mut out);
+        ep.step(Some(Input::AppSend(AppMsg::from("b"))), &mut rec, &mut out);
+        ep.step(None, &mut rec, &mut out);
         assert_eq!(rec.journal().count(ObsEvent::BatchFlushed), 1);
         let reg = rec.registry();
         assert_eq!(reg.counter(names::EP_BATCH_FLUSHES), 1);
@@ -1413,7 +1362,8 @@ mod tests {
         let ep = net.eps.get_mut(&p(1)).unwrap();
         ep.corrupt(CorruptionKind::ScrambleMembership, 0);
         let mut rec = ObsRecorder::new();
-        let effects = ep.handle_rec(Input::Tick(1), &mut rec);
+        let mut effects = Vec::new();
+        ep.step(Some(Input::Tick(1)), &mut rec, &mut effects);
         assert_eq!(effects, vec![Effect::Reconciled]);
         // Reset to the initial state, §8-style.
         assert_eq!(ep.current_view(), &View::initial(p(1)));

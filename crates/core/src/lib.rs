@@ -37,13 +37,15 @@
 //!
 //! ```
 //! use vsgm_core::{Config, Endpoint, Input, Effect};
+//! use vsgm_obs::NoopRecorder;
 //! use vsgm_types::{AppMsg, ProcessId};
 //!
 //! let p1 = ProcessId::new(1);
 //! let mut ep = Endpoint::new(p1, Config::default());
 //! // In its initial singleton view, a send comes straight back.
-//! ep.handle(Input::AppSend(AppMsg::from("hello")));
-//! let effects = ep.poll();
+//! let mut effects = Vec::new();
+//! ep.step(Some(Input::AppSend(AppMsg::from("hello"))), &mut NoopRecorder, &mut effects);
+//! ep.step(None, &mut NoopRecorder, &mut effects);
 //! assert!(effects.iter().any(|e| matches!(
 //!     e,
 //!     Effect::DeliverApp { from, .. } if *from == p1

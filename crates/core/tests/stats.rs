@@ -1,6 +1,7 @@
 //! The endpoint's protocol counters.
 
 use vsgm_core::{Config, Effect, Endpoint, Input};
+use vsgm_obs::Recorder;
 use vsgm_types::{
     AppMsg, Cut, NetMsg, ProcSet, ProcessId, StartChangeId, SyncPayload, View, ViewId,
 };
@@ -19,6 +20,13 @@ fn pair_view(epoch: u64, cid: u64) -> View {
         [p(1), p(2)],
         [(p(1), StartChangeId::new(cid)), (p(2), StartChangeId::new(cid))],
     )
+}
+
+/// One [`Endpoint::step`] journaling to `rec`, its effects returned.
+fn step(ep: &mut Endpoint, input: Option<Input>, rec: &mut dyn Recorder) -> Vec<Effect> {
+    let mut out = Vec::new();
+    ep.step(input, rec, &mut out);
+    out
 }
 
 /// Drives one endpoint through a full view change, answering for the
@@ -78,13 +86,13 @@ fn acknowledgements_and_refused_stores_are_counted_and_recorded() {
     ep.handle(Input::AppSend(AppMsg::from("one")));
     ep.poll();
     // The host asks once: one acknowledgement of the own delivery.
-    ep.handle_rec(Input::AckDue, &mut rec);
-    let effects = ep.poll_rec(&mut rec);
+    step(&mut ep, Some(Input::AckDue), &mut rec);
+    let effects = step(&mut ep, None, &mut rec);
     assert_eq!(
         effects,
         vec![Effect::NetSend { to: set(&[2]), msg: NetMsg::Ack(Cut::from_iter([(p(1), 1)])) }]
     );
-    assert!(ep.poll_rec(&mut rec).is_empty(), "one request, one acknowledgement");
+    assert!(step(&mut ep, None, &mut rec).is_empty(), "one request, one acknowledgement");
     // A forward whose index no stream could have reached is refused.
     let forged = FwdPayload {
         origin: p(2),
@@ -92,7 +100,7 @@ fn acknowledgements_and_refused_stores_are_counted_and_recorded() {
         index: u64::MAX,
         msg: AppMsg::from("forged"),
     };
-    ep.handle_rec(Input::Net { from: p(2), msg: NetMsg::Fwd(forged) }, &mut rec);
+    step(&mut ep, Some(Input::Net { from: p(2), msg: NetMsg::Fwd(forged) }), &mut rec);
     assert_eq!(ep.stats().stores_refused, 1);
     assert_eq!(rec.registry().counter(names::EP_ACKS_SENT), 1);
     assert_eq!(rec.registry().counter(names::EP_STORES_REFUSED), 1);
@@ -119,10 +127,10 @@ fn recovery_zeroes_every_counter_and_journals_the_reset() {
     let s = ep.stats();
     assert!(s.views_installed >= 1 && s.msgs_sent >= 1 && s.syncs_sent >= 1);
 
-    ep.handle_rec(Input::Crash, &mut rec);
+    step(&mut ep, Some(Input::Crash), &mut rec);
     // Inputs while crashed are inert and must not disturb the counters.
     ep.handle(Input::AppSend(AppMsg::from("lost")));
-    ep.handle_rec(Input::Recover, &mut rec);
+    step(&mut ep, Some(Input::Recover), &mut rec);
 
     // §8: recovery restarts from the initial volatile state — every
     // counter field individually back at zero.
@@ -172,31 +180,28 @@ fn journal_covers_block_and_forward_events() {
             (p(3), StartChangeId::new(1)),
         ],
     );
-    ep.handle_rec(
-        Input::StartChange { cid: StartChangeId::new(1), set: set(&[1, 2, 3]) },
-        &mut rec,
-    );
-    ep.poll_rec(&mut rec);
-    ep.handle_rec(Input::BlockOk, &mut rec);
-    ep.poll_rec(&mut rec);
-    ep.handle_rec(Input::MbrshpView(v3.clone()), &mut rec);
-    ep.poll_rec(&mut rec);
+    let start = Input::StartChange { cid: StartChangeId::new(1), set: set(&[1, 2, 3]) };
+    step(&mut ep, Some(start), &mut rec);
+    step(&mut ep, None, &mut rec);
+    step(&mut ep, Some(Input::BlockOk), &mut rec);
+    step(&mut ep, None, &mut rec);
+    step(&mut ep, Some(Input::MbrshpView(v3.clone())), &mut rec);
+    step(&mut ep, None, &mut rec);
     assert_eq!(rec.journal().count(ObsEvent::ViewInstalled), 1);
 
     // p3's current-view stream: its view_msg plus one application
     // message, which p1 buffers (and p2 will turn out to miss).
-    ep.handle_rec(Input::Net { from: p(3), msg: NetMsg::ViewMsg(v3.clone()) }, &mut rec);
-    ep.handle_rec(Input::Net { from: p(3), msg: NetMsg::App(AppMsg::from("m1")) }, &mut rec);
+    for msg in [NetMsg::ViewMsg(v3.clone()), NetMsg::App(AppMsg::from("m1"))] {
+        step(&mut ep, Some(Input::Net { from: p(3), msg }), &mut rec);
+    }
 
     // A change to {1,2} starts (p3 partitioned away): the block handshake
     // runs and p1's sync commits to p3's message.
-    ep.handle_rec(
-        Input::StartChange { cid: StartChangeId::new(2), set: set(&[1, 2]) },
-        &mut rec,
-    );
-    ep.poll_rec(&mut rec);
-    ep.handle_rec(Input::BlockOk, &mut rec);
-    ep.poll_rec(&mut rec);
+    let start = Input::StartChange { cid: StartChangeId::new(2), set: set(&[1, 2]) };
+    step(&mut ep, Some(start), &mut rec);
+    step(&mut ep, None, &mut rec);
+    step(&mut ep, Some(Input::BlockOk), &mut rec);
+    step(&mut ep, None, &mut rec);
     assert_eq!(rec.journal().count(ObsEvent::BlockOk), 2);
     assert_eq!(rec.journal().count(ObsEvent::SyncSent), 2);
 
@@ -204,17 +209,8 @@ fn journal_covers_block_and_forward_events() {
     // strategy forwards it, journalled as ForwardSent.
     let mut cut = Cut::new();
     cut.set(p(3), 0);
-    ep.handle_rec(
-        Input::Net {
-            from: p(2),
-            msg: NetMsg::Sync(SyncPayload {
-                cid: StartChangeId::new(4),
-                view: Some(v3.clone()),
-                cut,
-            }),
-        },
-        &mut rec,
-    );
-    ep.poll_rec(&mut rec);
+    let sync = SyncPayload { cid: StartChangeId::new(4), view: Some(v3.clone()), cut };
+    step(&mut ep, Some(Input::Net { from: p(2), msg: NetMsg::Sync(sync) }), &mut rec);
+    step(&mut ep, None, &mut rec);
     assert_eq!(rec.journal().count(ObsEvent::ForwardSent), 1, "eager forward of p3's m1");
 }

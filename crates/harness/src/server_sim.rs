@@ -19,6 +19,7 @@ use vsgm_core::{Config, Endpoint};
 use vsgm_ioa::{SimRng, SimTime};
 use vsgm_membership::{Server, ServerMsg, ServerOutput};
 use vsgm_net::SimNet;
+use vsgm_obs::NoopRecorder;
 use vsgm_types::{ProcSet, ProcessId};
 
 /// A two-tier simulation: membership servers over their own network, GCS
@@ -73,11 +74,12 @@ impl ServerSim {
         let ids: Vec<ProcessId> = self.servers.keys().copied().collect();
         for id in ids {
             if reachable_servers.contains(&id) {
-                let outs = self
-                    .servers
-                    .get_mut(&id)
-                    .expect("known server")
-                    .set_connectivity(reachable_servers.clone(), alive_clients.clone());
+                let server = self.servers.get_mut(&id).expect("known server");
+                let outs = server.set_connectivity(
+                    reachable_servers.clone(),
+                    alive_clients.clone(),
+                    &mut NoopRecorder,
+                );
                 self.route_server(id, outs);
             }
         }
@@ -94,7 +96,7 @@ impl ServerSim {
                     self.sim.feed_view(client, view);
                 }
                 ServerOutput::Broadcast { to, msg } => {
-                    self.server_net.send(self.time, from, &to, &msg);
+                    self.server_net.send(self.time, from, &to, &msg, &mut NoopRecorder);
                 }
             }
         }
@@ -127,9 +129,10 @@ impl ServerSim {
 
     fn deliver_server_batch(&mut self, t: SimTime) {
         self.time = t;
-        let batch = self.server_net.pop_ready(t);
+        let batch = self.server_net.pop_ready(t, &mut NoopRecorder);
         for (_, to, msg) in batch {
-            let outs = self.servers.get_mut(&to).expect("known server").handle(msg);
+            let server = self.servers.get_mut(&to).expect("known server");
+            let outs = server.handle(msg, &mut NoopRecorder);
             self.route_server(to, outs);
         }
     }

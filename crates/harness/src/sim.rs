@@ -325,7 +325,7 @@ impl<E: GroupEndpoint> Sim<E> {
                             return;
                         }
                     }
-                    net.send_rec(now, *p, set, msg, rec);
+                    net.send(now, *p, set, msg, rec);
                 }
                 Event::Reliable { p, set } => net.set_reliable(*p, set.clone()),
                 Event::Crash { p } => net.crash(*p),
@@ -559,7 +559,7 @@ impl<E: GroupEndpoint> Sim<E> {
             r.advance_time(t);
         }
         self.tick_all();
-        let batch = self.net.pop_ready_rec(t, rec_of(&mut self.obs, &mut self.noop));
+        let batch = self.net.pop_ready(t, rec_of(&mut self.obs, &mut self.noop));
         for (from, to, msg) in batch {
             self.record(Event::NetDeliver { p: from, q: to, msg: msg.clone() });
             self.step(to, |h, rec, out| h.input(Input::Net { from, msg }, rec, out));

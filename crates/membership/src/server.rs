@@ -31,7 +31,7 @@ use crate::oracle::Notice;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use vsgm_net::Wire;
-use vsgm_obs::{names, NoopRecorder, Recorder};
+use vsgm_obs::{names, Recorder};
 use vsgm_types::{ProcSet, ProcessId, StartChangeId, View, ViewId};
 
 /// Server-to-server protocol messages.
@@ -160,27 +160,14 @@ impl Server {
 
     /// Updates the failure-detector estimate: which servers are reachable
     /// (must include this server) and which clients are alive (filtered to
-    /// this server's own). A change initiates a new round.
+    /// this server's own). A change initiates a new round. `rec` counts
+    /// rounds entered, `start_change` notifications issued, and view
+    /// deliveries produced by the estimate change.
     ///
     /// # Panics
     ///
     /// Panics if `servers` does not include this server.
     pub fn set_connectivity(
-        &mut self,
-        servers: ProcSet,
-        alive_clients: ProcSet,
-    ) -> Vec<ServerOutput> {
-        self.set_connectivity_rec(servers, alive_clients, &mut NoopRecorder)
-    }
-
-    /// [`Server::set_connectivity`] with an observability [`Recorder`]:
-    /// counts rounds entered, `start_change` notifications issued, and
-    /// view deliveries produced by the estimate change.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `servers` does not include this server.
-    pub fn set_connectivity_rec(
         &mut self,
         servers: ProcSet,
         alive_clients: ProcSet,
@@ -204,15 +191,10 @@ impl Server {
         outs
     }
 
-    /// Handles a protocol message from a peer server.
-    pub fn handle(&mut self, msg: ServerMsg) -> Vec<ServerOutput> {
-        self.handle_rec(msg, &mut NoopRecorder)
-    }
-
-    /// [`Server::handle`] with an observability [`Recorder`]: counts
+    /// Handles a protocol message from a peer server. `rec` counts
     /// processed proposals, rounds joined, `start_change` notifications
     /// issued, and views formed.
-    pub fn handle_rec(&mut self, msg: ServerMsg, rec: &mut dyn Recorder) -> Vec<ServerOutput> {
+    pub fn handle(&mut self, msg: ServerMsg, rec: &mut dyn Recorder) -> Vec<ServerOutput> {
         rec.counter(names::MBRSHP_PROPOSALS, 1);
         let round_before = self.round;
         let outs = self.handle_inner(msg);
@@ -392,6 +374,7 @@ fn record_round_progress(
 mod tests {
     use super::*;
     use vsgm_ioa::{Checker, SimTime, TraceEntry};
+    use vsgm_obs::NoopRecorder;
     use vsgm_spec::MbrshpSpec;
     use vsgm_types::Event;
 
@@ -439,7 +422,7 @@ mod tests {
                         self.broadcasts += 1;
                         for dest in &to {
                             if let Some(srv) = self.servers.iter_mut().find(|s| s.id() == *dest) {
-                                let more = srv.handle(msg.clone());
+                                let more = srv.handle(msg.clone(), &mut NoopRecorder);
                                 queue.extend(more);
                             }
                         }
@@ -451,7 +434,11 @@ mod tests {
         fn connect(&mut self, servers: &ProcSet, alive: &ProcSet) {
             for i in 0..self.servers.len() {
                 if servers.contains(&self.servers[i].id()) {
-                    let outs = self.servers[i].set_connectivity(servers.clone(), alive.clone());
+                    let outs = self.servers[i].set_connectivity(
+                        servers.clone(),
+                        alive.clone(),
+                        &mut NoopRecorder,
+                    );
                     self.route(outs);
                 }
             }
@@ -571,7 +558,7 @@ mod tests {
     #[test]
     fn stale_proposal_ignored() {
         let mut s1 = Server::new(p(100), [p(1)]);
-        let _ = s1.set_connectivity(set(&[100, 200]), set(&[1]));
+        let _ = s1.set_connectivity(set(&[100, 200]), set(&[1]), &mut NoopRecorder);
         let fresh = ServerMsg::Proposal {
             from: p(200),
             round: 5,
@@ -590,15 +577,15 @@ mod tests {
             suggested: set(&[1, 8]),
             est_servers: set(&[100, 200]),
         };
-        let _ = s1.handle(fresh);
-        let outs = s1.handle(stale);
+        let _ = s1.handle(fresh, &mut NoopRecorder);
+        let outs = s1.handle(stale, &mut NoopRecorder);
         assert!(outs.is_empty(), "stale proposal must be ignored: {outs:?}");
     }
 
     #[test]
     fn proposal_from_excluded_server_ignored() {
         let mut s1 = Server::new(p(100), [p(1)]);
-        let _ = s1.set_connectivity(set(&[100]), set(&[1]));
+        let _ = s1.set_connectivity(set(&[100]), set(&[1]), &mut NoopRecorder);
         let msg = ServerMsg::Proposal {
             from: p(200),
             round: 1,
@@ -608,7 +595,7 @@ mod tests {
             suggested: set(&[9]),
             est_servers: set(&[100, 200]),
         };
-        assert!(s1.handle(msg).is_empty());
+        assert!(s1.handle(msg, &mut NoopRecorder).is_empty());
     }
 
     #[test]
@@ -616,7 +603,7 @@ mod tests {
         use vsgm_obs::Registry;
         let mut reg = Registry::new();
         let mut s = Server::new(p(100), [p(1), p(2)]);
-        let outs = s.set_connectivity_rec(set(&[100]), set(&[1, 2]), &mut reg);
+        let outs = s.set_connectivity(set(&[100]), set(&[1, 2]), &mut reg);
         // A lone server enters one round and forms the local view at once.
         assert!(!outs.is_empty());
         assert_eq!(reg.counter(names::MBRSHP_ROUNDS), 1);
@@ -633,7 +620,7 @@ mod tests {
             suggested: set(&[9]),
             est_servers: set(&[100]),
         };
-        let outs = s.handle_rec(stale, &mut reg);
+        let outs = s.handle(stale, &mut reg);
         assert!(outs.is_empty());
         assert_eq!(reg.counter(names::MBRSHP_PROPOSALS), 1);
         assert_eq!(reg.counter(names::MBRSHP_ROUNDS), 1);

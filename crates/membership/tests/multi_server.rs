@@ -4,6 +4,7 @@
 use std::collections::{HashMap, VecDeque};
 use vsgm_ioa::{Checker, SimTime, TraceEntry};
 use vsgm_membership::{Server, ServerOutput};
+use vsgm_obs::NoopRecorder;
 use vsgm_spec::MbrshpSpec;
 use vsgm_types::{Event, ProcSet, ProcessId, View};
 
@@ -57,7 +58,7 @@ impl Cluster {
                 ServerOutput::Broadcast { to, msg } => {
                     for dest in &to {
                         if let Some(srv) = self.servers.iter_mut().find(|s| s.id() == *dest) {
-                            let more = srv.handle(msg.clone());
+                            let more = srv.handle(msg.clone(), &mut NoopRecorder);
                             queue.extend(more);
                         }
                     }
@@ -69,7 +70,11 @@ impl Cluster {
     fn connect(&mut self, servers: &ProcSet, alive: &ProcSet) {
         for i in 0..self.servers.len() {
             if servers.contains(&self.servers[i].id()) {
-                let outs = self.servers[i].set_connectivity(servers.clone(), alive.clone());
+                let outs = self.servers[i].set_connectivity(
+                    servers.clone(),
+                    alive.clone(),
+                    &mut NoopRecorder,
+                );
                 self.route(outs);
             }
         }

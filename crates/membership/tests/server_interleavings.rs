@@ -9,6 +9,7 @@
 use std::collections::{BTreeMap, VecDeque};
 use vsgm_ioa::{Checker, SimRng, SimTime, TraceEntry};
 use vsgm_membership::{Server, ServerMsg, ServerOutput};
+use vsgm_obs::NoopRecorder;
 use vsgm_spec::MbrshpSpec;
 use vsgm_types::{Event, ProcSet, ProcessId, View};
 
@@ -80,7 +81,11 @@ impl RandomCluster {
         for i in 0..self.servers.len() {
             let id = self.servers[i].id();
             if servers.contains(&id) {
-                let outs = self.servers[i].set_connectivity(servers.clone(), alive.clone());
+                let outs = self.servers[i].set_connectivity(
+                    servers.clone(),
+                    alive.clone(),
+                    &mut NoopRecorder,
+                );
                 self.absorb(id, outs);
             }
             // Random partial progress between notifications.
@@ -109,7 +114,7 @@ impl RandomCluster {
             .iter_mut()
             .find(|s| s.id() == to)
             .expect("known server")
-            .handle(msg);
+            .handle(msg, &mut NoopRecorder);
         self.absorb(to, outs);
         true
     }

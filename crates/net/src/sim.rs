@@ -6,7 +6,7 @@ use crate::stats::NetStats;
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 use vsgm_ioa::{SimRng, SimTime};
 use crate::Wire;
-use vsgm_obs::{names, NoopRecorder, Recorder};
+use vsgm_obs::{names, Recorder};
 use vsgm_types::{NetMsg, ProcSet, ProcessId};
 
 #[derive(Debug, Clone)]
@@ -149,14 +149,14 @@ impl<M: Wire> SimNet<M> {
         self.reliable.get(&p).cloned().unwrap_or_else(|| [p].into_iter().collect())
     }
 
-    /// `CO_RFIFO.send_p(set, m)` at simulated time `now`.
-    pub fn send(&mut self, now: SimTime, from: ProcessId, set: &ProcSet, msg: &M) {
-        self.send_rec(now, from, set, msg, &mut NoopRecorder);
+    /// Whether `q` is in `reliable_set[p]`, without copying the set.
+    fn is_reliable(&self, p: ProcessId, q: ProcessId) -> bool {
+        self.reliable.get(&p).map_or(p == q, |s| s.contains(&q))
     }
 
-    /// [`SimNet::send`] with an observability [`Recorder`]: mirrors the
-    /// per-tag traffic and drop accounting into the recorder.
-    pub fn send_rec(
+    /// `CO_RFIFO.send_p(set, m)` at simulated time `now`. `rec` mirrors
+    /// the per-tag traffic and drop accounting.
+    pub fn send(
         &mut self,
         now: SimTime,
         from: ProcessId,
@@ -168,7 +168,7 @@ impl<M: Wire> SimNet<M> {
             if *q == from {
                 continue; // end-points never multicast to themselves
             }
-            let reliable = self.reliable_set(from).contains(q);
+            let reliable = self.is_reliable(from, *q);
             if !reliable && !self.connected(from, *q) {
                 // lose(from, q): the freshly appended message is the tail.
                 self.stats.dropped += 1;
@@ -227,7 +227,7 @@ impl<M: Wire> SimNet<M> {
         // Apply loss on newly disconnected, unreliable channels.
         let keys: Vec<(ProcessId, ProcessId)> = self.channels.keys().copied().collect();
         for (p, q) in keys {
-            if !self.connected(p, q) && !self.reliable_set(p).contains(&q) {
+            if !self.connected(p, q) && !self.is_reliable(p, q) {
                 self.drop_channel(p, q);
             }
         }
@@ -298,15 +298,10 @@ impl<M: Wire> SimNet<M> {
 
     /// Removes and returns every message whose arrival time is `<= now` on
     /// a deliverable channel, preserving per-channel FIFO order. Channel
-    /// iteration order is deterministic (sorted by `(from, to)`).
-    pub fn pop_ready(&mut self, now: SimTime) -> Vec<(ProcessId, ProcessId, M)> {
-        self.pop_ready_rec(now, &mut NoopRecorder)
-    }
-
-    /// [`SimNet::pop_ready`] with an observability [`Recorder`]: counts
-    /// deliveries and feeds each message's network transit time into the
-    /// `net.delivery_latency_us` histogram.
-    pub fn pop_ready_rec(
+    /// iteration order is deterministic (sorted by `(from, to)`). `rec`
+    /// counts deliveries and feeds each message's network transit time
+    /// into the `net.delivery_latency_us` histogram.
+    pub fn pop_ready(
         &mut self,
         now: SimTime,
         rec: &mut dyn Recorder,
@@ -363,6 +358,7 @@ impl<M: Wire> SimNet<M> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vsgm_obs::NoopRecorder;
     use vsgm_types::AppMsg;
 
     fn p(i: u64) -> ProcessId {
@@ -388,7 +384,7 @@ mod tests {
     fn drain_all(net: &mut SimNet) -> Vec<(ProcessId, ProcessId, NetMsg)> {
         let mut out = Vec::new();
         while let Some(t) = net.next_arrival() {
-            out.extend(net.pop_ready(t));
+            out.extend(net.pop_ready(t, &mut NoopRecorder));
         }
         out
     }
@@ -398,7 +394,7 @@ mod tests {
         let mut net = lan_net(2, 1);
         net.set_reliable(p(1), set(&[1, 2]));
         for i in 0..50 {
-            net.send(SimTime::ZERO, p(1), &set(&[2]), &app(&format!("m{i}")));
+            net.send(SimTime::ZERO, p(1), &set(&[2]), &app(&format!("m{i}")), &mut NoopRecorder);
         }
         let got = drain_all(&mut net);
         assert_eq!(got.len(), 50);
@@ -411,7 +407,7 @@ mod tests {
     fn multicast_reaches_all_destinations_but_not_self() {
         let mut net = lan_net(3, 2);
         net.set_reliable(p(1), set(&[1, 2, 3]));
-        net.send(SimTime::ZERO, p(1), &set(&[1, 2, 3]), &app("x"));
+        net.send(SimTime::ZERO, p(1), &set(&[1, 2, 3]), &app("x"), &mut NoopRecorder);
         assert_eq!(net.in_transit(p(1), p(1)), 0);
         assert_eq!(net.in_transit(p(1), p(2)), 1);
         assert_eq!(net.in_transit(p(1), p(3)), 1);
@@ -422,7 +418,7 @@ mod tests {
         let mut net = lan_net(2, 3);
         net.set_reliable(p(1), set(&[1, 2]));
         net.partition(&[vec![p(1)], vec![p(2)]]);
-        net.send(SimTime::ZERO, p(1), &set(&[2]), &app("x"));
+        net.send(SimTime::ZERO, p(1), &set(&[2]), &app("x"), &mut NoopRecorder);
         assert_eq!(net.in_transit(p(1), p(2)), 1);
         assert_eq!(net.next_arrival(), None, "blocked channel must not deliver");
         net.heal(SimTime::from_millis(10));
@@ -439,7 +435,7 @@ mod tests {
         // p2 NOT in p1's reliable set.
         net.set_reliable(p(1), set(&[1]));
         net.partition(&[vec![p(1)], vec![p(2)]]);
-        net.send(SimTime::ZERO, p(1), &set(&[2]), &app("x"));
+        net.send(SimTime::ZERO, p(1), &set(&[2]), &app("x"), &mut NoopRecorder);
         assert_eq!(net.in_transit(p(1), p(2)), 0);
         assert_eq!(net.stats().dropped, 1);
     }
@@ -448,7 +444,8 @@ mod tests {
     fn partition_drops_in_flight_unreliable() {
         let mut net = lan_net(2, 5);
         net.set_reliable(p(1), set(&[1]));
-        net.send(SimTime::ZERO, p(1), &set(&[2]), &app("x")); // connected: queued
+        // Connected: queued.
+        net.send(SimTime::ZERO, p(1), &set(&[2]), &app("x"), &mut NoopRecorder);
         assert_eq!(net.in_transit(p(1), p(2)), 1);
         net.partition(&[vec![p(1)], vec![p(2)]]);
         assert_eq!(net.in_transit(p(1), p(2)), 0);
@@ -459,7 +456,7 @@ mod tests {
         let mut net = lan_net(2, 6);
         net.set_reliable(p(1), set(&[1, 2]));
         net.partition(&[vec![p(1)], vec![p(2)]]);
-        net.send(SimTime::ZERO, p(1), &set(&[2]), &app("x"));
+        net.send(SimTime::ZERO, p(1), &set(&[2]), &app("x"), &mut NoopRecorder);
         assert_eq!(net.in_transit(p(1), p(2)), 1);
         net.set_reliable(p(1), set(&[1]));
         assert_eq!(net.in_transit(p(1), p(2)), 0);
@@ -470,8 +467,8 @@ mod tests {
         let mut net = lan_net(2, 7);
         net.set_reliable(p(1), set(&[1, 2]));
         net.set_reliable(p(2), set(&[1, 2]));
-        net.send(SimTime::ZERO, p(1), &set(&[2]), &app("to2"));
-        net.send(SimTime::ZERO, p(2), &set(&[1]), &app("to1"));
+        net.send(SimTime::ZERO, p(1), &set(&[2]), &app("to2"), &mut NoopRecorder);
+        net.send(SimTime::ZERO, p(2), &set(&[1]), &app("to1"), &mut NoopRecorder);
         net.crash(p(2));
         // p2's outgoing dropped; p1's message to p2 parked.
         assert_eq!(net.in_transit(p(2), p(1)), 0);
@@ -500,7 +497,13 @@ mod tests {
             let mut net = lan_net(3, seed);
             net.set_reliable(p(1), set(&[1, 2, 3]));
             for i in 0..10 {
-                net.send(SimTime::from_micros(i), p(1), &set(&[2, 3]), &app(&format!("{i}")));
+                net.send(
+                    SimTime::from_micros(i),
+                    p(1),
+                    &set(&[2, 3]),
+                    &app(&format!("{i}")),
+                    &mut NoopRecorder,
+                );
             }
             drain_all(&mut net)
                 .into_iter()
@@ -515,7 +518,7 @@ mod tests {
         let mut net = lan_net(2, 9);
         assert!(net.is_idle());
         net.set_reliable(p(1), set(&[1, 2]));
-        net.send(SimTime::ZERO, p(1), &set(&[2]), &app("x"));
+        net.send(SimTime::ZERO, p(1), &set(&[2]), &app("x"), &mut NoopRecorder);
         assert!(!net.is_idle());
         drain_all(&mut net);
         assert!(net.is_idle());
@@ -527,7 +530,13 @@ mod tests {
         net.set_reliable(p(1), set(&[1, 2])); // p3 NOT reliable
         net.set_faults(FaultPlan { drop: 1.0, ..FaultPlan::default() });
         for i in 0..20 {
-            net.send(SimTime::from_micros(i), p(1), &set(&[2, 3]), &app(&format!("m{i}")));
+            net.send(
+                SimTime::from_micros(i),
+                p(1),
+                &set(&[2, 3]),
+                &app(&format!("m{i}")),
+                &mut NoopRecorder,
+            );
         }
         // Every copy to p2 arrives; every copy to p3 is lost.
         assert_eq!(net.in_transit(p(1), p(2)), 20);
@@ -541,7 +550,7 @@ mod tests {
         let mut net = lan_net(2, 12);
         net.set_reliable(p(1), set(&[1])); // p2 unreliable but connected
         net.set_faults(FaultPlan { dup: 1.0, ..FaultPlan::default() });
-        net.send(SimTime::ZERO, p(1), &set(&[2]), &app("x"));
+        net.send(SimTime::ZERO, p(1), &set(&[2]), &app("x"), &mut NoopRecorder);
         assert_eq!(net.in_transit(p(1), p(2)), 2);
         assert_eq!(net.fault_stats().injected_dups, 1);
         let got = drain_all(&mut net);
@@ -554,7 +563,13 @@ mod tests {
         net.set_reliable(p(1), set(&[1, 2]));
         net.set_faults(FaultPlan { reorder_ms: 30, ..FaultPlan::default() });
         for i in 0..40 {
-            net.send(SimTime::from_micros(i), p(1), &set(&[2]), &app(&format!("m{i}")));
+            net.send(
+                SimTime::from_micros(i),
+                p(1),
+                &set(&[2]),
+                &app(&format!("m{i}")),
+                &mut NoopRecorder,
+            );
         }
         let got = drain_all(&mut net);
         assert_eq!(got.len(), 40);
@@ -570,7 +585,13 @@ mod tests {
         net.set_reliable(p(1), set(&[1]));
         net.set_faults(FaultPlan { burst: 1.0, burst_len: 64, ..FaultPlan::default() });
         for i in 0..10 {
-            net.send(SimTime::from_micros(i), p(1), &set(&[2]), &app(&format!("m{i}")));
+            net.send(
+                SimTime::from_micros(i),
+                p(1),
+                &set(&[2]),
+                &app(&format!("m{i}")),
+                &mut NoopRecorder,
+            );
         }
         assert_eq!(net.in_transit(p(1), p(2)), 0, "whole burst window lost");
         assert_eq!(net.fault_stats().injected_drops, 10);
@@ -589,7 +610,13 @@ mod tests {
                 ..FaultPlan::default()
             });
             for i in 0..50 {
-                net.send(SimTime::from_micros(i), p(1), &set(&[2, 3]), &app(&format!("{i}")));
+                net.send(
+                    SimTime::from_micros(i),
+                    p(1),
+                    &set(&[2, 3]),
+                    &app(&format!("{i}")),
+                    &mut NoopRecorder,
+                );
             }
             let drained: Vec<String> = drain_all(&mut net)
                 .into_iter()
@@ -609,7 +636,7 @@ mod tests {
         assert!(net.fault_plan().is_some());
         net.set_faults(FaultPlan::none());
         assert!(net.fault_plan().is_none());
-        net.send(SimTime::ZERO, p(1), &set(&[2]), &app("x"));
+        net.send(SimTime::ZERO, p(1), &set(&[2]), &app("x"), &mut NoopRecorder);
         assert_eq!(net.in_transit(p(1), p(2)), 1);
     }
 

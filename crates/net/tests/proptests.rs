@@ -5,6 +5,7 @@
 use proptest::prelude::*;
 use vsgm_ioa::{SimRng, SimTime};
 use vsgm_net::{codec, LatencyModel, SimNet, WireFormat};
+use vsgm_obs::NoopRecorder;
 use vsgm_types::{
     AppMsg, BaselineMsg, Cut, FwdPayload, NetMsg, ProcSet, ProcessId, StartChangeId, SyncPayload,
     View, ViewId,
@@ -235,7 +236,7 @@ proptest! {
                             sent.entry((from, *q)).or_default().push(seq);
                         }
                     }
-                    net.send(now, from, &to, &msg);
+                    net.send(now, from, &to, &msg, &mut NoopRecorder);
                 }
                 NetOp::Reliable(a, mask) => {
                     let p = pid(*a);
@@ -257,7 +258,7 @@ proptest! {
                 NetOp::Deliver => {
                     if let Some(t) = net.next_arrival() {
                         now = t;
-                        for (from, to, msg) in net.pop_ready(t) {
+                        for (from, to, msg) in net.pop_ready(t, &mut NoopRecorder) {
                             if let NetMsg::App(m) = msg {
                                 let v: u64 =
                                     String::from_utf8_lossy(m.as_bytes()).parse().unwrap();
@@ -270,7 +271,7 @@ proptest! {
         }
         // Drain the rest.
         while let Some(t) = net.next_arrival() {
-            for (from, to, msg) in net.pop_ready(t) {
+            for (from, to, msg) in net.pop_ready(t, &mut NoopRecorder) {
                 if let NetMsg::App(m) = msg {
                     let v: u64 = String::from_utf8_lossy(m.as_bytes()).parse().unwrap();
                     delivered.entry((from, to)).or_default().push(v);
@@ -310,11 +311,12 @@ proptest! {
                 ProcessId::new(1),
                 &everyone,
                 &NetMsg::App(AppMsg::from(format!("{k}").as_str())),
+                &mut NoopRecorder,
             );
         }
         let mut count = 0;
         while let Some(t) = net.next_arrival() {
-            count += net.pop_ready(t).len();
+            count += net.pop_ready(t, &mut NoopRecorder).len();
         }
         prop_assert_eq!(count, burst * (N as usize - 1));
         prop_assert_eq!(net.stats().dropped, 0);
@@ -337,13 +339,14 @@ proptest! {
                 p1,
                 &p2,
                 &NetMsg::App(AppMsg::from(format!("{k}").as_str())),
+                &mut NoopRecorder,
             );
         }
         let mut last = SimTime::ZERO;
         while let Some(t) = net.next_arrival() {
             prop_assert!(t >= last);
             last = t;
-            net.pop_ready(t);
+            net.pop_ready(t, &mut NoopRecorder);
         }
     }
 

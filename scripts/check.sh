@@ -220,6 +220,17 @@ cargo test -q -p vsgm-types --lib "${CARGO_FLAGS[@]}" -- --exact \
 cargo test -q -p vsgm-net --lib "${CARGO_FLAGS[@]}" -- --exact \
     codec::tests::a_huge_increasing_ack_decodes_in_one_build >/dev/null
 
+# The cost ledger, run by name (release builds: debug builds' assertions
+# allocate). A counting global allocator pins a quiescent end-point poll
+# at zero allocations under each forwarding strategy, and allocations per
+# multicast on a bare GroupInstance at n = 2/4/8/16 under upper bounds.
+echo "==> cost ledger (allocations per poll and per multicast)"
+for name in \
+    a_quiescent_poll_allocates_nothing_under_each_forwarding_strategy \
+    allocations_per_multicast_stay_within_their_pins; do
+    one_test --release -p vsgm-server --test alloc_ledger "$name"
+done
+
 # Multi-group conformance (DESIGN.md §17). Differential: the daemon's
 # direct host must hand every receiver the byte-identical frame sequence
 # the Sim-backed oracle (tests/support/) does over >=50 randomized

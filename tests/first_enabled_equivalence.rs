@@ -1,13 +1,13 @@
 //! The end-point's action chooser against its reference.
 //!
-//! `Endpoint::poll` fires, one at a time, the first action its
+//! `Endpoint::step(None, …)` fires, one at a time, the first action its
 //! `first_enabled` walk finds; `Endpoint::enabled_actions` lists every
 //! enabled action in the same canonical order, and `Endpoint::pre` judges
 //! one action at a time. The three must agree at every step:
 //! `first_enabled` is `enabled_actions().first()`, found without building
 //! the list, and `pre` holds for every action the list holds.
 //!
-//! Debug builds assert that inside `poll` at every step. The default-config
+//! Debug builds assert that inside that step at every firing. The default-config
 //! suites (explore, chaos, the batching, stability and multigroup
 //! differentials) cover the default [`Config`]; this suite drives the
 //! shapes they never reach — each forwarding strategy, §9 aggregation,
@@ -31,7 +31,7 @@ use vsgm_core::{
 use vsgm_harness::sim::procs;
 use vsgm_harness::{Sim, SimOptions};
 use vsgm_ioa::{SimRng, SimTime};
-use vsgm_obs::Recorder;
+use vsgm_obs::{NoopRecorder, Recorder};
 use vsgm_types::{AppMsg, NetMsg, ProcSet, ProcessId, View};
 
 fn p(i: u64) -> ProcessId {
@@ -59,10 +59,10 @@ impl Checked {
         Checked { ep, lazy, calls: 0, polls: 0, forwards: 0 }
     }
 
-    fn poll_checked(&mut self, rec: &mut dyn Recorder) -> Vec<Effect> {
+    fn poll_checked(&mut self, rec: &mut dyn Recorder, out: &mut Vec<Effect>) {
         self.calls += 1;
         if self.lazy > 0 && self.calls % self.lazy == 0 {
-            return Vec::new();
+            return;
         }
         let mut reference = self.ep.clone();
         let mut expected = Vec::new();
@@ -73,9 +73,10 @@ impl Checked {
                 assert!(reference.pre(action), "{pid}: {action:?} is listed but `pre` is false");
             }
             let Some(action) = enabled.first() else { break };
-            expected.extend(reference.fire(action));
+            reference.fire(action, &mut NoopRecorder, &mut expected);
         }
-        let got = self.ep.poll_rec(rec);
+        let mut got = Vec::new();
+        self.ep.step(None, rec, &mut got);
         let pid = self.ep.pid();
         assert_eq!(got, expected, "{pid}: poll and the reference chooser fired differently");
         assert_eq!(
@@ -89,7 +90,7 @@ impl Checked {
             .iter()
             .filter(|e| matches!(e, Effect::NetSend { msg: NetMsg::Fwd(_), .. }))
             .count() as u64;
-        got
+        out.append(&mut got);
     }
 }
 
@@ -97,17 +98,11 @@ impl GroupEndpoint for Checked {
     fn pid(&self) -> ProcessId {
         self.ep.pid()
     }
-    fn handle(&mut self, input: Input) -> Vec<Effect> {
-        self.ep.handle(input)
-    }
-    fn poll(&mut self) -> Vec<Effect> {
-        self.poll_checked(&mut vsgm_obs::NoopRecorder)
-    }
-    fn handle_rec(&mut self, input: Input, rec: &mut dyn Recorder) -> Vec<Effect> {
-        self.ep.handle_rec(input, rec)
-    }
-    fn poll_rec(&mut self, rec: &mut dyn Recorder) -> Vec<Effect> {
-        self.poll_checked(rec)
+    fn step(&mut self, input: Option<Input>, rec: &mut dyn Recorder, out: &mut Vec<Effect>) {
+        match input {
+            Some(input) => self.ep.step(Some(input), rec, out),
+            None => self.poll_checked(rec, out),
+        }
     }
     fn current_view(&self) -> &View {
         self.ep.current_view()

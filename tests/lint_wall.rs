@@ -60,8 +60,9 @@ const PROBES: &[(&str, &str, &str)] = &[
     ("clock in tcp", "crates/net/src/tcp.rs", NOW),
     ("clock in the shard pool", "crates/server/src/shard.rs", NOW),
     ("clock in the daemon", "crates/server/src/server.rs", NOW),
-    // Unsafe confinement: `[workspace.lints.rust]`, and the one
-    // `#[expect(unsafe_code)]` on `vsgm-net`'s `sys` module.
+    // Unsafe confinement: `[workspace.lints.rust]`, and the
+    // `#[expect(unsafe_code)]` on `vsgm-net`'s `sys` module (the other
+    // one, on the cost ledger's allocator, is in a test target).
     ("unsafe in core", "crates/core/src/lib.rs", UNSAFE),
     ("unsafe in tcp", "crates/net/src/tcp.rs", UNSAFE),
     ("unsafe in a core test", "crates/core/tests/lint_probe_unsafe.rs", "#[test] fn probe_unsafe() { let _ = unsafe { std::ptr::read(&0u8) }; }"),
@@ -82,7 +83,7 @@ const STATE_FIELD: [(&str, &str); 2] = [
 
 /// Two actions planted into `crates/core/src/endpoint.rs` with one half
 /// each of a precondition/effect pair: `(after, insert)` edits. The
-/// halves are arms of `Endpoint::pre`'s and `Endpoint::fire_rec`'s
+/// halves are arms of `Endpoint::pre`'s and `Endpoint::fire`'s
 /// matches, so each probe leaves the other match non-exhaustive.
 const ACTION_PROBES: [(&str, &str); 3] = [
     ("    SendAck,\n", "    ProbeEffectOnly,\n    ProbePreOnly,\n"),
@@ -91,8 +92,8 @@ const ACTION_PROBES: [(&str, &str); 3] = [
         "            Action::ProbePreOnly => false,\n",
     ),
     (
-        "                vec![Effect::SetReliable(target)]\n            }\n",
-        "            Action::ProbeEffectOnly => Vec::new(),\n",
+        "                out.push(Effect::SetReliable(target));\n            }\n",
+        "            Action::ProbeEffectOnly => {}\n",
     ),
 ];
 
@@ -100,7 +101,7 @@ const ACTION_PROBES: [(&str, &str); 3] = [
 /// match must then fail to build.
 const ACTION_MATCHES: [(&str, &str); 2] = [
     ("an effect with no precondition", "    pub fn pre("),
-    ("a precondition with no effect", "    pub(crate) fn fire_rec("),
+    ("a precondition with no effect", "    pub fn fire("),
 ];
 
 /// What clippy reported on a probed copy of the workspace.
