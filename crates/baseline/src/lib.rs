@@ -345,7 +345,7 @@ impl GroupEndpoint for BaselineEndpoint {
         self.st.pid
     }
 
-    /// Journals nothing: the baseline is not instrumented.
+    /// Counts nothing: the baseline is not instrumented.
     fn step(&mut self, input: Option<Input>, _rec: &mut dyn Recorder, out: &mut Vec<Effect>) {
         let Some(input) = input else {
             for _ in 0..1_000_000 {

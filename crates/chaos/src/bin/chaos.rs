@@ -11,7 +11,7 @@
 //! runs it under every spec checker plus post-stabilization liveness, and
 //! reports violations. `--minimize` shrinks each failure to a minimal
 //! reproducer; `--artifacts DIR` writes per-failure JSON artifacts
-//! (seed + scenario + journal). `--inject-bug` suppresses a sync message
+//! (seed + scenario + trace). `--inject-bug` suppresses a sync message
 //! in the final view change — a deliberate protocol bug that must be
 //! caught, used to validate the oracle itself. `--corrupt` additionally
 //! injects transient state corruption (DESIGN.md §15); such runs are

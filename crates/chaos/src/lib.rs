@@ -15,8 +15,8 @@
 //!   automaton from `vsgm-spec`, the paper invariants, and — after a
 //!   stabilization phase that heals, recovers, and reconfigures to the
 //!   whole group — conditional liveness (Property 4.2). Any violation or
-//!   panic becomes a structured [`run::Failure`] with the `vsgm-obs`
-//!   journal of the dying run attached.
+//!   panic becomes a structured [`run::Failure`] with the trace of the
+//!   dying run attached.
 //! * [`minimize`] — delta-debugging over a failing scenario: drop steps,
 //!   weaken fault fields, shrink the group, while the failure signature
 //!   (same kind, same first checker) is preserved. The output is a

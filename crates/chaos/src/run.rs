@@ -8,8 +8,8 @@
 //!    protocol bugs.
 //! 2. **Execute** every step with all spec checkers online, each step
 //!    under `catch_unwind` so a panic (broken paper invariant, livelock
-//!    guard) still yields a structured failure with the observability
-//!    journal intact.
+//!    guard) still yields a structured failure with the recorded trace
+//!    intact.
 //! 3. **Stabilize and judge**: clear the fault plan, heal the network,
 //!    recover everyone, reconfigure to the full group, run to quiescence,
 //!    and attach a Property 4.2 [`LivenessSpec`] for the final view
@@ -26,7 +26,7 @@ use vsgm_core::{BatchConfig, Config};
 use vsgm_harness::{apply_step, Scenario, Sim, SimOptions, Step};
 use vsgm_ioa::{SimTime, Violation};
 use vsgm_net::{FaultPlan, LatencyModel};
-use vsgm_obs::ObsEvent;
+use vsgm_obs::names;
 use vsgm_spec::LivenessSpec;
 use vsgm_types::{AppMsg, ProcessId};
 
@@ -97,19 +97,21 @@ pub struct RunOutcome {
     pub failure: Option<Failure>,
     /// Total recorded trace events.
     pub events: usize,
-    /// §8 recovery resets observed in the journal.
+    /// §8 recoveries of crashed end-points (`endpoint.recoveries`).
     pub recovery_resets: u64,
     /// Messages the fault injector dropped.
     pub injected_drops: u64,
     /// State corruptions actually injected (0 = classic chaos run).
     pub corruptions: u64,
-    /// Audit-triggered endpoint reconciliations observed in the journal.
+    /// Audit-triggered endpoint reconciliations
+    /// (`endpoint.audit_reconciliations`).
     pub audit_reconciliations: u64,
     /// Simulated µs from the last injected corruption to the
     /// post-reconciliation quiescent point (corruption runs only).
     pub convergence_us: Option<u64>,
-    /// `vsgm-obs` journal (JSON lines) — captured only for failing runs.
-    pub journal: String,
+    /// The run's trace as [`vsgm_ioa::Trace::to_json_lines`] — captured
+    /// only for failing runs.
+    pub trace: String,
 }
 
 /// Statically checks that `scenario` is legal for the membership oracle,
@@ -254,7 +256,7 @@ pub fn run_scenario(scenario: &Scenario, opts: &RunOptions) -> RunOutcome {
             corruptions: 0,
             audit_reconciliations: 0,
             convergence_us: None,
-            journal: String::new(),
+            trace: String::new(),
         };
     }
     // Corruption scenarios run the self-stabilization protocol: the
@@ -384,30 +386,23 @@ pub fn run_scenario(scenario: &Scenario, opts: &RunOptions) -> RunOutcome {
     };
     let injected_drops = sim.fault_stats().injected_drops;
     let events = sim.trace().len();
-    let (recovery_resets, audit_reconciliations, corruptions, journal) = match sim.take_obs() {
-        Some(rec) => (
-            rec.journal().count(ObsEvent::RecoveryReset),
-            rec.journal().count(ObsEvent::AuditReconciled),
-            rec.journal().count(ObsEvent::CorruptionInjected),
-            if failure.is_some() { rec.journal().to_json_lines() } else { String::new() },
-        ),
-        None => (0, 0, 0, String::new()),
-    };
+    let reg = sim.take_obs().unwrap_or_default();
+    let trace = if failure.is_some() { sim.trace().to_json_lines() } else { String::new() };
     RunOutcome {
         seed: scenario.seed,
         failure,
         events,
-        recovery_resets,
+        recovery_resets: reg.counter(names::EP_RECOVERIES),
         injected_drops,
-        corruptions,
-        audit_reconciliations,
+        corruptions: reg.counter(names::CHAOS_CORRUPTIONS),
+        audit_reconciliations: reg.counter(names::EP_AUDIT_RECONCILES),
         convergence_us,
-        journal,
+        trace,
     }
 }
 
 /// Self-contained failure artifact: the seed, the (possibly minimized)
-/// scenario, the failure description, and the observability journal —
+/// scenario, the failure description, and the trace of the failing run —
 /// everything needed to file, replay, and debug the failure.
 #[derive(Debug, Serialize)]
 pub struct Artifact {
@@ -423,8 +418,10 @@ pub struct Artifact {
     /// The minimized reproducer, when minimization ran (empty otherwise —
     /// a 0/1-element list keeps the vendored serde surface simple).
     pub minimized: Vec<Scenario>,
-    /// `vsgm-obs` journal lines of the failing run.
-    pub journal: Vec<String>,
+    /// The failing run's trace, one JSON line per entry:
+    /// `Trace::from_json_lines` reads their concatenation back, and
+    /// `trace_view` renders it.
+    pub trace: Vec<String>,
 }
 
 impl Artifact {
@@ -436,7 +433,7 @@ impl Artifact {
             detail: outcome.failure.as_ref().map(Failure::details).unwrap_or_default(),
             scenario: scenario.clone(),
             minimized: minimized.cloned().into_iter().collect(),
-            journal: outcome.journal.lines().map(str::to_string).collect(),
+            trace: outcome.trace.lines().map(str::to_string).collect(),
         }
     }
 

@@ -8,6 +8,8 @@ use vsgm_chaos::{
     validate,
 };
 use vsgm_harness::{Scenario, Step};
+use vsgm_ioa::Trace;
+use vsgm_types::Event;
 
 fn run_clean(s: &Scenario) -> vsgm_chaos::RunOutcome {
     let out = run_scenario(s, &RunOptions::default());
@@ -81,11 +83,24 @@ fn injected_bug_shrinks_to_a_tiny_reproducer() {
     );
     let f = m.outcome.failure.as_ref().expect("minimized scenario still fails");
     assert!(matches!(f, Failure::Violations(_)), "{f:?}");
-    // The artifact carries both scenarios and the journal of the failure.
+    // The artifact carries both scenarios and the trace of the failure,
+    // which reads back whole and is judged guilty again offline.
     let artifact = Artifact::new(&scenario, &m.outcome, Some(&m.scenario));
     assert_eq!(artifact.kind, "violations");
     assert_eq!(artifact.minimized.len(), 1);
-    assert!(!artifact.journal.is_empty(), "failing run must capture its journal");
+    let trace = Trace::from_json_lines(&artifact.trace.join("\n")).expect("trace lines parse");
+    assert_eq!(trace.entries().len(), m.outcome.events, "failing run must capture its trace");
+    let stabilized = trace
+        .entries()
+        .iter()
+        .rev()
+        .find_map(|e| match &e.event {
+            Event::MbrshpView { view, .. } => Some(view.clone()),
+            _ => None,
+        })
+        .expect("the stabilization phase formed a view");
+    let verdict = vsgm_spec::judge_trace(trace.entries(), Some(stabilized));
+    assert!(!verdict.is_empty(), "the artifact's trace must convict on its own");
     let json = artifact.to_json();
     let min_steps = m.scenario.steps.len();
     assert!(json.contains("\"seed\""), "{json}");
@@ -141,7 +156,7 @@ fn illegal_scenarios_are_rejected_not_run() {
 //
 // Three handwritten chaos scenarios covering the recovery behaviours the
 // paper's §8 calls out. Each must stay green under the full checker suite
-// and actually exercise a RecoveryReset (observability journal).
+// and actually exercise a §8 recovery (`endpoint.recoveries`).
 
 #[test]
 fn regression_crash_during_sync_round() {
@@ -164,7 +179,7 @@ fn regression_crash_during_sync_round() {
         ],
     };
     let out = run_clean(&s);
-    assert!(out.recovery_resets >= 1, "no RecoveryReset in the journal");
+    assert!(out.recovery_resets >= 1, "no §8 recovery counted");
 }
 
 #[test]
@@ -193,7 +208,7 @@ fn regression_crash_during_sync_with_non_empty_batch() {
     };
     assert!(batch_for_seed(s.seed).enabled(), "seed must select a batched endpoint");
     let out = run_clean(&s);
-    assert!(out.recovery_resets >= 1, "no RecoveryReset in the journal");
+    assert!(out.recovery_resets >= 1, "no §8 recovery counted");
 }
 
 #[test]
@@ -215,7 +230,7 @@ fn regression_recover_into_cascading_view_change() {
         ],
     };
     let out = run_clean(&s);
-    assert!(out.recovery_resets >= 1, "no RecoveryReset in the journal");
+    assert!(out.recovery_resets >= 1, "no §8 recovery counted");
 }
 
 // --- Pinned self-stabilization regression scenarios ----------------------
@@ -303,5 +318,5 @@ fn regression_partition_heal_churn() {
         ],
     };
     let out = run_clean(&s);
-    assert!(out.recovery_resets >= 1, "no RecoveryReset in the journal");
+    assert!(out.recovery_resets >= 1, "no §8 recovery counted");
 }

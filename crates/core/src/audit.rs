@@ -52,9 +52,9 @@ use crate::vs;
 use std::fmt;
 
 /// A failed audit check: which predicate tripped and the field-level
-/// contradiction it saw. Carried on the
-/// [`crate::endpoint::ObsEvent`]-recorded detection and in test
-/// assertions.
+/// contradiction it saw. The end-point only counts a failure
+/// (`endpoint.audit_failures`); drivers and tests that want the reason
+/// re-run [`check`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AuditFailure {
     /// Stable name of the violated check (e.g. `"own_stream_contiguous"`).

@@ -98,8 +98,8 @@ impl BlockingClient {
 }
 
 /// Where a [`Hosted`] end-point's events go, one at a time and in order,
-/// with the recorder the end-point journals to (a host that moves a
-/// message through an instrumented network journals that hop too).
+/// with the recorder the end-point counts to (a host that moves a
+/// message through an instrumented network counts that hop too).
 pub type Sink<'a> = dyn FnMut(Event, &mut dyn Recorder) + 'a;
 
 /// One GCS end-point composed with its [`BlockingClient`] (Fig. 12). Its

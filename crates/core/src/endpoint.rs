@@ -4,7 +4,7 @@ use crate::config::Config;
 use crate::forward::ForwardCmd;
 use crate::state::{State, SyncRecord};
 use crate::{sd, stability, vs, wv};
-use vsgm_obs::{names, NoopRecorder, ObsEvent, Recorder};
+use vsgm_obs::{names, NoopRecorder, Recorder};
 use vsgm_types::{
     AppMsg, FwdPayload, NetMsg, ProcSet, ProcessId, StartChangeId, SyncPayload, View,
 };
@@ -130,7 +130,7 @@ pub trait GroupEndpoint {
     /// One step, its effects pushed onto `out` in order. `Some(input)`
     /// applies that input action only; `None` fires every enabled locally
     /// controlled action, in canonical order, until quiescence. `rec`
-    /// journals what the step does; a silent caller passes
+    /// counts what the step does; a silent caller passes
     /// [`NoopRecorder`].
     fn step(&mut self, input: Option<Input>, rec: &mut dyn Recorder, out: &mut Vec<Effect>);
     /// The view last delivered to the application.
@@ -169,28 +169,6 @@ impl GroupEndpoint for Endpoint {
     }
 }
 
-/// Running protocol counters for one end-point, exposed via
-/// [`Endpoint::stats`] so deployments can monitor reconfiguration and
-/// traffic behavior without instrumenting the transport.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct EndpointStats {
-    /// Views installed (application-visible `view(v, T)` events).
-    pub views_installed: u64,
-    /// Own application messages multicast via `CO_RFIFO`.
-    pub msgs_sent: u64,
-    /// Application messages delivered locally (own and peers').
-    pub msgs_delivered: u64,
-    /// Synchronization messages produced (one per answered change).
-    pub syncs_sent: u64,
-    /// Forwarded-message sends performed on behalf of other end-points.
-    pub forwards_sent: u64,
-    /// Block requests issued to the application.
-    pub blocks: u64,
-    /// Forwarded messages refused because their index lay outside the
-    /// buffer ([`crate::state::MAX_GAP`]).
-    pub stores_refused: u64,
-}
-
 /// A GCS end-point: the executable `GCS_p` automaton (or a configured
 /// prefix of its inheritance chain — see [`Config::stack`]).
 ///
@@ -202,7 +180,6 @@ pub struct EndpointStats {
 pub struct Endpoint {
     cfg: Config,
     st: State,
-    stats: EndpointStats,
 }
 
 impl Endpoint {
@@ -219,13 +196,7 @@ impl Endpoint {
             !(cfg.implicit_cuts && cfg.aggregation),
             "implicit_cuts and aggregation are mutually exclusive"
         );
-        Endpoint { cfg, st: State::new(pid), stats: EndpointStats::default() }
-    }
-
-    /// Running protocol counters (reset on §8 recovery, like the rest of
-    /// the volatile state).
-    pub fn stats(&self) -> EndpointStats {
-        self.stats
+        Endpoint { cfg, st: State::new(pid) }
     }
 
     /// This end-point's identity.
@@ -263,11 +234,10 @@ impl Endpoint {
     /// only; effects from an input are rare (the §9 aggregation relay and
     /// the audit reset), everything else surfaces through the locally
     /// controlled actions. `None` fires every enabled locally controlled
-    /// action, in canonical order, until quiescence. `rec` journals
-    /// protocol events as they happen: start_change and sync receipt,
-    /// block_ok and recovery reset on input; sync sends, blocks, message
-    /// sends and deliveries, forwards, cut agreement and view installs as
-    /// the actions fire.
+    /// action, in canonical order, until quiescence. `rec` counts what
+    /// is not a trace event of its own — recoveries, audit resets,
+    /// refused stores and batch flushes — beside the `endpoint.*` counts
+    /// of the actions as they fire.
     ///
     /// # Panics
     ///
@@ -278,21 +248,18 @@ impl Endpoint {
         if self.st.crashed {
             if input == Input::Recover {
                 self.st.reset();
-                self.stats = EndpointStats::default();
-                rec.event(self.st.pid, None, ObsEvent::RecoveryReset);
+                rec.counter(names::EP_RECOVERIES, 1);
             }
             return; // §8: input effects disabled while crashed
         }
         match input {
             Input::AppSend(m) => wv::on_app_send(&mut self.st, m),
             Input::BlockOk => {
-                rec.event(self.st.pid, self.current_cid(), ObsEvent::BlockOk);
                 if self.cfg.stack.has_sd() {
                     sd::on_block_ok(&mut self.st);
                 }
             }
             Input::StartChange { cid, set } => {
-                rec.event(self.st.pid, Some(cid), ObsEvent::StartChangeRecv);
                 if self.cfg.stack.has_vs() {
                     vs::on_start_change(&mut self.st, cid, set);
                 }
@@ -334,12 +301,6 @@ impl Endpoint {
         out
     }
 
-    /// The local start-change id of the view change in progress — the
-    /// span key under which observability events are journaled.
-    fn current_cid(&self) -> Option<StartChangeId> {
-        self.st.start_change.as_ref().map(|(cid, _)| *cid)
-    }
-
     /// Damages the protocol state with one [`crate::corrupt`] mutator —
     /// the fault-injection hook of the self-stabilization tier. Test
     /// drivers only; nothing in the protocol calls this.
@@ -348,17 +309,14 @@ impl Endpoint {
     }
 
     /// The §8 self-reset taken when the tick-cadence audit finds the
-    /// state illegal: journal the detection, wipe the volatile state
+    /// state illegal: count the detection, wipe the volatile state
     /// exactly as a crash+recover pair would, and tell the driver via
     /// [`Effect::Reconciled`]. (Drivers wanting the specific failed
     /// check re-run [`crate::audit::check`] before feeding the tick.)
     fn reconcile(&mut self, rec: &mut dyn Recorder, out: &mut Vec<Effect>) {
         rec.counter(names::EP_AUDIT_FAILURES, 1);
-        rec.event(self.st.pid, self.current_cid(), ObsEvent::AuditFailed);
         self.st.reset();
-        self.stats = EndpointStats::default();
         rec.counter(names::EP_AUDIT_RECONCILES, 1);
-        rec.event(self.st.pid, None, ObsEvent::AuditReconciled);
         out.push(Effect::Reconciled);
     }
 
@@ -382,14 +340,12 @@ impl Endpoint {
             }
             NetMsg::Fwd(f) => {
                 if !wv::on_fwd_msg(&mut self.st, f) {
-                    self.stats.stores_refused += 1;
                     rec.counter(names::EP_STORES_REFUSED, 1);
                 }
             }
             NetMsg::Ack(cut) => stability::on_ack(&mut self.st, from, cut),
             NetMsg::Sync(payload) => {
                 if self.cfg.stack.has_vs() {
-                    rec.event(self.st.pid, self.current_cid(), ObsEvent::SyncRecv);
                     let srec = vs::on_sync(&mut self.st, from, &payload);
                     self.maybe_relay_as_leader(from, payload.cid, srec, out);
                 }
@@ -400,7 +356,6 @@ impl Endpoint {
                 }
                 for (sender, payload) in entries {
                     if sender != self.st.pid {
-                        rec.event(self.st.pid, self.current_cid(), ObsEvent::SyncRecv);
                         vs::on_sync(&mut self.st, sender, &payload);
                     }
                 }
@@ -691,7 +646,7 @@ impl Endpoint {
     }
 
     /// Fires one enabled locally controlled action atomically, pushing its
-    /// externally visible effects onto `out` and journaling to `rec`. Each
+    /// externally visible effects onto `out` and counting to `rec`. Each
     /// arm's `let … else { return }` reads what the precondition already
     /// guarantees, so a disabled action does nothing.
     pub fn fire(&mut self, action: &Action, rec: &mut dyn Recorder, out: &mut Vec<Effect>) {
@@ -715,9 +670,7 @@ impl Endpoint {
                 ) else {
                     return;
                 };
-                self.stats.syncs_sent += 1;
                 rec.counter(names::EP_SYNCS_SENT, 1);
-                rec.event(self.st.pid, self.current_cid(), ObsEvent::SyncSent);
                 let pid = self.st.pid;
                 let latest = self.st.latest_sync_cid.entry(pid).or_insert(plan.cid);
                 if plan.cid > *latest {
@@ -726,9 +679,7 @@ impl Endpoint {
                 out.extend(plan.sends.into_iter().map(|(to, msg)| Effect::NetSend { to, msg }));
             }
             Action::Block => {
-                self.stats.blocks += 1;
                 rec.counter(names::EP_BLOCKS, 1);
-                rec.event(self.st.pid, self.current_cid(), ObsEvent::BlockRequested);
                 sd::block_eff(&mut self.st);
                 out.push(Effect::Block);
             }
@@ -767,13 +718,7 @@ impl Endpoint {
                 ) else {
                     return;
                 };
-                self.stats.msgs_sent += k;
                 rec.counter(names::EP_MSGS_SENT, k);
-                // One MsgSent per covered message: the journal stream is
-                // identical whether or not messages share a wire frame.
-                for _ in 0..k {
-                    rec.event(self.st.pid, None, ObsEvent::MsgSent);
-                }
                 if let Some((pcount, pbytes)) = pending {
                     let cause = crate::batch::flush_cause(
                         &self.cfg.batch,
@@ -784,30 +729,18 @@ impl Endpoint {
                     rec.counter(names::EP_BATCH_FLUSHES, 1);
                     rec.counter(cause.counter_name(), 1);
                     rec.observe(names::EP_BATCH_SIZE, k);
-                    rec.event(self.st.pid, self.current_cid(), ObsEvent::BatchFlushed);
                 }
                 net_send(out, set, msg);
             }
             Action::DeliverApp(q) => {
                 let Some(m) = wv::deliver_pre(&self.st, *q).cloned() else { return };
-                self.stats.msgs_delivered += 1;
                 rec.counter(names::EP_MSGS_DELIVERED, 1);
-                rec.event(self.st.pid, None, ObsEvent::MsgDelivered);
                 wv::deliver_eff(&mut self.st, *q);
                 out.push(Effect::DeliverApp { from: *q, msg: m });
             }
             Action::DeliverView => {
                 let Some(t) = self.view_enabled() else { return };
-                self.stats.views_installed += 1;
                 rec.counter(names::EP_VIEWS_INSTALLED, 1);
-                // The span being closed is the view change in progress;
-                // under cascades this is the latest local start-change id,
-                // leaving the superseded spans open (observably obsolete).
-                let span_cid = self.current_cid();
-                if self.cfg.stack.has_vs() && span_cid.is_some() {
-                    rec.event(self.st.pid, span_cid, ObsEvent::CutAgreed);
-                }
-                rec.event(self.st.pid, span_cid, ObsEvent::ViewInstalled);
                 let previous = self.st.current_view.clone();
                 wv::view_eff(&mut self.st);
                 if self.cfg.stack.has_vs() {
@@ -834,9 +767,7 @@ impl Endpoint {
             Action::Forward(cmd) => {
                 let buf = self.st.buf(cmd.origin, &cmd.view);
                 let Some(msg) = buf.and_then(|s| s.get(cmd.index)).cloned() else { return };
-                self.stats.forwards_sent += 1;
                 rec.counter(names::EP_FORWARDS_SENT, 1);
-                rec.event(self.st.pid, self.current_cid(), ObsEvent::ForwardSent);
                 for dest in &cmd.to {
                     self.st.forwarded.insert((*dest, cmd.origin, cmd.view.clone(), cmd.index));
                 }
@@ -1277,24 +1208,20 @@ mod tests {
 
     #[test]
     fn batch_flush_is_journalled_with_cause_and_size() {
-        use vsgm_obs::ObsRecorder;
         let mut ep = Endpoint::new(p(1), batched_cfg(2, 1_000_000));
-        let mut rec = ObsRecorder::new();
+        let mut reg = vsgm_obs::Registry::new();
         let mut out = Vec::new();
-        ep.step(Some(Input::AppSend(AppMsg::from("a"))), &mut rec, &mut out);
-        ep.step(Some(Input::AppSend(AppMsg::from("b"))), &mut rec, &mut out);
-        ep.step(None, &mut rec, &mut out);
-        assert_eq!(rec.journal().count(ObsEvent::BatchFlushed), 1);
-        let reg = rec.registry();
+        ep.step(Some(Input::AppSend(AppMsg::from("a"))), &mut reg, &mut out);
+        ep.step(Some(Input::AppSend(AppMsg::from("b"))), &mut reg, &mut out);
+        ep.step(None, &mut reg, &mut out);
         assert_eq!(reg.counter(names::EP_BATCH_FLUSHES), 1);
         assert_eq!(reg.counter(names::EP_BATCH_FLUSH_COUNT), 1);
         assert_eq!(reg.counter(names::EP_BATCH_FLUSH_LINGER), 0);
         let h = reg.histogram(names::EP_BATCH_SIZE).expect("batch size recorded");
         assert_eq!(h.count(), 1);
         assert_eq!(h.sum(), 2);
-        // Per-message journal parity: two MsgSent events despite the
-        // single wire frame.
-        assert_eq!(rec.journal().count(ObsEvent::MsgSent), 2);
+        // Both messages counted sent, by the one flush.
+        assert_eq!(reg.counter(names::EP_MSGS_SENT), 2);
     }
 
     #[test]
@@ -1355,24 +1282,19 @@ mod tests {
     #[test]
     fn audit_tick_reconciles_a_corrupted_endpoint() {
         use crate::corrupt::CorruptionKind;
-        use vsgm_obs::ObsRecorder;
         let cfg = Config { audit: true, ..Config::default() };
         let mut net = Net::new(&[1, 2], cfg);
         net.reconfigure(&[1, 2], 1, 1);
         let ep = net.eps.get_mut(&p(1)).unwrap();
         ep.corrupt(CorruptionKind::ScrambleMembership, 0);
-        let mut rec = ObsRecorder::new();
+        let mut reg = vsgm_obs::Registry::new();
         let mut effects = Vec::new();
-        ep.step(Some(Input::Tick(1)), &mut rec, &mut effects);
+        ep.step(Some(Input::Tick(1)), &mut reg, &mut effects);
         assert_eq!(effects, vec![Effect::Reconciled]);
         // Reset to the initial state, §8-style.
         assert_eq!(ep.current_view(), &View::initial(p(1)));
-        assert_eq!(ep.stats(), EndpointStats::default());
-        let reg = rec.registry();
         assert_eq!(reg.counter(names::EP_AUDIT_FAILURES), 1);
         assert_eq!(reg.counter(names::EP_AUDIT_RECONCILES), 1);
-        assert_eq!(rec.journal().count(ObsEvent::AuditFailed), 1);
-        assert_eq!(rec.journal().count(ObsEvent::AuditReconciled), 1);
         // The next tick finds the fresh state legal: no further resets.
         assert!(ep.handle(Input::Tick(2)).is_empty());
     }

@@ -75,6 +75,6 @@ pub use batch::{BatchConfig, FlushCause};
 pub use client::{BlockingClient, Hosted, Sink};
 pub use corrupt::CorruptionKind;
 pub use config::{Config, Stack};
-pub use endpoint::{Action, Effect, Endpoint, EndpointStats, GroupEndpoint, Input};
+pub use endpoint::{Action, Effect, Endpoint, GroupEndpoint, Input};
 pub use forward::{ForwardCmd, ForwardStrategyKind};
 pub use node::Node;

@@ -8,7 +8,7 @@ use crate::stability::ACK_EVERY;
 use std::io;
 use std::time::{Duration, Instant};
 use vsgm_net::TcpTransport;
-use vsgm_obs::{NoopRecorder, Recorder};
+use vsgm_obs::{Recorder, Registry};
 use vsgm_types::{AppMsg, Event, ProcSet, ProcessId, View};
 
 /// An application-facing event produced by a [`Node`] pump.
@@ -41,7 +41,8 @@ pub enum AppEvent {
 /// TCP is reliable per connected pair, so `Reliable` events are
 /// informational and dropped. Once every [`ACK_EVERY`] deliveries the
 /// pump asks the end-point for a stability acknowledgement
-/// ([`crate::stability`]).
+/// ([`crate::stability`]). Every step counts into the node's
+/// [`Registry`] ([`Node::registry`]).
 #[derive(Debug)]
 pub struct Node {
     hosted: Hosted,
@@ -51,6 +52,8 @@ pub struct Node {
     epoch: Instant,
     /// Deliveries dispatched since the last [`Input::AckDue`].
     delivered_since_ack: u64,
+    /// What the end-point's steps count.
+    registry: Registry,
 }
 
 impl Node {
@@ -66,7 +69,13 @@ impl Node {
     )]
     pub fn new(ep: Endpoint, transport: TcpTransport) -> Self {
         assert_eq!(ep.pid(), transport.me(), "endpoint/transport identity mismatch");
-        Node { hosted: Hosted::new(ep), transport, epoch: Instant::now(), delivered_since_ack: 0 }
+        Node {
+            hosted: Hosted::new(ep),
+            transport,
+            epoch: Instant::now(),
+            delivered_since_ack: 0,
+            registry: Registry::new(),
+        }
     }
 
     /// The wrapped endpoint.
@@ -79,9 +88,9 @@ impl Node {
         &self.transport
     }
 
-    /// The endpoint's protocol counters.
-    pub fn stats(&self) -> crate::endpoint::EndpointStats {
-        self.hosted.ep().stats()
+    /// What the end-point's steps counted: the `endpoint.*` counters.
+    pub fn registry(&self) -> &Registry {
+        &self.registry
     }
 
     /// Multicasts `m` to the current view — or, while the client is
@@ -181,10 +190,10 @@ impl Node {
         out: &mut Vec<AppEvent>,
         call: impl FnOnce(&mut Hosted, &mut dyn Recorder, &mut Sink<'_>) -> R,
     ) -> io::Result<R> {
-        let Node { hosted, transport, delivered_since_ack, .. } = self;
+        let Node { hosted, transport, delivered_since_ack, registry, .. } = self;
         let mut failed = None;
         let mut ack_due = false;
-        let result = call(hosted, &mut NoopRecorder, &mut |event, _| match event {
+        let result = call(hosted, registry, &mut |event, _| match event {
             Event::NetSend { set, msg, .. } if failed.is_none() => {
                 failed = transport.send(&set, &msg).err();
             }
@@ -204,7 +213,7 @@ impl Node {
         if ack_due {
             // Arms the acknowledgement, which has no effects of its own;
             // the pump's next poll sends it.
-            hosted.input(Input::AckDue, &mut NoopRecorder, &mut |_, _| {});
+            hosted.input(Input::AckDue, registry, &mut |_, _| {});
         }
         failed.map_or(Ok(result), Err)
     }

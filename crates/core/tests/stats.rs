@@ -1,7 +1,7 @@
-//! The endpoint's protocol counters.
+//! The endpoint's protocol counters, as a `Registry` reads them.
 
 use vsgm_core::{Config, Effect, Endpoint, Input};
-use vsgm_obs::Recorder;
+use vsgm_obs::{names, Recorder, Registry};
 use vsgm_types::{
     AppMsg, Cut, NetMsg, ProcSet, ProcessId, StartChangeId, SyncPayload, View, ViewId,
 };
@@ -22,7 +22,7 @@ fn pair_view(epoch: u64, cid: u64) -> View {
     )
 }
 
-/// One [`Endpoint::step`] journaling to `rec`, its effects returned.
+/// One [`Endpoint::step`] counting to `rec`, its effects returned.
 fn step(ep: &mut Endpoint, input: Option<Input>, rec: &mut dyn Recorder) -> Vec<Effect> {
     let mut out = Vec::new();
     ep.step(input, rec, &mut out);
@@ -31,60 +31,62 @@ fn step(ep: &mut Endpoint, input: Option<Input>, rec: &mut dyn Recorder) -> Vec<
 
 /// Drives one endpoint through a full view change, answering for the
 /// absent peer p2.
-fn full_change(ep: &mut Endpoint, epoch: u64, cid: u64) {
-    ep.handle(Input::StartChange { cid: StartChangeId::new(cid), set: set(&[1, 2]) });
-    ep.poll();
-    ep.handle(Input::BlockOk);
-    ep.poll();
-    ep.handle(Input::Net {
-        from: p(2),
-        msg: NetMsg::Sync(SyncPayload {
-            cid: StartChangeId::new(cid),
-            view: Some(ep.current_view().clone()),
-            cut: Cut::new(),
-        }),
+fn full_change(ep: &mut Endpoint, epoch: u64, cid: u64, rec: &mut dyn Recorder) {
+    step(ep, Some(Input::StartChange { cid: StartChangeId::new(cid), set: set(&[1, 2]) }), rec);
+    step(ep, None, rec);
+    step(ep, Some(Input::BlockOk), rec);
+    step(ep, None, rec);
+    let sync = NetMsg::Sync(SyncPayload {
+        cid: StartChangeId::new(cid),
+        view: Some(ep.current_view().clone()),
+        cut: Cut::new(),
     });
-    ep.handle(Input::MbrshpView(pair_view(epoch, cid)));
-    ep.poll();
+    step(ep, Some(Input::Net { from: p(2), msg: sync }), rec);
+    step(ep, Some(Input::MbrshpView(pair_view(epoch, cid))), rec);
+    step(ep, None, rec);
+}
+
+/// The counters a view change and a multicast move, in order: views
+/// installed, blocks, syncs sent, messages sent, messages delivered.
+fn counts(reg: &Registry) -> [u64; 5] {
+    [
+        names::EP_VIEWS_INSTALLED,
+        names::EP_BLOCKS,
+        names::EP_SYNCS_SENT,
+        names::EP_MSGS_SENT,
+        names::EP_MSGS_DELIVERED,
+    ]
+    .map(|n| reg.counter(n))
 }
 
 #[test]
 fn counters_track_the_protocol() {
     let mut ep = Endpoint::new(p(1), Config::default());
-    assert_eq!(ep.stats(), Default::default());
-    full_change(&mut ep, 1, 1);
-    let s = ep.stats();
-    assert_eq!(s.views_installed, 1);
-    assert_eq!(s.blocks, 1);
-    assert_eq!(s.syncs_sent, 1);
-    assert_eq!(s.msgs_sent, 0);
+    let mut reg = Registry::new();
+    assert_eq!(reg.counter_rows().count(), 0);
+    full_change(&mut ep, 1, 1, &mut reg);
+    assert_eq!(counts(&reg), [1, 1, 1, 0, 0]);
 
-    ep.handle(Input::AppSend(AppMsg::from("one")));
-    ep.handle(Input::AppSend(AppMsg::from("two")));
-    let effects = ep.poll();
+    step(&mut ep, Some(Input::AppSend(AppMsg::from("one"))), &mut reg);
+    step(&mut ep, Some(Input::AppSend(AppMsg::from("two"))), &mut reg);
+    let effects = step(&mut ep, None, &mut reg);
     // Self-deliveries happen after the CO_RFIFO sends.
     let delivered = effects.iter().filter(|e| matches!(e, Effect::DeliverApp { .. })).count();
-    let s = ep.stats();
-    assert_eq!(s.msgs_sent, 2);
-    assert_eq!(s.msgs_delivered as usize, delivered);
-    assert_eq!(s.msgs_delivered, 2);
+    assert_eq!(delivered, 2);
+    assert_eq!(counts(&reg), [1, 1, 1, 2, 2]);
 
-    full_change(&mut ep, 2, 2);
-    let s = ep.stats();
-    assert_eq!(s.views_installed, 2);
-    assert_eq!(s.blocks, 2);
-    assert_eq!(s.syncs_sent, 2);
+    full_change(&mut ep, 2, 2, &mut reg);
+    assert_eq!(counts(&reg), [2, 2, 2, 2, 2]);
 }
 
 #[test]
 fn acknowledgements_and_refused_stores_are_counted_and_recorded() {
-    use vsgm_obs::{names, ObsRecorder};
     use vsgm_types::FwdPayload;
     let mut ep = Endpoint::new(p(1), Config::default());
-    let mut rec = ObsRecorder::new();
-    full_change(&mut ep, 1, 1);
-    ep.handle(Input::AppSend(AppMsg::from("one")));
-    ep.poll();
+    let mut rec = Registry::new();
+    full_change(&mut ep, 1, 1, &mut rec);
+    step(&mut ep, Some(Input::AppSend(AppMsg::from("one"))), &mut rec);
+    step(&mut ep, None, &mut rec);
     // The host asks once: one acknowledgement of the own delivery.
     step(&mut ep, Some(Input::AckDue), &mut rec);
     let effects = step(&mut ep, None, &mut rec);
@@ -101,74 +103,45 @@ fn acknowledgements_and_refused_stores_are_counted_and_recorded() {
         msg: AppMsg::from("forged"),
     };
     step(&mut ep, Some(Input::Net { from: p(2), msg: NetMsg::Fwd(forged) }), &mut rec);
-    assert_eq!(ep.stats().stores_refused, 1);
-    assert_eq!(rec.registry().counter(names::EP_ACKS_SENT), 1);
-    assert_eq!(rec.registry().counter(names::EP_STORES_REFUSED), 1);
+    assert_eq!(rec.counter(names::EP_ACKS_SENT), 1);
+    assert_eq!(rec.counter(names::EP_STORES_REFUSED), 1);
 }
 
 #[test]
-fn recovery_resets_counters() {
+fn a_recovery_is_counted_once_and_counting_carries_on() {
     let mut ep = Endpoint::new(p(1), Config::default());
-    full_change(&mut ep, 1, 1);
-    assert_ne!(ep.stats(), Default::default());
-    ep.handle(Input::Crash);
-    ep.handle(Input::Recover);
-    assert_eq!(ep.stats(), Default::default());
-}
+    let mut reg = Registry::new();
+    full_change(&mut ep, 1, 1, &mut reg);
+    step(&mut ep, Some(Input::Recover), &mut reg);
+    assert_eq!(reg.counter(names::EP_RECOVERIES), 0, "recover while up is a no-op");
 
-#[test]
-fn recovery_zeroes_every_counter_and_journals_the_reset() {
-    use vsgm_obs::{ObsEvent, ObsRecorder};
-    let mut ep = Endpoint::new(p(1), Config::default());
-    let mut rec = ObsRecorder::new();
-    full_change(&mut ep, 1, 1);
-    ep.handle(Input::AppSend(AppMsg::from("pre-crash")));
-    ep.poll();
-    let s = ep.stats();
-    assert!(s.views_installed >= 1 && s.msgs_sent >= 1 && s.syncs_sent >= 1);
+    step(&mut ep, Some(Input::Crash), &mut reg);
+    // Inputs while crashed are inert and count nothing.
+    step(&mut ep, Some(Input::AppSend(AppMsg::from("lost"))), &mut reg);
+    assert!(step(&mut ep, None, &mut reg).is_empty());
+    step(&mut ep, Some(Input::Recover), &mut reg);
+    assert_eq!(reg.counter(names::EP_RECOVERIES), 1);
+    assert_eq!(ep.current_view(), &View::initial(p(1)), "§8: initial state");
 
-    step(&mut ep, Some(Input::Crash), &mut rec);
-    // Inputs while crashed are inert and must not disturb the counters.
-    ep.handle(Input::AppSend(AppMsg::from("lost")));
-    step(&mut ep, Some(Input::Recover), &mut rec);
-
-    // §8: recovery restarts from the initial volatile state — every
-    // counter field individually back at zero.
-    let s = ep.stats();
-    assert_eq!(s.views_installed, 0);
-    assert_eq!(s.msgs_sent, 0);
-    assert_eq!(s.msgs_delivered, 0);
-    assert_eq!(s.syncs_sent, 0);
-    assert_eq!(s.forwards_sent, 0);
-    assert_eq!(s.blocks, 0);
-    // The reset itself is journalled exactly once.
-    assert_eq!(rec.journal().count(ObsEvent::RecoveryReset), 1);
-
-    // Counting restarts from scratch after the reset.
-    full_change(&mut ep, 2, 2);
-    let s = ep.stats();
-    assert_eq!(s.views_installed, 1);
-    assert_eq!(s.syncs_sent, 1);
-    assert_eq!(s.blocks, 1);
+    // The registry outlives the volatile state: counts carry on.
+    full_change(&mut ep, 2, 2, &mut reg);
+    assert_eq!(counts(&reg), [2, 2, 2, 0, 0]);
 }
 
 #[test]
 fn wv_stack_counts_no_syncs_or_blocks() {
     let cfg = Config { stack: vsgm_core::Stack::Wv, ..Config::default() };
     let mut ep = Endpoint::new(p(1), cfg);
-    ep.handle(Input::MbrshpView(pair_view(1, 1)));
-    ep.poll();
-    let s = ep.stats();
-    assert_eq!(s.views_installed, 1);
-    assert_eq!(s.syncs_sent, 0);
-    assert_eq!(s.blocks, 0);
+    let mut reg = Registry::new();
+    step(&mut ep, Some(Input::MbrshpView(pair_view(1, 1))), &mut reg);
+    step(&mut ep, None, &mut reg);
+    assert_eq!(counts(&reg), [1, 0, 0, 0, 0]);
 }
 
 #[test]
 fn journal_covers_block_and_forward_events() {
-    use vsgm_obs::{ObsEvent, ObsRecorder};
     let mut ep = Endpoint::new(p(1), Config::default());
-    let mut rec = ObsRecorder::new();
+    let mut rec = Registry::new();
 
     // Move into the 3-member view {1,2,3}.
     let v3 = View::new(
@@ -187,7 +160,7 @@ fn journal_covers_block_and_forward_events() {
     step(&mut ep, None, &mut rec);
     step(&mut ep, Some(Input::MbrshpView(v3.clone())), &mut rec);
     step(&mut ep, None, &mut rec);
-    assert_eq!(rec.journal().count(ObsEvent::ViewInstalled), 1);
+    assert_eq!(rec.counter(names::EP_VIEWS_INSTALLED), 1);
 
     // p3's current-view stream: its view_msg plus one application
     // message, which p1 buffers (and p2 will turn out to miss).
@@ -202,15 +175,15 @@ fn journal_covers_block_and_forward_events() {
     step(&mut ep, None, &mut rec);
     step(&mut ep, Some(Input::BlockOk), &mut rec);
     step(&mut ep, None, &mut rec);
-    assert_eq!(rec.journal().count(ObsEvent::BlockOk), 2);
-    assert_eq!(rec.journal().count(ObsEvent::SyncSent), 2);
+    assert_eq!(rec.counter(names::EP_BLOCKS), 2);
+    assert_eq!(rec.counter(names::EP_SYNCS_SENT), 2);
 
     // p2's sync reveals it misses p3's message: the default eager
-    // strategy forwards it, journalled as ForwardSent.
+    // strategy forwards it, counted in `endpoint.forwards_sent`.
     let mut cut = Cut::new();
     cut.set(p(3), 0);
     let sync = SyncPayload { cid: StartChangeId::new(4), view: Some(v3.clone()), cut };
     step(&mut ep, Some(Input::Net { from: p(2), msg: NetMsg::Sync(sync) }), &mut rec);
     step(&mut ep, None, &mut rec);
-    assert_eq!(rec.journal().count(ObsEvent::ForwardSent), 1, "eager forward of p3's m1");
+    assert_eq!(rec.counter(names::EP_FORWARDS_SENT), 1, "eager forward of p3's m1");
 }

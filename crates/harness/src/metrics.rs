@@ -4,7 +4,7 @@ use std::collections::BTreeMap;
 use vsgm_ioa::{SimTime, Trace};
 use vsgm_types::{Event, ProcessId, View};
 
-/// Aggregate numbers extracted from a trace or an observability journal.
+/// Aggregate numbers extracted from a trace.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Summary {
     /// Application sends.
@@ -45,35 +45,6 @@ impl Summary {
                     "fwd_msg" => s.forwards += 1,
                     _ => {}
                 },
-                _ => {}
-            }
-        }
-        s
-    }
-
-    /// Digests an observability journal (see [`vsgm_obs::Journal`]).
-    ///
-    /// Counts the endpoint-side twin of each trace event: `MsgSent` /
-    /// `MsgDelivered` for application traffic, `ViewInstalled` for views,
-    /// `SyncSent` / `ForwardSent` for protocol traffic. On a run where
-    /// both the trace and the journal were recorded the two digests agree
-    /// (up to leader-relayed `sync_agg` multicasts, which the trace
-    /// attributes to the relaying leader).
-    pub fn from_journal(journal: &vsgm_obs::Journal) -> Self {
-        use vsgm_obs::ObsEvent;
-        let mut s = Summary::default();
-        for r in journal.records() {
-            match r.event {
-                ObsEvent::MsgSent => s.sends += 1,
-                ObsEvent::MsgDelivered => s.delivers += 1,
-                ObsEvent::ViewInstalled => {
-                    s.views += 1;
-                    *s.views_per_proc.entry(r.pid).or_insert(0) += 1;
-                }
-                ObsEvent::BlockRequested => s.blocks += 1,
-                ObsEvent::BlockOk => s.block_oks += 1,
-                ObsEvent::SyncSent => s.syncs += 1,
-                ObsEvent::ForwardSent => s.forwards += 1,
                 _ => {}
             }
         }
@@ -214,6 +185,7 @@ mod tests {
     #[test]
     fn journal_and_trace_digests_agree_on_a_real_run() {
         use crate::sim::{procs, procs_of, Sim, SimOptions};
+        use vsgm_obs::names;
         let mut sim =
             Sim::new_paper(3, vsgm_core::Config::default(), SimOptions::default());
         sim.enable_obs();
@@ -223,12 +195,22 @@ mod tests {
         sim.run_to_quiescence();
         sim.reconfigure(&procs_of(&[1, 2]));
         sim.run_to_quiescence();
-        let obs = sim.take_obs().expect("obs on");
-        let a = Summary::from_trace(sim.trace());
-        let b = Summary::from_journal(obs.journal());
-        assert_eq!(a, b);
-        assert!(b.syncs > 0, "view changes must sync: {b:?}");
-        assert!(b.views > 0);
+        let reg = sim.take_obs().expect("obs on");
+        let s = Summary::from_trace(sim.trace());
+        // The trace's digest and the end-points' registry counts agree:
+        // one record per fact, two readings of it.
+        let counted = [
+            names::EP_MSGS_SENT,
+            names::EP_MSGS_DELIVERED,
+            names::EP_VIEWS_INSTALLED,
+            names::EP_BLOCKS,
+            names::EP_SYNCS_SENT,
+            names::EP_FORWARDS_SENT,
+        ]
+        .map(|n| reg.counter(n));
+        assert_eq!(counted, [s.sends, s.delivers, s.views, s.blocks, s.syncs, s.forwards]);
+        assert!(s.syncs > 0, "view changes must sync: {s:?}");
+        assert!(s.views > 0);
     }
 
     #[test]

@@ -183,8 +183,8 @@ impl Scenario {
     }
 
     /// Like [`Scenario::run`], but with protocol observability on:
-    /// additionally returns a metrics snapshot (journal-derived spans,
-    /// counters, traffic) of the whole run.
+    /// additionally returns a metrics snapshot (spans folded over the
+    /// trace, counters, traffic) of the whole run.
     pub fn run_observed(&self) -> (Outcome, vsgm_obs::Snapshot) {
         let (outcome, snap) = self.run_inner(true);
         (outcome, snap.expect("observability was enabled"))
@@ -211,7 +211,7 @@ impl Scenario {
         sim.run_to_quiescence();
         sim.assert_paper_invariants();
         let violations = sim.finish();
-        let snap = sim.take_obs().map(|r| vsgm_obs::Snapshot::capture(&r));
+        let snap = sim.take_obs().map(|r| vsgm_obs::Snapshot::capture(&r, sim.trace().entries()));
         (
             Outcome {
                 events: sim.trace().len(),
@@ -263,7 +263,7 @@ mod tests {
         let (outcome, snap) = Scenario::demo().run_observed();
         assert!(outcome.violations.is_empty(), "{:?}", outcome.violations);
         assert!(snap.view_changes_completed > 0, "{}", snap.render_table());
-        assert!(snap.journal_len > 0);
+        assert_eq!(snap.trace_len, outcome.events as u64);
         // The snapshot serializes (consumed by benches and CLI tooling).
         assert!(snap.to_json_pretty().contains("view_changes_completed"));
     }

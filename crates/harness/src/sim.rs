@@ -5,7 +5,7 @@ use vsgm_core::{Config, Endpoint, GroupEndpoint, Hosted, Input, Sink};
 use vsgm_ioa::{CheckSet, SimRng, SimTime, Trace, TraceEntry, Violation};
 use vsgm_membership::MembershipOracle;
 use vsgm_net::{FaultPlan, FaultStats, LatencyModel, SimNet};
-use vsgm_obs::{names as obs_names, NoopRecorder, ObsEvent, ObsRecorder, Recorder};
+use vsgm_obs::{names as obs_names, NoopRecorder, Recorder, Registry};
 use vsgm_types::{AppMsg, Event, NetMsg, ProcSet, ProcessId, View};
 
 /// Simulation options.
@@ -59,8 +59,8 @@ pub struct Sim<E: GroupEndpoint = Endpoint> {
     checks: CheckSet,
     proposer_seq: u64,
     sched_rng: SimRng,
-    /// Optional observability recorder (off by default; [`Sim::enable_obs`]).
-    obs: Option<ObsRecorder>,
+    /// Optional metrics registry (off by default; [`Sim::enable_obs`]).
+    obs: Option<Registry>,
     /// No-op sink used when observability is off.
     noop: NoopRecorder,
     /// Bug-injection hook: index of the sync/sync-agg send to swallow
@@ -78,10 +78,7 @@ pub struct Sim<E: GroupEndpoint = Endpoint> {
 
 /// Selects the active recorder without borrowing the whole `Sim` (so the
 /// network / endpoint maps can be borrowed simultaneously).
-fn rec_of<'a>(
-    obs: &'a mut Option<ObsRecorder>,
-    noop: &'a mut NoopRecorder,
-) -> &'a mut dyn Recorder {
+fn rec_of<'a>(obs: &'a mut Option<Registry>, noop: &'a mut NoopRecorder) -> &'a mut dyn Recorder {
     match obs {
         Some(r) => r,
         None => noop,
@@ -147,7 +144,6 @@ impl Sim<Endpoint> {
         self.hosts.get_mut(&p).expect("known proc").ep_mut().corrupt(kind, salt);
         let rec = rec_of(&mut self.obs, &mut self.noop);
         rec.counter(obs_names::CHAOS_CORRUPTIONS, 1);
-        rec.event(p, None, ObsEvent::CorruptionInjected);
         if self.corruption_mark.is_none() {
             self.corruption_mark = Some((self.trace.len(), self.time));
         }
@@ -209,25 +205,22 @@ impl<E: GroupEndpoint> Sim<E> {
         }
     }
 
-    /// Turns on protocol observability: from now on every membership
-    /// notification, endpoint step and network hop is mirrored into a
-    /// [`vsgm_obs`] event journal and metrics registry. Idempotent.
+    /// Turns on protocol metrics: from now on every endpoint step and
+    /// network hop counts into a [`Registry`]. What happened and when is
+    /// the trace's ([`vsgm_obs::spans`] folds view changes out of it).
+    /// Idempotent.
     pub fn enable_obs(&mut self) {
-        if self.obs.is_none() {
-            let mut r = ObsRecorder::new();
-            r.advance_time(self.time);
-            self.obs = Some(r);
-        }
+        self.obs.get_or_insert_with(Registry::new);
     }
 
-    /// The observability recorder, if [`Sim::enable_obs`] was called.
-    pub fn obs(&self) -> Option<&ObsRecorder> {
+    /// The metrics registry, if [`Sim::enable_obs`] was called.
+    pub fn obs(&self) -> Option<&Registry> {
         self.obs.as_ref()
     }
 
-    /// Removes and returns the recorder (e.g. to snapshot it after a
-    /// run); observability is off afterwards.
-    pub fn take_obs(&mut self) -> Option<ObsRecorder> {
+    /// Removes and returns the registry (e.g. to snapshot it after a
+    /// run); metrics are off afterwards.
+    pub fn take_obs(&mut self) -> Option<Registry> {
         self.obs.take()
     }
 
@@ -555,9 +548,6 @@ impl<E: GroupEndpoint> Sim<E> {
     pub fn deliver_next(&mut self) -> bool {
         let Some(t) = self.net.next_arrival() else { return false };
         self.time = t;
-        if let Some(r) = &mut self.obs {
-            r.advance_time(t);
-        }
         self.tick_all();
         let batch = self.net.pop_ready(t, rec_of(&mut self.obs, &mut self.noop));
         for (from, to, msg) in batch {
@@ -582,9 +572,6 @@ impl<E: GroupEndpoint> Sim<E> {
             // deadline by advancing time there.
             let Some(deadline) = self.next_deadline() else { return };
             self.time = self.time.max(deadline);
-            if let Some(r) = &mut self.obs {
-                r.advance_time(self.time);
-            }
             self.tick_all();
             self.step_all();
         }
@@ -608,9 +595,6 @@ impl<E: GroupEndpoint> Sim<E> {
                 }
                 (_, Some(f)) => {
                     self.time = self.time.max(f);
-                    if let Some(r) = &mut self.obs {
-                        r.advance_time(self.time);
-                    }
                     self.tick_all();
                     self.step_all();
                 }
@@ -619,9 +603,6 @@ impl<E: GroupEndpoint> Sim<E> {
         }
         if self.time < deadline {
             self.time = deadline;
-            if let Some(r) = &mut self.obs {
-                r.advance_time(deadline);
-            }
             self.tick_all();
             self.step_all();
         }
@@ -646,15 +627,7 @@ impl<E: GroupEndpoint> Sim<E> {
     /// over the whole run.
     pub fn finish(&mut self) -> Vec<Violation> {
         self.checks.finish();
-        let violations = self.checks.violations().to_vec();
-        if let Some(r) = &mut self.obs {
-            // Violations are global properties of the trace; they are
-            // journalled under the reserved marker id `p0`.
-            for _ in &violations {
-                r.event(ProcessId::new(0), None, ObsEvent::InvariantViolated);
-            }
-        }
-        violations
+        self.checks.violations().to_vec()
     }
 
     /// Adds an extra checker (e.g. a liveness expectation). The trace
@@ -704,8 +677,7 @@ pub fn procs_of(ids: &[u64]) -> ProcSet {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::BTreeSet;
-    use vsgm_core::{BatchConfig, Stack};
+    use vsgm_core::Stack;
     use vsgm_spec::LivenessSpec;
 
     #[test]
@@ -733,65 +705,11 @@ mod tests {
         sim.run_to_quiescence();
         assert!(sim.corruption_mark().is_none());
         sim.corrupt(ProcessId::new(2), vsgm_core::CorruptionKind::ScrambleMembership);
-        let rec = sim.obs().expect("obs enabled");
-        assert_eq!(rec.journal().count(ObsEvent::CorruptionInjected), 1);
-        assert_eq!(rec.registry().counter(obs_names::CHAOS_CORRUPTIONS), 1);
+        let reg = sim.obs().expect("obs enabled");
+        assert_eq!(reg.counter(obs_names::CHAOS_CORRUPTIONS), 1);
         let (at, when) = sim.corruption_mark().expect("mark set at injection");
         assert_eq!(at, sim.trace().entries().len());
         assert_eq!(Some(when), sim.last_corruption());
-    }
-
-    /// The kinds journalled by an obs-enabled run of `script` over four
-    /// end-points in one view.
-    fn journalled(cfg: Config, script: impl FnOnce(&mut Sim)) -> BTreeSet<ObsEvent> {
-        let mut sim = Sim::new_paper(4, cfg, SimOptions::default());
-        sim.enable_obs();
-        sim.reconfigure(&procs(4));
-        sim.run_to_quiescence();
-        script(&mut sim);
-        sim.run_to_quiescence();
-        sim.finish();
-        let journal = sim.obs().expect("obs enabled").journal();
-        journal.records().iter().map(|r| r.event).collect()
-    }
-
-    /// Between them, these runs take every path that journals: view
-    /// changes, multicast, forwarding after a crash, recovery, batching,
-    /// a corruption the audit reconciles, and a swallowed sync that the
-    /// liveness checker reports. What they journal is exactly
-    /// `ObsEvent::ALL`: no kind is left unemitted, and none is emitted
-    /// that `ALL` does not list.
-    #[test]
-    fn obs_enabled_runs_journal_every_event_kind() {
-        let p = ProcessId::new;
-        let mut kinds = journalled(Config::default(), |sim| {
-            sim.send(p(1), AppMsg::from("to all"));
-            sim.run_to_quiescence();
-            sim.partition(&[vec![p(3), p(4)], vec![p(1), p(2)]]);
-            sim.send(p(4), AppMsg::from("only p3 gets this"));
-            sim.run_to_quiescence();
-            sim.crash(p(4));
-            sim.heal();
-            sim.reconfigure(&procs_of(&[1, 2, 3]));
-            sim.run_to_quiescence();
-            sim.recover(p(4));
-        });
-        let batched = Config { batch: BatchConfig::small(), ..Config::default() };
-        kinds.extend(journalled(batched, |sim| {
-            for i in 0..8 {
-                sim.send(p(1), AppMsg::from(format!("b{i}").as_str()));
-            }
-        }));
-        kinds.extend(journalled(Config { audit: true, ..Config::default() }, |sim| {
-            sim.corrupt(p(2), vsgm_core::CorruptionKind::ScrambleMembership);
-            sim.run_for(SimTime::from_millis(5));
-        }));
-        kinds.extend(journalled(Config::default(), |sim| {
-            sim.suppress_sync(0);
-            let v = sim.reconfigure(&procs_of(&[1, 2, 3]));
-            sim.add_checker(LivenessSpec::new(v));
-        }));
-        assert_eq!(kinds, ObsEvent::ALL.into_iter().collect::<BTreeSet<_>>());
     }
 
     #[test]
@@ -1000,10 +918,10 @@ mod tests {
     #[test]
     fn obs_journal_traces_one_sync_per_endpoint_per_view_change() {
         // The acceptance scenario: three processes, several view changes,
-        // observability on. The journal must show exactly one sync message
-        // per endpoint per (uncascaded) view change, and a finite
-        // start_change → view-install latency span for every member of
-        // the final view.
+        // observability on. The spans folded over the trace must show
+        // exactly one sync message per endpoint per (uncascaded) view
+        // change, and a finite start_change → view-install latency span
+        // for every member of the final view.
         let mut sim = Sim::new_paper(3, Config::default(), SimOptions::default());
         sim.enable_obs();
         sim.reconfigure(&procs(3));
@@ -1017,16 +935,12 @@ mod tests {
         sim.run_to_quiescence();
         sim.assert_clean();
 
-        let obs = sim.take_obs().expect("obs enabled");
-        let journal = obs.journal();
-        let spans = journal.spans();
+        let spans = vsgm_obs::spans(sim.trace().entries());
         let completed: Vec<_> = spans.iter().filter(|s| s.complete()).collect();
-        assert!(!completed.is_empty(), "no completed view-change spans");
+        assert_eq!(completed.len(), 3 + 2 + 3, "{spans:?}");
         for s in &completed {
-            assert_eq!(
-                s.syncs_sent, 1,
-                "exactly one sync per endpoint per view change: {s:?}"
-            );
+            assert_eq!(s.syncs_sent, 1, "exactly one sync per endpoint per view change: {s:?}");
+            assert_eq!(s.blocks, 1, "one block per endpoint per view change: {s:?}");
             assert!(s.latency().is_some(), "finite sync-round latency: {s:?}");
         }
         // Every member of the final view closed its most recent span.
@@ -1037,19 +951,74 @@ mod tests {
                 .max_by_key(|s| s.start_step)
                 .expect("member has a view-change span");
             assert!(last.complete(), "final view installed at {m}: {last:?}");
-            assert!(last.latency().is_some());
         }
-        // The registry agrees with the journal on installs and with the
-        // sim's live network stats on deliveries.
-        let reg = obs.registry();
-        assert_eq!(
-            reg.counter(vsgm_obs::names::EP_VIEWS_INSTALLED),
-            journal.count(vsgm_obs::ObsEvent::ViewInstalled) as u64
-        );
-        let lat = reg.histogram(vsgm_obs::names::SYNC_ROUND_LATENCY_US).expect("span latencies");
-        assert!(lat.count() > 0);
+        // The registry agrees with the trace on installs and with the
+        // sim's live network stats on deliveries; the snapshot's latency
+        // summary covers every completed span.
+        let reg = sim.take_obs().expect("obs enabled");
+        let installs = sim.trace().kind_counts()["view"] as u64;
+        assert_eq!(reg.counter(vsgm_obs::names::EP_VIEWS_INSTALLED), installs);
+        let snap = vsgm_obs::Snapshot::capture(&reg, sim.trace().entries());
+        let lat = snap.sync_round_latency().expect("span latencies");
+        assert_eq!(lat.count, completed.len() as u64);
         assert_eq!(reg.counter(vsgm_obs::names::NET_DELIVERED), sim.net().stats().delivered);
         assert!(reg.traffic("sync_msg").count + reg.traffic("sync_agg").count > 0);
+    }
+
+    /// The span fold over a real run: a change cascades at p1 and p2, p3
+    /// crashes in the middle of it, and only the cascade's last change
+    /// installs.
+    #[test]
+    fn spans_fold_over_a_cascade_and_a_crash() {
+        let p = ProcessId::new;
+        let mut sim = Sim::new_paper(3, Config::default(), SimOptions::default());
+        sim.reconfigure(&procs(3));
+        sim.run_to_quiescence();
+        let from = sim.trace().len() as u64;
+        sim.start_change(&procs(3));
+        sim.crash(p(3));
+        sim.start_change(&procs_of(&[1, 2]));
+        sim.form_view(&procs_of(&[1, 2]));
+        sim.run_to_quiescence();
+        sim.assert_clean();
+
+        let trace = sim.trace();
+        let spans = vsgm_obs::spans(trace.entries());
+        let at = |q: ProcessId| -> Vec<&vsgm_obs::ViewChangeSpan> {
+            spans.iter().filter(|s| s.pid == q && s.start_step >= from).collect()
+        };
+        // Two cascaded start_changes before one view: the first span
+        // stays open, the second closes.
+        for q in [p(1), p(2)] {
+            let cascade = at(q);
+            assert_eq!(cascade.len(), 2, "{q}: {cascade:?}");
+            assert!(cascade[0].cid < cascade[1].cid);
+            assert!(!cascade[0].complete() && cascade[1].complete(), "{q}: {cascade:?}");
+        }
+        // A crash mid-change leaves its span open.
+        let crashed = at(p(3));
+        assert_eq!(crashed.len(), 1);
+        assert!(!crashed[0].complete());
+        // A closed span's latency is its GcsView's time minus its
+        // MbrshpStartChange's time. (The first view installs at once: the
+        // singleton views it replaces owe no peer syncs.)
+        let entry = |step: u64| &trace.entries()[step as usize];
+        for s in spans.iter().filter(|s| s.complete()) {
+            let opened = entry(s.start_step);
+            let key = (s.pid, s.cid);
+            assert!(
+                matches!(opened.event, Event::MbrshpStartChange { p, cid, .. } if (p, cid) == key)
+            );
+            let closed = entry(s.installed_step.expect("complete"));
+            assert!(matches!(closed.event, Event::GcsView { p, .. } if p == s.pid));
+            assert_eq!(s.latency(), Some(closed.time.saturating_sub(opened.time)));
+            if s.start_step >= from {
+                assert!(closed.time > opened.time, "a LAN sync round takes time: {s:?}");
+            }
+        }
+        // The fold reads the same spans back from the trace's JSON lines.
+        let back = Trace::from_json_lines(&trace.to_json_lines()).expect("trace lines parse");
+        assert_eq!(vsgm_obs::spans(back.entries()), spans);
     }
 
     #[test]

@@ -87,7 +87,7 @@ fn forged_indices_in_well_formed_frames_do_not_take_a_node_down() {
         assert!(std::time::Instant::now() < deadline, "victim wedged; saw {events:?}");
         events.extend(node.pump(Duration::from_millis(5)).unwrap());
     }
-    assert_eq!(node.stats().stores_refused, 2);
+    assert_eq!(node.registry().counter(vsgm_obs::names::EP_STORES_REFUSED), 2);
     let st = node.endpoint().state();
     assert_eq!(st.buf(p(2), &view).map(|b| b.retained()), Some(1), "the forged ack freed nothing");
     let failure = audit::check(node.endpoint().config(), st).expect_err("forged ack recorded");

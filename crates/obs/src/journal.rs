@@ -1,39 +1,36 @@
-//! The structured event journal and view-change span extraction.
+//! View-change spans, folded over a trace.
 
-use crate::event::{ObsEvent, ObsRecord};
-use serde::Serialize;
 use std::collections::BTreeMap;
-use vsgm_ioa::SimTime;
-use vsgm_types::{ProcessId, StartChangeId};
+use vsgm_ioa::{SimTime, TraceEntry};
+use vsgm_types::{Event, NetMsg, ProcessId, StartChangeId};
 
-/// One view-change span at one end-point: opened by the first event
-/// carrying a local start-change id, closed by `ViewInstalled`.
+/// One view-change span at one end-point: opened by
+/// `MbrshpStartChange{p, cid}`, closed by `p`'s next `GcsView`.
 ///
 /// `StartChangeId`s are only *locally* unique (§3.1), so the span key is
-/// the pair `(pid, cid)`. Cascaded start_changes open one span per cid;
-/// only the last one typically closes with an install — the earlier spans
-/// stay incomplete, which is itself a useful observable (obsolete view
-/// proposals the algorithm skipped).
+/// the pair `(pid, cid)`. A cascaded start_change opens a new span and
+/// leaves the one it supersedes open for good — an obsolete view proposal
+/// the algorithm skipped — and so does a `Crash` of `pid` mid-change.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ViewChangeSpan {
     /// End-point the span belongs to.
     pub pid: ProcessId,
     /// The local start-change id keying the span.
     pub cid: StartChangeId,
-    /// Journal step of the opening event.
+    /// Trace step of the opening `MbrshpStartChange`.
     pub start_step: u64,
-    /// Simulated time of the opening event.
+    /// Simulated time of the opening `MbrshpStartChange`.
     pub start_time: SimTime,
-    /// Journal step of the `ViewInstalled` close, if the span completed.
+    /// Trace step of the closing `GcsView`, if the span completed.
     pub installed_step: Option<u64>,
-    /// Simulated time of the `ViewInstalled` close, if the span completed.
+    /// Simulated time of the closing `GcsView`, if the span completed.
     pub installed_time: Option<SimTime>,
-    /// Synchronization messages this end-point sent within the span.
+    /// Synchronization messages this end-point sent within the span:
+    /// one per distinct cid, however many frames carried it.
     pub syncs_sent: u64,
-    /// Peer synchronization messages processed within the span.
+    /// Peer synchronization messages this end-point received within the
+    /// span (each entry from another sender in a `sync_agg` counts).
     pub syncs_recv: u64,
-    /// Cut agreements reached within the span.
-    pub cuts_agreed: u64,
     /// Block requests issued within the span.
     pub blocks: u64,
 }
@@ -51,190 +48,180 @@ impl ViewChangeSpan {
     }
 }
 
-/// An append-only journal of [`ObsRecord`]s with span-level queries.
-#[derive(Debug, Clone, Default)]
-pub struct Journal {
-    records: Vec<ObsRecord>,
+/// A process's open span: its index in the fold's output, and the cid of
+/// the last own sync counted into it.
+struct Open {
+    span: usize,
+    synced: Option<StartChangeId>,
 }
 
-impl Journal {
-    /// Creates an empty journal.
-    pub fn new() -> Self {
-        Journal::default()
-    }
-
-    /// Appends a record (recorders stamp steps monotonically).
-    pub fn push(&mut self, record: ObsRecord) {
-        self.records.push(record);
-    }
-
-    /// All records, in recording order.
-    pub fn records(&self) -> &[ObsRecord] {
-        &self.records
-    }
-
-    /// Number of records.
-    pub fn len(&self) -> usize {
-        self.records.len()
-    }
-
-    /// Whether the journal is empty.
-    pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
-    }
-
-    /// Total occurrences of `event`.
-    pub fn count(&self, event: ObsEvent) -> u64 {
-        self.records.iter().filter(|r| r.event == event).count() as u64
-    }
-
-    /// Occurrences of `event` at `pid`.
-    pub fn count_at(&self, pid: ProcessId, event: ObsEvent) -> u64 {
-        self.records.iter().filter(|r| r.pid == pid && r.event == event).count() as u64
-    }
-
-    /// Extracts every view-change span, in order of first appearance.
-    ///
-    /// Grouping rule: any record carrying `cid = Some(c)` belongs to the
-    /// span `(pid, c)`; the first such record opens the span and
-    /// `ViewInstalled` closes it. Events after the close (a re-used cid
-    /// cannot occur — cids are locally monotone) are counted into the
-    /// closed span, which keeps the extraction total.
-    pub fn spans(&self) -> Vec<ViewChangeSpan> {
-        let mut order: Vec<(ProcessId, StartChangeId)> = Vec::new();
-        let mut map: BTreeMap<(ProcessId, StartChangeId), ViewChangeSpan> = BTreeMap::new();
-        for r in &self.records {
-            let Some(cid) = r.cid else { continue };
-            let key = (r.pid, cid);
-            let span = map.entry(key).or_insert_with(|| {
-                order.push(key);
-                ViewChangeSpan {
-                    pid: r.pid,
-                    cid,
-                    start_step: r.step,
-                    start_time: r.time,
+/// Every view-change span in `entries`, in order of opening.
+///
+/// A sync counts as sent by `p` when `p` multicasts it: a `sync_msg`
+/// `NetSend` — slim sync sends two frames per sync, counted once — or,
+/// at a §9 aggregation leader, the `sync_agg` `NetSend` carrying its own
+/// entry. A sync with no destination — a change to `p` alone, or a
+/// leader's buffered sync it never flushed — is no send, and is not
+/// counted. A sync counts as received by `p` on a `NetDeliver` to `p`.
+/// Either counts only while `p` has a span open, as does a `Block`.
+pub fn spans<'a>(entries: impl IntoIterator<Item = &'a TraceEntry>) -> Vec<ViewChangeSpan> {
+    let mut spans: Vec<ViewChangeSpan> = Vec::new();
+    let mut open: BTreeMap<ProcessId, Open> = BTreeMap::new();
+    for e in entries {
+        match &e.event {
+            Event::MbrshpStartChange { p, cid, .. } => {
+                open.insert(*p, Open { span: spans.len(), synced: None });
+                spans.push(ViewChangeSpan {
+                    pid: *p,
+                    cid: *cid,
+                    start_step: e.step,
+                    start_time: e.time,
                     installed_step: None,
                     installed_time: None,
                     syncs_sent: 0,
                     syncs_recv: 0,
-                    cuts_agreed: 0,
                     blocks: 0,
-                }
-            });
-            match r.event {
-                ObsEvent::SyncSent => span.syncs_sent += 1,
-                ObsEvent::SyncRecv => span.syncs_recv += 1,
-                ObsEvent::CutAgreed => span.cuts_agreed += 1,
-                ObsEvent::BlockRequested => span.blocks += 1,
-                ObsEvent::ViewInstalled if span.installed_time.is_none() => {
-                    span.installed_step = Some(r.step);
-                    span.installed_time = Some(r.time);
-                }
-                _ => {}
+                });
             }
+            Event::GcsView { p, .. } => {
+                if let Some(s) = open.remove(p).and_then(|o| spans.get_mut(o.span)) {
+                    s.installed_step = Some(e.step);
+                    s.installed_time = Some(e.time);
+                }
+            }
+            Event::Crash { p } => {
+                open.remove(p);
+            }
+            Event::Block { p } => {
+                if let Some(s) = open.get(p).and_then(|o| spans.get_mut(o.span)) {
+                    s.blocks += 1;
+                }
+            }
+            Event::NetSend { p, msg, .. } => {
+                let own = match msg {
+                    NetMsg::Sync(payload) => Some(payload.cid),
+                    NetMsg::SyncAgg(entries) => {
+                        entries.iter().find(|(sender, _)| sender == p).map(|(_, pl)| pl.cid)
+                    }
+                    _ => None,
+                };
+                if let (Some(cid), Some(o)) = (own, open.get_mut(p)) {
+                    if o.synced != Some(cid) {
+                        o.synced = Some(cid);
+                        if let Some(s) = spans.get_mut(o.span) {
+                            s.syncs_sent += 1;
+                        }
+                    }
+                }
+            }
+            Event::NetDeliver { q, msg, .. } => {
+                let n = match msg {
+                    NetMsg::Sync(_) => 1,
+                    NetMsg::SyncAgg(entries) => {
+                        entries.iter().filter(|(sender, _)| sender != q).count() as u64
+                    }
+                    _ => 0,
+                };
+                if let Some(s) = open.get(q).and_then(|o| spans.get_mut(o.span)) {
+                    s.syncs_recv += n;
+                }
+            }
+            _ => {}
         }
-        order.into_iter().map(|k| map.remove(&k).expect("keyed by order")).collect()
     }
-
-    /// The span `(pid, cid)`, if any event referenced it.
-    pub fn span(&self, pid: ProcessId, cid: StartChangeId) -> Option<ViewChangeSpan> {
-        self.spans().into_iter().find(|s| s.pid == pid && s.cid == cid)
-    }
-
-    /// Latencies of every *completed* span, in µs, in span order.
-    pub fn completed_span_latencies_us(&self) -> Vec<u64> {
-        self.spans()
-            .iter()
-            .filter_map(|s| s.latency())
-            .map(|t| t.as_micros())
-            .collect()
-    }
-
-    /// Serializes the journal as JSON lines (one record per line).
-    pub fn to_json_lines(&self) -> String {
-        let mut out = String::new();
-        for r in &self.records {
-            out.push_str(&serde_json::to_string(&r.to_value()).expect("records are serializable"));
-            out.push('\n');
-        }
-        out
-    }
+    spans
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vsgm_ioa::Trace;
+    use vsgm_types::{Cut, ProcSet, SyncPayload, View};
 
     fn p(i: u64) -> ProcessId {
         ProcessId::new(i)
     }
 
-    fn rec(pid: u64, step: u64, us: u64, cid: Option<u64>, event: ObsEvent) -> ObsRecord {
-        ObsRecord {
-            pid: p(pid),
-            step,
-            time: SimTime::from_micros(us),
-            cid: cid.map(StartChangeId::new),
-            event,
+    fn start(p: ProcessId, cid: u64) -> Event {
+        Event::MbrshpStartChange { p, cid: StartChangeId::new(cid), set: ProcSet::new() }
+    }
+
+    fn install(p: ProcessId) -> Event {
+        Event::GcsView { p, view: View::initial(p), transitional: ProcSet::new() }
+    }
+
+    fn sync(cid: u64) -> NetMsg {
+        NetMsg::Sync(SyncPayload { cid: StartChangeId::new(cid), view: None, cut: Cut::new() })
+    }
+
+    fn trace(events: impl IntoIterator<Item = (u64, Event)>) -> Trace {
+        let mut t = Trace::new();
+        for (us, e) in events {
+            t.record(SimTime::from_micros(us), e);
         }
+        t
     }
 
     #[test]
     fn spans_open_close_and_count() {
-        let mut j = Journal::new();
-        j.push(rec(1, 0, 10, Some(1), ObsEvent::StartChangeRecv));
-        j.push(rec(1, 1, 11, Some(1), ObsEvent::BlockRequested));
-        j.push(rec(1, 2, 12, Some(1), ObsEvent::SyncSent));
-        j.push(rec(1, 3, 20, Some(1), ObsEvent::SyncRecv));
-        j.push(rec(1, 4, 21, Some(1), ObsEvent::CutAgreed));
-        j.push(rec(1, 5, 21, Some(1), ObsEvent::ViewInstalled));
-        j.push(rec(1, 6, 30, None, ObsEvent::MsgDelivered));
-        let spans = j.spans();
+        let t = trace([
+            (10, start(p(1), 1)),
+            (11, Event::Block { p: p(1) }),
+            (12, Event::NetSend { p: p(1), set: ProcSet::new(), msg: sync(1) }),
+            // Slim sync's second frame is the same sync.
+            (12, Event::NetSend { p: p(1), set: ProcSet::new(), msg: sync(1) }),
+            (20, Event::NetDeliver { p: p(2), q: p(1), msg: sync(3) }),
+            (21, install(p(1))),
+            (30, Event::NetDeliver { p: p(2), q: p(1), msg: sync(3) }),
+        ]);
+        let spans = spans(t.entries());
         assert_eq!(spans.len(), 1);
         let s = &spans[0];
         assert!(s.complete());
+        assert_eq!((s.start_step, s.installed_step), (0, Some(5)));
         assert_eq!(s.latency(), Some(SimTime::from_micros(11)));
-        assert_eq!(s.syncs_sent, 1);
-        assert_eq!(s.syncs_recv, 1);
-        assert_eq!(s.cuts_agreed, 1);
-        assert_eq!(s.blocks, 1);
-        assert_eq!(j.completed_span_latencies_us(), vec![11]);
+        assert_eq!((s.syncs_sent, s.syncs_recv, s.blocks), (1, 1, 1));
     }
 
     #[test]
     fn cascaded_start_changes_leave_incomplete_spans() {
-        let mut j = Journal::new();
-        j.push(rec(1, 0, 0, Some(1), ObsEvent::StartChangeRecv));
-        j.push(rec(1, 1, 5, Some(2), ObsEvent::StartChangeRecv));
-        j.push(rec(1, 2, 9, Some(2), ObsEvent::ViewInstalled));
-        let spans = j.spans();
+        let t = trace([(0, start(p(1), 1)), (5, start(p(1), 2)), (9, install(p(1)))]);
+        let spans = spans(t.entries());
         assert_eq!(spans.len(), 2);
         assert!(!spans[0].complete() && spans[0].latency().is_none());
-        assert!(spans[1].complete());
-        assert_eq!(j.completed_span_latencies_us(), vec![4]);
+        assert_eq!(spans[1].latency(), Some(SimTime::from_micros(4)));
     }
 
     #[test]
     fn spans_are_keyed_per_process() {
-        let mut j = Journal::new();
-        j.push(rec(1, 0, 0, Some(1), ObsEvent::StartChangeRecv));
-        j.push(rec(2, 1, 0, Some(1), ObsEvent::StartChangeRecv));
-        j.push(rec(1, 2, 7, Some(1), ObsEvent::ViewInstalled));
-        let spans = j.spans();
+        let t = trace([(0, start(p(1), 1)), (0, start(p(2), 1)), (7, install(p(1)))]);
+        let spans = spans(t.entries());
         assert_eq!(spans.len(), 2);
-        assert!(j.span(p(1), StartChangeId::new(1)).unwrap().complete());
-        assert!(!j.span(p(2), StartChangeId::new(1)).unwrap().complete());
-        assert_eq!(j.count(ObsEvent::StartChangeRecv), 2);
-        assert_eq!(j.count_at(p(1), ObsEvent::StartChangeRecv), 1);
+        assert_eq!((spans[0].pid, spans[0].complete()), (p(1), true));
+        assert_eq!((spans[1].pid, spans[1].complete()), (p(2), false));
+    }
+
+    #[test]
+    fn an_aggregation_leader_sends_its_sync_inside_its_sync_agg() {
+        let payload =
+            |cid| SyncPayload { cid: StartChangeId::new(cid), view: None, cut: Cut::new() };
+        let agg = NetMsg::SyncAgg(vec![(p(1), payload(1)), (p(2), payload(4))]);
+        let t = trace([
+            (0, start(p(1), 1)),
+            (0, start(p(3), 2)),
+            (1, Event::NetSend { p: p(1), set: ProcSet::new(), msg: agg.clone() }),
+            (2, Event::NetDeliver { p: p(1), q: p(3), msg: agg }),
+        ]);
+        let spans = spans(t.entries());
+        assert_eq!((spans[0].syncs_sent, spans[0].syncs_recv), (1, 0));
+        assert_eq!((spans[1].syncs_sent, spans[1].syncs_recv), (0, 2));
     }
 
     #[test]
     fn json_lines_roundtrip_shape() {
-        let mut j = Journal::new();
-        j.push(rec(1, 0, 3, Some(4), ObsEvent::SyncSent));
-        let lines = j.to_json_lines();
-        assert_eq!(lines.lines().count(), 1);
-        let v: serde::Value = serde_json::from_str(lines.trim()).unwrap();
-        assert_eq!(v.get("event"), Some(&serde::Value::Str("sync_sent".into())));
+        let t = trace([(3, start(p(1), 4)), (8, install(p(1)))]);
+        let back = Trace::from_json_lines(&t.to_json_lines()).unwrap();
+        assert_eq!(spans(back.entries()), spans(t.entries()));
+        assert_eq!(spans(back.entries())[0].latency(), Some(SimTime::from_micros(5)));
     }
 }

@@ -202,9 +202,8 @@ impl Registry {
     }
 }
 
-/// Well-known metric names shared by the instrumented layers, so views
-/// over the registry (e.g. `EndpointStats`, `NetStats`) and exporters
-/// agree on keys.
+/// Well-known metric names shared by the instrumented layers, so the
+/// layers, their tests and the exporters agree on keys.
 pub mod names {
     /// GCS views installed (end-point layer).
     pub const EP_VIEWS_INSTALLED: &str = "endpoint.views_installed";
@@ -269,7 +268,8 @@ pub mod names {
     pub const NET_CONNS_OPEN: &str = "net.conns_open";
     /// Event-loop threads serving all of the transport's sockets (gauge).
     pub const NET_LOOP_THREADS: &str = "net.loop_threads";
-    /// Histogram of start_change → view-install span latency, µs.
+    /// Histogram of start_change → view-install span latency, µs
+    /// (derived from the trace by `Snapshot::capture`).
     pub const SYNC_ROUND_LATENCY_US: &str = "span.sync_round_latency_us";
     /// Membership rounds entered by servers.
     pub const MBRSHP_ROUNDS: &str = "mbrshp.rounds_entered";
@@ -284,6 +284,8 @@ pub mod names {
     pub const EP_AUDIT_FAILURES: &str = "endpoint.audit_failures";
     /// §8 self-resets taken after an audit failure.
     pub const EP_AUDIT_RECONCILES: &str = "endpoint.audit_reconciliations";
+    /// §8 recoveries: a crashed end-point restarted in its initial state.
+    pub const EP_RECOVERIES: &str = "endpoint.recoveries";
     /// State-corruption faults injected by the chaos harness.
     pub const CHAOS_CORRUPTIONS: &str = "chaos.corruption_injected";
     /// Group instances currently hosted by a multi-group server (gauge).

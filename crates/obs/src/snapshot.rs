@@ -1,10 +1,10 @@
 //! Exporters: a JSON metrics snapshot and a human-readable table.
 
-use crate::journal::ViewChangeSpan;
-use crate::recorder::ObsRecorder;
-use crate::registry::{names, Histogram};
+use crate::journal::{spans, ViewChangeSpan};
+use crate::registry::{names, Histogram, Registry};
 use serde::{Serialize, Value};
 use std::fmt::Write as _;
+use vsgm_ioa::TraceEntry;
 
 /// Five-number summary of a histogram, as exported.
 #[derive(Debug, Clone, PartialEq)]
@@ -53,35 +53,46 @@ impl Serialize for HistSummary {
     }
 }
 
-/// A point-in-time export of everything an [`ObsRecorder`] holds:
-/// counters, gauges, histogram summaries, per-tag traffic, and the
-/// derived view-change span metrics.
+/// A point-in-time export of a run: the [`Registry`]'s counters, gauges,
+/// histogram summaries and per-tag traffic, and the view-change spans
+/// folded over its trace.
 #[derive(Debug, Clone)]
 pub struct Snapshot {
     /// Counter rows `(name, value)`.
     pub counters: Vec<(String, u64)>,
     /// Gauge rows `(name, value)`.
     pub gauges: Vec<(String, u64)>,
-    /// Histogram rows `(name, summary)`.
+    /// Histogram rows `(name, summary)`, the registry's and
+    /// [`names::SYNC_ROUND_LATENCY_US`] over the completed spans.
     pub histograms: Vec<(String, HistSummary)>,
     /// Traffic rows `(tag, count, bytes)`.
     pub traffic: Vec<(String, u64, u64)>,
-    /// Every view-change span extracted from the journal.
+    /// Every view-change span in the trace.
     pub spans: Vec<ViewChangeSpan>,
     /// Spans that closed with a view install.
     pub view_changes_completed: u64,
     /// Mean point-to-point messages per completed view change, by tag
     /// (`None` when no view change completed).
     pub msgs_per_view_change: Vec<(String, f64)>,
-    /// Total journal records exported.
-    pub journal_len: u64,
+    /// Trace entries the spans were folded over.
+    pub trace_len: u64,
 }
 
 impl Snapshot {
-    /// Captures a snapshot of `rec`.
-    pub fn capture(rec: &ObsRecorder) -> Snapshot {
-        let reg = rec.registry();
-        let spans = rec.journal().spans();
+    /// Captures a snapshot of `reg` and of the spans in `entries`, the
+    /// trace of the same run.
+    pub fn capture(reg: &Registry, entries: &[TraceEntry]) -> Snapshot {
+        let spans = spans(entries);
+        let mut latency = Histogram::new();
+        for l in spans.iter().filter_map(ViewChangeSpan::latency) {
+            latency.record(l.as_micros());
+        }
+        let mut histograms: Vec<(String, HistSummary)> = reg
+            .histogram_rows()
+            .chain([(names::SYNC_ROUND_LATENCY_US, &latency)])
+            .filter_map(|(n, h)| HistSummary::from_histogram(h).map(|s| (n.to_string(), s)))
+            .collect();
+        histograms.sort_by(|a, b| a.0.cmp(&b.0));
         let completed = spans.iter().filter(|s| s.complete()).count() as u64;
         let msgs_per_view_change = if completed == 0 {
             Vec::new()
@@ -93,15 +104,12 @@ impl Snapshot {
         Snapshot {
             counters: reg.counter_rows().map(|(n, v)| (n.to_string(), v)).collect(),
             gauges: reg.gauge_rows().map(|(n, v)| (n.to_string(), v)).collect(),
-            histograms: reg
-                .histogram_rows()
-                .filter_map(|(n, h)| HistSummary::from_histogram(h).map(|s| (n.to_string(), s)))
-                .collect(),
+            histograms,
             traffic: reg.traffic_rows().map(|(t, v)| (t.to_string(), v.count, v.bytes)).collect(),
             spans,
             view_changes_completed: completed,
             msgs_per_view_change,
-            journal_len: rec.journal().len() as u64,
+            trace_len: entries.len() as u64,
         }
     }
 
@@ -124,8 +132,8 @@ impl Snapshot {
         let _ = writeln!(out, "== observability snapshot ==");
         let _ = writeln!(
             out,
-            "journal: {} records, {} spans ({} completed view changes)",
-            self.journal_len,
+            "trace: {} entries, {} spans ({} completed view changes)",
+            self.trace_len,
             self.spans.len(),
             self.view_changes_completed
         );
@@ -205,7 +213,6 @@ impl Serialize for Snapshot {
                         ("start_time_us".into(), Value::U64(s.start_time.as_micros())),
                         ("syncs_sent".into(), Value::U64(s.syncs_sent)),
                         ("syncs_recv".into(), Value::U64(s.syncs_recv)),
-                        ("cuts_agreed".into(), Value::U64(s.cuts_agreed)),
                         ("blocks".into(), Value::U64(s.blocks)),
                         ("complete".into(), Value::Bool(s.complete())),
                     ];
@@ -222,7 +229,7 @@ impl Serialize for Snapshot {
             .map(|(t, v)| (t.clone(), Value::F64(*v)))
             .collect());
         Value::Object(vec![
-            ("journal_len".into(), Value::U64(self.journal_len)),
+            ("trace_len".into(), Value::U64(self.trace_len)),
             ("view_changes_completed".into(), Value::U64(self.view_changes_completed)),
             ("counters".into(), counters),
             ("gauges".into(), gauges),
@@ -237,43 +244,60 @@ impl Serialize for Snapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::ObsEvent;
-    use crate::recorder::Recorder;
-    use vsgm_ioa::SimTime;
-    use vsgm_types::{ProcessId, StartChangeId};
+    use vsgm_ioa::{SimTime, Trace};
+    use vsgm_types::{Event, ProcSet, ProcessId, StartChangeId, View};
 
-    fn sample_recorder() -> ObsRecorder {
-        let mut r = ObsRecorder::new();
+    /// One view change at p1, 10 µs → 90 µs, and two `sync_msg` sends.
+    fn sample() -> (Registry, Trace) {
         let p1 = ProcessId::new(1);
-        let cid = Some(StartChangeId::new(1));
-        r.advance_time(SimTime::from_micros(10));
-        r.event(p1, cid, ObsEvent::StartChangeRecv);
-        r.event(p1, cid, ObsEvent::SyncSent);
-        r.traffic("sync_msg", 64);
-        r.traffic("sync_msg", 64);
-        r.advance_time(SimTime::from_micros(90));
-        r.event(p1, cid, ObsEvent::ViewInstalled);
-        r.gauge("group.size", 3);
-        r
+        let mut t = Trace::new();
+        let cid = StartChangeId::new(1);
+        t.record(
+            SimTime::from_micros(10),
+            Event::MbrshpStartChange { p: p1, cid, set: ProcSet::new() },
+        );
+        t.record(
+            SimTime::from_micros(90),
+            Event::GcsView { p: p1, view: View::initial(p1), transitional: ProcSet::new() },
+        );
+        let mut reg = Registry::new();
+        reg.record_traffic("sync_msg", 64);
+        reg.record_traffic("sync_msg", 64);
+        reg.set_gauge("group.size", 3);
+        reg.incr(names::EP_VIEWS_INSTALLED, 1);
+        (reg, t)
+    }
+
+    fn sample_snapshot() -> Snapshot {
+        let (reg, t) = sample();
+        Snapshot::capture(&reg, t.entries())
     }
 
     #[test]
     fn snapshot_captures_all_sections() {
-        let snap = Snapshot::capture(&sample_recorder());
+        let snap = sample_snapshot();
         assert_eq!(snap.view_changes_completed, 1);
-        assert_eq!(snap.journal_len, 3);
+        assert_eq!(snap.trace_len, 2);
         assert_eq!(snap.gauges, vec![("group.size".to_string(), 3)]);
         assert_eq!(snap.traffic, vec![("sync_msg".to_string(), 2, 128)]);
         assert_eq!(snap.msgs_per_view_change, vec![("sync_msg".to_string(), 2.0)]);
+    }
+
+    #[test]
+    fn span_close_derives_sync_round_latency() {
+        let (mut reg, t) = sample();
+        reg.observe("a.first", 1);
+        reg.observe("z.last", 1);
+        let snap = Snapshot::capture(&reg, t.entries());
         let lat = snap.sync_round_latency().unwrap();
-        assert_eq!(lat.count, 1);
-        assert_eq!(lat.sum, 80);
+        assert_eq!((lat.count, lat.sum), (1, 80));
+        let names: Vec<&str> = snap.histograms.iter().map(|(n, _)| n.as_str()).collect();
+        assert_eq!(names, ["a.first", names::SYNC_ROUND_LATENCY_US, "z.last"]);
     }
 
     #[test]
     fn json_export_parses_back() {
-        let snap = Snapshot::capture(&sample_recorder());
-        let json = snap.to_json_pretty();
+        let json = sample_snapshot().to_json_pretty();
         let v: Value = serde_json::from_str(&json).unwrap();
         assert_eq!(v.get("view_changes_completed"), Some(&Value::U64(1)));
         assert!(v.get("spans").and_then(Value::as_array).is_some_and(|s| s.len() == 1));
@@ -283,7 +307,7 @@ mod tests {
 
     #[test]
     fn table_mentions_every_section() {
-        let table = Snapshot::capture(&sample_recorder()).render_table();
+        let table = sample_snapshot().render_table();
         for needle in ["counters", "gauges", "traffic", "histograms", "messages per view change"] {
             assert!(table.contains(needle), "missing {needle} in:\n{table}");
         }
@@ -291,11 +315,11 @@ mod tests {
 
     #[test]
     fn empty_recorder_snapshots_cleanly() {
-        let snap = Snapshot::capture(&ObsRecorder::new());
+        let snap = Snapshot::capture(&Registry::new(), &[]);
         assert_eq!(snap.view_changes_completed, 0);
         assert!(snap.msgs_per_view_change.is_empty());
         assert!(snap.sync_round_latency().is_none());
         assert!(!snap.to_json_pretty().is_empty());
-        assert!(snap.render_table().contains("0 records"));
+        assert!(snap.render_table().contains("0 entries"));
     }
 }

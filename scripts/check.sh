@@ -220,6 +220,17 @@ cargo test -q -p vsgm-types --lib "${CARGO_FLAGS[@]}" -- --exact \
 cargo test -q -p vsgm-net --lib "${CARGO_FLAGS[@]}" -- --exact \
     codec::tests::a_huge_increasing_ack_decodes_in_one_build >/dev/null
 
+# Observability reads the trace (DESIGN.md §9), run by name: view-change
+# spans folded over real Sim runs — one sync and one block per end-point
+# per uncascaded change, a cascade's first span left open and its second
+# closed, a crash mid-change leaving its span open, a closed span's
+# latency its GcsView's time minus its MbrshpStartChange's, and the same
+# spans after a JSON-lines round trip of the trace.
+echo "==> observability (spans from the trace)"
+cargo test -q -p vsgm-harness --lib "${CARGO_FLAGS[@]}" -- --exact \
+    sim::tests::obs_journal_traces_one_sync_per_endpoint_per_view_change \
+    sim::tests::spans_fold_over_a_cascade_and_a_crash >/dev/null
+
 # The cost ledger, run by name (release builds: debug builds' assertions
 # allocate). A counting global allocator pins a quiescent end-point poll
 # at zero allocations under each forwarding strategy, and allocations per

@@ -218,8 +218,7 @@ fn schedules_exercise_every_flush_cause() {
         }
         sim.run_to_quiescence();
         assert!(sim.finish().is_empty());
-        let rec = sim.take_obs().expect("obs enabled");
-        let reg = rec.registry();
+        let reg = sim.take_obs().expect("obs enabled");
         (
             reg.counter(names::EP_BATCH_FLUSH_COUNT),
             reg.counter(names::EP_BATCH_FLUSH_LINGER),

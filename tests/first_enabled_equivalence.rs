@@ -31,7 +31,7 @@ use vsgm_core::{
 use vsgm_harness::sim::procs;
 use vsgm_harness::{Sim, SimOptions};
 use vsgm_ioa::{SimRng, SimTime};
-use vsgm_obs::{NoopRecorder, Recorder};
+use vsgm_obs::{Recorder, Registry};
 use vsgm_types::{AppMsg, NetMsg, ProcSet, ProcessId, View};
 
 fn p(i: u64) -> ProcessId {
@@ -59,13 +59,16 @@ impl Checked {
         Checked { ep, lazy, calls: 0, polls: 0, forwards: 0 }
     }
 
-    fn poll_checked(&mut self, rec: &mut dyn Recorder, out: &mut Vec<Effect>) {
+    /// Polls, and compares the poll with the reference's: effects, state
+    /// and what each counted, in registries of their own.
+    fn poll_checked(&mut self, out: &mut Vec<Effect>) {
         self.calls += 1;
         if self.lazy > 0 && self.calls % self.lazy == 0 {
             return;
         }
         let mut reference = self.ep.clone();
         let mut expected = Vec::new();
+        let mut expected_counts = Registry::new();
         loop {
             let enabled = reference.enabled_actions();
             let pid = reference.pid();
@@ -73,10 +76,11 @@ impl Checked {
                 assert!(reference.pre(action), "{pid}: {action:?} is listed but `pre` is false");
             }
             let Some(action) = enabled.first() else { break };
-            reference.fire(action, &mut NoopRecorder, &mut expected);
+            reference.fire(action, &mut expected_counts, &mut expected);
         }
         let mut got = Vec::new();
-        self.ep.step(None, rec, &mut got);
+        let mut counts = Registry::new();
+        self.ep.step(None, &mut counts, &mut got);
         let pid = self.ep.pid();
         assert_eq!(got, expected, "{pid}: poll and the reference chooser fired differently");
         assert_eq!(
@@ -84,7 +88,11 @@ impl Checked {
             format!("{:?}", reference.state()),
             "{pid}: poll and the reference chooser left different states"
         );
-        assert_eq!(self.ep.stats(), reference.stats());
+        assert_eq!(
+            format!("{counts:?}"),
+            format!("{expected_counts:?}"),
+            "{pid}: poll and the reference chooser counted differently"
+        );
         self.polls += 1;
         self.forwards += got
             .iter()
@@ -101,7 +109,7 @@ impl GroupEndpoint for Checked {
     fn step(&mut self, input: Option<Input>, rec: &mut dyn Recorder, out: &mut Vec<Effect>) {
         match input {
             Some(input) => self.ep.step(Some(input), rec, out),
-            None => self.poll_checked(rec, out),
+            None => self.poll_checked(out),
         }
     }
     fn current_view(&self) -> &View {

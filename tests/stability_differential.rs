@@ -262,6 +262,8 @@ struct Wire {
     chan: BTreeMap<(ProcessId, ProcessId), VecDeque<NetMsg>>,
     delivered: BTreeMap<ProcessId, Vec<AppMsg>>,
     installed: BTreeMap<ProcessId, View>,
+    /// Forwarded-message sends per sender.
+    forwards: BTreeMap<ProcessId, u64>,
     /// The mutant: per receiver, the pointwise maximum of every
     /// acknowledgement that has reached it. `None` = an honest network.
     max_seen: Option<BTreeMap<ProcessId, Cut>>,
@@ -276,6 +278,7 @@ impl Wire {
             chan: BTreeMap::new(),
             delivered: BTreeMap::new(),
             installed: BTreeMap::new(),
+            forwards: BTreeMap::new(),
             max_seen: max_mutant.then(BTreeMap::new),
         }
     }
@@ -287,10 +290,13 @@ impl Wire {
     /// Feeds `input` to `q` and polls it until it is quiescent: a poll
     /// that acknowledges a block enables what waited for `block_ok`.
     fn input(&mut self, q: ProcessId, input: Input) {
-        let Wire { eps, chan, delivered, installed, .. } = self;
+        let Wire { eps, chan, delivered, installed, forwards, .. } = self;
         let host = eps.get_mut(&q).expect("known proc");
         let mut sink = |event: Event, _: &mut dyn Recorder| match event {
             Event::NetSend { p: from, set, msg } => {
+                if matches!(msg, NetMsg::Fwd(_)) {
+                    *forwards.entry(from).or_default() += 1;
+                }
                 for to in set.into_iter().filter(|to| *to != from) {
                     chan.entry((from, to)).or_default().push_back(msg.clone());
                 }
@@ -405,7 +411,7 @@ fn half_acknowledged_prefix_races_a_view_change(max_mutant: bool) -> RaceOutcome
             .collect(),
         survivors_view,
         p3_delivered: w.delivered.get(&p(3)).map_or(0, Vec::len),
-        p2_forwards: w.ep(p(2)).stats().forwards_sent,
+        p2_forwards: w.forwards.get(&p(2)).copied().unwrap_or(0),
     }
 }
 
