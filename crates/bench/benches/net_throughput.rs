@@ -1,15 +1,13 @@
-//! Net-layer throughput: JSON vs binary codec × per-send vs coalesced
-//! flushing, over the real TCP transport on loopback — plus the
+//! Net-layer throughput: one loopback pair over the real TCP transport
+//! with its default coalesced flushing (`binary_coalesced`) — plus the
 //! connection-scaling arm of the event-loop rewrite (frames/s into one
 //! receiver at 16 / 256 / 4096 concurrent connections, thread count
 //! fixed at the loop-pool size).
 //!
-//! Beyond the Criterion display benches, this bench writes a machine-
+//! Beyond the Criterion display bench, this bench writes a machine-
 //! readable `BENCH_net.json` (path overridable via `VSGM_BENCH_JSON`)
-//! with frames/sec per arm and the headline speedup of the rebuilt send
-//! path — binary coalesced over per-message JSON — which EXPERIMENTS.md
-//! tracks against its ≥2× claim. `VSGM_NET_BENCH_MSGS` scales the burst
-//! size (default 8000 frames per arm); `VSGM_NET_BENCH_CONNS` picks the
+//! with frames/sec per arm. `VSGM_NET_BENCH_MSGS` scales the burst size
+//! (default 8000 frames); `VSGM_NET_BENCH_CONNS` picks the
 //! scaling arms (default `16,256,4096`), `VSGM_NET_CONN_FRAMES` their
 //! total frame budget, `VSGM_NET_SCALE_FLOOR` asserts a frames/s floor
 //! on the smallest arm, and `VSGM_NET_SCALING_ONLY=1` runs just the
@@ -20,7 +18,7 @@ use std::io::Write;
 use std::net::TcpStream;
 use std::sync::Barrier;
 use std::time::{Duration, Instant};
-use vsgm_net::{TcpConfig, TcpTransport, WireFormat};
+use vsgm_net::{TcpConfig, TcpTransport};
 use vsgm_types::{AppMsg, NetMsg, ProcSet, ProcessId};
 
 const PAYLOAD_BYTES: usize = 96;
@@ -45,12 +43,11 @@ fn scaling_frames() -> u64 {
     std::env::var("VSGM_NET_CONN_FRAMES").ok().and_then(|s| s.parse().ok()).unwrap_or(98_304)
 }
 
-fn arm_config(format: WireFormat, coalesce: bool) -> TcpConfig {
+/// The name of the pair arm in output and in `BENCH_net.json`.
+const PAIR_ARM: &str = "binary_coalesced";
+
+fn arm_config() -> TcpConfig {
     TcpConfig {
-        wire_format: format,
-        // `max_coalesce_frames: 1` degenerates the writer to one flush per
-        // frame — the old per-send write behavior, kept as a baseline arm.
-        max_coalesce_frames: if coalesce { 256 } else { 1 },
         writer_queue: 4096,
         enqueue_timeout: Duration::from_secs(30),
         // No heartbeats: measure the data path alone.
@@ -61,10 +58,10 @@ fn arm_config(format: WireFormat, coalesce: bool) -> TcpConfig {
 
 /// Sends `msgs` frames over a fresh loopback pair and drains them all;
 /// returns frames/sec from first send to last receive.
-fn run_arm(format: WireFormat, coalesce: bool, msgs: u64) -> f64 {
+fn run_arm(msgs: u64) -> f64 {
     let p1 = ProcessId::new(1);
     let p2 = ProcessId::new(2);
-    let config = arm_config(format, coalesce);
+    let config = arm_config();
     let a = TcpTransport::bind_with(p1, "127.0.0.1:0", config.clone()).unwrap();
     let b = TcpTransport::bind_with(p2, "127.0.0.1:0", config).unwrap();
     a.register_peer(p2, b.local_addr());
@@ -127,7 +124,7 @@ fn run_scaling_arm(conns: usize, total_frames: u64) -> (f64, u64, usize) {
     .unwrap();
     let addr = rx.local_addr();
     let msg = NetMsg::App(AppMsg::from(vec![0xCD; PAYLOAD_BYTES]));
-    let frame = vsgm_net::codec::encode_frame(&msg, WireFormat::Binary).unwrap();
+    let frame = vsgm_net::codec::encode_frame(&msg);
     let per_conn = (total_frames / conns as u64).max(1);
     let expected = per_conn * conns as u64;
     let senders = conns.min(8);
@@ -188,40 +185,14 @@ fn run_scaling_arm(conns: usize, total_frames: u64) -> (f64, u64, usize) {
     (rate, rx.stats().loop_threads, thread_peak)
 }
 
-struct Arm {
-    name: &'static str,
-    format: WireFormat,
-    coalesce: bool,
-}
-
-const ARMS: [Arm; 4] = [
-    Arm { name: "json_per_send", format: WireFormat::Json, coalesce: false },
-    Arm { name: "json_coalesced", format: WireFormat::Json, coalesce: true },
-    Arm { name: "binary_per_send", format: WireFormat::Binary, coalesce: false },
-    Arm { name: "binary_coalesced", format: WireFormat::Binary, coalesce: true },
-];
-
-fn emit_json(
-    rates: &[(&'static str, f64)],
-    scaling: &[(usize, f64)],
-    loop_threads: u64,
-    thread_peak: usize,
-) {
+fn emit_json(pair_rate: f64, scaling: &[(usize, f64)], loop_threads: u64, thread_peak: usize) {
     let path = std::env::var("VSGM_BENCH_JSON").unwrap_or_else(|_| "BENCH_net.json".into());
-    let speedup = {
-        let rate = |n: &str| rates.iter().find(|(a, _)| *a == n).map_or(0.0, |(_, r)| *r);
-        let base = rate("json_per_send");
-        if base > 0.0 { rate("binary_coalesced") / base } else { 0.0 }
-    };
     let mut body = String::from("{\n");
     body.push_str("  \"bench\": \"net_throughput\",\n");
     body.push_str(&format!("  \"payload_bytes\": {PAYLOAD_BYTES},\n"));
     body.push_str(&format!("  \"msgs_per_arm\": {},\n", burst_size()));
     body.push_str("  \"frames_per_sec\": {\n");
-    for (i, (name, rate)) in rates.iter().enumerate() {
-        let comma = if i + 1 == rates.len() { "" } else { "," };
-        body.push_str(&format!("    \"{name}\": {rate:.1}{comma}\n"));
-    }
+    body.push_str(&format!("    \"{PAIR_ARM}\": {pair_rate:.1}\n"));
     body.push_str("  },\n");
     // The connection-scaling arms: frames/s into one receiver transport
     // at N concurrent inbound connections, event loops fixed at
@@ -236,13 +207,10 @@ fn emit_json(
     body.push_str(&format!("    \"receiver_loop_threads\": {loop_threads},\n"));
     body.push_str(&format!("    \"frames_per_scaling_arm\": {},\n", scaling_frames()));
     body.push_str(&format!("    \"process_thread_peak\": {thread_peak}\n"));
-    body.push_str("  },\n");
-    body.push_str(&format!(
-        "  \"speedup_binary_coalesced_over_json_per_send\": {speedup:.2}\n"
-    ));
+    body.push_str("  }\n");
     body.push_str("}\n");
     match std::fs::write(&path, &body) {
-        Ok(()) => println!("net_throughput: wrote {path} (speedup {speedup:.2}x)"),
+        Ok(()) => println!("net_throughput: wrote {path}"),
         Err(e) => eprintln!("net_throughput: cannot write {path}: {e}"),
     }
 }
@@ -307,24 +275,19 @@ fn net_bench(c: &mut Criterion) {
         return;
     }
     let msgs = burst_size();
-    let mut rates: Vec<(&'static str, f64)> = Vec::new();
-    for arm in &ARMS {
-        let rate = run_arm(arm.format, arm.coalesce, msgs);
-        println!("net_throughput/{:<18} {rate:>12.0} frames/s ({msgs} frames)", arm.name);
-        rates.push((arm.name, rate));
-    }
+    // A short discarded run warms the process first: the first timed
+    // run in a fresh process reads far lower and swings far wider.
+    run_arm(msgs.min(1_000));
+    let rate = run_arm(msgs);
+    println!("net_throughput/{PAIR_ARM:<18} {rate:>12.0} frames/s ({msgs} frames)");
     let (scaling, loop_threads, thread_peak) = run_scaling_arms();
-    emit_json(&rates, &scaling, loop_threads, thread_peak);
+    emit_json(rate, &scaling, loop_threads, thread_peak);
 
-    // Criterion display benches over the same arms (budget-bounded).
+    // Criterion display bench over the same arm (budget-bounded).
     let mut g = c.benchmark_group("net_throughput");
     g.sample_size(10);
     g.throughput(Throughput::Elements(msgs));
-    for arm in &ARMS {
-        g.bench_function(arm.name, |b| {
-            b.iter(|| run_arm(arm.format, arm.coalesce, msgs.min(1_000)))
-        });
-    }
+    g.bench_function(PAIR_ARM, |b| b.iter(|| run_arm(msgs.min(1_000))));
     g.finish();
 }
 

@@ -670,7 +670,12 @@ impl Endpoint {
                 ) else {
                     return;
                 };
-                rec.counter(names::EP_SYNCS_SENT, 1);
+                // A sync counts when it leaves the process: not in a
+                // change to this process alone, and not at a §9 leader,
+                // which buffers its own until `FlushAgg`.
+                if !plan.sends.is_empty() {
+                    rec.counter(names::EP_SYNCS_SENT, 1);
+                }
                 let pid = self.st.pid;
                 let latest = self.st.latest_sync_cid.entry(pid).or_insert(plan.cid);
                 if plan.cid > *latest {
@@ -703,6 +708,10 @@ impl Endpoint {
                 self.st.agg_flushed = true;
                 let to: ProcSet =
                     sc_set.iter().copied().filter(|q| *q != self.st.pid).collect();
+                // The leader's own sync leaves here, if it is in the batch.
+                if !to.is_empty() && entries.iter().any(|(sender, _)| *sender == self.st.pid) {
+                    rec.counter(names::EP_SYNCS_SENT, 1);
+                }
                 net_send(out, to, NetMsg::SyncAgg(entries));
             }
             Action::SendAppMsg => {

@@ -10,7 +10,7 @@
 //! table. `cargo run -p vsgm-harness --bin experiments` regenerates all
 //! of them (`-- <id>…` for some) and is the only entry point for a table.
 
-use crate::metrics::{self, Summary};
+use crate::metrics;
 use crate::server_sim::ServerSim;
 use crate::sim::{procs, Sim, SimOptions};
 use vsgm_core::{Config, ForwardStrategyKind, GroupEndpoint, Stack};
@@ -708,11 +708,12 @@ pub fn ablation_layers() -> Table {
         sim.run_to_quiescence();
         let done = metrics::install_completion(sim.trace(), &view, mark).expect("stable");
         let stats = sim.net().stats();
-        let summary = Summary::from_trace(sim.trace());
+        let blocks =
+            sim.trace().entries().iter().filter(|e| matches!(e.event, Event::Block { .. })).count();
         rows.push(vec![
             name.into(),
             stats.count("sync_msg").to_string(),
-            summary.blocks.to_string(),
+            blocks.to_string(),
             format!("{}", done.saturating_sub(t0)),
         ]);
     }

@@ -12,7 +12,7 @@
 //! * [`sim::Sim`] — the oracle-driven simulator (scripted membership).
 //! * [`server_sim::ServerSim`] — end-to-end runs with real membership
 //!   servers exchanging proposals over their own simulated network.
-//! * [`metrics::Summary`] — trace digests the experiments report.
+//! * [`metrics`] — trace queries the experiments report.
 //! * [`experiments`] — one function per experiment in `DESIGN.md` §5
 //!   (E1–E11 plus the layer ablation), each regenerating one table of
 //!   `EXPERIMENTS.md`.
@@ -32,6 +32,5 @@ pub mod scenario;
 pub mod server_sim;
 pub mod sim;
 
-pub use metrics::Summary;
 pub use scenario::{apply_step, Scenario, Step};
 pub use sim::{Sim, SimOptions};

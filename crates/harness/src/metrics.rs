@@ -1,56 +1,7 @@
-//! Trace digests for experiments.
+//! Trace queries for experiments.
 
-use std::collections::BTreeMap;
 use vsgm_ioa::{SimTime, Trace};
-use vsgm_types::{Event, ProcessId, View};
-
-/// Aggregate numbers extracted from a trace.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct Summary {
-    /// Application sends.
-    pub sends: u64,
-    /// Application deliveries.
-    pub delivers: u64,
-    /// View installations (GCS → application), total across processes.
-    pub views: u64,
-    /// Block requests issued.
-    pub blocks: u64,
-    /// Block acknowledgements from the application.
-    pub block_oks: u64,
-    /// Synchronization messages sent (`sync_msg` plus leader-relayed
-    /// `sync_agg`), counted once per multicast.
-    pub syncs: u64,
-    /// Forwarded message copies sent, counted once per multicast.
-    pub forwards: u64,
-    /// Per-process count of installed views.
-    pub views_per_proc: BTreeMap<ProcessId, u64>,
-}
-
-impl Summary {
-    /// Digests a trace.
-    pub fn from_trace(trace: &Trace) -> Self {
-        let mut s = Summary::default();
-        for e in trace.entries() {
-            match &e.event {
-                Event::Send { .. } => s.sends += 1,
-                Event::Deliver { .. } => s.delivers += 1,
-                Event::GcsView { p, .. } => {
-                    s.views += 1;
-                    *s.views_per_proc.entry(*p).or_insert(0) += 1;
-                }
-                Event::Block { .. } => s.blocks += 1,
-                Event::BlockOk { .. } => s.block_oks += 1,
-                Event::NetSend { msg, .. } => match msg.tag() {
-                    "sync_msg" | "sync_agg" => s.syncs += 1,
-                    "fwd_msg" => s.forwards += 1,
-                    _ => {}
-                },
-                _ => {}
-            }
-        }
-        s
-    }
-}
+use vsgm_types::{Event, View};
 
 /// The simulated time at which every member of `view` had installed it
 /// (`None` if someone never did), measured from trace step `from_step`.
@@ -94,7 +45,7 @@ pub fn deliveries_in_window(trace: &Trace, lo: u64, hi: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vsgm_types::{AppMsg, ProcSet};
+    use vsgm_types::{AppMsg, ProcSet, ProcessId};
 
     fn p(i: u64) -> ProcessId {
         ProcessId::new(i)
@@ -143,20 +94,6 @@ mod tests {
     }
 
     #[test]
-    fn summary_counts() {
-        let (t, _) = sample();
-        let s = Summary::from_trace(&t);
-        assert_eq!(s.sends, 1);
-        assert_eq!(s.delivers, 1);
-        assert_eq!(s.views, 1);
-        assert_eq!(s.blocks, 1);
-        assert_eq!(s.block_oks, 1);
-        assert_eq!(s.syncs, 1);
-        assert_eq!(s.forwards, 1);
-        assert_eq!(s.views_per_proc[&p(1)], 1);
-    }
-
-    #[test]
     fn install_completion_none_when_a_member_never_installs() {
         // A two-member view of which only p1 records an install: the
         // completion time is undefined.
@@ -180,37 +117,6 @@ mod tests {
             Event::GcsView { p: p(2), view: v2.clone(), transitional: ProcSet::new() },
         );
         assert_eq!(install_completion(&t, &v2, 0), Some(SimTime::from_micros(7)));
-    }
-
-    #[test]
-    fn journal_and_trace_digests_agree_on_a_real_run() {
-        use crate::sim::{procs, procs_of, Sim, SimOptions};
-        use vsgm_obs::names;
-        let mut sim =
-            Sim::new_paper(3, vsgm_core::Config::default(), SimOptions::default());
-        sim.enable_obs();
-        sim.reconfigure(&procs(3));
-        sim.send(p(1), AppMsg::from("m1"));
-        sim.send(p(2), AppMsg::from("m2"));
-        sim.run_to_quiescence();
-        sim.reconfigure(&procs_of(&[1, 2]));
-        sim.run_to_quiescence();
-        let reg = sim.take_obs().expect("obs on");
-        let s = Summary::from_trace(sim.trace());
-        // The trace's digest and the end-points' registry counts agree:
-        // one record per fact, two readings of it.
-        let counted = [
-            names::EP_MSGS_SENT,
-            names::EP_MSGS_DELIVERED,
-            names::EP_VIEWS_INSTALLED,
-            names::EP_BLOCKS,
-            names::EP_SYNCS_SENT,
-            names::EP_FORWARDS_SENT,
-        ]
-        .map(|n| reg.counter(n));
-        assert_eq!(counted, [s.sends, s.delivers, s.views, s.blocks, s.syncs, s.forwards]);
-        assert!(s.syncs > 0, "view changes must sync: {s:?}");
-        assert!(s.views > 0);
     }
 
     #[test]

@@ -1021,6 +1021,72 @@ mod tests {
         assert_eq!(vsgm_obs::spans(back.entries()), spans);
     }
 
+    /// The end-points' `endpoint.*` counters and the trace are two
+    /// readings of one record: sends, deliveries, installs, blocks and
+    /// forwards match their events, and syncs sent match the span fold —
+    /// also where a sync never leaves the process (a change to one
+    /// process; a §9 leader's buffered sync that a second start_change
+    /// overtakes before the leader flushes).
+    #[test]
+    fn registry_counts_agree_with_the_trace_under_each_config() {
+        let p = ProcessId::new;
+        let configs = [
+            Config::default(),
+            Config::optimized(),
+            Config { aggregation: true, ..Config::default() },
+        ];
+        for cfg in configs {
+            let mut sim = Sim::new_paper(3, cfg.clone(), SimOptions::default());
+            sim.enable_obs();
+            sim.reconfigure(&procs(3));
+            sim.send(p(1), AppMsg::from("m1"));
+            sim.send(p(2), AppMsg::from("m2"));
+            sim.run_to_quiescence();
+            sim.reconfigure(&procs_of(&[1]));
+            sim.run_to_quiescence();
+            sim.reconfigure(&procs(3));
+            sim.run_to_quiescence();
+            // Two start_changes before any sync arrives.
+            sim.start_change(&procs(3));
+            sim.start_change(&procs(3));
+            sim.form_view(&procs(3));
+            sim.run_to_quiescence();
+            sim.reconfigure(&procs_of(&[1, 2]));
+            sim.run_to_quiescence();
+            sim.assert_clean();
+
+            let reg = sim.take_obs().expect("obs on");
+            let entries = sim.trace().entries();
+            let events = |kind: &str| entries.iter().filter(|e| e.event.kind() == kind).count();
+            let forwards = entries
+                .iter()
+                .filter(|e| {
+                    matches!(&e.event, Event::NetSend { msg, .. } if msg.tag() == "fwd_msg")
+                })
+                .count();
+            let syncs: u64 = vsgm_obs::spans(entries).iter().map(|s| s.syncs_sent).sum();
+            let counted = [
+                obs_names::EP_MSGS_SENT,
+                obs_names::EP_MSGS_DELIVERED,
+                obs_names::EP_VIEWS_INSTALLED,
+                obs_names::EP_BLOCKS,
+                obs_names::EP_FORWARDS_SENT,
+                obs_names::EP_SYNCS_SENT,
+            ]
+            .map(|n| reg.counter(n));
+            let traced = [
+                events("send") as u64,
+                events("deliver") as u64,
+                events("view") as u64,
+                events("block") as u64,
+                forwards as u64,
+                syncs,
+            ];
+            assert_eq!(counted, traced, "{cfg:?}");
+            assert!(syncs > 0, "view changes must sync: {cfg:?}");
+        }
+    }
+
     #[test]
     fn obs_disabled_records_nothing_and_changes_nothing() {
         // The same run with and without the recorder produces the same

@@ -1,12 +1,10 @@
-//! Wire codec for [`NetMsg`] frames: a compact, deterministic binary
-//! format with transparent JSON interop.
+//! Wire codec for [`NetMsg`] frames: one compact, deterministic binary
+//! encoding.
 //!
-//! Every frame body starts with a discriminating first byte. Binary
-//! bodies begin with the version byte [`BINARY_V1`] (`0x01`); JSON bodies
-//! begin with `{` (`0x7B`, the first byte of every serde_json-encoded
-//! `NetMsg`). [`decode_body`] sniffs that byte, so a group can run mixed
-//! JSON and binary peers during a rolling transition and every receiver
-//! understands both.
+//! Every frame body opens with the version byte [`BINARY_V1`] (`0x01`),
+//! bare or inside the [`GROUP_ENVELOPE_V2`] group envelope. There is no
+//! second encoding and no sniffing: a body that opens with any other byte
+//! is malformed, and the event loop tears its connection down.
 //!
 //! The binary layout is fixed-width little-endian, length-prefixed, and
 //! *deterministic*: every map and set in `NetMsg` is a sorted vector
@@ -35,8 +33,8 @@
 //!   Ack     := cut, pids strictly increasing
 //! ```
 //!
-//! [`decode_body`] is total: no input can panic, allocate unboundedly, or
-//! read past the frame. Element counts are validated against the bytes
+//! [`decode_body_ref`] is total: no input can panic, allocate unboundedly,
+//! or read past the frame. Element counts are validated against the bytes
 //! actually remaining before any allocation, and trailing garbage after a
 //! well-formed message rejects the frame.
 
@@ -50,9 +48,8 @@ use vsgm_types::{
     StartChangeId, SyncPayload, View, ViewId,
 };
 
-/// Version byte opening every binary-coded frame body. Distinct from `{`
-/// (0x7B), the first byte of every JSON-coded body, so receivers can
-/// sniff the format per frame. Future binary revisions get new bytes.
+/// Version byte opening every frame body. Future binary revisions get
+/// new bytes.
 pub const BINARY_V1: u8 = 0x01;
 
 /// Version byte opening a *group-enveloped* frame body (the multi-group
@@ -62,17 +59,12 @@ pub const BINARY_V1: u8 = 0x01;
 /// envelope := 0x02 group:u64le inner_body
 /// ```
 ///
-/// where `inner_body` is a complete single-group body — [`BINARY_V1`]
-/// binary or (when the receiver still accepts JSON) a serde_json object.
-/// The envelope adds exactly 9 bytes and no per-message allocation on
-/// the decode path: [`split_group_envelope`] hands back the group id and
-/// a borrowed inner-body slice, so the zero-copy
-/// [`decode_body_ref`] path applies unchanged to enveloped frames.
-///
-/// Legacy peers keep sending bare `0x01`/JSON bodies; receivers sniff
-/// the first byte per frame, so one connection can carry enveloped and
-/// single-group frames mixed (the same rolling-transition rule the
-/// binary/JSON split follows).
+/// where `inner_body` is a complete [`BINARY_V1`] single-group body. The
+/// envelope adds exactly 9 bytes and no per-message allocation on the
+/// decode path: [`split_group_envelope`] hands back the group id and a
+/// borrowed inner-body slice, so the zero-copy [`decode_body_ref`] path
+/// applies unchanged to enveloped frames. One connection may carry
+/// enveloped and bare frames mixed; envelopes never nest.
 pub const GROUP_ENVELOPE_V2: u8 = 0x02;
 
 const TAG_VIEW_MSG: u8 = 0;
@@ -85,121 +77,71 @@ const TAG_BL_SYNC: u8 = 6;
 const TAG_APP_BATCH: u8 = 7;
 const TAG_ACK: u8 = 8;
 
-/// Encoding selected for *outgoing* frames. Decoding always accepts both.
+/// The one wire encoding. It is a type only because the frozen
+/// `benchmark/` names it in its [`encode_frame_grouped`] call; ROADMAP
+/// item 1(c) deletes it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum WireFormat {
-    /// serde_json body — the legacy format, kept for rolling transitions
-    /// and human-readable captures.
-    Json,
-    /// The compact binary format above (default).
+    /// The binary format above.
     #[default]
     Binary,
 }
 
-/// Encodes a message body (no length prefix) in the chosen format.
-///
-/// # Errors
-///
-/// Returns an error only for [`WireFormat::Json`] serialization failures;
-/// binary encoding is infallible.
-pub fn encode_body(msg: &NetMsg, format: WireFormat) -> io::Result<Vec<u8>> {
-    match format {
-        WireFormat::Json => Ok(serde_json::to_vec(msg)?),
-        WireFormat::Binary => {
-            let mut out = Vec::with_capacity(msg.wire_size() + 16);
-            out.push(BINARY_V1);
-            enc_msg(&mut out, msg);
-            Ok(out)
-        }
-    }
+/// Encodes a message body (no length prefix).
+pub fn encode_body(msg: &NetMsg) -> Vec<u8> {
+    let mut out = Vec::with_capacity(msg.wire_size() + 16);
+    out.push(BINARY_V1);
+    enc_msg(&mut out, msg);
+    out
 }
 
 /// Encodes a complete length-prefixed frame: `len:u32le body`.
-///
-/// # Errors
-///
-/// Propagates [`encode_body`] errors.
-pub fn encode_frame(msg: &NetMsg, format: WireFormat) -> io::Result<Vec<u8>> {
-    let body = encode_body(msg, format)?;
+pub fn encode_frame(msg: &NetMsg) -> Vec<u8> {
+    let body = encode_body(msg);
     let mut frame = Vec::with_capacity(4 + body.len());
     frame.extend_from_slice(&(body.len() as u32).to_le_bytes());
     frame.extend_from_slice(&body);
-    Ok(frame)
-}
-
-/// Encodes a message body wrapped in the [`GROUP_ENVELOPE_V2`] group
-/// envelope: `0x02 group:u64le inner_body`.
-///
-/// # Errors
-///
-/// Propagates [`encode_body`] errors (JSON serialization only).
-pub fn encode_body_grouped(group: GroupId, msg: &NetMsg, format: WireFormat) -> io::Result<Vec<u8>> {
-    let inner = encode_body(msg, format)?;
-    let mut out = Vec::with_capacity(9 + inner.len());
-    out.push(GROUP_ENVELOPE_V2);
-    out.extend_from_slice(&group.raw().to_le_bytes());
-    out.extend_from_slice(&inner);
-    Ok(out)
+    frame
 }
 
 /// Encodes a complete length-prefixed, group-enveloped frame:
-/// `len:u32le 0x02 group:u64le inner_body`.
+/// `len:u32le 0x02 group:u64le body`.
 ///
 /// # Errors
 ///
-/// Propagates [`encode_body_grouped`] errors.
+/// Never: the format parameter and the `io::Result` are the shape the
+/// frozen `benchmark/` calls, kept until ROADMAP item 1(c). Other callers
+/// use [`append_frame_grouped`].
 pub fn encode_frame_grouped(
     group: GroupId,
     msg: &NetMsg,
-    format: WireFormat,
+    _format: WireFormat,
 ) -> io::Result<Vec<u8>> {
     let mut frame = Vec::with_capacity(4 + 9 + msg.wire_size() + 16);
-    append_frame_grouped(&mut frame, group, msg, format)?;
+    append_frame_grouped(&mut frame, group, msg);
     Ok(frame)
 }
 
 /// Appends the frame [`encode_frame_grouped`] returns to `out`, encoding
-/// in place: a batch of frames for one peer fills one buffer. On error
-/// `out` is left as it was.
-///
-/// # Errors
-///
-/// Propagates [`encode_body`] errors (JSON serialization only).
-pub fn append_frame_grouped(
-    out: &mut Vec<u8>,
-    group: GroupId,
-    msg: &NetMsg,
-    format: WireFormat,
-) -> io::Result<()> {
+/// in place: a batch of frames for one peer fills one buffer.
+pub fn append_frame_grouped(out: &mut Vec<u8>, group: GroupId, msg: &NetMsg) {
     let start = out.len();
     put_u32(out, 0);
     out.push(GROUP_ENVELOPE_V2);
     put_u64(out, group.raw());
-    match format {
-        WireFormat::Json => match serde_json::to_vec(msg) {
-            Ok(body) => out.extend_from_slice(&body),
-            Err(e) => {
-                out.truncate(start);
-                return Err(e.into());
-            }
-        },
-        WireFormat::Binary => {
-            out.push(BINARY_V1);
-            enc_msg(out, msg);
-        }
-    }
+    out.push(BINARY_V1);
+    enc_msg(out, msg);
     let len = (out.len() - start - 4) as u32;
     if let Some(prefix) = out.get_mut(start..start + 4) {
         prefix.copy_from_slice(&len.to_le_bytes());
     }
-    Ok(())
 }
 
 /// Splits a [`GROUP_ENVELOPE_V2`] body into its group id and the
 /// borrowed inner body. Returns `None` for bodies that do not open with
-/// the envelope byte or are too short to carry the header — callers fall
-/// back to the single-group decoders in that case. Total: no input
-/// panics or allocates.
+/// the envelope byte or are too short to carry the header — callers
+/// decode such a body as a bare one. Total: no input panics or
+/// allocates.
 pub fn split_group_envelope(body: &[u8]) -> Option<(GroupId, &[u8])> {
     let (&first, rest) = body.split_first()?;
     if first != GROUP_ENVELOPE_V2 {
@@ -209,39 +151,21 @@ pub fn split_group_envelope(body: &[u8]) -> Option<(GroupId, &[u8])> {
     Some((GroupId::new(u64::from_le_bytes(*gid)), inner))
 }
 
-/// Decodes a frame body with group routing: enveloped bodies yield
-/// `(Some(group), msg)`, legacy single-group bodies — [`BINARY_V1`]
-/// binary or, when `accept_json` is set, JSON — yield `(None, msg)`.
-/// The inner body of an envelope follows the same sniffing rules, so an
-/// enveloped JSON body is only accepted while `accept_json` holds.
-/// Returns `None` for any malformed input (including an envelope whose
-/// inner body is empty or undecodable).
-pub fn decode_body_routed(body: &[u8], accept_json: bool) -> Option<(Option<GroupId>, NetMsg)> {
+/// Decodes a frame body with group routing: an enveloped body yields
+/// `(Some(group), msg)`, a bare [`BINARY_V1`] body `(None, msg)`. Returns
+/// `None` for any malformed input: a body whose first byte, bare or
+/// inside the envelope, is not [`BINARY_V1`] (an empty inner body and a
+/// nested envelope included), or one [`decode_body_ref`] rejects.
+///
+/// The payload is copied out of `body` once, by [`BodyRef::into_owned`].
+/// The flag is ignored; it stays because the frozen `benchmark/` passes
+/// it, until ROADMAP item 1(c).
+pub fn decode_body_routed(body: &[u8], _ignored: bool) -> Option<(Option<GroupId>, NetMsg)> {
     let (group, inner) = match split_group_envelope(body) {
         Some((gid, inner)) => (Some(gid), inner),
         None => (None, body),
     };
-    let msg = match inner.first() {
-        Some(&BINARY_V1) => decode_body_ref(inner)?.into_owned(),
-        Some(&GROUP_ENVELOPE_V2) => return None, // envelopes never nest
-        Some(_) if accept_json => serde_json::from_slice(inner).ok()?,
-        _ => return None,
-    };
-    Some((group, msg))
-}
-
-/// Decodes a frame body, sniffing the format from its first byte:
-/// [`BINARY_V1`] selects the binary decoder, anything else is handed to
-/// the JSON decoder. Returns `None` for any malformed input.
-///
-/// This is the *owning* convenience path; the transport hot path uses
-/// [`decode_body_ref`] to avoid copying payload bytes out of the read
-/// buffer until a message actually crosses a thread boundary.
-pub fn decode_body(body: &[u8]) -> Option<NetMsg> {
-    match body.first() {
-        Some(&BINARY_V1) => Some(decode_body_ref(body)?.into_owned()),
-        _ => serde_json::from_slice(body).ok(),
-    }
+    Some((group, decode_body_ref(inner)?.into_owned()))
 }
 
 /// A decoded frame body whose bulk payload bytes are still *borrowed*
@@ -298,13 +222,13 @@ impl BodyRef<'_> {
     }
 }
 
-/// Decodes a [`BINARY_V1`] frame body without copying payload bytes:
-/// `App`/`AppBatch`/`Fwd` payloads are returned as slices borrowing from
-/// `body`. Non-binary bodies (JSON interop) are rejected here — callers
-/// that still accept JSON fall back to [`decode_body`] explicitly.
+/// Decodes a bare [`BINARY_V1`] frame body without copying payload
+/// bytes: `App`/`AppBatch`/`Fwd` payloads are returned as slices
+/// borrowing from `body`. An owned message is
+/// `decode_body_ref(body).map(BodyRef::into_owned)`.
 ///
-/// Total like [`decode_body`]: no input panics, over-allocates, or reads
-/// past the frame, and trailing garbage rejects the body.
+/// Total: no input panics, over-allocates, or reads past the frame, and
+/// trailing garbage rejects the body.
 pub fn decode_body_ref(body: &[u8]) -> Option<BodyRef<'_>> {
     let (&first, rest) = body.split_first()?;
     if first != BINARY_V1 {
@@ -674,35 +598,24 @@ mod tests {
         ]
     }
 
+    /// The owning decode of a bare body.
+    fn decode(body: &[u8]) -> Option<NetMsg> {
+        decode_body_ref(body).map(BodyRef::into_owned)
+    }
+
+    /// The frame body (no length prefix) of `msg` enveloped for `gid`.
+    fn grouped_body(gid: GroupId, msg: &NetMsg) -> Vec<u8> {
+        let mut frame = Vec::new();
+        append_frame_grouped(&mut frame, gid, msg);
+        frame.split_off(4)
+    }
+
     #[test]
     fn binary_roundtrip_all_variants() {
         for m in sample_msgs() {
-            let body = encode_body(&m, WireFormat::Binary).unwrap();
+            let body = encode_body(&m);
             assert_eq!(body.first(), Some(&BINARY_V1), "{m:?}");
-            assert_eq!(decode_body(&body), Some(m.clone()), "{m:?}");
-        }
-    }
-
-    #[test]
-    fn json_bodies_still_decode() {
-        for m in sample_msgs() {
-            let body = encode_body(&m, WireFormat::Json).unwrap();
-            assert_eq!(body.first(), Some(&b'{'), "JSON body must open an object");
-            assert_eq!(decode_body(&body), Some(m.clone()), "{m:?}");
-        }
-    }
-
-    #[test]
-    fn binary_is_smaller_than_json() {
-        for m in sample_msgs() {
-            let bin = encode_body(&m, WireFormat::Binary).unwrap();
-            let json = encode_body(&m, WireFormat::Json).unwrap();
-            assert!(
-                bin.len() < json.len(),
-                "binary {} >= json {} for {m:?}",
-                bin.len(),
-                json.len()
-            );
+            assert_eq!(decode(&body), Some(m.clone()), "{m:?}");
         }
     }
 
@@ -720,7 +633,7 @@ mod tests {
             )),
             cut: Cut::from_iter([(p(1), 2), (p(2), 0)]),
         });
-        let body = encode_body(&msg, WireFormat::Binary).unwrap();
+        let body = encode_body(&msg);
         let hex: String = body.iter().map(|b| format!("{b:02x}")).collect();
         let expected = concat!(
             "01",               // BINARY_V1
@@ -741,7 +654,7 @@ mod tests {
             "0000000000000000", // -> 0
         );
         assert_eq!(hex, expected);
-        assert_eq!(decode_body(&body), Some(msg));
+        assert_eq!(decode(&body), Some(msg));
     }
 
     /// Pinned golden bytes for the batch frame added in v1's tag space
@@ -753,7 +666,7 @@ mod tests {
             AppMsg::default(),
             AppMsg::from(vec![255u8]),
         ]);
-        let body = encode_body(&msg, WireFormat::Binary).unwrap();
+        let body = encode_body(&msg);
         let hex: String = body.iter().map(|b| format!("{b:02x}")).collect();
         let expected = concat!(
             "01",       // BINARY_V1
@@ -766,7 +679,7 @@ mod tests {
             "ff",       // 0xFF
         );
         assert_eq!(hex, expected);
-        assert_eq!(decode_body(&body), Some(msg));
+        assert_eq!(decode(&body), Some(msg));
     }
 
     /// Pinned golden bytes for the stability acknowledgement (tag 8).
@@ -774,7 +687,7 @@ mod tests {
     #[test]
     fn golden_ack_bytes_are_stable() {
         let msg = NetMsg::Ack(Cut::from_iter([(p(1), 64), (p(2), 0)]));
-        let body = encode_body(&msg, WireFormat::Binary).unwrap();
+        let body = encode_body(&msg);
         let hex: String = body.iter().map(|b| format!("{b:02x}")).collect();
         let expected = concat!(
             "01",               // BINARY_V1
@@ -786,7 +699,7 @@ mod tests {
             "0000000000000000", // -> 0
         );
         assert_eq!(hex, expected);
-        assert_eq!(decode_body(&body), Some(msg));
+        assert_eq!(decode(&body), Some(msg));
     }
 
     /// Malformed acknowledgement vectors: cut short, a pid twice (or out
@@ -802,16 +715,16 @@ mod tests {
         };
         let good = ack(2, &[entry(1, 5), entry(2, 7)]);
         assert_eq!(
-            decode_body(&good),
+            decode(&good),
             Some(NetMsg::Ack(Cut::from_iter([(p(1), 5), (p(2), 7)])))
         );
         for cut_at in 0..good.len() {
-            assert_eq!(decode_body(good.get(..cut_at).unwrap_or(&[])), None, "cut at {cut_at}");
+            assert_eq!(decode(good.get(..cut_at).unwrap_or(&[])), None, "cut at {cut_at}");
         }
-        assert_eq!(decode_body(&ack(2, &[entry(1, 5), entry(1, 7)])), None, "duplicate pid");
-        assert_eq!(decode_body(&ack(2, &[entry(2, 5), entry(1, 7)])), None, "unordered pids");
-        assert_eq!(decode_body(&ack(u32::MAX, &[entry(1, 5)])), None, "length overflow");
-        assert_eq!(decode_body(&ack(3, &[entry(1, 5), entry(2, 7)])), None, "count past the body");
+        assert_eq!(decode(&ack(2, &[entry(1, 5), entry(1, 7)])), None, "duplicate pid");
+        assert_eq!(decode(&ack(2, &[entry(2, 5), entry(1, 7)])), None, "unordered pids");
+        assert_eq!(decode(&ack(u32::MAX, &[entry(1, 5)])), None, "length overflow");
+        assert_eq!(decode(&ack(3, &[entry(1, 5), entry(2, 7)])), None, "count past the body");
     }
 
     /// A synchronization cut may arrive in any order, and its size is
@@ -833,7 +746,7 @@ mod tests {
         body.extend_from_slice(&1u64.to_le_bytes());
         body.extend_from_slice(&7u64.to_le_bytes());
         let started = std::time::Instant::now();
-        let decoded = decode_body(&body);
+        let decoded = decode(&body);
         let took = started.elapsed();
         let cut = Cut::from_iter((1..=N).map(|pid| (p(pid), if pid == 1 { 7 } else { 2 * pid })));
         assert_eq!(
@@ -857,7 +770,7 @@ mod tests {
             body.extend_from_slice(&(pid + 3).to_le_bytes());
         }
         let started = std::time::Instant::now();
-        let decoded = decode_body(&body);
+        let decoded = decode(&body);
         let took = started.elapsed();
         let cut = Cut::from_iter((1..=N).map(|pid| (p(pid), pid + 3)));
         assert_eq!(decoded, Some(NetMsg::Ack(cut)));
@@ -878,7 +791,7 @@ mod tests {
         }
         body.extend_from_slice(&9u64.to_le_bytes()); // seq
         let started = std::time::Instant::now();
-        let decoded = decode_body(&body);
+        let decoded = decode(&body);
         let took = started.elapsed();
         let participants = (1..=N).map(p).collect();
         assert_eq!(decoded, Some(NetMsg::Baseline(BaselineMsg::Propose { participants, seq: 9 })));
@@ -891,16 +804,16 @@ mod tests {
         // before any allocation.
         let mut evil = vec![BINARY_V1, TAG_APP_BATCH];
         evil.extend_from_slice(&u32::MAX.to_le_bytes());
-        assert_eq!(decode_body(&evil), None);
+        assert_eq!(decode(&evil), None);
     }
 
     #[test]
     fn frame_is_length_prefixed_body() {
         let msg = NetMsg::App(AppMsg::from("abc"));
-        let frame = encode_frame(&msg, WireFormat::Binary).unwrap();
+        let frame = encode_frame(&msg);
         let (len, body) = frame.split_first_chunk::<4>().unwrap();
         assert_eq!(u32::from_le_bytes(*len) as usize, body.len());
-        assert_eq!(decode_body(body), Some(msg));
+        assert_eq!(decode(body), Some(msg));
     }
 
     /// Decoder totality over a hostile corpus: truncations of every valid
@@ -910,34 +823,34 @@ mod tests {
     #[test]
     fn decoder_is_total_over_malformed_corpus() {
         for m in sample_msgs() {
-            let body = encode_body(&m, WireFormat::Binary).unwrap();
+            let body = encode_body(&m);
             for cut_at in 0..body.len() {
-                let _ = decode_body(body.get(..cut_at).unwrap_or(&[]));
+                let _ = decode(body.get(..cut_at).unwrap_or(&[]));
             }
             for i in 0..body.len() {
                 let mut mutated = body.clone();
                 if let Some(b) = mutated.get_mut(i) {
                     *b = b.wrapping_add(1);
                 }
-                let _ = decode_body(&mutated); // any verdict, no panic
+                let _ = decode(&mutated); // any verdict, no panic
             }
             // Trailing garbage after a valid message rejects the frame.
             let mut padded = body.clone();
             padded.push(0);
-            assert_eq!(decode_body(&padded), None, "{m:?}");
+            assert_eq!(decode(&padded), None, "{m:?}");
         }
         // A huge claimed count with a short body must be rejected cheaply.
         let mut evil = vec![BINARY_V1, TAG_SYNC_AGG];
         evil.extend_from_slice(&u32::MAX.to_le_bytes());
-        assert_eq!(decode_body(&evil), None);
+        assert_eq!(decode(&evil), None);
         let mut rng = SimRng::new(0xC0DEC);
         for _ in 0..4_000 {
             let len = rng.range(0, 96) as usize;
             let mut soup: Vec<u8> = (0..len).map(|_| rng.range(0, 256) as u8).collect();
-            let _ = decode_body(&soup);
+            let _ = decode(&soup);
             // The same soup as a claimed-binary body.
             soup.insert(0, BINARY_V1);
-            let _ = decode_body(&soup);
+            let _ = decode(&soup);
         }
     }
 
@@ -947,7 +860,7 @@ mod tests {
     #[test]
     fn ref_decode_agrees_and_borrows_from_the_frame() {
         for m in sample_msgs() {
-            let body = encode_body(&m, WireFormat::Binary).unwrap();
+            let body = encode_body(&m);
             let r = decode_body_ref(&body).expect("valid body");
             let body_range = body.as_ptr() as usize..body.as_ptr() as usize + body.len();
             let in_body = |s: &[u8]| s.is_empty() || body_range.contains(&(s.as_ptr() as usize));
@@ -963,31 +876,28 @@ mod tests {
         }
     }
 
-    /// The ref path is binary-only: JSON interop is the caller's
-    /// explicit fallback, never an implicit sniff on the hot path.
+    /// Only a [`BINARY_V1`] body decodes: an empty body, an unknown
+    /// version byte and a `{`-led body are all malformed.
     #[test]
     fn ref_decode_rejects_non_binary_bodies() {
-        let m = NetMsg::App(AppMsg::from("json"));
-        let json = encode_body(&m, WireFormat::Json).unwrap();
-        assert_eq!(decode_body_ref(&json), None);
-        assert_eq!(decode_body(&json), Some(m));
         assert_eq!(decode_body_ref(&[]), None);
         assert_eq!(decode_body_ref(&[0xFE, 0x00]), None);
+        assert_eq!(decode_body_ref(br#"{"App":[106]}"#), None);
     }
 
     /// Totality of the borrowing decoder over the same hostile corpus as
     /// [`decoder_is_total_over_malformed_corpus`], and agreement with the
-    /// owning decoder on every verdict for claimed-binary bodies.
+    /// routed decoder on every verdict for bare bodies.
     #[test]
     fn ref_decoder_is_total_over_malformed_corpus() {
+        let routed_bare = |body: &[u8]| {
+            decode_body_routed(body, false).and_then(|(group, m)| group.is_none().then_some(m))
+        };
         for m in sample_msgs() {
-            let body = encode_body(&m, WireFormat::Binary).unwrap();
+            let body = encode_body(&m);
             for cut_at in 0..body.len() {
                 let sliced = body.get(..cut_at).unwrap_or(&[]);
-                assert_eq!(
-                    decode_body_ref(sliced).map(BodyRef::into_owned),
-                    if sliced.first() == Some(&BINARY_V1) { decode_body(sliced) } else { None },
-                );
+                assert_eq!(decode(sliced), routed_bare(sliced));
             }
             for i in 0..body.len() {
                 let mut mutated = body.clone();
@@ -1012,8 +922,7 @@ mod tests {
             let mut soup: Vec<u8> = (0..len).map(|_| rng.range(0, 256) as u8).collect();
             let _ = decode_body_ref(&soup);
             soup.insert(0, BINARY_V1);
-            let owned = decode_body_ref(&soup).map(BodyRef::into_owned);
-            assert_eq!(owned, decode_body(&soup), "ref/owned decoders disagree");
+            assert_eq!(decode(&soup), routed_bare(&soup), "ref/routed decoders disagree");
         }
     }
 
@@ -1024,7 +933,7 @@ mod tests {
     #[test]
     fn golden_envelope_bytes_are_stable() {
         let msg = NetMsg::App(AppMsg::from("ab"));
-        let body = encode_body_grouped(GroupId::new(7), &msg, WireFormat::Binary).unwrap();
+        let body = grouped_body(GroupId::new(7), &msg);
         let hex: String = body.iter().map(|b| format!("{b:02x}")).collect();
         let expected = concat!(
             "02",               // GROUP_ENVELOPE_V2
@@ -1039,26 +948,22 @@ mod tests {
     }
 
     #[test]
-    fn envelope_roundtrip_all_variants_both_formats() {
+    fn envelope_roundtrip_all_variants() {
         for gid in [GroupId::DIRECTORY, GroupId::new(1), GroupId::new(u64::MAX)] {
             for m in sample_msgs() {
-                let bin = encode_body_grouped(gid, &m, WireFormat::Binary).unwrap();
+                let bin = grouped_body(gid, &m);
                 assert_eq!(bin.first(), Some(&GROUP_ENVELOPE_V2));
-                assert_eq!(bin.len(), 9 + encode_body(&m, WireFormat::Binary).unwrap().len());
+                assert_eq!(bin.len(), 9 + encode_body(&m).len());
                 assert_eq!(decode_body_routed(&bin, false), Some((Some(gid), m.clone())));
                 let (g, inner) = split_group_envelope(&bin).expect("envelope splits");
                 assert_eq!(g, gid);
-                assert_eq!(decode_body(inner), Some(m.clone()), "inner is a complete body");
-
-                // JSON inner bodies ride the envelope too, gated by the
-                // same accept_json sniffing rule as bare frames.
-                let json = encode_body_grouped(gid, &m, WireFormat::Json).unwrap();
-                assert_eq!(decode_body_routed(&json, true), Some((Some(gid), m.clone())));
-                assert_eq!(decode_body_routed(&json, false), None, "{m:?}");
+                assert_eq!(decode(inner), Some(m.clone()), "inner is a complete body");
             }
         }
     }
 
+    /// The benchmark's shape of the grouped encoder: a length prefix in
+    /// front of the enveloped body, never an error.
     #[test]
     fn envelope_frame_is_length_prefixed_body() {
         let msg = NetMsg::App(AppMsg::from("abc"));
@@ -1070,47 +975,54 @@ mod tests {
     }
 
     /// Frames appended one after another into one buffer are, byte for
-    /// byte, the frames the old two-buffer encoding built one at a time
-    /// — length prefix, envelope, body — in either wire format.
+    /// byte, the frames built one at a time: length prefix, envelope
+    /// header, then the bare body.
     #[test]
     fn appended_frames_are_the_enveloped_frames_back_to_back() {
-        for format in [WireFormat::Binary, WireFormat::Json] {
-            let mut buf = Vec::new();
-            let mut expected = Vec::new();
-            for (i, m) in (1..).zip(sample_msgs()) {
-                let gid = GroupId::new(i);
-                append_frame_grouped(&mut buf, gid, &m, format).unwrap();
-                let body = encode_body_grouped(gid, &m, format).unwrap();
-                expected.extend_from_slice(&(body.len() as u32).to_le_bytes());
-                expected.extend_from_slice(&body);
-                assert_eq!(encode_frame_grouped(gid, &m, format).unwrap().len(), 4 + body.len());
-            }
-            assert_eq!(buf, expected, "{format:?}");
+        let mut buf = Vec::new();
+        let mut expected = Vec::new();
+        for (i, m) in (1..).zip(sample_msgs()) {
+            let gid = GroupId::new(i);
+            append_frame_grouped(&mut buf, gid, &m);
+            let body = encode_body(&m);
+            let mut frame = (9 + body.len() as u32).to_le_bytes().to_vec();
+            frame.push(GROUP_ENVELOPE_V2);
+            frame.extend_from_slice(&i.to_le_bytes());
+            frame.extend_from_slice(&body);
+            assert_eq!(encode_frame_grouped(gid, &m, WireFormat::Binary).unwrap(), frame);
+            expected.extend_from_slice(&frame);
         }
+        assert_eq!(buf, expected);
     }
 
-    /// Mixed-version interop during a rolling transition: legacy
-    /// single-group bodies (v1 binary or JSON) decode with no group,
-    /// enveloped bodies with theirs, on a per-frame sniffing basis.
+    /// One connection carries bare and enveloped frames mixed: a bare v1
+    /// body decodes with no group, an enveloped one with its own.
     #[test]
     fn routed_decoder_accepts_legacy_single_group_frames() {
         for m in sample_msgs() {
-            let bare_bin = encode_body(&m, WireFormat::Binary).unwrap();
-            assert_eq!(decode_body_routed(&bare_bin, false), Some((None, m.clone())));
-            let bare_json = encode_body(&m, WireFormat::Json).unwrap();
-            assert_eq!(decode_body_routed(&bare_json, true), Some((None, m.clone())));
-            assert_eq!(decode_body_routed(&bare_json, false), None, "{m:?}");
+            let bare = encode_body(&m);
+            assert_eq!(decode_body_routed(&bare, false), Some((None, m.clone())));
         }
     }
 
     /// Totality of the routed decoder over a hostile corpus: truncations
     /// (the whole 9-byte header range included), single-byte corruption,
     /// empty/short envelopes, nested envelopes, and random soup claiming
-    /// the envelope byte never panic or alloc-bomb.
+    /// the envelope byte never panic or alloc-bomb. A serde_json body,
+    /// bare or enveloped, is malformed like any other non-`0x01` body,
+    /// whatever the ignored flag says.
     #[test]
     fn routed_decoder_is_total_over_malformed_corpus() {
         for m in sample_msgs() {
-            let body = encode_body_grouped(GroupId::new(9), &m, WireFormat::Binary).unwrap();
+            let json = serde_json::to_vec(&m).unwrap();
+            let mut enveloped_json = vec![GROUP_ENVELOPE_V2];
+            enveloped_json.extend_from_slice(&9u64.to_le_bytes());
+            enveloped_json.extend_from_slice(&json);
+            for flag in [true, false] {
+                assert_eq!(decode_body_routed(&json, flag), None, "bare JSON {m:?}");
+                assert_eq!(decode_body_routed(&enveloped_json, flag), None, "enveloped JSON {m:?}");
+            }
+            let body = grouped_body(GroupId::new(9), &m);
             for cut_at in 0..body.len() {
                 let sliced = body.get(..cut_at).unwrap_or(&[]);
                 assert_eq!(
@@ -1152,7 +1064,7 @@ mod tests {
             match (decode_body_routed(&soup, false), split_group_envelope(&soup)) {
                 (Some((Some(gid), msg)), Some((gid2, inner))) => {
                     assert_eq!(gid, gid2);
-                    assert_eq!(decode_body(inner), Some(msg));
+                    assert_eq!(decode(inner), Some(msg));
                 }
                 (Some(_), _) => unreachable!("claimed-envelope soup decoded without splitting"),
                 (None, _) => {}
@@ -1175,14 +1087,14 @@ mod tests {
 
     #[test]
     fn unknown_tag_and_bad_option_byte_rejected() {
-        assert_eq!(decode_body(&[BINARY_V1, 99]), None);
+        assert_eq!(decode(&[BINARY_V1, 99]), None);
         // Sync with has_view byte = 2.
         let mut body = vec![BINARY_V1, TAG_SYNC];
         body.extend_from_slice(&5u64.to_le_bytes());
         body.push(2);
-        assert_eq!(decode_body(&body), None);
-        // Unknown leading byte that is not JSON either.
-        assert_eq!(decode_body(&[0xFE, 0x00]), None);
-        assert_eq!(decode_body(&[]), None);
+        assert_eq!(decode(&body), None);
+        // Unknown leading byte.
+        assert_eq!(decode(&[0xFE, 0x00]), None);
+        assert_eq!(decode(&[]), None);
     }
 }

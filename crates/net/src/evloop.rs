@@ -6,8 +6,8 @@
 //!
 //! * **inbound connections** are drained with non-blocking reads into a
 //!   pooled, connection-local read buffer; complete frames are decoded
-//!   *in place* with the borrowing [`crate::codec::decode_body_ref`]
-//!   path (one payload copy, when the frame is handed over) and given to
+//!   *in place* by [`crate::codec::decode_body_routed`] (one payload
+//!   copy, when the frame is handed over) and given to
 //!   the transport's [`FrameHandler`] on the loop thread; malformed or
 //!   oversized frames tear the connection down;
 //! * **outbound connections** are written through their
@@ -45,7 +45,7 @@
 //!   `ENFILE`, …) pauses accepting for [`ACCEPT_PAUSE`] and retries,
 //!   where the old accept thread stopped accepting for good.
 
-use crate::codec::{self, BodyRef};
+use crate::codec;
 use crate::sys::{Events, Poller, READABLE, READABLE_EDGE, WRITABLE_EDGE};
 use crate::tiered::{blocking, Tiered};
 use crate::writer::{OutQueue, WriterStats};
@@ -77,6 +77,8 @@ const CONN_TOKEN: u64 = 2;
 /// Byte ceiling for one coalesced flush buffer (a single oversized
 /// frame still flushes alone).
 const MAX_FLUSH_BYTES: usize = 1 << 20;
+/// Frame ceiling for one coalesced flush buffer.
+const MAX_COALESCE_FRAMES: u64 = 256;
 /// Size of each pooled per-connection read buffer. Read buffers grow
 /// transiently for larger frames and are not retained once they have.
 const POOL_BUF_BYTES: usize = 64 << 10;
@@ -132,15 +134,11 @@ pub(crate) struct LoopCtx {
 /// The transport-config slice the loops act on.
 #[derive(Debug, Clone)]
 pub(crate) struct LoopConfig {
-    /// Most frames coalesced into one socket write.
-    pub max_coalesce_frames: u64,
     /// Reject frames claiming more than this many bytes.
     pub max_frame_len: usize,
     /// Evict connections stalled mid-handshake/mid-frame this long
     /// (`Duration::ZERO` disables eviction).
     pub read_idle_timeout: Duration,
-    /// Whether non-binary (JSON) frame bodies are still decoded.
-    pub accept_json: bool,
 }
 
 /// A connection handed to the pool.
@@ -428,7 +426,7 @@ impl Conn {
                     return Err(Retire::Gone);
                 }
                 let moved = queue
-                    .write_out(&ctx.stats, cfg.max_coalesce_frames, MAX_FLUSH_BYTES)
+                    .write_out(&ctx.stats, MAX_COALESCE_FRAMES, MAX_FLUSH_BYTES)
                     .map_err(|()| Retire::Gone)?;
                 *progress |= moved;
                 Ok(())
@@ -588,24 +586,12 @@ impl Inbound {
                         // Partial frame: wait for the rest.
                         return Ok(());
                     };
-                    // Route by the optional v2 group envelope, then
-                    // zero-copy decode the inner body: payload slices
-                    // borrow from `rbuf`; the one copy happens in
-                    // `into_owned` before the handler takes the frame.
-                    let (group, inner) = match codec::split_group_envelope(body) {
-                        Some((gid, inner)) => (Some(gid), inner),
-                        None => (None, body),
+                    // Route by the optional v2 group envelope; payload
+                    // slices borrow from `rbuf` until the one copy before
+                    // the handler takes the frame.
+                    let Some((group, msg)) = codec::decode_body_routed(body, false) else {
+                        return Err(Retire::Poisoned);
                     };
-                    let msg = match inner.first() {
-                        Some(&codec::BINARY_V1) => {
-                            codec::decode_body_ref(inner).map(BodyRef::into_owned)
-                        }
-                        // Envelopes never nest; treat as undecodable.
-                        Some(&codec::GROUP_ENVELOPE_V2) => None,
-                        _ if cfg.accept_json => codec::decode_body(inner),
-                        _ => None,
-                    };
-                    let Some(msg) = msg else { return Err(Retire::Poisoned) };
                     self.rstart += 4 + len;
                     (ctx.deliver)(peer, group, msg);
                 }

@@ -34,7 +34,7 @@ pub struct NetStats {
     /// High-water mark of any per-connection write-queue depth.
     pub queue_depth_max: u64,
     /// Enqueues that found a write queue at or above the backpressure
-    /// watermark ([`crate::TcpConfig::queue_watermark`]).
+    /// watermark, half of [`crate::TcpConfig::writer_queue`].
     pub backpressure_hits: u64,
     /// Frames accepted into per-connection write queues (data and
     /// heartbeats). At quiescence the write path conserves frames:

@@ -4,8 +4,7 @@
 //! TCP already provides connection-oriented, gap-free, FIFO byte streams
 //! per direction, which is exactly the channel model of Fig. 3 for peers
 //! in the `reliable_set`. Frames are length-prefixed [`NetMsg`] bodies in
-//! the [`crate::codec`] wire format — compact binary by default, with
-//! JSON interop for rolling transitions ([`TcpConfig::accept_json`]).
+//! the one binary [`crate::codec`] wire format.
 //! Each direction of a pair uses its own connection, established lazily
 //! on first send and identified by an 8-byte process-id handshake.
 //!
@@ -17,9 +16,9 @@
 //! server transport, and thread count must not scale with connection
 //! count. Besides the loops, a transport runs one heartbeat thread when
 //! heartbeats are on. Inbound frames are decoded in place from pooled
-//! read buffers via the borrowing [`crate::codec::decode_body_ref`]
-//! path and handed to a [`FrameHandler`] on the loop thread (by default
-//! a queue for the `recv_*` calls); outbound frames flow through
+//! read buffers by [`crate::codec::decode_body_routed`] and handed to a
+//! [`FrameHandler`] on the loop thread (by default a queue for the
+//! `recv_*` calls); outbound frames flow through
 //! per-connection bounded queues ([`crate::writer`]):
 //!
 //! * **Serialized writes** — every byte on an outbound socket is written
@@ -32,9 +31,8 @@
 //!   leaves the loop only what the socket did not take.
 //! * **Coalesced flushes** — the loop drains every frame already
 //!   queued into one buffered socket write, so a burst of N multicasts
-//!   costs one syscall instead of N
-//!   ([`TcpConfig::max_coalesce_frames`], at most 1 MiB per flush); a
-//!   batch send costs one write per peer, however many frames it
+//!   costs one syscall instead of N (at most 256 frames and 1 MiB per
+//!   flush); a batch send costs one write per peer, however many frames it
 //!   carries.
 //! * **Independent fan-out** — [`TcpTransport::send`] attempts *every*
 //!   destination, drops only the connections that actually failed, and
@@ -68,7 +66,7 @@
 //!   transport resources forever (the old blocking readers leaked a
 //!   thread and socket per half-open peer).
 
-use crate::codec::{self, WireFormat};
+use crate::codec;
 pub use crate::evloop::FrameHandler;
 use crate::evloop::{LoopConfig, LoopCounters, LoopCtx, LoopPool, Register};
 use crate::stats::NetStats;
@@ -109,7 +107,7 @@ pub struct TcpTransport {
     jitter: Tiered<SimRng, 4>,
 }
 
-/// Wire-format and robustness knobs for [`TcpTransport`].
+/// Robustness knobs for [`TcpTransport`].
 #[derive(Debug, Clone)]
 pub struct TcpConfig {
     /// Failed connects are retried this many times before giving up.
@@ -124,22 +122,16 @@ pub struct TcpConfig {
     /// A peer heard from before but silent for longer than this is
     /// reported by [`TcpTransport::suspected_peers`].
     pub suspect_after: Duration,
-    /// Encoding for outgoing frames; receivers always accept both.
-    pub wire_format: WireFormat,
-    /// Per-connection bounded queue capacity, in frames.
+    /// Per-connection bounded queue capacity, in frames. An enqueue that
+    /// finds the queue at half this depth or more counts as a
+    /// backpressure hit ([`NetStats::backpressure_hits`]): the bounded
+    /// queue plus the blocking `enqueue_timeout` are the actual
+    /// backpressure mechanism, and the half-way mark makes the pressure
+    /// *observable* before the hard limit stalls senders.
     pub writer_queue: usize,
-    /// Most frames a writer coalesces into one flush (1 = flush every
-    /// frame individually, i.e. per-send writes).
-    pub max_coalesce_frames: u64,
     /// How long a sender waits for space on a full per-connection queue
     /// before declaring the peer stalled and dropping the connection.
     pub enqueue_timeout: Duration,
-    /// Queue depth at which an enqueue counts as a backpressure hit
-    /// ([`NetStats::backpressure_hits`]). The bounded queue plus the
-    /// blocking `enqueue_timeout` are the actual backpressure mechanism;
-    /// this watermark makes the pressure *observable* before the hard
-    /// limit stalls senders.
-    pub queue_watermark: usize,
     /// Event-loop threads owning all of the transport's sockets. Thread
     /// count stays constant in the connection count — raise this for
     /// servers multiplexing thousands of clients, not per connection.
@@ -154,10 +146,6 @@ pub struct TcpConfig {
     /// never evicted). `Duration::ZERO` disables eviction. Evictions
     /// count in [`NetStats::idle_evictions`].
     pub read_idle_timeout: Duration,
-    /// Whether receivers still decode non-binary (JSON) frame bodies.
-    /// Defaults to `true` for rolling-transition interop; binary-only
-    /// deployments can turn it off to make framing strict.
-    pub accept_json: bool,
 }
 
 impl Default for TcpConfig {
@@ -168,15 +156,11 @@ impl Default for TcpConfig {
             backoff_cap: Duration::from_millis(100),
             heartbeat_interval: Duration::from_millis(200),
             suspect_after: Duration::from_secs(1),
-            wire_format: WireFormat::Binary,
             writer_queue: 1024,
-            max_coalesce_frames: 256,
             enqueue_timeout: Duration::from_secs(2),
-            queue_watermark: 512,
             loop_threads: 2,
             max_frame_len: 1 << 26, // 64 MiB
             read_idle_timeout: Duration::from_secs(30),
-            accept_json: true,
         }
     }
 }
@@ -291,10 +275,8 @@ impl TcpTransport {
             last_heard: Arc::clone(&last_heard),
         });
         let loop_cfg = LoopConfig {
-            max_coalesce_frames: config.max_coalesce_frames,
             max_frame_len: config.max_frame_len,
             read_idle_timeout: config.read_idle_timeout,
-            accept_json: config.accept_json,
         };
         let pool = LoopPool::spawn(config.loop_threads, listener, &ctx, &loop_cfg)?;
         let shared = Arc::new(TcpShared {
@@ -487,7 +469,7 @@ impl TcpTransport {
     /// naming the failed peers is returned (with the [`io::ErrorKind`] of
     /// the first failure). Peers that did not fail have been sent to.
     pub fn send(&self, to: &ProcSet, msg: &NetMsg) -> io::Result<()> {
-        self.fan_out(to, &codec::encode_frame(msg, self.config.wire_format)?)
+        self.fan_out(to, &codec::encode_frame(msg))
     }
 
     /// Sends `msg` to every process in `to` wrapped in the v2 group
@@ -500,7 +482,9 @@ impl TcpTransport {
     /// As for [`TcpTransport::send`]: every destination is attempted and
     /// failures are aggregated into one error.
     pub fn send_to_group(&self, group: GroupId, to: &ProcSet, msg: &NetMsg) -> io::Result<()> {
-        self.fan_out(to, &codec::encode_frame_grouped(group, msg, self.config.wire_format)?)
+        let mut frame = Vec::new();
+        codec::append_frame_grouped(&mut frame, group, msg);
+        self.fan_out(to, &frame)
     }
 
     /// Sends a batch of `(group, to, msg)` frames, each in its group's
@@ -526,16 +510,10 @@ impl TcpTransport {
                 continue;
             }
             buf.clear();
-            let mut frames = 0u64;
             for (group, _, msg) in run {
-                match codec::append_frame_grouped(&mut buf, *group, msg, self.config.wire_format) {
-                    Ok(()) => frames += 1,
-                    Err(_) => unsent += 1,
-                }
+                codec::append_frame_grouped(&mut buf, *group, msg);
             }
-            if frames == 0 {
-                continue;
-            }
+            let frames = run.len() as u64;
             let pushed = self.writer_handle(to).and_then(|writer| {
                 let outcome = writer.push_batch(&buf, frames, self.config.enqueue_timeout);
                 self.settle(to, &writer, outcome)
@@ -611,7 +589,7 @@ impl TcpTransport {
                     .writer_stats
                     .queue_depth_max
                     .fetch_max(depth as u64, Ordering::Relaxed);
-                if depth >= self.config.queue_watermark {
+                if depth >= self.config.writer_queue / 2 {
                     self.shared
                         .writer_stats
                         .backpressure_hits
@@ -762,24 +740,6 @@ mod tests {
     }
 
     #[test]
-    fn send_and_receive_json_wire_format() {
-        // A JSON-configured sender interops with a binary-default peer.
-        let a = TcpTransport::bind_with(
-            p(1),
-            "127.0.0.1:0",
-            TcpConfig { wire_format: WireFormat::Json, ..TcpConfig::default() },
-        )
-        .unwrap();
-        let b = TcpTransport::bind(p(2), "127.0.0.1:0").unwrap();
-        a.register_peer(p(2), b.local_addr());
-        b.register_peer(p(1), a.local_addr());
-        a.send(&only(2), &NetMsg::App(AppMsg::from("json"))).unwrap();
-        let (from, msg) = b.recv_timeout(Duration::from_secs(5)).expect("message arrives");
-        assert_eq!(from, p(1));
-        assert_eq!(msg, NetMsg::App(AppMsg::from("json")));
-    }
-
-    #[test]
     fn fifo_order_per_peer() {
         let (a, b) = pair();
         for i in 0..100 {
@@ -850,10 +810,10 @@ mod tests {
 
     #[test]
     fn watermark_counts_backpressure_hits() {
-        // Watermark 1: every successful enqueue observes depth >= 1, so
-        // each send registers a hit; the default watermark (512) leaves
-        // light traffic unpressured.
-        let (a, b) = pair_with(TcpConfig { queue_watermark: 1, ..TcpConfig::default() });
+        // A queue of 2 puts the watermark at 1: every successful enqueue
+        // observes depth >= 1, so each send registers a hit; the default
+        // watermark (512 of 1024) leaves light traffic unpressured.
+        let (a, b) = pair_with(TcpConfig { writer_queue: 2, ..TcpConfig::default() });
         const N: usize = 8;
         for i in 0..N {
             a.send(&only(2), &NetMsg::App(AppMsg::from(format!("w{i}").as_str()))).unwrap();
@@ -1003,23 +963,6 @@ mod tests {
         a.send_to_group(g, &only(2), &NetMsg::App(AppMsg::from("stripped"))).unwrap();
         let (_, msg) = b.recv_timeout(Duration::from_secs(5)).expect("message arrives");
         assert_eq!(msg, NetMsg::App(AppMsg::from("stripped")));
-    }
-
-    #[test]
-    fn grouped_json_frames_route_under_accept_json() {
-        let a = TcpTransport::bind_with(
-            p(1),
-            "127.0.0.1:0",
-            TcpConfig { wire_format: WireFormat::Json, ..TcpConfig::default() },
-        )
-        .unwrap();
-        let b = TcpTransport::bind(p(2), "127.0.0.1:0").unwrap();
-        a.register_peer(p(2), b.local_addr());
-        let g = GroupId::new(7);
-        a.send_to_group(g, &only(2), &NetMsg::App(AppMsg::from("gjson"))).unwrap();
-        let (from, group, msg) =
-            b.recv_routed_timeout(Duration::from_secs(5)).expect("grouped json arrives");
-        assert_eq!((from, group, msg), (p(1), Some(g), NetMsg::App(AppMsg::from("gjson"))));
     }
 
     #[test]

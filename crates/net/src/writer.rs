@@ -70,8 +70,8 @@ pub(crate) struct WriterStats {
     /// High-water mark of any per-connection queue depth at enqueue time.
     pub queue_depth_max: AtomicU64,
     /// Enqueues that found a queue at or above the backpressure
-    /// watermark (`TcpConfig::queue_watermark`): evidence that senders
-    /// are outpacing a peer's connection.
+    /// watermark (half of `TcpConfig::writer_queue`): evidence that
+    /// senders are outpacing a peer's connection.
     pub backpressure_hits: AtomicU64,
 }
 

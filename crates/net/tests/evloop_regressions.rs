@@ -15,6 +15,9 @@
 //!    false suspicion of a healthy-but-busy peer; now probes claim a
 //!    reserved slot and drain ahead of queued data.
 //!
+//! One encoding: a `{`-led (JSON) body is malformed like any other
+//! non-binary body and tears its connection down.
+//!
 //! Plus the connection-churn soak: repeated connect/disconnect storms
 //! across 64 peers must leak no file descriptors or threads, conserve
 //! frames (`enqueued == flushed + dropped`), and shut the loop threads
@@ -32,7 +35,7 @@ use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
-use vsgm_net::codec::{encode_frame, WireFormat};
+use vsgm_net::codec::encode_frame;
 use vsgm_net::{TcpConfig, TcpTransport};
 use vsgm_types::{AppMsg, NetMsg, ProcSet, ProcessId};
 
@@ -80,7 +83,7 @@ fn oversize_length_prefix_tears_the_connection_down() {
     .unwrap();
     let mut raw = TcpStream::connect(srv.local_addr()).unwrap();
     raw.write_all(&2u64.to_le_bytes()).unwrap(); // handshake: we are p2
-    let good = encode_frame(&NetMsg::App(AppMsg::from("ok")), WireFormat::Binary).unwrap();
+    let good = encode_frame(&NetMsg::App(AppMsg::from("ok")));
     raw.write_all(&good).unwrap();
     // A frame claiming 1 MiB against the 1 KiB cap: teardown, no read.
     raw.write_all(&(1u32 << 20).to_le_bytes()).unwrap();
@@ -99,6 +102,32 @@ fn oversize_length_prefix_tears_the_connection_down() {
     let mut reg = vsgm_obs::Registry::new();
     srv.export_obs(&mut reg);
     assert_eq!(reg.counter(vsgm_obs::names::NET_OVERSIZE_REJECTED), 1);
+}
+
+/// A frame whose body is not binary is malformed: a peer speaking the
+/// retired JSON encoding gets its good frames delivered up to the first
+/// `{`-led body, then the connection torn down.
+#[test]
+fn json_body_tears_the_connection_down() {
+    let _serial = serial();
+    let srv = TcpTransport::bind(p(1), "127.0.0.1:0").unwrap();
+    let mut raw = TcpStream::connect(srv.local_addr()).unwrap();
+    raw.write_all(&2u64.to_le_bytes()).unwrap(); // handshake: we are p2
+    raw.write_all(&encode_frame(&NetMsg::App(AppMsg::from("ok")))).unwrap();
+    let json = serde_json::to_vec(&NetMsg::App(AppMsg::from("json"))).unwrap();
+    assert_eq!(json.first(), Some(&b'{'));
+    raw.write_all(&(json.len() as u32).to_le_bytes()).unwrap();
+    raw.write_all(&json).unwrap();
+    let (from, msg) = srv.recv_timeout(Duration::from_secs(5)).expect("binary frame");
+    assert_eq!((from, msg), (p(2), NetMsg::App(AppMsg::from("ok"))));
+    raw.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+    let mut probe = [0u8; 1];
+    assert!(
+        matches!(raw.read(&mut probe), Ok(0) | Err(_)),
+        "a JSON body must close the connection"
+    );
+    wait_until("conn teardown", Duration::from_secs(5), || srv.stats().conns_open == 0);
+    assert!(srv.try_recv().is_none(), "the JSON frame was delivered");
 }
 
 /// Bug 2 (pinned): a peer that sends 3 of the 8 handshake bytes and
@@ -155,7 +184,6 @@ fn saturated_queue_still_sends_heartbeats_ahead_of_data() {
         "127.0.0.1:0",
         TcpConfig {
             writer_queue: 4,
-            queue_watermark: 2,
             enqueue_timeout: Duration::from_secs(30),
             heartbeat_interval: Duration::from_millis(20),
             ..TcpConfig::default()

@@ -4,7 +4,7 @@
 
 use proptest::prelude::*;
 use vsgm_ioa::{SimRng, SimTime};
-use vsgm_net::{codec, LatencyModel, SimNet, WireFormat};
+use vsgm_net::{codec, LatencyModel, SimNet};
 use vsgm_obs::NoopRecorder;
 use vsgm_types::{
     AppMsg, BaselineMsg, Cut, FwdPayload, NetMsg, ProcSet, ProcessId, StartChangeId, SyncPayload,
@@ -125,21 +125,21 @@ fn arb_net_msg() -> impl Strategy<Value = NetMsg> {
     ]
 }
 
+/// The owning decode of a bare body.
+fn decode(body: &[u8]) -> Option<NetMsg> {
+    codec::decode_body_ref(body).map(codec::BodyRef::into_owned)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 96, ..ProptestConfig::default() })]
 
-    /// Every `NetMsg` round-trips through the binary codec unchanged, and
-    /// through a JSON body decoded by the same sniffing decoder.
+    /// Every `NetMsg` round-trips through the binary codec unchanged.
     #[test]
     fn codec_roundtrips_every_variant(msg in arb_net_msg()) {
-        let bin = codec::encode_body(&msg, WireFormat::Binary).expect("binary encode");
-        let from_bin = codec::decode_body(&bin);
-        prop_assert_eq!(from_bin.as_ref(), Some(&msg));
-        let json = codec::encode_body(&msg, WireFormat::Json).expect("json encode");
-        let from_json = codec::decode_body(&json);
-        prop_assert_eq!(from_json.as_ref(), Some(&msg));
+        let bin = codec::encode_body(&msg);
+        prop_assert_eq!(decode(&bin), Some(msg.clone()));
         // Framing: the frame is exactly a little-endian length + body.
-        let frame = codec::encode_frame(&msg, WireFormat::Binary).expect("frame");
+        let frame = codec::encode_frame(&msg);
         let (len, body) = frame.split_at(4);
         prop_assert_eq!(u32::from_le_bytes(len.try_into().unwrap()) as usize, body.len());
         prop_assert_eq!(body, &bin[..]);
@@ -149,9 +149,9 @@ proptest! {
     /// reproduces the identical byte string (wire-format stability).
     #[test]
     fn codec_binary_encoding_is_deterministic(msg in arb_net_msg()) {
-        let a = codec::encode_body(&msg, WireFormat::Binary).expect("encode");
-        let decoded = codec::decode_body(&a).expect("decode");
-        let b = codec::encode_body(&decoded, WireFormat::Binary).expect("re-encode");
+        let a = codec::encode_body(&msg);
+        let decoded = decode(&a).expect("decode");
+        let b = codec::encode_body(&decoded);
         prop_assert_eq!(a, b);
     }
 
@@ -159,32 +159,27 @@ proptest! {
     /// trailing garbage to a valid body makes it reject.
     #[test]
     fn codec_decoder_is_total(bytes in prop::collection::vec(any::<u8>(), 0..256)) {
-        let _ = codec::decode_body(&bytes); // any verdict, never a panic
+        let _ = decode(&bytes); // any verdict, never a panic
     }
 
     /// Every `(GroupId, NetMsg)` pair round-trips through the v2 group
-    /// envelope in both wire formats, and the envelope header is exactly
-    /// `0x02 gid:u64le` in front of the single-group body.
+    /// envelope, and the envelope header is exactly `0x02 gid:u64le` in
+    /// front of the single-group body.
     #[test]
     fn codec_group_envelope_roundtrips(gid in any::<u64>(), msg in arb_net_msg()) {
         let gid = vsgm_types::GroupId::new(gid);
-        let bin = codec::encode_body_grouped(gid, &msg, WireFormat::Binary).expect("encode");
+        let mut frame = Vec::new();
+        codec::append_frame_grouped(&mut frame, gid, &msg);
+        let bin = frame.split_off(4);
         prop_assert_eq!(
             codec::decode_body_routed(&bin, false),
             Some((Some(gid), msg.clone()))
         );
         let (split_gid, inner) = codec::split_group_envelope(&bin).expect("split");
         prop_assert_eq!(split_gid, gid);
-        prop_assert_eq!(inner, &codec::encode_body(&msg, WireFormat::Binary).expect("inner")[..]);
-        let json = codec::encode_body_grouped(gid, &msg, WireFormat::Json).expect("encode json");
-        prop_assert_eq!(
-            codec::decode_body_routed(&json, true),
-            Some((Some(gid), msg.clone()))
-        );
-        prop_assert_eq!(codec::decode_body_routed(&json, false), None);
-        // Legacy interop: the same message as a bare v1 body routes with
-        // no group id.
-        let bare = codec::encode_body(&msg, WireFormat::Binary).expect("bare");
+        let bare = codec::encode_body(&msg);
+        prop_assert_eq!(inner, &bare[..]);
+        // The same message as a bare v1 body routes with no group id.
         prop_assert_eq!(codec::decode_body_routed(&bare, false), Some((None, msg)));
     }
 
@@ -192,18 +187,17 @@ proptest! {
     /// that claim the envelope version.
     #[test]
     fn codec_routed_decoder_is_total(bytes in prop::collection::vec(any::<u8>(), 0..256)) {
-        let _ = codec::decode_body_routed(&bytes, true);
         let _ = codec::decode_body_routed(&bytes, false);
         let mut claimed = bytes;
         claimed.insert(0, codec::GROUP_ENVELOPE_V2);
-        let _ = codec::decode_body_routed(&claimed, true);
+        let _ = codec::decode_body_routed(&claimed, false);
     }
 
     #[test]
     fn codec_rejects_trailing_garbage(msg in arb_net_msg(), tail in 1usize..8) {
-        let mut bin = codec::encode_body(&msg, WireFormat::Binary).expect("encode");
+        let mut bin = codec::encode_body(&msg);
         bin.extend(std::iter::repeat_n(0xA5u8, tail));
-        prop_assert_eq!(codec::decode_body(&bin), None);
+        prop_assert_eq!(decode(&bin), None);
     }
 
     /// Per-channel FIFO: for each ordered pair, the delivered sequence is

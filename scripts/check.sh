@@ -110,17 +110,21 @@ echo "==> transport readiness (evloop regressions, accept under fd exhaustion)"
 cargo test -q -p vsgm-net --test evloop_regressions --test accept_under_fd_exhaustion \
     "${CARGO_FLAGS[@]}" >/dev/null
 
-# Net-bench smoke: a short loopback run of the codec/flush comparison
-# (JSON vs binary × per-send vs coalesced) plus the connection-scaling
-# arms (16/256/4096 inbound connections into one fixed loop pool).
-# Emits BENCH_net.json at the repo root; an empty or missing file fails
-# the gate.
+# Net-bench smoke: a short loopback run of one transport pair with its
+# coalesced binary flushing (the `binary_coalesced` arm) plus the
+# connection-scaling arms (16/256/4096 inbound connections into one
+# fixed loop pool). Emits BENCH_net.json at the repo root; the gate
+# fails unless the file reports a `binary_coalesced` rate above 0.
 echo "==> net-bench smoke (BENCH_net.json)"
 VSGM_NET_BENCH_MSGS="${VSGM_NET_BENCH_MSGS:-2000}" \
 VSGM_BENCH_BUDGET_MS="${VSGM_BENCH_BUDGET_MS:-50}" \
 VSGM_BENCH_JSON="$PWD/BENCH_net.json" \
     cargo bench -q -p vsgm-bench --bench net_throughput "${CARGO_FLAGS[@]}" >/dev/null
-test -s BENCH_net.json
+pair_rate="$(sed -n 's/^ *"binary_coalesced": *\([0-9.]*\).*/\1/p' BENCH_net.json)"
+if ! awk -v r="${pair_rate:-0}" 'BEGIN { exit !(r > 0) }'; then
+    echo "BENCH_net.json reports no binary_coalesced rate above 0" >&2
+    exit 1
+fi
 
 # Net-scaling smoke: the 16-connection arm alone, re-run against the
 # pinned pre-rewrite baseline (592,845 frames/s, the old transport's
@@ -224,12 +228,15 @@ cargo test -q -p vsgm-net --lib "${CARGO_FLAGS[@]}" -- --exact \
 # spans folded over real Sim runs — one sync and one block per end-point
 # per uncascaded change, a cascade's first span left open and its second
 # closed, a crash mid-change leaving its span open, a closed span's
-# latency its GcsView's time minus its MbrshpStartChange's, and the same
-# spans after a JSON-lines round trip of the trace.
+# latency its GcsView's time minus its MbrshpStartChange's, the same
+# spans after a JSON-lines round trip of the trace, and the end-points'
+# registry counts equal to the trace's events (syncs sent to the span
+# fold) under the default, optimized and aggregation configs.
 echo "==> observability (spans from the trace)"
 cargo test -q -p vsgm-harness --lib "${CARGO_FLAGS[@]}" -- --exact \
     sim::tests::obs_journal_traces_one_sync_per_endpoint_per_view_change \
-    sim::tests::spans_fold_over_a_cascade_and_a_crash >/dev/null
+    sim::tests::spans_fold_over_a_cascade_and_a_crash \
+    sim::tests::registry_counts_agree_with_the_trace_under_each_config >/dev/null
 
 # The cost ledger, run by name (release builds: debug builds' assertions
 # allocate). A counting global allocator pins a quiescent end-point poll

@@ -26,7 +26,7 @@
 //!   not behaviour.
 //!
 //! The surface is what a client can observe: per receiver, the
-//! `encode_frame_grouped` bytes of its frames in order (view ids,
+//! `append_frame_grouped` bytes of its frames in order (view ids,
 //! `startId` maps, `Fwd` origin / index / view stamp, payload) — frames to
 //! different receivers leave on different sockets, so no order between
 //! them exists to compare.

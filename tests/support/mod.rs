@@ -17,8 +17,8 @@ use std::collections::BTreeMap;
 use vsgm_core::{Config, CorruptionKind};
 use vsgm_harness::{Sim, SimOptions};
 use vsgm_ioa::{SimTime, Violation};
-use vsgm_net::codec::encode_frame_grouped;
-use vsgm_net::{FaultPlan, WireFormat};
+use vsgm_net::codec::append_frame_grouped;
+use vsgm_net::FaultPlan;
 use vsgm_server::{GroupCmd, GroupOutput, GroupReport};
 use vsgm_types::{AppMsg, Event, FwdPayload, GroupId, NetMsg, ProcSet, ProcessId, View};
 
@@ -220,7 +220,8 @@ pub fn wire_by_receiver(
 ) -> BTreeMap<ProcessId, Vec<Vec<u8>>> {
     let mut by_receiver: BTreeMap<ProcessId, Vec<Vec<u8>>> = BTreeMap::new();
     for out in outputs {
-        let frame = encode_frame_grouped(gid, &out.msg, WireFormat::Binary).expect("encodable");
+        let mut frame = Vec::new();
+        append_frame_grouped(&mut frame, gid, &out.msg);
         by_receiver.entry(out.to).or_default().push(frame);
     }
     by_receiver

@@ -4,7 +4,7 @@
 use std::time::{Duration, Instant};
 use vsgm_core::node::AppEvent;
 use vsgm_core::{Config, Endpoint, Input, Node};
-use vsgm_net::{TcpConfig, TcpTransport, WireFormat};
+use vsgm_net::TcpTransport;
 use vsgm_types::{AppMsg, ProcSet, ProcessId, StartChangeId, View, ViewId};
 
 fn p(i: u64) -> ProcessId {
@@ -12,13 +12,8 @@ fn p(i: u64) -> ProcessId {
 }
 
 fn cluster(n: u64) -> Vec<Node> {
-    cluster_with(n, |_| TcpConfig::default())
-}
-
-fn cluster_with(n: u64, config: impl Fn(u64) -> TcpConfig) -> Vec<Node> {
-    let transports: Vec<TcpTransport> = (1..=n)
-        .map(|i| TcpTransport::bind_with(p(i), "127.0.0.1:0", config(i)).expect("bind"))
-        .collect();
+    let transports: Vec<TcpTransport> =
+        (1..=n).map(|i| TcpTransport::bind(p(i), "127.0.0.1:0").expect("bind")).collect();
     let addrs: Vec<_> = transports.iter().map(|t| t.local_addr()).collect();
     for t in &transports {
         for i in 1..=n {
@@ -134,32 +129,6 @@ fn three_nodes_view_and_fifo_multicast() {
         let expected: Vec<String> = (0..10).map(|k| format!("m{k}")).collect();
         assert_eq!(got, expected, "receiver p{i}");
     }
-}
-
-#[test]
-fn mixed_wire_formats_interoperate_in_one_group() {
-    // Rolling-transition shape: p1 still sends JSON frames while p2/p3
-    // send binary. The sniffing decoder means the full GCS — view
-    // formation, sync rounds, FIFO multicast — must work unchanged.
-    let mut nodes = cluster_with(3, |i| TcpConfig {
-        wire_format: if i == 1 { WireFormat::Json } else { WireFormat::Binary },
-        ..TcpConfig::default()
-    });
-    let mut events = Vec::new();
-    let members: ProcSet = (1..=3).map(p).collect();
-    form_view(&mut nodes, &mut events, &members, 1, 1);
-
-    for sender in 0..3usize {
-        let me = nodes[sender].endpoint().pid();
-        for e in nodes[sender].send(AppMsg::from(format!("from {me}").as_str())).expect("send") {
-            events.push((me, e));
-        }
-    }
-    // Each of the 3 messages reaches all 3 members (self-delivery
-    // included), across the format boundary in both directions.
-    pump_until(&mut nodes, &mut events, |evs| {
-        evs.iter().filter(|(_, e)| matches!(e, AppEvent::Delivered { .. })).count() >= 9
-    });
 }
 
 #[test]
