@@ -40,9 +40,7 @@ use std::collections::{BTreeMap, BTreeSet, HashMap};
 use vsgm_core::state::State;
 use vsgm_core::{wv, Effect, GroupEndpoint, Input};
 use vsgm_obs::Recorder;
-use vsgm_types::{
-    BaselineMsg, Cut, MsgIndex, NetMsg, ProcSet, ProcessId, View,
-};
+use vsgm_types::{BaselineMsg, Cut, MsgIndex, NetMsg, ProcSet, ProcessId, View};
 
 /// A globally unique agreement tag: `(max proposed seq, proposer id)`.
 pub type Tag = (u64, u64);
@@ -146,10 +144,7 @@ impl BaselineEndpoint {
             .into_iter()
             .filter(|s| {
                 s.iter().all(|q| self.st.reliable_set.contains(q))
-                    && self
-                        .rounds
-                        .get(s)
-                        .is_none_or(|r| r.own_change < self.changes_seen)
+                    && self.rounds.get(s).is_none_or(|r| r.own_change < self.changes_seen)
             })
             .collect()
     }
@@ -318,8 +313,7 @@ impl BaselineEndpoint {
             wv::view_eff(&mut self.st);
             // The change is only over if no newer start_change arrived
             // since we proposed for this round (cascades restart it).
-            let round_change =
-                self.rounds.remove(&installed_members).map_or(0, |r| r.own_change);
+            let round_change = self.rounds.remove(&installed_members).map_or(0, |r| r.own_change);
             let done = match &self.st.start_change {
                 Some((_, sc_set)) => {
                     *sc_set == installed_members && round_change == self.changes_seen
@@ -330,10 +324,7 @@ impl BaselineEndpoint {
                 self.st.start_change = None;
                 self.st.block_status = vsgm_core::state::BlockStatus::Unblocked;
             }
-            out.push(Effect::InstallView {
-                view: self.st.current_view.clone(),
-                transitional: t,
-            });
+            out.push(Effect::InstallView { view: self.st.current_view.clone(), transitional: t });
             return true;
         }
         false

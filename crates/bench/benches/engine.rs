@@ -67,10 +67,7 @@ fn bench_endpoint(c: &mut Criterion) {
             let members: ProcSet = (1..=n as u64).map(ProcessId::new).collect();
             b.iter(|| {
                 let mut ep = Endpoint::new(ProcessId::new(1), Config::default());
-                ep.handle(Input::StartChange {
-                    cid: StartChangeId::new(1),
-                    set: members.clone(),
-                });
+                ep.handle(Input::StartChange { cid: StartChangeId::new(1), set: members.clone() });
                 ep.poll();
                 ep.handle(Input::BlockOk);
                 ep.poll().len()
@@ -124,9 +121,7 @@ fn bench_view_ops(c: &mut Criterion) {
         (1..=64).map(|i| (ProcessId::new(i), StartChangeId::new(1))),
     );
     g.bench_function("clone_64_member_view", |b| b.iter(|| big.clone()));
-    g.bench_function("intersection_64", |b| {
-        b.iter(|| big.intersection(&big).count())
-    });
+    g.bench_function("intersection_64", |b| b.iter(|| big.intersection(&big).count()));
     g.finish();
 }
 

@@ -125,7 +125,11 @@ fn emit_json(rates: &[(&'static str, f64)]) {
     let speedup = {
         let rate = |n: &str| rates.iter().find(|(a, _)| *a == n).map_or(0.0, |(_, r)| *r);
         let base = rate("per_message");
-        if base > 0.0 { rate("batched_large") / base } else { 0.0 }
+        if base > 0.0 {
+            rate("batched_large") / base
+        } else {
+            0.0
+        }
     };
     let mut body = String::from("{\n");
     body.push_str("  \"bench\": \"gcs_throughput\",\n");

@@ -152,8 +152,7 @@ fn main() {
     };
     let server =
         GroupServer::bind(ProcessId::new(0), "127.0.0.1:0", cfg).expect("bind group server");
-    let handles: Vec<Client> =
-        (1..=clients).map(|i| Client::connect(i, &server)).collect();
+    let handles: Vec<Client> = (1..=clients).map(|i| Client::connect(i, &server)).collect();
 
     // Phase 1 — client 1 creates every group.
     let creator = handles.first().expect("at least one client");

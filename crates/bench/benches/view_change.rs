@@ -22,7 +22,8 @@ fn dump_obs_snapshot() {
     let reg = sim.take_obs().expect("obs on");
     let snap = vsgm_obs::Snapshot::capture(&reg, sim.trace().entries());
     let path = std::path::Path::new(&dir).join("view_change.json");
-    std::fs::create_dir_all(&dir).and_then(|()| std::fs::write(&path, snap.to_json_pretty()))
+    std::fs::create_dir_all(&dir)
+        .and_then(|()| std::fs::write(&path, snap.to_json_pretty()))
         .unwrap_or_else(|e| eprintln!("VSGM_OBS_SNAPSHOT: cannot write {}: {e}", path.display()));
     println!("obs snapshot written to {}", path.display());
 }

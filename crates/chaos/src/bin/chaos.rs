@@ -24,7 +24,9 @@
 #![allow(clippy::expect_used, reason = "outside P1: a test driver, not protocol code")]
 
 use serde::Serialize;
-use vsgm_chaos::{generate, minimize, run_scenario, Artifact, ChaosConfig, CorruptMode, RunOptions};
+use vsgm_chaos::{
+    generate, minimize, run_scenario, Artifact, ChaosConfig, CorruptMode, RunOptions,
+};
 use vsgm_core::CorruptionKind;
 use vsgm_harness::Scenario;
 
@@ -210,9 +212,8 @@ fn main() {
     // default hook from spraying backtraces over the report.
     std::panic::set_hook(Box::new(|_| {}));
 
-    let opts = RunOptions {
-        skip_sync_at_stabilization: if args.inject_bug { Some(0) } else { None },
-    };
+    let opts =
+        RunOptions { skip_sync_at_stabilization: if args.inject_bug { Some(0) } else { None } };
 
     if let Some(path) = &args.stabilize_json {
         let (report, failing) = stabilize_sweep(&args, &opts);

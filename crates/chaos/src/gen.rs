@@ -171,9 +171,7 @@ pub fn generate(seed: u64, cfg: &ChaosConfig) -> Scenario {
                     let members: Vec<u64> = base
                         .iter()
                         .copied()
-                        .filter(|m| {
-                            pending.get(m).is_some_and(|sug| base.is_subset(sug))
-                        })
+                        .filter(|m| pending.get(m).is_some_and(|sug| base.is_subset(sug)))
                         .collect();
                     for m in &members {
                         pending.remove(m);

@@ -58,11 +58,8 @@ fn max_proc_referenced(s: &Scenario) -> u64 {
                     }
                 }
             }
-            Step::Heal
-            | Step::Run
-            | Step::RunFor { .. }
-            | Step::Faults { .. }
-            | Step::AckRound => {}
+            Step::Heal | Step::Run | Step::RunFor { .. } | Step::Faults { .. } | Step::AckRound => {
+            }
         }
     }
     hi
@@ -133,8 +130,7 @@ pub fn minimize(scenario: &Scenario, opts: &RunOptions) -> Option<Minimized> {
 
         // Weaken fault fields one at a time.
         for idx in 0..cur.steps.len() {
-            let Some(Step::Faults { drop, dup, reorder_ms, burst }) =
-                cur.steps.get(idx).cloned()
+            let Some(Step::Faults { drop, dup, reorder_ms, burst }) = cur.steps.get(idx).cloned()
             else {
                 continue;
             };

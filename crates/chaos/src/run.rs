@@ -209,11 +209,8 @@ pub fn validate(scenario: &Scenario) -> Result<(), String> {
             // Corruption of a crashed process is a harness no-op, so any
             // in-range target is legal.
             Step::Corrupt { p, .. } => check_p(i, *p)?,
-            Step::Heal
-            | Step::Run
-            | Step::RunFor { .. }
-            | Step::Faults { .. }
-            | Step::AckRound => {}
+            Step::Heal | Step::Run | Step::RunFor { .. } | Step::Faults { .. } | Step::AckRound => {
+            }
         }
     }
     Ok(())
@@ -267,11 +264,7 @@ pub fn run_scenario(scenario: &Scenario, opts: &RunOptions) -> RunOutcome {
     let corrupting = scenario.steps.iter().any(|s| matches!(s, Step::Corrupt { .. }));
     let mut sim = Sim::new_paper(
         scenario.n,
-        Config {
-            batch: batch_for_seed(scenario.seed),
-            audit: corrupting,
-            ..Config::default()
-        },
+        Config { batch: batch_for_seed(scenario.seed), audit: corrupting, ..Config::default() },
         SimOptions {
             seed: scenario.seed,
             latency: LatencyModel::lan(),
@@ -355,9 +348,9 @@ pub fn run_scenario(scenario: &Scenario, opts: &RunOptions) -> RunOutcome {
                         stabilized_len,
                         Some(final_view),
                     );
-                    convergence_us = sim.last_corruption().map(|t| {
-                        stabilized_at.as_micros().saturating_sub(t.as_micros())
-                    });
+                    convergence_us = sim
+                        .last_corruption()
+                        .map(|t| stabilized_at.as_micros().saturating_sub(t.as_micros()));
                     split_violations = Some(report.violations());
                 } else if corrupting {
                     // Every corruption step targeted a crashed process

@@ -4,8 +4,8 @@
 //! regression scenarios.
 
 use vsgm_chaos::{
-    batch_for_seed, generate, minimize, run_scenario, Artifact, ChaosConfig, Failure, RunOptions,
-    validate,
+    batch_for_seed, generate, minimize, run_scenario, validate, Artifact, ChaosConfig, Failure,
+    RunOptions,
 };
 use vsgm_harness::{Scenario, Step};
 use vsgm_ioa::Trace;
@@ -113,11 +113,7 @@ fn injected_bug_shrinks_to_a_tiny_reproducer() {
 #[test]
 fn illegal_scenarios_are_rejected_not_run() {
     // form_view nobody asked for.
-    let s = Scenario {
-        n: 3,
-        seed: 0,
-        steps: vec![Step::FormView { members: vec![1, 2] }],
-    };
+    let s = Scenario { n: 3, seed: 0, steps: vec![Step::FormView { members: vec![1, 2] }] };
     assert!(validate(&s).is_err());
     let out = run_scenario(&s, &RunOptions::default());
     assert!(matches!(out.failure, Some(Failure::InvalidScenario(_))), "{:?}", out.failure);

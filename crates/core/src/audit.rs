@@ -339,7 +339,11 @@ fn acked_within_sent(st: &State) -> Result<(), AuditFailure> {
         if cut.get(st.pid) > st.last_sent {
             return fail(
                 "acked_within_sent",
-                format!("{r} acknowledged {} own messages but sent {}", cut.get(st.pid), st.last_sent),
+                format!(
+                    "{r} acknowledged {} own messages but sent {}",
+                    cut.get(st.pid),
+                    st.last_sent
+                ),
             );
         }
     }
@@ -509,10 +513,7 @@ fn agg_state_gated(cfg: &Config, st: &State) -> Result<(), AuditFailure> {
         );
     }
     if (!st.agg_buffer.is_empty() || st.agg_flushed) && st.agg_scope.is_none() {
-        return fail(
-            "agg_state_gated",
-            "aggregation state present with no agg_scope".to_string(),
-        );
+        return fail("agg_state_gated", "aggregation state present with no agg_scope".to_string());
     }
     Ok(())
 }
@@ -571,8 +572,7 @@ mod tests {
         let mut cut = Cut::new();
         cut.set(p(1), 1);
         cut.set(p(2), 1);
-        st.sync_msgs
-            .insert((p(1), cid), SyncRecord { view: Some(v), cut, stream_pos: 1 });
+        st.sync_msgs.insert((p(1), cid), SyncRecord { view: Some(v), cut, stream_pos: 1 });
         st
     }
 
@@ -616,8 +616,7 @@ mod tests {
         for kind in CorruptionKind::ALL {
             let mut st = busy_state();
             corrupt::apply(&mut st, kind, 0);
-            let failure = check(&cfg, &st)
-                .expect_err(&format!("{} not detected", kind.name()));
+            let failure = check(&cfg, &st).expect_err(&format!("{} not detected", kind.name()));
             assert!(!failure.check.is_empty(), "{failure}");
         }
     }

@@ -151,8 +151,7 @@ pub fn apply(st: &mut State, kind: CorruptionKind, salt: u64) {
                 .map(|(q, d)| (*q, *d))
                 .next();
             if let Some((q, dlvrd)) = victim {
-                if let Some(buf) = st.msgs.get_mut(&(q, view))
-                {
+                if let Some(buf) = st.msgs.get_mut(&(q, view)) {
                     buf.truncate(dlvrd.saturating_sub(1));
                 }
             } else if st.last_sent > 0 {

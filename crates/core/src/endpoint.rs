@@ -421,13 +421,7 @@ impl Endpoint {
             return false;
         }
         let (count, bytes) = self.pending_batch();
-        crate::batch::holds(
-            &self.cfg.batch,
-            count,
-            bytes,
-            self.st.batch_opened_us,
-            self.st.now_us,
-        )
+        crate::batch::holds(&self.cfg.batch, count, bytes, self.st.batch_opened_us, self.st.now_us)
     }
 
     /// The absolute clock value (same timebase as [`Input::Tick`]) at
@@ -697,17 +691,12 @@ impl Endpoint {
                     .map(|(sender, (cid, rec))| {
                         (
                             *sender,
-                            SyncPayload {
-                                cid: *cid,
-                                view: rec.view.clone(),
-                                cut: rec.cut.clone(),
-                            },
+                            SyncPayload { cid: *cid, view: rec.view.clone(), cut: rec.cut.clone() },
                         )
                     })
                     .collect();
                 self.st.agg_flushed = true;
-                let to: ProcSet =
-                    sc_set.iter().copied().filter(|q| *q != self.st.pid).collect();
+                let to: ProcSet = sc_set.iter().copied().filter(|q| *q != self.st.pid).collect();
                 // The leader's own sync leaves here, if it is in the batch.
                 if !to.is_empty() && entries.iter().any(|(sender, _)| *sender == self.st.pid) {
                     rec.counter(names::EP_SYNCS_SENT, 1);
@@ -717,8 +706,7 @@ impl Endpoint {
             Action::SendAppMsg => {
                 // Attribute the flush before the effect consumes the
                 // pending suffix.
-                let reconfiguring =
-                    self.st.start_change.is_some() || wv::view_pre(&self.st);
+                let reconfiguring = self.st.start_change.is_some() || wv::view_pre(&self.st);
                 let pending = self.cfg.batch.enabled().then(|| self.pending_batch());
                 let Some((set, msg, k)) = wv::send_app_batch_eff(
                     &mut self.st,
@@ -729,12 +717,8 @@ impl Endpoint {
                 };
                 rec.counter(names::EP_MSGS_SENT, k);
                 if let Some((pcount, pbytes)) = pending {
-                    let cause = crate::batch::flush_cause(
-                        &self.cfg.batch,
-                        reconfiguring,
-                        pcount,
-                        pbytes,
-                    );
+                    let cause =
+                        crate::batch::flush_cause(&self.cfg.batch, reconfiguring, pcount, pbytes);
                     rec.counter(names::EP_BATCH_FLUSHES, 1);
                     rec.counter(cause.counter_name(), 1);
                     rec.observe(names::EP_BATCH_SIZE, k);
@@ -939,8 +923,7 @@ mod tests {
         }
         net.input(1, Input::AppSend(AppMsg::from("hi")));
         net.settle();
-        let receivers: Vec<ProcessId> =
-            net.delivered.iter().map(|(to, _, _)| *to).collect();
+        let receivers: Vec<ProcessId> = net.delivered.iter().map(|(to, _, _)| *to).collect();
         assert!(receivers.contains(&p(1)) && receivers.contains(&p(2)), "{receivers:?}");
     }
 
@@ -1204,11 +1187,9 @@ mod tests {
         // (it was flushed before the synchronization cut).
         for target in [1u64, 2] {
             assert!(
-                net.delivered
-                    .iter()
-                    .any(|(to, from, m)| *to == p(target)
-                        && *from == p(1)
-                        && m == &AppMsg::from("held")),
+                net.delivered.iter().any(|(to, from, m)| *to == p(target)
+                    && *from == p(1)
+                    && m == &AppMsg::from("held")),
                 "missing delivery at p{target}: {:?}",
                 net.delivered
             );
@@ -1248,17 +1229,11 @@ mod tests {
         net.settle();
         // Both endpoints have sent their syncs (settle drains all locally
         // controlled actions). A send now hits the closed window.
-        assert!(net.eps[&p(1)]
-            .state()
-            .sync(p(1), StartChangeId::new(2))
-            .is_some());
+        assert!(net.eps[&p(1)].state().sync(p(1), StartChangeId::new(2)).is_some());
         net.input(1, Input::AppSend(AppMsg::from("racer")));
         net.settle();
         assert!(net.delivered.is_empty(), "{:?}", net.delivered);
-        assert_eq!(
-            net.eps[&p(1)].state().pending_sends,
-            vec![AppMsg::from("racer")]
-        );
+        assert_eq!(net.eps[&p(1)].state().pending_sends, vec![AppMsg::from("racer")]);
         // The view arrives; the queued send goes out in the NEW view.
         let view = View::new(
             vsgm_types::ViewId::new(2, 0),
@@ -1269,21 +1244,15 @@ mod tests {
             net.input(m, Input::MbrshpView(view.clone()));
         }
         net.settle();
-        let deliveries: Vec<&(ProcessId, ProcessId, AppMsg)> = net
-            .delivered
-            .iter()
-            .filter(|(_, _, m)| m == &AppMsg::from("racer"))
-            .collect();
+        let deliveries: Vec<&(ProcessId, ProcessId, AppMsg)> =
+            net.delivered.iter().filter(|(_, _, m)| m == &AppMsg::from("racer")).collect();
         assert_eq!(deliveries.len(), 2, "{:?}", net.delivered);
         for ep in net.eps.values() {
             assert_eq!(ep.current_view(), &view);
             assert!(ep.state().pending_sends.is_empty());
             // The message sits in the NEW view's own buffer, not the old.
             if ep.pid() == p(1) {
-                assert_eq!(
-                    ep.state().buf(p(1), &view).map_or(0, |b| b.last_index()),
-                    1
-                );
+                assert_eq!(ep.state().buf(p(1), &view).map_or(0, |b| b.last_index()), 1);
             }
         }
     }

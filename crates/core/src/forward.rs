@@ -203,8 +203,7 @@ fn min_copy<B>(st: &State, emit: &mut impl FnMut(ForwardCmd) -> ControlFlow<B>) 
         return ControlFlow::Continue(());
     }
     // `q`'s cut if `q ∈ T`: its selected sync shows it moving from v_old.
-    let t_cut =
-        |q| selected(q).filter(|rec| rec.view.as_ref() == Some(v_old)).map(|rec| &rec.cut);
+    let t_cut = |q| selected(q).filter(|rec| rec.view.as_ref() == Some(v_old)).map(|rec| &rec.cut);
     let t = || v_new.intersection(v_old).filter_map(|q| Some((q, t_cut(q)?)));
     for r in v_old.members() {
         if t_cut(*r).is_some() {
@@ -285,11 +284,7 @@ mod tests {
         vs::on_sync(
             st,
             p(2),
-            &SyncPayload {
-                cid: StartChangeId::new(4),
-                view: Some(cv.clone()),
-                cut,
-            },
+            &SyncPayload { cid: StartChangeId::new(4), view: Some(cv.clone()), cut },
         );
     }
 
@@ -382,11 +377,7 @@ mod tests {
         // p1 also committed to message 1 (and misses nothing).
         let mut cut = Cut::new();
         cut.set(p(3), 1);
-        vs::on_sync(
-            &mut st,
-            p(1),
-            &SyncPayload { cid: StartChangeId::new(2), view: Some(v), cut },
-        );
+        vs::on_sync(&mut st, p(1), &SyncPayload { cid: StartChangeId::new(2), view: Some(v), cut });
         st.mbrshp_view = view(2, &[1, 2], &[2, 4]);
         let cmds = ForwardStrategyKind::MinCopy.candidates(&st);
         assert!(cmds.is_empty(), "p1 is the elected forwarder, not p2: {cmds:?}");
@@ -413,11 +404,7 @@ mod tests {
         vs::on_sync(
             &mut st,
             p(2),
-            &SyncPayload {
-                cid: StartChangeId::new(4),
-                view: Some(cv.clone()),
-                cut,
-            },
+            &SyncPayload { cid: StartChangeId::new(4), view: Some(cv.clone()), cut },
         );
         // Give ourselves a sent message so a naive strategy would forward.
         wv::on_app_send(&mut st, AppMsg::from("own"));

@@ -18,7 +18,9 @@ use crate::state::State;
 /// Invariant 6.7 — a synchronization record held *about* `p` equals the
 /// record `p` holds about itself (when `p` still has it; garbage
 /// collection may have pruned old generations).
-pub fn sync_records_agree<'a>(states: impl Iterator<Item = &'a State> + Clone) -> Result<(), String> {
+pub fn sync_records_agree<'a>(
+    states: impl Iterator<Item = &'a State> + Clone,
+) -> Result<(), String> {
     let all: Vec<&State> = states.collect();
     for holder in &all {
         for ((sender, cid), rec) in &holder.sync_msgs {
@@ -163,8 +165,10 @@ mod tests {
     /// p1 has a change pending and has recorded its own sync for it.
     fn own_sync_sent(st: &mut State, view: View, cut: Cut) {
         st.start_change = Some((StartChangeId::new(1), [p(1)].into_iter().collect::<ProcSet>()));
-        st.sync_msgs
-            .insert((p(1), StartChangeId::new(1)), SyncRecord { view: Some(view), cut, stream_pos: 0 });
+        st.sync_msgs.insert(
+            (p(1), StartChangeId::new(1)),
+            SyncRecord { view: Some(view), cut, stream_pos: 0 },
+        );
     }
 
     // The local invariants are checks of the audit; each breach below is

@@ -58,11 +58,11 @@ pub mod aggregation;
 pub mod audit;
 pub mod batch;
 pub mod client;
-pub mod corrupt;
-pub mod invariants;
 pub mod config;
+pub mod corrupt;
 pub mod endpoint;
 pub mod forward;
+pub mod invariants;
 pub mod node;
 pub mod sd;
 pub mod stability;
@@ -73,8 +73,8 @@ pub mod wv;
 pub use audit::AuditFailure;
 pub use batch::{BatchConfig, FlushCause};
 pub use client::{BlockingClient, Hosted, Sink};
-pub use corrupt::CorruptionKind;
 pub use config::{Config, Stack};
+pub use corrupt::CorruptionKind;
 pub use endpoint::{Action, Effect, Endpoint, GroupEndpoint, Input};
 pub use forward::{ForwardCmd, ForwardStrategyKind};
 pub use node::Node;

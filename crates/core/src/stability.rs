@@ -80,8 +80,7 @@ pub fn send_ack_eff(st: &mut State) -> Option<(ProcSet, NetMsg)> {
     s.announced = st.last_dlvrd.clone();
     // Alone in a view, the own deliveries are everybody's.
     collect(st);
-    let set: ProcSet =
-        st.current_view.members().iter().copied().filter(|q| *q != st.pid).collect();
+    let set: ProcSet = st.current_view.members().iter().copied().filter(|q| *q != st.pid).collect();
     let cut: Cut = st.last_dlvrd.iter().map(|(q, i)| (*q, *i)).collect();
     Some((set, NetMsg::Ack(cut)))
 }
@@ -112,12 +111,8 @@ pub fn floor(st: &State, q: ProcessId) -> MsgIndex {
 /// Drops from every `msgs[q][current_view]` what lies at or below
 /// [`floor`].
 pub fn collect(st: &mut State) {
-    let floors: Vec<(ProcessId, MsgIndex)> = st
-        .last_dlvrd
-        .keys()
-        .map(|q| (*q, floor(st, *q)))
-        .filter(|(_, f)| *f > 0)
-        .collect();
+    let floors: Vec<(ProcessId, MsgIndex)> =
+        st.last_dlvrd.keys().map(|q| (*q, floor(st, *q))).filter(|(_, f)| *f > 0).collect();
     let mut key = (st.pid, st.current_view.clone());
     for (q, f) in floors {
         key.0 = q;

@@ -11,9 +11,7 @@
 //! parallel with the membership round.
 
 use crate::state::{State, SyncRecord};
-use vsgm_types::{
-    Cut, MsgIndex, NetMsg, ProcSet, ProcessId, StartChangeId, SyncPayload,
-};
+use vsgm_types::{Cut, MsgIndex, NetMsg, ProcSet, ProcessId, StartChangeId, SyncPayload};
 
 /// The deterministic aggregation leader for a suggested membership (§9
 /// extension): the smallest process id.
@@ -37,11 +35,8 @@ pub fn on_start_change(st: &mut State, cid: StartChangeId, set: ProcSet) {
 pub fn on_sync(st: &mut State, q: ProcessId, payload: &SyncPayload) -> SyncRecord {
     // The sync rides the sender's FIFO stream, so the receive position
     // marks the end of the sender's current-view message sequence.
-    let rec = SyncRecord {
-        view: payload.view.clone(),
-        cut: payload.cut.clone(),
-        stream_pos: st.rcvd(q),
-    };
+    let rec =
+        SyncRecord { view: payload.view.clone(), cut: payload.cut.clone(), stream_pos: st.rcvd(q) };
     st.sync_msgs.insert((q, payload.cid), rec.clone());
     let latest = st.latest_sync_cid.entry(q).or_insert(payload.cid);
     if payload.cid > *latest {
@@ -83,8 +78,7 @@ pub fn reliable_at_target(st: &State) -> bool {
 pub fn send_sync_pre(st: &State, implicit_cuts: bool) -> bool {
     let base = match &st.start_change {
         Some((cid, sc_set)) => {
-            sc_set.iter().all(|q| st.reliable_set.contains(q))
-                && st.sync(st.pid, *cid).is_none()
+            sc_set.iter().all(|q| st.reliable_set.contains(q)) && st.sync(st.pid, *cid).is_none()
         }
         None => false,
     };
@@ -123,8 +117,7 @@ pub fn send_sync_eff(
     let (cid, sc_set) = st.start_change.clone()?;
     let cv = st.current_view.clone();
     let cut = st.commit_cut();
-    let record =
-        SyncRecord { view: Some(cv.clone()), cut: cut.clone(), stream_pos: st.last_sent };
+    let record = SyncRecord { view: Some(cv.clone()), cut: cut.clone(), stream_pos: st.last_sent };
     st.sync_msgs.insert((st.pid, cid), record.clone());
 
     // Second §5.2.4 optimization: entries about continuing members
@@ -262,8 +255,7 @@ pub fn view_ready(st: &State, implicit_cuts: bool) -> bool {
         return false;
     }
     // All required sync messages present?
-    let selected_present =
-        |q| v.start_id(q).is_some_and(|q_cid| st.sync(q, q_cid).is_some());
+    let selected_present = |q| v.start_id(q).is_some_and(|q_cid| st.sync(q, q_cid).is_some());
     if !v.intersection(&st.current_view).all(selected_present) {
         return false;
     }
@@ -428,11 +420,7 @@ mod tests {
         on_sync(
             &mut st,
             p(2),
-            &SyncPayload {
-                cid: StartChangeId::new(5),
-                view: Some(cv.clone()),
-                cut,
-            },
+            &SyncPayload { cid: StartChangeId::new(5), view: Some(cv.clone()), cut },
         );
         assert_eq!(delivery_bound(&st, p(2)), Some(3));
     }
@@ -458,11 +446,7 @@ mod tests {
         on_sync(
             &mut st,
             p(2),
-            &SyncPayload {
-                cid: StartChangeId::new(7),
-                view: Some(cv.clone()),
-                cut: Cut::new(),
-            },
+            &SyncPayload { cid: StartChangeId::new(7), view: Some(cv.clone()), cut: Cut::new() },
         );
         let t = view_restriction_with(&st, false).expect("installable");
         assert_eq!(t, set(&[1, 2]));
@@ -489,11 +473,7 @@ mod tests {
         on_sync(
             &mut st,
             p(2),
-            &SyncPayload {
-                cid: StartChangeId::new(4),
-                view: Some(cv.clone()),
-                cut: Cut::new(),
-            },
+            &SyncPayload { cid: StartChangeId::new(4), view: Some(cv.clone()), cut: Cut::new() },
         );
         // p3 moves from its own (initial) view — slim or different view.
         let t = view_restriction_with(&st, false).expect("installable");

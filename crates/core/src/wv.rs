@@ -106,8 +106,7 @@ pub fn send_view_msg_pre(st: &State) -> bool {
 /// `co_rfifo.send_p(set, tag=view_msg, v)` effect. Returns the destination
 /// set (current view minus self) and the message.
 pub fn send_view_msg_eff(st: &mut State) -> (ProcSet, NetMsg) {
-    let set: ProcSet =
-        st.current_view.members().iter().copied().filter(|m| *m != st.pid).collect();
+    let set: ProcSet = st.current_view.members().iter().copied().filter(|m| *m != st.pid).collect();
     let msg = NetMsg::ViewMsg(st.current_view.clone());
     st.view_msg.insert(st.pid, st.current_view.clone());
     (set, msg)
@@ -126,8 +125,7 @@ pub fn send_app_msg_pre(st: &State) -> Option<&AppMsg> {
 /// [`send_app_msg_pre`] is false (the action is not enabled).
 pub fn send_app_msg_eff(st: &mut State) -> Option<(ProcSet, NetMsg)> {
     let m = send_app_msg_pre(st)?.clone();
-    let set: ProcSet =
-        st.current_view.members().iter().copied().filter(|q| *q != st.pid).collect();
+    let set: ProcSet = st.current_view.members().iter().copied().filter(|q| *q != st.pid).collect();
     st.last_sent += 1;
     rearm_batch_clock(st);
     Some((set, NetMsg::App(m)))
@@ -171,8 +169,7 @@ pub fn send_app_batch_eff(
             batch.push(next.clone());
         }
     }
-    let set: ProcSet =
-        st.current_view.members().iter().copied().filter(|q| *q != st.pid).collect();
+    let set: ProcSet = st.current_view.members().iter().copied().filter(|q| *q != st.pid).collect();
     let k = batch.len() as u64;
     st.last_sent += k;
     rearm_batch_clock(st);
@@ -183,9 +180,8 @@ pub fn send_app_batch_eff(
 /// After a send advanced `last_sent`: clear the linger clock if the
 /// pending batch drained, else restart it for the remaining suffix.
 fn rearm_batch_clock(st: &mut State) {
-    let remaining = st
-        .buf(st.pid, &st.current_view)
-        .is_some_and(|seq| seq.last_index() > st.last_sent);
+    let remaining =
+        st.buf(st.pid, &st.current_view).is_some_and(|seq| seq.last_index() > st.last_sent);
     st.batch_opened_us = remaining.then_some(st.now_us);
 }
 

@@ -144,10 +144,8 @@ fn repeated_identical_start_change_is_idempotent_protocolwise() {
     a.poll();
     a.handle(Input::BlockOk);
     let first = a.poll();
-    let syncs = first
-        .iter()
-        .filter(|e| matches!(e, Effect::NetSend { msg: NetMsg::Sync(_), .. }))
-        .count();
+    let syncs =
+        first.iter().filter(|e| matches!(e, Effect::NetSend { msg: NetMsg::Sync(_), .. })).count();
     assert_eq!(syncs, 1);
     // Replaying the same cid (allowed nowhere by the spec, but defensive):
     // no second sync for the same cid.
@@ -198,12 +196,10 @@ fn send_view_msg_only_after_reliable_covers_view() {
     a.handle(Input::MbrshpView(view(1, &[1, 2], 1)));
     let effects = a.poll();
     // view_msg must appear, and only after a SetReliable covering {1,2}.
-    let reliable_pos = effects
-        .iter()
-        .position(|e| matches!(e, Effect::SetReliable(s) if s.contains(&p(2))));
-    let viewmsg_pos = effects
-        .iter()
-        .position(|e| matches!(e, Effect::NetSend { msg: NetMsg::ViewMsg(_), .. }));
+    let reliable_pos =
+        effects.iter().position(|e| matches!(e, Effect::SetReliable(s) if s.contains(&p(2))));
+    let viewmsg_pos =
+        effects.iter().position(|e| matches!(e, Effect::NetSend { msg: NetMsg::ViewMsg(_), .. }));
     match (reliable_pos, viewmsg_pos) {
         (Some(r), Some(v)) => assert!(r < v, "{effects:?}"),
         // reliable may have been set in an earlier poll; view_msg present

@@ -173,10 +173,7 @@ fn gc_keeps_previous_generation_for_forwarding() {
     );
     reconfigure(&mut a, &mut b, 3, 3);
     // ...and is collected after the next.
-    assert!(
-        a.state().buf(p(1), &v1).is_none(),
-        "buffers two generations old must be collected"
-    );
+    assert!(a.state().buf(p(1), &v1).is_none(), "buffers two generations old must be collected");
 }
 
 #[test]

@@ -4,9 +4,7 @@
 
 use vsgm_core::state::State;
 use vsgm_core::{vs, wv};
-use vsgm_types::{
-    AppMsg, Cut, ProcSet, ProcessId, StartChangeId, SyncPayload, View, ViewId,
-};
+use vsgm_types::{AppMsg, Cut, ProcSet, ProcessId, StartChangeId, SyncPayload, View, ViewId};
 
 fn p(i: u64) -> ProcessId {
     ProcessId::new(i)
@@ -41,10 +39,7 @@ fn implicit_pre_requires_stream_flushed() {
     // An unsent buffered own message blocks the implicit-mode sync…
     wv::on_app_send(&mut st, AppMsg::from("pending"));
     assert!(vs::send_sync_pre(&st, false), "plain mode unaffected");
-    assert!(
-        !vs::send_sync_pre(&st, true),
-        "implicit mode must flush the stream before syncing"
-    );
+    assert!(!vs::send_sync_pre(&st, true), "implicit mode must flush the stream before syncing");
     // …until it is multicast.
     st.last_sent = 1;
     assert!(vs::send_sync_pre(&st, true));

@@ -206,7 +206,11 @@ impl ExploreConfig {
             .collect();
         let events: Vec<ExtEvent> = members
             .iter()
-            .map(|&m| ExtEvent { p: pid(m), kind: ExtKind::View(final_view.clone()), after: vec![] })
+            .map(|&m| ExtEvent {
+                p: pid(m),
+                kind: ExtKind::View(final_view.clone()),
+                after: vec![],
+            })
             .collect();
         ExploreConfig {
             name: "aggregation".to_string(),
@@ -258,11 +262,8 @@ impl ExploreConfig {
     /// reconfigure instead.
     pub fn corruption() -> ExploreConfig {
         let (setup, _) = initial_view_setup(1, 1, &[1, 2, 3]);
-        let preload = vec![ExtEvent {
-            p: pid(3),
-            kind: ExtKind::Send(AppMsg::from("m3")),
-            after: vec![],
-        }];
+        let preload =
+            vec![ExtEvent { p: pid(3), kind: ExtKind::Send(AppMsg::from("m3")), after: vec![] }];
         let mut events = Vec::new();
         let mut chain = std::collections::BTreeMap::new();
         events.push(ExtEvent {

@@ -203,10 +203,8 @@ impl<'a> Machine<'a> {
                 ExtKind::StartChange { .. } | ExtKind::View(_) | ExtKind::AckDue => true,
             };
             if ready {
-                let global = matches!(
-                    ev.kind,
-                    ExtKind::Crash | ExtKind::Recover | ExtKind::Corrupt(_)
-                );
+                let global =
+                    matches!(ev.kind, ExtKind::Crash | ExtKind::Recover | ExtKind::Corrupt(_));
                 out.push(Transition::External { index: i, p: ev.p, global });
             }
         }
@@ -403,8 +401,7 @@ mod tests {
         // their start_changes.
         assert_eq!(en.len(), 2, "{en:?}");
         // The setup trace installed the initial view everywhere.
-        let installs =
-            m.trace.iter().filter(|e| matches!(e, Event::GcsView { .. })).count();
+        let installs = m.trace.iter().filter(|e| matches!(e, Event::GcsView { .. })).count();
         assert_eq!(installs, 3);
     }
 }

@@ -155,8 +155,7 @@ impl Dfs<'_> {
                 self.stats.states += 1;
             }
             self.schedule.push(t.clone());
-            let child_sleep =
-                if self.opts.dpor { sleep_here.inherit(&t) } else { SleepSet::new() };
+            let child_sleep = if self.opts.dpor { sleep_here.inherit(&t) } else { SleepSet::new() };
             self.go(&child, child_sleep, depth + 1);
             self.schedule.pop();
             self.m.trace.truncate(mark);
@@ -186,8 +185,11 @@ impl Dfs<'_> {
         if !violations.is_empty() {
             self.stats.violating_paths += 1;
             if self.counterexample.is_none() {
-                self.counterexample =
-                    Some(Counterexample { schedule: self.schedule.clone(), violations, trace: entries });
+                self.counterexample = Some(Counterexample {
+                    schedule: self.schedule.clone(),
+                    violations,
+                    trace: entries,
+                });
             }
         }
     }
@@ -231,10 +233,7 @@ pub fn replay(cfg: &ExploreConfig, schedule: &[Transition]) -> (Vec<TraceEntry>,
     let mut m = Machine::new(cfg);
     let mut st = m.initial();
     for (i, t) in schedule.iter().enumerate() {
-        assert!(
-            m.enabled(&st).iter().any(|e| e == t),
-            "replay step {i}: {t:?} is not enabled"
-        );
+        assert!(m.enabled(&st).iter().any(|e| e == t), "replay step {i}: {t:?} is not enabled");
         m.apply(&mut st, t);
     }
     let entries = to_entries(&m.trace);

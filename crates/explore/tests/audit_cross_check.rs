@@ -78,12 +78,7 @@ fn audit_accepts_every_reachable_state_of_every_seed_config() {
         // A trivially small walk would make the check vacuous; every
         // seed reaches a substantial state space (the exact counts are
         // pinned in `paths.rs` — here a floor suffices).
-        assert!(
-            seen.len() >= 60,
-            "{}: only {} distinct states visited",
-            cfg.name,
-            seen.len()
-        );
+        assert!(seen.len() >= 60, "{}: only {} distinct states visited", cfg.name, seen.len());
         assert_eq!(audited, seen.len() * cfg.n as usize);
     }
 }

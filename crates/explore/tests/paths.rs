@@ -209,9 +209,5 @@ fn stuck_scripted_events_are_reported() {
     };
     let outcome = explore(&cfg, &dpor());
     let cex = outcome.counterexample.expect("stuck send must be reported");
-    assert!(
-        cex.violations.iter().any(|v| v.checker == "EXPLORE:STUCK"),
-        "{:?}",
-        cex.violations
-    );
+    assert!(cex.violations.iter().any(|v| v.checker == "EXPLORE:STUCK"), "{:?}", cex.violations);
 }

@@ -31,8 +31,8 @@ fn main() {
             return;
         }
         path => {
-            let text = std::fs::read_to_string(path)
-                .unwrap_or_else(|e| panic!("cannot read {path}: {e}"));
+            let text =
+                std::fs::read_to_string(path).unwrap_or_else(|e| panic!("cannot read {path}: {e}"));
             Scenario::from_json(&text).unwrap_or_else(|e| panic!("bad scenario JSON: {e}"))
         }
     };

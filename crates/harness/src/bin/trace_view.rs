@@ -16,8 +16,7 @@ use vsgm_ioa::Trace;
 use vsgm_types::Event;
 
 fn render(trace: &Trace, all: bool) -> String {
-    let mut procs: Vec<_> =
-        trace.entries().iter().map(|e| e.event.process()).collect::<Vec<_>>();
+    let mut procs: Vec<_> = trace.entries().iter().map(|e| e.event.process()).collect::<Vec<_>>();
     procs.sort_unstable();
     procs.dedup();
     let lane_width = 26usize;
@@ -82,8 +81,8 @@ fn main() {
             sim.trace().clone()
         }
         Some(path) => {
-            let text = std::fs::read_to_string(path)
-                .unwrap_or_else(|e| panic!("cannot read {path}: {e}"));
+            let text =
+                std::fs::read_to_string(path).unwrap_or_else(|e| panic!("cannot read {path}: {e}"));
             Trace::from_json_lines(&text).unwrap_or_else(|e| panic!("bad trace: {e}"))
         }
     };

@@ -231,10 +231,9 @@ pub fn e4_reconfig_delivery() -> Table {
         sim.run_to_quiescence();
         sim.assert_clean();
         let done = metrics::install_completion(sim.trace(), &view, mark).expect("stable");
-        let install_step = metrics::first_step_where(sim.trace(), mark, |e| {
-            matches!(e, Event::GcsView { .. })
-        })
-        .expect("installed");
+        let install_step =
+            metrics::first_step_where(sim.trace(), mark, |e| matches!(e, Event::GcsView { .. }))
+                .expect("installed");
         let last_install = sim
             .trace()
             .entries()
@@ -461,8 +460,7 @@ pub fn e9_scalability(client_counts: &[usize], server_counts: &[usize]) -> Table
                     (sid, cs)
                 })
                 .collect();
-            let all_clients: ProcSet =
-                (1..=(clients_per * s) as u64).map(ProcessId::new).collect();
+            let all_clients: ProcSet = (1..=(clients_per * s) as u64).map(ProcessId::new).collect();
             let servers_set: ProcSet = layout.iter().map(|(s, _)| *s).collect();
             let mut ssim = ServerSim::new(layout, Config::default(), fixed_opts(17));
             ssim.set_connectivity(&servers_set, &all_clients);
@@ -529,8 +527,7 @@ pub fn e10_aggregation(sizes: &[usize]) -> Table {
     }
     Table {
         id: "E10",
-        title: "sync messages per view change: flat all-to-all vs §9 two-tier aggregation"
-            .into(),
+        title: "sync messages per view change: flat all-to-all vs §9 two-tier aggregation".into(),
         headers: ["n", "flat (measured)", "flat (n(n-1))", "aggregated (measured)", "2(n-1)"]
             .iter()
             .map(|s| s.to_string())
@@ -627,11 +624,7 @@ pub fn e11_total_order(n: usize, msgs_per_proc: usize) -> Table {
                 ((n * n * msgs_per_proc) as u64).to_string(),
                 format!("{fifo_time}"),
             ],
-            vec![
-                "total order".into(),
-                format!("{total_ordered}/{target}"),
-                format!("{to_time}"),
-            ],
+            vec!["total order".into(), format!("{total_ordered}/{target}"), format!("{to_time}")],
         ],
     }
 }

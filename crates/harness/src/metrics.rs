@@ -25,12 +25,7 @@ pub fn first_step_where(
     from_step: u64,
     mut pred: impl FnMut(&Event) -> bool,
 ) -> Option<u64> {
-    trace
-        .entries()
-        .iter()
-        .filter(|e| e.step >= from_step)
-        .find(|e| pred(&e.event))
-        .map(|e| e.step)
+    trace.entries().iter().filter(|e| e.step >= from_step).find(|e| pred(&e.event)).map(|e| e.step)
 }
 
 /// Counts application deliveries in the step window `[lo, hi)`.
@@ -100,10 +95,7 @@ mod tests {
         let v2 = View::new(
             vsgm_types::ViewId::new(1, 1),
             [p(1), p(2)],
-            [
-                (p(1), vsgm_types::StartChangeId::new(1)),
-                (p(2), vsgm_types::StartChangeId::new(1)),
-            ],
+            [(p(1), vsgm_types::StartChangeId::new(1)), (p(2), vsgm_types::StartChangeId::new(1))],
         );
         let mut t = Trace::new();
         t.record(
@@ -132,9 +124,6 @@ mod tests {
         let (t, _) = sample();
         assert_eq!(deliveries_in_window(&t, 0, 4), 1);
         assert_eq!(deliveries_in_window(&t, 2, 4), 0);
-        assert_eq!(
-            first_step_where(&t, 0, |e| matches!(e, Event::Block { .. })),
-            Some(2)
-        );
+        assert_eq!(first_step_where(&t, 0, |e| matches!(e, Event::Block { .. })), Some(2));
     }
 }

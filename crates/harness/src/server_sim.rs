@@ -43,11 +43,8 @@ impl ServerSim {
             .map(|c| (c, Endpoint::new(c, cfg.clone())))
             .collect();
         let server_ids: Vec<ProcessId> = servers.iter().map(|(s, _)| *s).collect();
-        let mut server_net = SimNet::new(
-            server_ids.iter().copied(),
-            opts.latency,
-            SimRng::new(opts.seed ^ 0x5eed),
-        );
+        let mut server_net =
+            SimNet::new(server_ids.iter().copied(), opts.latency, SimRng::new(opts.seed ^ 0x5eed));
         // Servers keep reliable channels to each other permanently.
         let all_servers: ProcSet = server_ids.iter().copied().collect();
         for s in &server_ids {
@@ -220,10 +217,7 @@ mod tests {
 
         let many: Vec<ProcessId> = (1..=16).map(p).collect();
         let mut big = ServerSim::new(
-            vec![
-                (p(1001), many[..8].to_vec()),
-                (p(1002), many[8..].to_vec()),
-            ],
+            vec![(p(1001), many[..8].to_vec()), (p(1002), many[8..].to_vec())],
             Config::default(),
             SimOptions::default(),
         );

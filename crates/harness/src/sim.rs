@@ -807,11 +807,8 @@ mod tests {
     #[test]
     fn deterministic_per_seed() {
         let run = |seed| {
-            let mut sim = Sim::new_paper(
-                4,
-                Config::default(),
-                SimOptions { seed, ..SimOptions::default() },
-            );
+            let mut sim =
+                Sim::new_paper(4, Config::default(), SimOptions { seed, ..SimOptions::default() });
             sim.reconfigure(&procs(4));
             for i in 1..=4 {
                 sim.send(ProcessId::new(i), AppMsg::from("x"));
@@ -904,11 +901,7 @@ mod tests {
         // VS/TS/SELF layers; run it with checking off and assert basic
         // delivery happens.
         let cfg = Config { stack: Stack::Wv, ..Config::default() };
-        let mut sim = Sim::new_paper(
-            2,
-            cfg,
-            SimOptions { check: false, ..SimOptions::default() },
-        );
+        let mut sim = Sim::new_paper(2, cfg, SimOptions { check: false, ..SimOptions::default() });
         sim.reconfigure(&procs(2));
         sim.send(ProcessId::new(1), AppMsg::from("wv"));
         sim.run_to_quiescence();
@@ -1060,9 +1053,9 @@ mod tests {
             let events = |kind: &str| entries.iter().filter(|e| e.event.kind() == kind).count();
             let forwards = entries
                 .iter()
-                .filter(|e| {
-                    matches!(&e.event, Event::NetSend { msg, .. } if msg.tag() == "fwd_msg")
-                })
+                .filter(
+                    |e| matches!(&e.event, Event::NetSend { msg, .. } if msg.tag() == "fwd_msg"),
+                )
                 .count();
             let syncs: u64 = vsgm_obs::spans(entries).iter().map(|s| s.syncs_sent).sum();
             let counted = [

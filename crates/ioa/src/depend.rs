@@ -69,9 +69,7 @@ impl<T: Dependence + Clone + PartialEq> SleepSet<T> {
     /// The sleep set for the child state reached by firing `fired`: keeps
     /// exactly the entries independent of `fired`.
     pub fn inherit(&self, fired: &T) -> Self {
-        SleepSet {
-            asleep: self.asleep.iter().filter(|s| !s.dependent(fired)).cloned().collect(),
-        }
+        SleepSet { asleep: self.asleep.iter().filter(|s| !s.dependent(fired)).cloned().collect() }
     }
 
     /// Number of sleeping transitions.

@@ -36,11 +36,8 @@ impl SimRng {
     /// Derives an independent child generator (e.g. one per component) so
     /// adding draws in one component does not perturb another.
     pub fn fork(&mut self, label: u64) -> SimRng {
-        let child_seed = self
-            .inner
-            .gen::<u64>()
-            .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-            .wrapping_add(label);
+        let child_seed =
+            self.inner.gen::<u64>().wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(label);
         SimRng::new(child_seed)
     }
 

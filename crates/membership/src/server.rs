@@ -203,15 +203,8 @@ impl Server {
     }
 
     fn handle_inner(&mut self, msg: ServerMsg) -> Vec<ServerOutput> {
-        let ServerMsg::Proposal {
-            from,
-            round,
-            epoch,
-            members,
-            start_ids,
-            suggested,
-            est_servers,
-        } = msg;
+        let ServerMsg::Proposal { from, round, epoch, members, start_ids, suggested, est_servers } =
+            msg;
         if self.proposals.get(&from).is_some_and(|p| p.round >= round) {
             return Vec::new(); // stale
         }
@@ -307,16 +300,14 @@ impl Server {
                 _ => return Vec::new(),
             }
         }
-        let members: ProcSet =
-            props.iter().flat_map(|(_, p)| p.members.iter().copied()).collect();
+        let members: ProcSet = props.iter().flat_map(|(_, p)| p.members.iter().copied()).collect();
         if members.is_empty() {
             return Vec::new();
         }
         // Every proposal's suggestion must cover the union; otherwise all
         // servers deterministically escalate to the next round with the
         // larger suggestion (cascaded start_change).
-        let covered =
-            props.iter().all(|(_, p)| members.iter().all(|m| p.suggested.contains(m)));
+        let covered = props.iter().all(|(_, p)| members.iter().all(|m| p.suggested.contains(m)));
         // Deduplicate: don't re-form from an unchanged proposal set.
         let signature: BTreeMap<ProcessId, u64> =
             props.iter().map(|(s, p)| (*s, p.round)).collect();

@@ -136,8 +136,7 @@ fn excluded_server_rejoins() {
 
 #[test]
 fn four_servers_pairwise_partitions_and_merge() {
-    let mut c =
-        Cluster::new(&[(100, &[1]), (200, &[2]), (300, &[3]), (400, &[4])]);
+    let mut c = Cluster::new(&[(100, &[1]), (200, &[2]), (300, &[3]), (400, &[4])]);
     c.connect(&set(&[100, 200, 300, 400]), &set(&[1, 2, 3, 4]));
     // Two pairs.
     c.connect(&set(&[100, 200]), &set(&[1, 2]));

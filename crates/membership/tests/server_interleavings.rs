@@ -97,12 +97,8 @@ impl RandomCluster {
 
     /// Delivers one random channel head; returns false when idle.
     fn deliver_one(&mut self) -> bool {
-        let nonempty: Vec<(ProcessId, ProcessId)> = self
-            .channels
-            .iter()
-            .filter(|(_, q)| !q.is_empty())
-            .map(|(k, _)| *k)
-            .collect();
+        let nonempty: Vec<(ProcessId, ProcessId)> =
+            self.channels.iter().filter(|(_, q)| !q.is_empty()).map(|(k, _)| *k).collect();
         if nonempty.is_empty() {
             return false;
         }
@@ -130,10 +126,7 @@ impl RandomCluster {
 }
 
 fn scenario(seed: u64) {
-    let mut c = RandomCluster::new(
-        &[(100, &[1, 2]), (200, &[3, 4]), (300, &[5, 6])],
-        seed,
-    );
+    let mut c = RandomCluster::new(&[(100, &[1, 2]), (200, &[3, 4]), (300, &[5, 6])], seed);
     let all_servers = set(&[100, 200, 300]);
     let all_clients = set(&[1, 2, 3, 4, 5, 6]);
     // Bootstrap with random interleavings.

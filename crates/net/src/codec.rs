@@ -211,12 +211,9 @@ impl BodyRef<'_> {
             BodyRef::AppBatch(parts) => {
                 NetMsg::AppBatch(parts.into_iter().map(|b| AppMsg::new(b.to_vec())).collect())
             }
-            BodyRef::Fwd { origin, view, index, msg } => NetMsg::Fwd(FwdPayload {
-                origin,
-                view,
-                index,
-                msg: AppMsg::new(msg.to_vec()),
-            }),
+            BodyRef::Fwd { origin, view, index, msg } => {
+                NetMsg::Fwd(FwdPayload { origin, view, index, msg: AppMsg::new(msg.to_vec()) })
+            }
             BodyRef::Owned(m) => m,
         }
     }
@@ -559,11 +556,7 @@ mod tests {
                 view: Some(v.clone()),
                 cut: Cut::from_iter([(p(1), 2), (p(2), 0)]),
             }),
-            NetMsg::Sync(SyncPayload {
-                cid: StartChangeId::new(6),
-                view: None,
-                cut: Cut::new(),
-            }),
+            NetMsg::Sync(SyncPayload { cid: StartChangeId::new(6), view: None, cut: Cut::new() }),
             NetMsg::SyncAgg(vec![
                 (
                     p(1),
@@ -573,10 +566,7 @@ mod tests {
                         cut: Cut::from_iter([(p(1), 1)]),
                     },
                 ),
-                (
-                    p(2),
-                    SyncPayload { cid: StartChangeId::new(2), view: None, cut: Cut::new() },
-                ),
+                (p(2), SyncPayload { cid: StartChangeId::new(2), view: None, cut: Cut::new() }),
             ]),
             NetMsg::AppBatch(vec![
                 AppMsg::from("ab"),
@@ -714,10 +704,7 @@ mod tests {
             body
         };
         let good = ack(2, &[entry(1, 5), entry(2, 7)]);
-        assert_eq!(
-            decode(&good),
-            Some(NetMsg::Ack(Cut::from_iter([(p(1), 5), (p(2), 7)])))
-        );
+        assert_eq!(decode(&good), Some(NetMsg::Ack(Cut::from_iter([(p(1), 5), (p(2), 7)]))));
         for cut_at in 0..good.len() {
             assert_eq!(decode(good.get(..cut_at).unwrap_or(&[])), None, "cut at {cut_at}");
         }

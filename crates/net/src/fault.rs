@@ -75,7 +75,11 @@ impl FaultPlan {
     /// The burst window actually used (`burst_len`, or the standard
     /// window when left at `0`).
     pub fn effective_burst_len(&self) -> u64 {
-        if self.burst_len == 0 { Self::DEFAULT_BURST_LEN } else { self.burst_len }
+        if self.burst_len == 0 {
+            Self::DEFAULT_BURST_LEN
+        } else {
+            self.burst_len
+        }
     }
 
     /// Whether this plan can inject any fault at all.
@@ -259,8 +263,7 @@ mod tests {
 
     #[test]
     fn deterministic_per_seed() {
-        let plan =
-            FaultPlan { drop: 0.3, dup: 0.1, reorder_ms: 10, burst: 0.05, burst_len: 4 };
+        let plan = FaultPlan { drop: 0.3, dup: 0.1, reorder_ms: 10, burst: 0.05, burst_len: 4 };
         let run = |seed| {
             let mut inj = injector(plan.clone(), seed);
             (0..200).map(|i| inj.on_send(i % 3 != 0)).collect::<Vec<_>>()

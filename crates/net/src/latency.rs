@@ -79,10 +79,8 @@ mod tests {
     #[test]
     fn uniform_within_bounds() {
         let mut rng = SimRng::new(1);
-        let m = LatencyModel::Uniform {
-            lo: SimTime::from_micros(10),
-            hi: SimTime::from_micros(20),
-        };
+        let m =
+            LatencyModel::Uniform { lo: SimTime::from_micros(10), hi: SimTime::from_micros(20) };
         for _ in 0..100 {
             let d = m.sample(&mut rng).as_micros();
             assert!((10..=20).contains(&d), "{d}");
@@ -92,8 +90,7 @@ mod tests {
     #[test]
     fn uniform_hits_both_endpoints() {
         let mut rng = SimRng::new(2);
-        let m =
-            LatencyModel::Uniform { lo: SimTime::from_micros(0), hi: SimTime::from_micros(1) };
+        let m = LatencyModel::Uniform { lo: SimTime::from_micros(0), hi: SimTime::from_micros(1) };
         let draws: std::collections::BTreeSet<u64> =
             (0..64).map(|_| m.sample(&mut rng).as_micros()).collect();
         assert_eq!(draws.len(), 2);

@@ -3,9 +3,9 @@
 use crate::fault::{FaultAction, FaultInjector, FaultPlan, FaultStats};
 use crate::latency::LatencyModel;
 use crate::stats::NetStats;
+use crate::Wire;
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 use vsgm_ioa::{SimRng, SimTime};
-use crate::Wire;
 use vsgm_obs::{names, Recorder};
 use vsgm_types::{NetMsg, ProcSet, ProcessId};
 
@@ -119,9 +119,7 @@ impl<M: Wire> SimNet<M> {
         self.procs
             .iter()
             .copied()
-            .filter(|q| {
-                *q == p || (self.connected(p, *q) && !self.crashed.contains(q))
-            })
+            .filter(|q| *q == p || (self.connected(p, *q) && !self.crashed.contains(q)))
             .collect()
     }
 
@@ -196,8 +194,7 @@ impl<M: Wire> SimNet<M> {
                 rec.traffic(msg.tag(), msg.wire_size() as u64);
                 let chan = self.channels.entry((from, *q)).or_default();
                 let floor = chan.back().map_or(SimTime::ZERO, |m| m.arrival);
-                let arrival =
-                    (now + self.latency.sample(&mut self.rng) + extra_delay).max(floor);
+                let arrival = (now + self.latency.sample(&mut self.rng) + extra_delay).max(floor);
                 chan.push_back(InFlight { msg: msg.clone(), sent: now, arrival });
             }
         }
@@ -237,12 +234,8 @@ impl<M: Wire> SimNet<M> {
     /// previously blocked channels are re-stamped to arrive after `now`
     /// (they still need a network traversal).
     pub fn heal(&mut self, now: SimTime) {
-        let blocked: Vec<(ProcessId, ProcessId)> = self
-            .channels
-            .keys()
-            .copied()
-            .filter(|(p, q)| !self.connected(*p, *q))
-            .collect();
+        let blocked: Vec<(ProcessId, ProcessId)> =
+            self.channels.keys().copied().filter(|(p, q)| !self.connected(*p, *q)).collect();
         for p in &self.procs {
             self.component.insert(*p, 0);
         }

@@ -23,10 +23,8 @@ const EMFILE: i32 = 24;
 /// The soft `RLIMIT_NOFILE`, from `/proc/self/limits`.
 fn fd_limit() -> u64 {
     let limits = std::fs::read_to_string("/proc/self/limits").expect("read /proc/self/limits");
-    let line = limits
-        .lines()
-        .find(|l| l.starts_with("Max open files"))
-        .expect("an open-files line");
+    let line =
+        limits.lines().find(|l| l.starts_with("Max open files")).expect("an open-files line");
     line.split_whitespace().nth(3).and_then(|n| n.parse().ok()).unwrap_or(u64::MAX)
 }
 

@@ -53,16 +53,10 @@ fn arb_pid() -> impl Strategy<Value = ProcessId> {
 }
 
 fn arb_view() -> impl Strategy<Value = View> {
-    (
-        any::<u64>(),
-        any::<u64>(),
-        prop::collection::btree_map(any::<u64>(), any::<u64>(), 1..6),
-    )
+    (any::<u64>(), any::<u64>(), prop::collection::btree_map(any::<u64>(), any::<u64>(), 1..6))
         .prop_map(|(epoch, proposer, ids)| {
-            let pairs: Vec<(ProcessId, StartChangeId)> = ids
-                .into_iter()
-                .map(|(p, c)| (ProcessId::new(p), StartChangeId::new(c)))
-                .collect();
+            let pairs: Vec<(ProcessId, StartChangeId)> =
+                ids.into_iter().map(|(p, c)| (ProcessId::new(p), StartChangeId::new(c))).collect();
             let members: Vec<ProcessId> = pairs.iter().map(|(p, _)| *p).collect();
             View::new(ViewId::new(epoch, proposer), members, pairs)
         })
@@ -96,13 +90,9 @@ fn arb_net_msg() -> impl Strategy<Value = NetMsg> {
     prop_oneof![
         arb_view().prop_map(NetMsg::ViewMsg),
         arb_app().prop_map(NetMsg::App),
-        (arb_pid(), arb_view(), any::<u64>(), arb_app())
-            .prop_map(|(origin, view, index, msg)| NetMsg::Fwd(FwdPayload {
-                origin,
-                view,
-                index,
-                msg
-            })),
+        (arb_pid(), arb_view(), any::<u64>(), arb_app()).prop_map(|(origin, view, index, msg)| {
+            NetMsg::Fwd(FwdPayload { origin, view, index, msg })
+        }),
         arb_sync_payload().prop_map(NetMsg::Sync),
         prop::collection::vec((arb_pid(), arb_sync_payload()), 0..4).prop_map(NetMsg::SyncAgg),
         (prop::collection::vec(arb_pid(), 0..6), any::<u64>()).prop_map(|(participants, seq)| {
@@ -115,12 +105,14 @@ fn arb_net_msg() -> impl Strategy<Value = NetMsg> {
             arb_view(),
             arb_cut()
         )
-            .prop_map(|(participants, tag, view, cut)| NetMsg::Baseline(BaselineMsg::Sync {
-                participants: participants.into_iter().collect(),
-                tag,
-                view,
-                cut
-            })),
+            .prop_map(|(participants, tag, view, cut)| NetMsg::Baseline(
+                BaselineMsg::Sync {
+                    participants: participants.into_iter().collect(),
+                    tag,
+                    view,
+                    cut
+                }
+            )),
         arb_cut().prop_map(NetMsg::Ack),
     ]
 }

@@ -115,10 +115,7 @@ impl Snapshot {
 
     /// The sync-round latency summary, if any view change completed.
     pub fn sync_round_latency(&self) -> Option<&HistSummary> {
-        self.histograms
-            .iter()
-            .find(|(n, _)| n == names::SYNC_ROUND_LATENCY_US)
-            .map(|(_, s)| s)
+        self.histograms.iter().find(|(n, _)| n == names::SYNC_ROUND_LATENCY_US).map(|(_, s)| s)
     }
 
     /// Serializes the snapshot as pretty-printed JSON.

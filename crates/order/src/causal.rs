@@ -218,10 +218,8 @@ mod tests {
     #[test]
     fn view_change_flushes_and_resets() {
         let mut r = CausalOrder::new(p(1));
-        let orphan = CausalMsg {
-            deps: [(p(9), 5)].into_iter().collect(),
-            payload: b"stranded".to_vec(),
-        };
+        let orphan =
+            CausalMsg { deps: [(p(9), 5)].into_iter().collect(), payload: b"stranded".to_vec() };
         assert!(r.on_deliver(p(2), &orphan.encode()).is_empty());
         let v = View::initial(p(1));
         let out = r.on_view(&v, &ProcSet::new());

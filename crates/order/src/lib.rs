@@ -132,7 +132,11 @@ impl TotalOrder {
     /// Feeds one GCS delivery. Returns the payloads now deliverable in
     /// total order, plus any `Order` message the sequencer must multicast
     /// (via the GCS) in response.
-    pub fn on_deliver(&mut self, from: ProcessId, msg: &AppMsg) -> (Vec<OrderedMsg>, Option<AppMsg>) {
+    pub fn on_deliver(
+        &mut self,
+        from: ProcessId,
+        msg: &AppMsg,
+    ) -> (Vec<OrderedMsg>, Option<AppMsg>) {
         match Wrapper::decode(msg) {
             Ok(Wrapper::Data(payload)) => {
                 self.data.entry(from).or_default().push(payload);

@@ -293,7 +293,8 @@ mod tests {
         broadcast(&mut replicas, p(1), m);
         let before = replicas[&p(1)].machine().clone();
         // A snapshot claiming LESS history arrives: ignored.
-        let stale = encode(&ReplicaWire::Snapshot { applied: 0, data: LogMachine::default().snapshot() });
+        let stale =
+            encode(&ReplicaWire::Snapshot { applied: 0, data: LogMachine::default().snapshot() });
         replicas.get_mut(&p(1)).unwrap().on_deliver(p(9), &stale);
         assert_eq!(replicas[&p(1)].machine(), &before);
     }

@@ -44,10 +44,7 @@ fn build_history(sends: &[u64]) -> (Streams, Vec<(ProcessId, usize)>) {
 /// Replays the streams to a fresh receiver in an arbitrary interleaving
 /// that preserves per-sender order (what the GCS guarantees), collecting
 /// the release order.
-fn replay(
-    streams: &Streams,
-    mut pick: impl FnMut(&[ProcessId]) -> usize,
-) -> Vec<Vec<u8>> {
+fn replay(streams: &Streams, mut pick: impl FnMut(&[ProcessId]) -> usize) -> Vec<Vec<u8>> {
     let mut receiver = CausalOrder::new(p(99));
     let mut cursors: BTreeMap<ProcessId, usize> = Default::default();
     let mut out = Vec::new();

@@ -293,7 +293,10 @@ mod tests {
         assert_eq!(DirRequest::parse("join a-b"), Some(DirRequest::Join("a-b".into())));
         assert_eq!(DirRequest::parse("lookup x"), Some(DirRequest::Lookup("x".into())));
         assert_eq!(DirRequest::parse("leave x"), Some(DirRequest::Leave("x".into())));
-        assert_eq!(DirRequest::parse("  join \t spaced  "), Some(DirRequest::Join("spaced".into())));
+        assert_eq!(
+            DirRequest::parse("  join \t spaced  "),
+            Some(DirRequest::Join("spaced".into()))
+        );
         assert_eq!(DirRequest::parse("create"), None, "missing name");
         assert_eq!(DirRequest::parse("create a b"), None, "trailing token");
         assert_eq!(DirRequest::parse("destroy x"), None, "unknown verb");

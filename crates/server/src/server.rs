@@ -289,8 +289,7 @@ mod tests {
 
     impl Client {
         fn connect(me: u64, server: &GroupServer) -> Client {
-            let t = TcpTransport::bind(p(me), "127.0.0.1:0")
-                .expect("bind client");
+            let t = TcpTransport::bind(p(me), "127.0.0.1:0").expect("bind client");
             t.register_peer(p(0), server.local_addr());
             server.register_client(p(me), t.local_addr());
             Client { t, server: p(0), pending: std::cell::RefCell::new(Vec::new()) }

@@ -312,12 +312,7 @@ impl Worker<'_> {
     }
 }
 
-fn shard_main(
-    rx: &Receiver<ShardCmd>,
-    counters: &ShardCounters,
-    auto_run: bool,
-    sink: &Sink,
-) {
+fn shard_main(rx: &Receiver<ShardCmd>, counters: &ShardCounters, auto_run: bool, sink: &Sink) {
     let mut w = Worker { groups: BTreeMap::new(), out: Vec::new(), counters, auto_run, sink };
     while let Ok(first) = blocking(|| rx.recv()) {
         let queued = std::iter::from_fn(|| rx.try_recv().ok());
@@ -541,9 +536,8 @@ mod tests {
             heartbeat_interval: std::time::Duration::ZERO,
             ..vsgm_net::TcpConfig::default()
         };
-        let bind = |i: u64| {
-            vsgm_net::TcpTransport::bind_with(p(i), "127.0.0.1:0", quiet.clone()).unwrap()
-        };
+        let bind =
+            |i: u64| vsgm_net::TcpTransport::bind_with(p(i), "127.0.0.1:0", quiet.clone()).unwrap();
         let server = Arc::new(bind(0));
         let clients: Vec<_> = (1..=C).map(bind).collect();
         for (i, c) in (1..).zip(&clients) {

@@ -27,11 +27,8 @@ fn p(i: u64) -> ProcessId {
 
 fn rss_bytes() -> u64 {
     let statm = std::fs::read_to_string("/proc/self/statm").expect("procfs");
-    let pages: u64 = statm
-        .split_whitespace()
-        .nth(1)
-        .and_then(|f| f.parse().ok())
-        .expect("rss field");
+    let pages: u64 =
+        statm.split_whitespace().nth(1).and_then(|f| f.parse().ok()).expect("rss field");
     pages * 4096
 }
 
@@ -55,10 +52,7 @@ fn group_of_four() -> GroupInstance {
 }
 
 #[test]
-#[cfg_attr(
-    debug_assertions,
-    ignore = "release-mode soak; scripts/check.sh runs it by name"
-)]
+#[cfg_attr(debug_assertions, ignore = "release-mode soak; scripts/check.sh runs it by name")]
 fn resident_memory_plateaus_under_multicast_with_churn() {
     const MULTICASTS: u64 = 200_000;
     const CHURN_EVERY: u64 = 1_000;
@@ -76,31 +70,15 @@ fn resident_memory_plateaus_under_multicast_with_churn() {
         if i == MULTICASTS / 2 {
             rss_halfway = rss_bytes();
         }
-        frames += step(
-            &mut g,
-            GroupCmd::Send {
-                from: p(1 + i % 4),
-                msg: payload.clone(),
-            },
-        );
+        frames += step(&mut g, GroupCmd::Send { from: p(1 + i % 4), msg: payload.clone() });
     }
     let grown = rss_bytes().saturating_sub(rss_halfway);
-    println!(
-        "second {} multicasts: resident set +{grown} B",
-        MULTICASTS / 2
-    );
-    assert_eq!(
-        frames as u64,
-        MULTICASTS * 4,
-        "every member got every multicast"
-    );
+    println!("second {} multicasts: resident set +{grown} B", MULTICASTS / 2);
+    assert_eq!(frames as u64, MULTICASTS * 4, "every member got every multicast");
     let report = g.report();
     assert_eq!(report.delivered, MULTICASTS * 4);
     assert!(report.trace_len as u64 > MULTICASTS * 9, "{report:?}");
-    assert!(
-        g.finish().is_empty(),
-        "spec checkers clean after {MULTICASTS} multicasts"
-    );
+    assert!(g.finish().is_empty(), "spec checkers clean after {MULTICASTS} multicasts");
     assert!(
         grown < BYTES_PER_MULTICAST * MULTICASTS / 2,
         "resident set grew {grown} B over the second {} multicasts ({} B each)",
@@ -110,10 +88,7 @@ fn resident_memory_plateaus_under_multicast_with_churn() {
 }
 
 #[test]
-#[cfg_attr(
-    debug_assertions,
-    ignore = "release-mode soak; scripts/check.sh runs it by name"
-)]
+#[cfg_attr(debug_assertions, ignore = "release-mode soak; scripts/check.sh runs it by name")]
 fn resident_memory_plateaus_in_a_view_that_never_changes() {
     const MULTICASTS: u64 = 200_000;
     let _turn = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
@@ -130,13 +105,8 @@ fn resident_memory_plateaus_in_a_view_that_never_changes() {
             if i == MULTICASTS / 2 {
                 rss_halfway = rss_bytes();
             }
-            frames += step(
-                &mut g,
-                GroupCmd::Send {
-                    from: p(1 + i % senders),
-                    msg: payload.clone(),
-                },
-            );
+            frames +=
+                step(&mut g, GroupCmd::Send { from: p(1 + i % senders), msg: payload.clone() });
         }
         let grown = rss_bytes().saturating_sub(rss_halfway);
         println!(
@@ -157,10 +127,7 @@ fn resident_memory_plateaus_in_a_view_that_never_changes() {
 }
 
 #[test]
-#[cfg_attr(
-    debug_assertions,
-    ignore = "release-mode soak; scripts/check.sh runs it by name"
-)]
+#[cfg_attr(debug_assertions, ignore = "release-mode soak; scripts/check.sh runs it by name")]
 fn resident_memory_plateaus_under_view_changes() {
     const CHANGES: u64 = 40_000;
     const BYTES_PER_CHANGE: u64 = 64;
@@ -175,19 +142,9 @@ fn resident_memory_plateaus_under_view_changes() {
         step(&mut g, GroupCmd::Join(p(4)));
     }
     let grown = rss_bytes().saturating_sub(rss_halfway);
-    println!(
-        "second {} view changes: resident set +{grown} B",
-        CHANGES / 2
-    );
-    assert!(
-        g.report().views_installed >= CHANGES / 2 * 7,
-        "{:?}",
-        g.report()
-    );
-    assert!(
-        g.finish().is_empty(),
-        "spec checkers clean after {CHANGES} view changes"
-    );
+    println!("second {} view changes: resident set +{grown} B", CHANGES / 2);
+    assert!(g.report().views_installed >= CHANGES / 2 * 7, "{:?}", g.report());
+    assert!(g.finish().is_empty(), "spec checkers clean after {CHANGES} view changes");
     assert!(
         grown < BYTES_PER_CHANGE * CHANGES / 2,
         "resident set grew {grown} B over the second {} view changes ({} B each)",
@@ -197,10 +154,7 @@ fn resident_memory_plateaus_under_view_changes() {
 }
 
 #[test]
-#[cfg_attr(
-    debug_assertions,
-    ignore = "release-mode soak; scripts/check.sh runs it by name"
-)]
+#[cfg_attr(debug_assertions, ignore = "release-mode soak; scripts/check.sh runs it by name")]
 fn a_thousand_groups_of_four_fit_their_budget_and_unused_capacity_costs_nothing() {
     const GROUPS: u64 = 1000;
     const BYTES_PER_GROUP: u64 = 18 * 1024;
@@ -217,13 +171,8 @@ fn a_thousand_groups_of_four_fit_their_budget_and_unused_capacity_costs_nothing(
         for gid in 1..=GROUPS {
             let mut g = group_of_four_in(GroupId::new(gid), capacity);
             for k in 0..multicasts {
-                let frames = step(
-                    &mut g,
-                    GroupCmd::Send {
-                        from: p(1 + k % 4),
-                        msg: payload.clone(),
-                    },
-                );
+                let frames =
+                    step(&mut g, GroupCmd::Send { from: p(1 + k % 4), msg: payload.clone() });
                 assert_eq!(frames, 4);
             }
             groups.push(g);
@@ -246,10 +195,7 @@ fn a_thousand_groups_of_four_fit_their_budget_and_unused_capacity_costs_nothing(
          {paced} B after 22 multicasts, {rounded} B after 70"
     );
     for (state, bytes) in [("4 multicasts", snug), ("22", paced), ("70", rounded)] {
-        assert!(
-            bytes < BYTES_PER_GROUP,
-            "{bytes} B resident per 4-member group after {state}"
-        );
+        assert!(bytes < BYTES_PER_GROUP, "{bytes} B resident per 4-member group after {state}");
     }
     assert!(
         roomy.abs_diff(snug) < CAPACITY_SLACK,

@@ -47,10 +47,7 @@ impl Checker for ClientSpec {
                     return Err(Violation::at_step(
                         "CLIENT:SPEC",
                         step,
-                        format!(
-                            "block_{p}: issued while block_status = {:?}",
-                            self.status(*p)
-                        ),
+                        format!("block_{p}: issued while block_status = {:?}", self.status(*p)),
                     ));
                 }
                 self.status.insert(*p, BlockStatus::Requested);
@@ -61,10 +58,7 @@ impl Checker for ClientSpec {
                     return Err(Violation::at_step(
                         "CLIENT:SPEC",
                         step,
-                        format!(
-                            "block_ok_{p}: issued while block_status = {:?}",
-                            self.status(*p)
-                        ),
+                        format!("block_ok_{p}: issued while block_status = {:?}", self.status(*p)),
                     ));
                 }
                 self.status.insert(*p, BlockStatus::Blocked);
@@ -142,10 +136,8 @@ mod tests {
     #[test]
     fn send_while_merely_requested_allowed() {
         // Fig. 12: the client may keep sending until it answers block_ok.
-        let violations = run(vec![
-            Event::Block { p: p(1) },
-            Event::Send { p: p(1), msg: AppMsg::from("x") },
-        ]);
+        let violations =
+            run(vec![Event::Block { p: p(1) }, Event::Send { p: p(1), msg: AppMsg::from("x") }]);
         assert!(violations.is_empty(), "{violations:?}");
     }
 

@@ -227,8 +227,7 @@ mod tests {
 
     #[test]
     fn never_sent_delivery_rejected() {
-        let violations =
-            run(vec![Event::NetDeliver { p: p(1), q: p(2), msg: app("ghost") }]);
+        let violations = run(vec![Event::NetDeliver { p: p(1), q: p(2), msg: app("ghost") }]);
         assert_eq!(violations.len(), 1);
         assert!(violations[0].message.contains("not in transit"));
     }

@@ -40,7 +40,8 @@ mod tests {
         let mut seen = [false; KINDS];
         for seed in 0..40 {
             let scenario = generate(seed, &ChaosConfig::default());
-            let opts = SimOptions { seed, check: false, shuffle_polling: true, ..SimOptions::default() };
+            let opts =
+                SimOptions { seed, check: false, shuffle_polling: true, ..SimOptions::default() };
             let mut sim = Sim::new_paper(scenario.n, Config::default(), opts);
             for step in &scenario.steps {
                 apply_step(&mut sim, step);

@@ -41,32 +41,19 @@ mod tests {
         let burst = |steps: &mut Vec<Step>, members: &[u64], tag: String| {
             for k in 0..sends {
                 let p = members[(k % members.len() as u64) as usize];
-                steps.push(Step::Send {
-                    p,
-                    msg: format!("{tag}.{k}"),
-                });
+                steps.push(Step::Send { p, msg: format!("{tag}.{k}") });
             }
             steps.push(Step::Run);
         };
-        let mut steps = vec![Step::Reconfigure {
-            members: all.clone(),
-        }];
+        let mut steps = vec![Step::Reconfigure { members: all.clone() }];
         burst(&mut steps, &all, "all".into());
         for round in 0..rounds {
-            steps.push(Step::Reconfigure {
-                members: rest.clone(),
-            });
+            steps.push(Step::Reconfigure { members: rest.clone() });
             burst(&mut steps, &rest, format!("rest{round}"));
         }
-        steps.push(Step::Reconfigure {
-            members: all.clone(),
-        });
+        steps.push(Step::Reconfigure { members: all.clone() });
         burst(&mut steps, &all, "back".into());
-        Scenario {
-            n: n as usize,
-            seed,
-            steps,
-        }
+        Scenario { n: n as usize, seed, steps }
     }
 
     /// The single-event mutations; `pick` selects the event(s) they hit.
@@ -92,12 +79,7 @@ mod tests {
     ];
 
     fn positions(trace: &[TraceEntry], is: impl Fn(&Event) -> bool) -> Vec<usize> {
-        trace
-            .iter()
-            .enumerate()
-            .filter(|(_, e)| is(&e.event))
-            .map(|(i, _)| i)
-            .collect()
+        trace.iter().enumerate().filter(|(_, e)| is(&e.event)).map(|(i, _)| i).collect()
     }
 
     /// Applies `mutation` to `trace` and renumbers the steps. A trace without
@@ -146,12 +128,7 @@ mod tests {
             }
             Mutation::WrongTransitionalSet => {
                 if let Some(i) = at(&views) {
-                    if let Event::GcsView {
-                        p,
-                        view,
-                        transitional,
-                    } = &mut trace[i].event
-                    {
+                    if let Event::GcsView { p, view, transitional } = &mut trace[i].event {
                         // Toggle one member of the new view other than the
                         // mover itself.
                         let other: Vec<ProcessId> =
@@ -173,10 +150,8 @@ mod tests {
 
     /// Every violation `checker` reports over `trace`, `finish` included.
     fn verdict(mut checker: impl Checker, trace: &[TraceEntry]) -> Vec<Violation> {
-        let mut found: Vec<Violation> = trace
-            .iter()
-            .filter_map(|e| checker.observe(e).err())
-            .collect();
+        let mut found: Vec<Violation> =
+            trace.iter().filter_map(|e| checker.observe(e).err()).collect();
         found.extend(checker.finish().err());
         found
     }
@@ -196,24 +171,10 @@ mod tests {
         // TRANS_SET:SPEC judges a settled view when it settles instead of at
         // `finish`, so only the local clauses report at the same step.
         let local = |found: &[Violation]| -> Vec<Violation> {
-            found
-                .iter()
-                .filter(|v| v.message.starts_with("view_"))
-                .cloned()
-                .collect()
+            found.iter().filter(|v| v.message.starts_with("view_")).cloned().collect()
         };
-        assert_eq!(
-            local(&ts.0),
-            local(&ts.1),
-            "TRANS_SET:SPEC local clauses"
-        );
-        assert_eq!(
-            ts.0.is_empty(),
-            ts.1.is_empty(),
-            "TRANS_SET:SPEC: {:?} vs {:?}",
-            ts.0,
-            ts.1
-        );
+        assert_eq!(local(&ts.0), local(&ts.1), "TRANS_SET:SPEC local clauses");
+        assert_eq!(ts.0.is_empty(), ts.1.is_empty(), "TRANS_SET:SPEC: {:?} vs {:?}", ts.0, ts.1);
         [!wv.0.is_empty(), !vs.0.is_empty(), !ts.0.is_empty()]
     }
 
@@ -260,10 +221,7 @@ mod tests {
                 }
             }
         }
-        assert!(
-            tripped.iter().all(|count| *count > 0),
-            "specs tripped: {tripped:?}"
-        );
+        assert!(tripped.iter().all(|count| *count > 0), "specs tripped: {tripped:?}");
 
         let legal = record(&leaver(1, 4, 8, 24));
         let sizes = |spec: &ViewSyncSpec| {

@@ -208,10 +208,7 @@ mod tests {
         View::new(
             ViewId::new(epoch, 0),
             members.iter().map(|&i| p(i)),
-            members
-                .iter()
-                .zip(cids)
-                .map(|(&i, &c)| (p(i), StartChangeId::new(c))),
+            members.iter().zip(cids).map(|(&i, &c)| (p(i), StartChangeId::new(c))),
         )
     }
 
@@ -327,11 +324,7 @@ mod tests {
         let v = view(1, &[1, 2, 3], &[2, 0, 0]);
         let violations = run(vec![
             Event::MbrshpStartChange { p: p(1), cid: StartChangeId::new(1), set: set(&[1, 2]) },
-            Event::MbrshpStartChange {
-                p: p(1),
-                cid: StartChangeId::new(2),
-                set: set(&[1, 2, 3]),
-            },
+            Event::MbrshpStartChange { p: p(1), cid: StartChangeId::new(2), set: set(&[1, 2, 3]) },
             Event::MbrshpView { p: p(1), view: v },
         ]);
         assert!(violations.is_empty(), "{violations:?}");

@@ -264,16 +264,9 @@ mod tests {
     fn judge_split_flags_pre_fault_violations() {
         // A self-inclusion violation before the injection mark is a real
         // bug, not a corruption symptom.
-        let v1only = View::new(
-            ViewId::new(1, 0),
-            [p(1)],
-            [(p(1), StartChangeId::new(1))],
-        );
-        let entries = trace(vec![Event::GcsView {
-            p: p(2),
-            view: v1only,
-            transitional: set(&[2]),
-        }]);
+        let v1only = View::new(ViewId::new(1, 0), [p(1)], [(p(1), StartChangeId::new(1))]);
+        let entries =
+            trace(vec![Event::GcsView { p: p(2), view: v1only, transitional: set(&[2]) }]);
         let report = judge_split(&entries, 1, 1, None);
         assert!(!report.converged());
         assert!(!report.pre_violations.is_empty());

@@ -216,10 +216,7 @@ mod tests {
             install(1, &v2, &[1]), // both moved v1 -> v2, p2 missing from p1's T
             install(2, &v2, &[1, 2]),
         ]);
-        assert!(
-            violations.iter().any(|v| v.message.contains("missing from")),
-            "{violations:?}"
-        );
+        assert!(violations.iter().any(|v| v.message.contains("missing from")), "{violations:?}");
     }
 
     #[test]

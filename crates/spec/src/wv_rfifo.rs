@@ -322,10 +322,7 @@ mod tests {
 
     #[test]
     fn events_at_crashed_process_rejected() {
-        let violations = run(vec![
-            Event::Crash { p: p(1) },
-            Event::Send { p: p(1), msg: m("a") },
-        ]);
+        let violations = run(vec![Event::Crash { p: p(1) }, Event::Send { p: p(1), msg: m("a") }]);
         assert_eq!(violations.len(), 1);
         assert!(violations[0].message.contains("while crashed"));
     }

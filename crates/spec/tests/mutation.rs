@@ -145,10 +145,7 @@ fn swapping_two_deliveries_of_same_sender_rejected() {
         if mutated[i].event == entries[i].event {
             continue;
         }
-        assert!(
-            violations(&reindex(mutated)) > 0,
-            "seed {seed}: FIFO-violating swap accepted"
-        );
+        assert!(violations(&reindex(mutated)) > 0, "seed {seed}: FIFO-violating swap accepted");
     }
 }
 
@@ -191,10 +188,7 @@ fn dropping_a_delivery_breaks_virtual_synchrony() {
         let Some((i, _)) = candidate else { continue };
         let mut mutated = entries.clone();
         mutated.remove(i);
-        assert!(
-            violations(&reindex(mutated)) > 0,
-            "seed {seed}: dropped delivery accepted"
-        );
+        assert!(violations(&reindex(mutated)) > 0, "seed {seed}: dropped delivery accepted");
     }
 }
 
@@ -226,9 +220,7 @@ fn skipping_self_delivery_rejected() {
     let entries: Vec<TraceEntry> = t
         .entries()
         .iter()
-        .filter(|e| {
-            !matches!(&e.event, Event::Deliver { p: a, q: b, .. } if a == b && *a == p(1))
-        })
+        .filter(|e| !matches!(&e.event, Event::Deliver { p: a, q: b, .. } if a == b && *a == p(1)))
         .cloned()
         .collect();
     assert!(violations(&reindex(entries)) > 0, "missing self-delivery accepted");

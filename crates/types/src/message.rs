@@ -230,9 +230,7 @@ impl NetMsg {
             NetMsg::Fwd(f) => 32 + 8 + f.view.len() * 16 + f.msg.len(),
             NetMsg::Sync(s) => s.wire_size(),
             NetMsg::SyncAgg(batch) => batch.iter().map(|(_, s)| 8 + s.wire_size()).sum(),
-            NetMsg::AppBatch(batch) => {
-                16 + batch.iter().map(|m| 4 + m.len()).sum::<usize>()
-            }
+            NetMsg::AppBatch(batch) => 16 + batch.iter().map(|m| 4 + m.len()).sum::<usize>(),
             NetMsg::Baseline(b) => b.wire_size(),
             NetMsg::Ack(c) => 8 + c.len() * 16,
         }
@@ -285,13 +283,22 @@ mod tests {
         assert_eq!(NetMsg::ViewMsg(v.clone()).tag(), "view_msg");
         assert_eq!(NetMsg::App(AppMsg::from("x")).tag(), "app_msg");
         assert_eq!(
-            NetMsg::Fwd(FwdPayload { origin: p(2), view: v.clone(), index: 1, msg: AppMsg::from("x") })
-                .tag(),
+            NetMsg::Fwd(FwdPayload {
+                origin: p(2),
+                view: v.clone(),
+                index: 1,
+                msg: AppMsg::from("x")
+            })
+            .tag(),
             "fwd_msg"
         );
         assert_eq!(
-            NetMsg::Sync(SyncPayload { cid: StartChangeId::ZERO, view: Some(v), cut: Cut::default() })
-                .tag(),
+            NetMsg::Sync(SyncPayload {
+                cid: StartChangeId::ZERO,
+                view: Some(v),
+                cut: Cut::default()
+            })
+            .tag(),
             "sync_msg"
         );
         assert_eq!(NetMsg::SyncAgg(vec![]).tag(), "sync_agg");
@@ -311,7 +318,12 @@ mod tests {
         let msgs = vec![
             NetMsg::ViewMsg(v.clone()),
             NetMsg::App(AppMsg::from("payload")),
-            NetMsg::Fwd(FwdPayload { origin: p(2), view: v.clone(), index: 3, msg: AppMsg::from("f") }),
+            NetMsg::Fwd(FwdPayload {
+                origin: p(2),
+                view: v.clone(),
+                index: 3,
+                msg: AppMsg::from("f"),
+            }),
             NetMsg::Sync(SyncPayload {
                 cid: StartChangeId::new(5),
                 view: Some(v),

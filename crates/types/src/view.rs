@@ -249,20 +249,12 @@ mod tests {
         let a = View::new(
             ViewId::new(1, 0),
             [p(1), p(2), p(3)],
-            [
-                (p(1), StartChangeId::ZERO),
-                (p(2), StartChangeId::ZERO),
-                (p(3), StartChangeId::ZERO),
-            ],
+            [(p(1), StartChangeId::ZERO), (p(2), StartChangeId::ZERO), (p(3), StartChangeId::ZERO)],
         );
         let b = View::new(
             ViewId::new(2, 0),
             [p(2), p(3), p(4)],
-            [
-                (p(2), StartChangeId::ZERO),
-                (p(3), StartChangeId::ZERO),
-                (p(4), StartChangeId::ZERO),
-            ],
+            [(p(2), StartChangeId::ZERO), (p(3), StartChangeId::ZERO), (p(4), StartChangeId::ZERO)],
         );
         let inter: Vec<_> = a.intersection(&b).collect();
         assert_eq!(inter, vec![p(2), p(3)]);

@@ -8,23 +8,19 @@ fn arb_pid() -> impl Strategy<Value = ProcessId> {
 }
 
 fn arb_cut() -> impl Strategy<Value = Cut> {
-    prop::collection::btree_map(arb_pid(), 0u64..100, 0..8)
-        .prop_map(|m| m.into_iter().collect())
+    prop::collection::btree_map(arb_pid(), 0u64..100, 0..8).prop_map(|m| m.into_iter().collect())
 }
 
 fn arb_view() -> impl Strategy<Value = View> {
-    (
-        0u64..10,
-        0u64..4,
-        prop::collection::btree_map(arb_pid(), 0u64..50, 1..8),
-    )
-        .prop_map(|(epoch, proposer, start_ids)| {
+    (0u64..10, 0u64..4, prop::collection::btree_map(arb_pid(), 0u64..50, 1..8)).prop_map(
+        |(epoch, proposer, start_ids)| {
             View::new(
                 ViewId::new(epoch, proposer),
                 start_ids.keys().copied().collect::<Vec<_>>(),
                 start_ids.into_iter().map(|(p, c)| (p, StartChangeId::new(c))),
             )
-        })
+        },
+    )
 }
 
 proptest! {

@@ -27,9 +27,9 @@ fn main() {
 
     // Drains new GCS deliveries into the causal layers and the chat feeds.
     let drain = |sim: &mut Sim,
-                     layers: &mut BTreeMap<ProcessId, CausalOrder>,
-                     feeds: &mut BTreeMap<ProcessId, Vec<String>>,
-                     cursor: &mut usize| {
+                 layers: &mut BTreeMap<ProcessId, CausalOrder>,
+                 feeds: &mut BTreeMap<ProcessId, Vec<String>>,
+                 cursor: &mut usize| {
         sim.run_to_quiescence();
         let batch: Vec<(ProcessId, ProcessId, AppMsg)> = sim.trace().entries()[*cursor..]
             .iter()
@@ -41,10 +41,11 @@ fn main() {
         *cursor = sim.trace().len();
         for (to, from, msg) in batch {
             for d in layers.get_mut(&to).expect("member").on_deliver(from, &msg) {
-                feeds
-                    .entry(to)
-                    .or_default()
-                    .push(format!("{}: {}", d.from, String::from_utf8_lossy(&d.payload)));
+                feeds.entry(to).or_default().push(format!(
+                    "{}: {}",
+                    d.from,
+                    String::from_utf8_lossy(&d.payload)
+                ));
             }
         }
     };

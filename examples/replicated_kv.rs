@@ -73,7 +73,11 @@ fn pump(sim: &mut Sim, replicas: &mut BTreeMap<ProcessId, Replica>, cursor: &mut
     }
 }
 
-fn on_view(replicas: &mut BTreeMap<ProcessId, Replica>, view: &View, t_sets: &BTreeMap<ProcessId, ProcSet>) {
+fn on_view(
+    replicas: &mut BTreeMap<ProcessId, Replica>,
+    view: &View,
+    t_sets: &BTreeMap<ProcessId, ProcSet>,
+) {
     for (p, replica) in replicas.iter_mut() {
         if view.contains(*p) {
             let t = t_sets.get(p).cloned().unwrap_or_default();

@@ -13,8 +13,8 @@
 
 use std::sync::mpsc;
 use std::time::{Duration, Instant};
-use vsgm_core::{Config, Endpoint, Input, Node};
 use vsgm_core::node::AppEvent;
+use vsgm_core::{Config, Endpoint, Input, Node};
 use vsgm_net::TcpTransport;
 use vsgm_types::{AppMsg, ProcSet, ProcessId, StartChangeId, View, ViewId};
 
@@ -79,9 +79,7 @@ fn main() -> std::io::Result<()> {
                 }
                 if sent {
                     sent = false;
-                    events.extend(
-                        node.send(AppMsg::from(format!("hello from {me}").as_str()))?,
-                    );
+                    events.extend(node.send(AppMsg::from(format!("hello from {me}").as_str()))?);
                 }
                 if greetings >= 3 {
                     let s = node.transport().stats();

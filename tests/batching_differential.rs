@@ -77,10 +77,7 @@ fn gen_schedule(seed: u64, n: u64) -> Vec<Op> {
     // The guaranteed race: two back-to-back sends immediately followed by
     // a reconfigure, inserted at a random position.
     let at = (rng.below(ops.len() as u64)) as usize;
-    ops.splice(
-        at..at,
-        [Op::Send(1 + rng.below(n)), Op::Send(1 + rng.below(n)), Op::Reconfigure],
-    );
+    ops.splice(at..at, [Op::Send(1 + rng.below(n)), Op::Send(1 + rng.below(n)), Op::Reconfigure]);
     ops.push(Op::Run);
     ops
 }
@@ -173,15 +170,8 @@ fn view_change_racing_a_half_full_batch_is_equivalent() {
     // *only* be released by the view change's forced pre-cut flush. The
     // batched arm still must deliver exactly what the unbatched arm does,
     // in the same views.
-    let ops = vec![
-        Op::Send(1),
-        Op::Send(1),
-        Op::Send(2),
-        Op::Reconfigure,
-        Op::Run,
-        Op::Send(3),
-        Op::Run,
-    ];
+    let ops =
+        vec![Op::Send(1), Op::Send(1), Op::Send(2), Op::Reconfigure, Op::Run, Op::Send(3), Op::Run];
     let held_forever = BatchConfig { max_msgs: 64, max_bytes: 64 * 1024, linger_us: u64::MAX / 2 };
     assert_arms_agree(0xBA7C, 3, &ops, held_forever);
 }
@@ -197,7 +187,12 @@ fn schedules_exercise_every_flush_cause() {
         let mut sim = Sim::new_paper(
             3,
             Config { batch, ..Config::default() },
-            SimOptions { seed: 1, latency: LatencyModel::lan(), check: true, shuffle_polling: true },
+            SimOptions {
+                seed: 1,
+                latency: LatencyModel::lan(),
+                check: true,
+                shuffle_polling: true,
+            },
         );
         sim.enable_obs();
         let all: ProcSet = (1..=3).map(ProcessId::new).collect();

@@ -249,11 +249,9 @@ fn messages_queued_while_blocked_are_released_after_view() {
     sim.add_checker(LivenessSpec::new(v));
     sim.run_to_quiescence();
     sim.assert_clean();
-    let delivered = sim
-        .trace()
-        .entries()
-        .iter()
-        .any(|e| matches!(&e.event, Event::Deliver { p: to, msg, .. }
-                          if *to == p(2) && *msg == AppMsg::from("queued")));
+    let delivered = sim.trace().entries().iter().any(|e| {
+        matches!(&e.event, Event::Deliver { p: to, msg, .. }
+                          if *to == p(2) && *msg == AppMsg::from("queued"))
+    });
     assert!(delivered, "queued message must flow after the view change");
 }

@@ -94,10 +94,9 @@ impl Checked {
             "{pid}: poll and the reference chooser counted differently"
         );
         self.polls += 1;
-        self.forwards += got
-            .iter()
-            .filter(|e| matches!(e, Effect::NetSend { msg: NetMsg::Fwd(_), .. }))
-            .count() as u64;
+        self.forwards +=
+            got.iter().filter(|e| matches!(e, Effect::NetSend { msg: NetMsg::Fwd(_), .. })).count()
+                as u64;
         out.append(&mut got);
     }
 }
@@ -263,9 +262,8 @@ fn run(cfg: &Config, seed: u64, judged: bool) -> (u64, u64) {
 /// A hundred schedules under `cfg`, every poll of every end-point
 /// compared; returns how many forwards they sent.
 fn hundred_schedules(cfg: Config, judged: bool) -> u64 {
-    let (polls, forwards) = (0..100)
-        .map(|seed| run(&cfg, seed, judged))
-        .fold((0, 0), |(a, b), (c, d)| (a + c, b + d));
+    let (polls, forwards) =
+        (0..100).map(|seed| run(&cfg, seed, judged)).fold((0, 0), |(a, b), (c, d)| (a + c, b + d));
     assert!(polls > 10_000, "only {polls} polls compared under {cfg:?}");
     forwards
 }

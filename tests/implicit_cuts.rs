@@ -101,8 +101,7 @@ fn wire_cuts_are_actually_smaller() {
     // Compare total sync bytes with/without the optimization for an
     // identical stable view change with in-view traffic.
     fn sync_bytes(cfg: Config) -> u64 {
-        let mut sim =
-            Sim::new_paper(6, cfg, SimOptions { seed: 9, ..Default::default() });
+        let mut sim = Sim::new_paper(6, cfg, SimOptions { seed: 9, ..Default::default() });
         sim.reconfigure(&procs(6));
         for i in 1..=6 {
             sim.send(p(i), AppMsg::from("traffic"));
@@ -116,10 +115,7 @@ fn wire_cuts_are_actually_smaller() {
     }
     let plain = sync_bytes(Config::default());
     let optimized = sync_bytes(Config { implicit_cuts: true, ..Config::default() });
-    assert!(
-        optimized < plain,
-        "implicit cuts should shrink sync bytes: {optimized} vs {plain}"
-    );
+    assert!(optimized < plain, "implicit cuts should shrink sync bytes: {optimized} vs {plain}");
 }
 
 #[test]

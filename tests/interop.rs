@@ -39,8 +39,7 @@ fn mixed_sim(configs: Vec<Config>) -> Sim {
 fn slim_and_plain_endpoints_interoperate() {
     // p1, p2 run slim sync; p3, p4 plain.
     let slim = Config { slim_sync: true, ..Config::default() };
-    let mut sim =
-        mixed_sim(vec![slim.clone(), slim, Config::default(), Config::default()]);
+    let mut sim = mixed_sim(vec![slim.clone(), slim, Config::default(), Config::default()]);
     sim.reconfigure(&procs(2)); // bootstrap the slim pair first
     sim.run_to_quiescence();
     sim.send(p(1), AppMsg::from("pre-join"));
@@ -54,12 +53,8 @@ fn slim_and_plain_endpoints_interoperate() {
     sim.run_to_quiescence();
     sim.assert_clean();
     sim.assert_paper_invariants();
-    let delivered = sim
-        .trace()
-        .entries()
-        .iter()
-        .filter(|e| matches!(e.event, Event::Deliver { .. }))
-        .count();
+    let delivered =
+        sim.trace().entries().iter().filter(|e| matches!(e.event, Event::Deliver { .. })).count();
     assert!(delivered >= 16, "all post-join messages delivered everywhere");
 }
 
@@ -89,8 +84,10 @@ fn mixed_forwarding_strategies_recover_messages() {
             .trace()
             .entries()
             .iter()
-            .filter(|e| matches!(&e.event, Event::Deliver { p: to, q: from, .. }
-                                 if *to == p(i) && *from == p(4)))
+            .filter(|e| {
+                matches!(&e.event, Event::Deliver { p: to, q: from, .. }
+                                 if *to == p(i) && *from == p(4))
+            })
             .count();
         assert_eq!(n, 3, "p{i} missing part of the burst");
     }

@@ -411,11 +411,7 @@ fn a1_flags_state_fields_the_audit_never_reads() {
 
 #[test]
 fn expected_lints_need_a_reason_and_a_finding() {
-    assert!(
-        flags("stale expect", "unfulfilled_lint_expectations"),
-        "{:?}",
-        fired("stale expect")
-    );
+    assert!(flags("stale expect", "unfulfilled_lint_expectations"), "{:?}", fired("stale expect"));
     assert!(
         flags("reasonless expect", "clippy::allow_attributes_without_reason"),
         "{:?}",

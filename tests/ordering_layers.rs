@@ -224,10 +224,8 @@ fn replica_layer_syncs_rejoiner_over_the_full_stack() {
     ) {
         loop {
             sim.run_to_quiescence();
-            let batch: Vec<Event> = sim.trace().entries()[*cursor..]
-                .iter()
-                .map(|e| e.event.clone())
-                .collect();
+            let batch: Vec<Event> =
+                sim.trace().entries()[*cursor..].iter().map(|e| e.event.clone()).collect();
             *cursor = sim.trace().len();
             if batch.is_empty() {
                 return;
@@ -287,9 +285,5 @@ fn replica_layer_syncs_rejoiner_over_the_full_stack() {
     sim.assert_clean();
     let reference = replicas[&p(1)].machine().clone();
     assert_eq!(reference.log.len(), 4);
-    assert_eq!(
-        replicas[&p(3)].machine(),
-        &reference,
-        "rejoiner must match via snapshot transfer"
-    );
+    assert_eq!(replicas[&p(3)].machine(), &reference, "rejoiner must match via snapshot transfer");
 }

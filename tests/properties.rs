@@ -47,10 +47,8 @@ fn op_strategy() -> impl Strategy<Value = Op> {
 }
 
 fn mask_to_set(mask: u8, alive: &ProcSet) -> ProcSet {
-    let chosen: ProcSet = (0..N)
-        .filter(|i| mask & (1 << i) != 0)
-        .map(|i| ProcessId::new(i + 1))
-        .collect();
+    let chosen: ProcSet =
+        (0..N).filter(|i| mask & (1 << i) != 0).map(|i| ProcessId::new(i + 1)).collect();
     chosen.intersection(alive).copied().collect()
 }
 
@@ -218,10 +216,8 @@ fn soak_500_ops_many_seeds() {
     use proptest::test_runner::TestRunner;
     for seed in 0..20 {
         let mut runner = TestRunner::deterministic();
-        let ops = prop::collection::vec(op_strategy(), 200..500)
-            .new_tree(&mut runner)
-            .unwrap()
-            .current();
+        let ops =
+            prop::collection::vec(op_strategy(), 200..500).new_tree(&mut runner).unwrap().current();
         run_scenario(seed, &ops, ForwardStrategyKind::Eager);
         run_scenario(seed, &ops, ForwardStrategyKind::MinCopy);
     }

@@ -67,23 +67,14 @@ fn check_refinement(sim: &Sim, abs: &AbstractState) {
         }
         let st = ep.state();
         // current_view[p] column.
-        assert_eq!(
-            st.current_view,
-            abs.view_of(i),
-            "R(current_view) broken at {i}"
-        );
+        assert_eq!(st.current_view, abs.view_of(i), "R(current_view) broken at {i}");
         // msgs[p][v] column for the CURRENT view (older views may be
         // garbage-collected concretely, which the refinement permits — the
         // spec state is a superset).
-        let abs_msgs =
-            abs.msgs.get(&(i, st.current_view.clone())).cloned().unwrap_or_default();
+        let abs_msgs = abs.msgs.get(&(i, st.current_view.clone())).cloned().unwrap_or_default();
         let concrete = st.buf(i, &st.current_view);
         let concrete_len = concrete.map_or(0, |b| b.last_index());
-        assert_eq!(
-            concrete_len,
-            abs_msgs.len() as u64,
-            "R(msgs[{i}][current]) length broken"
-        );
+        assert_eq!(concrete_len, abs_msgs.len() as u64, "R(msgs[{i}][current]) length broken");
         for (k, m) in abs_msgs.iter().enumerate() {
             assert_eq!(
                 concrete.and_then(|b| b.get(k as u64 + 1)),
@@ -94,21 +85,14 @@ fn check_refinement(sim: &Sim, abs: &AbstractState) {
         // last_dlvrd[q][p] column.
         for q in sim.all_procs() {
             let abs_count = abs.last_dlvrd.get(&(q, i)).copied().unwrap_or(0);
-            assert_eq!(
-                st.dlvrd(q),
-                abs_count,
-                "R(last_dlvrd[{q}][{i}]) broken"
-            );
+            assert_eq!(st.dlvrd(q), abs_count, "R(last_dlvrd[{q}][{i}]) broken");
         }
     }
 }
 
 fn run_with_refinement_checks(seed: u64) {
-    let mut sim = Sim::new_paper(
-        4,
-        Config::default(),
-        SimOptions { seed, ..SimOptions::default() },
-    );
+    let mut sim =
+        Sim::new_paper(4, Config::default(), SimOptions { seed, ..SimOptions::default() });
     let mut abs = AbstractState::default();
     let mut cursor = 0usize;
     let sync = |sim: &mut Sim, abs: &mut AbstractState, cursor: &mut usize| {

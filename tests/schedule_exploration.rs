@@ -178,12 +178,10 @@ fn explore(seed: u64) {
     // both survivors.
     for i in [1u64, 2] {
         let p = ProcessId::new(i);
-        let installed = comp
-            .trace
-            .entries()
-            .iter()
-            .any(|e| matches!(&e.event, Event::GcsView { p: q, view, .. }
-                              if *q == p && view.id() == ViewId::new(2, 0)));
+        let installed = comp.trace.entries().iter().any(|e| {
+            matches!(&e.event, Event::GcsView { p: q, view, .. }
+                              if *q == p && view.id() == ViewId::new(2, 0))
+        });
         assert!(installed, "seed {seed}: p{i} never installed the final view");
     }
 }

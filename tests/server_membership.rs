@@ -16,10 +16,7 @@ fn p(i: u64) -> ProcessId {
 
 fn two_by_three() -> ServerSim {
     ServerSim::new(
-        vec![
-            (p(1001), vec![p(1), p(2), p(3)]),
-            (p(1002), vec![p(4), p(5), p(6)]),
-        ],
+        vec![(p(1001), vec![p(1), p(2), p(3)]), (p(1002), vec![p(4), p(5), p(6)])],
         Config::default(),
         SimOptions::default(),
     )
@@ -39,13 +36,8 @@ fn full_lifecycle_through_servers() {
         s.sim.send(p(i), AppMsg::from(format!("c{i}").as_str()));
     }
     s.run_to_quiescence();
-    let delivers = s
-        .sim
-        .trace()
-        .entries()
-        .iter()
-        .filter(|e| matches!(e.event, Event::Deliver { .. }))
-        .count();
+    let delivers =
+        s.sim.trace().entries().iter().filter(|e| matches!(e.event, Event::Deliver { .. })).count();
     assert_eq!(delivers, 36);
     // Churn: two clients leave, then return.
     let four: ProcSet = [1, 2, 4, 5].iter().map(|&i| p(i)).collect();
@@ -107,23 +99,14 @@ fn parallel_rounds_one_view_change_latency() {
     // One client-side sync round (~one LAN latency, ≤ 200us in the lan()
     // model) dominates; the membership round between the two servers runs
     // concurrently. Budget: well under two sequential round trips.
-    assert!(
-        elapsed.as_micros() < 1000,
-        "view change took {elapsed}, expected parallel rounds"
-    );
+    assert!(elapsed.as_micros() < 1000, "view change took {elapsed}, expected parallel rounds");
     assert!(s.sim.finish().is_empty());
 }
 
 #[test]
 fn four_servers_sixteen_clients() {
-    let layout: Vec<(ProcessId, Vec<ProcessId>)> = (0..4)
-        .map(|k| {
-            (
-                p(1001 + k),
-                (1..=4).map(|j| p(k * 4 + j)).collect::<Vec<_>>(),
-            )
-        })
-        .collect();
+    let layout: Vec<(ProcessId, Vec<ProcessId>)> =
+        (0..4).map(|k| (p(1001 + k), (1..=4).map(|j| p(k * 4 + j)).collect::<Vec<_>>())).collect();
     let servers: ProcSet = layout.iter().map(|(s, _)| *s).collect();
     let all: ProcSet = (1..=16).map(p).collect();
     let mut s = ServerSim::new(layout, Config::default(), SimOptions::default());
@@ -133,13 +116,8 @@ fn four_servers_sixteen_clients() {
     }
     s.sim.send(p(7), AppMsg::from("big group"));
     s.run_to_quiescence();
-    let delivers = s
-        .sim
-        .trace()
-        .entries()
-        .iter()
-        .filter(|e| matches!(e.event, Event::Deliver { .. }))
-        .count();
+    let delivers =
+        s.sim.trace().entries().iter().filter(|e| matches!(e.event, Event::Deliver { .. })).count();
     assert_eq!(delivers, 16);
     assert!(s.sim.finish().is_empty());
 }

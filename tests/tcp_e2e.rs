@@ -72,7 +72,10 @@ fn form_view(
         if members.contains(&n.endpoint().pid()) {
             let me = n.endpoint().pid();
             for e in n
-                .membership(Input::StartChange { cid: StartChangeId::new(cid), set: members.clone() })
+                .membership(Input::StartChange {
+                    cid: StartChangeId::new(cid),
+                    set: members.clone(),
+                })
                 .expect("membership")
             {
                 events.push((me, e));
@@ -90,9 +93,7 @@ fn form_view(
     let expected = members.len();
     let v = view.clone();
     pump_until(nodes, events, |evs| {
-        evs.iter()
-            .filter(|(_, e)| matches!(e, AppEvent::View { view, .. } if view == &v))
-            .count()
+        evs.iter().filter(|(_, e)| matches!(e, AppEvent::View { view, .. } if view == &v)).count()
             >= expected
     });
     view
