@@ -6,8 +6,11 @@
 //!
 //! Beyond the Criterion display bench, this bench writes a machine-
 //! readable `BENCH_net.json` (path overridable via `VSGM_BENCH_JSON`)
-//! with frames/sec per arm. `VSGM_NET_BENCH_MSGS` scales the burst size
-//! (default 8000 frames); `VSGM_NET_BENCH_CONNS` picks the
+//! with frames/sec per arm — for the pair arm the median of
+//! [`PAIR_RUNS`] runs, with the runs themselves beside it (single runs
+//! ranged 0.35M–1.4M frames/s on a 2-core VM, EXPERIMENTS.md E5b).
+//! `VSGM_NET_BENCH_MSGS` scales the burst size (default 8000 frames);
+//! `VSGM_NET_BENCH_CONNS` picks the
 //! scaling arms (default `16,256,4096`), `VSGM_NET_CONN_FRAMES` their
 //! total frame budget, `VSGM_NET_SCALE_FLOOR` asserts a frames/s floor
 //! on the smallest arm, and `VSGM_NET_SCALING_ONLY=1` runs just the
@@ -45,6 +48,8 @@ fn scaling_frames() -> u64 {
 
 /// The name of the pair arm in output and in `BENCH_net.json`.
 const PAIR_ARM: &str = "binary_coalesced";
+/// Timed runs of the pair arm; its reported rate is their median.
+const PAIR_RUNS: usize = 5;
 
 fn arm_config() -> TcpConfig {
     TcpConfig {
@@ -80,6 +85,13 @@ fn run_arm(msgs: u64) -> f64 {
     }
     let secs = start.elapsed().as_secs_f64();
     msgs as f64 / secs.max(f64::EPSILON)
+}
+
+/// The middle value of `runs` (the upper middle of an even count).
+fn median(runs: &[f64]) -> f64 {
+    let mut sorted = runs.to_vec();
+    sorted.sort_by(f64::total_cmp);
+    sorted.get(sorted.len() / 2).copied().unwrap_or(0.0)
 }
 
 fn connect_retry(addr: std::net::SocketAddr) -> TcpStream {
@@ -185,15 +197,17 @@ fn run_scaling_arm(conns: usize, total_frames: u64) -> (f64, u64, usize) {
     (rate, rx.stats().loop_threads, thread_peak)
 }
 
-fn emit_json(pair_rate: f64, scaling: &[(usize, f64)], loop_threads: u64, thread_peak: usize) {
+fn emit_json(pair_runs: &[f64], scaling: &[(usize, f64)], loop_threads: u64, thread_peak: usize) {
     let path = std::env::var("VSGM_BENCH_JSON").unwrap_or_else(|_| "BENCH_net.json".into());
     let mut body = String::from("{\n");
     body.push_str("  \"bench\": \"net_throughput\",\n");
     body.push_str(&format!("  \"payload_bytes\": {PAYLOAD_BYTES},\n"));
     body.push_str(&format!("  \"msgs_per_arm\": {},\n", burst_size()));
     body.push_str("  \"frames_per_sec\": {\n");
-    body.push_str(&format!("    \"{PAIR_ARM}\": {pair_rate:.1}\n"));
+    body.push_str(&format!("    \"{PAIR_ARM}\": {:.1}\n", median(pair_runs)));
     body.push_str("  },\n");
+    let runs: Vec<String> = pair_runs.iter().map(|r| format!("{r:.1}")).collect();
+    body.push_str(&format!("  \"{PAIR_ARM}_runs\": [{}],\n", runs.join(", ")));
     // The connection-scaling arms: frames/s into one receiver transport
     // at N concurrent inbound connections, event loops fixed at
     // `loop_threads` (thread count must not scale with connections).
@@ -278,10 +292,14 @@ fn net_bench(c: &mut Criterion) {
     // A short discarded run warms the process first: the first timed
     // run in a fresh process reads far lower and swings far wider.
     run_arm(msgs.min(1_000));
-    let rate = run_arm(msgs);
-    println!("net_throughput/{PAIR_ARM:<18} {rate:>12.0} frames/s ({msgs} frames)");
+    let runs: Vec<f64> = (0..PAIR_RUNS).map(|_| run_arm(msgs)).collect();
+    println!(
+        "net_throughput/{PAIR_ARM:<18} {:>12.0} frames/s (median of {PAIR_RUNS} runs of {msgs} \
+         frames: {runs:.0?})",
+        median(&runs)
+    );
     let (scaling, loop_threads, thread_peak) = run_scaling_arms();
-    emit_json(rate, &scaling, loop_threads, thread_peak);
+    emit_json(&runs, &scaling, loop_threads, thread_peak);
 
     // Criterion display bench over the same arm (budget-bounded).
     let mut g = c.benchmark_group("net_throughput");

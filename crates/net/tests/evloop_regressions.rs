@@ -23,9 +23,11 @@
 //! frames (`enqueued == flushed + dropped`), and shut the loop threads
 //! down cleanly.
 //!
-//! And two pins of the epoll loop: no wake-up is ever lost (the loops
-//! wait without a timeout, so a lost one hangs a round trip), and an idle
-//! connected pair is asleep rather than polling.
+//! And three pins of the epoll loop: no wake-up is ever lost (the loops
+//! wait without a timeout, so a lost one hangs a round trip), an idle
+//! connected pair is asleep rather than polling, and a dropped transport
+//! gives its threads back at once (the loops are its only threads: they
+//! send its heartbeats).
 //!
 //! The tests run one at a time ([`serial`]): the leak soak and the idle
 //! test read process-wide `/proc` counts that a neighbour would skew.
@@ -262,7 +264,7 @@ fn count_dir(path: &str) -> usize {
 /// Connection-churn soak: 64 peers across four connect/disconnect
 /// storms. Asserts no fd or thread leak (`/proc/self/fd`,
 /// `/proc/self/task`), per-client frame conservation at quiescence, and
-/// that every client's loop/heartbeat threads shut down cleanly.
+/// that every client's loop threads shut down cleanly.
 #[test]
 fn connection_churn_soaks_without_leaking_fds_or_threads() {
     let _serial = serial();
@@ -318,7 +320,7 @@ fn connection_churn_soaks_without_leaking_fds_or_threads() {
         run_storm(round);
     }
     // Everything the storms created must be gone again: sockets closed
-    // (fds), and every client's loop/heartbeat thread exited.
+    // (fds), and every client's loop thread exited.
     settle("post-storm resource return", fd0 + 2, th0);
     wait_until("server conns retired", Duration::from_secs(10), || srv.stats().conns_open == 0);
     let s = srv.stats();
@@ -396,4 +398,35 @@ fn an_idle_connected_pair_sleeps() {
         .collect();
     let total_ms: f64 = spent.iter().map(|(_, ms)| ms).sum();
     assert!(total_ms < 5.0, "an idle pair burned {total_ms:.2} ms of CPU in 1 s: {spent:?}");
+}
+
+/// A dropped transport gives its threads back at once, whatever its
+/// heartbeat interval: the loops that send the heartbeats exit as soon as
+/// nothing is left to flush. A prober thread of its own would sleep out
+/// its ten seconds here.
+#[test]
+fn a_dropped_transport_gives_its_threads_back_at_once() {
+    let _serial = serial();
+    let before_bind = thread_cpu();
+    let slow = TcpConfig { heartbeat_interval: Duration::from_secs(10), ..TcpConfig::default() };
+    let a = TcpTransport::bind_with(p(1), "127.0.0.1:0", slow.clone()).unwrap();
+    let b = TcpTransport::bind_with(p(2), "127.0.0.1:0", slow).unwrap();
+    a.register_peer(p(2), b.local_addr());
+    a.send(&only(2), &NetMsg::App(AppMsg::from("hi"))).unwrap();
+    b.recv_timeout(Duration::from_secs(5)).expect("a → b");
+    // Every transport thread the two binds started.
+    let started = || -> Vec<String> {
+        thread_cpu()
+            .into_iter()
+            .filter(|(t, (comm, _))| !before_bind.contains_key(t) && comm.starts_with("vsgm-"))
+            .map(|(_, (comm, _))| comm)
+            .collect()
+    };
+    assert!(!started().is_empty(), "the pair's threads were not found");
+    drop((a, b));
+    let t0 = Instant::now();
+    while !started().is_empty() {
+        assert!(t0.elapsed() < Duration::from_secs(1), "left 1 s after the drop: {:?}", started());
+        std::thread::sleep(Duration::from_millis(5));
+    }
 }

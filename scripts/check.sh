@@ -11,6 +11,27 @@ if ! cargo metadata --format-version 1 >/dev/null 2>&1; then
     CARGO_FLAGS+=(--offline)
 fi
 
+# Runs the named tests of one test target, each matched exactly, and
+# fails unless every name ran: `cargo test` exits 0 when a renamed or
+# deleted test's name matches nothing. Usage:
+#   named_tests <cargo test args> -- <test name>...
+named_tests() {
+    local args=() out
+    while [ "$1" != -- ]; do
+        args+=("$1")
+        shift
+    done
+    shift
+    out="$(cargo test -q "${CARGO_FLAGS[@]}" "${args[@]}" -- --exact "$@" 2>&1)" \
+        || { echo "$out"; return 1; }
+    grep -Eq "test result: ok\. $# passed" <<<"$out" \
+        || { echo "    ${args[*]}: expected $# tests to run:"; echo "$out"; return 1; }
+}
+
+# Formatting (rustfmt.toml): the tree stays rustfmt-clean.
+echo "==> cargo fmt --check"
+cargo fmt --all -- --check
+
 echo "==> cargo build --release"
 cargo build --release "${CARGO_FLAGS[@]}"
 
@@ -29,8 +50,8 @@ cargo test -q "${CARGO_FLAGS[@]}"
 echo "==> cargo clippy --workspace -- -D warnings"
 cargo clippy --workspace "${CARGO_FLAGS[@]}" -- -D warnings
 
-# Lock tiers and transition pairing, run by name, each name checked to
-# run exactly one test. Every lock net and server share between threads
+# Lock tiers and transition pairing, run by name, every name checked to
+# have run. Every lock net and server share between threads
 # is a `vsgm_net::tiered::Tiered` of a fixed tier; debug builds panic on a
 # lock taken out of tier order and on a blocking call made holding a
 # tracked guard (the dial and backoff under a peer's connect guard are
@@ -41,26 +62,16 @@ cargo clippy --workspace "${CARGO_FLAGS[@]}" -- -D warnings
 # precondition and effect are arms of two exhaustive matches; the lint
 # wall plants an action with only one half of the pair and reads E0004.
 echo "==> lock tiers and transition pairing"
-one_test() {
-    local name="${*: -1}" out
-    out="$(cargo test -q "${CARGO_FLAGS[@]}" "${@:1:$#-1}" -- --exact "$name" 2>&1)" \
-        || { echo "$out"; return 1; }
-    grep -Eq "test result: ok\. 1 passed" <<<"$out" \
-        || { echo "    $name did not run exactly one test:"; echo "$out"; return 1; }
-}
-for name in \
-    increasing_tiers_nest_and_release_in_any_order \
-    an_inversion_and_a_same_tier_nesting_panic_in_debug_builds \
-    a_blocking_call_under_a_guard_panics_unless_it_names_that_one_tier \
-    a_guard_waits_on_its_condvar_and_keeps_its_tier; do
-    one_test -p vsgm-net --lib "tiered::tests::$name"
-done
-one_test -p vsgm-server --test daemon every_tiered_lock_and_blocking_call_site_runs_under_the_tracker
-for name in \
+named_tests -p vsgm-net --lib -- \
+    tiered::tests::increasing_tiers_nest_and_release_in_any_order \
+    tiered::tests::an_inversion_and_a_same_tier_nesting_panic_in_debug_builds \
+    tiered::tests::a_blocking_call_under_a_guard_panics_unless_it_names_that_one_tier \
+    tiered::tests::a_guard_waits_on_its_condvar_and_keeps_its_tier
+named_tests -p vsgm-server --test daemon -- \
+    every_tiered_lock_and_blocking_call_site_runs_under_the_tracker
+named_tests -p vsgm --test lint_wall -- \
     i1_an_action_with_an_effect_and_no_precondition_does_not_build \
-    i1_an_action_with_a_precondition_and_no_effect_does_not_build; do
-    one_test -p vsgm --test lint_wall "$name"
-done
+    i1_an_action_with_a_precondition_and_no_effect_does_not_build
 
 # Explore smoke: exhaustively enumerate every interleaving of the five
 # seed configurations (DPOR-pruned) and judge each path with the full
@@ -79,7 +90,7 @@ done
 # TSan smoke: the writer / batching / transport paths of vsgm-net under
 # ThreadSanitizer — `writer::` includes the inline-write tests: batch
 # pushers writing the socket on their own threads beside frame pushers,
-# a heartbeat prober and the loop's drain. A *sound* run needs std itself instrumented
+# a heartbeat claimer and the loop's drain. A *sound* run needs std itself instrumented
 # (-Zbuild-std), i.e. a nightly toolchain with the rust-src component —
 # without it TSan sees no happens-before edges inside std's locks and
 # reports false races, so the stage skips rather than cry wolf. Where it
@@ -104,7 +115,8 @@ fi
 # would hang (the loops wait without a timeout), an idle connected pair
 # that must stay under 5 ms of CPU per second, half-open eviction woken
 # by its deadline alone, the churn soak that counts descriptors and
-# threads — and a listener that keeps accepting after the process ran
+# threads, a dropped pair giving back its threads within 1 s whatever its
+# heartbeat interval (the loops send the heartbeats) — and a listener that keeps accepting after the process ran
 # out of descriptors (a binary of its own: it exhausts the fd table).
 echo "==> transport readiness (evloop regressions, accept under fd exhaustion)"
 cargo test -q -p vsgm-net --test evloop_regressions --test accept_under_fd_exhaustion \
@@ -191,13 +203,13 @@ cargo test -q -p vsgm --test paper_invariants "${CARGO_FLAGS[@]}" >/dev/null
 # delivered in that view at both nodes, and an audited node whose
 # end-point is damaged resets, its client fresh, after one pump.
 echo "==> hosted composition (Hosted, Node under CLIENT:SPEC)"
-cargo test -q -p vsgm-core --lib "${CARGO_FLAGS[@]}" -- --exact \
+named_tests -p vsgm-core --lib -- \
     client::tests::the_handshake_emits_block_then_block_ok \
     client::tests::a_send_while_blocked_waits_for_the_view_then_goes_out_in_order \
     client::tests::a_crash_leaves_a_fresh_client_and_drops_queued_sends \
     client::tests::a_reconciled_end_point_shows_a_crash_and_recover_and_gets_a_fresh_client \
     node::tests::a_send_between_block_ok_and_the_next_view_is_delivered_in_that_view \
-    node::tests::an_audit_reset_reaches_the_node_and_leaves_a_fresh_client >/dev/null
+    node::tests::an_audit_reset_reaches_the_node_and_leaves_a_fresh_client
 
 # What an end-point keeps (DESIGN.md §18), run by name: one generation
 # of sync records — after a cascaded change, after a leave and re-join,
@@ -209,20 +221,18 @@ cargo test -q -p vsgm-core --lib "${CARGO_FLAGS[@]}" -- --exact \
 # a cut built once (2^18 entries within 2 s in debug; one copy per
 # entry is quadratic).
 echo "==> end-point memory (one generation of sync records, shared cuts)"
-cargo test -q -p vsgm-core --lib "${CARGO_FLAGS[@]}" -- --exact \
+named_tests -p vsgm-core --lib -- \
     state::tests::after_a_cascaded_change_only_the_current_views_start_ids_remain \
     state::tests::a_member_that_leaves_and_rejoins_leaves_one_generation_behind \
-    state::tests::a_future_joiners_early_sync_survives_the_install_and_the_next_view_installs \
-    >/dev/null
-cargo test -q -p vsgm-server --lib "${CARGO_FLAGS[@]}" -- --exact \
-    group::tests::after_churn_each_end_point_holds_one_sync_record_per_member >/dev/null
-cargo test -q -p vsgm-types --lib "${CARGO_FLAGS[@]}" -- --exact \
+    state::tests::a_future_joiners_early_sync_survives_the_install_and_the_next_view_installs
+named_tests -p vsgm-server --lib -- \
+    group::tests::after_churn_each_end_point_holds_one_sync_record_per_member
+named_tests -p vsgm-types --lib -- \
     cut::tests::behaves_like_a_vec_map_cut \
     cut::tests::a_set_on_a_clone_leaves_the_original_unchanged \
     cut::tests::an_empty_cut_is_equal_however_it_was_built \
-    cut::tests::debug_and_json_literals_are_the_vec_map_cuts >/dev/null
-cargo test -q -p vsgm-net --lib "${CARGO_FLAGS[@]}" -- --exact \
-    codec::tests::a_huge_increasing_ack_decodes_in_one_build >/dev/null
+    cut::tests::debug_and_json_literals_are_the_vec_map_cuts
+named_tests -p vsgm-net --lib -- codec::tests::a_huge_increasing_ack_decodes_in_one_build
 
 # Observability reads the trace (DESIGN.md §9), run by name: view-change
 # spans folded over real Sim runs — one sync and one block per end-point
@@ -233,21 +243,19 @@ cargo test -q -p vsgm-net --lib "${CARGO_FLAGS[@]}" -- --exact \
 # registry counts equal to the trace's events (syncs sent to the span
 # fold) under the default, optimized and aggregation configs.
 echo "==> observability (spans from the trace)"
-cargo test -q -p vsgm-harness --lib "${CARGO_FLAGS[@]}" -- --exact \
+named_tests -p vsgm-harness --lib -- \
     sim::tests::obs_journal_traces_one_sync_per_endpoint_per_view_change \
     sim::tests::spans_fold_over_a_cascade_and_a_crash \
-    sim::tests::registry_counts_agree_with_the_trace_under_each_config >/dev/null
+    sim::tests::registry_counts_agree_with_the_trace_under_each_config
 
 # The cost ledger, run by name (release builds: debug builds' assertions
 # allocate). A counting global allocator pins a quiescent end-point poll
 # at zero allocations under each forwarding strategy, and allocations per
 # multicast on a bare GroupInstance at n = 2/4/8/16 under upper bounds.
 echo "==> cost ledger (allocations per poll and per multicast)"
-for name in \
+named_tests --release -p vsgm-server --test alloc_ledger -- \
     a_quiescent_poll_allocates_nothing_under_each_forwarding_strategy \
-    allocations_per_multicast_stay_within_their_pins; do
-    one_test --release -p vsgm-server --test alloc_ledger "$name"
-done
+    allocations_per_multicast_stay_within_their_pins
 
 # Multi-group conformance (DESIGN.md §17). Differential: the daemon's
 # direct host must hand every receiver the byte-identical frame sequence
@@ -282,8 +290,9 @@ cargo test -q -p vsgm --test multigroup_chaos "${CARGO_FLAGS[@]}" >/dev/null
 # printed, as the benchmark smoke below prints rss_paced_mb.
 #
 # Before the soaks, the daemon itself (DESIGN.md §17), run by name: a
-# two-shard daemon runs exactly five threads (two loops, the heartbeat
-# prober, two shard workers — no router or forwarder between them); 20
+# two-shard daemon runs exactly four threads (two loops, which also send
+# its heartbeats, and two shard workers — no router or forwarder between
+# them), and serving a one-loop client adds that client's loop alone; 20
 # bind/serve/drop rounds return the process's thread and descriptor
 # counts to baseline (the loops' router holds the shard pool and the
 # pool's sink sends on the transport: a strong cycle there leaks a
@@ -299,16 +308,16 @@ cargo test -q -p vsgm --test multigroup_chaos "${CARGO_FLAGS[@]}" >/dev/null
 # writes; `report` and `finish` are answered only after the outputs
 # queued before them were handed over.
 echo "==> vsgm-server (daemon threads and order; memory soaks plateau x3, footprint)"
-cargo test -q -p vsgm-server --test daemon "${CARGO_FLAGS[@]}" -- --exact \
-    a_two_shard_daemon_runs_five_threads \
+named_tests -p vsgm-server --test daemon -- \
+    a_two_shard_daemon_runs_four_threads \
     dropping_a_daemon_gives_back_its_threads_and_descriptors \
     a_clients_verbs_and_multicasts_are_applied_in_the_order_it_sent_them \
     racing_creates_and_joins_from_both_loops_each_lead_to_a_view \
-    frames_owed_to_a_dropped_client_are_counted_and_the_others_still_get_theirs >/dev/null
-cargo test -q -p vsgm-server --lib "${CARGO_FLAGS[@]}" -- --exact \
+    frames_owed_to_a_dropped_client_are_counted_and_the_others_still_get_theirs
+named_tests -p vsgm-server --lib -- \
     shard::tests::one_burst_for_three_groups_gives_each_its_isolated_frames_in_order \
     shard::tests::a_batch_reaching_c_idle_clients_raises_flushes_by_exactly_c \
-    shard::tests::report_and_finish_answer_after_their_batch_is_handed_over >/dev/null
+    shard::tests::report_and_finish_answer_after_their_batch_is_handed_over
 for soak in resident_memory_plateaus_under_multicast_with_churn \
             resident_memory_plateaus_in_a_view_that_never_changes \
             resident_memory_plateaus_under_view_changes \

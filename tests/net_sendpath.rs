@@ -33,17 +33,7 @@ fn multicast_survives_a_dead_peer() {
     let dead_addr = gone.local_addr().unwrap();
     drop(gone);
 
-    let a = TcpTransport::bind_with(
-        p(1),
-        "127.0.0.1:0",
-        TcpConfig {
-            max_reconnect_attempts: 1,
-            backoff_base: Duration::from_millis(1),
-            backoff_cap: Duration::from_millis(2),
-            ..TcpConfig::default()
-        },
-    )
-    .unwrap();
+    let a = TcpTransport::bind(p(1), "127.0.0.1:0").unwrap();
     let c = TcpTransport::bind(p(3), "127.0.0.1:0").unwrap();
     let d = TcpTransport::bind(p(4), "127.0.0.1:0").unwrap();
     a.register_peer(p(2), dead_addr);
