@@ -8,7 +8,9 @@
 //! readable `BENCH_net.json` (path overridable via `VSGM_BENCH_JSON`)
 //! with frames/sec per arm — for the pair arm the median of
 //! [`PAIR_RUNS`] runs, with the runs themselves beside it (single runs
-//! ranged 0.35M–1.4M frames/s on a 2-core VM, EXPERIMENTS.md E5b).
+//! ranged 0.35M–1.4M frames/s on a 2-core VM, EXPERIMENTS.md E5b), and
+//! per scaling arm the resident-set growth from before its receiver
+//! binds to its midpoint (`rss_mb`).
 //! `VSGM_NET_BENCH_MSGS` scales the burst size (default 8000 frames);
 //! `VSGM_NET_BENCH_CONNS` picks the
 //! scaling arms (default `16,256,4096`), `VSGM_NET_CONN_FRAMES` their
@@ -110,6 +112,17 @@ fn thread_count() -> usize {
     std::fs::read_dir("/proc/self/task").map(|d| d.count()).unwrap_or(0)
 }
 
+/// This process's resident set in MiB, from `/proc/self/status` (0 off
+/// Linux).
+fn vm_rss_mb() -> f64 {
+    let status = std::fs::read_to_string("/proc/self/status").unwrap_or_default();
+    let kib = status
+        .lines()
+        .find_map(|l| l.strip_prefix("VmRSS:"))
+        .and_then(|v| v.split_whitespace().next()?.parse::<f64>().ok());
+    kib.unwrap_or(0.0) / 1024.0
+}
+
 /// Soft `RLIMIT_NOFILE`, from `/proc/self/limits` (no libc in the dep
 /// set). `None` off Linux — arms then run unguarded, as before.
 fn fd_limit() -> Option<u64> {
@@ -118,12 +131,22 @@ fn fd_limit() -> Option<u64> {
     line.split_whitespace().nth(3)?.parse().ok()
 }
 
+/// What one scaling arm measured.
+struct ScalingArm {
+    conns: usize,
+    frames_per_sec: f64,
+    /// Resident-set growth from before the receiver binds to the arm's
+    /// midpoint, where `thread_peak` is read.
+    rss_mb: f64,
+}
+
 /// Frames/s into ONE receiver transport from `conns` raw binary senders
-/// (pre-encoded frames, chunked writes). Returns `(frames_per_sec,
-/// receiver_loop_threads, process_thread_peak)` — the last two pin the
-/// headline property of the event-loop rewrite: serving 4096
+/// (pre-encoded frames, chunked writes). Returns the arm, the
+/// receiver's loop threads and the process thread peak — the last two
+/// pin the headline property of the event-loop rewrite: serving 4096
 /// connections takes the same fixed thread pool as serving 16.
-fn run_scaling_arm(conns: usize, total_frames: u64) -> (f64, u64, usize) {
+fn run_scaling_arm(conns: usize, total_frames: u64) -> (ScalingArm, u64, usize) {
+    let rss0 = vm_rss_mb();
     let rx = TcpTransport::bind_with(
         ProcessId::new(1),
         "127.0.0.1:0",
@@ -143,6 +166,7 @@ fn run_scaling_arm(conns: usize, total_frames: u64) -> (f64, u64, usize) {
     let barrier = Barrier::new(senders + 1);
     let mut rate = 0.0;
     let mut thread_peak = 0usize;
+    let mut rss_mb = 0.0;
     std::thread::scope(|s| {
         for t in 0..senders {
             let (barrier, frame) = (&barrier, &frame);
@@ -190,14 +214,31 @@ fn run_scaling_arm(conns: usize, total_frames: u64) -> (f64, u64, usize) {
             rx.recv_timeout(Duration::from_secs(60)).expect("scaling frame lost");
             if i == expected / 2 {
                 thread_peak = thread_count();
+                rss_mb = vm_rss_mb() - rss0;
             }
         }
         rate = expected as f64 / start.elapsed().as_secs_f64().max(f64::EPSILON);
     });
-    (rate, rx.stats().loop_threads, thread_peak)
+    let arm = ScalingArm { conns, frames_per_sec: rate, rss_mb };
+    (arm, rx.stats().loop_threads, thread_peak)
 }
 
-fn emit_json(pair_runs: &[f64], scaling: &[(usize, f64)], loop_threads: u64, thread_peak: usize) {
+/// One JSON object line per scaling arm: `"conns": value`.
+fn per_arm(
+    body: &mut String,
+    key: &str,
+    scaling: &[ScalingArm],
+    value: impl Fn(&ScalingArm) -> f64,
+) {
+    body.push_str(&format!("  \"{key}\": {{\n"));
+    for (i, arm) in scaling.iter().enumerate() {
+        let comma = if i + 1 == scaling.len() { "" } else { "," };
+        body.push_str(&format!("    \"{}\": {:.1}{comma}\n", arm.conns, value(arm)));
+    }
+    body.push_str("  },\n");
+}
+
+fn emit_json(pair_runs: &[f64], scaling: &[ScalingArm], loop_threads: u64, thread_peak: usize) {
     let path = std::env::var("VSGM_BENCH_JSON").unwrap_or_else(|_| "BENCH_net.json".into());
     let mut body = String::from("{\n");
     body.push_str("  \"bench\": \"net_throughput\",\n");
@@ -210,13 +251,10 @@ fn emit_json(pair_runs: &[f64], scaling: &[(usize, f64)], loop_threads: u64, thr
     body.push_str(&format!("  \"{PAIR_ARM}_runs\": [{}],\n", runs.join(", ")));
     // The connection-scaling arms: frames/s into one receiver transport
     // at N concurrent inbound connections, event loops fixed at
-    // `loop_threads` (thread count must not scale with connections).
-    body.push_str("  \"connections\": {\n");
-    for (i, (conns, rate)) in scaling.iter().enumerate() {
-        let comma = if i + 1 == scaling.len() { "" } else { "," };
-        body.push_str(&format!("    \"{conns}\": {rate:.1}{comma}\n"));
-    }
-    body.push_str("  },\n");
+    // `loop_threads` (thread count must not scale with connections),
+    // and each arm's resident-set growth in MiB.
+    per_arm(&mut body, "connections", scaling, |a| a.frames_per_sec);
+    per_arm(&mut body, "rss_mb", scaling, |a| a.rss_mb);
     body.push_str("  \"scaling\": {\n");
     body.push_str(&format!("    \"receiver_loop_threads\": {loop_threads},\n"));
     body.push_str(&format!("    \"frames_per_scaling_arm\": {},\n", scaling_frames()));
@@ -232,7 +270,7 @@ fn emit_json(pair_runs: &[f64], scaling: &[(usize, f64)], loop_threads: u64, thr
 /// Runs every requested scaling arm; asserts the pool-size invariant and
 /// (when `VSGM_NET_SCALE_FLOOR` is set) the frames/s floor on the
 /// smallest arm. Returns the arm rates plus loop/process thread counts.
-fn run_scaling_arms() -> (Vec<(usize, f64)>, u64, usize) {
+fn run_scaling_arms() -> (Vec<ScalingArm>, u64, usize) {
     let total = scaling_frames();
     let mut out = Vec::new();
     let mut loop_threads = SCALE_LOOP_THREADS as u64;
@@ -252,10 +290,11 @@ fn run_scaling_arms() -> (Vec<(usize, f64)>, u64, usize) {
                 continue;
             }
         }
-        let (rate, loops, threads) = run_scaling_arm(conns, total);
+        let (arm, loops, threads) = run_scaling_arm(conns, total);
         println!(
-            "net_throughput/conns_{conns:<5} {rate:>12.0} frames/s \
-             ({loops} loop threads, {threads} process threads)"
+            "net_throughput/conns_{conns:<5} {:>12.0} frames/s \
+             ({loops} loop threads, {threads} process threads, {:+.1} MiB resident)",
+            arm.frames_per_sec, arm.rss_mb
         );
         assert!(
             loops <= SCALE_LOOP_THREADS as u64,
@@ -263,15 +302,16 @@ fn run_scaling_arms() -> (Vec<(usize, f64)>, u64, usize) {
         );
         loop_threads = loops;
         peak = peak.max(threads);
-        out.push((conns, rate));
+        out.push(arm);
     }
     if let Some(floor) =
         std::env::var("VSGM_NET_SCALE_FLOOR").ok().and_then(|s| s.parse::<f64>().ok())
     {
-        let (conns, rate) = *out
+        let arm = out
             .iter()
-            .min_by_key(|(c, _)| *c)
+            .min_by_key(|a| a.conns)
             .expect("VSGM_NET_SCALE_FLOOR needs at least one scaling arm");
+        let (conns, rate) = (arm.conns, arm.frames_per_sec);
         assert!(
             rate >= floor,
             "scaling arm regressed: {rate:.0} frames/s at {conns} conns is below the \

@@ -4,12 +4,12 @@
 //!
 //! Each loop thread repeatedly scans the connections it owns:
 //!
-//! * **inbound connections** are drained with non-blocking reads into a
-//!   pooled, connection-local read buffer; complete frames are decoded
-//!   *in place* by [`crate::codec::decode_body_routed`] (one payload
-//!   copy, when the frame is handed over) and given to
-//!   the transport's [`FrameHandler`] on the loop thread; malformed or
-//!   oversized frames tear the connection down;
+//! * **inbound connections** are drained with non-blocking reads into
+//!   the loop's one read buffer; complete frames are decoded *in place*
+//!   by [`crate::codec::decode_body_routed`] (one payload copy, when the
+//!   frame is handed over) and given to the transport's [`FrameHandler`]
+//!   on the loop thread. A connection keeps only the bytes of an
+//!   unfinished frame; malformed or oversized frames tear it down;
 //! * **outbound connections** are written through their
 //!   [`crate::writer::OutQueue`], which holds the socket: the loop drains
 //!   the queue (heartbeat slot first) into a coalesce buffer and writes
@@ -85,9 +85,12 @@ const CONN_TOKEN: u64 = 2;
 const MAX_FLUSH_BYTES: usize = 1 << 20;
 /// Frame ceiling for one coalesced flush buffer.
 const MAX_COALESCE_FRAMES: u64 = 256;
-/// Size of each pooled per-connection read buffer. Read buffers grow
-/// transiently for larger frames and are not retained once they have.
-const POOL_BUF_BYTES: usize = 64 << 10;
+/// The loop's read buffer starts this large, doubles each time one read
+/// fills it, and stops at [`READ_BUF_MAX`].
+const READ_BUF_MIN: usize = 4 << 10;
+const READ_BUF_MAX: usize = 64 << 10;
+/// An emptied tail with more capacity than this (a big frame's) goes.
+const TAIL_KEEP: usize = 4 << 10;
 
 /// What a loop does with each decoded frame: `(peer, group, msg)`, where
 /// `group` is the id carried by a v2 group envelope, or `None` for a
@@ -304,31 +307,6 @@ impl Acceptor {
 
 // ----------------------------------------------------- the loop body ---
 
-/// A tiny free-list of read buffers, loop-thread-local so it needs no
-/// lock. Buffers that grew past the standard size (oversized frames) are
-/// not retained.
-#[derive(Default)]
-struct BufPool {
-    free: Vec<Vec<u8>>,
-}
-
-impl BufPool {
-    /// A read buffer: [`POOL_BUF_BYTES`] addressable (zeroed-or-recycled)
-    /// bytes.
-    fn take_read(&mut self) -> Vec<u8> {
-        let mut buf = self.free.pop().unwrap_or_default();
-        buf.resize(POOL_BUF_BYTES, 0);
-        buf
-    }
-
-    fn put(&mut self, mut buf: Vec<u8>) {
-        buf.clear();
-        if (POOL_BUF_BYTES..=POOL_BUF_BYTES * 2).contains(&buf.capacity()) && self.free.len() < 64 {
-            self.free.push(buf);
-        }
-    }
-}
-
 enum Kind {
     /// 8-byte peer-id handshake incomplete.
     Handshake,
@@ -336,14 +314,18 @@ enum Kind {
     Frames(ProcessId),
 }
 
+/// Where an inbound byte stream stands: past the handshake or not, and
+/// the bytes of an unfinished handshake or frame.
+struct Reader {
+    kind: Kind,
+    /// Grows only with bytes received, never with a claimed length.
+    tail: Vec<u8>,
+}
+
 /// An accepted connection: read-only.
 struct Inbound {
     stream: TcpStream,
-    kind: Kind,
-    /// Read buffer — `rbuf[rstart..rlen]` is unparsed.
-    rbuf: Vec<u8>,
-    rstart: usize,
-    rlen: usize,
+    reader: Reader,
     last_rx: Instant,
 }
 
@@ -381,16 +363,18 @@ impl Conn {
         }
     }
 
-    /// One scan round. `Err` means retire the connection.
+    /// One scan round, reading into the loop's buffer `rbuf`. `Err`
+    /// means retire the connection.
     fn service(
         &mut self,
         now: Instant,
+        rbuf: &mut Vec<u8>,
         ctx: &LoopCtx,
         cfg: &LoopConfig,
         progress: &mut bool,
     ) -> Result<(), Retire> {
         match self {
-            Conn::In(c) => c.service(now, ctx, cfg, progress),
+            Conn::In(c) => c.service(now, rbuf, ctx, cfg, progress),
             Conn::Out(queue) => {
                 if queue.is_broken() {
                     // A sender declared the queue stalled; retire and account.
@@ -406,38 +390,28 @@ impl Conn {
     }
 
     /// Retires the connection: accounts unwritten frames as dropped,
-    /// poisons sender handles, closes the socket, recycles buffers.
-    fn retire(self, ctx: &LoopCtx, pool: &mut BufPool) {
-        match self {
-            Conn::Out(queue) => {
-                let dropped = queue.drain_remaining();
-                if dropped > 0 {
-                    ctx.counters.frames_dropped.fetch_add(dropped, Ordering::Relaxed);
-                }
+    /// poisons sender handles, closes the socket.
+    fn retire(self, ctx: &LoopCtx) {
+        if let Conn::Out(queue) = self {
+            let dropped = queue.drain_remaining();
+            if dropped > 0 {
+                ctx.counters.frames_dropped.fetch_add(dropped, Ordering::Relaxed);
             }
-            Conn::In(c) => pool.put(c.rbuf),
         }
         ctx.counters.conns_closed.fetch_add(1, Ordering::Relaxed);
     }
 }
 
 impl Inbound {
-    fn new(stream: TcpStream, pool: &mut BufPool, now: Instant) -> Inbound {
-        Inbound {
-            stream,
-            kind: Kind::Handshake,
-            rbuf: pool.take_read(),
-            rstart: 0,
-            rlen: 0,
-            last_rx: now,
-        }
+    fn new(stream: TcpStream, now: Instant) -> Inbound {
+        Inbound { stream, reader: Reader { kind: Kind::Handshake, tail: Vec::new() }, last_rx: now }
     }
 
     /// When a connection stalled mid-handshake or mid-frame gets evicted:
-    /// such a peer holds a socket (and a buffer) hostage. Idle *between*
+    /// such a peer holds a socket (and its tail) hostage. Idle *between*
     /// frames is legal and has no deadline.
     fn idle_deadline(&self, cfg: &LoopConfig) -> Option<Instant> {
-        let mid_read = matches!(self.kind, Kind::Handshake) || self.rlen > self.rstart;
+        let mid_read = matches!(self.reader.kind, Kind::Handshake) || !self.reader.tail.is_empty();
         if !mid_read || cfg.read_idle_timeout.is_zero() {
             return None;
         }
@@ -447,29 +421,27 @@ impl Inbound {
     fn service(
         &mut self,
         now: Instant,
+        rbuf: &mut Vec<u8>,
         ctx: &LoopCtx,
         cfg: &LoopConfig,
         progress: &mut bool,
     ) -> Result<(), Retire> {
         let mut heard = false;
         for _ in 0..MAX_READS_PER_ROUND {
-            self.make_read_room(cfg)?;
-            let Some(dst) = self.rbuf.get_mut(self.rlen..) else { break };
-            if dst.is_empty() {
-                break;
-            }
-            match self.stream.read(dst) {
+            match self.stream.read(rbuf) {
                 Ok(0) => {
                     // Peer closed; whatever parsed before this is final.
                     self.note_heard(ctx, heard, now);
                     return Err(Retire::Gone);
                 }
                 Ok(n) => {
-                    self.rlen += n;
                     self.last_rx = now;
                     heard = true;
                     *progress = true;
-                    self.parse_available(ctx, cfg)?;
+                    self.reader.take(rbuf.get(..n).unwrap_or_default(), now, ctx, cfg)?;
+                    if n == rbuf.len() && n < READ_BUF_MAX {
+                        rbuf.resize(n * 2, 0);
+                    }
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
@@ -490,81 +462,103 @@ impl Inbound {
     /// the suspicion clock does not need sub-round resolution).
     fn note_heard(&self, ctx: &LoopCtx, heard: bool, now: Instant) {
         if heard {
-            if let Kind::Frames(peer) = self.kind {
+            if let Kind::Frames(peer) = self.reader.kind {
                 ctx.last_heard.lock().insert(peer, now);
             }
         }
     }
+}
 
-    /// Guarantees the buffer has room to read more bytes, compacting
-    /// parsed-off space first and growing only when one frame is larger
-    /// than the standard buffer.
-    fn make_read_room(&mut self, cfg: &LoopConfig) -> Result<(), Retire> {
-        if self.rlen < self.rbuf.len() {
-            return Ok(());
+impl Reader {
+    /// Takes one read's `bytes`, received at `now`: tops the tail up to
+    /// the end of its unit and consumes it, consumes every complete unit
+    /// that follows in place, and keeps what is left as the new tail.
+    fn take(
+        &mut self,
+        mut bytes: &[u8],
+        now: Instant,
+        ctx: &LoopCtx,
+        cfg: &LoopConfig,
+    ) -> Result<(), Retire> {
+        while !self.tail.is_empty() && !bytes.is_empty() {
+            // The tail's unit is 8 handshake bytes, or a 4-byte prefix
+            // whose length is checked the moment the prefix is whole.
+            let unit = match (&self.kind, self.tail.first_chunk::<4>()) {
+                (Kind::Handshake, _) => 8,
+                (Kind::Frames(_), None) => 4,
+                (Kind::Frames(_), Some(len)) => 4 + u32::from_le_bytes(*len) as usize,
+            };
+            let want = unit.saturating_sub(self.tail.len());
+            let (head, rest) = bytes.split_at_checked(want).unwrap_or((bytes, &[]));
+            self.tail.extend_from_slice(head);
+            bytes = rest;
+            // Topped up to its unit's end at most, the tail is consumed
+            // whole or not at all.
+            if parse(&mut self.kind, &self.tail, now, ctx, cfg)? > 0 {
+                self.tail.clear();
+                if self.tail.capacity() > TAIL_KEEP {
+                    self.tail = Vec::new();
+                }
+            }
         }
-        if self.rstart > 0 {
-            self.rbuf.copy_within(self.rstart..self.rlen, 0);
-            self.rlen -= self.rstart;
-            self.rstart = 0;
-            return Ok(());
-        }
-        // A single frame spans the whole buffer: grow (bounded — the
-        // length prefix was already checked against max_frame_len).
-        let grown = (self.rbuf.len().max(64) * 2).min(cfg.max_frame_len.saturating_add(8));
-        if grown <= self.rbuf.len() {
-            return Err(Retire::Poisoned);
-        }
-        self.rbuf.resize(grown, 0);
+        let used = parse(&mut self.kind, bytes, now, ctx, cfg)?;
+        self.tail.extend_from_slice(bytes.get(used..).unwrap_or_default());
         Ok(())
     }
+}
 
-    /// Consumes every complete handshake/heartbeat/frame in the buffer.
-    fn parse_available(&mut self, ctx: &LoopCtx, cfg: &LoopConfig) -> Result<(), Retire> {
-        loop {
-            let avail = self.rbuf.get(self.rstart..self.rlen).unwrap_or(&[]);
-            match &self.kind {
-                Kind::Handshake => {
-                    let Some((id, _)) = avail.split_first_chunk::<8>() else {
-                        return Ok(());
-                    };
-                    let peer = ProcessId::new(u64::from_le_bytes(*id));
-                    self.rstart += 8;
-                    self.kind = Kind::Frames(peer);
-                    ctx.last_heard.lock().insert(peer, self.last_rx);
+/// Consumes every complete handshake/heartbeat/frame at the front of
+/// `bytes` and returns how many bytes they took.
+fn parse(
+    kind: &mut Kind,
+    bytes: &[u8],
+    now: Instant,
+    ctx: &LoopCtx,
+    cfg: &LoopConfig,
+) -> Result<usize, Retire> {
+    let mut used = 0;
+    loop {
+        let avail = bytes.get(used..).unwrap_or_default();
+        match kind {
+            Kind::Handshake => {
+                let Some((id, _)) = avail.split_first_chunk::<8>() else {
+                    return Ok(used);
+                };
+                let peer = ProcessId::new(u64::from_le_bytes(*id));
+                used += 8;
+                *kind = Kind::Frames(peer);
+                ctx.last_heard.lock().insert(peer, now);
+            }
+            Kind::Frames(peer) => {
+                let Some((len_bytes, rest)) = avail.split_first_chunk::<4>() else {
+                    return Ok(used);
+                };
+                let len = u32::from_le_bytes(*len_bytes) as usize;
+                if len == 0 {
+                    // Heartbeat: pure liveness, no payload.
+                    ctx.counters.heartbeats_heard.fetch_add(1, Ordering::Relaxed);
+                    used += 4;
+                    continue;
                 }
-                Kind::Frames(peer) => {
-                    let peer = *peer;
-                    let Some((len_bytes, rest)) = avail.split_first_chunk::<4>() else {
-                        return Ok(());
-                    };
-                    let len = u32::from_le_bytes(*len_bytes) as usize;
-                    if len == 0 {
-                        // Heartbeat: pure liveness, no payload.
-                        ctx.counters.heartbeats_heard.fetch_add(1, Ordering::Relaxed);
-                        self.rstart += 4;
-                        continue;
-                    }
-                    if len > cfg.max_frame_len {
-                        // A hostile or corrupt length prefix must not
-                        // trigger an unbounded allocation — and framing
-                        // is lost anyway. Drop the connection.
-                        ctx.counters.oversize_rejected.fetch_add(1, Ordering::Relaxed);
-                        return Err(Retire::Poisoned);
-                    }
-                    let Some(body) = rest.get(..len) else {
-                        // Partial frame: wait for the rest.
-                        return Ok(());
-                    };
-                    // Route by the optional v2 group envelope; payload
-                    // slices borrow from `rbuf` until the one copy before
-                    // the handler takes the frame.
-                    let Some((group, msg)) = codec::decode_body_routed(body, false) else {
-                        return Err(Retire::Poisoned);
-                    };
-                    self.rstart += 4 + len;
-                    (ctx.deliver)(peer, group, msg);
+                if len > cfg.max_frame_len {
+                    // A hostile or corrupt length prefix must not
+                    // trigger an unbounded allocation — and framing
+                    // is lost anyway. Drop the connection.
+                    ctx.counters.oversize_rejected.fetch_add(1, Ordering::Relaxed);
+                    return Err(Retire::Poisoned);
                 }
+                let Some(body) = rest.get(..len) else {
+                    // Partial frame: wait for the rest.
+                    return Ok(used);
+                };
+                // Route by the optional v2 group envelope; payload slices
+                // borrow from `bytes` until the one copy before the
+                // handler takes the frame.
+                let Some((group, msg)) = codec::decode_body_routed(body, false) else {
+                    return Err(Retire::Poisoned);
+                };
+                used += 4 + len;
+                (ctx.deliver)(*peer, group, msg);
             }
         }
     }
@@ -572,7 +566,7 @@ impl Inbound {
 
 fn loop_main(shared: &LoopShared, mut acceptor: Option<Acceptor>, ctx: &LoopCtx, cfg: &LoopConfig) {
     let mut conns: Vec<Conn> = Vec::new();
-    let mut pool = BufPool::default();
+    let mut rbuf = vec![0; READ_BUF_MIN];
     let mut events = Events::with_capacity(EVENTS_PER_WAIT);
     let mut grace_until: Option<Instant> = None;
     // The next liveness probe: armed while this loop owns an outbound
@@ -591,7 +585,7 @@ fn loop_main(shared: &LoopShared, mut acceptor: Option<Acceptor>, ctx: &LoopCtx,
             ctx.counters.conns_opened.fetch_add(1, Ordering::Relaxed);
             let (conn, watched) = match reg {
                 Register::Inbound(stream) => {
-                    let conn = Inbound::new(stream, &mut pool, now);
+                    let conn = Inbound::new(stream, now);
                     let watched = shared.poller.add(&conn.stream, READABLE, CONN_TOKEN);
                     (Conn::In(conn), watched)
                 }
@@ -604,7 +598,7 @@ fn loop_main(shared: &LoopShared, mut acceptor: Option<Acceptor>, ctx: &LoopCtx,
                 Ok(()) => conns.push(conn),
                 // epoll is out of memory or watches: a socket the loop
                 // cannot wait on is retired at once.
-                Err(_) => conn.retire(ctx, &mut pool),
+                Err(_) => conn.retire(ctx),
             }
             progress = true;
         }
@@ -630,16 +624,15 @@ fn loop_main(shared: &LoopShared, mut acceptor: Option<Acceptor>, ctx: &LoopCtx,
         // Scan every connection, retiring the ones that are done for.
         let mut i = 0;
         while i < conns.len() {
-            let verdict =
-                conns.get_mut(i).map(|c| c.service(now, ctx, cfg, &mut progress)).unwrap_or(Ok(()));
-            match verdict {
+            let Some(conn) = conns.get_mut(i) else { break };
+            match conn.service(now, &mut rbuf, ctx, cfg, &mut progress) {
                 Ok(()) => i += 1,
                 Err(kind) => {
                     if matches!(kind, Retire::Idle) {
                         ctx.counters.idle_evictions.fetch_add(1, Ordering::Relaxed);
                     }
                     let gone = conns.swap_remove(i);
-                    gone.retire(ctx, &mut pool);
+                    gone.retire(ctx);
                     progress = true;
                 }
             }
@@ -653,7 +646,7 @@ fn loop_main(shared: &LoopShared, mut acceptor: Option<Acceptor>, ctx: &LoopCtx,
             let pending = conns.iter().any(Conn::has_unflushed);
             if !pending || now >= deadline {
                 for gone in conns.drain(..) {
-                    gone.retire(ctx, &mut pool);
+                    gone.retire(ctx);
                 }
                 return;
             }
@@ -680,5 +673,116 @@ fn loop_main(shared: &LoopShared, mut acceptor: Option<Acceptor>, ctx: &LoopCtx,
                 _ => {}
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::Mutex;
+    use vsgm_types::AppMsg;
+
+    type Got = Arc<Mutex<Vec<(ProcessId, Option<GroupId>, NetMsg)>>>;
+
+    /// A loop context whose handler records every frame it is given.
+    fn recording_ctx() -> (LoopCtx, Got) {
+        let got: Got = Arc::default();
+        let sink = Arc::clone(&got);
+        let deliver: FrameHandler =
+            Box::new(move |peer, group, msg| sink.lock().unwrap().push((peer, group, msg)));
+        (LoopCtx { deliver, counters: Arc::default(), last_heard: Arc::default() }, got)
+    }
+
+    fn config(max_frame_len: usize) -> LoopConfig {
+        LoopConfig {
+            max_frame_len,
+            read_idle_timeout: Duration::from_secs(30),
+            heartbeat_interval: Duration::ZERO,
+        }
+    }
+
+    fn reader() -> Reader {
+        Reader { kind: Kind::Handshake, tail: Vec::new() }
+    }
+
+    /// Feeds `reads` to a fresh reader, one `take` each, and returns the
+    /// frames it delivered and the heartbeats it heard.
+    fn feed<'a>(
+        reads: impl IntoIterator<Item = &'a [u8]>,
+    ) -> (Vec<(ProcessId, Option<GroupId>, NetMsg)>, u64) {
+        let (ctx, got) = recording_ctx();
+        let cfg = config(1 << 26);
+        let mut r = reader();
+        for bytes in reads {
+            assert!(r.take(bytes, Instant::now(), &ctx, &cfg).is_ok());
+        }
+        assert!(r.tail.is_empty(), "a whole stream leaves no tail");
+        assert!(r.tail.capacity() <= TAIL_KEEP, "an emptied tail kept {}", r.tail.capacity());
+        let frames = std::mem::take(&mut *got.lock().unwrap());
+        (frames, ctx.counters.heartbeats_heard.load(Ordering::Relaxed))
+    }
+
+    /// One stream — handshake, heartbeat, frames of 1 B, 4 KiB − 1,
+    /// 4 KiB + 1 and 70 KiB of payload, bare and group-enveloped — reads
+    /// the same whether it arrives whole, a byte at a time, or cut in two
+    /// at any offset: the tail carries every unit across its read
+    /// boundaries.
+    #[test]
+    fn framing_survives_every_read_boundary() {
+        let mut stream = 7u64.to_le_bytes().to_vec();
+        stream.extend_from_slice(&0u32.to_le_bytes());
+        let msg = |len: usize| NetMsg::App(AppMsg::from(vec![len as u8; len]));
+        stream.extend_from_slice(&codec::encode_frame(&msg(1)));
+        for (g, len) in [(3, 4095), (4, 4097), (5, 70 << 10)] {
+            codec::append_frame_grouped(&mut stream, GroupId::new(g), &msg(len));
+        }
+        let (whole, beats) = feed([stream.as_slice()]);
+        let p7 = ProcessId::new(7);
+        let want = vec![
+            (p7, None, msg(1)),
+            (p7, Some(GroupId::new(3)), msg(4095)),
+            (p7, Some(GroupId::new(4)), msg(4097)),
+            (p7, Some(GroupId::new(5)), msg(70 << 10)),
+        ];
+        assert!(whole == want && beats == 1, "whole stream read wrong");
+        assert!(feed(stream.chunks(1)) == (want.clone(), 1), "byte-at-a-time read wrong");
+        for cut in 0..=stream.len() {
+            let (head, rest) = stream.split_at(cut);
+            assert!(feed([head, rest]) == (want.clone(), 1), "stream cut at {cut} read wrong");
+        }
+    }
+
+    /// A length prefix over `max_frame_len` is refused when its last byte
+    /// arrives, even with its first bytes carried over in the tail.
+    #[test]
+    fn an_oversize_prefix_split_across_reads_is_rejected() {
+        let (ctx, got) = recording_ctx();
+        let cfg = config(1024);
+        let mut r = reader();
+        let mut bytes = 2u64.to_le_bytes().to_vec();
+        bytes.extend_from_slice(&(1u32 << 20).to_le_bytes());
+        let (first, second) = bytes.split_at(10);
+        assert!(r.take(first, Instant::now(), &ctx, &cfg).is_ok());
+        assert_eq!(r.tail.len(), 2);
+        assert!(matches!(r.take(second, Instant::now(), &ctx, &cfg), Err(Retire::Poisoned)));
+        assert_eq!(ctx.counters.oversize_rejected.load(Ordering::Relaxed), 1);
+        assert!(got.lock().unwrap().is_empty());
+    }
+
+    /// A legal prefix claiming 60 MiB reserves nothing: the tail holds
+    /// what arrived, in a capacity a small multiple of it.
+    #[test]
+    fn a_claimed_length_allocates_nothing() {
+        let (ctx, _) = recording_ctx();
+        let cfg = config(1 << 26);
+        let mut r = reader();
+        let mut bytes = 2u64.to_le_bytes().to_vec();
+        bytes.extend_from_slice(&(60u32 << 20).to_le_bytes());
+        bytes.extend_from_slice(&[0xAB; 10]);
+        for chunk in bytes.chunks(3) {
+            assert!(r.take(chunk, Instant::now(), &ctx, &cfg).is_ok());
+        }
+        assert_eq!(r.tail.len(), 14);
+        assert!(r.tail.capacity() <= 2 * bytes.len(), "capacity {}", r.tail.capacity());
     }
 }

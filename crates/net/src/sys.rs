@@ -6,8 +6,10 @@
 //! There is no portable fallback. The benchmark, the memory soaks and the
 //! fd/thread-leak tests already read `/proc`, so the workspace runs on
 //! Linux only, and the `compile_error!`s below say so at build time
-//! rather than shipping a second, untested loop. Analyzer rule U1 keeps
-//! every `unsafe` block in this file and behind a `// SAFETY:` comment
+//! rather than shipping a second, untested loop. The workspace denies
+//! `unsafe_code`, and the one `#[expect(unsafe_code)]` on this module in
+//! `lib.rs` keeps every non-test `unsafe` block in this file; clippy's
+//! `undocumented_unsafe_blocks` puts each behind a `// SAFETY:` comment
 //! (DESIGN.md §10, §16).
 
 use std::io;

@@ -15,8 +15,9 @@
 //! client-server architecture (§3) multiplexes many clients over one
 //! server transport, and thread count must not scale with connection
 //! count. The loops are the transport's only threads: they also send its
-//! heartbeats. Inbound frames are decoded in place from pooled
-//! read buffers by [`crate::codec::decode_body_routed`] and handed to a
+//! heartbeats. Inbound frames are decoded in place from each loop's one
+//! read buffer by [`crate::codec::decode_body_routed`] (a connection
+//! keeps only the bytes of an unfinished frame) and handed to a
 //! [`FrameHandler`] on the loop thread (by default a queue for the
 //! `recv_*` calls); outbound frames flow through
 //! per-connection bounded queues ([`crate::writer`]):

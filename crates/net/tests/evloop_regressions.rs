@@ -29,6 +29,9 @@
 //! gives its threads back at once (the loops are its only threads: they
 //! send its heartbeats).
 //!
+//! And the read path's memory: an idle connection holds no read buffer,
+//! and a claimed frame length reserves nothing.
+//!
 //! The tests run one at a time ([`serial`]): the leak soak and the idle
 //! test read process-wide `/proc` counts that a neighbour would skew.
 
@@ -168,6 +171,69 @@ fn half_open_peer_stalled_mid_handshake_is_evicted() {
     assert_eq!(srv.stats().idle_evictions, 1, "quiescent peer wrongly evicted");
     assert_eq!(srv.stats().conns_open, 1);
     drop(calm);
+}
+
+/// The claimed length of a frame buys nothing: a peer that announces 60
+/// MiB, sends 10 bytes and stalls is evicted after `read_idle_timeout`
+/// like any peer stalled mid-frame. (What its tail holds meanwhile is
+/// pinned in `evloop::tests::a_claimed_length_allocates_nothing`.)
+#[test]
+fn a_peer_stalled_inside_a_giant_frame_is_evicted() {
+    let _serial = serial();
+    let srv = TcpTransport::bind_with(
+        p(1),
+        "127.0.0.1:0",
+        TcpConfig { read_idle_timeout: Duration::from_millis(100), ..TcpConfig::default() },
+    )
+    .unwrap();
+    let mut raw = TcpStream::connect(srv.local_addr()).unwrap();
+    raw.write_all(&2u64.to_le_bytes()).unwrap();
+    raw.write_all(&(60u32 << 20).to_le_bytes()).unwrap();
+    raw.write_all(&[0xAB; 10]).unwrap();
+    wait_until("idle eviction", Duration::from_secs(5), || {
+        let s = srv.stats();
+        s.idle_evictions == 1 && s.conns_open == 0
+    });
+    assert_eq!(srv.stats().oversize_rejected, 0);
+}
+
+/// This process's resident set, in KiB.
+fn vm_rss_kib() -> u64 {
+    let status = std::fs::read_to_string("/proc/self/status").unwrap();
+    let line = status.lines().find(|l| l.starts_with("VmRSS:")).unwrap();
+    line.split_whitespace().nth(1).unwrap().parse().unwrap()
+}
+
+/// An idle connection costs no read buffer: the loop reads every
+/// connection into one buffer of its own, and a connection between
+/// frames keeps nothing. 256 handshaken, then silent connections grow the
+/// resident set by < 512 KiB — a read buffer of 4 KiB each would not
+/// fit, and the pooled 64 KiB buffers this replaced took ≈ 16 MiB.
+#[test]
+fn an_idle_connection_costs_no_read_buffer() {
+    let _serial = serial();
+    let srv = TcpTransport::bind_with(
+        p(1),
+        "127.0.0.1:0",
+        TcpConfig { loop_threads: 1, heartbeat_interval: Duration::ZERO, ..TcpConfig::default() },
+    )
+    .unwrap();
+    let rss0 = vm_rss_kib();
+    let conns: Vec<TcpStream> = (0..256u64)
+        .map(|i| {
+            let mut c = TcpStream::connect(srv.local_addr()).unwrap();
+            // The handshake, then one heartbeat: once the loop has heard
+            // it, the connection sits between frames.
+            c.write_all(&(1_000 + i).to_le_bytes()).unwrap();
+            c.write_all(&0u32.to_le_bytes()).unwrap();
+            c
+        })
+        .collect();
+    wait_until("256 conns adopted", Duration::from_secs(10), || srv.stats().conns_open == 256);
+    wait_until("256 heartbeats read", Duration::from_secs(10), || srv.heartbeats_received() == 256);
+    let grew = vm_rss_kib().saturating_sub(rss0);
+    assert!(grew < 512, "256 idle connections grew the resident set by {grew} KiB");
+    drop(conns);
 }
 
 /// Bug 3 (pinned): with the write queue saturated against a stalled

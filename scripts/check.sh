@@ -323,7 +323,8 @@ for soak in resident_memory_plateaus_under_multicast_with_churn \
             resident_memory_plateaus_under_view_changes \
             a_thousand_groups_of_four_fit_their_budget_and_unused_capacity_costs_nothing; do
     timeout 600 cargo test -q --release -p vsgm-server --test plateau "${CARGO_FLAGS[@]}" \
-        -- --exact "$soak" --nocapture | grep -E 'resident set|per group' | sed 's/^/    /'
+        -- --exact "$soak" --nocapture | grep -E 'resident set|per group' | sed 's/^/    /' \
+        || { echo "    plateau soak $soak printed no line (failed, renamed or deleted)" >&2; exit 1; }
 done
 
 # Step scaling (DESIGN.md §19, EXPERIMENTS.md E17), release-only, printed
@@ -333,7 +334,9 @@ done
 echo "==> vsgm-server step scaling (n = 4..64)"
 timeout 600 cargo test -q --release -p vsgm-server --test step_scaling "${CARGO_FLAGS[@]}" \
     -- --exact step_cost_per_multicast_and_per_join_by_group_size --nocapture \
-    | grep 'step scaling' | sed 's/^step scaling: /    /'
+    | grep 'step scaling' | sed 's/^step scaling: /    /' \
+    || { echo "    step_cost_per_multicast_and_per_join_by_group_size printed no line" \
+              "(failed, renamed or deleted)" >&2; exit 1; }
 
 # Group-scaling smoke (EXPERIMENTS.md E15): a reduced groups×clients
 # sweep through the real vsgm-server daemon on loopback. The bench
