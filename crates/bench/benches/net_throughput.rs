@@ -10,7 +10,10 @@
 //! [`PAIR_RUNS`] runs, with the runs themselves beside it (single runs
 //! ranged 0.35M–1.4M frames/s on a 2-core VM, EXPERIMENTS.md E5b), and
 //! per scaling arm the resident-set growth from before its receiver
-//! binds to its midpoint (`rss_mb`).
+//! binds to its midpoint (`rss_mb`). With more than one scaling arm,
+//! each runs in a child process of its own — this binary again, with
+//! `VSGM_NET_BENCH_CONNS` naming that arm alone — so that no arm's
+//! `rss_mb` reuses heap an earlier arm freed.
 //! `VSGM_NET_BENCH_MSGS` scales the burst size (default 8000 frames);
 //! `VSGM_NET_BENCH_CONNS` picks the
 //! scaling arms (default `16,256,4096`), `VSGM_NET_CONN_FRAMES` their
@@ -223,6 +226,49 @@ fn run_scaling_arm(conns: usize, total_frames: u64) -> (ScalingArm, u64, usize) 
     (arm, rx.stats().loop_threads, thread_peak)
 }
 
+/// The line an arm is reported on, which [`run_scaling_arm_in_child`]
+/// reads back.
+fn arm_line(arm: &ScalingArm, loops: u64, threads: usize) -> String {
+    format!(
+        "net_throughput/conns_{:<5} {:>12.0} frames/s \
+         ({loops} loop threads, {threads} process threads, {:+.1} MiB resident)",
+        arm.conns, arm.frames_per_sec, arm.rss_mb
+    )
+}
+
+/// [`run_scaling_arm`] in a fresh process: this bench binary re-run
+/// with the same arguments and `VSGM_NET_BENCH_CONNS` naming `conns`
+/// alone, its result read back from its [`arm_line`].
+fn run_scaling_arm_in_child(conns: usize) -> (ScalingArm, u64, usize) {
+    let exe = std::env::current_exe().expect("this bench's own path");
+    let out = std::process::Command::new(exe)
+        .args(std::env::args_os().skip(1))
+        .env("VSGM_NET_BENCH_CONNS", conns.to_string())
+        .env("VSGM_NET_SCALING_ONLY", "1")
+        .env_remove("VSGM_NET_SCALE_FLOOR")
+        .output()
+        .expect("run one scaling arm in a child process");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        out.status.success(),
+        "the {conns}-connection arm failed ({}):\n{stdout}\n{}",
+        out.status,
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let prefix = format!("net_throughput/conns_{conns:<5} ");
+    let numbers: Vec<f64> = stdout
+        .lines()
+        .find_map(|l| l.strip_prefix(&prefix))
+        .unwrap_or_else(|| panic!("the {conns}-connection arm printed no result:\n{stdout}"))
+        .split_whitespace()
+        .filter_map(|t| t.trim_matches(|c| c == '(' || c == ',').parse().ok())
+        .collect();
+    let [frames_per_sec, loops, threads, rss_mb] = numbers[..] else {
+        panic!("unreadable {conns}-connection arm line: {numbers:?}");
+    };
+    (ScalingArm { conns, frames_per_sec, rss_mb }, loops as u64, threads as usize)
+}
+
 /// One JSON object line per scaling arm: `"conns": value`.
 fn per_arm(
     body: &mut String,
@@ -267,15 +313,18 @@ fn emit_json(pair_runs: &[f64], scaling: &[ScalingArm], loop_threads: u64, threa
     }
 }
 
-/// Runs every requested scaling arm; asserts the pool-size invariant and
+/// Runs every requested scaling arm, each in a child process of its own
+/// when there are several; asserts the pool-size invariant and
 /// (when `VSGM_NET_SCALE_FLOOR` is set) the frames/s floor on the
 /// smallest arm. Returns the arm rates plus loop/process thread counts.
 fn run_scaling_arms() -> (Vec<ScalingArm>, u64, usize) {
     let total = scaling_frames();
+    let arms = scaling_conns();
+    let own_process = arms.len() > 1;
     let mut out = Vec::new();
     let mut loop_threads = SCALE_LOOP_THREADS as u64;
     let mut peak = 0usize;
-    for conns in scaling_conns() {
+    for conns in arms {
         // The harness holds both ends of every connection (2 fds each)
         // plus listeners, channels, and stdio. Skip — loudly, never
         // silently — arms the fd rlimit cannot carry instead of dying
@@ -290,12 +339,12 @@ fn run_scaling_arms() -> (Vec<ScalingArm>, u64, usize) {
                 continue;
             }
         }
-        let (arm, loops, threads) = run_scaling_arm(conns, total);
-        println!(
-            "net_throughput/conns_{conns:<5} {:>12.0} frames/s \
-             ({loops} loop threads, {threads} process threads, {:+.1} MiB resident)",
-            arm.frames_per_sec, arm.rss_mb
-        );
+        let (arm, loops, threads) = if own_process {
+            run_scaling_arm_in_child(conns)
+        } else {
+            run_scaling_arm(conns, total)
+        };
+        println!("{}", arm_line(&arm, loops, threads));
         assert!(
             loops <= SCALE_LOOP_THREADS as u64,
             "loop threads blew past the configured pool: {loops} > {SCALE_LOOP_THREADS}"

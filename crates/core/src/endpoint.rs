@@ -229,6 +229,13 @@ impl Endpoint {
         &self.st
     }
 
+    /// Hands back the buffers of the message windows that hold nothing
+    /// ([`State::release_empty_windows`]). Not an action: it fires
+    /// nothing and changes no answer the state gives.
+    pub fn release_empty_windows(&mut self) {
+        self.st.release_empty_windows();
+    }
+
     /// One step of the automaton, its effects pushed onto `out` in order
     /// ([`GroupEndpoint::step`]). `Some(input)` applies that input action
     /// only; effects from an input are rare (the §9 aggregation relay and

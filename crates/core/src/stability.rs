@@ -27,14 +27,18 @@ use vsgm_types::{Cut, MsgIndex, NetMsg, ProcSet, ProcessId};
 
 /// How often a host asks for acknowledgements ([`crate::Input::AckDue`]).
 /// The daemon's `GroupInstance` asks every member once this many
-/// multicasts have been applied to the group; a [`crate::Node`] asks its
-/// end-point once this many messages were delivered to its application.
-/// A member then retains about this many messages per sender, and a
-/// round costs n + n(n−1) events (EXPERIMENTS.md E16). The trigger stays
-/// in the hosts, not in [`crate::Hosted`]: `harness::Sim` acknowledges
-/// only on `Sim::ack_round`, its un-acknowledged run is the retaining
-/// reference `tests/stability_differential.rs` compares against, and a
-/// trigger inside the composition would need a switch to turn it off.
+/// multicasts have been applied to the group, and once more when its
+/// shard worker finds it quiet — multicast to in one 100 ms period and
+/// not in the next — so that a group which never reaches this count
+/// does not keep all it was sent (DESIGN.md §18); a [`crate::Node`]
+/// asks its end-point once this many messages were delivered to its
+/// application. A busy member then retains about this many messages per
+/// sender, and a round costs n + n(n−1) events (EXPERIMENTS.md E16).
+/// The trigger stays in the hosts, not in [`crate::Hosted`]:
+/// `harness::Sim` acknowledges only on `Sim::ack_round`, its
+/// un-acknowledged run is the retaining reference
+/// `tests/stability_differential.rs` compares against, and a trigger
+/// inside the composition would need a switch to turn it off.
 pub const ACK_EVERY: u64 = 64;
 
 // ----- input actions -----

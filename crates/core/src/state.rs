@@ -89,6 +89,12 @@ impl MsgSeq {
         self.slots.len()
     }
 
+    /// How many slots the window has room for before it allocates again
+    /// (0 once [`State::release_empty_windows`] handed it back).
+    pub fn capacity(&self) -> usize {
+        self.slots.capacity()
+    }
+
     /// Drops every index up to `k`, but never past the gap-free prefix.
     pub fn free_through(&mut self, k: MsgIndex) {
         let n = k.min(self.prefix).saturating_sub(self.base);
@@ -371,6 +377,17 @@ impl State {
         self.sync_msgs.shrink_to_fit();
     }
 
+    /// Hands back the allocation of every `msgs[q][v]` window that
+    /// retains no slot — what an acknowledgement round in a quiet group
+    /// leaves behind (DESIGN.md §18). The indices stay: a released window
+    /// answers every call as before, and its next message allocates it
+    /// again.
+    pub fn release_empty_windows(&mut self) {
+        for buf in self.msgs.values_mut().filter(|buf| buf.slots.is_empty()) {
+            buf.slots = VecDeque::new();
+        }
+    }
+
     /// Resets everything to the initial state (§8 recovery — no stable
     /// storage). The local clock survives: recovery does not move time
     /// backwards.
@@ -446,6 +463,28 @@ mod tests {
         s.push(AppMsg::from("next"));
         assert_eq!((s.longest_prefix(), s.last_index()), (9, 9));
         assert!(s.is_consistent());
+    }
+
+    #[test]
+    fn releasing_empty_windows_frees_their_buffers_and_keeps_their_indices() {
+        let mut st = State::new(p(1));
+        let v = st.current_view.clone();
+        for k in 1..=6u8 {
+            st.buf_mut(p(1), &v).push(AppMsg::from(vec![k]));
+            st.buf_mut(p(2), &v).push(AppMsg::from(vec![k]));
+        }
+        st.buf_mut(p(1), &v).free_through(6);
+        st.buf_mut(p(2), &v).free_through(5);
+        st.release_empty_windows();
+        let emptied = st.buf(p(1), &v).unwrap();
+        assert_eq!(emptied.capacity(), 0, "the emptied window is handed back");
+        assert_eq!((emptied.freed(), emptied.longest_prefix(), emptied.last_index()), (6, 6, 6));
+        let held = st.buf(p(2), &v).unwrap();
+        assert_eq!((held.retained(), held.get(6)), (1, Some(&AppMsg::from(vec![6u8]))));
+        let next = st.buf_mut(p(1), &v);
+        next.push(AppMsg::from("next"));
+        assert_eq!((next.get(7), next.longest_prefix()), (Some(&AppMsg::from("next")), 7));
+        assert!(next.is_consistent());
     }
 
     #[test]

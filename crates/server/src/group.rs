@@ -9,13 +9,15 @@
 //! one paper reconfiguration (`start_change` + view), and a FIFO queue
 //! standing in for `CO_RFIFO` between co-hosted end-points. Nothing is
 //! simulated: no latency model, no clock, no randomness, no recorded
-//! trace. Once every [`ACK_EVERY`] multicasts it asks its members for a
-//! stability acknowledgement, so that their message buffers follow what
-//! is undelivered rather than what was ever sent (DESIGN.md §18). Every
-//! [`Event`] a hosted end-point emits is shown once to the full
-//! [`vsgm_spec::full_checks`] battery, which judges it online and keeps
-//! only what it needs to judge the next one; a `Deliver` and a `GcsView`
-//! also become the frame the client is owed.
+//! trace. Once every [`ACK_EVERY`] multicasts, and once more when its
+//! shard worker finds it quiet ([`GroupCmd::Stabilize`]), it asks its
+//! members for a stability acknowledgement, so that their message
+//! buffers follow what is undelivered rather than what was ever sent
+//! (DESIGN.md §18); after a quiet round they hand the emptied buffers
+//! back too. Every [`Event`] a hosted end-point emits is shown once to
+//! the full [`vsgm_spec::full_checks`] battery, which judges it online
+//! and keeps only what it needs to judge the next one; a `Deliver` and a
+//! `GcsView` also become the frame the client is owed.
 //!
 //! Commands arrive as [`GroupCmd`] values through the owning shard's
 //! channel, so per-group execution is totally ordered and reproducible:
@@ -26,7 +28,10 @@
 //! `tests/support/`.
 //!
 //! Determinism discipline: only ordered containers, no ambient clocks,
-//! no ambient randomness. The lints below pin it to this file.
+//! no ambient randomness. The lints below pin it to this file. The
+//! daemon's one clock read is the shard worker's, and it reaches a group
+//! only as a `Stabilize` in the group's command stream: the group stays
+//! a function of its commands.
 
 #![deny(clippy::disallowed_types, clippy::disallowed_methods)]
 
@@ -72,6 +77,12 @@ pub enum GroupCmd {
     },
     /// Runs the group to quiescence.
     Run,
+    /// The group has gone quiet: if a multicast is unacknowledged, the
+    /// next run asks every member for one acknowledgement round, and each
+    /// end-point then hands back the message windows the round emptied
+    /// (DESIGN.md §18). Frames are unchanged; the round's events count in
+    /// [`GroupReport::trace_len`]. The shard worker issues it.
+    Stabilize,
 }
 
 /// A snapshot of one group's externally observable health, cheap enough
@@ -88,6 +99,9 @@ pub struct GroupReport {
     pub delivered: u64,
     /// Views installed so far (GCS `view` events).
     pub views_installed: u64,
+    /// [`GroupCmd::Stabilize`] commands applied so far. While it is 0 the
+    /// group's events are exactly those of its other commands.
+    pub stabilized: u64,
 }
 
 /// An output frame a hosted group owes one of its clients: a delivery
@@ -116,6 +130,9 @@ pub struct GroupInstance {
     dirty: ProcSet,
     /// Multicasts applied since the last acknowledgement round.
     sends_since_ack: u64,
+    /// A [`GroupCmd::Stabilize`] waits for the next run.
+    stabilizing: bool,
+    stabilized: u64,
     checks: CheckSet,
     /// External actions emitted so far (the next event's step number).
     emitted: u64,
@@ -144,6 +161,8 @@ impl GroupInstance {
             net: VecDeque::new(),
             dirty: ProcSet::new(),
             sends_since_ack: 0,
+            stabilizing: false,
+            stabilized: 0,
             checks: vsgm_spec::full_checks(None),
             emitted: 0,
             outputs: Vec::new(),
@@ -199,6 +218,10 @@ impl GroupInstance {
                 }
             }
             GroupCmd::Run => self.run_to_quiescence(),
+            GroupCmd::Stabilize => {
+                self.stabilizing = true;
+                self.stabilized += 1;
+            }
         }
     }
 
@@ -206,19 +229,28 @@ impl GroupInstance {
     /// an input, once, then hands each queued message to its addressee,
     /// until nothing is enabled and nothing is in flight; when
     /// [`ACK_EVERY`] multicasts have been applied since the last round,
-    /// every member is then asked to acknowledge, and that runs to
-    /// quiescence too. (Daemon mode runs this after every command so
-    /// outputs are promptly drainable.)
+    /// or one has and a [`GroupCmd::Stabilize`] is pending, every member
+    /// is then asked to acknowledge, and that runs to quiescence too.
+    /// After a `Stabilize`, every end-point then hands back its emptied
+    /// windows. (Daemon mode runs this after every command so outputs
+    /// are promptly drainable.)
     pub fn run_to_quiescence(&mut self) {
         loop {
             self.poll_dirty();
             if self.net.is_empty() {
-                if self.sends_since_ack >= ACK_EVERY {
+                let due = self.sends_since_ack >= ACK_EVERY
+                    || (self.stabilizing && self.sends_since_ack > 0);
+                if due {
                     self.sends_since_ack = 0;
                     for p in self.members.clone() {
                         self.feed(p, Input::AckDue);
                     }
                     continue;
+                }
+                if std::mem::take(&mut self.stabilizing) {
+                    for h in self.hosted.values_mut() {
+                        h.ep_mut().release_empty_windows();
+                    }
                 }
                 // A view change queues ~n² messages at once; an idle group
                 // should not keep a buffer sized for its last one.
@@ -249,6 +281,7 @@ impl GroupInstance {
             trace_len: self.emitted as usize,
             delivered: self.delivered,
             views_installed: self.views_installed,
+            stabilized: self.stabilized,
         }
     }
 
@@ -539,6 +572,44 @@ mod tests {
             }
             assert!(g.finish().is_empty());
         }
+    }
+
+    /// A quiet group asked to stabilize runs one acknowledgement round,
+    /// and then no end-point holds a window buffer; its next multicast
+    /// reaches every member exactly as in a twin never asked.
+    #[test]
+    fn after_stabilize_a_quiet_group_holds_no_window_buffer() {
+        let windows = |g: &GroupInstance| -> Vec<(usize, usize)> {
+            g.hosted
+                .values()
+                .flat_map(|h| h.ep().state().msgs.values().map(|b| (b.retained(), b.capacity())))
+                .collect()
+        };
+        let after_22_multicasts = || {
+            let mut g = GroupInstance::new(GroupId::new(10), 4, 0);
+            for i in 1..=4 {
+                step(&mut g, GroupCmd::Join(p(i)));
+            }
+            for k in 0..22 {
+                assert_eq!(step(&mut g, send(1 + k % 4, "m")).len(), 4);
+            }
+            g
+        };
+        let (mut quiet, mut twin) = (after_22_multicasts(), after_22_multicasts());
+        let before = quiet.report();
+        assert!(windows(&quiet).iter().any(|(held, _)| *held > 0), "22 multicasts are held");
+        assert!(step(&mut quiet, GroupCmd::Stabilize).is_empty(), "a round owes no frame");
+        let after = quiet.report();
+        // One round in a view of four: 4 acks to 3 peers each.
+        assert_eq!(after.trace_len, before.trace_len + 4 + 4 * 3);
+        assert_eq!(after.stabilized, 1);
+        assert!(windows(&quiet).iter().all(|w| *w == (0, 0)), "{:?}", windows(&quiet));
+        // Nothing is unacknowledged now: a second `Stabilize` runs no round.
+        step(&mut quiet, GroupCmd::Stabilize);
+        assert_eq!(quiet.report().trace_len, after.trace_len);
+        let next = send(2, "after the quiet");
+        assert_eq!(step(&mut quiet, next.clone()), step(&mut twin, next));
+        assert!(quiet.finish().is_empty() && twin.finish().is_empty());
     }
 
     #[test]

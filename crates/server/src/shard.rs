@@ -20,18 +20,30 @@
 //! what it holds before it answers a report or finish, and before it
 //! exits.
 //!
-//! Determinism discipline: ordered containers only, no ambient clocks or
-//! randomness; the lints below pin it to this file. Wall-clock pacing
-//! and sockets live in `server.rs`, behind the daemon's sink; a hosted
-//! group has no notion of time.
+//! A worker in daemon mode also keeps the daemon's one clock. A group
+//! multicast to in one [`QUIET_PERIOD`] and not in the next is quiet: at
+//! the end of that next period the worker issues it a
+//! [`GroupCmd::Stabilize`], at most [`MAX_BATCH`] of them between two
+//! batches of its channel, and the group acknowledges and hands back its
+//! message windows (DESIGN.md §18). A busy group never goes quiet, and a
+//! worker with no group to watch waits on its channel alone.
+//!
+//! Determinism discipline: ordered containers only, no ambient
+//! randomness, and one ambient clock read, [`now`]; the lints below pin
+//! it to this file. The clock decides only *when* a quiet group gets its
+//! `Stabilize`, which reaches the group as a command like any other, so
+//! a hosted group has no notion of time and stays a function of its
+//! command stream. Wall-clock pacing and sockets live in `server.rs`,
+//! behind the daemon's sink.
 
 #![deny(clippy::disallowed_types, clippy::disallowed_methods)]
 
 use crate::group::{GroupCmd, GroupInstance, GroupOutput, GroupReport};
-use crossbeam::channel::{unbounded, Receiver, Sender};
-use std::collections::BTreeMap;
+use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 use vsgm_ioa::Violation;
 use vsgm_net::tiered::{blocking, Tiered};
 use vsgm_types::{GroupId, NetMsg, ProcessId};
@@ -39,6 +51,11 @@ use vsgm_types::{GroupId, NetMsg, ProcessId};
 /// Most commands a worker steps before it hands their outputs to the
 /// sink.
 const MAX_BATCH: usize = 64;
+
+/// How long a worker watches for multicasts before it sorts its groups
+/// into busy and quiet: a group's last multicast is 100–200 ms old when
+/// it is stabilized.
+const QUIET_PERIOD: Duration = Duration::from_millis(100);
 
 /// One frame a worker owes a client: `(group, client, frame)`.
 pub(crate) type Outbound = (GroupId, ProcessId, NetMsg);
@@ -96,9 +113,9 @@ pub struct ShardConfig {
     /// Worker threads; also the shard count for `gid % shards` routing.
     pub shards: usize,
     /// Daemon mode: after every applied command, run the group to
-    /// quiescence and forward drained outputs to `outputs`. Off, groups
-    /// advance only on explicit [`GroupCmd::Run`] commands and their
-    /// outputs stay undrained.
+    /// quiescence and forward drained outputs to `outputs`, and stabilize
+    /// groups that have gone quiet. Off, groups advance only on explicit
+    /// [`GroupCmd::Run`] commands and their outputs stay undrained.
     pub auto_run: bool,
     /// Where drained `(gid, member, frame)` outputs go in daemon mode.
     pub outputs: Option<Sender<(GroupId, ProcessId, NetMsg)>>,
@@ -246,14 +263,21 @@ impl Drop for ShardPool {
     }
 }
 
-/// A worker's state: the groups it owns and the outputs of the batch
-/// it is stepping.
+/// A worker's state: the groups it owns, the outputs of the batch it
+/// is stepping, and, in daemon mode, which groups are busy or quiet.
+/// A group is in at most one of `busy`, `lingering` and `quiet`.
 struct Worker<'a> {
     groups: BTreeMap<GroupId, GroupInstance>,
     out: Vec<Outbound>,
     counters: &'a ShardCounters,
     auto_run: bool,
     sink: &'a Sink,
+    /// Groups multicast to in the current quiet period.
+    busy: BTreeSet<GroupId>,
+    /// Groups multicast to in the previous period and not since.
+    lingering: BTreeSet<GroupId>,
+    /// Groups owed a [`GroupCmd::Stabilize`].
+    quiet: BTreeSet<GroupId>,
 }
 
 impl Worker<'_> {
@@ -265,10 +289,36 @@ impl Worker<'_> {
             return;
         };
         self.counters.frames_routed.fetch_add(1, Ordering::Relaxed);
+        if self.auto_run && matches!(cmd, GroupCmd::Send { .. }) && self.busy.insert(gid) {
+            self.lingering.remove(&gid);
+            self.quiet.remove(&gid);
+        }
         g.apply(cmd);
         if self.auto_run {
-            g.run_to_quiescence();
-            self.out.extend(g.drain_outputs().into_iter().map(|o| (gid, o.to, o.msg)));
+            settle(gid, g, &mut self.out);
+        }
+    }
+
+    /// Whether a group was multicast to in this period or the last.
+    fn watching(&self) -> bool {
+        !self.busy.is_empty() || !self.lingering.is_empty()
+    }
+
+    /// Ends a quiet period: the groups that lingered through it are
+    /// quiet, and this period's busy groups linger.
+    fn end_period(&mut self) {
+        self.quiet.append(&mut self.lingering);
+        std::mem::swap(&mut self.lingering, &mut self.busy);
+    }
+
+    /// Stabilizes up to [`MAX_BATCH`] quiet groups, in gid order.
+    fn stabilize_quiet(&mut self) {
+        for _ in 0..MAX_BATCH {
+            let Some(gid) = self.quiet.pop_first() else { return };
+            if let Some(g) = self.groups.get_mut(&gid) {
+                g.apply(GroupCmd::Stabilize);
+                settle(gid, g, &mut self.out);
+            }
         }
     }
 
@@ -312,16 +362,71 @@ impl Worker<'_> {
     }
 }
 
+/// Runs `g` to quiescence and collects what it owes its clients.
+fn settle(gid: GroupId, g: &mut GroupInstance, out: &mut Vec<Outbound>) {
+    g.run_to_quiescence();
+    out.extend(g.drain_outputs().into_iter().map(|o| (gid, o.to, o.msg)));
+}
+
+/// The daemon's clock.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the shard worker's quiet-period clock: it decides only when a quiet group \
+              is sent a Stabilize command, and no group reads it"
+)]
+fn now() -> Instant {
+    Instant::now()
+}
+
 fn shard_main(rx: &Receiver<ShardCmd>, counters: &ShardCounters, auto_run: bool, sink: &Sink) {
-    let mut w = Worker { groups: BTreeMap::new(), out: Vec::new(), counters, auto_run, sink };
-    while let Ok(first) = blocking(|| rx.recv()) {
-        let queued = std::iter::from_fn(|| rx.try_recv().ok());
-        for cmd in std::iter::once(first).chain(queued).take(MAX_BATCH) {
-            if !w.step(cmd) {
-                w.hand_over();
-                return;
+    let mut w = Worker {
+        groups: BTreeMap::new(),
+        out: Vec::new(),
+        counters,
+        auto_run,
+        sink,
+        busy: BTreeSet::new(),
+        lingering: BTreeSet::new(),
+        quiet: BTreeSet::new(),
+    };
+    // The end of the current quiet period, while a group is watched.
+    let mut period_end: Option<Instant> = None;
+    loop {
+        // Quiet groups owed a round wait for nothing; watched groups, for
+        // no longer than the period's end; no group, for a command.
+        let wait = if w.quiet.is_empty() {
+            period_end.map(|end| end.saturating_duration_since(now()))
+        } else {
+            Some(Duration::ZERO)
+        };
+        let first = match blocking(|| match wait {
+            Some(wait) => rx.recv_timeout(wait),
+            None => rx.recv().map_err(|_| RecvTimeoutError::Disconnected),
+        }) {
+            Ok(cmd) => Some(cmd),
+            Err(RecvTimeoutError::Timeout) => None,
+            Err(RecvTimeoutError::Disconnected) => return,
+        };
+        if let Some(first) = first {
+            let queued = std::iter::from_fn(|| rx.try_recv().ok());
+            for cmd in std::iter::once(first).chain(queued).take(MAX_BATCH) {
+                if !w.step(cmd) {
+                    w.hand_over();
+                    return;
+                }
             }
         }
+        if w.watching() {
+            let now = now();
+            let end = *period_end.get_or_insert(now + QUIET_PERIOD);
+            if now >= end {
+                w.end_period();
+                period_end = Some(now + QUIET_PERIOD);
+            }
+        } else {
+            period_end = None;
+        }
+        w.stabilize_quiet();
         w.hand_over();
     }
 }
@@ -427,6 +532,40 @@ mod tests {
         });
         assert!(expected.len() > 8, "{expected:?}");
         assert_eq!(hosted, expected, "hosted == isolated, frame for frame");
+    }
+
+    /// In daemon mode a group multicast to and then left alone is issued
+    /// one `Stabilize`, a quiet period or two after its multicast, and
+    /// runs one acknowledgement round; a group never multicast to gets
+    /// none.
+    #[test]
+    fn a_quiet_group_is_stabilized_once_and_a_silent_one_never() {
+        let pool = ShardPool::spawn(ShardConfig { shards: 1, auto_run: true, outputs: None });
+        let (quiet, silent) = (GroupId::new(1), GroupId::new(2));
+        for gid in [quiet, silent] {
+            pool.create_and_join(gid, 2, p(1));
+            pool.apply(gid, GroupCmd::Join(p(2)));
+        }
+        pool.apply(quiet, send(1, "once"));
+        let sent = std::time::Instant::now();
+        let before = pool.report(quiet).expect("hosted");
+        assert_eq!(before.stabilized, 0, "{before:?}");
+        let deadline = sent + std::time::Duration::from_secs(10);
+        let after = loop {
+            let r = pool.report(quiet).expect("hosted");
+            if r.stabilized > 0 {
+                break r;
+            }
+            assert!(std::time::Instant::now() < deadline, "never stabilized: {r:?}");
+            std::thread::sleep(std::time::Duration::from_millis(5));
+        };
+        assert!(sent.elapsed() >= QUIET_PERIOD, "stabilized {:?} after the send", sent.elapsed());
+        // One round in a view of two: 2 acks to 1 peer each.
+        assert_eq!(after.trace_len, before.trace_len + 2 + 2);
+        std::thread::sleep(3 * QUIET_PERIOD);
+        assert_eq!(pool.report(quiet), Some(after));
+        assert_eq!(pool.report(silent).map(|r| r.stabilized), Some(0));
+        assert_eq!(pool.finish(quiet), Some(vec![]));
     }
 
     /// Steps `cmds`, then a `Shutdown`, all queued before the worker

@@ -158,13 +158,15 @@ fn resident_memory_plateaus_under_view_changes() {
 fn a_thousand_groups_of_four_fit_their_budget_and_unused_capacity_costs_nothing() {
     const GROUPS: u64 = 1000;
     const BYTES_PER_GROUP: u64 = 18 * 1024;
+    const QUIET_BYTES_PER_GROUP: u64 = 13 * 1024;
     const CAPACITY_SLACK: u64 = 1024;
     let _turn = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
-    // What a group holds after four joins, each settled and drained, and
-    // `multicasts` round-robin from its members. Every thousand is handed
-    // back and kept resident while the next is measured (freed memory
-    // would be reused, not returned).
-    let per_group = |capacity: u64, multicasts: u64| {
+    // What a group holds after four joins, each settled and drained,
+    // `multicasts` round-robin from its members and, with `quiet`, the
+    // `Stabilize` its shard worker issues once it has gone quiet. Every
+    // thousand is handed back and kept resident while the next is
+    // measured (freed memory would be reused, not returned).
+    let per_group = |capacity: u64, multicasts: u64, quiet: bool| {
         let payload = AppMsg::new(vec![0x5Au8; 64]);
         let before = rss_bytes();
         let mut groups = Vec::with_capacity(GROUPS as usize);
@@ -175,6 +177,9 @@ fn a_thousand_groups_of_four_fit_their_budget_and_unused_capacity_costs_nothing(
                     step(&mut g, GroupCmd::Send { from: p(1 + k % 4), msg: payload.clone() });
                 assert_eq!(frames, 4);
             }
+            if quiet {
+                assert_eq!(step(&mut g, GroupCmd::Stabilize), 0);
+            }
             groups.push(g);
         }
         let each = rss_bytes().saturating_sub(before) / GROUPS;
@@ -184,19 +189,27 @@ fn a_thousand_groups_of_four_fit_their_budget_and_unused_capacity_costs_nothing(
         (each, groups)
     };
     // One multicast from every member, in capacity 4 and in capacity 16.
-    let (snug, _held) = per_group(4, 4);
-    let (roomy, _held) = per_group(16, 4);
+    let (snug, _held) = per_group(4, 4, false);
+    let (roomy, _held) = per_group(16, 4, false);
     // `wide_1000g` during *paced*: 22 multicasts, no acknowledgement
-    // round yet; then 70, one round (every 64) behind them.
-    let (paced, _held) = per_group(4, 22);
-    let (rounded, _held) = per_group(4, 70);
+    // round yet; then 70, one round (every 64) behind them; then 22 and
+    // the quiet group's round, its emptied windows handed back.
+    let (paced, _held) = per_group(4, 22, false);
+    let (rounded, _held) = per_group(4, 70, false);
+    let (quiet, _held) = per_group(4, 22, true);
     println!(
         "per group of four: {snug} B in capacity 4, {roomy} B in capacity 16, \
-         {paced} B after 22 multicasts, {rounded} B after 70"
+         {paced} B after 22 multicasts, {rounded} B after 70, \
+         {quiet} B after 22 and Stabilize"
     );
     for (state, bytes) in [("4 multicasts", snug), ("22", paced), ("70", rounded)] {
         assert!(bytes < BYTES_PER_GROUP, "{bytes} B resident per 4-member group after {state}");
     }
+    assert!(
+        quiet < QUIET_BYTES_PER_GROUP && QUIET_BYTES_PER_GROUP < paced,
+        "{quiet} B resident per quiet 4-member group after 22 multicasts and Stabilize, \
+         {paced} B without the Stabilize: the budget {QUIET_BYTES_PER_GROUP} B lies between"
+    );
     assert!(
         roomy.abs_diff(snug) < CAPACITY_SLACK,
         "four members cost {snug} B in capacity 4 but {roomy} B in capacity 16"

@@ -219,14 +219,20 @@ named_tests -p vsgm-core --lib -- \
 # which answers every call as the sorted-vector map it replaced, with
 # the same Debug text and JSON. An acknowledgement vector decodes into
 # a cut built once (2^18 entries within 2 s in debug; one copy per
-# entry is quadratic).
-echo "==> end-point memory (one generation of sync records, shared cuts)"
+# entry is quadratic). A quiet group's `Stabilize` runs one
+# acknowledgement round, after which no end-point holds a window
+# buffer (an emptied window hands its allocation back and keeps its
+# indices), and its next multicast is delivered as in a twin never
+# stabilized.
+echo "==> end-point memory (one generation of sync records, shared cuts, quiet windows)"
 named_tests -p vsgm-core --lib -- \
     state::tests::after_a_cascaded_change_only_the_current_views_start_ids_remain \
     state::tests::a_member_that_leaves_and_rejoins_leaves_one_generation_behind \
-    state::tests::a_future_joiners_early_sync_survives_the_install_and_the_next_view_installs
+    state::tests::a_future_joiners_early_sync_survives_the_install_and_the_next_view_installs \
+    state::tests::releasing_empty_windows_frees_their_buffers_and_keeps_their_indices
 named_tests -p vsgm-server --lib -- \
-    group::tests::after_churn_each_end_point_holds_one_sync_record_per_member
+    group::tests::after_churn_each_end_point_holds_one_sync_record_per_member \
+    group::tests::after_stabilize_a_quiet_group_holds_no_window_buffer
 named_tests -p vsgm-types --lib -- \
     cut::tests::behaves_like_a_vec_map_cut \
     cut::tests::a_set_on_a_clone_leaves_the_original_unchanged \
@@ -266,9 +272,16 @@ named_tests --release -p vsgm-server --test alloc_ledger -- \
 # flood of ignorable sends in one direct group, must leave the groups
 # stepped beside it untouched. Both suites are also part of
 # `cargo test`; run by name so a hosting or multiplexing regression
-# fails with a readable stage.
+# fails with a readable stage. The shard workers' clock stabilizes quiet
+# groups on its own schedule, so two tests pin that it changes no
+# frame: both isolated hosts fed `Stabilize` at seeded points hand out
+# the frames of the schedule without it, and a hosted run paused until
+# the clock has stabilized its groups matches the isolated arm.
 echo "==> multi-group differential + isolation suites"
 cargo test -q -p vsgm --test multigroup_differential "${CARGO_FLAGS[@]}" >/dev/null
+named_tests -p vsgm --test multigroup_differential -- \
+    stabilize_at_seeded_points_changes_no_frame_on_either_isolated_host \
+    schedules_paused_until_the_clock_stabilizes_quiet_groups_keep_their_frames
 cargo test -q -p vsgm --test multigroup_chaos "${CARGO_FLAGS[@]}" >/dev/null
 
 # Hosted-group memory soaks (DESIGN.md §17), every spec checker online,
@@ -282,7 +295,8 @@ cargo test -q -p vsgm --test multigroup_chaos "${CARGO_FLAGS[@]}" >/dev/null
 # or end-points that stop acknowledging, fail here.
 # Footprint: 1000 groups of four (joined, drained, then 4, 22 or 70
 # multicasts — the last past one acknowledgement round) stay under
-# 18 KiB resident each, and four members in capacity 16 cost within
+# 18 KiB resident each; 22 and the quiet group's `Stabilize` stay under
+# 13 KiB, below 22 without it; and four members in capacity 16 cost within
 # 1 KiB of four in capacity 4 — a host that provisions per capacity,
 # simulates its clients again, keeps per-process state in B-tree
 # leaves again, or end-points that keep two generations of sync
@@ -306,7 +320,9 @@ cargo test -q -p vsgm --test multigroup_chaos "${CARGO_FLAGS[@]}" >/dev/null
 # gives each group the isolated instance's frames in order, one sink
 # call per batch; a batch reaching c idle clients costs exactly c socket
 # writes; `report` and `finish` are answered only after the outputs
-# queued before them were handed over.
+# queued before them were handed over. And the worker's clock: a group
+# multicast to once and then left alone is stabilized once, a quiet
+# period or two later, and a group never multicast to is not.
 echo "==> vsgm-server (daemon threads and order; memory soaks plateau x3, footprint)"
 named_tests -p vsgm-server --test daemon -- \
     a_two_shard_daemon_runs_four_threads \
@@ -317,7 +333,8 @@ named_tests -p vsgm-server --test daemon -- \
 named_tests -p vsgm-server --lib -- \
     shard::tests::one_burst_for_three_groups_gives_each_its_isolated_frames_in_order \
     shard::tests::a_batch_reaching_c_idle_clients_raises_flushes_by_exactly_c \
-    shard::tests::report_and_finish_answer_after_their_batch_is_handed_over
+    shard::tests::report_and_finish_answer_after_their_batch_is_handed_over \
+    shard::tests::a_quiet_group_is_stabilized_once_and_a_silent_one_never
 for soak in resident_memory_plateaus_under_multicast_with_churn \
             resident_memory_plateaus_in_a_view_that_never_changes \
             resident_memory_plateaus_under_view_changes \

@@ -30,10 +30,21 @@
 //! `startId` maps, `Fwd` origin / index / view stamp, payload) — frames to
 //! different receivers leave on different sockets, so no order between
 //! them exists to compare.
+//!
+//! **Does the clock leak?** The pool's workers issue a
+//! [`GroupCmd::Stabilize`] to a group that has gone quiet for a quiet
+//! period, on their own clock, so the hosted arm cannot know in advance
+//! which groups get one. A `Stabilize` runs one acknowledgement round:
+//! it adds events and changes no frame. Frames, members, deliveries and
+//! views are therefore compared exactly in every run, and the event
+//! count whenever the group's report shows no `Stabilize` reached it.
+//! Both isolated hosts are also fed `Stabilize` at seeded points, and
+//! must hand out the frames of the same schedule without them.
 
 mod support;
 
 use std::collections::BTreeMap;
+use std::time::{Duration, Instant};
 use support::{send, wire_by_receiver, OracleGroup};
 use vsgm_server::{
     group_seed, GroupCmd, GroupInstance, GroupOutput, GroupReport, ShardConfig, ShardPool,
@@ -156,19 +167,32 @@ fn oracle_run(gid: GroupId, capacity: u64, cmds: &[GroupCmd]) -> Observed {
 }
 
 /// The hosted arm: every group through one shard pool in daemon mode,
-/// commands dispatched in the given global order.
+/// commands dispatched in the given global order. With `pause_at`, the
+/// dispatch stops before that command until every group multicast to
+/// so far reports a `Stabilize` from its worker.
 fn hosted_run(
     shards: usize,
     capacity: u64,
     gids: impl Iterator<Item = GroupId> + Clone,
     order: &[(GroupId, GroupCmd)],
+    pause_at: Option<usize>,
 ) -> BTreeMap<GroupId, Observed> {
     let (tx, rx) = crossbeam::channel::unbounded();
     let pool = ShardPool::spawn(ShardConfig { shards, auto_run: true, outputs: Some(tx) });
     for gid in gids.clone() {
         pool.create_group(gid, capacity, group_seed(BASE_SEED, gid));
     }
-    for (gid, cmd) in order {
+    for (k, (gid, cmd)) in order.iter().enumerate() {
+        if pause_at == Some(k) {
+            let deadline = Instant::now() + Duration::from_secs(10);
+            let sent_to = order[..k].iter().filter(|(_, c)| matches!(c, GroupCmd::Send { .. }));
+            for (gid, _) in sent_to {
+                while pool.report(*gid).is_some_and(|r| r.stabilized == 0) {
+                    assert!(Instant::now() < deadline, "{gid} went quiet and was never stabilized");
+                    std::thread::sleep(Duration::from_millis(5));
+                }
+            }
+        }
         pool.apply(*gid, cmd.clone());
     }
     let mut reports = BTreeMap::new();
@@ -190,6 +214,39 @@ fn hosted_run(
             (gid, Observed { wire: wire_by_receiver(gid, &out), report })
         })
         .collect()
+}
+
+/// Holds a hosted group to its isolated run: frames, members, deliveries
+/// and views exactly, and the event count too unless a worker's
+/// `Stabilize` reached the group (its acknowledgement round adds
+/// events, and only the report says whether one ran). Returns whether
+/// the event count was compared.
+fn assert_hosted_matches(what: &str, hosted: &Observed, isolated: &Observed) -> bool {
+    assert_eq!(hosted.wire, isolated.wire, "{what}: hosted frames differ from the isolated run");
+    let (h, i) = (&hosted.report, &isolated.report);
+    assert_eq!(i.stabilized, 0, "{what}: the isolated arm runs without a clock");
+    if h.stabilized == 0 {
+        assert_eq!(h, i, "{what}: hosted report diverged from the isolated run");
+    } else {
+        let without_events =
+            |r: &GroupReport| GroupReport { trace_len: 0, stabilized: 0, ..r.clone() };
+        assert_eq!(
+            without_events(h),
+            without_events(i),
+            "{what}: hosted report diverged from the isolated run ({} Stabilize)",
+            h.stabilized
+        );
+    }
+    h.stabilized == 0
+}
+
+/// Prints how many hosted groups were held to an exact event count.
+fn print_tally(what: &str, exact: usize, groups: usize) {
+    println!(
+        "{what}: {exact} of {groups} hosted groups compared with their event count; \
+         the worker's clock stabilized the other {}",
+        groups - exact
+    );
 }
 
 fn assert_direct_matches_oracle(what: &str, gid: GroupId, capacity: u64, cmds: &[GroupCmd]) {
@@ -315,7 +372,16 @@ fn pinned_four_unsettled_joins_end_in_one_full_view_on_both_hosts() {
     assert!(direct.finish().is_empty() && oracle.finish().is_empty());
 }
 
-fn assert_schedule_conforms(seed: u64, n_groups: u64, shards: usize, capacity: u64) {
+/// Returns how many groups were held to their event count exactly, and
+/// how many there were. With `pause`, the dispatch stops halfway until
+/// every group multicast to by then was stabilized.
+fn assert_schedule_conforms(
+    seed: u64,
+    n_groups: u64,
+    shards: usize,
+    capacity: u64,
+    pause: bool,
+) -> (usize, usize) {
     let mut rng = Rng::for_schedule(seed);
     let streams: BTreeMap<GroupId, Vec<GroupCmd>> = (1..=n_groups)
         .map(|g| {
@@ -324,20 +390,22 @@ fn assert_schedule_conforms(seed: u64, n_groups: u64, shards: usize, capacity: u
         })
         .collect();
     let order = interleave(&mut rng, &streams);
-    let hosted = hosted_run(shards, capacity, streams.keys().copied(), &order);
+    let pause_at = pause.then_some(order.len() / 2);
+    let hosted = hosted_run(shards, capacity, streams.keys().copied(), &order, pause_at);
+    let mut exact = 0;
     for (gid, cmds) in &streams {
         let isolated = isolated_run(*gid, capacity, cmds, true);
         assert!(!isolated.wire.is_empty(), "seed {seed} {gid}: nothing to compare");
-        assert_eq!(
-            hosted[gid], isolated,
-            "seed {seed} {gid}: hosted group diverged from the isolated run"
-        );
+        if assert_hosted_matches(&format!("seed {seed} {gid}"), &hosted[gid], &isolated) {
+            exact += 1;
+        }
         assert_eq!(
             isolated_run(*gid, capacity, cmds, false),
             isolated,
             "seed {seed} {gid}: draining after every command lost or changed something"
         );
     }
+    (exact, streams.len())
 }
 
 #[test]
@@ -345,12 +413,30 @@ fn fifty_randomized_multigroup_schedules_are_conformant() {
     // ≥ 50 randomized schedules varying group count (2..=4), shard count
     // (1..=4 — including 1, where *every* group shares one worker), and
     // capacity (2..=3).
+    let (mut exact, mut groups) = (0, 0);
     for seed in 0..50u64 {
         let n_groups = 2 + seed % 3;
         let shards = 1 + (seed % 4) as usize;
         let capacity = 2 + seed % 2;
-        assert_schedule_conforms(seed, n_groups, shards, capacity);
+        let (e, g) = assert_schedule_conforms(seed, n_groups, shards, capacity, false);
+        (exact, groups) = (exact + e, groups + g);
     }
+    print_tally("randomized multigroup schedules", exact, groups);
+}
+
+#[test]
+fn schedules_paused_until_the_clock_stabilizes_quiet_groups_keep_their_frames() {
+    // The hosted arm's dispatch stops halfway until the workers' clock has
+    // stabilized every group multicast to so far; the second half then
+    // runs on groups whose acknowledgement rounds and windows the
+    // isolated arm never saw. Frames must not tell.
+    let (mut exact, mut groups) = (0, 0);
+    for seed in 0..4u64 {
+        let (e, g) = assert_schedule_conforms(seed, 3, 1 + (seed % 2) as usize, 3, true);
+        (exact, groups) = (exact + e, groups + g);
+    }
+    print_tally("paused multigroup schedules", exact, groups);
+    assert!(exact < groups, "no group was stabilized");
 }
 
 #[test]
@@ -382,14 +468,60 @@ fn pinned_same_shard_round_robin_interleaving_is_conformant() {
             order.push((*gid, streams[gid][i].clone()));
         }
     }
-    let hosted = hosted_run(2, capacity, gids.iter().copied(), &order);
+    let hosted = hosted_run(2, capacity, gids.iter().copied(), &order, None);
     for gid in &gids {
         assert_eq!(gid.raw() % 2, 0, "pinned gids must share shard 0");
-        assert_eq!(
-            hosted[gid],
-            isolated_run(*gid, capacity, &streams[gid], true),
-            "{gid}: same-shard interleaving leaked between groups"
-        );
+        let isolated = isolated_run(*gid, capacity, &streams[gid], true);
+        assert_hosted_matches(&format!("round-robin {gid}"), &hosted[gid], &isolated);
+    }
+}
+
+/// One group's schedule with a `Stabilize` after about one command in
+/// three, at points drawn from `rng`.
+fn with_stabilize(rng: &mut Rng, cmds: &[GroupCmd]) -> Vec<GroupCmd> {
+    let mut out = Vec::with_capacity(cmds.len() * 2);
+    for cmd in cmds {
+        out.push(cmd.clone());
+        if rng.below(3) == 0 {
+            out.push(GroupCmd::Stabilize);
+        }
+    }
+    out
+}
+
+#[test]
+fn stabilize_at_seeded_points_changes_no_frame_on_either_isolated_host() {
+    // The randomized schedules of the oracle suite, some lengthened past
+    // an acknowledgement round (every 64 multicasts), which a
+    // `Stabilize` before it then moves.
+    for seed in 0..40u64 {
+        let mut rng = Rng::for_schedule(seed ^ 0x57AB);
+        let gid = GroupId::new(1 + seed);
+        let capacity = 2 + seed % 4;
+        let mut plain = gen_group_schedule(&mut rng, gid, capacity);
+        if seed % 4 == 0 {
+            plain.extend((0..80).map(|k| send(1 + k % capacity, &format!("long-{k}"))));
+        }
+        let stabilized = with_stabilize(&mut rng, &plain);
+        let issued = (stabilized.len() - plain.len()) as u64;
+        assert!(issued > 0, "seed {seed}: no Stabilize drawn");
+        let what = format!("seed {seed} ({issued} Stabilize)");
+        let direct = isolated_run(gid, capacity, &plain, true);
+        let oracle = oracle_run(gid, capacity, &plain);
+        for (host, run) in [
+            ("direct", isolated_run(gid, capacity, &stabilized, true)),
+            ("undrained direct", isolated_run(gid, capacity, &stabilized, false)),
+            ("oracle", oracle_run(gid, capacity, &stabilized)),
+        ] {
+            assert_eq!(run.wire, direct.wire, "{what}: {host} frames moved");
+            assert_eq!(run.report.stabilized, issued, "{what}: {host}");
+            assert_eq!(
+                GroupReport { trace_len: 0, stabilized: 0, ..run.report },
+                GroupReport { trace_len: 0, ..direct.report.clone() },
+                "{what}: {host}"
+            );
+        }
+        assert_eq!(oracle.wire, direct.wire, "{what}: the oracle without Stabilize");
     }
 }
 

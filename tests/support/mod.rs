@@ -67,6 +67,7 @@ pub struct OracleGroup {
     capacity: u64,
     members: ProcSet,
     corruptions: u64,
+    stabilized: u64,
     /// `Deliver` / `GcsView` events consumed by `drain_outputs`.
     delivered: u64,
     views_installed: u64,
@@ -88,6 +89,7 @@ impl OracleGroup {
             capacity: capacity.max(1),
             members: ProcSet::new(),
             corruptions: 0,
+            stabilized: 0,
             delivered: 0,
             views_installed: 0,
             last_view: BTreeMap::new(),
@@ -119,6 +121,11 @@ impl OracleGroup {
                 }
             }
             OracleCmd::Group(GroupCmd::Run) => self.sim.run_to_quiescence(),
+            // The `Sim` acknowledges on request only; it releases nothing.
+            OracleCmd::Group(GroupCmd::Stabilize) => {
+                self.stabilized += 1;
+                self.sim.ack_round();
+            }
             OracleCmd::RunForMs(ms) => self.sim.run_for(SimTime::from_millis(ms)),
             OracleCmd::Crash(p) => {
                 if self.in_capacity(p) {
@@ -199,6 +206,7 @@ impl OracleGroup {
                 trace_len: self.sim.trace().len(),
                 delivered,
                 views_installed,
+                stabilized: self.stabilized,
             },
             fault_injections: faults.injected_drops + faults.injected_dups,
             corruptions: self.corruptions,
