@@ -229,9 +229,12 @@ impl Endpoint {
         &self.st
     }
 
-    /// Hands back the buffers of the message windows that hold nothing
+    /// Hands back the buffers of the message windows that hold nothing,
+    /// and the record of a finished acknowledgement round
     /// ([`State::release_empty_windows`]). Not an action: it fires
-    /// nothing and changes no answer the state gives.
+    /// nothing, and changes no delivery, view or window. Until the next
+    /// round, [`crate::stability::floor`] reads 0, and the next
+    /// acknowledgement is sent even if it repeats the last one.
     pub fn release_empty_windows(&mut self) {
         self.st.release_empty_windows();
     }

@@ -255,6 +255,49 @@ mod tests {
         assert_eq!(st.buf(p(1), &st.current_view).map(|b| b.retained()), Some(0));
     }
 
+    /// What p1 retains from p2: `(freed, retained, prefix, last index)`.
+    fn window_from_p2(st: &State) -> Option<(MsgIndex, usize, MsgIndex, MsgIndex)> {
+        let buf = st.buf(p(2), &st.current_view)?;
+        Some((buf.freed(), buf.retained(), buf.longest_prefix(), buf.last_index()))
+    }
+
+    #[test]
+    fn releasing_a_finished_rounds_record_changes_no_later_ack_or_window() {
+        // A round: p1 announces its 3 deliveries, p2 and p3 theirs, and
+        // p2's window empties.
+        let mut kept = delivered_from_p2(3);
+        on_ack_due(&mut kept);
+        send_ack_eff(&mut kept).expect("armed");
+        on_ack(&mut kept, p(2), ack(&[(2, 3)]));
+        on_ack(&mut kept, p(3), ack(&[(2, 3)]));
+        assert_eq!(window_from_p2(&kept), Some((3, 0, 3, 3)));
+        let mut released = kept.clone();
+        released.release_empty_windows();
+        assert_eq!(released.stability, None, "the finished round leaves no record");
+        assert_eq!(floor(&released, p(2)), 0);
+        // The next multicast and round: the same ack, the same windows.
+        for st in [&mut kept, &mut released] {
+            wv::on_app_msg(st, p(2), AppMsg::from("next"));
+            wv::deliver_eff(st, p(2));
+            on_ack_due(st);
+        }
+        let sent = send_ack_eff(&mut kept);
+        assert_eq!(sent, Some(([p(2), p(3)].into_iter().collect(), NetMsg::Ack(ack(&[(2, 4)])))));
+        assert_eq!(send_ack_eff(&mut released), sent);
+        assert_eq!(window_from_p2(&released), window_from_p2(&kept));
+        for st in [&mut kept, &mut released] {
+            on_ack(st, p(2), ack(&[(2, 4)]));
+            on_ack(st, p(3), ack(&[(2, 4)]));
+        }
+        assert_eq!(window_from_p2(&released), Some((4, 0, 4, 4)));
+        assert_eq!(window_from_p2(&kept), window_from_p2(&released));
+        assert_eq!(released.stability, kept.stability);
+        // A record still armed is a round not yet done: it stays.
+        on_ack_due(&mut released);
+        released.release_empty_windows();
+        assert!(released.stability.as_ref().is_some_and(|s| s.armed));
+    }
+
     #[test]
     fn a_view_change_forgets_the_acknowledgements() {
         let mut st = delivered_from_p2(2);

@@ -49,6 +49,7 @@ impl MsgSeq {
             return false;
         }
         if self.slots.len() <= k {
+            reserve_first(&mut self.slots, k + 1);
             self.slots.resize(k + 1, None);
         }
         if let Some(slot) = self.slots.get_mut(k) {
@@ -65,6 +66,7 @@ impl MsgSeq {
         if self.prefix == self.last_index() {
             self.prefix += 1;
         }
+        reserve_first(&mut self.slots, 1);
         self.slots.push_back(Some(m));
     }
 
@@ -121,6 +123,16 @@ impl MsgSeq {
     pub fn is_consistent(&self) -> bool {
         let held = self.slots.iter().take_while(|s| s.is_some()).count() as MsgIndex;
         self.prefix == self.base + held && self.slots.back().is_none_or(Option::is_some)
+    }
+}
+
+/// Gives an unallocated window room for exactly `n` slots. A group
+/// acknowledges every [`crate::stability::ACK_EVERY`] multicasts and
+/// when it goes quiet, so most windows hold one message or a few at a
+/// time; a `VecDeque`'s first growth would make room for four.
+fn reserve_first(slots: &mut VecDeque<Option<AppMsg>>, n: usize) {
+    if slots.capacity() == 0 {
+        slots.reserve_exact(n);
     }
 }
 
@@ -379,12 +391,20 @@ impl State {
 
     /// Hands back the allocation of every `msgs[q][v]` window that
     /// retains no slot — what an acknowledgement round in a quiet group
-    /// leaves behind (DESIGN.md §18). The indices stay: a released window
-    /// answers every call as before, and its next message allocates it
-    /// again.
+    /// leaves behind (DESIGN.md §18) — and, once the round is done (no
+    /// acknowledgement is armed), the round's record. The indices stay: a
+    /// released window answers every call as before, and its next message
+    /// allocates it again. The record only kept the end-point from
+    /// repeating an acknowledgement it already sent, and the floor from
+    /// reading 0 until the next round; that round follows a multicast,
+    /// which every member delivers and then announces, so it replaces
+    /// every entry anyway.
     pub fn release_empty_windows(&mut self) {
         for buf in self.msgs.values_mut().filter(|buf| buf.slots.is_empty()) {
             buf.slots = VecDeque::new();
+        }
+        if self.stability.as_ref().is_some_and(|s| !s.armed) {
+            self.stability = None;
         }
     }
 

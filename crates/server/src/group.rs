@@ -14,10 +14,11 @@
 //! members for a stability acknowledgement, so that their message
 //! buffers follow what is undelivered rather than what was ever sent
 //! (DESIGN.md §18); after a quiet round they hand the emptied buffers
-//! back too. Every [`Event`] a hosted end-point emits is shown once to
-//! the full [`vsgm_spec::full_checks`] battery, which judges it online
-//! and keeps only what it needs to judge the next one; a `Deliver` and a
-//! `GcsView` also become the frame the client is owed.
+//! and the round's acknowledgement records back too. Every [`Event`] a
+//! hosted end-point emits is shown once to the full
+//! [`vsgm_spec::full_checks`] battery, which judges it online and keeps
+//! only what it needs to judge the next one; a `Deliver` and a `GcsView`
+//! also become the frame the client is owed.
 //!
 //! Commands arrive as [`GroupCmd`] values through the owning shard's
 //! channel, so per-group execution is totally ordered and reproducible:
@@ -80,8 +81,9 @@ pub enum GroupCmd {
     /// The group has gone quiet: if a multicast is unacknowledged, the
     /// next run asks every member for one acknowledgement round, and each
     /// end-point then hands back the message windows the round emptied
-    /// (DESIGN.md §18). Frames are unchanged; the round's events count in
-    /// [`GroupReport::trace_len`]. The shard worker issues it.
+    /// and the round's record (DESIGN.md §18). Frames are unchanged; the
+    /// round's events count in [`GroupReport::trace_len`]. The shard
+    /// worker issues it.
     Stabilize,
 }
 
@@ -232,8 +234,8 @@ impl GroupInstance {
     /// or one has and a [`GroupCmd::Stabilize`] is pending, every member
     /// is then asked to acknowledge, and that runs to quiescence too.
     /// After a `Stabilize`, every end-point then hands back its emptied
-    /// windows. (Daemon mode runs this after every command so outputs
-    /// are promptly drainable.)
+    /// windows and the round's record. (Daemon mode runs this after every
+    /// command so outputs are promptly drainable.)
     pub fn run_to_quiescence(&mut self) {
         loop {
             self.poll_dirty();
@@ -604,6 +606,8 @@ mod tests {
         assert_eq!(after.trace_len, before.trace_len + 4 + 4 * 3);
         assert_eq!(after.stabilized, 1);
         assert!(windows(&quiet).iter().all(|w| *w == (0, 0)), "{:?}", windows(&quiet));
+        let records = quiet.hosted.values().filter(|h| h.ep().state().stability.is_some());
+        assert_eq!(records.count(), 0, "the finished round leaves no acknowledgement record");
         // Nothing is unacknowledged now: a second `Stabilize` runs no round.
         step(&mut quiet, GroupCmd::Stabilize);
         assert_eq!(quiet.report().trace_len, after.trace_len);

@@ -2,8 +2,8 @@
 //! on the hot path.
 //!
 //! Each shard is one worker thread owning a `BTreeMap<GroupId,
-//! GroupInstance>` it alone touches — group state needs no lock at all,
-//! because ownership is partitioned, not shared. Routing is pure
+//! Box<GroupInstance>>` it alone touches — group state needs no lock at
+//! all, because ownership is partitioned, not shared. Routing is pure
 //! arithmetic (`gid.raw() % shards`), so dispatching a command takes
 //! only the lock-free channel send to the owning shard; groups on
 //! different shards never contend, and groups on the same shard
@@ -267,7 +267,10 @@ impl Drop for ShardPool {
 /// is stepping, and, in daemon mode, which groups are busy or quiet.
 /// A group is in at most one of `busy`, `lingering` and `quiet`.
 struct Worker<'a> {
-    groups: BTreeMap<GroupId, GroupInstance>,
+    /// Boxed: gids arrive in ascending order, which leaves the B-tree's
+    /// leaves a little over half full, and an unused slot then costs a
+    /// pointer rather than a whole instance.
+    groups: BTreeMap<GroupId, Box<GroupInstance>>,
     out: Vec<Outbound>,
     counters: &'a ShardCounters,
     auto_run: bool,
@@ -335,7 +338,7 @@ impl Worker<'_> {
         match cmd {
             ShardCmd::Create { gid, capacity, creator } => {
                 if let std::collections::btree_map::Entry::Vacant(slot) = self.groups.entry(gid) {
-                    slot.insert(GroupInstance::new(gid, capacity, 0));
+                    slot.insert(Box::new(GroupInstance::new(gid, capacity, 0)));
                     self.counters.groups_hosted.fetch_add(1, Ordering::Relaxed);
                 }
                 if let Some(p) = creator {
@@ -346,15 +349,15 @@ impl Worker<'_> {
             ShardCmd::Reply(out) => self.out.push((GroupId::DIRECTORY, out.to, out.msg)),
             ShardCmd::Report { gid, reply } => {
                 self.hand_over();
-                let _ = reply.send(self.groups.get(&gid).map(GroupInstance::report));
+                let _ = reply.send(self.groups.get(&gid).map(|g| g.report()));
             }
             ShardCmd::ReportAll { reply } => {
                 self.hand_over();
-                let _ = reply.send(self.groups.values().map(GroupInstance::report).collect());
+                let _ = reply.send(self.groups.values().map(|g| g.report()).collect());
             }
             ShardCmd::Finish { gid, reply } => {
                 self.hand_over();
-                let _ = reply.send(self.groups.get_mut(&gid).map(GroupInstance::finish));
+                let _ = reply.send(self.groups.get_mut(&gid).map(|g| g.finish()));
             }
             ShardCmd::Shutdown => return false,
         }

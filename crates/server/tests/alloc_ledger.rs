@@ -1,9 +1,10 @@
-//! The cost ledger: heap allocations, counted exactly by a counting
-//! global allocator and pinned.
+//! The cost ledger: heap allocations and live heap bytes, counted exactly
+//! by a counting global allocator and pinned.
 //!
-//! An allocation is one call to `alloc`, `alloc_zeroed` or `realloc`.
-//! Each thread keeps its own count, so tests running side by side do not
-//! mix theirs. Two pins:
+//! An allocation is one call to `alloc`, `alloc_zeroed` or `realloc`;
+//! live bytes are the bytes requested and not yet freed. Each thread
+//! keeps its own counts, so tests running side by side do not mix theirs.
+//! Three pins:
 //!
 //! * a quiescent [`Endpoint`] poll — `step(None, …)` with nothing enabled
 //!   — allocates nothing, under each forwarding strategy, both in a
@@ -11,7 +12,11 @@
 //! * allocations per multicast on a bare [`GroupInstance`] at
 //!   n = 2/4/8/16 — n joins, 128 warm-up multicasts, then 640 counted
 //!   ones, each followed by `Run` and `drain_outputs`, as a shard worker
-//!   steps them — stay within upper bounds.
+//!   steps them — stay within upper bounds;
+//! * the live heap of one group of four at the end of set-up (four joins,
+//!   one multicast from each member) and once it has gone quiet (22
+//!   multicasts, then `Stabilize`) stays within upper bounds. Unlike a
+//!   resident-set reading it is the same on every run.
 //!
 //! A change that moves a count updates its pin and says why. These are
 //! release-mode tests (ignored in debug builds, whose `debug_assert`s
@@ -30,14 +35,23 @@ use vsgm_types::{AppMsg, GroupId, ProcSet, ProcessId, StartChangeId, View, ViewI
 thread_local! {
     /// Allocations made by this thread so far.
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    /// Bytes this thread allocated less those it freed, so far.
+    static LIVE: Cell<isize> = const { Cell::new(0) };
 }
 
-/// The system allocator, counting each thread's allocations.
+/// The system allocator, counting each thread's allocations and live
+/// bytes.
 struct Counting;
 
-fn count() {
+/// Counts one allocation that grew the live heap by `grown` bytes.
+fn count(grown: isize) {
     // `try_with`: a thread being torn down still frees and allocates.
     let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+    live(grown);
+}
+
+fn live(grown: isize) {
+    let _ = LIVE.try_with(|b| b.set(b.get() + grown));
 }
 
 #[expect(
@@ -45,28 +59,29 @@ fn count() {
     reason = "a global allocator is an `unsafe impl`; this one forwards to `System`"
 )]
 // SAFETY: every method passes its arguments unchanged to `System`, which
-// meets `GlobalAlloc`'s contract; counting only bumps a thread-local
-// `Cell`, which neither allocates nor unwinds.
+// meets `GlobalAlloc`'s contract; counting only bumps thread-local
+// `Cell`s, which neither allocate nor unwind.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count();
+        count(layout.size() as isize);
         // SAFETY: the caller's `layout` obligations pass through to `System`.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count();
+        count(layout.size() as isize);
         // SAFETY: as for `alloc`.
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count();
+        count(new_size as isize - layout.size() as isize);
         // SAFETY: `ptr` came from this allocator, so from `System`.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        live(-(layout.size() as isize));
         // SAFETY: `ptr` came from this allocator, so from `System`.
         unsafe { System.dealloc(ptr, layout) }
     }
@@ -80,6 +95,14 @@ fn allocations(f: impl FnOnce()) -> u64 {
     let before = ALLOCATIONS.with(Cell::get);
     f();
     ALLOCATIONS.with(Cell::get) - before
+}
+
+/// What `f` returns, and the bytes it left allocated on this thread: the
+/// heap the returned value holds.
+fn live_bytes<T>(f: impl FnOnce() -> T) -> (T, isize) {
+    let before = LIVE.with(Cell::get);
+    let kept = f();
+    (kept, LIVE.with(Cell::get) - before)
 }
 
 fn p(i: u64) -> ProcessId {
@@ -231,5 +254,39 @@ fn allocations_per_multicast_stay_within_their_pins() {
         let per = total as f64 / COUNTED as f64;
         println!("n = {n:>2}: {per:.2} allocations per multicast ({total}; pin {pin})");
         assert!(total <= pin, "n = {n}: {total} allocations, pinned at {pin}");
+    }
+}
+
+/// A group of four after four joins and `multicasts` round-robin from its
+/// members, each a shard-worker step with a fresh 64-byte payload, as a
+/// client sends, then a `Stabilize` with `quiet`; and the live bytes it
+/// holds.
+fn group_of_four_holding(multicasts: u64, quiet: bool) -> (GroupInstance, isize) {
+    live_bytes(|| {
+        let mut g = GroupInstance::new(GroupId::new(1), 4, 0);
+        for i in 1..=4 {
+            step(&mut g, GroupCmd::Join(p(i)));
+        }
+        for k in 0..multicasts {
+            step(&mut g, GroupCmd::Send { from: p(1 + k % 4), msg: AppMsg::new(vec![0x5Au8; 64]) });
+        }
+        if quiet {
+            step(&mut g, GroupCmd::Stabilize);
+        }
+        g
+    })
+}
+
+#[test]
+#[cfg_attr(debug_assertions, ignore = "release-mode ledger; scripts/check.sh runs it by name")]
+fn a_group_of_four_holds_no_more_live_bytes_than_pinned() {
+    // (state, multicasts, Stabilize, live bytes): upper bounds, each set
+    // at the bytes measured when it was pinned.
+    let pins = [("set-up end", 4, false, 9_288), ("quiet after 22 multicasts", 22, true, 8_712)];
+    for (state, multicasts, quiet, pin) in pins {
+        let (mut g, bytes) = group_of_four_holding(multicasts, quiet);
+        println!("{state}: {bytes} live bytes per group of four (pin {pin})");
+        assert!(g.finish().is_empty());
+        assert!(bytes <= pin, "{state}: {bytes} live bytes, pinned at {pin}");
     }
 }

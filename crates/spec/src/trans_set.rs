@@ -1,8 +1,7 @@
 //! `TRANS_SET:SPEC` — transitional sets (Fig. 6, Property 4.1).
 
 use crate::view_sync::ViewCursor;
-use std::collections::BTreeMap;
-use vsgm_types::{ProcSet, ProcessId, View};
+use vsgm_types::{ProcSet, ProcessId, VecMap, View};
 
 /// The name `TRANS_SET:SPEC`'s violations carry.
 pub(crate) const TS: &str = "TRANS_SET:SPEC";
@@ -24,12 +23,12 @@ pub(crate) const TS: &str = "TRANS_SET:SPEC";
 /// past it — and at the end of the run for the views some member can
 /// still install. The transitions of a judged view are dropped: nothing
 /// can join them any more, since the cursor's Local Monotonicity admits
-/// no member below its floor.
+/// no member below its floor, so the views held are the live ones.
 #[derive(Debug, Default)]
 pub(crate) struct Transitions {
     /// The observed transitions into each view some member can still
     /// install.
-    open: BTreeMap<View, Vec<Transition>>,
+    open: VecMap<View, Vec<Transition>>,
 }
 
 /// One observed `view_p(next, T)`: the process, the view it moved from,

@@ -1,8 +1,7 @@
 //! `VS_RFIFO:SPEC` — virtual synchrony via agreed cuts (Fig. 5).
 
 use crate::view_sync::ViewCursor;
-use std::collections::BTreeMap;
-use vsgm_types::{Cut, ProcSet, ProcessId, View};
+use vsgm_types::{Cut, ProcSet, ProcessId, VecMap, View};
 
 /// The name `VS_RFIFO:SPEC`'s violations carry.
 pub(crate) const VS: &str = "VS_RFIFO:SPEC";
@@ -25,11 +24,12 @@ pub(crate) const VS: &str = "VS_RFIFO:SPEC";
 /// `cut[v][v']` is read only by a process in `v` installing `v'`. Once no
 /// process is in `v` and Local Monotonicity lets none enter it any more,
 /// no event, legal or violating, can read `cut[v][·]`, and
-/// [`Cuts::forget`] drops it.
+/// [`Cuts::forget`] drops it. The map then holds the cuts out of live
+/// views only, so a sorted vector suits it.
 #[derive(Debug, Default)]
 pub(crate) struct Cuts {
     /// `cut[v][v']`, keyed by the (full-triple) views.
-    cut: BTreeMap<(View, View), Cut>,
+    cut: VecMap<(View, View), Cut>,
 }
 
 impl Cuts {

@@ -1,7 +1,7 @@
 //! `WV_RFIFO:SPEC` — within-view reliable FIFO multicast (Fig. 4).
 
 use crate::view_sync::{Reader, ViewCursor};
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 use vsgm_types::{AppMsg, ProcessId, VecMap, View};
 
 /// The name `WV_RFIFO:SPEC`'s violations carry.
@@ -34,11 +34,11 @@ pub(crate) const WV: &str = "WV_RFIFO:SPEC";
 /// can still install it, and the whole sequence once no process is in `v`
 /// either. No event, legal or violating, can tell: what it keeps is a
 /// function of the group's membership and its undelivered messages, not
-/// of the run's length.
+/// of the run's length — the live views, keyed in a sorted vector.
 #[derive(Debug, Default)]
 pub(crate) struct Windows {
     /// `msgs[view][sender]`.
-    msgs: BTreeMap<View, VecMap<ProcessId, Sent>>,
+    msgs: VecMap<View, VecMap<ProcessId, Sent>>,
 }
 
 /// What one incarnation of a sender sent in one view.
@@ -116,6 +116,12 @@ impl Windows {
             if shared {
                 return Err(format!("send_{p}: two incarnations of {p} sent in the same view {v}"));
             }
+        }
+        // Exactly one slot for the first message: most senders have one
+        // or a few undelivered at a time, and a `VecDeque`'s first
+        // growth would make room for four.
+        if sent.msgs.capacity() == 0 {
+            sent.msgs.reserve_exact(1);
         }
         sent.msgs.push_back(msg.clone());
         Ok(())
@@ -387,7 +393,8 @@ mod tests {
             view: v.clone(),
             transitional: Default::default(),
         };
-        let held = |spec: &ViewSyncSpec| spec.wv.msgs[&v].get(&p(1)).unwrap().msgs.len();
+        let held =
+            |spec: &ViewSyncSpec| spec.wv.msgs.get(&v).unwrap().get(&p(1)).unwrap().msgs.len();
         feed(&mut spec, install(1));
         feed(&mut spec, Event::Send { p: p(1), msg: m("a") });
         feed(&mut spec, Event::Send { p: p(1), msg: m("b") });

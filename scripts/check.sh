@@ -223,13 +223,17 @@ named_tests -p vsgm-core --lib -- \
 # acknowledgement round, after which no end-point holds a window
 # buffer (an emptied window hands its allocation back and keeps its
 # indices), and its next multicast is delivered as in a twin never
-# stabilized.
+# stabilized. The finished round leaves no acknowledgement record: an
+# end-point without it sends the same next acknowledgement and keeps
+# the same windows as its twin that kept it, and a record still armed
+# stays.
 echo "==> end-point memory (one generation of sync records, shared cuts, quiet windows)"
 named_tests -p vsgm-core --lib -- \
     state::tests::after_a_cascaded_change_only_the_current_views_start_ids_remain \
     state::tests::a_member_that_leaves_and_rejoins_leaves_one_generation_behind \
     state::tests::a_future_joiners_early_sync_survives_the_install_and_the_next_view_installs \
-    state::tests::releasing_empty_windows_frees_their_buffers_and_keeps_their_indices
+    state::tests::releasing_empty_windows_frees_their_buffers_and_keeps_their_indices \
+    stability::tests::releasing_a_finished_rounds_record_changes_no_later_ack_or_window
 named_tests -p vsgm-server --lib -- \
     group::tests::after_churn_each_end_point_holds_one_sync_record_per_member \
     group::tests::after_stabilize_a_quiet_group_holds_no_window_buffer
@@ -256,12 +260,16 @@ named_tests -p vsgm-harness --lib -- \
 
 # The cost ledger, run by name (release builds: debug builds' assertions
 # allocate). A counting global allocator pins a quiescent end-point poll
-# at zero allocations under each forwarding strategy, and allocations per
-# multicast on a bare GroupInstance at n = 2/4/8/16 under upper bounds.
-echo "==> cost ledger (allocations per poll and per multicast)"
+# at zero allocations under each forwarding strategy, allocations per
+# multicast on a bare GroupInstance at n = 2/4/8/16 under upper bounds,
+# and the live heap bytes of a group of four at the end of set-up and
+# once it has gone quiet under upper bounds (the same on every run,
+# unlike the resident set the footprint soak reads).
+echo "==> cost ledger (allocations per poll and per multicast, live bytes per group)"
 named_tests --release -p vsgm-server --test alloc_ledger -- \
     a_quiescent_poll_allocates_nothing_under_each_forwarding_strategy \
-    allocations_per_multicast_stay_within_their_pins
+    allocations_per_multicast_stay_within_their_pins \
+    a_group_of_four_holds_no_more_live_bytes_than_pinned
 
 # Multi-group conformance (DESIGN.md §17). Differential: the daemon's
 # direct host must hand every receiver the byte-identical frame sequence
@@ -295,9 +303,9 @@ cargo test -q -p vsgm --test multigroup_chaos "${CARGO_FLAGS[@]}" >/dev/null
 # or end-points that stop acknowledging, fail here.
 # Footprint: 1000 groups of four (joined, drained, then 4, 22 or 70
 # multicasts — the last past one acknowledgement round) stay under
-# 18 KiB resident each; 22 and the quiet group's `Stabilize` stay under
-# 13 KiB, below 22 without it; and four members in capacity 16 cost within
-# 1 KiB of four in capacity 4 — a host that provisions per capacity,
+# 12 KiB resident each after 4 and 17 KiB after 22 or 70; 22 and the
+# quiet group's `Stabilize` stay under 11 KiB, below 22 without it; and
+# four members in capacity 16 cost within 1 KiB of four in capacity 4 — a host that provisions per capacity,
 # simulates its clients again, keeps per-process state in B-tree
 # leaves again, or end-points that keep two generations of sync
 # records or a private copy of every cut, fail here. Each soak's growth or per-group line is
