@@ -6,7 +6,7 @@ use crate::state::{State, SyncRecord};
 use crate::{sd, stability, vs, wv};
 use vsgm_obs::{names, NoopRecorder, Recorder};
 use vsgm_types::{
-    AppMsg, FwdPayload, NetMsg, ProcSet, ProcessId, StartChangeId, SyncPayload, View,
+    AppMsg, FwdPayload, MsgIndex, NetMsg, ProcSet, ProcessId, StartChangeId, SyncPayload, View,
 };
 
 /// An input action of the end-point (inputs are always enabled; effects
@@ -229,14 +229,15 @@ impl Endpoint {
         &self.st
     }
 
-    /// Hands back the buffers of the message windows that hold nothing,
-    /// and the record of a finished acknowledgement round
-    /// ([`State::release_empty_windows`]). Not an action: it fires
-    /// nothing, and changes no delivery, view or window. Until the next
-    /// round, [`crate::stability::floor`] reads 0, and the next
-    /// acknowledgement is sent even if it repeats the last one.
-    pub fn release_empty_windows(&mut self) {
-        self.st.release_empty_windows();
+    /// Frees from `msgs[q][current_view]` what every member of the
+    /// current view has delivered from `q`, up to `floor`, as its host has
+    /// read it off their states ([`State::forget_delivered`], DESIGN.md
+    /// §18). For a host that runs every member's end-point itself; its
+    /// peers' deliveries are otherwise known only from their
+    /// acknowledgements ([`crate::stability`]). Not an action: it fires
+    /// nothing, and changes no delivery, view or cut.
+    pub fn forget_delivered(&mut self, q: ProcessId, floor: MsgIndex) {
+        self.st.forget_delivered(q, floor);
     }
 
     /// One step of the automaton, its effects pushed onto `out` in order

@@ -20,23 +20,25 @@
 //! *When* to acknowledge is the host's call: [`on_ack_due`] arms one
 //! [`send_ack_pre`] / [`send_ack_eff`] transition. An end-point that is
 //! never told [`crate::Input::AckDue`] sends nothing, hears nothing and
-//! retains everything. *Whether* to drop is not an option.
+//! retains everything — unless its host can see the floor without
+//! asking. The daemon's `GroupInstance` runs every member's end-point
+//! itself, in one process: after each step it reads every member's
+//! `last_dlvrd` and hands each end-point the floor
+//! ([`crate::Endpoint::forget_delivered`]), and acknowledges nothing.
+//! *Whether* to drop is not an option.
 
 use crate::state::State;
 use vsgm_types::{Cut, MsgIndex, NetMsg, ProcSet, ProcessId};
 
-/// How often a host asks for acknowledgements ([`crate::Input::AckDue`]).
-/// The daemon's `GroupInstance` asks every member once this many
-/// multicasts have been applied to the group, and once more when its
-/// shard worker finds it quiet — multicast to in one 100 ms period and
-/// not in the next — so that a group which never reaches this count
-/// does not keep all it was sent (DESIGN.md §18); a [`crate::Node`]
-/// asks its end-point once this many messages were delivered to its
-/// application. A busy member then retains about this many messages per
-/// sender, and a round costs n + n(n−1) events (EXPERIMENTS.md E16).
-/// The trigger stays in the hosts, not in [`crate::Hosted`]:
-/// `harness::Sim` acknowledges only on `Sim::ack_round`, its
-/// un-acknowledged run is the retaining reference
+/// How often a host asks for acknowledgements ([`crate::Input::AckDue`]):
+/// a [`crate::Node`] asks its end-point once this many messages were
+/// delivered to its application. A busy member then retains about this
+/// many messages per sender, and a round costs n + n(n−1) events
+/// (EXPERIMENTS.md E16). The daemon's `GroupInstance` does not ask: it
+/// reads its members' deliveries directly and frees after every step
+/// (DESIGN.md §18). The trigger stays in the hosts, not in
+/// [`crate::Hosted`]: `harness::Sim` acknowledges only on
+/// `Sim::ack_round`, its un-acknowledged run is the retaining reference
 /// `tests/stability_differential.rs` compares against, and a trigger
 /// inside the composition would need a switch to turn it off.
 pub const ACK_EVERY: u64 = 64;
@@ -253,49 +255,6 @@ mod tests {
         let (to, _) = send_ack_eff(&mut st).expect("armed");
         assert!(to.is_empty());
         assert_eq!(st.buf(p(1), &st.current_view).map(|b| b.retained()), Some(0));
-    }
-
-    /// What p1 retains from p2: `(freed, retained, prefix, last index)`.
-    fn window_from_p2(st: &State) -> Option<(MsgIndex, usize, MsgIndex, MsgIndex)> {
-        let buf = st.buf(p(2), &st.current_view)?;
-        Some((buf.freed(), buf.retained(), buf.longest_prefix(), buf.last_index()))
-    }
-
-    #[test]
-    fn releasing_a_finished_rounds_record_changes_no_later_ack_or_window() {
-        // A round: p1 announces its 3 deliveries, p2 and p3 theirs, and
-        // p2's window empties.
-        let mut kept = delivered_from_p2(3);
-        on_ack_due(&mut kept);
-        send_ack_eff(&mut kept).expect("armed");
-        on_ack(&mut kept, p(2), ack(&[(2, 3)]));
-        on_ack(&mut kept, p(3), ack(&[(2, 3)]));
-        assert_eq!(window_from_p2(&kept), Some((3, 0, 3, 3)));
-        let mut released = kept.clone();
-        released.release_empty_windows();
-        assert_eq!(released.stability, None, "the finished round leaves no record");
-        assert_eq!(floor(&released, p(2)), 0);
-        // The next multicast and round: the same ack, the same windows.
-        for st in [&mut kept, &mut released] {
-            wv::on_app_msg(st, p(2), AppMsg::from("next"));
-            wv::deliver_eff(st, p(2));
-            on_ack_due(st);
-        }
-        let sent = send_ack_eff(&mut kept);
-        assert_eq!(sent, Some(([p(2), p(3)].into_iter().collect(), NetMsg::Ack(ack(&[(2, 4)])))));
-        assert_eq!(send_ack_eff(&mut released), sent);
-        assert_eq!(window_from_p2(&released), window_from_p2(&kept));
-        for st in [&mut kept, &mut released] {
-            on_ack(st, p(2), ack(&[(2, 4)]));
-            on_ack(st, p(3), ack(&[(2, 4)]));
-        }
-        assert_eq!(window_from_p2(&released), Some((4, 0, 4, 4)));
-        assert_eq!(window_from_p2(&kept), window_from_p2(&released));
-        assert_eq!(released.stability, kept.stability);
-        // A record still armed is a round not yet done: it stays.
-        on_ack_due(&mut released);
-        released.release_empty_windows();
-        assert!(released.stability.as_ref().is_some_and(|s| s.armed));
     }
 
     #[test]

@@ -21,7 +21,7 @@ pub struct MsgSeq {
     /// Indices `1..=base` have been dropped.
     base: MsgIndex,
     /// Slot `k` holds index `base + 1 + k`; the back slot is populated.
-    slots: VecDeque<Option<AppMsg>>,
+    slots: Slots,
     /// `LongestPrefixOf`, kept as messages arrive: indices `1..=prefix`
     /// are or were all present, and `prefix >= base`.
     prefix: MsgIndex,
@@ -34,7 +34,7 @@ impl MsgSeq {
 
     /// The message at 1-based index `i`, if retained.
     pub fn get(&self, i: MsgIndex) -> Option<&AppMsg> {
-        self.slots.get(self.slot(i)?).and_then(Option::as_ref)
+        self.slots.get(self.slot(i)?)
     }
 
     /// Stores a message at 1-based index `i`, growing with gaps as
@@ -48,13 +48,7 @@ impl MsgSeq {
         if i.saturating_sub(self.prefix) > MAX_GAP {
             return false;
         }
-        if self.slots.len() <= k {
-            reserve_first(&mut self.slots, k + 1);
-            self.slots.resize(k + 1, None);
-        }
-        if let Some(slot) = self.slots.get_mut(k) {
-            *slot = Some(m);
-        }
+        self.slots.set(k, m);
         while self.get(self.prefix + 1).is_some() {
             self.prefix += 1;
         }
@@ -66,8 +60,7 @@ impl MsgSeq {
         if self.prefix == self.last_index() {
             self.prefix += 1;
         }
-        reserve_first(&mut self.slots, 1);
-        self.slots.push_back(Some(m));
+        self.slots.push_back(m);
     }
 
     /// `LongestPrefixOf`: the largest `k` such that indices `1..=k` are
@@ -91,16 +84,19 @@ impl MsgSeq {
         self.slots.len()
     }
 
-    /// How many slots the window has room for before it allocates again
-    /// (0 once [`State::release_empty_windows`] handed it back).
+    /// How many slots the window's heap buffer has room for: 0 while it
+    /// holds no slot or one, inline.
     pub fn capacity(&self) -> usize {
-        self.slots.capacity()
+        match &self.slots {
+            Slots::One(_) => 0,
+            Slots::Many(slots) => slots.capacity(),
+        }
     }
 
     /// Drops every index up to `k`, but never past the gap-free prefix.
     pub fn free_through(&mut self, k: MsgIndex) {
         let n = k.min(self.prefix).saturating_sub(self.base);
-        self.slots.drain(..n as usize);
+        self.slots.drain_front(n as usize);
         self.base += n;
     }
 
@@ -111,9 +107,6 @@ impl MsgSeq {
     pub fn truncate(&mut self, keep: MsgIndex) {
         self.slots.truncate(keep.saturating_sub(self.base) as usize);
         self.base = self.base.min(keep);
-        while self.slots.back().is_some_and(Option::is_none) {
-            self.slots.pop_back();
-        }
         self.prefix = self.prefix.min(self.last_index());
     }
 
@@ -122,17 +115,131 @@ impl MsgSeq {
     /// the back slot is populated. For [`crate::audit`].
     pub fn is_consistent(&self) -> bool {
         let held = self.slots.iter().take_while(|s| s.is_some()).count() as MsgIndex;
-        self.prefix == self.base + held && self.slots.back().is_none_or(Option::is_some)
+        let back = self.slots.len().checked_sub(1);
+        self.prefix == self.base + held && back.is_none_or(|k| self.slots.get(k).is_some())
     }
 }
 
-/// Gives an unallocated window room for exactly `n` slots. A group
-/// acknowledges every [`crate::stability::ACK_EVERY`] multicasts and
-/// when it goes quiet, so most windows hold one message or a few at a
-/// time; a `VecDeque`'s first growth would make room for four.
-fn reserve_first(slots: &mut VecDeque<Option<AppMsg>>, n: usize) {
-    if slots.capacity() == 0 {
-        slots.reserve_exact(n);
+/// A window's slots. A hosted group frees what all its members delivered
+/// after every step ([`State::forget_delivered`]), so its windows hold
+/// one message at most, and only within the step: that one is kept
+/// inline, and a window moves to the heap only past it. A window that
+/// empties hands its heap buffer back.
+#[derive(Clone)]
+enum Slots {
+    /// No slot, or one: a window's back slot is populated.
+    One(Option<AppMsg>),
+    /// Two slots or more, or what a drain from the front left of them.
+    Many(VecDeque<Option<AppMsg>>),
+}
+
+impl Default for Slots {
+    fn default() -> Self {
+        Slots::One(None)
+    }
+}
+
+impl Slots {
+    fn len(&self) -> usize {
+        match self {
+            Slots::One(slot) => usize::from(slot.is_some()),
+            Slots::Many(slots) => slots.len(),
+        }
+    }
+
+    fn get(&self, k: usize) -> Option<&AppMsg> {
+        match self {
+            Slots::One(slot) if k == 0 => slot.as_ref(),
+            Slots::One(_) => None,
+            Slots::Many(slots) => slots.get(k).and_then(Option::as_ref),
+        }
+    }
+
+    fn iter(&self) -> impl Iterator<Item = &Option<AppMsg>> {
+        let (one, many) = match self {
+            Slots::One(slot) => (slot.is_some().then_some(slot), None),
+            Slots::Many(slots) => (None, Some(slots.iter())),
+        };
+        one.into_iter().chain(many.into_iter().flatten())
+    }
+
+    /// Takes the slots out as a deque, leaving none.
+    fn take_deque(&mut self) -> VecDeque<Option<AppMsg>> {
+        match std::mem::take(self) {
+            Slots::One(slot) => slot.map(Some).into_iter().collect(),
+            Slots::Many(slots) => slots,
+        }
+    }
+
+    /// Stores `m` in slot `k`, adding empty slots before it as needed.
+    fn set(&mut self, k: usize, m: AppMsg) {
+        match self {
+            Slots::One(slot) if k == 0 => *slot = Some(m),
+            Slots::Many(slots) if k < slots.len() => {
+                if let Some(slot) = slots.get_mut(k) {
+                    *slot = Some(m);
+                }
+            }
+            _ => {
+                let mut slots = self.take_deque();
+                slots.resize(k, None);
+                slots.push_back(Some(m));
+                *self = Slots::Many(slots);
+            }
+        }
+    }
+
+    fn push_back(&mut self, m: AppMsg) {
+        match self {
+            Slots::One(slot @ None) => *slot = Some(m),
+            Slots::Many(slots) => slots.push_back(Some(m)),
+            Slots::One(Some(_)) => {
+                let mut slots = self.take_deque();
+                slots.push_back(Some(m));
+                *self = Slots::Many(slots);
+            }
+        }
+    }
+
+    /// Removes the first `n` slots, at most all of them.
+    fn drain_front(&mut self, n: usize) {
+        match self {
+            Slots::One(slot) if n > 0 => *slot = None,
+            Slots::One(_) => {}
+            Slots::Many(slots) => {
+                slots.drain(..n.min(slots.len()));
+                self.release_if_empty();
+            }
+        }
+    }
+
+    /// Keeps the first `len` slots, then drops the trailing empty ones.
+    fn truncate(&mut self, len: usize) {
+        match self {
+            Slots::One(slot) if len == 0 => *slot = None,
+            Slots::One(_) => {}
+            Slots::Many(slots) => {
+                slots.truncate(len);
+                while slots.back().is_some_and(Option::is_none) {
+                    slots.pop_back();
+                }
+                self.release_if_empty();
+            }
+        }
+    }
+
+    fn release_if_empty(&mut self) {
+        if self.len() == 0 {
+            *self = Slots::One(None);
+        }
+    }
+}
+
+/// As the deque of slots prints, inline or not: explore fingerprints
+/// hash an end-point's `Debug` text.
+impl std::fmt::Debug for Slots {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
     }
 }
 
@@ -389,22 +496,19 @@ impl State {
         self.sync_msgs.shrink_to_fit();
     }
 
-    /// Hands back the allocation of every `msgs[q][v]` window that
-    /// retains no slot — what an acknowledgement round in a quiet group
-    /// leaves behind (DESIGN.md §18) — and, once the round is done (no
-    /// acknowledgement is armed), the round's record. The indices stay: a
-    /// released window answers every call as before, and its next message
-    /// allocates it again. The record only kept the end-point from
-    /// repeating an acknowledgement it already sent, and the floor from
-    /// reading 0 until the next round; that round follows a multicast,
-    /// which every member delivers and then announces, so it replaces
-    /// every entry anyway.
-    pub fn release_empty_windows(&mut self) {
-        for buf in self.msgs.values_mut().filter(|buf| buf.slots.is_empty()) {
-            buf.slots = VecDeque::new();
+    /// Drops from `msgs[q][current_view]` the messages at or below
+    /// `floor`, a host's reading of how far every member of the current
+    /// view has delivered from `q` (DESIGN.md §18). Clamped, as
+    /// [`crate::stability::floor`] is, by the own `last_dlvrd[q]` and,
+    /// for the own window, by `last_sent`: a floor above either frees
+    /// nothing this end-point has yet to deliver or to send.
+    pub fn forget_delivered(&mut self, q: ProcessId, floor: MsgIndex) {
+        let mut floor = floor.min(self.dlvrd(q));
+        if q == self.pid {
+            floor = floor.min(self.last_sent);
         }
-        if self.stability.as_ref().is_some_and(|s| !s.armed) {
-            self.stability = None;
+        if let Some(buf) = self.msgs.get_mut(&(q, self.current_view.clone())) {
+            buf.free_through(floor);
         }
     }
 
@@ -493,18 +597,62 @@ mod tests {
             st.buf_mut(p(1), &v).push(AppMsg::from(vec![k]));
             st.buf_mut(p(2), &v).push(AppMsg::from(vec![k]));
         }
+        assert!(st.msgs.values().all(|buf| buf.capacity() >= 6), "six slots are on the heap");
         st.buf_mut(p(1), &v).free_through(6);
         st.buf_mut(p(2), &v).free_through(5);
-        st.release_empty_windows();
         let emptied = st.buf(p(1), &v).unwrap();
         assert_eq!(emptied.capacity(), 0, "the emptied window is handed back");
         assert_eq!((emptied.freed(), emptied.longest_prefix(), emptied.last_index()), (6, 6, 6));
         let held = st.buf(p(2), &v).unwrap();
         assert_eq!((held.retained(), held.get(6)), (1, Some(&AppMsg::from(vec![6u8]))));
+        // The next message is held inline; a second one moves to the heap.
         let next = st.buf_mut(p(1), &v);
         next.push(AppMsg::from("next"));
-        assert_eq!((next.get(7), next.longest_prefix()), (Some(&AppMsg::from("next")), 7));
+        assert_eq!(
+            (next.get(7), next.longest_prefix(), next.capacity()),
+            (Some(&AppMsg::from("next")), 7, 0)
+        );
         assert!(next.is_consistent());
+        next.set(9, AppMsg::from("gap"));
+        assert_eq!(
+            (next.retained(), next.get(9), next.longest_prefix()),
+            (3, Some(&AppMsg::from("gap")), 7)
+        );
+        assert!(next.capacity() >= 3 && next.is_consistent());
+    }
+
+    /// The host's floor frees what every member delivered, and never
+    /// what this end-point has yet to deliver or, in its own window,
+    /// to send.
+    #[test]
+    fn a_hosts_floor_is_clamped_by_the_own_deliveries_and_sends() {
+        let mut st = State::new(p(1));
+        let v = st.current_view.clone();
+        for k in 1..=4u8 {
+            st.buf_mut(p(1), &v).push(AppMsg::from(vec![k]));
+            st.buf_mut(p(2), &v).push(AppMsg::from(vec![k]));
+        }
+        st.last_dlvrd.insert(p(1), 3);
+        st.last_dlvrd.insert(p(2), 2);
+        st.last_sent = 1;
+        let window = |st: &State, q: u64| st.buf(p(q), &v).map(|b| (b.freed(), b.retained()));
+        // Above the own deliveries: only what was delivered goes.
+        st.forget_delivered(p(2), 99);
+        assert_eq!(window(&st, 2), Some((2, 2)));
+        // The own window: no further than what was sent.
+        st.forget_delivered(p(1), 99);
+        assert_eq!(window(&st, 1), Some((1, 3)));
+        st.last_sent = 4;
+        st.forget_delivered(p(1), 2);
+        assert_eq!(window(&st, 1), Some((2, 2)), "no further than the floor");
+        st.forget_delivered(p(1), 99);
+        assert_eq!(window(&st, 1), Some((3, 1)), "no further than the own deliveries");
+        // A floor below what was freed, or for a window that does not
+        // exist, changes nothing.
+        st.forget_delivered(p(1), 1);
+        st.forget_delivered(p(3), 99);
+        assert_eq!((window(&st, 1), window(&st, 3)), (Some((3, 1)), None));
+        assert!(st.msgs.values().all(MsgSeq::is_consistent));
     }
 
     #[test]

@@ -9,8 +9,154 @@ fn msg(k: u64) -> AppMsg {
     AppMsg::from(format!("m{k}").as_str())
 }
 
+/// The reference window: every slot in a deque on the heap, whatever it
+/// holds. `MsgSeq` keeps a window of one slot inline and must not be told
+/// apart from it, by its answers or by its `Debug` text, which explore
+/// fingerprints hash.
+mod heap {
+    use std::collections::VecDeque;
+    use vsgm_core::state::MAX_GAP;
+    use vsgm_types::{AppMsg, MsgIndex};
+
+    #[derive(Debug, Default)]
+    pub struct MsgSeq {
+        base: MsgIndex,
+        slots: VecDeque<Option<AppMsg>>,
+        prefix: MsgIndex,
+    }
+
+    impl MsgSeq {
+        pub fn get(&self, i: MsgIndex) -> Option<&AppMsg> {
+            let k = i.checked_sub(self.base + 1)?;
+            self.slots.get(k as usize)?.as_ref()
+        }
+
+        pub fn set(&mut self, i: MsgIndex, m: AppMsg) -> bool {
+            let Some(k) = i.checked_sub(self.base + 1) else { return i != 0 };
+            if i.saturating_sub(self.prefix) > MAX_GAP {
+                return false;
+            }
+            let k = k as usize;
+            if self.slots.len() <= k {
+                self.slots.resize(k + 1, None);
+            }
+            self.slots[k] = Some(m);
+            while self.get(self.prefix + 1).is_some() {
+                self.prefix += 1;
+            }
+            true
+        }
+
+        pub fn push(&mut self, m: AppMsg) {
+            if self.prefix == self.last_index() {
+                self.prefix += 1;
+            }
+            self.slots.push_back(Some(m));
+        }
+
+        pub fn longest_prefix(&self) -> MsgIndex {
+            self.prefix
+        }
+
+        pub fn last_index(&self) -> MsgIndex {
+            self.base + self.slots.len() as MsgIndex
+        }
+
+        pub fn freed(&self) -> MsgIndex {
+            self.base
+        }
+
+        pub fn retained(&self) -> usize {
+            self.slots.len()
+        }
+
+        pub fn free_through(&mut self, k: MsgIndex) {
+            let n = k.min(self.prefix).saturating_sub(self.base);
+            self.slots.drain(..n as usize);
+            self.base += n;
+        }
+
+        pub fn truncate(&mut self, keep: MsgIndex) {
+            self.slots.truncate(keep.saturating_sub(self.base) as usize);
+            self.base = self.base.min(keep);
+            while self.slots.back().is_some_and(Option::is_none) {
+                self.slots.pop_back();
+            }
+            self.prefix = self.prefix.min(self.last_index());
+        }
+
+        pub fn is_consistent(&self) -> bool {
+            let held = self.slots.iter().take_while(|s| s.is_some()).count() as MsgIndex;
+            self.prefix == self.base + held && self.slots.back().is_none_or(Option::is_some)
+        }
+    }
+}
+
+/// One operation on a window.
+#[derive(Debug, Clone)]
+enum Op {
+    Set(u64),
+    Push,
+    FreeThrough(u64),
+    Truncate(u64),
+}
+
+fn op() -> impl Strategy<Value = Op> {
+    prop_oneof![
+        3 => (0u64..16).prop_map(Op::Set),
+        2 => Just(Op::Push),
+        2 => (0u64..18).prop_map(Op::FreeThrough),
+        1 => (0u64..18).prop_map(Op::Truncate),
+    ]
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
+
+    /// A window that holds one message inline, moves to the heap past it
+    /// and back once it empties answers every query as the heap-only
+    /// window does, after every operation, and prints the same text.
+    #[test]
+    fn an_inline_window_answers_and_prints_as_a_heap_window(
+        ops in prop::collection::vec(op(), 0..60),
+    ) {
+        let mut window = MsgSeq::default();
+        let mut reference = heap::MsgSeq::default();
+        for (k, op) in (0u64..).zip(&ops) {
+            match *op {
+                Op::Set(i) => prop_assert_eq!(window.set(i, msg(k)), reference.set(i, msg(k))),
+                Op::Push => {
+                    window.push(msg(k));
+                    reference.push(msg(k));
+                }
+                Op::FreeThrough(i) => {
+                    window.free_through(i);
+                    reference.free_through(i);
+                }
+                Op::Truncate(i) => {
+                    window.truncate(i);
+                    reference.truncate(i);
+                }
+            }
+            for i in 0..=reference.last_index() + 1 {
+                prop_assert_eq!(window.get(i), reference.get(i), "get({}) after {:?}", i, op);
+            }
+            prop_assert_eq!(window.longest_prefix(), reference.longest_prefix());
+            prop_assert_eq!(window.last_index(), reference.last_index());
+            prop_assert_eq!(window.freed(), reference.freed());
+            prop_assert_eq!(window.retained(), reference.retained());
+            prop_assert_eq!(window.is_consistent(), reference.is_consistent());
+            prop_assert_eq!(format!("{window:?}"), format!("{reference:?}"));
+            prop_assert_eq!(format!("{window:#?}"), format!("{reference:#?}"));
+            // Two slots or more are on the heap; no slot is not.
+            if window.retained() > 1 {
+                prop_assert!(window.capacity() >= window.retained());
+            }
+            if window.retained() == 0 {
+                prop_assert_eq!(window.capacity(), 0);
+            }
+        }
+    }
 
     /// Filling 1..=n in any order yields prefix n; any missing index caps
     /// the prefix just below the first gap.

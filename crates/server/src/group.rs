@@ -1,21 +1,23 @@
 //! One hosted group instance: the paper's full single-group protocol
 //! stack (views, cuts, FIFO buffers) owned by exactly one shard worker.
 //!
-//! A `GroupInstance` hosts the GCS end-points of its clients directly
-//! (§3: the server runs the end-points, the clients stay lightweight).
-//! It owns one [`Hosted`] end-point per process that ever joined — the
-//! end-point with its `CLIENT:SPEC` client, composed once in `vsgm-core`
-//! — the scripted [`MembershipOracle`] that turns each join or leave into
-//! one paper reconfiguration (`start_change` + view), and a FIFO queue
-//! standing in for `CO_RFIFO` between co-hosted end-points. Nothing is
-//! simulated: no latency model, no clock, no randomness, no recorded
-//! trace. Once every [`ACK_EVERY`] multicasts, and once more when its
-//! shard worker finds it quiet ([`GroupCmd::Stabilize`]), it asks its
-//! members for a stability acknowledgement, so that their message
-//! buffers follow what is undelivered rather than what was ever sent
-//! (DESIGN.md §18); after a quiet round they hand the emptied buffers
-//! and the round's acknowledgement records back too. Every [`Event`] a
-//! hosted end-point emits is shown once to the full
+//! A `GroupInstance` hosts the GCS end-points of its clients in the
+//! daemon. The paper puts each end-point at its client and only the
+//! membership service in servers (PAPER.md §1); running the end-points
+//! in the daemon, with thin clients, is this repo's deployment choice,
+//! and the stability rule below relies on it. It owns one [`Hosted`]
+//! end-point per process that ever joined — the end-point with its
+//! `CLIENT:SPEC` client, composed once in `vsgm-core` — the scripted
+//! [`MembershipOracle`] that turns each join or leave into one paper
+//! reconfiguration (`start_change` + view), and a FIFO queue standing in
+//! for `CO_RFIFO` between co-hosted end-points. Nothing is simulated: no
+//! latency model, no clock, no randomness, no recorded trace. Because
+//! every member's end-point is here, the instance can read what each has
+//! delivered instead of asking: after every run to quiescence it frees
+//! from every member's window what all of them have delivered
+//! (DESIGN.md §18), so a window holds a message only within the step
+//! that delivers it, and no stability acknowledgement is ever sent. Every
+//! [`Event`] a hosted end-point emits is shown once to the full
 //! [`vsgm_spec::full_checks`] battery, which judges it online and keeps
 //! only what it needs to judge the next one; a `Deliver` and a `GcsView`
 //! also become the frame the client is owed.
@@ -29,15 +31,12 @@
 //! `tests/support/`.
 //!
 //! Determinism discipline: only ordered containers, no ambient clocks,
-//! no ambient randomness. The lints below pin it to this file. The
-//! daemon's one clock read is the shard worker's, and it reaches a group
-//! only as a `Stabilize` in the group's command stream: the group stays
-//! a function of its commands.
+//! no ambient randomness. The lints below pin it to this file: a group
+//! is a function of its commands.
 
 #![deny(clippy::disallowed_types, clippy::disallowed_methods)]
 
 use std::collections::VecDeque;
-use vsgm_core::stability::ACK_EVERY;
 use vsgm_core::{Config, Endpoint, Hosted, Input, Sink};
 use vsgm_ioa::{CheckSet, SimTime, TraceEntry, Violation};
 use vsgm_membership::MembershipOracle;
@@ -78,13 +77,6 @@ pub enum GroupCmd {
     },
     /// Runs the group to quiescence.
     Run,
-    /// The group has gone quiet: if a multicast is unacknowledged, the
-    /// next run asks every member for one acknowledgement round, and each
-    /// end-point then hands back the message windows the round emptied
-    /// and the round's record (DESIGN.md §18). Frames are unchanged; the
-    /// round's events count in [`GroupReport::trace_len`]. The shard
-    /// worker issues it.
-    Stabilize,
 }
 
 /// A snapshot of one group's externally observable health, cheap enough
@@ -101,9 +93,6 @@ pub struct GroupReport {
     pub delivered: u64,
     /// Views installed so far (GCS `view` events).
     pub views_installed: u64,
-    /// [`GroupCmd::Stabilize`] commands applied so far. While it is 0 the
-    /// group's events are exactly those of its other commands.
-    pub stabilized: u64,
 }
 
 /// An output frame a hosted group owes one of its clients: a delivery
@@ -130,11 +119,9 @@ pub struct GroupInstance {
     net: VecDeque<(ProcessId, ProcessId, NetMsg)>,
     /// End-points that took an input since they were last polled.
     dirty: ProcSet,
-    /// Multicasts applied since the last acknowledgement round.
-    sends_since_ack: u64,
-    /// A [`GroupCmd::Stabilize`] waits for the next run.
-    stabilizing: bool,
-    stabilized: u64,
+    /// Whose messages were delivered since the last
+    /// [`GroupInstance::forget_delivered`].
+    delivered_from: Origins,
     checks: CheckSet,
     /// External actions emitted so far (the next event's step number).
     emitted: u64,
@@ -162,9 +149,7 @@ impl GroupInstance {
             proposer_seq: 0,
             net: VecDeque::new(),
             dirty: ProcSet::new(),
-            sends_since_ack: 0,
-            stabilizing: false,
-            stabilized: 0,
+            delivered_from: Origins::None,
             checks: vsgm_spec::full_checks(None),
             emitted: 0,
             outputs: Vec::new(),
@@ -215,53 +200,67 @@ impl GroupInstance {
                     return;
                 }
                 // A blocked client holds the send back until its next view.
-                if self.step(from, |h, rec, out| h.send(msg, rec, out)) == Some(true) {
-                    self.sends_since_ack += 1;
-                }
+                self.step(from, |h, rec, out| h.send(msg, rec, out));
             }
             GroupCmd::Run => self.run_to_quiescence(),
-            GroupCmd::Stabilize => {
-                self.stabilizing = true;
-                self.stabilized += 1;
-            }
         }
     }
 
     /// Runs the instance to quiescence: polls every end-point that took
     /// an input, once, then hands each queued message to its addressee,
-    /// until nothing is enabled and nothing is in flight; when
-    /// [`ACK_EVERY`] multicasts have been applied since the last round,
-    /// or one has and a [`GroupCmd::Stabilize`] is pending, every member
-    /// is then asked to acknowledge, and that runs to quiescence too.
-    /// After a `Stabilize`, every end-point then hands back its emptied
-    /// windows and the round's record. (Daemon mode runs this after every
-    /// command so outputs are promptly drainable.)
+    /// until nothing is enabled and nothing is in flight; then frees what
+    /// every member has delivered ([`GroupInstance::forget_delivered`]).
+    /// (Daemon mode runs this after every command so outputs are promptly
+    /// drainable.)
     pub fn run_to_quiescence(&mut self) {
         loop {
             self.poll_dirty();
             if self.net.is_empty() {
-                let due = self.sends_since_ack >= ACK_EVERY
-                    || (self.stabilizing && self.sends_since_ack > 0);
-                if due {
-                    self.sends_since_ack = 0;
-                    for p in self.members.clone() {
-                        self.feed(p, Input::AckDue);
-                    }
-                    continue;
-                }
-                if std::mem::take(&mut self.stabilizing) {
-                    for h in self.hosted.values_mut() {
-                        h.ep_mut().release_empty_windows();
-                    }
-                }
-                // A view change queues ~n² messages at once; an idle group
-                // should not keep a buffer sized for its last one.
-                self.net.shrink_to_fit();
-                return;
+                break;
             }
             while let Some((from, to, msg)) = self.net.pop_front() {
                 self.emit(Event::NetDeliver { p: from, q: to, msg: msg.clone() });
                 self.feed(to, Input::Net { from, msg });
+            }
+        }
+        self.forget_delivered();
+        // A view change queues ~n² messages at once; an idle group should
+        // not keep a buffer sized for its last one.
+        self.net.shrink_to_fit();
+    }
+
+    /// The stability rule read off the members' states rather than
+    /// acknowledged (DESIGN.md §18): for each origin `q` delivered from
+    /// since the last call, every member frees its current-view window
+    /// of `q` through `min over members r of r.last_dlvrd[q]`. It runs
+    /// only when the group is settled — every member in the view of the
+    /// group's members, none of them changing views or crashed — since
+    /// only then are all `last_dlvrd` counts about one view; otherwise
+    /// the windows keep their messages until a view change collects
+    /// them. O(n) for a multicast's step, and no allocation.
+    fn forget_delivered(&mut self) {
+        let origins = std::mem::replace(&mut self.delivered_from, Origins::None);
+        let members = &self.members;
+        let view = members.first().and_then(|p| self.hosted.get(p)).map(|h| h.ep().current_view());
+        let settled = view.is_some_and(|v| {
+            v.members() == members
+                && members.iter().all(|p| {
+                    self.hosted.get(p).is_some_and(|h| {
+                        let ep = h.ep();
+                        ep.current_view() == v && !ep.reconfiguring() && !ep.is_crashed()
+                    })
+                })
+        });
+        if !settled {
+            return;
+        }
+        match origins {
+            Origins::None => {}
+            Origins::One(q) => forget_delivered_from(members, &mut self.hosted, q),
+            Origins::Several => {
+                for q in members {
+                    forget_delivered_from(members, &mut self.hosted, *q);
+                }
             }
         }
     }
@@ -283,7 +282,6 @@ impl GroupInstance {
             trace_len: self.emitted as usize,
             delivered: self.delivered,
             views_installed: self.views_installed,
-            stabilized: self.stabilized,
         }
     }
 
@@ -317,6 +315,16 @@ impl GroupInstance {
         self.poll_dirty();
     }
 
+    /// `(retained, heap capacity)` of every message window of every
+    /// end-point the group ever hosted.
+    #[cfg(test)]
+    pub(crate) fn windows(&self) -> Vec<(usize, usize)> {
+        self.hosted
+            .values()
+            .flat_map(|h| h.ep().state().msgs.values().map(|b| (b.retained(), b.capacity())))
+            .collect()
+    }
+
     /// Shows one external action to every checker.
     fn emit(&mut self, event: Event) {
         emit(&mut self.checks, &mut self.emitted, event);
@@ -341,8 +349,9 @@ impl GroupInstance {
 
     /// Runs `call` on `p`'s hosted end-point, if `p` ever joined, and
     /// carries out the events it emits: a `NetSend` queues one message per
-    /// addressee, a `Deliver` becomes a `Fwd` frame and a `GcsView` a
-    /// `ViewMsg` frame for `p`'s client, an input fed to the end-point
+    /// addressee, a `Deliver` marks its origin for
+    /// [`GroupInstance::forget_delivered`] and becomes a `Fwd` frame and a
+    /// `GcsView` a `ViewMsg` frame for `p`'s client, an input fed to the end-point
     /// (its `BlockOk`, a released `Send`) marks it for polling, and an
     /// audit reset (`Crash`, `Recover`) drops what it had in flight and
     /// re-admits it to the oracle. Every event is then judged.
@@ -356,6 +365,7 @@ impl GroupInstance {
             oracle,
             net,
             dirty,
+            delivered_from,
             checks,
             emitted,
             outputs,
@@ -379,6 +389,7 @@ impl GroupInstance {
                 }
                 Event::Deliver { p, q, msg } => {
                     *delivered += 1;
+                    delivered_from.mark(*q);
                     let index = fwd_index.entry((*p, *q)).or_insert(0);
                     *index += 1;
                     let (stamp, msg) = (view.clone(), msg.clone());
@@ -400,6 +411,41 @@ impl GroupInstance {
             emit(checks, emitted, event);
         });
         Some(result)
+    }
+}
+
+/// Whose messages a group delivered in a step. A multicast's step
+/// delivers one origin's; a step with several — a view change releasing
+/// held sends, or a `Run` after many commands — frees every member's.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Origins {
+    /// Nobody's.
+    None,
+    /// One origin's only.
+    One(ProcessId),
+    /// More than one origin's.
+    Several,
+}
+
+impl Origins {
+    fn mark(&mut self, q: ProcessId) {
+        *self = match *self {
+            Origins::None => Origins::One(q),
+            Origins::One(p) if p == q => return,
+            _ => Origins::Several,
+        };
+    }
+}
+
+/// Frees from every member's current-view window of `q` what all of
+/// them have delivered from `q`.
+fn forget_delivered_from(members: &ProcSet, hosted: &mut VecMap<ProcessId, Hosted>, q: ProcessId) {
+    let dlvrd = |p: &ProcessId| hosted.get(p).map_or(0, |h| h.ep().state().dlvrd(q));
+    let floor = members.iter().map(dlvrd).min().unwrap_or(0);
+    for p in members {
+        if let Some(h) = hosted.get_mut(p) {
+            h.ep_mut().forget_delivered(q, floor);
+        }
     }
 }
 
@@ -545,75 +591,60 @@ mod tests {
     }
 
     /// The counted side of EXPERIMENTS.md E16 (after Arnon & Sharma): a
-    /// multicast is 2n+1 events — `Send`, `NetSend`, n `Deliver`, n−1
-    /// `NetDeliver` — and every [`ACK_EVERY`] of them a round of
-    /// acknowledgements adds n `NetSend` and n(n−1) `NetDeliver`.
+    /// multicast is exactly 2n+1 events — `Send`, `NetSend`, n `Deliver`,
+    /// n−1 `NetDeliver` — with no acknowledgement term, since the group
+    /// reads its members' deliveries instead of asking for them, and
+    /// after every step no window holds a message or a heap buffer. What
+    /// it saves: a round, asked of every member as a `Node` host asks,
+    /// adds n `NetSend` and n(n−1) `NetDeliver`.
     #[test]
     fn events_per_multicast_are_2n_plus_1_and_a_round_is_n_squared() {
-        for n in [2u64, 4, 8] {
+        for n in [2u64, 4, 8, 16] {
             let mut g = GroupInstance::new(GroupId::new(n), n, 0);
             for i in 1..=n {
                 step(&mut g, GroupCmd::Join(p(i)));
+                assert!(g.windows().iter().all(|w| *w == (0, 0)), "n = {n}: {:?}", g.windows());
             }
             let before = g.report().trace_len as u64;
-            let rounds = 10;
-            for k in 0..rounds * ACK_EVERY {
+            let multicasts = 4 * n;
+            for k in 0..multicasts {
                 assert_eq!(step(&mut g, send(1 + k % n, "m")).len() as u64, n);
+                assert!(g.windows().iter().all(|w| *w == (0, 0)), "n = {n}: {:?}", g.windows());
             }
             let events = g.report().trace_len as u64 - before;
-            assert_eq!(
-                events,
-                rounds * ACK_EVERY * (2 * n + 1) + rounds * (n + n * (n - 1)),
-                "n = {n}"
-            );
-            // The last round left every member's buffers empty.
-            for h in g.hosted.values() {
-                let st = h.ep().state();
-                let held: usize = st.msgs.values().map(|buf| buf.retained()).sum();
-                assert_eq!(held, 0, "n = {n}: {} retains {held}", h.ep().pid());
+            assert_eq!(events, multicasts * (2 * n + 1), "n = {n}");
+            for i in 1..=n {
+                g.feed(p(i), Input::AckDue);
             }
+            g.run_to_quiescence();
+            let round = g.report().trace_len as u64 - before - events;
+            assert_eq!(round, n + n * (n - 1), "n = {n}");
             assert!(g.finish().is_empty());
         }
     }
 
-    /// A quiet group asked to stabilize runs one acknowledgement round,
-    /// and then no end-point holds a window buffer; its next multicast
-    /// reaches every member exactly as in a twin never asked.
+    /// Through multicasts, a leave and a re-join, every window empties
+    /// and hands its buffer back by the end of each step, the left
+    /// member's included, and no end-point keeps an acknowledgement
+    /// record. (That forgetting changes no frame is the multigroup
+    /// differential's to show, against the `Sim`-backed oracle.)
     #[test]
-    fn after_stabilize_a_quiet_group_holds_no_window_buffer() {
-        let windows = |g: &GroupInstance| -> Vec<(usize, usize)> {
-            g.hosted
-                .values()
-                .flat_map(|h| h.ep().state().msgs.values().map(|b| (b.retained(), b.capacity())))
-                .collect()
-        };
-        let after_22_multicasts = || {
-            let mut g = GroupInstance::new(GroupId::new(10), 4, 0);
-            for i in 1..=4 {
-                step(&mut g, GroupCmd::Join(p(i)));
-            }
-            for k in 0..22 {
-                assert_eq!(step(&mut g, send(1 + k % 4, "m")).len(), 4);
-            }
-            g
-        };
-        let (mut quiet, mut twin) = (after_22_multicasts(), after_22_multicasts());
-        let before = quiet.report();
-        assert!(windows(&quiet).iter().any(|(held, _)| *held > 0), "22 multicasts are held");
-        assert!(step(&mut quiet, GroupCmd::Stabilize).is_empty(), "a round owes no frame");
-        let after = quiet.report();
-        // One round in a view of four: 4 acks to 3 peers each.
-        assert_eq!(after.trace_len, before.trace_len + 4 + 4 * 3);
-        assert_eq!(after.stabilized, 1);
-        assert!(windows(&quiet).iter().all(|w| *w == (0, 0)), "{:?}", windows(&quiet));
-        let records = quiet.hosted.values().filter(|h| h.ep().state().stability.is_some());
-        assert_eq!(records.count(), 0, "the finished round leaves no acknowledgement record");
-        // Nothing is unacknowledged now: a second `Stabilize` runs no round.
-        step(&mut quiet, GroupCmd::Stabilize);
-        assert_eq!(quiet.report().trace_len, after.trace_len);
-        let next = send(2, "after the quiet");
-        assert_eq!(step(&mut quiet, next.clone()), step(&mut twin, next));
-        assert!(quiet.finish().is_empty() && twin.finish().is_empty());
+    fn through_churn_no_window_or_acknowledgement_record_outlives_its_step() {
+        let mut g = GroupInstance::new(GroupId::new(10), 4, 0);
+        let mut cmds: Vec<GroupCmd> = (1..=4).map(|i| GroupCmd::Join(p(i))).collect();
+        cmds.extend((0..22).map(|k| send(1 + k % 4, "m")));
+        cmds.push(GroupCmd::Leave(p(4)));
+        cmds.extend((0..6).map(|k| send(1 + k % 3, "without p4")));
+        cmds.push(GroupCmd::Join(p(4)));
+        cmds.extend((0..4).map(|k| send(4 - k, "back")));
+        for cmd in cmds {
+            step(&mut g, cmd);
+            assert!(g.windows().iter().all(|w| *w == (0, 0)), "{:?}", g.windows());
+            let records = g.hosted.values().filter(|h| h.ep().state().stability.is_some());
+            assert_eq!(records.count(), 0, "no end-point was asked to acknowledge");
+        }
+        assert_eq!(g.report().delivered, 22 * 4 + 6 * 3 + 4 * 4);
+        assert!(g.finish().is_empty());
     }
 
     #[test]

@@ -14,9 +14,9 @@
 //!   ones, each followed by `Run` and `drain_outputs`, as a shard worker
 //!   steps them — stay within upper bounds;
 //! * the live heap of one group of four at the end of set-up (four joins,
-//!   one multicast from each member) and once it has gone quiet (22
-//!   multicasts, then `Stabilize`) stays within upper bounds. Unlike a
-//!   resident-set reading it is the same on every run.
+//!   one multicast from each member) and after 22 multicasts stays
+//!   within upper bounds. Unlike a resident-set reading it is the same on
+//!   every run.
 //!
 //! A change that moves a count updates its pin and says why. These are
 //! release-mode tests (ignored in debug builds, whose `debug_assert`s
@@ -248,7 +248,7 @@ fn allocations_over_the_counted_multicasts(n: u64) -> u64 {
 fn allocations_per_multicast_stay_within_their_pins() {
     // (n, allocations over the counted multicasts): upper bounds, each
     // set at the count measured when it was pinned.
-    let pins = [(2, 4_640), (4, 6_180), (8, 12_730), (16, 27_480)];
+    let pins = [(2, 4_480), (4, 5_760), (8, 10_880), (16, 18_560)];
     for (n, pin) in pins {
         let total = allocations_over_the_counted_multicasts(n);
         let per = total as f64 / COUNTED as f64;
@@ -259,9 +259,8 @@ fn allocations_per_multicast_stay_within_their_pins() {
 
 /// A group of four after four joins and `multicasts` round-robin from its
 /// members, each a shard-worker step with a fresh 64-byte payload, as a
-/// client sends, then a `Stabilize` with `quiet`; and the live bytes it
-/// holds.
-fn group_of_four_holding(multicasts: u64, quiet: bool) -> (GroupInstance, isize) {
+/// client sends; and the live bytes it holds.
+fn group_of_four_holding(multicasts: u64) -> (GroupInstance, isize) {
     live_bytes(|| {
         let mut g = GroupInstance::new(GroupId::new(1), 4, 0);
         for i in 1..=4 {
@@ -270,9 +269,6 @@ fn group_of_four_holding(multicasts: u64, quiet: bool) -> (GroupInstance, isize)
         for k in 0..multicasts {
             step(&mut g, GroupCmd::Send { from: p(1 + k % 4), msg: AppMsg::new(vec![0x5Au8; 64]) });
         }
-        if quiet {
-            step(&mut g, GroupCmd::Stabilize);
-        }
         g
     })
 }
@@ -280,11 +276,11 @@ fn group_of_four_holding(multicasts: u64, quiet: bool) -> (GroupInstance, isize)
 #[test]
 #[cfg_attr(debug_assertions, ignore = "release-mode ledger; scripts/check.sh runs it by name")]
 fn a_group_of_four_holds_no_more_live_bytes_than_pinned() {
-    // (state, multicasts, Stabilize, live bytes): upper bounds, each set
-    // at the bytes measured when it was pinned.
-    let pins = [("set-up end", 4, false, 9_288), ("quiet after 22 multicasts", 22, true, 8_712)];
-    for (state, multicasts, quiet, pin) in pins {
-        let (mut g, bytes) = group_of_four_holding(multicasts, quiet);
+    // (state, multicasts, live bytes): upper bounds, each set at the
+    // bytes measured when it was pinned.
+    let pins = [("set-up end", 4, 8_712), ("after 22 multicasts", 22, 8_712)];
+    for (state, multicasts, pin) in pins {
+        let (mut g, bytes) = group_of_four_holding(multicasts);
         println!("{state}: {bytes} live bytes per group of four (pin {pin})");
         assert!(g.finish().is_empty());
         assert!(bytes <= pin, "{state}: {bytes} live bytes, pinned at {pin}");

@@ -8,7 +8,9 @@
 //! process-wide `/proc/self` counts that a neighbour would skew.
 
 use std::cell::RefCell;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
+#[cfg(debug_assertions)]
+use std::collections::BTreeSet;
 #[cfg(debug_assertions)]
 use std::path::Path;
 use std::sync::{Mutex, MutexGuard, PoisonError};

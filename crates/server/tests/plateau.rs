@@ -95,7 +95,8 @@ fn resident_memory_plateaus_in_a_view_that_never_changes() {
     let payload = AppMsg::new(vec![0xA5u8; 64]);
     // Every member multicasting in turn, then p1 alone with three silent
     // receivers: no join or leave after set-up, so nothing but the
-    // members' acknowledgements lets an end-point drop a message.
+    // stability rule, read off the members' deliveries after every step,
+    // lets an end-point drop a message.
     for (who, senders) in [("round-robin", 4), ("p1 only", 1)] {
         let mut g = group_of_four();
         let views = g.report().views_installed;
@@ -157,17 +158,14 @@ fn resident_memory_plateaus_under_view_changes() {
 #[cfg_attr(debug_assertions, ignore = "release-mode soak; scripts/check.sh runs it by name")]
 fn a_thousand_groups_of_four_fit_their_budget_and_unused_capacity_costs_nothing() {
     const GROUPS: u64 = 1000;
-    const SET_UP_BYTES_PER_GROUP: u64 = 12 * 1024;
-    const BYTES_PER_GROUP: u64 = 17 * 1024;
-    const QUIET_BYTES_PER_GROUP: u64 = 11 * 1024;
+    const BYTES_PER_GROUP: u64 = 11 * 1024;
     const CAPACITY_SLACK: u64 = 1024;
     let _turn = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
-    // What a group holds after four joins, each settled and drained,
-    // `multicasts` round-robin from its members and, with `quiet`, the
-    // `Stabilize` its shard worker issues once it has gone quiet. Every
-    // thousand is handed back and kept resident while the next is
-    // measured (freed memory would be reused, not returned).
-    let per_group = |capacity: u64, multicasts: u64, quiet: bool| {
+    // What a group holds after four joins, each settled and drained, and
+    // `multicasts` round-robin from its members. Every thousand is handed
+    // back and kept resident while the next is measured (freed memory
+    // would be reused, not returned).
+    let per_group = |capacity: u64, multicasts: u64| {
         let payload = AppMsg::new(vec![0x5Au8; 64]);
         let before = rss_bytes();
         let mut groups = Vec::with_capacity(GROUPS as usize);
@@ -178,9 +176,6 @@ fn a_thousand_groups_of_four_fit_their_budget_and_unused_capacity_costs_nothing(
                     step(&mut g, GroupCmd::Send { from: p(1 + k % 4), msg: payload.clone() });
                 assert_eq!(frames, 4);
             }
-            if quiet {
-                assert_eq!(step(&mut g, GroupCmd::Stabilize), 0);
-            }
             groups.push(g);
         }
         let each = rss_bytes().saturating_sub(before) / GROUPS;
@@ -190,34 +185,27 @@ fn a_thousand_groups_of_four_fit_their_budget_and_unused_capacity_costs_nothing(
         (each, groups)
     };
     // One multicast from every member, in capacity 4 and in capacity 16.
-    let (snug, _held) = per_group(4, 4, false);
-    let (roomy, _held) = per_group(16, 4, false);
-    // `wide_1000g` during *paced*: 22 multicasts, no acknowledgement
-    // round yet; then 70, one round (every 64) behind them; then 22 and
-    // the quiet group's round, its emptied windows handed back.
-    let (paced, _held) = per_group(4, 22, false);
-    let (rounded, _held) = per_group(4, 70, false);
-    let (quiet, _held) = per_group(4, 22, true);
+    let (snug, _held) = per_group(4, 4);
+    let (roomy, _held) = per_group(16, 4);
+    // `wide_1000g` during *paced*: 22 multicasts; then 70, past where a
+    // `Node` would have acknowledged. A group frees what its members
+    // delivered after every step, so neither holds more than set-up.
+    let (paced, _held) = per_group(4, 22);
+    let (rounded, _held) = per_group(4, 70);
     println!(
         "per group of four: {snug} B in capacity 4, {roomy} B in capacity 16, \
-         {paced} B after 22 multicasts, {rounded} B after 70, \
-         {quiet} B after 22 and Stabilize"
+         {paced} B after 22 multicasts, {rounded} B after 70"
     );
-    for (state, bytes, budget) in [
-        ("4 multicasts", snug, SET_UP_BYTES_PER_GROUP),
-        ("22", paced, BYTES_PER_GROUP),
-        ("70", rounded, BYTES_PER_GROUP),
-        ("22 and Stabilize", quiet, QUIET_BYTES_PER_GROUP),
-    ] {
+    for (state, bytes) in [("4 multicasts", snug), ("22", paced), ("70", rounded)] {
         assert!(
-            bytes < budget,
-            "{bytes} B resident per 4-member group after {state}, budget {budget} B"
+            bytes < BYTES_PER_GROUP,
+            "{bytes} B resident per 4-member group after {state}, budget {BYTES_PER_GROUP} B"
         );
     }
     assert!(
-        quiet < paced,
-        "{quiet} B resident per quiet 4-member group after 22 multicasts and Stabilize, \
-         {paced} B without the Stabilize: the round freed nothing"
+        rounded.abs_diff(snug) < CAPACITY_SLACK,
+        "{snug} B resident per 4-member group after set-up, {rounded} B after 70 multicasts: \
+         the multicasts left something behind"
     );
     assert!(
         roomy.abs_diff(snug) < CAPACITY_SLACK,

@@ -219,24 +219,24 @@ named_tests -p vsgm-core --lib -- \
 # which answers every call as the sorted-vector map it replaced, with
 # the same Debug text and JSON. An acknowledgement vector decodes into
 # a cut built once (2^18 entries within 2 s in debug; one copy per
-# entry is quadratic). A quiet group's `Stabilize` runs one
-# acknowledgement round, after which no end-point holds a window
-# buffer (an emptied window hands its allocation back and keeps its
-# indices), and its next multicast is delivered as in a twin never
-# stabilized. The finished round leaves no acknowledgement record: an
-# end-point without it sends the same next acknowledgement and keeps
-# the same windows as its twin that kept it, and a record still armed
-# stays.
-echo "==> end-point memory (one generation of sync records, shared cuts, quiet windows)"
+# entry is quadratic). A hosted group frees what all its members
+# delivered after every step (no acknowledgement sent): through
+# multicasts, a leave and a re-join, no window of any end-point holds a
+# message or a heap buffer once its step ends, and none keeps an
+# acknowledgement record. A window holds one message inline and moves
+# to the heap only past it; one that empties hands its heap buffer back
+# and keeps its indices. The host's floor is clamped by the end-point's
+# own deliveries and, in its own window, by what it sent.
+echo "==> end-point memory (one generation of sync records, shared cuts, empty windows)"
 named_tests -p vsgm-core --lib -- \
     state::tests::after_a_cascaded_change_only_the_current_views_start_ids_remain \
     state::tests::a_member_that_leaves_and_rejoins_leaves_one_generation_behind \
     state::tests::a_future_joiners_early_sync_survives_the_install_and_the_next_view_installs \
     state::tests::releasing_empty_windows_frees_their_buffers_and_keeps_their_indices \
-    stability::tests::releasing_a_finished_rounds_record_changes_no_later_ack_or_window
+    state::tests::a_hosts_floor_is_clamped_by_the_own_deliveries_and_sends
 named_tests -p vsgm-server --lib -- \
     group::tests::after_churn_each_end_point_holds_one_sync_record_per_member \
-    group::tests::after_stabilize_a_quiet_group_holds_no_window_buffer
+    group::tests::through_churn_no_window_or_acknowledgement_record_outlives_its_step
 named_tests -p vsgm-types --lib -- \
     cut::tests::behaves_like_a_vec_map_cut \
     cut::tests::a_set_on_a_clone_leaves_the_original_unchanged \
@@ -263,8 +263,8 @@ named_tests -p vsgm-harness --lib -- \
 # at zero allocations under each forwarding strategy, allocations per
 # multicast on a bare GroupInstance at n = 2/4/8/16 under upper bounds,
 # and the live heap bytes of a group of four at the end of set-up and
-# once it has gone quiet under upper bounds (the same on every run,
-# unlike the resident set the footprint soak reads).
+# after 22 multicasts under upper bounds (the same on every run, unlike
+# the resident set the footprint soak reads).
 echo "==> cost ledger (allocations per poll and per multicast, live bytes per group)"
 named_tests --release -p vsgm-server --test alloc_ledger -- \
     a_quiescent_poll_allocates_nothing_under_each_forwarding_strategy \
@@ -280,16 +280,17 @@ named_tests --release -p vsgm-server --test alloc_ledger -- \
 # flood of ignorable sends in one direct group, must leave the groups
 # stepped beside it untouched. Both suites are also part of
 # `cargo test`; run by name so a hosting or multiplexing regression
-# fails with a readable stage. The shard workers' clock stabilizes quiet
-# groups on its own schedule, so two tests pin that it changes no
-# frame: both isolated hosts fed `Stabilize` at seeded points hand out
-# the frames of the schedule without it, and a hosted run paused until
-# the clock has stabilized its groups matches the isolated arm.
+# fails with a readable stage. The direct host frees what its members
+# delivered after every step and sends no acknowledgement, so two tests
+# pin that forgetting changes no frame and that nothing runs on a
+# clock: the oracle fed acknowledgement rounds at seeded points hands
+# out the direct host's frames, and a hosted run paused halfway, idle,
+# matches the isolated arm event for event.
 echo "==> multi-group differential + isolation suites"
 cargo test -q -p vsgm --test multigroup_differential "${CARGO_FLAGS[@]}" >/dev/null
 named_tests -p vsgm --test multigroup_differential -- \
-    stabilize_at_seeded_points_changes_no_frame_on_either_isolated_host \
-    schedules_paused_until_the_clock_stabilizes_quiet_groups_keep_their_frames
+    oracle_ack_rounds_at_seeded_points_change_no_direct_host_frame \
+    schedules_paused_halfway_match_their_isolated_runs_event_for_event
 cargo test -q -p vsgm --test multigroup_chaos "${CARGO_FLAGS[@]}" >/dev/null
 
 # Hosted-group memory soaks (DESIGN.md §17), every spec checker online,
@@ -300,12 +301,11 @@ cargo test -q -p vsgm --test multigroup_chaos "${CARGO_FLAGS[@]}" >/dev/null
 # receivers), then 40,000 view changes — resident memory must stop
 # growing (< 16 B per multicast with churn, < 1 B without, < 64 B per
 # view change over the second half); a host that hoards history again,
-# or end-points that stop acknowledging, fail here.
+# or stops freeing what its members delivered, fails here.
 # Footprint: 1000 groups of four (joined, drained, then 4, 22 or 70
-# multicasts — the last past one acknowledgement round) stay under
-# 12 KiB resident each after 4 and 17 KiB after 22 or 70; 22 and the
-# quiet group's `Stabilize` stay under 11 KiB, below 22 without it; and
-# four members in capacity 16 cost within 1 KiB of four in capacity 4 — a host that provisions per capacity,
+# multicasts) stay under 11 KiB resident each, 70 multicasts within
+# 1 KiB of 4; and four members in capacity 16 cost within 1 KiB of four
+# in capacity 4 — a host that keeps messages past their step, provisions per capacity,
 # simulates its clients again, keeps per-process state in B-tree
 # leaves again, or end-points that keep two generations of sync
 # records or a private copy of every cut, fail here. Each soak's growth or per-group line is
@@ -328,9 +328,9 @@ cargo test -q -p vsgm --test multigroup_chaos "${CARGO_FLAGS[@]}" >/dev/null
 # gives each group the isolated instance's frames in order, one sink
 # call per batch; a batch reaching c idle clients costs exactly c socket
 # writes; `report` and `finish` are answered only after the outputs
-# queued before them were handed over. And the worker's clock: a group
-# multicast to once and then left alone is stabilized once, a quiet
-# period or two later, and a group never multicast to is not.
+# queued before them were handed over. And the worker keeps no clock: a
+# daemon-mode worker leaves no message and no heap buffer in any window
+# of any group it hosts after each command it steps.
 echo "==> vsgm-server (daemon threads and order; memory soaks plateau x3, footprint)"
 named_tests -p vsgm-server --test daemon -- \
     a_two_shard_daemon_runs_four_threads \
@@ -342,7 +342,7 @@ named_tests -p vsgm-server --lib -- \
     shard::tests::one_burst_for_three_groups_gives_each_its_isolated_frames_in_order \
     shard::tests::a_batch_reaching_c_idle_clients_raises_flushes_by_exactly_c \
     shard::tests::report_and_finish_answer_after_their_batch_is_handed_over \
-    shard::tests::a_quiet_group_is_stabilized_once_and_a_silent_one_never
+    shard::tests::a_daemon_worker_leaves_no_message_in_any_window_after_each_command
 for soak in resident_memory_plateaus_under_multicast_with_churn \
             resident_memory_plateaus_in_a_view_that_never_changes \
             resident_memory_plateaus_under_view_changes \

@@ -30,6 +30,10 @@ pub enum OracleCmd {
     Group(GroupCmd),
     /// Advances the group's simulated clock by this many milliseconds.
     RunForMs(u64),
+    /// One round of stability acknowledgements: every end-point is asked
+    /// for one ([`Sim::ack_round`]). The direct host has no such command:
+    /// it reads its members' deliveries instead.
+    AckRound,
     /// Crashes member `p` (§8 fault).
     Crash(ProcessId),
     /// Recovers member `p` (§8 recovery).
@@ -67,7 +71,6 @@ pub struct OracleGroup {
     capacity: u64,
     members: ProcSet,
     corruptions: u64,
-    stabilized: u64,
     /// `Deliver` / `GcsView` events consumed by `drain_outputs`.
     delivered: u64,
     views_installed: u64,
@@ -89,7 +92,6 @@ impl OracleGroup {
             capacity: capacity.max(1),
             members: ProcSet::new(),
             corruptions: 0,
-            stabilized: 0,
             delivered: 0,
             views_installed: 0,
             last_view: BTreeMap::new(),
@@ -121,11 +123,7 @@ impl OracleGroup {
                 }
             }
             OracleCmd::Group(GroupCmd::Run) => self.sim.run_to_quiescence(),
-            // The `Sim` acknowledges on request only; it releases nothing.
-            OracleCmd::Group(GroupCmd::Stabilize) => {
-                self.stabilized += 1;
-                self.sim.ack_round();
-            }
+            OracleCmd::AckRound => self.sim.ack_round(),
             OracleCmd::RunForMs(ms) => self.sim.run_for(SimTime::from_millis(ms)),
             OracleCmd::Crash(p) => {
                 if self.in_capacity(p) {
@@ -206,7 +204,6 @@ impl OracleGroup {
                 trace_len: self.sim.trace().len(),
                 delivered,
                 views_installed,
-                stabilized: self.stabilized,
             },
             fault_injections: faults.injected_drops + faults.injected_dups,
             corruptions: self.corruptions,
