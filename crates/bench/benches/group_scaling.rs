@@ -42,7 +42,6 @@ impl Client {
         let transport =
             Arc::new(vsgm_net::TcpTransport::bind(pid, "127.0.0.1:0").expect("bind client"));
         transport.register_peer(ProcessId::new(0), server.local_addr());
-        server.register_client(pid, transport.local_addr());
         let (reply_tx, replies) = mpsc::channel();
         let deliveries = Arc::new(AtomicU64::new(0));
         let stop = Arc::new(AtomicBool::new(false));

@@ -2,30 +2,35 @@
 //! pool of loop threads owns *all* sockets, replacing the old
 //! thread-per-connection reader and writer threads.
 //!
-//! Each loop thread repeatedly scans the connections it owns:
+//! Each loop thread repeatedly scans the connections it owns. Every
+//! connection, dialed or accepted, carries frames both ways:
 //!
-//! * **inbound connections** are drained with non-blocking reads into
-//!   the loop's one read buffer; complete frames are decoded *in place*
-//!   by [`crate::codec::decode_body_routed`] (one payload copy, when the
+//! * it is drained with non-blocking reads into the loop's one read
+//!   buffer; complete frames are decoded *in place* by
+//!   [`crate::codec::decode_body_routed`] (one payload copy, when the
 //!   frame is handed over) and given to the transport's [`FrameHandler`]
 //!   on the loop thread. A connection keeps only the bytes of an
 //!   unfinished frame; malformed or oversized frames tear it down;
-//! * **outbound connections** are written through their
-//!   [`crate::writer::OutQueue`], which holds the socket: the loop drains
-//!   the queue (heartbeat slot first) into a coalesce buffer and writes
-//!   it with non-blocking writes under the queue's lock, keeping the
-//!   unwritten tail there across rounds. A batch push that finds the
-//!   connection idle writes under the same lock on its own thread, and
-//!   leaves the loop only a tail to finish.
+//! * it is written through its [`crate::writer::OutQueue`], which shares
+//!   its socket: the loop drains the queue (heartbeat slot first) into a
+//!   coalesce buffer and writes it with non-blocking writes under the
+//!   queue's lock, keeping the unwritten tail there across rounds. A
+//!   batch push that finds the connection idle writes under the same lock
+//!   on its own thread, and leaves the loop only a tail to finish.
+//!
+//! A connection that hears its peer — an accepted one at its handshake
+//! — becomes the peer's writer if no live one is installed, and leaves
+//! that place when it retires ([`Peer`]).
 //!
 //! Loop 0 also owns the transport's listening socket and accepts on it
 //! like one more connection, handing each accepted socket to the pool
 //! round-robin.
 //!
 //! The loops are the transport's only threads, so its periodic work is
-//! theirs too: a loop that owns an outbound connection probes it once per
-//! `heartbeat_interval`, claiming the queue's reserved heartbeat slot
-//! ([`crate::writer::OutQueue::push_heartbeat`]) for the scan to write.
+//! theirs too: a loop probes each connection it owns past its handshake
+//! once per `heartbeat_interval`, claiming the queue's reserved heartbeat
+//! slot ([`crate::writer::OutQueue::push_heartbeat`]) for the scan to
+//! write. Both ends probe, so heartbeats flow both ways.
 //!
 //! When a scan makes no progress the loop parks in `epoll_wait`
 //! ([`crate::sys::Poller`]) until a socket it owns becomes ready, a
@@ -52,12 +57,12 @@
 
 use crate::codec;
 use crate::stats::Counters;
-use crate::sys::{Events, Poller, READABLE, READABLE_EDGE, WRITABLE_EDGE};
+use crate::sys::{Events, Poller, READABLE_EDGE, WRITABLE_EDGE};
 use crate::tiered::{blocking, Tiered};
-use crate::writer::OutQueue;
+use crate::writer::{OutQueue, PeerWriter};
 use std::collections::HashMap;
 use std::io::{self, Read};
-use std::net::{TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -98,15 +103,69 @@ const TAIL_KEEP: usize = 4 << 10;
 /// socket reads, so it must not block.
 pub type FrameHandler = Box<dyn Fn(ProcessId, Option<GroupId>, NetMsg) + Send + Sync>;
 
+/// What the transport knows of one peer.
+#[derive(Default)]
+pub(crate) struct Peer {
+    /// The connection sends to the peer go out on. It changes only when
+    /// none is installed or it is broken, so one direction's frames
+    /// never split across two live sockets (per-pair FIFO).
+    pub writer: Option<PeerWriter>,
+    /// When any frame (handshake, data, heartbeat) last arrived.
+    pub heard: Option<Instant>,
+}
+
+impl Peer {
+    /// The live writer, after installing `conn` if none is installed or
+    /// the installed one is broken.
+    pub(crate) fn writer_or(&mut self, conn: &PeerWriter) -> &PeerWriter {
+        if self.writer.as_ref().is_none_or(PeerWriter::is_broken) {
+            self.writer = Some(conn.clone());
+        }
+        self.writer.get_or_insert_with(|| conn.clone())
+    }
+}
+
+/// One record per peer, taken with nothing held but a connect guard.
+pub(crate) type Peers = Tiered<HashMap<ProcessId, Peer>, 2>;
+/// Where each registered peer listens; taken under `Peers` or bare.
+pub(crate) type AddrBook = Tiered<HashMap<ProcessId, SocketAddr>, 3>;
+
 /// Everything a loop thread needs from the transport.
 pub(crate) struct LoopCtx {
     /// Where decoded frames go ([`crate::TcpTransport::bind_with_handler`]).
     pub deliver: FrameHandler,
     /// The transport's counters (shared with senders).
     pub counters: Arc<Counters>,
-    /// Last time any frame arrived per peer (suspicion input). A leaf:
-    /// taken by loop threads with nothing held.
-    pub last_heard: Arc<Tiered<HashMap<ProcessId, Instant>, 5>>,
+    /// The transport's peer records, which connections enter as they
+    /// hear and leave as they retire.
+    pub peers: Arc<Peers>,
+    /// A registered peer keeps its record when its connection retires.
+    pub addr_book: Arc<AddrBook>,
+}
+
+impl LoopCtx {
+    /// Records that `peer` was heard at `now` on the connection `conn`
+    /// writes to, and installs `conn` as its writer if no live one is.
+    fn heard(&self, peer: ProcessId, now: Instant, conn: &PeerWriter) {
+        let mut peers = self.peers.lock();
+        let record = peers.entry(peer).or_default();
+        record.heard = Some(now);
+        record.writer_or(conn);
+    }
+
+    /// Takes the retired connection `conn` off `peer`'s record, and the
+    /// record off the map if that leaves it no writer and the peer has
+    /// no registered address.
+    fn forget(&self, peer: ProcessId, conn: &PeerWriter) {
+        let mut peers = self.peers.lock();
+        let Some(record) = peers.get_mut(&peer) else { return };
+        if record.writer.as_ref().is_some_and(|w| w.same_as(conn)) {
+            record.writer = None;
+        }
+        if record.writer.is_none() && !self.addr_book.lock().contains_key(&peer) {
+            peers.remove(&peer);
+        }
+    }
 }
 
 /// The transport-config slice the loops act on.
@@ -117,18 +176,19 @@ pub(crate) struct LoopConfig {
     /// Evict connections stalled mid-handshake/mid-frame this long
     /// (`Duration::ZERO` disables eviction).
     pub read_idle_timeout: Duration,
-    /// Probe each outbound connection this often (`Duration::ZERO`
-    /// disables probes).
+    /// Probe each connection this often (`Duration::ZERO` disables
+    /// probes).
     pub heartbeat_interval: Duration,
+    /// Each connection's queue capacity, in frames.
+    pub writer_queue: usize,
 }
 
-/// A connection handed to the pool.
-pub(crate) enum Register {
-    /// Accepted socket: handshake pending, read-only thereafter.
-    Inbound(TcpStream),
-    /// Dialed socket: write-only, held by the bounded frame queue
-    /// senders push into, non-blocking and handshook.
-    Outbound(Arc<OutQueue>),
+/// A connection handed to a loop, and the peer it was dialed to (`None`:
+/// accepted, and named by its handshake).
+struct Register {
+    stream: Arc<TcpStream>,
+    queue: Arc<OutQueue>,
+    dialed: Option<ProcessId>,
 }
 
 struct LoopShared {
@@ -166,19 +226,23 @@ impl LoopWaker {
 struct Loops {
     loops: Vec<Arc<LoopShared>>,
     next: AtomicUsize,
+    writer_queue: usize,
+    counters: Arc<Counters>,
 }
 
 impl Loops {
-    /// Hands a connection to the next loop (round-robin) and returns
-    /// that loop's waker.
-    fn register(&self, reg: Register) -> io::Result<LoopWaker> {
+    /// Hands a connection to the next loop (round-robin) and returns its
+    /// write side.
+    fn register(&self, stream: TcpStream, dialed: Option<ProcessId>) -> io::Result<PeerWriter> {
         let i = self.next.fetch_add(1, Ordering::Relaxed) % self.loops.len().max(1);
         let shared =
             self.loops.get(i).ok_or_else(|| io::Error::other("transport has no event loop"))?;
-        shared.inbox.lock().push(reg);
+        let stream = Arc::new(stream);
+        let queue = Arc::new(OutQueue::new(self.writer_queue, Some(Arc::clone(&stream))));
+        shared.inbox.lock().push(Register { stream, queue: Arc::clone(&queue), dialed });
         let waker = LoopWaker(Arc::clone(shared));
         waker.wake();
-        Ok(waker)
+        Ok(PeerWriter::new(queue, waker, Arc::clone(&self.counters)))
     }
 }
 
@@ -205,7 +269,12 @@ impl LoopPool {
                 }))
             })
             .collect::<io::Result<Vec<_>>>()?;
-        let pool = LoopPool(Arc::new(Loops { loops, next: AtomicUsize::new(0) }));
+        let pool = LoopPool(Arc::new(Loops {
+            loops,
+            next: AtomicUsize::new(0),
+            writer_queue: cfg.writer_queue,
+            counters: Arc::clone(&ctx.counters),
+        }));
         let mut acceptor = Some(Acceptor {
             listener,
             loops: Arc::clone(&pool.0),
@@ -219,10 +288,10 @@ impl LoopPool {
             if let Some(a) = &acceptor {
                 shared.poller.add(&a.listener, READABLE_EDGE, LISTENER_TOKEN)?;
             }
-            let (shared, ctx, cfg) = (Arc::clone(shared), Arc::clone(ctx), cfg.clone());
+            let (waker, ctx, cfg) = (LoopWaker(Arc::clone(shared)), Arc::clone(ctx), cfg.clone());
             std::thread::Builder::new()
                 .name("vsgm-net-loop".into())
-                .spawn(move || loop_main(&shared, acceptor, &ctx, &cfg))?;
+                .spawn(move || loop_main(&waker, acceptor, &ctx, &cfg))?;
         }
         Ok(pool)
     }
@@ -232,10 +301,10 @@ impl LoopPool {
         self.0.loops.len()
     }
 
-    /// Hands a connection to the next loop (round-robin) and returns
-    /// that loop's waker.
-    pub(crate) fn register(&self, reg: Register) -> io::Result<LoopWaker> {
-        self.0.register(reg)
+    /// Hands a dialed, handshook connection to `peer` to the next loop
+    /// (round-robin) and returns its write side.
+    pub(crate) fn register(&self, stream: TcpStream, peer: ProcessId) -> io::Result<PeerWriter> {
+        self.0.register(stream, Some(peer))
     }
 
     /// Tells every loop to flush what it can and exit.
@@ -284,7 +353,7 @@ impl Acceptor {
                     counters.accepted.fetch_add(1, Ordering::Relaxed);
                     if stream.set_nodelay(true).is_ok() && stream.set_nonblocking(true).is_ok() {
                         // A refused registration drops (closes) the socket.
-                        let _ = self.loops.register(Register::Inbound(stream));
+                        let _ = self.loops.register(stream, None);
                     }
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => self.ready = false,
@@ -322,19 +391,15 @@ struct Reader {
     tail: Vec<u8>,
 }
 
-/// An accepted connection: read-only.
-struct Inbound {
-    stream: TcpStream,
+/// A connection one loop owns: it reads its peer's frames and writes
+/// the frames queued for the peer.
+struct Conn {
+    /// The socket, shared with the queue, which writes it under its lock.
+    stream: Arc<TcpStream>,
     reader: Reader,
     last_rx: Instant,
-}
-
-/// A connection one loop owns.
-enum Conn {
-    In(Inbound),
-    /// A dialed connection: write-only, its socket and write state in
-    /// the queue.
-    Out(Arc<OutQueue>),
+    /// The write side, as senders hold it once it is its peer's writer.
+    writer: PeerWriter,
 }
 
 /// Why a connection was retired this round.
@@ -348,65 +413,6 @@ enum Retire {
 }
 
 impl Conn {
-    /// Whether outbound work is still unwritten (shutdown flush check).
-    fn has_unflushed(&self) -> bool {
-        match self {
-            Conn::Out(queue) => !queue.is_drained(),
-            Conn::In(_) => false,
-        }
-    }
-
-    fn idle_deadline(&self, cfg: &LoopConfig) -> Option<Instant> {
-        match self {
-            Conn::In(c) => c.idle_deadline(cfg),
-            Conn::Out(_) => None,
-        }
-    }
-
-    /// One scan round, reading into the loop's buffer `rbuf`. `Err`
-    /// means retire the connection.
-    fn service(
-        &mut self,
-        now: Instant,
-        rbuf: &mut Vec<u8>,
-        ctx: &LoopCtx,
-        cfg: &LoopConfig,
-        progress: &mut bool,
-    ) -> Result<(), Retire> {
-        match self {
-            Conn::In(c) => c.service(now, rbuf, ctx, cfg, progress),
-            Conn::Out(queue) => {
-                if queue.is_broken() {
-                    // A sender declared the queue stalled; retire and account.
-                    return Err(Retire::Gone);
-                }
-                let moved = queue
-                    .write_out(&ctx.counters, MAX_COALESCE_FRAMES, MAX_FLUSH_BYTES)
-                    .map_err(|()| Retire::Gone)?;
-                *progress |= moved;
-                Ok(())
-            }
-        }
-    }
-
-    /// Retires the connection: accounts unwritten frames as dropped,
-    /// poisons sender handles, closes the socket.
-    fn retire(self, ctx: &LoopCtx) {
-        if let Conn::Out(queue) = self {
-            let dropped = queue.drain_remaining();
-            if dropped > 0 {
-                ctx.counters.frames_dropped.fetch_add(dropped, Ordering::Relaxed);
-            }
-        }
-        ctx.counters.conns_closed.fetch_add(1, Ordering::Relaxed);
-    }
-}
-
-impl Inbound {
-    fn new(stream: TcpStream, now: Instant) -> Inbound {
-        Inbound { stream, reader: Reader { kind: Kind::Handshake, tail: Vec::new() }, last_rx: now }
-    }
-
     /// When a connection stalled mid-handshake or mid-frame gets evicted:
     /// such a peer holds a socket (and its tail) hostage. Idle *between*
     /// frames is legal and has no deadline.
@@ -418,6 +424,8 @@ impl Inbound {
         self.last_rx.checked_add(cfg.read_idle_timeout)
     }
 
+    /// One scan round: reads into the loop's buffer `rbuf`, then writes
+    /// what is queued. `Err` means retire the connection.
     fn service(
         &mut self,
         now: Instant,
@@ -426,59 +434,75 @@ impl Inbound {
         cfg: &LoopConfig,
         progress: &mut bool,
     ) -> Result<(), Retire> {
-        let mut heard = false;
+        if self.writer.is_broken() {
+            // A sender declared the queue stalled; retire and account.
+            return Err(Retire::Gone);
+        }
+        let (mut heard, mut gone) = (false, false);
         for _ in 0..MAX_READS_PER_ROUND {
-            match self.stream.read(rbuf) {
-                Ok(0) => {
-                    // Peer closed; whatever parsed before this is final.
-                    self.note_heard(ctx, heard, now);
-                    return Err(Retire::Gone);
-                }
-                Ok(n) => {
-                    self.last_rx = now;
-                    heard = true;
-                    *progress = true;
-                    self.reader.take(rbuf.get(..n).unwrap_or_default(), now, ctx, cfg)?;
+            match self.stream.as_ref().read(rbuf) {
+                Ok(n) if n > 0 => {
+                    (self.last_rx, heard, *progress) = (now, true, true);
+                    let writer = &self.writer;
+                    let shook = |peer| ctx.heard(peer, now, writer);
+                    self.reader.take(rbuf.get(..n).unwrap_or_default(), ctx, cfg, &shook)?;
                     if n == rbuf.len() && n < READ_BUF_MAX {
                         rbuf.resize(n * 2, 0);
                     }
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(_) => {
-                    self.note_heard(ctx, heard, now);
-                    return Err(Retire::Gone);
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                // Closed by the peer, or a socket error: what parsed
+                // before this is final.
+                _ => {
+                    gone = true;
+                    break;
                 }
             }
         }
-        self.note_heard(ctx, heard, now);
+        // Liveness once per round, not per frame: the suspicion clock
+        // needs no finer grain.
+        if let (true, Kind::Frames(peer)) = (heard, &self.reader.kind) {
+            ctx.heard(*peer, now, &self.writer);
+        }
+        if gone {
+            return Err(Retire::Gone);
+        }
         if self.idle_deadline(cfg).is_some_and(|at| now >= at) {
             return Err(Retire::Idle);
         }
+        *progress |= (self.writer.queue)
+            .write_out(&ctx.counters, MAX_COALESCE_FRAMES, MAX_FLUSH_BYTES)
+            .map_err(|()| Retire::Gone)?;
         Ok(())
     }
 
-    /// Records peer liveness once per scan round (not once per frame —
-    /// the suspicion clock does not need sub-round resolution).
-    fn note_heard(&self, ctx: &LoopCtx, heard: bool, now: Instant) {
-        if heard {
-            if let Kind::Frames(peer) = self.reader.kind {
-                ctx.last_heard.lock().insert(peer, now);
-            }
+    /// Retires the connection: accounts unwritten frames as dropped,
+    /// poisons sender handles, closes the socket, and takes it off its
+    /// peer's record.
+    fn retire(self, ctx: &LoopCtx) {
+        let dropped = self.writer.queue.drain_remaining();
+        if dropped > 0 {
+            ctx.counters.frames_dropped.fetch_add(dropped, Ordering::Relaxed);
         }
+        if let Kind::Frames(peer) = self.reader.kind {
+            ctx.forget(peer, &self.writer);
+        }
+        ctx.counters.conns_closed.fetch_add(1, Ordering::Relaxed);
     }
 }
 
 impl Reader {
-    /// Takes one read's `bytes`, received at `now`: tops the tail up to
-    /// the end of its unit and consumes it, consumes every complete unit
-    /// that follows in place, and keeps what is left as the new tail.
+    /// Takes one read's `bytes`: tops the tail up to the end of its unit
+    /// and consumes it, consumes every complete unit that follows in
+    /// place, and keeps what is left as the new tail. A completed
+    /// handshake goes to `shook` before any frame after it is delivered.
     fn take(
         &mut self,
         mut bytes: &[u8],
-        now: Instant,
         ctx: &LoopCtx,
         cfg: &LoopConfig,
+        shook: &dyn Fn(ProcessId),
     ) -> Result<(), Retire> {
         while !self.tail.is_empty() && !bytes.is_empty() {
             // The tail's unit is 8 handshake bytes, or a 4-byte prefix
@@ -494,27 +518,28 @@ impl Reader {
             bytes = rest;
             // Topped up to its unit's end at most, the tail is consumed
             // whole or not at all.
-            if parse(&mut self.kind, &self.tail, now, ctx, cfg)? > 0 {
+            if parse(&mut self.kind, &self.tail, ctx, cfg, shook)? > 0 {
                 self.tail.clear();
                 if self.tail.capacity() > TAIL_KEEP {
                     self.tail = Vec::new();
                 }
             }
         }
-        let used = parse(&mut self.kind, bytes, now, ctx, cfg)?;
+        let used = parse(&mut self.kind, bytes, ctx, cfg, shook)?;
         self.tail.extend_from_slice(bytes.get(used..).unwrap_or_default());
         Ok(())
     }
 }
 
 /// Consumes every complete handshake/heartbeat/frame at the front of
-/// `bytes` and returns how many bytes they took.
+/// `bytes` and returns how many bytes they took; a handshake names its
+/// peer to `shook`.
 fn parse(
     kind: &mut Kind,
     bytes: &[u8],
-    now: Instant,
     ctx: &LoopCtx,
     cfg: &LoopConfig,
+    shook: &dyn Fn(ProcessId),
 ) -> Result<usize, Retire> {
     let mut used = 0;
     loop {
@@ -527,7 +552,7 @@ fn parse(
                 let peer = ProcessId::new(u64::from_le_bytes(*id));
                 used += 8;
                 *kind = Kind::Frames(peer);
-                ctx.last_heard.lock().insert(peer, now);
+                shook(peer);
             }
             Kind::Frames(peer) => {
                 let Some((len_bytes, rest)) = avail.split_first_chunk::<4>() else {
@@ -564,13 +589,16 @@ fn parse(
     }
 }
 
-fn loop_main(shared: &LoopShared, mut acceptor: Option<Acceptor>, ctx: &LoopCtx, cfg: &LoopConfig) {
+/// The loop `waker` wakes: it owns the connections it adopts, and the
+/// listener if it has `acceptor`.
+fn loop_main(waker: &LoopWaker, mut acceptor: Option<Acceptor>, ctx: &LoopCtx, cfg: &LoopConfig) {
+    let shared = &waker.0;
     let mut conns: Vec<Conn> = Vec::new();
     let mut rbuf = vec![0; READ_BUF_MIN];
     let mut events = Events::with_capacity(EVENTS_PER_WAIT);
     let mut grace_until: Option<Instant> = None;
-    // The next liveness probe: armed while this loop owns an outbound
-    // connection and heartbeats are on.
+    // The next liveness probe: armed while this loop owns a connection
+    // and heartbeats are on.
     let mut probe_at: Option<Instant> = None;
     loop {
         // Clear the wake-up flag before looking for work: a waker that
@@ -581,20 +609,21 @@ fn loop_main(shared: &LoopShared, mut acceptor: Option<Acceptor>, ctx: &LoopCtx,
         let mut progress = false;
         // Adopt newly registered connections.
         let fresh = std::mem::take(&mut *shared.inbox.lock());
-        for reg in fresh {
+        for Register { stream, queue, dialed } in fresh {
             ctx.counters.conns_opened.fetch_add(1, Ordering::Relaxed);
-            let (conn, watched) = match reg {
-                Register::Inbound(stream) => {
-                    let conn = Inbound::new(stream, now);
-                    let watched = shared.poller.add(&conn.stream, READABLE, CONN_TOKEN);
-                    (Conn::In(conn), watched)
-                }
-                Register::Outbound(queue) => {
-                    let watched = queue.watch(&shared.poller, WRITABLE_EDGE, CONN_TOKEN);
-                    (Conn::Out(queue), watched)
-                }
+            let conn = Conn {
+                reader: Reader {
+                    kind: dialed.map_or(Kind::Handshake, Kind::Frames),
+                    tail: Vec::new(),
+                },
+                last_rx: now,
+                writer: PeerWriter::new(queue, waker.clone(), Arc::clone(&ctx.counters)),
+                stream,
             };
-            match watched {
+            // Edge-triggered both ways: a round that read anything
+            // rescans before parking, so no byte waits on a level.
+            match shared.poller.add(conn.stream.as_ref(), READABLE_EDGE | WRITABLE_EDGE, CONN_TOKEN)
+            {
                 Ok(()) => conns.push(conn),
                 // epoll is out of memory or watches: a socket the loop
                 // cannot wait on is retired at once.
@@ -605,16 +634,13 @@ fn loop_main(shared: &LoopShared, mut acceptor: Option<Acceptor>, ctx: &LoopCtx,
         if let Some(acceptor) = acceptor.as_mut() {
             progress |= acceptor.accept_ready(now, &ctx.counters);
         }
-        // Probe: claim every outbound connection's heartbeat slot, which
-        // the scan below writes out ahead of queued data.
-        let dialed = conns.iter().any(|c| matches!(c, Conn::Out(_)));
+        // Probe: claim the heartbeat slot of every connection past its
+        // handshake, which the scan below writes out ahead of queued data.
         probe_at = match probe_at {
-            _ if !dialed || cfg.heartbeat_interval.is_zero() => None,
+            _ if conns.is_empty() || cfg.heartbeat_interval.is_zero() => None,
             Some(at) if now >= at => {
-                for c in &conns {
-                    if let Conn::Out(queue) = c {
-                        queue.push_heartbeat(&ctx.counters);
-                    }
+                for c in conns.iter().filter(|c| matches!(c.reader.kind, Kind::Frames(_))) {
+                    c.writer.queue.push_heartbeat(&ctx.counters);
                 }
                 Some(now + cfg.heartbeat_interval)
             }
@@ -643,7 +669,7 @@ fn loop_main(shared: &LoopShared, mut acceptor: Option<Acceptor>, ctx: &LoopCtx,
             // Stop accepting (and free the port) at once.
             acceptor = None;
             let deadline = *grace_until.get_or_insert(now + SHUTDOWN_GRACE);
-            let pending = conns.iter().any(Conn::has_unflushed);
+            let pending = conns.iter().any(|c| !c.writer.queue.is_drained());
             if !pending || now >= deadline {
                 for gone in conns.drain(..) {
                     gone.retire(ctx);
@@ -690,7 +716,13 @@ mod tests {
         let sink = Arc::clone(&got);
         let deliver: FrameHandler =
             Box::new(move |peer, group, msg| sink.lock().unwrap().push((peer, group, msg)));
-        (LoopCtx { deliver, counters: Arc::default(), last_heard: Arc::default() }, got)
+        let ctx = LoopCtx {
+            deliver,
+            counters: Arc::default(),
+            peers: Arc::default(),
+            addr_book: Arc::default(),
+        };
+        (ctx, got)
     }
 
     fn config(max_frame_len: usize) -> LoopConfig {
@@ -698,6 +730,7 @@ mod tests {
             max_frame_len,
             read_idle_timeout: Duration::from_secs(30),
             heartbeat_interval: Duration::ZERO,
+            writer_queue: 1,
         }
     }
 
@@ -706,16 +739,19 @@ mod tests {
     }
 
     /// Feeds `reads` to a fresh reader, one `take` each, and returns the
-    /// frames it delivered and the heartbeats it heard.
+    /// frames it delivered and the heartbeats it heard. The stream's
+    /// handshake is announced once.
     fn feed<'a>(
         reads: impl IntoIterator<Item = &'a [u8]>,
     ) -> (Vec<(ProcessId, Option<GroupId>, NetMsg)>, u64) {
         let (ctx, got) = recording_ctx();
         let cfg = config(1 << 26);
         let mut r = reader();
+        let shaken = std::cell::Cell::new(0);
         for bytes in reads {
-            assert!(r.take(bytes, Instant::now(), &ctx, &cfg).is_ok());
+            assert!(r.take(bytes, &ctx, &cfg, &|_| shaken.set(shaken.get() + 1)).is_ok());
         }
+        assert_eq!(shaken.get(), 1, "the handshake is announced once");
         assert!(r.tail.is_empty(), "a whole stream leaves no tail");
         assert!(r.tail.capacity() <= TAIL_KEEP, "an emptied tail kept {}", r.tail.capacity());
         let frames = std::mem::take(&mut *got.lock().unwrap());
@@ -762,9 +798,9 @@ mod tests {
         let mut bytes = 2u64.to_le_bytes().to_vec();
         bytes.extend_from_slice(&(1u32 << 20).to_le_bytes());
         let (first, second) = bytes.split_at(10);
-        assert!(r.take(first, Instant::now(), &ctx, &cfg).is_ok());
+        assert!(r.take(first, &ctx, &cfg, &|_| {}).is_ok());
         assert_eq!(r.tail.len(), 2);
-        assert!(matches!(r.take(second, Instant::now(), &ctx, &cfg), Err(Retire::Poisoned)));
+        assert!(matches!(r.take(second, &ctx, &cfg, &|_| {}), Err(Retire::Poisoned)));
         assert_eq!(ctx.counters.oversize_rejected.load(Ordering::Relaxed), 1);
         assert!(got.lock().unwrap().is_empty());
     }
@@ -780,7 +816,7 @@ mod tests {
         bytes.extend_from_slice(&(60u32 << 20).to_le_bytes());
         bytes.extend_from_slice(&[0xAB; 10]);
         for chunk in bytes.chunks(3) {
-            assert!(r.take(chunk, Instant::now(), &ctx, &cfg).is_ok());
+            assert!(r.take(chunk, &ctx, &cfg, &|_| {}).is_ok());
         }
         assert_eq!(r.tail.len(), 14);
         assert!(r.tail.capacity() <= 2 * bytes.len(), "capacity {}", r.tail.capacity());

@@ -81,7 +81,7 @@ pub(crate) struct Counters {
     pub heartbeats_heard: AtomicU64,
     /// Connections the listener accepted.
     pub accepted: AtomicU64,
-    /// Connections a loop adopted (inbound and outbound), and retired.
+    /// Connections a loop adopted (accepted and dialed), and retired.
     pub conns_opened: AtomicU64,
     pub conns_closed: AtomicU64,
 }

@@ -5,10 +5,12 @@
 //! per direction, which is exactly the channel model of Fig. 3 for peers
 //! in the `reliable_set`. Frames are length-prefixed [`NetMsg`] bodies in
 //! the one binary [`crate::codec`] wire format.
-//! Each direction of a pair uses its own connection, established lazily
-//! on first send and identified by an 8-byte process-id handshake.
+//! A connection carries frames both ways: dialed lazily on a first send
+//! to a registered peer, it names its dialer in an 8-byte process-id
+//! handshake, and the accepting side answers on it — a client that dials
+//! a server needs no address of its own.
 //!
-//! All sockets — the listener, inbound and outbound connections — are
+//! All sockets — the listener and every connection — are
 //! owned by a small fixed pool of epoll loop threads ([`crate::evloop`],
 //! [`TcpConfig::loop_threads`]), replacing the old thread-per-connection
 //! readers, per-peer writer threads and accept thread: the paper's
@@ -22,7 +24,7 @@
 //! `recv_*` calls); outbound frames flow through
 //! per-connection bounded queues ([`crate::writer`]):
 //!
-//! * **Serialized writes** — every byte on an outbound socket is written
+//! * **Serialized writes** — every byte written on a socket is written
 //!   under its connection's queue lock, so concurrent senders and
 //!   heartbeats can never tear a frame mid-stream. Per-frame sends
 //!   enqueue complete frames and wake the loop that owns the
@@ -40,9 +42,10 @@
 //!   returns one aggregated error; a single broken peer no longer censors
 //!   the rest of the `ProcSet`, matching the paper's model of independent
 //!   per-pair channels.
-//! * **Single connection per peer** — first sends racing from multiple
-//!   threads serialize on a per-peer connect guard, so exactly one
-//!   socket (and one handshake) per destination survives.
+//! * **One writer per peer** — a peer's sends use one installed
+//!   connection, replaced only once broken; first sends racing from
+//!   multiple threads serialize on a per-peer connect guard, so exactly
+//!   one socket (and one handshake) per destination is dialed.
 //!
 //! Robustness machinery (mostly configurable via [`TcpConfig`]):
 //!
@@ -52,14 +55,15 @@
 //!   [`SimRng`]) so restarting peers are not stampeded in lock-step.
 //!   Retries are surfaced in [`NetStats::retries`].
 //! * **Heartbeats as a failure signal** — each event loop claims the
-//!   *reserved* heartbeat slot on every outgoing connection it owns each
-//!   `heartbeat_interval` (never competing with data for queue space, so
-//!   a backpressured queue cannot delay probes into false suspicion);
-//!   receivers treat the zero-length frame as pure liveness. A peer that
-//!   was heard from but has been silent for longer than `suspect_after`
-//!   shows up in [`TcpTransport::suspected_peers`] — the transport-level
-//!   failure detector a membership service's suspicion input can be fed
-//!   from.
+//!   *reserved* heartbeat slot on every connection it owns past its
+//!   handshake each `heartbeat_interval` (never competing with data for
+//!   queue space, so a backpressured queue cannot delay probes into
+//!   false suspicion), so both ends of a connection probe; receivers
+//!   treat the zero-length frame as pure liveness. A peer that was heard
+//!   from but has been silent for longer than `suspect_after` shows up in
+//!   [`TcpTransport::suspected_peers`] — the transport-level failure
+//!   detector a membership service's suspicion input can be fed from.
+//!   An unregistered peer is forgotten when its connection closes.
 //! * **Resource-bounded reads** — a frame whose length prefix exceeds
 //!   [`TcpConfig::max_frame_len`] tears the connection down before any
 //!   allocation, and a peer stalled mid-handshake or mid-frame longer
@@ -69,10 +73,10 @@
 
 use crate::codec;
 pub use crate::evloop::FrameHandler;
-use crate::evloop::{LoopConfig, LoopCtx, LoopPool, Register};
+use crate::evloop::{AddrBook, LoopConfig, LoopCtx, LoopPool, Peers};
 use crate::stats::{Counters, NetStats};
 use crate::tiered::{blocking, blocking_holding, Tiered};
-use crate::writer::{OutQueue, PeerWriter, PushError};
+use crate::writer::{PeerWriter, PushError};
 use crossbeam::channel::{unbounded, Receiver};
 use std::collections::HashMap;
 use std::io::{self, Write};
@@ -106,24 +110,16 @@ pub struct TcpTransport {
     /// Backoff jitter. Taken under a per-peer connect guard during
     /// backoff; never held while taking any other lock.
     jitter: Tiered<SimRng, 4>,
-    /// Where each peer listens, one entry per registered peer. Taken
-    /// under a per-peer connect guard (and on registration with nothing
-    /// held); released before connecting.
-    addr_book: Tiered<HashMap<ProcessId, SocketAddr>, 3>,
-    /// Each peer's connection, until a send finds it dead and replaces
-    /// it. Taken bare on the fast path and re-checked under a per-peer
-    /// connect guard; never held across a connect, nor while taking a
-    /// connection's queue lock.
-    outgoing: Tiered<HashMap<ProcessId, PeerWriter>, 2>,
-    /// Per-peer guards serializing connection establishment: the loser of
-    /// a racing first send waits here and reuses the winner's socket. The
-    /// map lock is only held to clone out the per-peer `Arc`; the
+    /// Where each registered peer listens, shared with the loops.
+    addr_book: Arc<AddrBook>,
+    /// One record per peer that is registered or connected, shared with
+    /// the loops; never held across a connect or a queue lock.
+    peers: Arc<Peers>,
+    /// Per-peer guards serializing dials to registered peers: the loser
+    /// of a racing first send waits here and reuses the winner's socket.
+    /// The map lock is only held to clone out the per-peer `Arc`; the
     /// per-peer guards inside outrank every other lock.
     connect_locks: Tiered<HashMap<ProcessId, Arc<ConnectGuard>>, 1>,
-    /// Last time any frame (handshake, data, heartbeat) arrived per peer
-    /// — shared with the event loops through [`LoopCtx`]. A leaf: touched
-    /// by loop and caller threads with nothing else held.
-    last_heard: Arc<Tiered<HashMap<ProcessId, Instant>, 5>>,
     /// The fixed pool of event-loop threads owning every socket.
     pool: LoopPool,
     /// Every counter of the transport, shared with its loops and writers.
@@ -134,8 +130,8 @@ pub struct TcpTransport {
 #[derive(Debug, Clone)]
 pub struct TcpConfig {
     /// Each event loop enqueues a zero-length heartbeat frame on every
-    /// outgoing connection it owns at this interval; `Duration::ZERO`
-    /// disables them.
+    /// connection it owns past its handshake at this interval;
+    /// `Duration::ZERO` disables them.
     pub heartbeat_interval: Duration,
     /// A peer heard from before but silent for longer than this is
     /// reported by [`TcpTransport::suspected_peers`].
@@ -258,16 +254,19 @@ impl TcpTransport {
         let local_addr = listener.local_addr()?;
         listener.set_nonblocking(true)?;
         let counters = Arc::new(Counters::default());
-        let last_heard = Arc::new(Tiered::new(HashMap::new()));
+        let peers: Arc<Peers> = Arc::default();
+        let addr_book: Arc<AddrBook> = Arc::default();
         let ctx = Arc::new(LoopCtx {
             deliver,
             counters: Arc::clone(&counters),
-            last_heard: Arc::clone(&last_heard),
+            peers: Arc::clone(&peers),
+            addr_book: Arc::clone(&addr_book),
         });
         let loop_cfg = LoopConfig {
             max_frame_len: config.max_frame_len,
             read_idle_timeout: config.read_idle_timeout,
             heartbeat_interval: config.heartbeat_interval,
+            writer_queue: config.writer_queue,
         };
         let pool = LoopPool::spawn(config.loop_threads, listener, &ctx, &loop_cfg)?;
         // Seed for the deterministic backoff jitter (up to half the delay).
@@ -278,10 +277,9 @@ impl TcpTransport {
             incoming,
             config,
             jitter: Tiered::new(SimRng::new(JITTER_SEED ^ me.raw())),
-            addr_book: Tiered::new(HashMap::new()),
-            outgoing: Tiered::new(HashMap::new()),
+            addr_book,
+            peers,
             connect_locks: Tiered::new(HashMap::new()),
-            last_heard,
             pool,
             counters,
         })
@@ -297,22 +295,31 @@ impl TcpTransport {
         self.local_addr
     }
 
-    /// Records where `peer` can be reached.
+    /// Records where `peer` can be reached; its record then outlives its
+    /// connections.
     pub fn register_peer(&self, peer: ProcessId, addr: SocketAddr) {
         self.addr_book.lock().insert(peer, addr);
     }
 
     /// Peers that were heard from (any frame, heartbeats included) but
     /// have now been silent for longer than [`TcpConfig::suspect_after`]
-    /// — the transport's peer-failure signal.
+    /// — the transport's peer-failure signal. Only peers with a record
+    /// are listed ([`TcpTransport::peer_records`]).
     pub fn suspected_peers(&self) -> ProcSet {
         let now = Instant::now();
-        self.last_heard
+        let silent = |at: Instant| now.duration_since(at) > self.config.suspect_after;
+        self.peers
             .lock()
             .iter()
-            .filter(|(_, at)| now.duration_since(**at) > self.config.suspect_after)
+            .filter(|(_, record)| record.heard.is_some_and(silent))
             .map(|(p, _)| *p)
             .collect()
+    }
+
+    /// How many peers the transport keeps a record of: every registered
+    /// peer, and every other peer while a connection to it is open.
+    pub fn peer_records(&self) -> usize {
+        self.peers.lock().len()
     }
 
     /// Transport-level accounting: reconnect [`NetStats::retries`],
@@ -347,41 +354,36 @@ impl TcpTransport {
         self.counters.heartbeats_heard.load(Ordering::Relaxed)
     }
 
-    /// Inbound connections accepted by the listener. With race-free
-    /// connection establishment this is exactly one per peer that ever
-    /// sent to us, regardless of how many threads raced their first send.
+    /// Connections accepted by the listener. With race-free connection
+    /// establishment this is exactly one per peer that ever dialed us,
+    /// regardless of how many threads raced their first send.
     pub fn accepted_connections(&self) -> u64 {
         self.counters.accepted.load(Ordering::Relaxed)
     }
 
-    /// Returns a live writer handle for `peer`, connecting (with capped
-    /// backoff) if none exists or the one in the map is dead. A per-peer
-    /// guard serializes racing connection attempts: the loser re-checks
-    /// the map after the winner finishes and reuses its socket, so
-    /// exactly one connection per peer survives.
+    /// The live connection installed for `peer`, if any.
+    fn live_writer(&self, peer: ProcessId) -> Option<PeerWriter> {
+        self.peers.lock().get(&peer)?.writer.clone().filter(|w| !w.is_broken())
+    }
+
+    /// Returns the live writer for `peer`: the installed connection, or
+    /// one dialed with capped backoff if none is and `peer` is registered.
+    /// A per-peer guard serializes racing dials: the loser re-checks after
+    /// the winner finishes and reuses its socket.
     fn writer_handle(&self, peer: ProcessId) -> io::Result<PeerWriter> {
-        if let Some(w) = self.outgoing.lock().get(&peer) {
-            if !w.is_broken() {
-                return Ok(w.clone());
-            }
-        }
-        let connect_lock = Arc::clone(self.connect_locks.lock().entry(peer).or_default());
-        let _guard = connect_lock.lock();
-        // Re-check under the guard: a racing thread may have connected
-        // while we waited.
-        {
-            let mut out = self.outgoing.lock();
-            match out.get(&peer) {
-                Some(w) if !w.is_broken() => return Ok(w.clone()),
-                Some(_) => {
-                    out.remove(&peer);
-                }
-                None => {}
-            }
+        if let Some(w) = self.live_writer(peer) {
+            return Ok(w);
         }
         let addr = self.addr_book.lock().get(&peer).copied().ok_or_else(|| {
-            io::Error::new(io::ErrorKind::NotFound, format!("no address registered for {peer}"))
+            io::Error::new(io::ErrorKind::NotFound, format!("no connection or address for {peer}"))
         })?;
+        let connect_lock = Arc::clone(self.connect_locks.lock().entry(peer).or_default());
+        let _guard = connect_lock.lock();
+        // Re-check under the guard: a racing thread may have connected,
+        // or the peer dialed us, while we waited.
+        if let Some(w) = self.live_writer(peer) {
+            return Ok(w);
+        }
         // Capped exponential backoff with deterministic jitter: attempt,
         // then sleep base·2^k (≤ cap) plus up to half that in jitter.
         let mut delay = BACKOFF_BASE;
@@ -415,11 +417,11 @@ impl TcpTransport {
             io::Result::Ok(stream)
         })?;
         stream.set_nonblocking(true)?;
-        let queue = Arc::new(OutQueue::new(self.config.writer_queue, Some(stream)));
-        let waker = self.pool.register(Register::Outbound(Arc::clone(&queue)))?;
-        let writer = PeerWriter::new(queue, waker, Arc::clone(&self.counters));
-        self.outgoing.lock().insert(peer, writer.clone());
-        Ok(writer)
+        let dialed = self.pool.register(stream, peer)?;
+        // A connection the peer dialed may have been installed since the
+        // re-check: it stays the writer, and this one stays open for the
+        // peer to send on.
+        Ok(self.peers.lock().entry(peer).or_default().writer_or(&dialed).clone())
     }
 
     /// Sends `msg` to every process in `to` (self is skipped).
@@ -536,8 +538,8 @@ impl TcpTransport {
     }
 
     /// Accounts one push to `peer` through `writer`: its depth on
-    /// success; on failure, the eviction of the connection it found
-    /// broken, as an I/O error.
+    /// success; on failure an I/O error, after declaring a stalled
+    /// connection broken (which its loop then retires).
     fn settle(
         &self,
         peer: ProcessId,
@@ -555,12 +557,6 @@ impl TcpTransport {
             Err(kind) => {
                 if kind == PushError::Timeout {
                     writer.mark_broken();
-                }
-                // Evict exactly the writer we saw fail — never a fresh
-                // reconnection another thread raced in underneath us.
-                let mut out = self.outgoing.lock();
-                if out.get(&peer).is_some_and(|w| w.same_as(writer)) {
-                    out.remove(&peer);
                 }
                 Err(match kind {
                     PushError::Closed => io::Error::new(
@@ -600,19 +596,6 @@ fn aggregate_send_errors(
             detail.join("; ")
         ),
     ))
-}
-
-impl Drop for TcpTransport {
-    fn drop(&mut self) {
-        // Close every writer queue (queued frames still flush) once out of
-        // the map, whose tier is above a queue's, then tell the loops to
-        // finish flushing within their grace window and exit.
-        let writers: Vec<PeerWriter> = self.outgoing.lock().drain().map(|(_, w)| w).collect();
-        for w in writers {
-            w.close();
-        }
-        self.pool.shutdown();
-    }
 }
 
 impl std::fmt::Debug for TcpTransport {

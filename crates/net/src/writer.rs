@@ -1,7 +1,8 @@
-//! Per-connection outbound write state: the socket of one dialed
-//! connection, a bounded frame queue with a reserved heartbeat slot, the
-//! bytes started on the socket but not yet all written, and whether the
-//! connection is dead.
+//! Per-connection outbound write state: the socket of one connection
+//! (dialed or accepted, and shared with the loop that reads it), a
+//! bounded frame queue with a reserved heartbeat slot, the bytes started
+//! on the socket but not yet all written, and whether the connection is
+//! dead.
 //!
 //! The queue is what makes the transport honor the `CO_RFIFO` channel
 //! envelope under concurrency:
@@ -36,7 +37,6 @@
 
 use crate::evloop::LoopWaker;
 use crate::stats::Counters;
-use crate::sys::Poller;
 use crate::tiered::{Tiered, TieredCondvar, TieredGuard};
 use std::collections::VecDeque;
 use std::io::{self, Write};
@@ -73,9 +73,10 @@ struct OutInner {
     /// how full the queue is, drained ahead of it.
     hb_pending: bool,
     closed: bool,
-    /// The connection's socket; `None` once the loop retired it (or for
-    /// a queue that was never given one).
-    sock: Option<TcpStream>,
+    /// The connection's socket, which its loop reads through a handle of
+    /// its own; `None` once the loop retired it (or for a queue that was
+    /// never given one).
+    sock: Option<Arc<TcpStream>>,
     /// Bytes started on the socket: `wbuf[wpos..]` is unwritten and goes
     /// out before anything queued, heartbeat included.
     wbuf: Vec<u8>,
@@ -190,7 +191,7 @@ const HEARTBEAT_FRAME: [u8; 4] = [0, 0, 0, 0];
 impl OutQueue {
     /// A queue of `cap` frames feeding `sock` (`None`: a queue with no
     /// socket, which only the loop-side drain empties).
-    pub(crate) fn new(cap: usize, sock: Option<TcpStream>) -> OutQueue {
+    pub(crate) fn new(cap: usize, sock: Option<Arc<TcpStream>>) -> OutQueue {
         OutQueue {
             inner: Tiered::new(OutInner {
                 chunks: VecDeque::new(),
@@ -319,7 +320,8 @@ impl OutQueue {
     /// The loop's side: writes the unwritten tail, then drains the queue
     /// into coalesced writes until it is empty or the socket is full.
     /// Returns whether anything moved; `Err` means retire the connection
-    /// — a socket error, or a closed queue with everything written.
+    /// (a socket error; a closed queue is a broken one, which the loop
+    /// retires before writing).
     pub(crate) fn write_out(
         &self,
         counters: &Counters,
@@ -336,20 +338,11 @@ impl OutQueue {
             }
             let taken = g.take_batch(max_frames, max_bytes);
             if taken.frames == 0 {
-                // Graceful retirement once a closed queue is all written.
-                return if g.closed { Err(()) } else { Ok(progress) };
+                return Ok(progress);
             }
             self.not_full.notify_all();
             counters.coalesce_max.fetch_max(taken.frames, Ordering::Relaxed);
             progress = true;
-        }
-    }
-
-    /// Asks `poller` to report `token` when the socket has room again.
-    pub(crate) fn watch(&self, poller: &Poller, interest: u32, token: u64) -> io::Result<()> {
-        match &self.inner.lock().sock {
-            Some(sock) => poller.add(sock, interest, token),
-            None => Err(io::ErrorKind::NotConnected.into()),
         }
     }
 
@@ -403,11 +396,11 @@ impl OutQueue {
 }
 
 /// Handle to one connection's outbound side: clone-cheap, shared between
-/// the transport map and senders. The event loop holds the same queue and
-/// retires the connection.
+/// the transport's peer record, senders and the event loop that owns the
+/// connection and retires it.
 #[derive(Clone)]
 pub(crate) struct PeerWriter {
-    queue: Arc<OutQueue>,
+    pub(crate) queue: Arc<OutQueue>,
     waker: LoopWaker,
     counters: Arc<Counters>,
 }
@@ -460,18 +453,11 @@ impl PeerWriter {
         self.waker.wake();
     }
 
-    /// Same connection (not merely same peer): used so a thread only
-    /// evicts the map entry it actually observed broken, never a fresh
-    /// reconnection racing in underneath it.
+    /// Same connection (not merely same peer): a retiring connection
+    /// clears its peer's record only if it is the installed writer, never
+    /// a newer connection installed in its place.
     pub(crate) fn same_as(&self, other: &PeerWriter) -> bool {
         Arc::ptr_eq(&self.queue, &other.queue)
-    }
-
-    /// Closes the queue; queued frames still flush, then the loop
-    /// retires the connection.
-    pub(crate) fn close(&self) {
-        self.queue.close();
-        self.waker.wake();
     }
 }
 
@@ -512,14 +498,14 @@ mod tests {
         f
     }
 
-    /// A connected loopback pair: the non-blocking writing end, as the
-    /// transport dials it, and the blocking reading end.
-    fn socket_pair() -> (TcpStream, TcpStream) {
+    /// A connected loopback pair: the non-blocking writing end, shared
+    /// as a transport's loop shares it, and the blocking reading end.
+    fn socket_pair() -> (Arc<TcpStream>, TcpStream) {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let out = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
         out.set_nonblocking(true).unwrap();
         let (inb, _) = listener.accept().unwrap();
-        (out, inb)
+        (Arc::new(out), inb)
     }
 
     /// Reads `inb` to its end and splits what arrived into frames.

@@ -6,8 +6,10 @@
 //!
 //! A flag left out keeps its default, set in one place: `parse_args`
 //! for the address and pid, `ServerConfig::default` for the rest.
-//! Binds the multi-group server and serves until interrupted, printing
-//! a `server.*` counter snapshot every few seconds. Clients speak the
+//! Binds the multi-group server, prints `vsgm-server p<pid> on <addr>`
+//! as its first line, and serves until interrupted, printing a
+//! `server.*` counter snapshot every few seconds (`unsent=` counts frames
+//! owed to clients whose connection had closed). Clients speak the
 //! directory protocol on group 0 (`create/join/lookup/leave <name>`)
 //! and group traffic on the ids the directory hands out — see the
 //! README quick-start. A malformed command line prints the usage on
@@ -72,10 +74,11 @@ fn main() -> std::io::Result<()> {
         std::thread::sleep(Duration::from_secs(5));
         let s = server.stats();
         println!(
-            "groups={} routed={} unroutable={} dir(create/join/lookup/leave)={}/{}/{}/{}",
+            "groups={} routed={} unroutable={} unsent={} dir(create/join/lookup/leave)={}/{}/{}/{}",
             s.groups_hosted,
             s.frames_routed,
             s.frames_unroutable,
+            s.frames_unsent,
             s.dir_creates,
             s.dir_joins,
             s.dir_lookups,

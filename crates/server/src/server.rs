@@ -21,14 +21,17 @@
 //! ([`crate::group::GroupInstance::drain_outputs`]) — is started by a
 //! shard worker: once per batch of commands, one
 //! [`TcpTransport::send_batch`] that pushes one buffer per client, written
-//! on the worker's thread when the client's connection is idle. Frames
-//! it could not queue (a client whose connection is gone) are counted in
+//! on the worker's thread when the client's connection is idle.
+//!
+//! A client dials the daemon and names itself in the transport's 8-byte
+//! pid handshake; everything the daemon sends it goes back on that one
+//! connection. The daemon never dials: it knows no client's address.
+//! Frames it could not queue — to a client whose connection has closed,
+//! until it connects again — are counted in
 //! [`ServerStats::frames_unsent`]. One connection lives on one loop, so a
 //! client's frames reach its groups' shards in the order it sent them; a
 //! new group's `Create`, fused with its creator's `Join`, is queued before
-//! any loop can resolve its name. Inbound connections are identified only
-//! by the 8-byte pid handshake, so the reverse path needs addresses:
-//! [`GroupServer::register_client`].
+//! any loop can resolve its name.
 
 use crate::directory::{err_response, ok_response, DirOutcome, DirRequest, Directory};
 use crate::group::{admits, GroupCmd};
@@ -38,7 +41,7 @@ use std::net::SocketAddr;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock, Weak};
 use vsgm_net::tiered::blocking;
-use vsgm_net::{FrameHandler, TcpConfig, TcpTransport};
+use vsgm_net::{FrameHandler, NetStats, TcpConfig, TcpTransport};
 use vsgm_types::{AppMsg, GroupId, NetMsg, ProcessId};
 
 /// Daemon knobs.
@@ -82,7 +85,8 @@ pub struct ServerStats {
     /// Directory leaves: `leave` requests that resolved.
     pub dir_leaves: u64,
     /// Frames the shards owed clients that could not be queued on a
-    /// client's connection (no address, unreachable, broken or stalled).
+    /// client's connection: it has closed (and the client has not
+    /// connected again), or it is broken or stalled.
     pub frames_unsent: u64,
 }
 
@@ -121,10 +125,21 @@ impl GroupServer {
         self.transport.local_addr()
     }
 
-    /// Registers where client `peer` listens, enabling the delivery /
-    /// directory-response path back to it.
-    pub fn register_client(&self, peer: ProcessId, addr: SocketAddr) {
-        self.transport.register_peer(peer, addr);
+    /// Does nothing: the daemon answers each client on the connection the
+    /// client dialed, and never dials a client back. Kept for callers
+    /// written when it did.
+    pub fn register_client(&self, _peer: ProcessId, _addr: SocketAddr) {}
+
+    /// The daemon transport's counters: it dials nobody, so its
+    /// [`NetStats::retries`] stay 0.
+    pub fn net_stats(&self) -> NetStats {
+        self.transport.stats()
+    }
+
+    /// How many clients the daemon's transport keeps a record of: those
+    /// with an open connection ([`TcpTransport::peer_records`]).
+    pub fn client_records(&self) -> usize {
+        self.transport.peer_records()
     }
 
     /// The name service.
@@ -291,7 +306,6 @@ mod tests {
         fn connect(me: u64, server: &GroupServer) -> Client {
             let t = TcpTransport::bind(p(me), "127.0.0.1:0").expect("bind client");
             t.register_peer(p(0), server.local_addr());
-            server.register_client(p(me), t.local_addr());
             Client { t, server: p(0), pending: std::cell::RefCell::new(Vec::new()) }
         }
 

@@ -3,16 +3,21 @@
 //! descriptor it took, that one client's frames reach its group in the
 //! order the client sent them, directory verbs included, and that
 //! clients racing `create`/`join` from different loops all end in views.
+//! A client only dials: the daemon answers on that one connection — the
+//! shipped binary too — and forgets the client when it closes.
 //!
-//! The tests run one at a time ([`serial`]): two of them read
+//! The tests run one at a time ([`serial`]): some of them read
 //! process-wide `/proc/self` counts that a neighbour would skew.
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 #[cfg(debug_assertions)]
 use std::collections::BTreeSet;
+use std::io::{BufRead, BufReader, Write};
+use std::net::TcpStream;
 #[cfg(debug_assertions)]
 use std::path::Path;
+use std::process::{Child, Command, Stdio};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 use vsgm_net::{TcpConfig, TcpTransport};
@@ -58,6 +63,16 @@ fn count_dir(path: &str) -> usize {
     std::fs::read_dir(path).map(|d| d.count()).unwrap_or(0)
 }
 
+/// This process's open sockets: the listeners and connections of every
+/// transport in it.
+fn open_sockets() -> usize {
+    let fds = std::fs::read_dir("/proc/self/fd").expect("procfs").flatten();
+    fds.filter(|fd| {
+        std::fs::read_link(fd.path()).is_ok_and(|t| t.to_string_lossy().starts_with("socket:"))
+    })
+    .count()
+}
+
 type Frame = (ProcessId, Option<GroupId>, NetMsg);
 
 /// A bare client: one transport with one loop, and the frames it has
@@ -72,7 +87,6 @@ impl Client {
         let cfg = TcpConfig { loop_threads: 1, ..TcpConfig::default() };
         let t = TcpTransport::bind_with(p(me), "127.0.0.1:0", cfg).expect("bind client");
         t.register_peer(p(0), server.local_addr());
-        server.register_client(p(me), t.local_addr());
         Client { t, pending: RefCell::new(Vec::new()) }
     }
 
@@ -304,11 +318,11 @@ fn racing_creates_and_joins_from_both_loops_each_lead_to_a_view() {
 }
 
 /// A client that goes away stays a member of its group, so the group
-/// keeps owing it frames. Once its connection is found broken and cannot
-/// be re-dialed, each of them is counted in `frames_unsent` — exactly
-/// one per multicast here — and the group's other members still receive
-/// theirs. (Before the counter, the daemon's sink discarded every send
-/// error.)
+/// keeps owing it frames. Once its connection has closed — the daemon
+/// never dials a client, so it tries no other — each of them is counted
+/// in `frames_unsent`, exactly one per multicast here, and the group's
+/// other members still receive theirs. (Before the counter, the daemon's
+/// sink discarded every send error.)
 #[test]
 fn frames_owed_to_a_dropped_client_are_counted_and_the_others_still_get_theirs() {
     let _serial = serial();
@@ -353,6 +367,135 @@ fn frames_owed_to_a_dropped_client_are_counted_and_the_others_still_get_theirs()
     server.export_obs(&mut reg);
     assert_eq!(reg.counter(vsgm_obs::names::SERVER_FRAMES_UNSENT), counted + 5);
     assert_eq!(server.shards().finish(g), Some(vec![]));
+    assert_eq!(server.net_stats().retries, 0, "the daemon tried to dial the dropped client");
+}
+
+/// README's quick-start, line for line but for the wait: a client that
+/// dials the daemon, and that nobody registered with it, gets its
+/// directory reply, its view and its own multicast back on the
+/// connection it dialed. The daemon owes it nothing and dials nobody.
+/// (While the daemon replied by dialing back, such a client got nothing
+/// and the reply was counted in `frames_unsent`.)
+#[test]
+fn the_readme_quick_start_is_answered_on_the_connection_the_client_dialed() {
+    let _serial = serial();
+    let daemon = two_shards();
+    let (me, server_pid, server_addr) = (p(1), p(0), daemon.local_addr());
+    let server: ProcSet = [server_pid].into_iter().collect();
+    let run = || -> std::io::Result<Vec<Frame>> {
+        let t = TcpTransport::bind(me, "127.0.0.1:0")?; // me = your member id
+        t.register_peer(server_pid, server_addr);
+        t.send_to_group(GroupId::DIRECTORY, &server, &NetMsg::App("create room".into()))?;
+        let mut got = Vec::new();
+        let reply = NetMsg::App("ok create room 1".into());
+        wait_until("ok create room 1", Duration::from_secs(10), || {
+            got.extend(t.try_recv_routed());
+            got.iter().any(|(_, g, m)| *g == Some(GroupId::DIRECTORY) && *m == reply)
+        });
+        t.send_to_group(GroupId::new(1), &server, &NetMsg::App("hello".into()))?;
+        wait_until("the delivery of hello", Duration::from_secs(10), || {
+            got.extend(t.try_recv_routed());
+            got.iter().any(|(_, _, m)| matches!(m, NetMsg::Fwd(f) if f.msg == "hello".into()))
+        });
+        Ok(got)
+    };
+    let got = run().expect("the quick-start's calls succeed");
+    let view_of_one = |m: &NetMsg| matches!(m, NetMsg::ViewMsg(v) if v.contains(me));
+    assert!(got.iter().any(|(_, g, m)| *g == Some(GroupId::new(1)) && view_of_one(m)), "{got:?}");
+    let (stats, net) = (daemon.stats(), daemon.net_stats());
+    assert_eq!((stats.frames_unsent, net.retries), (0, 0), "{stats:?} {net:?}");
+}
+
+/// One connection per client, and one socket for it on each side: with
+/// daemon and clients in one process, each client that has had its
+/// first reply adds three sockets — its listener, the connection it
+/// dialed, and the daemon's accepted end of it. (The daemon used to dial
+/// each client back: five sockets per client, that connection's two ends
+/// besides.)
+#[test]
+fn a_client_costs_one_socket_on_each_side() {
+    const CLIENTS: usize = 3;
+    let _serial = serial();
+    wait_until("earlier daemons' threads and sockets to go", Duration::from_secs(10), || {
+        vsgm_threads().is_empty()
+    });
+    let server = two_shards();
+    let before = open_sockets();
+    let clients: Vec<Client> = (1..=CLIENTS as u64).map(|i| Client::connect(i, &server)).collect();
+    for c in &clients {
+        assert_eq!(c.request("lookup room"), "err unknown-group room");
+    }
+    assert_eq!(open_sockets(), before + 3 * CLIENTS);
+    assert_eq!(server.client_records(), CLIENTS);
+}
+
+/// The daemon keeps a record of a client only while the client's
+/// connection is open: 500 clients under fresh pids, one after another,
+/// each handshaking, asking one `lookup` and closing, leave behind the
+/// record of the one client still connected. (The daemon's per-peer
+/// liveness map used to keep every one of them, and `suspected_peers`
+/// listed them for good.)
+#[test]
+fn a_departed_clients_record_goes_with_its_connection() {
+    const DEPARTED: u64 = 500;
+    let _serial = serial();
+    let server = two_shards();
+    let live = Client::connect(1, &server);
+    assert_eq!(live.request("create room"), "ok create room 1");
+    let mut lookup = Vec::new();
+    let line = NetMsg::App(AppMsg::from("lookup room"));
+    vsgm_net::codec::append_frame_grouped(&mut lookup, GroupId::DIRECTORY, &line);
+    for pid in 1000..1000 + DEPARTED {
+        let mut raw = TcpStream::connect(server.local_addr()).expect("dial the daemon");
+        raw.write_all(&pid.to_le_bytes()).expect("handshake");
+        raw.write_all(&lookup).expect("lookup");
+    }
+    wait_until("the departed clients' records to go", Duration::from_secs(10), || {
+        server.client_records() == 1
+    });
+    assert_eq!(live.request("lookup room"), "ok lookup room 1");
+    // Every departed client was heard before it went.
+    assert_eq!(server.stats().dir_lookups, DEPARTED + 1);
+    assert_eq!((server.client_records(), server.net_stats().retries), (1, 0));
+}
+
+/// A `vsgm-server` child process, killed and reaped when dropped — also
+/// when an assertion fails first.
+struct Daemon(Child);
+
+impl Drop for Daemon {
+    fn drop(&mut self) {
+        let _ = self.0.kill();
+        let _ = self.0.wait();
+    }
+}
+
+/// The shipped binary answers a client that only dials it: README's
+/// quick-start against `vsgm-server --addr 127.0.0.1:0 --shards 1`, its
+/// address read from the binary's first line, gets `ok create room 1`,
+/// a view and the delivery of its own multicast.
+#[test]
+fn the_shipped_binary_answers_the_readme_quick_start() {
+    let _serial = serial();
+    let child = Command::new(env!("CARGO_BIN_EXE_vsgm-server"))
+        .args(["--addr", "127.0.0.1:0", "--shards", "1"])
+        .stdout(Stdio::piped())
+        .spawn()
+        .expect("start vsgm-server");
+    let mut daemon = Daemon(child);
+    let stdout = daemon.0.stdout.take().expect("piped stdout");
+    let mut first = String::new();
+    BufReader::new(stdout).read_line(&mut first).expect("the first line");
+    // `vsgm-server p0 on 127.0.0.1:<port> (1 shards)`
+    let addr = first.split(' ').nth(3).and_then(|a| a.parse().ok());
+    let addr = addr.unwrap_or_else(|| panic!("no address in {first:?}"));
+    let t = TcpTransport::bind(p(1), "127.0.0.1:0").expect("bind");
+    t.register_peer(p(0), addr);
+    let c = Client { t, pending: RefCell::new(Vec::new()) };
+    assert_eq!(c.request("create room"), "ok create room 1");
+    c.await_view(GroupId::new(1), &[1]);
+    c.to_server(GroupId::new(1), "hello");
+    c.await_delivery(GroupId::new(1), p(1), "hello");
 }
 
 /// Every lock and blocking call site in the non-test code of the
@@ -434,7 +577,7 @@ fn every_tiered_lock_and_blocking_call_site_runs_under_the_tracker() {
     while !missing().is_empty() && Instant::now() < deadline {
         std::thread::sleep(Duration::from_millis(5));
     }
-    assert!(sites.len() > 36, "{sites:?}");
+    assert!(sites.len() > 34, "{sites:?}");
     assert_eq!(violations(), Vec::<String>::new());
     assert_eq!(missing(), vec![], "lock or blocking call sites never reached");
 }
@@ -460,6 +603,7 @@ fn tracked_session() {
     assert_eq!(server.shards().report_all().len(), 1);
     assert_eq!(server.shards().finish(room), Some(vec![]));
     assert!(a.t.suspected_peers().is_empty());
+    assert_eq!(server.client_records(), 2);
 
     // A dial refused on every attempt, with backoff sleeps between.
     let refused = TcpListener::bind("127.0.0.1:0").and_then(|l| l.local_addr()).expect("port");

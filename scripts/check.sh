@@ -118,9 +118,18 @@ fi
 # threads, a dropped pair giving back its threads within 1 s whatever its
 # heartbeat interval (the loops send the heartbeats) — and a listener that keeps accepting after the process ran
 # out of descriptors (a binary of its own: it exhausts the fd table).
-echo "==> transport readiness (evloop regressions, accept under fd exhaustion)"
+# Then, by name, the choice of the one connection a peer's sends use
+# (every connection carries frames both ways): peers that dial each
+# other at once keep each direction's frames on one connection, in
+# order, over 50 trials; and a client with no registered address that
+# comes back under its pid is answered on its new connection.
+echo "==> transport readiness (evloop regressions, accept under fd exhaustion, one writer per peer)"
 cargo test -q -p vsgm-net --test evloop_regressions --test accept_under_fd_exhaustion \
     "${CARGO_FLAGS[@]}" >/dev/null
+named_tests -p vsgm --test net_sendpath -- \
+    racing_first_sends_share_one_connection \
+    simultaneous_first_sends_keep_each_direction_on_one_connection \
+    a_client_that_reconnects_under_its_pid_is_answered_on_its_new_connection
 
 # Net-bench smoke: a short loopback run of one transport pair with its
 # coalesced binary flushing (the `binary_coalesced` arm) plus the
@@ -323,7 +332,13 @@ cargo test -q -p vsgm --test multigroup_chaos "${CARGO_FLAGS[@]}" >/dev/null
 # clients on both loops racing `create`/`join` each end in a view; and
 # the frames owed to a dropped client are counted in
 # `server.frames_unsent`, exactly one per multicast, while the group's
-# other members still receive theirs. Then the shard worker's batching,
+# other members still receive theirs, and the daemon tries no redial.
+# A client only dials: README's quick-start is answered on its one
+# connection by a daemon nobody told its address, and by the shipped
+# `vsgm-server` binary (a child process the test kills and reaps); a
+# client costs three sockets in a process holding both ends (its
+# listener and the two ends of its one connection); and 500 clients
+# that each ask once and close leave no record behind. Then the shard worker's batching,
 # in exact counts: one burst of interleaved commands for three groups
 # gives each group the isolated instance's frames in order, one sink
 # call per batch; a batch reaching c idle clients costs exactly c socket
@@ -337,7 +352,11 @@ named_tests -p vsgm-server --test daemon -- \
     dropping_a_daemon_gives_back_its_threads_and_descriptors \
     a_clients_verbs_and_multicasts_are_applied_in_the_order_it_sent_them \
     racing_creates_and_joins_from_both_loops_each_lead_to_a_view \
-    frames_owed_to_a_dropped_client_are_counted_and_the_others_still_get_theirs
+    frames_owed_to_a_dropped_client_are_counted_and_the_others_still_get_theirs \
+    the_readme_quick_start_is_answered_on_the_connection_the_client_dialed \
+    a_client_costs_one_socket_on_each_side \
+    a_departed_clients_record_goes_with_its_connection \
+    the_shipped_binary_answers_the_readme_quick_start
 named_tests -p vsgm-server --lib -- \
     shard::tests::one_burst_for_three_groups_gives_each_its_isolated_frames_in_order \
     shard::tests::a_batch_reaching_c_idle_clients_raises_flushes_by_exactly_c \

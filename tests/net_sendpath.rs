@@ -11,9 +11,20 @@
 //! 3. **Connect races** — two threads racing the first send to a peer
 //!    both connected and handshook, and the second map insert evicted a
 //!    live socket.
+//!
+//! Since a connection carries frames both ways, two more pin the choice
+//! of the one connection a peer's sends use:
+//!
+//! 4. **Simultaneous dials** — two peers dialing each other at once end
+//!    up with two connections; a dial must not displace the connection
+//!    the peer dialed once sends go out on it, or one direction's frames
+//!    split across two sockets and lose their order.
+//! 5. **Reconnects** — a client with no registered address that comes
+//!    back under its pid is answered on its new connection.
 
 use std::collections::BTreeMap;
 use std::net::TcpListener;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Barrier;
 use std::time::{Duration, Instant};
 use vsgm_net::{TcpConfig, TcpTransport};
@@ -180,5 +191,117 @@ fn racing_first_sends_share_one_connection() {
             1,
             "trial {trial}: racing first sends opened more than one connection"
         );
+    }
+}
+
+/// `t:i`, the `i`-th frame of sender thread `t`.
+fn numbered(t: u64, i: u64) -> NetMsg {
+    NetMsg::App(AppMsg::from(format!("{t}:{i}").as_str()))
+}
+
+/// Bug 4: two transports that registered each other send their first
+/// frames at each other at once, from several threads a side. However
+/// the dials and accepts interleave, each side sends on one connection:
+/// every receiver gets every sender thread's numbered frames in order,
+/// and each side dials at most once.
+#[test]
+fn simultaneous_first_sends_keep_each_direction_on_one_connection() {
+    const TRIALS: usize = 50;
+    const THREADS: u64 = 3;
+    const FRAMES: u64 = 40;
+
+    for trial in 0..TRIALS {
+        let a = TcpTransport::bind(p(1), "127.0.0.1:0").unwrap();
+        let b = TcpTransport::bind(p(2), "127.0.0.1:0").unwrap();
+        a.register_peer(p(2), b.local_addr());
+        b.register_peer(p(1), a.local_addr());
+        let barrier = Barrier::new(2 * THREADS as usize);
+        std::thread::scope(|s| {
+            for (from, to) in [(&a, p(2)), (&b, p(1))] {
+                for t in 0..THREADS {
+                    let barrier = &barrier;
+                    s.spawn(move || {
+                        let to: ProcSet = [to].into_iter().collect();
+                        barrier.wait();
+                        for i in 0..FRAMES {
+                            from.send(&to, &numbered(t, i)).expect("racing send failed");
+                        }
+                    });
+                }
+            }
+        });
+        for (rx, sender) in [(&a, p(2)), (&b, p(1))] {
+            let mut next = [0u64; THREADS as usize];
+            for _ in 0..THREADS * FRAMES {
+                let (from, msg) = rx
+                    .recv_timeout(Duration::from_secs(5))
+                    .unwrap_or_else(|| panic!("trial {trial}: a frame from {sender} was lost"));
+                assert_eq!(from, sender);
+                let NetMsg::App(body) = msg else { panic!("unexpected message kind") };
+                let text = String::from_utf8_lossy(body.as_bytes()).into_owned();
+                let (t, i) = text.split_once(':').expect("numbered frame");
+                let (t, i): (usize, u64) = (t.parse().unwrap(), i.parse().unwrap());
+                assert_eq!(
+                    i, next[t],
+                    "trial {trial}: {sender}'s thread {t} reordered — its frames split across \
+                     two connections"
+                );
+                next[t] += 1;
+            }
+        }
+        assert!(
+            a.accepted_connections() <= 1 && b.accepted_connections() <= 1,
+            "trial {trial}: a side dialed twice"
+        );
+    }
+}
+
+/// Bug 5: a server that knows no client's address answers each client on
+/// the connection the client dialed. A client that drops its transport
+/// and binds a new one under the same pid is answered on the new
+/// connection within 2 s — once the server sees the old one close, the
+/// new one is installed at its next frame — and the server never dials.
+#[test]
+fn a_client_that_reconnects_under_its_pid_is_answered_on_its_new_connection() {
+    let server = TcpTransport::bind(p(0), "127.0.0.1:0").unwrap();
+    let client = || {
+        let c = TcpTransport::bind(p(7), "127.0.0.1:0").unwrap();
+        c.register_peer(p(0), server.local_addr());
+        c
+    };
+    let to_server: ProcSet = [p(0)].into_iter().collect();
+    let done = AtomicBool::new(false);
+    std::thread::scope(|s| {
+        // The server echoes every frame to its sender.
+        s.spawn(|| {
+            while !done.load(Ordering::Acquire) {
+                if let Some((from, msg)) = server.recv_timeout(Duration::from_millis(10)) {
+                    let _ = server.send(&[from].into_iter().collect(), &msg);
+                }
+            }
+        });
+        let first = client();
+        first.send(&to_server, &NetMsg::App(AppMsg::from("one"))).unwrap();
+        let (_, echo) = first.recv_timeout(Duration::from_secs(5)).expect("first echo");
+        assert_eq!(echo, NetMsg::App(AppMsg::from("one")));
+        drop(first);
+        let second = client();
+        let t0 = Instant::now();
+        let echo = loop {
+            second.send(&to_server, &NetMsg::App(AppMsg::from("two"))).unwrap();
+            if let Some((_, echo)) = second.recv_timeout(Duration::from_millis(50)) {
+                break echo;
+            }
+            assert!(t0.elapsed() < Duration::from_secs(2), "no echo on the new connection");
+        };
+        assert_eq!(echo, NetMsg::App(AppMsg::from("two")));
+        done.store(true, Ordering::Release);
+    });
+    assert_eq!(server.stats().retries, 0, "the server dialed");
+    // Both clients are gone, and so is the server's record of p7.
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while server.peer_records() != 0 {
+        assert!(Instant::now() < deadline, "a closed connection's record outlived it");
+        std::thread::sleep(Duration::from_millis(5));
     }
 }
