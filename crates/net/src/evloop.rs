@@ -58,6 +58,7 @@
 use crate::codec;
 use crate::stats::Counters;
 use crate::sys::{Events, Poller, READABLE_EDGE, WRITABLE_EDGE};
+use crate::tcp::DialGuard;
 use crate::tiered::{blocking, Tiered};
 use crate::writer::{OutQueue, PeerWriter};
 use std::collections::HashMap;
@@ -112,23 +113,23 @@ pub(crate) struct Peer {
     pub writer: Option<PeerWriter>,
     /// When any frame (handshake, data, heartbeat) last arrived.
     pub heard: Option<Instant>,
+    /// Where a registered peer listens, and the guard its dials take:
+    /// the loser of a racing first send waits there and reuses the
+    /// winner's socket. A peer that was never registered has none.
+    pub dial: Option<(SocketAddr, Arc<DialGuard>)>,
 }
 
 impl Peer {
     /// The live writer, after installing `conn` if none is installed or
     /// the installed one is broken.
     pub(crate) fn writer_or(&mut self, conn: &PeerWriter) -> &PeerWriter {
-        if self.writer.as_ref().is_none_or(PeerWriter::is_broken) {
-            self.writer = Some(conn.clone());
-        }
+        self.writer.take_if(|w| w.is_broken());
         self.writer.get_or_insert_with(|| conn.clone())
     }
 }
 
-/// One record per peer, taken with nothing held but a connect guard.
+/// One record per peer, taken with nothing held but a dial guard.
 pub(crate) type Peers = Tiered<HashMap<ProcessId, Peer>, 2>;
-/// Where each registered peer listens; taken under `Peers` or bare.
-pub(crate) type AddrBook = Tiered<HashMap<ProcessId, SocketAddr>, 3>;
 
 /// Everything a loop thread needs from the transport.
 pub(crate) struct LoopCtx {
@@ -139,8 +140,6 @@ pub(crate) struct LoopCtx {
     /// The transport's peer records, which connections enter as they
     /// hear and leave as they retire.
     pub peers: Arc<Peers>,
-    /// A registered peer keeps its record when its connection retires.
-    pub addr_book: Arc<AddrBook>,
 }
 
 impl LoopCtx {
@@ -154,15 +153,12 @@ impl LoopCtx {
     }
 
     /// Takes the retired connection `conn` off `peer`'s record, and the
-    /// record off the map if that leaves it no writer and the peer has
-    /// no registered address.
+    /// record off the map if that leaves it no writer and no address.
     fn forget(&self, peer: ProcessId, conn: &PeerWriter) {
         let mut peers = self.peers.lock();
         let Some(record) = peers.get_mut(&peer) else { return };
-        if record.writer.as_ref().is_some_and(|w| w.same_as(conn)) {
-            record.writer = None;
-        }
-        if record.writer.is_none() && !self.addr_book.lock().contains_key(&peer) {
+        record.writer.take_if(|w| w.same_as(conn));
+        if record.writer.is_none() && record.dial.is_none() {
             peers.remove(&peer);
         }
     }
@@ -716,12 +712,7 @@ mod tests {
         let sink = Arc::clone(&got);
         let deliver: FrameHandler =
             Box::new(move |peer, group, msg| sink.lock().unwrap().push((peer, group, msg)));
-        let ctx = LoopCtx {
-            deliver,
-            counters: Arc::default(),
-            peers: Arc::default(),
-            addr_book: Arc::default(),
-        };
+        let ctx = LoopCtx { deliver, counters: Arc::default(), peers: Arc::default() };
         (ctx, got)
     }
 

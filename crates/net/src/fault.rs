@@ -39,7 +39,7 @@ pub struct FaultPlan {
     /// oracle is watching).
     #[serde(default)]
     pub dup: f64,
-    /// Extra arrival jitter: each message is delayed by a uniformly
+    /// Extra arrival jitter. Each message is delayed by a uniformly
     /// random amount in `[0, reorder_ms]` milliseconds on top of the
     /// latency model. Applies to *all* channels (delay is always legal)
     /// and reorders messages across channels, never within one.

@@ -42,17 +42,20 @@
 //!   returns one aggregated error; a single broken peer no longer censors
 //!   the rest of the `ProcSet`, matching the paper's model of independent
 //!   per-pair channels.
-//! * **One writer per peer** — a peer's sends use one installed
-//!   connection, replaced only once broken; first sends racing from
-//!   multiple threads serialize on a per-peer connect guard, so exactly
-//!   one socket (and one handshake) per destination is dialed.
+//! * **One record per peer** — everything the transport keeps of a peer
+//!   is one `Peer` record: its installed connection, replaced only once
+//!   broken, when it was last heard, and, once registered, its address
+//!   and dial guard. First sends racing from multiple threads serialize
+//!   on that guard, so exactly one socket (and one handshake) per
+//!   destination is dialed.
 //!
 //! Robustness machinery (mostly configurable via [`TcpConfig`]):
 //!
 //! * **Reconnect with capped exponential backoff + jitter** — a failed
 //!   connect is retried four times with delays `1 ms, 2 ms, …` (capped
-//!   at 100 ms), each padded with deterministic jitter (seeded
-//!   [`SimRng`]) so restarting peers are not stampeded in lock-step.
+//!   at 100 ms), each padded with deterministic jitter (a [`SimRng`]
+//!   seeded per dial from both pids) so restarting peers are not
+//!   stampeded in lock-step.
 //!   Retries are surfaced in [`NetStats::retries`].
 //! * **Heartbeats as a failure signal** — each event loop claims the
 //!   *reserved* heartbeat slot on every connection it owns past its
@@ -73,12 +76,11 @@
 
 use crate::codec;
 pub use crate::evloop::FrameHandler;
-use crate::evloop::{AddrBook, LoopConfig, LoopCtx, LoopPool, Peers};
+use crate::evloop::{LoopConfig, LoopCtx, LoopPool, Peer, Peers};
 use crate::stats::{Counters, NetStats};
 use crate::tiered::{blocking, blocking_holding, Tiered};
 use crate::writer::{PeerWriter, PushError};
 use crossbeam::channel::{unbounded, Receiver};
-use std::collections::HashMap;
 use std::io::{self, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::Ordering;
@@ -107,19 +109,10 @@ pub struct TcpTransport {
     local_addr: SocketAddr,
     incoming: Receiver<(ProcessId, Option<GroupId>, NetMsg)>,
     config: TcpConfig,
-    /// Backoff jitter. Taken under a per-peer connect guard during
-    /// backoff; never held while taking any other lock.
-    jitter: Tiered<SimRng, 4>,
-    /// Where each registered peer listens, shared with the loops.
-    addr_book: Arc<AddrBook>,
     /// One record per peer that is registered or connected, shared with
-    /// the loops; never held across a connect or a queue lock.
+    /// the loops; never held across a dial guard, a connect or a queue
+    /// lock.
     peers: Arc<Peers>,
-    /// Per-peer guards serializing dials to registered peers: the loser
-    /// of a racing first send waits here and reuses the winner's socket.
-    /// The map lock is only held to clone out the per-peer `Arc`; the
-    /// per-peer guards inside outrank every other lock.
-    connect_locks: Tiered<HashMap<ProcessId, Arc<ConnectGuard>>, 1>,
     /// The fixed pool of event-loop threads owning every socket.
     pool: LoopPool,
     /// Every counter of the transport, shared with its loops and writers.
@@ -183,15 +176,19 @@ const BACKOFF_BASE: Duration = Duration::from_millis(1);
 /// Ceiling for the reconnect delay.
 const BACKOFF_CAP: Duration = Duration::from_millis(100);
 
-/// The tier of a per-peer connect guard: the outermost lock, held across
-/// the dial, the handshake write and the backoff sleeps between attempts.
-const CONNECT_TIER: u8 = 0;
+/// Seed for the deterministic backoff jitter (up to half the delay),
+/// mixed with both pids for each dial.
+const JITTER_SEED: u64 = 0x7C9;
 
-/// Serializes connection establishment to one peer.
-type ConnectGuard = Tiered<(), CONNECT_TIER>;
+/// The tier of a peer's dial guard: the outermost lock, held across the
+/// dial, the handshake write and the backoff sleeps between attempts.
+const DIAL_TIER: u8 = 0;
+
+/// Serializes the dials to one registered peer; kept in its [`Peer`].
+pub(crate) type DialGuard = Tiered<(), DIAL_TIER>;
 
 /// Why a thread dials, writes its handshake and sleeps out its backoff
-/// holding the peer's connect guard.
+/// holding the peer's dial guard.
 const HELD_WHILE_DIALING: &str = "racing senders must wait for the one connection attempt to a \
     peer rather than dial it concurrently; the guard is per peer, so no other traffic waits";
 
@@ -255,12 +252,10 @@ impl TcpTransport {
         listener.set_nonblocking(true)?;
         let counters = Arc::new(Counters::default());
         let peers: Arc<Peers> = Arc::default();
-        let addr_book: Arc<AddrBook> = Arc::default();
         let ctx = Arc::new(LoopCtx {
             deliver,
             counters: Arc::clone(&counters),
             peers: Arc::clone(&peers),
-            addr_book: Arc::clone(&addr_book),
         });
         let loop_cfg = LoopConfig {
             max_frame_len: config.max_frame_len,
@@ -269,20 +264,7 @@ impl TcpTransport {
             writer_queue: config.writer_queue,
         };
         let pool = LoopPool::spawn(config.loop_threads, listener, &ctx, &loop_cfg)?;
-        // Seed for the deterministic backoff jitter (up to half the delay).
-        const JITTER_SEED: u64 = 0x7C9;
-        Ok(TcpTransport {
-            me,
-            local_addr,
-            incoming,
-            config,
-            jitter: Tiered::new(SimRng::new(JITTER_SEED ^ me.raw())),
-            addr_book,
-            peers,
-            connect_locks: Tiered::new(HashMap::new()),
-            pool,
-            counters,
-        })
+        Ok(TcpTransport { me, local_addr, incoming, config, peers, pool, counters })
     }
 
     /// This node's process identity.
@@ -296,9 +278,12 @@ impl TcpTransport {
     }
 
     /// Records where `peer` can be reached; its record then outlives its
-    /// connections.
+    /// connections. A new address keeps the peer's dial guard.
     pub fn register_peer(&self, peer: ProcessId, addr: SocketAddr) {
-        self.addr_book.lock().insert(peer, addr);
+        let mut peers = self.peers.lock();
+        let record = peers.entry(peer).or_default();
+        let guard = record.dial.take().map_or_else(Arc::default, |(_, guard)| guard);
+        record.dial = Some((addr, guard));
     }
 
     /// Peers that were heard from (any frame, heartbeats included) but
@@ -368,24 +353,26 @@ impl TcpTransport {
 
     /// Returns the live writer for `peer`: the installed connection, or
     /// one dialed with capped backoff if none is and `peer` is registered.
-    /// A per-peer guard serializes racing dials: the loser re-checks after
-    /// the winner finishes and reuses its socket.
+    /// The peer's dial guard serializes racing dials: the loser re-checks
+    /// after the winner finishes and reuses its socket.
     fn writer_handle(&self, peer: ProcessId) -> io::Result<PeerWriter> {
-        if let Some(w) = self.live_writer(peer) {
-            return Ok(w);
-        }
-        let addr = self.addr_book.lock().get(&peer).copied().ok_or_else(|| {
-            io::Error::new(io::ErrorKind::NotFound, format!("no connection or address for {peer}"))
-        })?;
-        let connect_lock = Arc::clone(self.connect_locks.lock().entry(peer).or_default());
-        let _guard = connect_lock.lock();
+        let (addr, guard) = match self.peers.lock().get(&peer) {
+            Some(Peer { writer: Some(w), .. }) if !w.is_broken() => return Ok(w.clone()),
+            Some(Peer { dial: Some((addr, guard)), .. }) => (*addr, Arc::clone(guard)),
+            _ => {
+                let missing = format!("no connection or address for {peer}");
+                return Err(io::Error::new(io::ErrorKind::NotFound, missing));
+            }
+        };
+        let _guard = guard.lock();
         // Re-check under the guard: a racing thread may have connected,
         // or the peer dialed us, while we waited.
         if let Some(w) = self.live_writer(peer) {
             return Ok(w);
         }
-        // Capped exponential backoff with deterministic jitter: attempt,
+        // Capped exponential backoff with deterministic jitter. Attempt,
         // then sleep base·2^k (≤ cap) plus up to half that in jitter.
+        let mut jitter = SimRng::new(JITTER_SEED ^ self.me.raw() ^ peer.raw());
         let mut delay = BACKOFF_BASE;
         let mut attempt = 0u32;
         loop {
@@ -395,9 +382,9 @@ impl TcpTransport {
                 Err(_) => {
                     attempt += 1;
                     self.counters.retries.fetch_add(1, Ordering::Relaxed);
-                    let jitter_us = self.jitter.lock().range(0, (delay.as_micros() as u64) / 2 + 1);
+                    let jitter_us = jitter.range(0, (delay.as_micros() as u64) / 2 + 1);
                     let pause = delay + Duration::from_micros(jitter_us);
-                    blocking_holding::<CONNECT_TIER, _>(HELD_WHILE_DIALING, || {
+                    blocking_holding::<DIAL_TIER, _>(HELD_WHILE_DIALING, || {
                         std::thread::sleep(pause)
                     });
                     delay = (delay * 2).min(BACKOFF_CAP);
@@ -410,7 +397,7 @@ impl TcpTransport {
         // Handshake: announce who we are. The connection has not been
         // handed to an event loop yet, so this (blocking) write cannot
         // interleave with frames.
-        let stream = blocking_holding::<CONNECT_TIER, _>(HELD_WHILE_DIALING, || {
+        let stream = blocking_holding::<DIAL_TIER, _>(HELD_WHILE_DIALING, || {
             let mut stream = TcpStream::connect(addr)?;
             stream.set_nodelay(true)?;
             stream.write_all(&self.me.raw().to_le_bytes())?;
@@ -807,6 +794,23 @@ mod tests {
             assert!(Instant::now() < deadline, "dead peer never suspected");
             std::thread::sleep(Duration::from_millis(10));
         }
+        // The registered record outlives its retired connections, and it
+        // is the one suspected.
+        while a.stats().conns_open > 0 {
+            assert!(Instant::now() < deadline, "connections to a dead peer never retired");
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        assert_eq!(a.peer_records(), 1);
+    }
+
+    #[test]
+    fn registered_peers_have_records_before_any_connection() {
+        let a = TcpTransport::bind(p(1), "127.0.0.1:0").unwrap();
+        for i in 2..5 {
+            a.register_peer(p(i), a.local_addr());
+        }
+        assert_eq!(a.peer_records(), 3);
+        assert_eq!(a.stats().conns_open, 0, "registering dials nothing");
     }
 
     #[test]

@@ -72,7 +72,6 @@ struct OutInner {
     /// The reserved heartbeat slot: set by the loop's probe regardless of
     /// how full the queue is, drained ahead of it.
     hb_pending: bool,
-    closed: bool,
     /// The connection's socket, which its loop reads through a handle of
     /// its own; `None` once the loop retired it (or for a queue that was
     /// never given one).
@@ -180,8 +179,9 @@ pub(crate) struct OutQueue {
     not_full: TieredCondvar<1>,
     cap: usize,
     /// The connection is dead: its loop retired it, or a sender found it
-    /// stalled. Read without the lock, by senders looking the connection
-    /// up and by the loop before it writes.
+    /// stalled. Pushes read it under the lock and refuse a dead queue;
+    /// senders looking the connection up and the loop before it writes
+    /// read it bare.
     broken: AtomicBool,
 }
 
@@ -197,7 +197,6 @@ impl OutQueue {
                 chunks: VecDeque::new(),
                 queued: 0,
                 hb_pending: false,
-                closed: false,
                 sock,
                 wbuf: Vec::new(),
                 wpos: 0,
@@ -222,7 +221,7 @@ impl OutQueue {
         let deadline = Instant::now() + timeout;
         let want = usize::try_from(frames).unwrap_or(usize::MAX);
         loop {
-            if g.closed {
+            if self.is_broken() {
                 return Err(PushError::Closed);
             }
             if g.queued == 0 || g.queued.saturating_add(want) <= self.cap {
@@ -257,7 +256,7 @@ impl OutQueue {
         counters: &Counters,
     ) -> Result<(usize, bool), PushError> {
         let mut g = self.inner.lock();
-        if g.closed {
+        if self.is_broken() {
             return Err(PushError::Closed);
         }
         if !g.is_idle() || g.sock.is_none() {
@@ -286,13 +285,13 @@ impl OutQueue {
 
     /// Claims the reserved heartbeat slot and counts the probe. Never
     /// waits and never fails on a full queue — that is the point:
-    /// liveness probes must not queue behind data. A closed queue takes
+    /// liveness probes must not queue behind data. A broken queue takes
     /// no probe; one arriving while the last is still pending joins it,
     /// counted as a probe but not as a frame. Returns whether a frame
     /// was enqueued.
     pub(crate) fn push_heartbeat(&self, counters: &Counters) -> bool {
         let mut g = self.inner.lock();
-        if g.closed {
+        if self.is_broken() {
             return false;
         }
         counters.heartbeats.fetch_add(1, Ordering::Relaxed);
@@ -320,8 +319,7 @@ impl OutQueue {
     /// The loop's side: writes the unwritten tail, then drains the queue
     /// into coalesced writes until it is empty or the socket is full.
     /// Returns whether anything moved; `Err` means retire the connection
-    /// (a socket error; a closed queue is a broken one, which the loop
-    /// retires before writing).
+    /// (a socket error; a broken queue the loop retires before writing).
     pub(crate) fn write_out(
         &self,
         counters: &Counters,
@@ -352,33 +350,29 @@ impl OutQueue {
         self.inner.lock().is_idle()
     }
 
-    /// Closes the queue: pending frames still drain, new pushes fail.
-    pub(crate) fn close(&self) {
-        self.inner.lock().closed = true;
-        self.not_full.notify_all();
-    }
-
     /// Whether the connection is dead ([`OutQueue::mark_broken`],
     /// [`OutQueue::drain_remaining`]).
     pub(crate) fn is_broken(&self) -> bool {
         self.broken.load(Ordering::Acquire)
     }
 
-    /// Declares the connection dead and closes the queue: its loop tears
-    /// the socket down at its next round instead of flushing.
+    /// Declares the connection dead: pushes fail from now on, one waiting
+    /// for room wakes to fail, and its loop tears the socket down at its
+    /// next round instead of flushing. The lock is taken before the
+    /// wake-up, so a pusher that saw the queue alive is already waiting.
     fn mark_broken(&self) {
         self.broken.store(true, Ordering::Release);
-        self.close();
+        let _g = self.inner.lock();
+        self.not_full.notify_all();
     }
 
-    /// Retires the connection: marks it dead, closes and empties the
-    /// queue and closes the socket, returning how many frames (probe and
+    /// Retires the connection: marks it dead, empties the queue and
+    /// closes the socket, returning how many frames (probe and
     /// unwritten tail included) were thrown away — the teardown side of
     /// the `enqueued == flushed + dropped` conservation law.
     pub(crate) fn drain_remaining(&self) -> u64 {
         self.broken.store(true, Ordering::Release);
         let mut g = self.inner.lock();
-        g.closed = true;
         g.sock = None;
         let mut n = g.queued as u64 + g.wframes;
         g.chunks.clear();
@@ -601,17 +595,32 @@ mod tests {
         assert_eq!(stats.frames_enqueued.load(Ordering::Relaxed), 12);
     }
 
+    /// Marking a queue broken refuses every later push and probe, and
+    /// wakes a pusher waiting for room on a full queue with `Closed`
+    /// long before its own timeout.
     #[test]
-    fn close_keeps_queued_frames_for_the_drain() {
-        let q = q(8);
-        q.push(frame(b"tail"), Duration::from_secs(1)).unwrap();
-        q.close();
-        assert_eq!(q.push(frame(b"late"), Duration::from_millis(5)), Err(PushError::Closed));
-        assert!(!q.push_heartbeat(&Counters::default()), "closed queue rejects probes");
-        let mut buf = Vec::new();
-        let taken = q.take_batch(&mut buf, 32, 1 << 20);
-        assert_eq!(taken.frames, 1, "close still drains queued frames");
-        assert_eq!(frames_in(&buf), vec![b"tail".to_vec()]);
+    fn a_broken_queue_refuses_pushes_and_wakes_a_blocked_pusher() {
+        let q = q(1);
+        q.push(frame(b"full"), Duration::from_secs(1)).unwrap();
+        let blocked = std::thread::scope(|s| {
+            let pusher = s.spawn(|| {
+                let t0 = Instant::now();
+                (q.push(frame(b"waits"), Duration::from_secs(30)), t0.elapsed())
+            });
+            std::thread::sleep(Duration::from_millis(50));
+            q.mark_broken();
+            pusher.join().unwrap()
+        });
+        assert_eq!(blocked.0, Err(PushError::Closed));
+        assert!(blocked.1 < Duration::from_secs(10), "woken only after {:?}", blocked.1);
+        let stats = Counters::default();
+        assert_eq!(q.push(frame(b"late"), Duration::ZERO), Err(PushError::Closed));
+        assert_eq!(
+            q.push_batch(&frame(b"late"), 1, Duration::ZERO, &stats),
+            Err(PushError::Closed)
+        );
+        assert!(!q.push_heartbeat(&stats), "a broken queue takes no probe");
+        assert_eq!(stats.heartbeats.load(Ordering::Relaxed), 0);
     }
 
     #[test]

@@ -450,8 +450,10 @@ fn a_departed_clients_record_goes_with_its_connection() {
         raw.write_all(&pid.to_le_bytes()).expect("handshake");
         raw.write_all(&lookup).expect("lookup");
     }
+    // Count only once every departed client was heard: a record exists
+    // only past a handshake, so one still unread has none yet.
     wait_until("the departed clients' records to go", Duration::from_secs(10), || {
-        server.client_records() == 1
+        server.stats().dir_lookups == DEPARTED && server.client_records() == 1
     });
     assert_eq!(live.request("lookup room"), "ok lookup room 1");
     // Every departed client was heard before it went.
@@ -577,7 +579,7 @@ fn every_tiered_lock_and_blocking_call_site_runs_under_the_tracker() {
     while !missing().is_empty() && Instant::now() < deadline {
         std::thread::sleep(Duration::from_millis(5));
     }
-    assert!(sites.len() > 34, "{sites:?}");
+    assert!(sites.len() > 31, "{sites:?}");
     assert_eq!(violations(), Vec::<String>::new());
     assert_eq!(missing(), vec![], "lock or blocking call sites never reached");
 }

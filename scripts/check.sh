@@ -122,7 +122,9 @@ fi
 # (every connection carries frames both ways): peers that dial each
 # other at once keep each direction's frames on one connection, in
 # order, over 50 trials; and a client with no registered address that
-# comes back under its pid is answered on its new connection.
+# comes back under its pid is answered on its new connection. Then a
+# peer's one record: a registered peer has it before any connection,
+# and a broken queue refuses pushes and wakes a pusher waiting for room.
 echo "==> transport readiness (evloop regressions, accept under fd exhaustion, one writer per peer)"
 cargo test -q -p vsgm-net --test evloop_regressions --test accept_under_fd_exhaustion \
     "${CARGO_FLAGS[@]}" >/dev/null
@@ -130,6 +132,9 @@ named_tests -p vsgm --test net_sendpath -- \
     racing_first_sends_share_one_connection \
     simultaneous_first_sends_keep_each_direction_on_one_connection \
     a_client_that_reconnects_under_its_pid_is_answered_on_its_new_connection
+named_tests -p vsgm-net --lib -- \
+    tcp::tests::registered_peers_have_records_before_any_connection \
+    writer::tests::a_broken_queue_refuses_pushes_and_wakes_a_blocked_pusher
 
 # Net-bench smoke: a short loopback run of one transport pair with its
 # coalesced binary flushing (the `binary_coalesced` arm) plus the
