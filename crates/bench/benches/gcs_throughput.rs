@@ -13,9 +13,9 @@
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use std::time::{Duration, Instant};
-use vsgm_core::node::{AppEvent, Node};
 use vsgm_core::{BatchConfig, Config, Endpoint, Input};
 use vsgm_net::{TcpConfig, TcpTransport};
+use vsgm_server::{AppEvent, Node};
 use vsgm_types::{AppMsg, ProcSet, ProcessId, StartChangeId, View, ViewId};
 
 const PAYLOAD_BYTES: usize = 16;

@@ -2,10 +2,10 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::time::Duration;
-use vsgm_core::node::AppEvent;
-use vsgm_core::{Config, Endpoint, Input, Node};
+use vsgm_core::{Config, Endpoint, Input};
 use vsgm_harness::experiments;
 use vsgm_net::TcpTransport;
+use vsgm_server::{AppEvent, Node};
 use vsgm_types::{AppMsg, ProcSet, ProcessId, StartChangeId, View, ViewId};
 
 /// With `VSGM_OBS_SNAPSHOT=<dir>` set, re-runs an instrumented 4-process

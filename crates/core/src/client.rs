@@ -1,8 +1,8 @@
 //! A reference blocking application client (Fig. 12), and [`Hosted`]:
-//! the one composition of an end-point with it. `harness::Sim`, the
-//! daemon's `GroupInstance`, explore's `Machine` and [`crate::Node`] all
-//! host end-points through it, and keep only their channel and what they
-//! do with each [`Event`] — where a `NetSend` goes, who sees a `Deliver`.
+//! the one composition of an end-point with it. `harness::Sim`, explore's
+//! `Machine` and the server crate's `GroupInstance` and `Node` all host
+//! end-points through it, and keep only their channel and what they do
+//! with each [`Event`] — where a `NetSend` goes, who sees a `Deliver`.
 
 use crate::endpoint::{Action, Effect, Endpoint, GroupEndpoint, Input};
 use std::collections::VecDeque;

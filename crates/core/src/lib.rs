@@ -63,7 +63,6 @@ pub mod corrupt;
 pub mod endpoint;
 pub mod forward;
 pub mod invariants;
-pub mod node;
 pub mod sd;
 pub mod stability;
 pub mod state;
@@ -77,4 +76,3 @@ pub use config::{Config, Stack};
 pub use corrupt::CorruptionKind;
 pub use endpoint::{Action, Effect, Endpoint, GroupEndpoint, Input};
 pub use forward::{ForwardCmd, ForwardStrategyKind};
-pub use node::Node;

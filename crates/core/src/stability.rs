@@ -21,27 +21,15 @@
 //! [`send_ack_pre`] / [`send_ack_eff`] transition. An end-point that is
 //! never told [`crate::Input::AckDue`] sends nothing, hears nothing and
 //! retains everything — unless its host can see the floor without
-//! asking. The daemon's `GroupInstance` runs every member's end-point
-//! itself, in one process: after each step it reads every member's
-//! `last_dlvrd` and hands each end-point the floor
+//! asking. `vsgm-server`'s `Node` asks once every `ACK_EVERY` messages
+//! delivered to its application. The daemon's `GroupInstance` runs
+//! every member's end-point itself, in one process: after each step it
+//! reads every member's `last_dlvrd` and hands each end-point the floor
 //! ([`crate::Endpoint::forget_delivered`]), and acknowledges nothing.
 //! *Whether* to drop is not an option.
 
 use crate::state::State;
 use vsgm_types::{Cut, MsgIndex, NetMsg, ProcSet, ProcessId};
-
-/// How often a host asks for acknowledgements ([`crate::Input::AckDue`]):
-/// a [`crate::Node`] asks its end-point once this many messages were
-/// delivered to its application. A busy member then retains about this
-/// many messages per sender, and a round costs n + n(n−1) events
-/// (EXPERIMENTS.md E16). The daemon's `GroupInstance` does not ask: it
-/// reads its members' deliveries directly and frees after every step
-/// (DESIGN.md §18). The trigger stays in the hosts, not in
-/// [`crate::Hosted`]: `harness::Sim` acknowledges only on
-/// `Sim::ack_round`, its un-acknowledged run is the retaining reference
-/// `tests/stability_differential.rs` compares against, and a trigger
-/// inside the composition would need a switch to turn it off.
-pub const ACK_EVERY: u64 = 64;
 
 // ----- input actions -----
 

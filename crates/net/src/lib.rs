@@ -19,8 +19,8 @@
 //! `vsgm-spec`.
 //!
 //! The workspace denies `unsafe` everywhere except this crate's private
-//! `sys` module, which declares the Linux epoll/eventfd calls the event
-//! loops park on.
+//! `sys` module, which declares the Linux calls the event loops park on
+//! (epoll, eventfd) and the `listen` that sizes a listener's queue.
 
 #![warn(missing_docs)]
 #![allow(

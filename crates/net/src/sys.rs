@@ -1,7 +1,9 @@
 //! The transport's only `unsafe` code: `extern "C"` declarations of the
 //! Linux readiness calls the event loops park on — `epoll_create1`,
 //! `epoll_ctl`, `epoll_wait`, `eventfd`, `read` and `write` — wrapped in
-//! a safe [`Poller`] that owns its two descriptors as [`OwnedFd`]s.
+//! a safe [`Poller`] that owns its two descriptors as [`OwnedFd`]s, and
+//! of `listen`, which [`bind_listener`] calls to lengthen a bound
+//! listener's accept queue.
 //!
 //! There is no portable fallback. The benchmark, the memory soaks and the
 //! fd/thread-leak tests already read `/proc`, so the workspace runs on
@@ -13,6 +15,7 @@
 //! (DESIGN.md §10, §16).
 
 use std::io;
+use std::net::TcpListener;
 use std::os::fd::{AsFd, AsRawFd, FromRawFd, OwnedFd};
 use std::os::raw::{c_int, c_uint, c_void};
 use std::time::Duration;
@@ -55,6 +58,7 @@ extern "C" {
     fn eventfd(initval: c_uint, flags: c_int) -> c_int;
     fn read(fd: c_int, buf: *mut c_void, count: usize) -> isize;
     fn write(fd: c_int, buf: *const c_void, count: usize) -> isize;
+    fn listen(fd: c_int, backlog: c_int) -> c_int;
 }
 
 const EPOLL_CTL_ADD: c_int = 1;
@@ -174,4 +178,17 @@ impl Poller {
         // non-blocking eventfd.
         unsafe { read(self.wake.as_raw_fd(), std::ptr::from_mut(&mut count).cast(), 8) };
     }
+}
+
+/// Binds a listener on `addr` whose accept queue holds `backlog`
+/// connections: `listen` again on a listening socket only resizes its
+/// queue, which the kernel caps at `net.core.somaxconn`.
+pub(crate) fn bind_listener(addr: &str, backlog: c_int) -> io::Result<TcpListener> {
+    let listener = TcpListener::bind(addr)?;
+    // SAFETY: no pointer arguments, and the descriptor is borrowed from
+    // a listener that is open for the duration of the call.
+    if unsafe { listen(listener.as_raw_fd(), backlog) } < 0 {
+        return Err(io::Error::last_os_error());
+    }
+    Ok(listener)
 }

@@ -78,12 +78,13 @@ use crate::codec;
 pub use crate::evloop::FrameHandler;
 use crate::evloop::{LoopConfig, LoopCtx, LoopPool, Peer, Peers};
 use crate::stats::{Counters, NetStats};
-use crate::tiered::{blocking, blocking_holding, Tiered};
+use crate::sys;
+use crate::tiered::{blocking_holding, Tiered};
 use crate::writer::{PeerWriter, PushError};
-use crossbeam::channel::{unbounded, Receiver};
 use std::io::{self, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::Ordering;
+use std::sync::mpsc::{channel, Receiver};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use vsgm_ioa::SimRng;
@@ -107,7 +108,8 @@ use vsgm_types::{GroupId, NetMsg, ProcSet, ProcessId};
 pub struct TcpTransport {
     me: ProcessId,
     local_addr: SocketAddr,
-    incoming: Receiver<(ProcessId, Option<GroupId>, NetMsg)>,
+    /// The default handler's frames for `recv_*`, one consumer at a time.
+    incoming: Tiered<Receiver<(ProcessId, Option<GroupId>, NetMsg)>, RECV_TIER>,
     config: TcpConfig,
     /// One record per peer that is registered or connected, shared with
     /// the loops; never held across a dial guard, a connect or a queue
@@ -192,6 +194,14 @@ pub(crate) type DialGuard = Tiered<(), DIAL_TIER>;
 const HELD_WHILE_DIALING: &str = "racing senders must wait for the one connection attempt to a \
     peer rather than dial it concurrently; the guard is per peer, so no other traffic waits";
 
+/// The receive queue's tier: taken under nothing, held across one wait.
+const RECV_TIER: u8 = 3;
+
+/// The accept queue asked of a listener; the kernel caps it at
+/// `net.core.somaxconn`. std's 128 makes a burst of dials past it wait
+/// about a second for a SYN retransmit.
+const LISTEN_BACKLOG: i32 = 4096;
+
 impl TcpTransport {
     /// Binds a listener and starts the event loops, with default
     /// [`TcpConfig`].
@@ -211,7 +221,7 @@ impl TcpTransport {
     /// Returns any error from binding the listener, creating the loops'
     /// epoll instances or spawning the transport's threads.
     pub fn bind_with(me: ProcessId, addr: &str, config: TcpConfig) -> io::Result<TcpTransport> {
-        let (tx, rx) = unbounded();
+        let (tx, rx) = channel();
         // The send fails only once the transport, receiver and all, is gone.
         let queue: FrameHandler = Box::new(move |p, g, m| {
             let _ = tx.send((p, g, m));
@@ -236,7 +246,7 @@ impl TcpTransport {
         handler: FrameHandler,
     ) -> io::Result<TcpTransport> {
         // A receiver whose sender is already gone: nothing ever arrives.
-        TcpTransport::start(me, addr, config, handler, unbounded().1)
+        TcpTransport::start(me, addr, config, handler, channel().1)
     }
 
     /// The loops hand each frame to `deliver`; `recv_*` read `incoming`.
@@ -247,7 +257,7 @@ impl TcpTransport {
         deliver: FrameHandler,
         incoming: Receiver<(ProcessId, Option<GroupId>, NetMsg)>,
     ) -> io::Result<TcpTransport> {
-        let listener = TcpListener::bind(addr)?;
+        let listener = sys::bind_listener(addr, LISTEN_BACKLOG)?;
         let local_addr = listener.local_addr()?;
         listener.set_nonblocking(true)?;
         let counters = Arc::new(Counters::default());
@@ -264,6 +274,7 @@ impl TcpTransport {
             writer_queue: config.writer_queue,
         };
         let pool = LoopPool::spawn(config.loop_threads, listener, &ctx, &loop_cfg)?;
+        let incoming = Tiered::new(incoming);
         Ok(TcpTransport { me, local_addr, incoming, config, peers, pool, counters })
     }
 
@@ -498,12 +509,14 @@ impl TcpTransport {
         &self,
         timeout: Duration,
     ) -> Option<(ProcessId, Option<GroupId>, NetMsg)> {
-        blocking(|| self.incoming.recv_timeout(timeout)).ok()
+        let incoming = self.incoming.lock();
+        let why = "the queue's one consumer waits at most its own timeout, under no other lock";
+        blocking_holding::<RECV_TIER, _>(why, || incoming.recv_timeout(timeout)).ok()
     }
 
     /// Non-blocking variant of [`TcpTransport::recv_routed_timeout`].
     pub fn try_recv_routed(&self) -> Option<(ProcessId, Option<GroupId>, NetMsg)> {
-        self.incoming.try_recv().ok()
+        self.incoming.lock().try_recv().ok()
     }
 
     /// Receives the next incoming message, waiting up to `timeout`.
@@ -597,6 +610,7 @@ impl std::fmt::Debug for TcpTransport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::net::TcpListener;
     use vsgm_types::AppMsg;
 
     fn p(i: u64) -> ProcessId {
@@ -617,6 +631,31 @@ mod tests {
 
     fn only(to: u64) -> ProcSet {
         [p(to)].into_iter().collect()
+    }
+
+    /// Every dial of a burst of 300 at a listener that accepts none of
+    /// them connects within 300 ms: the accept queue holds them all,
+    /// where std's 128 left the rest waiting about a second for a SYN
+    /// retransmit.
+    #[test]
+    fn a_burst_of_dials_past_128_waits_in_the_accept_queue() {
+        const DIALS: usize = 300;
+        let somaxconn = std::fs::read_to_string("/proc/sys/net/core/somaxconn")
+            .ok()
+            .and_then(|s| s.trim().parse::<usize>().ok());
+        if somaxconn.is_some_and(|max| max < DIALS) {
+            println!("skipped: net.core.somaxconn is {somaxconn:?}, below {DIALS}");
+            return;
+        }
+        let listener = sys::bind_listener("127.0.0.1:0", LISTEN_BACKLOG).unwrap();
+        let addr = listener.local_addr().unwrap();
+        let dials: Vec<TcpStream> = (0..DIALS)
+            .map(|i| {
+                TcpStream::connect_timeout(&addr, Duration::from_millis(300))
+                    .unwrap_or_else(|e| panic!("dial {i} of {DIALS}: {e}"))
+            })
+            .collect();
+        assert_eq!(dials.len(), DIALS);
     }
 
     #[test]
@@ -853,7 +892,7 @@ mod tests {
 
     #[test]
     fn a_frame_handler_takes_every_frame_in_order_and_recv_finds_none() {
-        let (tx, rx) = unbounded();
+        let (tx, rx) = channel();
         let b = TcpTransport::bind_with_handler(
             p(2),
             "127.0.0.1:0",

@@ -20,6 +20,7 @@
 //!   they decode it, and the shard workers send replies, deliveries and
 //!   views back to the clients, one write per client per batch; no
 //!   thread sits in between.
+//! * [`node`] — [`Node`]: one end-point pumped over its own TCP transport.
 //!
 //! ```no_run
 //! use vsgm_server::{GroupServer, ServerConfig};
@@ -36,10 +37,12 @@
 
 pub mod directory;
 pub mod group;
+pub mod node;
 pub mod server;
 pub mod shard;
 
 pub use directory::{DirOutcome, DirRequest, Directory};
 pub use group::{group_seed, GroupCmd, GroupInstance, GroupOutput, GroupReport};
+pub use node::{AppEvent, Node};
 pub use server::{GroupServer, ServerConfig, ServerStats};
 pub use shard::{ShardConfig, ShardCounters, ShardPool};

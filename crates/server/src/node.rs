@@ -1,15 +1,26 @@
 //! A runtime node: a [`Hosted`] end-point pumped over a real
-//! [`TcpTransport`]. Its application is held to `CLIENT:SPEC` by the
-//! composition every host shares ([`crate::client`]).
+//! [`TcpTransport`], as a client runs it. Its application is held to
+//! `CLIENT:SPEC` by the composition every host shares ([`vsgm_core::client`]).
 
-use crate::client::{Hosted, Sink};
-use crate::endpoint::{Endpoint, Input};
-use crate::stability::ACK_EVERY;
 use std::io;
 use std::time::{Duration, Instant};
+use vsgm_core::{Endpoint, Hosted, Input, Sink};
 use vsgm_net::TcpTransport;
 use vsgm_obs::{Recorder, Registry};
 use vsgm_types::{AppMsg, Event, ProcSet, ProcessId, View};
+
+/// How often a [`Node`] asks for acknowledgements ([`Input::AckDue`]):
+/// once this many messages were delivered to its application. A busy
+/// member then retains about this many messages per sender, and a round
+/// costs n + n(n−1) events (EXPERIMENTS.md E16). The daemon's
+/// [`crate::GroupInstance`] does not ask: it reads its members'
+/// deliveries directly and frees after every step (DESIGN.md §18). The
+/// trigger stays in the hosts, not in [`Hosted`]: `harness::Sim`
+/// acknowledges only on `Sim::ack_round`, its un-acknowledged run is the
+/// retaining reference `tests/stability_differential.rs` compares
+/// against, and a trigger inside the composition would need a switch to
+/// turn it off.
+pub const ACK_EVERY: u64 = 64;
 
 /// An application-facing event produced by a [`Node`] pump.
 #[derive(Debug, Clone, PartialEq)]
@@ -41,7 +52,7 @@ pub enum AppEvent {
 /// TCP is reliable per connected pair, so `Reliable` events are
 /// informational and dropped. Once every [`ACK_EVERY`] deliveries the
 /// pump asks the end-point for a stability acknowledgement
-/// ([`crate::stability`]). Every step counts into the node's
+/// ([`vsgm_core::stability`]). Every step counts into the node's
 /// [`Registry`] ([`Node::registry`]).
 #[derive(Debug)]
 pub struct Node {
@@ -222,7 +233,7 @@ impl Node {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Config;
+    use vsgm_core::{Config, CorruptionKind};
     use vsgm_types::{StartChangeId, ViewId};
 
     fn p(i: u64) -> ProcessId {
@@ -374,7 +385,7 @@ mod tests {
         assert!(a.hosted.client().is_blocked());
         a.send(AppMsg::from("lost")).unwrap();
         assert_eq!(a.hosted.client().queued_len(), 1);
-        a.hosted.ep_mut().corrupt(crate::CorruptionKind::ScrambleMembership, 0);
+        a.hosted.ep_mut().corrupt(CorruptionKind::ScrambleMembership, 0);
         a.pump(Duration::ZERO).unwrap();
         assert!(!a.hosted.client().is_blocked());
         assert_eq!(a.hosted.client().queued_len(), 0);

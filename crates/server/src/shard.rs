@@ -5,8 +5,8 @@
 //! Box<GroupInstance>>` it alone touches — group state needs no lock at
 //! all, because ownership is partitioned, not shared. Routing is pure
 //! arithmetic (`gid.raw() % shards`), so dispatching a command takes
-//! only the lock-free channel send to the owning shard; groups on
-//! different shards never contend, and groups on the same shard
+//! one channel send to the owning shard, whose worker owns the receiver;
+//! groups on different shards never contend, and groups on one shard
 //! serialize through their channel in arrival order (the total per-group
 //! command order the differential suite relies on).
 //!
@@ -29,9 +29,9 @@
 #![deny(clippy::disallowed_types, clippy::disallowed_methods)]
 
 use crate::group::{GroupCmd, GroupInstance, GroupOutput, GroupReport};
-use crossbeam::channel::{unbounded, Receiver, Sender};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
 use vsgm_ioa::Violation;
 use vsgm_net::tiered::{blocking, Tiered};
@@ -102,7 +102,8 @@ pub struct ShardConfig {
     /// outputs stay undrained.
     pub auto_run: bool,
     /// Where drained `(gid, member, frame)` outputs go in daemon mode.
-    pub outputs: Option<Sender<(GroupId, ProcessId, NetMsg)>>,
+    /// Its channel type is the one the repository benchmark passes.
+    pub outputs: Option<crossbeam::channel::Sender<(GroupId, ProcessId, NetMsg)>>,
 }
 
 impl Default for ShardConfig {
@@ -132,7 +133,7 @@ impl ShardPool {
         let mut senders = Vec::with_capacity(shards);
         let mut handles = Vec::with_capacity(shards);
         for i in 0..shards {
-            let (tx, rx) = unbounded();
+            let (tx, rx) = channel();
             let counters = Arc::clone(&counters);
             let sink = sink.clone();
             #[expect(
@@ -142,7 +143,7 @@ impl ShardPool {
             )]
             let handle = std::thread::Builder::new()
                 .name(format!("vsgm-shard-{i}"))
-                .spawn(move || shard_main(&rx, &counters, auto_run, &sink))
+                .spawn(move || shard_main(rx, &counters, auto_run, &sink))
                 .expect("spawn shard worker");
             senders.push(tx);
             handles.push(handle);
@@ -201,7 +202,7 @@ impl ShardPool {
 
     /// Blocking snapshot of one group (`None` if unhosted).
     pub fn report(&self, gid: GroupId) -> Option<GroupReport> {
-        let (reply, rx) = unbounded();
+        let (reply, rx) = channel();
         self.send_to(self.shard_of(gid), ShardCmd::Report { gid, reply });
         blocking(|| rx.recv()).ok().flatten()
     }
@@ -210,7 +211,7 @@ impl ShardPool {
     pub fn report_all(&self) -> Vec<GroupReport> {
         let mut replies = Vec::with_capacity(self.senders.len());
         for tx in &self.senders {
-            let (reply, rx) = unbounded();
+            let (reply, rx) = channel();
             if tx.send(ShardCmd::ReportAll { reply }).is_ok() {
                 replies.push(rx);
             }
@@ -223,7 +224,7 @@ impl ShardPool {
 
     /// Blocking checker finalization for one group (`None` if unhosted).
     pub fn finish(&self, gid: GroupId) -> Option<Vec<Violation>> {
-        let (reply, rx) = unbounded();
+        let (reply, rx) = channel();
         self.send_to(self.shard_of(gid), ShardCmd::Finish { gid, reply });
         blocking(|| rx.recv()).ok().flatten()
     }
@@ -316,7 +317,7 @@ impl Worker<'_> {
     }
 }
 
-fn shard_main(rx: &Receiver<ShardCmd>, counters: &ShardCounters, auto_run: bool, sink: &Sink) {
+fn shard_main(rx: Receiver<ShardCmd>, counters: &ShardCounters, auto_run: bool, sink: &Sink) {
     let mut w = Worker { groups: BTreeMap::new(), out: Vec::new(), counters, auto_run, sink };
     while let Ok(first) = blocking(|| rx.recv()) {
         let queued = std::iter::from_fn(|| rx.try_recv().ok());
@@ -401,8 +402,13 @@ mod tests {
     #[test]
     fn hosted_group_outputs_match_isolated_instance() {
         let gid = GroupId::new(6);
-        let (tx, rx) = unbounded();
-        let pool = ShardPool::spawn(ShardConfig { shards: 3, auto_run: true, outputs: Some(tx) });
+        let (tx, rx) = channel();
+        let sink: Sink = Arc::new(move |batch: &mut Vec<Outbound>| {
+            for out in batch.drain(..) {
+                tx.send(out).unwrap();
+            }
+        });
+        let pool = ShardPool::with_sink(3, true, sink);
         pool.create_group(gid, 3, 0);
         let cmds = |apply: &mut dyn FnMut(GroupCmd)| {
             for m in 1..=3 {
@@ -486,12 +492,12 @@ mod tests {
     /// starts, on this thread: the batches are then exactly
     /// `MAX_BATCH` commands each, the last one shorter.
     fn run_burst(cmds: Vec<ShardCmd>, sink: &Sink) -> ShardCounters {
-        let (tx, rx) = unbounded();
+        let (tx, rx) = channel();
         for cmd in cmds.into_iter().chain([ShardCmd::Shutdown]) {
             tx.send(cmd).unwrap();
         }
         let counters = ShardCounters::default();
-        shard_main(&rx, &counters, true, sink);
+        shard_main(rx, &counters, true, sink);
         counters
     }
 
@@ -646,18 +652,21 @@ mod tests {
     #[test]
     fn report_and_finish_answer_after_their_batch_is_handed_over() {
         let gid = GroupId::new(2);
-        let (report_tx, report_rx) = unbounded();
-        let (finish_tx, finish_rx) = unbounded();
-        let finish_rx_seen = finish_rx.clone();
+        let (report_tx, report_rx) = channel();
+        let (finish_tx, finish_rx) = channel();
         // Each sink call logs its batch size and the replies sent so far.
+        // The sink is shared, so it reads the receivers through a lock.
         let log: Arc<std::sync::Mutex<Vec<(usize, usize)>>> = Arc::default();
         let reports: Arc<std::sync::Mutex<Vec<Option<GroupReport>>>> = Arc::default();
+        let replies = Arc::new(std::sync::Mutex::new((report_rx, finish_rx)));
         let sink: Sink = {
-            let (log, reports) = (Arc::clone(&log), Arc::clone(&reports));
+            let (log, reports, replies) =
+                (Arc::clone(&log), Arc::clone(&reports), Arc::clone(&replies));
             Arc::new(move |batch: &mut Vec<Outbound>| {
+                let (report_rx, finish_rx) = &*replies.lock().unwrap();
                 let mut reports = reports.lock().unwrap();
                 reports.extend(report_rx.try_iter());
-                let answered = reports.len() + finish_rx_seen.try_iter().count();
+                let answered = reports.len() + finish_rx.try_iter().count();
                 log.lock().unwrap().push((batch.len(), answered));
             })
         };
@@ -679,6 +688,6 @@ mod tests {
         assert!(before_report > 0 && before_finish > 0);
         assert_eq!(*log.lock().unwrap(), [(before_report, 0), (before_finish, 1)]);
         assert!(matches!(reports.lock().unwrap().as_slice(), [Some(r)] if r.delivered > 0));
-        assert_eq!(finish_rx.recv().unwrap(), Some(vec![]));
+        assert_eq!(replies.lock().unwrap().1.recv().unwrap(), Some(vec![]));
     }
 }

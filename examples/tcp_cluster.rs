@@ -5,17 +5,19 @@
 //! ```
 //!
 //! This is the "production" shape of the stack: each process wraps an
-//! [`vsgm_core::Endpoint`] in a [`vsgm_core::Node`] over a
-//! [`vsgm_net::TcpTransport`] and pumps it on its own thread. The
+//! [`vsgm_core::Endpoint`] in a [`vsgm_server::Node`] over a
+//! [`vsgm_net::TcpTransport`] and pumps it on its own thread (`Node`
+//! lives in `vsgm-server`, beside the daemon's `GroupInstance`; the
+//! protocol crate `vsgm-core` has no sockets). The
 //! membership notifications are scripted here (one `start_change`
 //! followed by the view) — in a deployment they come from membership
 //! servers (see `vsgm-membership`).
 
 use std::sync::mpsc;
 use std::time::{Duration, Instant};
-use vsgm_core::node::AppEvent;
-use vsgm_core::{Config, Endpoint, Input, Node};
+use vsgm_core::{Config, Endpoint, Input};
 use vsgm_net::TcpTransport;
+use vsgm_server::{AppEvent, Node};
 use vsgm_types::{AppMsg, ProcSet, ProcessId, StartChangeId, View, ViewId};
 
 fn main() -> std::io::Result<()> {

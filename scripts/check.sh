@@ -32,6 +32,27 @@ named_tests() {
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
 
+# Layering (DESIGN.md §6): the protocol core and the explorer build no
+# sockets and no crossbeam — Node, the one host over a real transport,
+# lives in vsgm-server beside GroupInstance — and the workspace's own
+# channels are std's. The one crossbeam name left in crates/*/src is
+# ShardConfig::outputs's type, which the frozen benchmark fills.
+echo "==> layering (core and explore without net or crossbeam)"
+for pkg in vsgm-core vsgm-explore; do
+    deps="$(cargo tree -q "${CARGO_FLAGS[@]}" -e normal -p "$pkg")"
+    if grep -Eq 'vsgm-net|crossbeam' <<<"$deps"; then
+        echo "    $pkg depends on vsgm-net or crossbeam:"
+        echo "$deps"
+        exit 1
+    fi
+done
+crossbeam_users="$(grep -rl crossbeam crates/*/src || true)"
+if [ "$crossbeam_users" != crates/server/src/shard.rs ]; then
+    echo "    crossbeam named outside crates/server/src/shard.rs:"
+    echo "$crossbeam_users"
+    exit 1
+fi
+
 echo "==> cargo build --release"
 cargo build --release "${CARGO_FLAGS[@]}"
 
@@ -125,6 +146,9 @@ fi
 # comes back under its pid is answered on its new connection. Then a
 # peer's one record: a registered peer has it before any connection,
 # and a broken queue refuses pushes and wakes a pusher waiting for room.
+# Then a listener's accept queue: 300 dials at a listener that accepts
+# none of them all connect within 300 ms (std's backlog of 128 left the
+# rest waiting about a second for a SYN retransmit).
 echo "==> transport readiness (evloop regressions, accept under fd exhaustion, one writer per peer)"
 cargo test -q -p vsgm-net --test evloop_regressions --test accept_under_fd_exhaustion \
     "${CARGO_FLAGS[@]}" >/dev/null
@@ -134,6 +158,7 @@ named_tests -p vsgm --test net_sendpath -- \
     a_client_that_reconnects_under_its_pid_is_answered_on_its_new_connection
 named_tests -p vsgm-net --lib -- \
     tcp::tests::registered_peers_have_records_before_any_connection \
+    tcp::tests::a_burst_of_dials_past_128_waits_in_the_accept_queue \
     writer::tests::a_broken_queue_refuses_pushes_and_wakes_a_blocked_pusher
 
 # Net-bench smoke: a short loopback run of one transport pair with its
@@ -213,7 +238,7 @@ cargo test -q -p vsgm --test paper_invariants "${CARGO_FLAGS[@]}" >/dev/null
 # emits block then block_ok; a send while blocked emits nothing until
 # the view, then one send per queued message, in order; a crash and an
 # audit reset each leave a fresh client with nothing queued. Then its
-# TCP host: a Node's send between block_ok and the next view is
+# TCP host, vsgm_server::Node: a Node's send between block_ok and the next view is
 # delivered in that view at both nodes, and an audited node whose
 # end-point is damaged resets, its client fresh, after one pump.
 echo "==> hosted composition (Hosted, Node under CLIENT:SPEC)"
@@ -221,7 +246,8 @@ named_tests -p vsgm-core --lib -- \
     client::tests::the_handshake_emits_block_then_block_ok \
     client::tests::a_send_while_blocked_waits_for_the_view_then_goes_out_in_order \
     client::tests::a_crash_leaves_a_fresh_client_and_drops_queued_sends \
-    client::tests::a_reconciled_end_point_shows_a_crash_and_recover_and_gets_a_fresh_client \
+    client::tests::a_reconciled_end_point_shows_a_crash_and_recover_and_gets_a_fresh_client
+named_tests -p vsgm-server --lib -- \
     node::tests::a_send_between_block_ok_and_the_next_view_is_delivered_in_that_view \
     node::tests::an_audit_reset_reaches_the_node_and_leaves_a_fresh_client
 

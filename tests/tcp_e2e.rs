@@ -2,9 +2,9 @@
 //! full algorithm, single-threaded round-robin for determinism.
 
 use std::time::{Duration, Instant};
-use vsgm_core::node::AppEvent;
-use vsgm_core::{Config, Endpoint, Input, Node};
+use vsgm_core::{Config, Endpoint, Input};
 use vsgm_net::TcpTransport;
+use vsgm_server::{AppEvent, Node};
 use vsgm_types::{AppMsg, ProcSet, ProcessId, StartChangeId, View, ViewId};
 
 fn p(i: u64) -> ProcessId {
